@@ -1010,6 +1010,9 @@ FarmResult run_farm(const FarmScenario& scenario, const FarmConfig& config) {
   QC_EXPECT(config.num_processors >= 1, "farm needs >= 1 processor");
   QC_EXPECT(config.control_epoch >= 0,
             "control epoch must be non-negative");
+  QC_EXPECT(std::isfinite(scenario.faults.overrun.factor) &&
+                scenario.faults.overrun.factor > 1.0,
+            "overrun factor must be finite and > 1");
   for (const FailureEvent& ev : scenario.faults.failures) {
     QC_EXPECT(ev.processor >= 0 && ev.processor < config.num_processors,
               "failure event targets a processor outside the farm");

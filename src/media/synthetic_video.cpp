@@ -10,15 +10,27 @@ namespace {
 
 constexpr double kPi = 3.14159265358979323846;
 
-/// Cheap deterministic per-pixel noise hash in [-1, 1].
-double noise_hash(int x, int y, int t, std::uint64_t seed) {
+/// Cheap deterministic per-pixel noise hash in [-1, 1], split in two:
+/// noise(x, y, t) = noise_at(noise_row(y, t, seed), x).  The key is an
+/// XOR of per-coordinate products, so the row's share is folded once.
+std::uint64_t noise_row(int y, int t, std::uint64_t seed) {
   std::uint64_t h = seed;
-  h ^= static_cast<std::uint64_t>(static_cast<std::uint32_t>(x)) * 0x9e3779b97f4a7c15ULL;
   h ^= static_cast<std::uint64_t>(static_cast<std::uint32_t>(y)) * 0xc2b2ae3d27d4eb4fULL;
   h ^= static_cast<std::uint64_t>(static_cast<std::uint32_t>(t)) * 0x165667b19e3779f9ULL;
+  return h;
+}
+
+double noise_at(std::uint64_t row, int x) {
+  std::uint64_t h =
+      row ^ static_cast<std::uint64_t>(static_cast<std::uint32_t>(x)) *
+                0x9e3779b97f4a7c15ULL;
   h = (h ^ (h >> 29)) * 0xbf58476d1ce4e5b9ULL;
   h ^= h >> 32;
   return (static_cast<double>(h & 0xffffff) / double(0xffffff)) * 2.0 - 1.0;
+}
+
+Sample clamp_sample(double v) {
+  return static_cast<Sample>(std::clamp(v, 0.0, 255.0));
 }
 
 }  // namespace
@@ -114,91 +126,159 @@ bool SyntheticVideo::is_scene_cut(int index) const {
 std::vector<int> SyntheticVideo::scene_starts() const { return starts_; }
 
 Frame SyntheticVideo::frame(int index) const {
-  const int s = scene_of(index);
-  const Scene& scene = scenes_[static_cast<std::size_t>(s)];
-  const int local_t = index - starts_[static_cast<std::size_t>(s)];
-
   Frame out(config_.width, config_.height);
-  const double ox = scene.pan_vx * local_t;
-  const double oy = scene.pan_vy * local_t;
-  for (int y = 0; y < config_.height; ++y) {
-    for (int x = 0; x < config_.width; ++x) {
-      const double wx = x + ox;
-      const double wy = y + oy;
-      double v = scene.base_level;
-      v += scene.amp1 *
-           std::sin(scene.fx1 * wx * 2.0 * kPi + scene.ph1) *
-           std::cos(scene.fy1 * wy * 2.0 * kPi);
-      v += scene.amp2 *
-           std::sin(scene.fx2 * wx * 2.0 * kPi +
-                    scene.fy2 * wy * 2.0 * kPi + scene.ph2);
-      // Moving objects: smooth discs with soft edges and a little
-      // internal texture.
-      for (const auto& obj : scene.objects) {
-        const double cx = obj.cx + obj.vx * local_t;
-        const double cy = obj.cy + obj.vy * local_t;
-        const double dx = x - cx;
-        const double dy = y - cy;
-        const double d2 = dx * dx + dy * dy;
-        const double r2 = obj.radius * obj.radius;
-        if (d2 < r2) {
-          const double falloff = 1.0 - d2 / r2;
-          const double texture =
-              0.3 * std::sin(0.5 * dx + obj.phase) * std::cos(0.5 * dy);
-          v += obj.brightness * falloff * (1.0 + texture);
-        }
-      }
-      v += config_.noise_amplitude * noise_hash(x, y, index, config_.seed);
-      out.set(x, y, static_cast<Sample>(std::clamp(v, 0.0, 255.0)));
-    }
-  }
+  render(index, out, nullptr, nullptr);
   return out;
 }
 
 YuvFrame SyntheticVideo::frame_yuv(int index) const {
+  YuvFrame out;
+  out.y = Frame(config_.width, config_.height);
+  out.cb = Plane(config_.width / 2, config_.height / 2);
+  out.cr = Plane(config_.width / 2, config_.height / 2);
+  render(index, out.y, &out.cb, &out.cr);
+  return out;
+}
+
+// The per-pixel formula, evaluated left to right in doubles, with
+// (wx, wy) = (x + ox, y + oy) the pixel's panned world position and
+// (dx, dy) its offset from a disc's center at this frame:
+//
+//   v  = base_level
+//   v += amp1 * sin(fx1 * wx * 2 * pi + ph1) * cos(fy1 * wy * 2 * pi)
+//   v += amp2 * sin(fx2 * wx * 2 * pi + fy2 * wy * 2 * pi + ph2)
+//   for each disc in object order with d2 = dx * dx + dy * dy < r2:
+//     falloff = 1 - d2 / r2
+//     v += brightness * falloff *
+//          (1 + 0.3 * sin(0.5 * dx + phase) * cos(0.5 * dy))
+//   luma = clamp(v + noise_amplitude * noise(x, y, index))
+//
+// Chroma sample (cx, cy) sits at luma position (2cx, 2cy):
+//   cb = cb_base + chroma_amp * sin(chroma_freq * wx * 2 * pi + chroma_phase)
+//   cr = cr_base + chroma_amp * cos(chroma_freq * wy * 2 * pi + chroma_phase)
+// plus tint_cb * falloff and tint_cr * falloff for each covering disc.
+//
+// Every factor that depends on one coordinate only is hoisted to a
+// per-column table or a per-row scalar without reordering any
+// operation, so the doubles, and hence the samples, are bit-identical
+// to evaluating the formula pixel by pixel.
+void SyntheticVideo::render(int index, Frame& luma, Plane* cb,
+                            Plane* cr) const {
   const int s = scene_of(index);
   const Scene& scene = scenes_[static_cast<std::size_t>(s)];
   const int local_t = index - starts_[static_cast<std::size_t>(s)];
-
-  YuvFrame out;
-  out.y = frame(index);
-  out.cb = Plane(config_.width / 2, config_.height / 2);
-  out.cr = Plane(config_.width / 2, config_.height / 2);
-
+  const int width = config_.width;
   const double ox = scene.pan_vx * local_t;
   const double oy = scene.pan_vy * local_t;
-  for (int cy = 0; cy < out.cb.height(); ++cy) {
-    for (int cx = 0; cx < out.cb.width(); ++cx) {
-      // Chroma sample sits at luma position (2cx, 2cy); the color
-      // fields live in world coordinates so they pan with the luma.
-      const double wx = 2 * cx + ox;
-      const double wy = 2 * cy + oy;
-      double cb = scene.cb_base +
-                  scene.chroma_amp *
-                      std::sin(scene.chroma_freq * wx * 2.0 * kPi +
-                               scene.chroma_phase);
-      double cr = scene.cr_base +
-                  scene.chroma_amp *
-                      std::cos(scene.chroma_freq * wy * 2.0 * kPi +
-                               scene.chroma_phase);
-      for (const auto& obj : scene.objects) {
-        const double ocx = obj.cx + obj.vx * local_t;
-        const double ocy = obj.cy + obj.vy * local_t;
-        const double dx = 2 * cx - ocx;
-        const double dy = 2 * cy - ocy;
-        const double d2 = dx * dx + dy * dy;
-        const double r2 = obj.radius * obj.radius;
-        if (d2 < r2) {
-          const double falloff = 1.0 - d2 / r2;
-          cb += obj.tint_cb * falloff;
-          cr += obj.tint_cr * falloff;
-        }
-      }
-      out.cb.set(cx, cy, static_cast<Sample>(std::clamp(cb, 0.0, 255.0)));
-      out.cr.set(cx, cy, static_cast<Sample>(std::clamp(cr, 0.0, 255.0)));
+
+  // Per column: sinusoid 1's amp1 * sin(.) factor, sinusoid 2's x term
+  // and, when chroma is rendered, the cb field at even columns.
+  std::vector<double> wave1(static_cast<std::size_t>(width));
+  std::vector<double> arg2_x(static_cast<std::size_t>(width));
+  std::vector<double> cb_field(static_cast<std::size_t>(width / 2));
+  for (int x = 0; x < width; ++x) {
+    const double wx = x + ox;
+    wave1[static_cast<std::size_t>(x)] =
+        scene.amp1 * std::sin(scene.fx1 * wx * 2.0 * kPi + scene.ph1);
+    arg2_x[static_cast<std::size_t>(x)] = scene.fx2 * wx * 2.0 * kPi;
+    if (cb != nullptr && x % 2 == 0) {
+      cb_field[static_cast<std::size_t>(x / 2)] =
+          scene.cb_base +
+          scene.chroma_amp *
+              std::sin(scene.chroma_freq * wx * 2.0 * kPi + scene.chroma_phase);
     }
   }
-  return out;
+
+  // Per disc: this frame's center and the column span [x0, x1) outside
+  // which dx^2 >= r^2 (so no pixel of the column is covered), with dx^2
+  // and the texture's 0.3 * sin(.) factor tabulated over the span.
+  struct Disc {
+    const MovingObject* obj;
+    double cy, r2;
+    int x0, x1;
+    std::size_t at;  ///< offset of column x0 in dx2 / wave_x
+  };
+  std::vector<Disc> discs;
+  std::vector<double> dx2, wave_x;
+  for (const auto& obj : scene.objects) {
+    const double cx = obj.cx + obj.vx * local_t;
+    Disc d{&obj, obj.cy + obj.vy * local_t, obj.radius * obj.radius, width, 0,
+           dx2.size()};
+    for (int x = 0; x < width; ++x) {
+      const double dx = x - cx;
+      if (dx * dx < d.r2) {
+        d.x0 = std::min(d.x0, x);
+        d.x1 = x + 1;
+      }
+    }
+    if (d.x0 >= d.x1) continue;
+    for (int x = d.x0; x < d.x1; ++x) {
+      const double dx = x - cx;
+      dx2.push_back(dx * dx);
+      wave_x.push_back(0.3 * std::sin(0.5 * dx + obj.phase));
+    }
+    discs.push_back(d);
+  }
+
+  std::vector<double> v(static_cast<std::size_t>(width));
+  std::vector<double> cb_row(cb_field.size()), cr_row(cb_field.size());
+  for (int y = 0; y < config_.height; ++y) {
+    const double wy = y + oy;
+    const double wave1_y = std::cos(scene.fy1 * wy * 2.0 * kPi);
+    const double arg2_y = scene.fy2 * wy * 2.0 * kPi;
+    for (int x = 0; x < width; ++x) {
+      const std::size_t i = static_cast<std::size_t>(x);
+      v[i] = scene.base_level;
+      v[i] += wave1[i] * wave1_y;
+      v[i] += scene.amp2 * std::sin(arg2_x[i] + arg2_y + scene.ph2);
+    }
+    const bool chroma = cb != nullptr && y % 2 == 0;
+    if (chroma) {
+      const double cr_field =
+          scene.cr_base +
+          scene.chroma_amp *
+              std::cos(scene.chroma_freq * wy * 2.0 * kPi + scene.chroma_phase);
+      cb_row = cb_field;
+      std::fill(cr_row.begin(), cr_row.end(), cr_field);
+    }
+    // Moving objects: smooth discs with soft edges and a little internal
+    // texture, tinting the chroma they cover.
+    for (const Disc& d : discs) {
+      const double dy = y - d.cy;
+      const double dy2 = dy * dy;
+      if (dy2 >= d.r2) continue;  // d2 >= dy2: the row misses the disc
+      const double wave_y = std::cos(0.5 * dy);
+      const MovingObject& obj = *d.obj;
+      for (int x = d.x0; x < d.x1; ++x) {
+        const std::size_t k = d.at + static_cast<std::size_t>(x - d.x0);
+        const double d2 = dx2[k] + dy2;
+        if (d2 < d.r2) {
+          const double falloff = 1.0 - d2 / d.r2;
+          const double texture = wave_x[k] * wave_y;
+          v[static_cast<std::size_t>(x)] +=
+              obj.brightness * falloff * (1.0 + texture);
+          if (chroma && x % 2 == 0) {
+            cb_row[static_cast<std::size_t>(x / 2)] += obj.tint_cb * falloff;
+            cr_row[static_cast<std::size_t>(x / 2)] += obj.tint_cr * falloff;
+          }
+        }
+      }
+    }
+    const std::uint64_t noise_key = noise_row(y, index, config_.seed);
+    Sample* out = luma.row(y);
+    for (int x = 0; x < width; ++x) {
+      out[x] = clamp_sample(v[static_cast<std::size_t>(x)] +
+                            config_.noise_amplitude * noise_at(noise_key, x));
+    }
+    if (chroma) {
+      Sample* out_cb = cb->row(y / 2);
+      Sample* out_cr = cr->row(y / 2);
+      for (std::size_t cx = 0; cx < cb_row.size(); ++cx) {
+        out_cb[cx] = clamp_sample(cb_row[cx]);
+        out_cr[cx] = clamp_sample(cr_row[cx]);
+      }
+    }
+  }
 }
 
 }  // namespace qosctrl::media

@@ -7,6 +7,15 @@
 // evaluate at any frame index (no inter-frame state), so tests can
 // sample frames at random.
 //
+// Invariant: the output is bit-exact with evaluating the per-pixel
+// formula (stated at SyntheticVideo::render) pixel by pixel.  The
+// renderer hoists every factor that depends only on the column or only
+// on the row and culls a disc's rows and columns where dy^2 or dx^2 >=
+// r^2, but keeps each floating-point expression in its per-pixel
+// evaluation order, and the build must not contract a*b+c into an FMA.
+// tests/media/synthetic_video_test.cpp pins FNV-1a hashes of every
+// plane over a grid of geometries, seeds and frames.
+//
 // The properties the experiments rely on:
 //  * hard cuts defeat motion estimation -> expensive, mostly-intra
 //    frames (the paper's I-frame jumps in Figures 6-9);
@@ -77,6 +86,11 @@ class SyntheticVideo {
     double chroma_freq, chroma_amp, chroma_phase;  ///< chroma texture
     std::vector<MovingObject> objects;
   };
+
+  /// Renders frame `index` row by row into `luma` and, when `cb` and
+  /// `cr` are non-null, into the half-resolution chroma planes: the one
+  /// kernel behind frame() and frame_yuv().
+  void render(int index, Frame& luma, Plane* cb, Plane* cr) const;
 
   VideoConfig config_;
   std::vector<Scene> scenes_;

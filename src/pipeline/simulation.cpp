@@ -167,7 +167,7 @@ const enc::EncoderSystem& StreamSession::repaced_system(rt::Cycles remaining) {
 }
 
 FrameRecord StreamSession::encode(int index, rt::Cycles t0) {
-  const media::YuvFrame input = video_.frame_yuv(index);
+  media::YuvFrame input = video_.frame_yuv(index);
 
   // Late start under backlog: re-pace this frame's deadlines over the
   // remaining window instead of entering arrival-paced tables with
@@ -190,6 +190,12 @@ FrameRecord StreamSession::encode(int index, rt::Cycles t0) {
   const enc::FrameStats stats = encoder_.encode_frame(
       input, *controller, *sys->system, rate_.qp(), elapsed);
   rate_.frame_encoded(stats.bits);
+  if (track_delivery_) {
+    // deliver() or lose() scores this frame next: keep its luma until
+    // then instead of rendering it a second time.
+    kept_index_ = index;
+    kept_luma_ = std::move(input.y);
+  }
 
   FrameRecord rec;
   rec.index = index;
@@ -222,8 +228,14 @@ FrameRecord StreamSession::skip(int index) {
   return rec;
 }
 
-void StreamSession::score_against_display(FrameRecord* rec) const {
-  const media::Frame input = video_.frame(rec->index);
+media::Frame StreamSession::source_luma(int index) {
+  if (index != kept_index_) return video_.frame(index);
+  kept_index_ = -1;
+  return std::move(kept_luma_);
+}
+
+void StreamSession::score_against_display(FrameRecord* rec) {
+  const media::Frame input = source_luma(rec->index);
   if (track_delivery_) {
     if (!displayed_) return;  // nothing ever displayed: scores stay 0
     const quality::FrameDistortion d = quality::measure(input, displayed_->y);
@@ -258,7 +270,7 @@ FrameRecord StreamSession::deliver(FrameRecord rec) {
   // concealment the decoder predicts from its stale reference, and
   // the drift measured here is the real propagation cost.
   const quality::FrameDistortion dist =
-      quality::measure(video_.frame(rec.index), displayed_->y);
+      quality::measure(source_luma(rec.index), displayed_->y);
   rec.psnr = dist.psnr;
   rec.ssim = dist.ssim;
   return rec;

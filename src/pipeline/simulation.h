@@ -191,7 +191,9 @@ class StreamSession {
   /// what a viewer displays — stale-reference propagation included.
   /// Off by default: without faults the decode is bit-exact with the
   /// encoder's reconstruction and every score is unchanged, so
-  /// fault-free runs skip the decode cost entirely.
+  /// fault-free runs skip the decode cost entirely.  While tracking,
+  /// encode() keeps the frame's rendered luma until deliver() or lose()
+  /// scores it, so each encoded frame is rendered once.
   void track_delivery() { track_delivery_ = true; }
   bool tracking_delivery() const { return track_delivery_; }
 
@@ -227,7 +229,11 @@ class StreamSession {
   /// Scores `rec` against what the viewer currently displays: the
   /// decoder chain's last output when tracking, the encoder's
   /// reconstruction otherwise (the skip() scoring path).
-  void score_against_display(FrameRecord* rec) const;
+  void score_against_display(FrameRecord* rec);
+  /// The source luma of frame `index`: the copy encode() kept, released
+  /// here, when it is that frame's; a fresh render otherwise (a skip or
+  /// drop of a frame that was never encoded).
+  media::Frame source_luma(int index);
   /// True when the configured controller holds no cross-frame state
   /// and may be rebuilt at will (table / online / constant).
   bool stateless_controller() const;
@@ -258,6 +264,11 @@ class StreamSession {
   /// The decoder chain's displayed frame (and inter-prediction
   /// reference) when tracking; empty before the first delivery.
   std::optional<media::YuvFrame> displayed_;
+  /// With tracking, the luma encode() rendered for frame kept_index_
+  /// (-1: none), held only while that frame is in service: deliver()
+  /// and lose() score against it and release it.
+  int kept_index_ = -1;
+  media::Frame kept_luma_;
 };
 
 /// Runs the full system simulation.

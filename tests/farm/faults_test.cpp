@@ -8,10 +8,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
 #include <string>
 
 #include "farm/metrics.h"
 #include "farm/simulator.h"
+#include "obs/buildinfo.h"
 
 namespace qosctrl::farm {
 namespace {
@@ -247,6 +250,39 @@ TEST(FarmFaults, FaultScenarioIsBitIdenticalAcrossWorkerCounts) {
   }
 }
 
+/// FNV-1a of a report with its build-provenance fields (version,
+/// compiler, SIMD backend) stripped, so the pin survives rebuilds.
+std::uint64_t report_digest(std::string json) {
+  const std::string provenance = obs::build_json_fields();
+  if (const std::size_t at = json.find(provenance); at != std::string::npos) {
+    json.erase(at, provenance.size());
+  }
+  std::uint64_t h = 0xcbf29ce484222325ULL;  // FNV-1a offset basis
+  for (const char c : json) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 1099511628211ULL;  // FNV prime
+  }
+  return h;
+}
+
+// Pinned delivery path: the fault soup drives every render, decode and
+// score the delivery path has (delivered, lost, policer-aborted, outage
+// drops, a repair's intra re-sync, failover).  Its report hashes to the
+// same value at 1 and 4 workers, recorded before synthesis and delivery
+// scoring were restructured.
+TEST(FarmFaults, FaultSoupReportDigestIsPinned) {
+  for (const int workers : {1, 4}) {
+    FarmConfig cfg;
+    cfg.num_processors = 3;
+    cfg.workers = workers;
+    const FarmResult r = run_farm(soup_scenario(), cfg);
+    EXPECT_GT(r.total_concealed, 0);
+    EXPECT_GT(r.faults_total.overruns_policed, 0);
+    EXPECT_EQ(report_digest(to_json(r)), 0x61db9058158d20a1ULL)
+        << "workers=" << workers;
+  }
+}
+
 // The injected fault trace is a pure function of (scenario, faults,
 // farm seed): byte-identical across every scheduling policy.
 TEST(FarmFaults, FaultTraceIsIdenticalAcrossSchedulingPolicies) {
@@ -291,6 +327,18 @@ TEST(FarmFaults, ExportsCarryTheFaultSections) {
   EXPECT_NE(sum.find("fault totals:"), std::string::npos);
   EXPECT_NE(sum.find("failure 0:"), std::string::npos);
   EXPECT_NE(sum.find("failure 1:"), std::string::npos);
+}
+
+TEST(FarmFaultsDeath, RejectsNonFiniteOrShrinkingOverrunFactor) {
+  FarmConfig cfg;
+  cfg.num_processors = 2;
+  for (const double factor : {std::numeric_limits<double>::quiet_NaN(),
+                              std::numeric_limits<double>::infinity(), 1.0}) {
+    FarmScenario sc = light_scenario(1, 2);
+    sc.faults.overrun.probability = 1.0;
+    sc.faults.overrun.factor = factor;
+    EXPECT_DEATH(run_farm(sc, cfg), "overrun factor") << factor;
+  }
 }
 
 }  // namespace

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
 #include "media/motion.h"
 
 namespace qosctrl::media {
@@ -120,6 +123,96 @@ TEST(SyntheticVideo, PixelsSpanAUsefulRange) {
   }
   EXPECT_LT(lo, 100);
   EXPECT_GT(hi, 150);
+}
+
+std::uint64_t fnv1a(std::uint64_t h, const std::vector<Sample>& bytes) {
+  for (const Sample b : bytes) {
+    h ^= b;
+    h *= 1099511628211ULL;  // FNV prime
+  }
+  return h;
+}
+
+struct GoldenVideo {
+  int width;
+  int height;
+  std::uint64_t seed;
+  std::uint64_t luma, cb, cr;  ///< FNV-1a over every frame, in order
+};
+
+// Recorded from the per-pixel generator the row-separable one replaced;
+// any change to a pixel of any plane moves a hash.  Each video is 40
+// frames in 3 scenes (14, 13, 13 frames) and every frame is hashed, so
+// the grid covers each cut (0, 14, 27), each scene's last frame (13, 26,
+// 39) and discs straddling the frame border (in 14 to 40 of the 40
+// frames, depending on geometry and seed).
+const GoldenVideo kGoldenVideos[] = {
+    {32, 32, 7,
+     0x046d790cbb3a1e51ULL, 0x73f9bf193f59bd50ULL, 0x91e561583bcb2917ULL},
+    {32, 32, 2005,
+     0xc202d259869a24fbULL, 0xde810577f180b4c6ULL, 0xbf34cfad04a5823aULL},
+    {32, 32, 0x9e3779b97f4a7c15ULL,
+     0x2ce1b9b652a64997ULL, 0x467d2bed5d8f129eULL, 0xbe34e14f310d998aULL},
+    {64, 48, 7,
+     0x26be803ad396df38ULL, 0x8013ab028e623f45ULL, 0x5281e660252b2753ULL},
+    {64, 48, 2005,
+     0x807058e76efe33daULL, 0x6d1681633f39ce74ULL, 0xc705678d016285b8ULL},
+    {64, 48, 0x9e3779b97f4a7c15ULL,
+     0x82dbb6ba8dacdad7ULL, 0x5fc7a2d7d393efdfULL, 0x5c0f46d3f199acadULL},
+    {80, 64, 7,
+     0xaca2a2e5d77f5b77ULL, 0x7228b3131a2eb908ULL, 0x99e83a5619550d98ULL},
+    {80, 64, 2005,
+     0x858a2338df268d4aULL, 0xd8eaae30c1c8f134ULL, 0x6cc1044d15f24991ULL},
+    {80, 64, 0x9e3779b97f4a7c15ULL,
+     0x665bdf66877f1e26ULL, 0xd3bef494c7d2f028ULL, 0x7c7124a564e123c5ULL},
+    {96, 80, 7,
+     0xad2b63d995ec845aULL, 0xb0e88e7a7cb0fc46ULL, 0x393f4bb8a0689a03ULL},
+    {96, 80, 2005,
+     0x64f5a1907c6ae28dULL, 0xccaec77f296245d2ULL, 0x49daf7f33287a3f7ULL},
+    {96, 80, 0x9e3779b97f4a7c15ULL,
+     0x6503c139712301e3ULL, 0x1845c3a591f51bb1ULL, 0x709622a1bb12b45fULL},
+    {128, 96, 7,
+     0xbee907fe37ffd20eULL, 0x98312f431fd981ffULL, 0xea506578874b93e6ULL},
+    {128, 96, 2005,
+     0xfe21a6460e7756ebULL, 0x54110b1ffc3c3ac6ULL, 0x8a325408a20ca6f3ULL},
+    {128, 96, 0x9e3779b97f4a7c15ULL,
+     0x9deada048bceb9a1ULL, 0xa779428d5a2bf1e8ULL, 0x5ec9a364a352b398ULL},
+    {176, 144, 7,
+     0xcee6fffb5016182eULL, 0x720ed3e572c10dadULL, 0xbc0c7066184c95e5ULL},
+    {176, 144, 2005,
+     0x44af6c9723c4a4e1ULL, 0xc709ea9e212229ecULL, 0x95d36768a7e97837ULL},
+    {176, 144, 0x9e3779b97f4a7c15ULL,
+     0x20a73af52318356aULL, 0x77fa5b4a066aacf6ULL, 0x33c751d2596e42b6ULL},
+};
+
+TEST(SyntheticVideo, GoldenHashesPinEveryPlane) {
+  for (const GoldenVideo& g : kGoldenVideos) {
+    VideoConfig c;
+    c.width = g.width;
+    c.height = g.height;
+    c.num_frames = 40;
+    c.num_scenes = 3;
+    c.seed = g.seed;
+    const SyntheticVideo v(c);
+    std::uint64_t luma = 0xcbf29ce484222325ULL;  // FNV-1a offset basis
+    std::uint64_t cb = luma, cr = luma;
+    for (int f = 0; f < c.num_frames; ++f) {
+      const YuvFrame yuv = v.frame_yuv(f);
+      ASSERT_EQ(v.frame(f).data(), yuv.y.data())
+          << g.width << "x" << g.height << " seed " << g.seed << " frame "
+          << f << ": frame() and frame_yuv().y disagree";
+      luma = fnv1a(luma, yuv.y.data());
+      cb = fnv1a(cb, yuv.cb.data());
+      cr = fnv1a(cr, yuv.cr.data());
+    }
+    SCOPED_TRACE(testing::Message() << g.width << "x" << g.height << " seed "
+                                    << g.seed << std::hex << " luma 0x"
+                                    << luma << " cb 0x" << cb << " cr 0x"
+                                    << cr);
+    EXPECT_EQ(luma, g.luma);
+    EXPECT_EQ(cb, g.cb);
+    EXPECT_EQ(cr, g.cr);
+  }
 }
 
 TEST(SyntheticVideoDeath, RejectsBadConfig) {

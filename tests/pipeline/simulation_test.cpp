@@ -197,6 +197,64 @@ TEST(Pipeline, CoarseGrainControlLosesQualityOrSafety) {
   EXPECT_TRUE(pays);
 }
 
+// A tracked session keeps the luma it rendered for encode(i) until the
+// frame is delivered or lost.  A drop(j) issued in between (a queued
+// frame quarantined or blacked out while frame i is in service) must
+// score a fresh render of j, and must not disturb the kept luma.
+TEST(StreamSessionDelivery, DropWhileInServiceScoresItsOwnFrame) {
+  StreamSession a(small_config());
+  StreamSession b(small_config());
+  a.track_delivery();
+  b.track_delivery();
+  a.deliver(a.encode(0, 0));
+  b.deliver(b.encode(0, 0));
+
+  const FrameRecord in_service = a.encode(1, 0);
+  const FrameRecord dropped = a.drop(5);
+  // The twin drops frame 5 with nothing in service; both viewers show
+  // the decoded frame 0.
+  const FrameRecord reference = b.drop(5);
+  EXPECT_TRUE(dropped.concealed);
+  EXPECT_DOUBLE_EQ(dropped.psnr, reference.psnr);
+  EXPECT_DOUBLE_EQ(dropped.ssim, reference.ssim);
+  // Scoring frame 1 against the same display gives another number, so
+  // the equality above really tells the two renders apart.
+  EXPECT_NE(dropped.psnr, b.drop(1).psnr);
+
+  // The frame in service still scores against its own luma: in sync,
+  // the decode equals the encoder's reconstruction.
+  const FrameRecord shown = a.deliver(in_service);
+  EXPECT_FALSE(shown.concealed);
+  EXPECT_DOUBLE_EQ(shown.psnr, in_service.psnr);
+  EXPECT_DOUBLE_EQ(shown.ssim, in_service.ssim);
+}
+
+// Loss, drift, then a repair: the re-sync frame after reset_reference()
+// is intra, so the decoder displays exactly the encoder's
+// reconstruction.  The scores are pinned to the values the session
+// produced before it kept rendered luma across encode/deliver.
+TEST(StreamSessionDelivery, ResyncAfterResetReferenceScoresAsPinned) {
+  StreamSession s(small_config());
+  s.track_delivery();
+  s.deliver(s.encode(0, 0));
+  const FrameRecord lost = s.lose(s.encode(1, 0));
+  EXPECT_TRUE(lost.concealed);
+  const FrameRecord drift = s.encode(2, 0);
+  const FrameRecord drifted = s.deliver(drift);
+  EXPECT_LT(drifted.psnr, drift.psnr) << "stale reference must cost PSNR";
+
+  s.reset_reference();
+  const FrameRecord resync = s.encode(3, 0);
+  const FrameRecord shown = s.deliver(resync);
+  EXPECT_FALSE(shown.concealed);
+  EXPECT_DOUBLE_EQ(shown.psnr, resync.psnr);
+  EXPECT_DOUBLE_EQ(shown.ssim, resync.ssim);
+  EXPECT_EQ(lost.psnr, 21.205002088371035);
+  EXPECT_EQ(drifted.psnr, 21.056837465258202);
+  EXPECT_EQ(shown.psnr, 43.117642969385848);
+  EXPECT_EQ(shown.ssim, 0.99498879909515381);
+}
+
 TEST(Pipeline, SummaryMentionsKeyFields) {
   const PipelineResult r = run_pipeline(small_config());
   const std::string s = summarize(r);

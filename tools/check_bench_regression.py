@@ -3,13 +3,16 @@
 
 Reads two google-benchmark JSON files (the format tools/run_bench.sh
 writes: aggregates only, 3 repetitions) and fails when a tracked
-benchmark's mean cpu_time regressed by more than the allowed factor.
+benchmark's mean time regressed by more than the allowed factor.  The
+time is cpu_time, except on BM_FarmThroughput* rows, which are gated
+on real_time: their multi-worker rows run on pool threads whose work
+the main thread's cpu_time leaves out.
 
 CI runners and developer machines differ in absolute speed, so by
 default every per-benchmark ratio is normalized by the *median* ratio
 across all benchmarks shared by the two files: a uniformly slower
 machine cancels out, while a single kernel that regressed relative to
-its peers stands out.  Pass --absolute to compare raw cpu_time instead
+its peers stands out.  Pass --absolute to compare raw times instead
 (meaningful only against a baseline recorded on the same machine).
 
 When $GITHUB_STEP_SUMMARY is set (i.e. under GitHub Actions), a
@@ -40,23 +43,35 @@ import sys
 # ShardedJoinRate tracks the flash-crowd join storm on a 1024-processor
 # fleet at 1 and 64 shards: the pinned >= 10x sharded-vs-single join
 # rate lives in the ratio of these two rows (see docs/scenarios.md).
+# SyntheticFrame(Yuv) tracks the video source: the luma frame and the
+# full 4:2:0 frame the farm renders per encode.  Multi-worker farm rows
+# carry google-benchmark's /real_time suffix.
 DEFAULT_BENCHMARKS = (
     r"^BM_(SadMacroblock|ForwardDct8|PsnrFrame|SsimFrame"
+    r"|SyntheticFrame(Yuv)?"
     r"|AdmissionThroughput(Exact)?/\d+"
     r"|ShardedJoinRate/\d+"
-    r"|FarmThroughput(Preemptive|Quantum|Faults|Timeseries)?/\d+)$"
+    r"|FarmThroughput(Preemptive|Quantum|Faults|Timeseries)?/\d+"
+    r"(/real_time)?)$"
 )
 
 
+def gated_time(run_name):
+    """The JSON field a row is gated on (see the module docstring)."""
+    return "real_time" if "FarmThroughput" in run_name else "cpu_time"
+
+
 def load_means(path):
-    """run_name -> mean cpu_time (ns) from an aggregates-only JSON."""
+    """run_name -> mean gated time from an aggregates-only JSON.  Both
+    fields use the row's own time_unit, so ratios are unit-free."""
     with open(path) as f:
         doc = json.load(f)
     means = {}
     for b in doc.get("benchmarks", []):
         if b.get("aggregate_name") != "mean":
             continue
-        means[b["run_name"]] = float(b["cpu_time"])
+        name = b["run_name"]
+        means[name] = float(b[gated_time(name)])
     return means
 
 
@@ -129,7 +144,7 @@ def main():
                          f"(default: {DEFAULT_BENCHMARKS})")
     ap.add_argument("--max-slowdown", type=float, default=1.25,
                     help="failure threshold on the (normalized) "
-                         "cpu_time ratio (default: 1.25 = 25%% slower)")
+                         "time ratio (default: 1.25 = 25%% slower)")
     ap.add_argument("--absolute", action="store_true",
                     help="skip machine-speed normalization")
     args = ap.parse_args()

@@ -3,46 +3,60 @@
 // the library, so this lives next to the mains.
 #pragma once
 
+#include <cctype>
+#include <cerrno>
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <string>
 #include <vector>
 
 namespace qosctrl::cli {
 
+/// A decimal int; rejects trailing junk and values outside int (strtol
+/// would hand back a long that truncates, e.g. 4294967298 -> 2).
 inline bool parse_int(const char* s, int* out) {
   char* end = nullptr;
+  errno = 0;
   const long v = std::strtol(s, &end, 10);
-  if (end == s || *end != '\0') return false;
+  if (end == s || *end != '\0' || errno == ERANGE ||
+      v < std::numeric_limits<int>::min() ||
+      v > std::numeric_limits<int>::max()) {
+    return false;
+  }
   *out = static_cast<int>(v);
   return true;
 }
 
+/// A decimal unsigned 64-bit value; no sign, no wrap-around.
 inline bool parse_u64(const char* s, std::uint64_t* out) {
-  if (*s == '-') return false;
+  if (!std::isdigit(static_cast<unsigned char>(*s))) return false;
   char* end = nullptr;
+  errno = 0;
   const unsigned long long v = std::strtoull(s, &end, 10);
-  if (end == s || *end != '\0') return false;
+  if (*end != '\0' || errno == ERANGE) return false;
   *out = static_cast<std::uint64_t>(v);
   return true;
 }
 
-/// Any finite double (range checks are the caller's).
+/// Any finite double (range checks are the caller's); strtod's "nan",
+/// "inf" and overflowing literals are rejected.
 inline bool parse_double(const char* s, double* out) {
   char* end = nullptr;
   const double v = std::strtod(s, &end);
-  if (end == s || *end != '\0') return false;
+  if (end == s || *end != '\0' || !std::isfinite(v)) return false;
   *out = v;
   return true;
 }
 
 /// A fraction in [0, 1].
 inline bool parse_fraction(const char* s, double* out) {
-  char* end = nullptr;
-  const double v = std::strtod(s, &end);
-  if (end == s || *end != '\0' || v < 0.0 || v > 1.0) return false;
+  double v = 0.0;
+  if (!parse_double(s, &v) || v < 0.0 || v > 1.0) return false;
   *out = v;
   return true;
 }
@@ -61,18 +75,13 @@ inline std::vector<std::string> split_commas(const char* s) {
   return out;
 }
 
-/// Comma-separated positive doubles.
+/// Comma-separated positive finite doubles.
 inline bool parse_double_list(const char* s, std::vector<double>* out) {
   out->clear();
   for (const std::string& item : split_commas(s)) {
-    try {
-      std::size_t used = 0;
-      const double v = std::stod(item, &used);
-      if (used != item.size() || v <= 0.0) return false;
-      out->push_back(v);
-    } catch (...) {
-      return false;
-    }
+    double v = 0.0;
+    if (!parse_double(item.c_str(), &v) || v <= 0.0) return false;
+    out->push_back(v);
   }
   return !out->empty();
 }

@@ -7,8 +7,11 @@
 # 10k / 100k resident streams, items_per_second = admit+release
 # cycles per wall-second; the Exact suffix forces the full
 # check-point scan the QPA fast path replaces),
+# the video source (BM_SyntheticFrame = one QCIF luma frame,
+# BM_SyntheticFrameYuv = the full 4:2:0 frame the farm renders),
 # and the encoder-farm throughput (BM_FarmThroughput* items_per_second
-# = simulated stream-frames per wall-second; the Preemptive / Quantum
+# = simulated stream-frames per wall-second, multi-worker rows timed in
+# wall time via UseRealTime(); the Preemptive / Quantum
 # suffixes run the same load under those scheduling policies, Faults
 # adds the injection chain, Traced turns the schedule trace on,
 # Timeseries turns the windowed accumulators + SLO evaluation on),
@@ -29,7 +32,7 @@ cmake -B "$BUILD_DIR" -S "$ROOT" -DQOSCTRL_BUILD_BENCHES=ON \
 cmake --build "$BUILD_DIR" --target bench_micro -j "$(nproc)" >/dev/null
 
 "$BUILD_DIR/bench_micro" \
-    --benchmark_filter='BM_(SadMacroblock|HalfpelInterp|ForwardDct8|InverseDct8|MotionSearch|TableControllerDecision|PsnrFrame|SsimFrame|AdmissionThroughput(Exact)?|ShardedJoinRate|FarmThroughput(Preemptive|Quantum|Faults|Traced|Timeseries)?)' \
+    --benchmark_filter='BM_(SadMacroblock|HalfpelInterp|ForwardDct8|InverseDct8|MotionSearch|TableControllerDecision|PsnrFrame|SsimFrame|SyntheticFrame(Yuv)?|AdmissionThroughput(Exact)?|ShardedJoinRate|FarmThroughput(Preemptive|Quantum|Faults|Traced|Timeseries)?)' \
     --benchmark_repetitions=3 \
     --benchmark_report_aggregates_only=true \
     --benchmark_out_format=json \
