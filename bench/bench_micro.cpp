@@ -10,7 +10,9 @@
 #include <cstdlib>
 #include <map>
 #include <memory>
+#include <optional>
 #include <utility>
+#include <vector>
 
 #include "encoder/system_builder.h"
 #include "farm/load_gen.h"
@@ -21,6 +23,7 @@
 #include "media/entropy.h"
 #include "media/motion.h"
 #include "media/padded_frame.h"
+#include "media/quant.h"
 #include "media/simd/kernels.h"
 #include "media/synthetic_video.h"
 #include "obs/buildinfo.h"
@@ -338,19 +341,94 @@ void BM_SsimFrameScalarKernel(benchmark::State& state) {
 }
 BENCHMARK(BM_SsimFrameScalarKernel);
 
-void BM_EntropyEncodeBlock(benchmark::State& state) {
-  util::Rng rng(5);
-  media::Coeffs8 levels{};
-  for (int k = 0; k < 12; ++k) {
-    levels[static_cast<std::size_t>(rng.uniform_i64(0, 63))] =
-        static_cast<std::int32_t>(rng.uniform_i64(-40, 40));
-  }
-  for (auto _ : state) {
+// ---------------------------------------------------------------------------
+// Quantize / Compress on the farm's traffic: the 396 luma blocks of a
+// QCIF frame's residual against the previous frame (co-located), at
+// QP 2 (the farm runs at QP 1.8-2.6 on average), which carries about
+// as many nonzero levels per block as the farm's encoder emits.  Each
+// iteration handles one block, cycling through the frame.
+
+struct EntropyFixture {
+  std::vector<media::Coeffs8> coeffs;
+  std::vector<media::Coeffs8> levels;
+  std::vector<std::uint8_t> stream;  // every block of `levels`, coded
+  double nonzero_per_block = 0.0;
+};
+
+constexpr int kFixtureQp = 2;
+
+const EntropyFixture& entropy_fixture() {
+  static const EntropyFixture f = [] {
+    EntropyFixture e;
+    const media::SyntheticVideo video{media::VideoConfig{}};
+    const media::Frame prev = video.frame(0);
+    const media::Frame cur = video.frame(1);
     util::BitWriter bw;
-    benchmark::DoNotOptimize(media::encode_block(bw, levels));
+    int nonzero = 0;
+    for (int y0 = 0; y0 < cur.height(); y0 += 8) {
+      for (int x0 = 0; x0 < cur.width(); x0 += 8) {
+        media::Block8 residual;
+        for (int y = 0; y < 8; ++y) {
+          for (int x = 0; x < 8; ++x) {
+            residual[static_cast<std::size_t>(y * 8 + x)] =
+                static_cast<media::Residual>(cur.at(x0 + x, y0 + y) -
+                                             prev.at(x0 + x, y0 + y));
+          }
+        }
+        e.coeffs.push_back(media::forward_dct8(residual));
+        e.levels.push_back(media::quantize_block(e.coeffs.back(), kFixtureQp));
+        nonzero += media::count_nonzero(e.levels.back());
+        media::encode_block(bw, e.levels.back());
+      }
+    }
+    e.stream = bw.finish();
+    e.nonzero_per_block =
+        static_cast<double>(nonzero) / static_cast<double>(e.levels.size());
+    return e;
+  }();
+  return f;
+}
+
+void BM_QuantizeBlock(benchmark::State& state) {
+  const auto& f = entropy_fixture();
+  std::size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(media::quantize_block(f.coeffs[i], kFixtureQp));
+    if (++i == f.coeffs.size()) i = 0;
   }
 }
+BENCHMARK(BM_QuantizeBlock);
+
+void BM_EntropyEncodeBlock(benchmark::State& state) {
+  const auto& f = entropy_fixture();
+  util::BitWriter bw;
+  std::size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(media::encode_block(bw, f.levels[i]));
+    benchmark::ClobberMemory();
+    if (++i == f.levels.size()) {  // one frame's worth: hand it off
+      i = 0;
+      benchmark::DoNotOptimize(bw.finish());
+    }
+  }
+  state.counters["nonzero_per_block"] = f.nonzero_per_block;
+}
 BENCHMARK(BM_EntropyEncodeBlock);
+
+void BM_EntropyDecodeBlock(benchmark::State& state) {
+  const auto& f = entropy_fixture();
+  std::optional<util::BitReader> br(std::in_place, f.stream);
+  std::size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(media::decode_block(*br));
+    if (++i == f.levels.size()) {
+      i = 0;
+      br.emplace(f.stream);
+    }
+  }
+  state.counters["nonzero_per_block"] = f.nonzero_per_block;
+}
+BENCHMARK(BM_EntropyDecodeBlock);
 
 void BM_SyntheticFrame(benchmark::State& state) {
   const media::SyntheticVideo video{media::VideoConfig{}};

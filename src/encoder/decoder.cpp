@@ -69,7 +69,8 @@ DecodeResult decode_frame(const std::vector<std::uint8_t>& bitstream,
       if (reference == nullptr) return result;  // stream needs a reference
       const auto dx2 = media::get_se(br);  // half-pel units
       const auto dy2 = media::get_se(br);
-      if (std::abs(dx2) > 128 || std::abs(dy2) > 128) return result;
+      // Compared without std::abs: get_se can return INT32_MIN.
+      if (dx2 < -128 || dx2 > 128 || dy2 < -128 || dy2 > 128) return result;
       if (padded_ref.covers_block16_halfpel(x0, y0, dx2, dy2)) {
         prediction = media::motion_compensate_halfpel(padded_ref, x0, y0,
                                                       dx2, dy2);

@@ -17,10 +17,12 @@ const std::array<int, 64>& zigzag_order();
 
 /// Writes an unsigned exp-Golomb code for v >= 0.
 void put_ue(util::BitWriter& bw, std::uint32_t v);
-/// Reads an unsigned exp-Golomb code.
+/// Reads an unsigned exp-Golomb code.  A malformed code (more than 32
+/// leading zeros, or no 1 before the end of the buffer) reads as 0.
 std::uint32_t get_ue(util::BitReader& br);
 
-/// Signed exp-Golomb mapping (0, 1, -1, 2, -2, ...).
+/// Signed exp-Golomb mapping (0, 1, -1, 2, -2, ...).  Every int32 but
+/// INT32_MIN is encodable (its code number would be 2^32).
 void put_se(util::BitWriter& bw, std::int32_t v);
 std::int32_t get_se(util::BitReader& br);
 
@@ -31,7 +33,8 @@ std::int64_t encode_block(util::BitWriter& bw, const Coeffs8& levels);
 
 /// Decodes one block previously written by encode_block.  Returns
 /// std::nullopt on a corrupt stream (zero-run past the end of the
-/// block, or reader overrun) — hostile input must fail, not abort.
+/// block, a level beyond kMaxLevel, or reader overrun) — hostile input
+/// must fail, not abort.
 std::optional<Coeffs8> decode_block(util::BitReader& br);
 
 }  // namespace qosctrl::media

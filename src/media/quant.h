@@ -9,6 +9,14 @@ namespace qosctrl::media {
 inline constexpr int kMinQp = 1;
 inline constexpr int kMaxQp = 31;
 
+/// Largest |level| the encoder can produce: residuals are differences
+/// of 8-bit samples (|r| <= 255), the orthonormal DCT keeps every
+/// |coefficient| <= 8 * 255 = 2040 (the fixed-point kernel adds at most
+/// 1), and QP 1 halves that.  The decoder rejects larger levels, which
+/// also keeps level * 2 * QP far inside int32 and the inverse DCT's
+/// |coefficient| <= 65536 domain.
+inline constexpr std::int32_t kMaxLevel = 1024;
+
 /// Quantizes one coefficient with quantization parameter `qp`.
 std::int32_t quantize_coeff(std::int32_t c, int qp);
 

@@ -1,50 +1,47 @@
 #include "util/bitio.h"
 
-#include "util/check.h"
+#include <algorithm>
 
 namespace qosctrl::util {
 
-void BitWriter::put_bits(std::uint64_t value, int count) {
-  QC_EXPECT(count >= 0 && count <= 64, "bit count must be in [0, 64]");
-  for (int i = count - 1; i >= 0; --i) {
-    const bool bit = ((value >> i) & 1) != 0;
-    current_ = static_cast<std::uint8_t>((current_ << 1) | (bit ? 1 : 0));
-    if (++filled_ == 8) {
-      bytes_.push_back(current_);
-      current_ = 0;
-      filled_ = 0;
-    }
-  }
-  bit_count_ += count;
+void BitWriter::grow() {
+  buf_.resize(std::max<std::size_t>(256, 2 * buf_.size()));
 }
 
 std::vector<std::uint8_t> BitWriter::finish() {
-  if (filled_ > 0) {
-    bytes_.push_back(static_cast<std::uint8_t>(current_ << (8 - filled_)));
-    current_ = 0;
-    filled_ = 0;
+  const int pending = 64 - free_;
+  if (pending > 0) {
+    // Left-align the pending bits (zero padding below them) and store
+    // the whole word; only its first ceil(pending / 8) bytes are kept.
+    store_word((acc_ << (free_ - 1)) << 1);
+    size_ -= 8 - static_cast<std::size_t>((pending + 7) / 8);
   }
-  return bytes_;
+  buf_.resize(size_);
+  std::vector<std::uint8_t> out = std::move(buf_);
+  *this = BitWriter();
+  return out;
 }
 
-std::uint64_t BitReader::get_bits(int count) {
-  QC_EXPECT(count >= 0 && count <= 64, "bit count must be in [0, 64]");
-  std::uint64_t v = 0;
-  for (int i = 0; i < count; ++i) {
-    const std::int64_t byte_index = pos_ >> 3;
-    if (byte_index >= static_cast<std::int64_t>(bytes_.size())) {
-      overrun_ = true;
-      v <<= 1;
-      ++pos_;
-      continue;
-    }
-    const int bit_index = 7 - static_cast<int>(pos_ & 7);
-    const bool bit = ((bytes_[static_cast<std::size_t>(byte_index)] >>
-                       bit_index) & 1) != 0;
-    v = (v << 1) | (bit ? 1 : 0);
-    ++pos_;
+std::vector<std::uint8_t> BitWriter::bytes() const {
+  std::vector<std::uint8_t> out(
+      buf_.begin(), buf_.begin() + static_cast<std::ptrdiff_t>(size_));
+  const std::uint64_t left_aligned = (acc_ << (free_ - 1)) << 1;
+  for (int i = 0; i < (64 - free_) / 8; ++i) {
+    out.push_back(static_cast<std::uint8_t>(left_aligned >> (56 - 8 * i)));
   }
-  return v;
+  return out;
+}
+
+std::uint64_t BitReader::peek_tail() const {
+  // Near (or past) the end: assemble the window byte by byte, reading
+  // zeros past the last byte.  The ninth byte peek() would merge in is
+  // always past the end here, so the low bits shift in as zeros.
+  const auto byte = static_cast<std::uint64_t>(pos_ >> 3);
+  std::uint64_t w = 0;
+  for (std::uint64_t i = 0; i < 8; ++i) {
+    w = (w << 8) | (byte + i < size_ ? data_[byte + i] : 0u);
+  }
+  return w << (pos_ & 7);
 }
 
 }  // namespace qosctrl::util

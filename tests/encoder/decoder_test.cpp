@@ -4,7 +4,9 @@
 
 #include "encoder/frame_encoder.h"
 #include "encoder/system_builder.h"
+#include "media/entropy.h"
 #include "media/synthetic_video.h"
+#include "util/bitio.h"
 
 namespace qosctrl::enc {
 namespace {
@@ -145,6 +147,34 @@ TEST(Decoder, BitstreamSizeMatchesReportedBits) {
   const std::size_t padded_bytes =
       static_cast<std::size_t>((stats.bits + 7) / 8);
   EXPECT_EQ(encoder.bitstream().size(), padded_bytes);
+}
+
+TEST(Decoder, RejectsLevelsThatWouldOverflowDequantization) {
+  // Header ue(1) ue(1) ue(31), intra mode 0, then one coefficient:
+  // flag 1, ue(0) run, ue(0xFFFFFFFE) = se(-0x7FFFFFFF) level, and the
+  // zero padding reads as end-of-block.  Dequantizing that level
+  // (level * 2 * 31) overflowed int32 before decode_block bounded
+  // levels by media::kMaxLevel.
+  const std::vector<std::uint8_t> crafted{0x48, 0x10, 0x4C, 0x00,
+                                          0x00, 0x00, 0x07, 0xFF,
+                                          0xFF, 0xFF, 0xF8};
+  const DecodeResult d = decode_frame(crafted, nullptr);
+  EXPECT_FALSE(d.ok);
+}
+
+TEST(Decoder, RejectsInt32MinMotionVector) {
+  // An inter macroblock whose dx2 is ue(0xFFFFFFFF), which get_se maps
+  // to INT32_MIN: the range check must not take its absolute value.
+  util::BitWriter bw;
+  media::put_ue(bw, 1);
+  media::put_ue(bw, 1);
+  media::put_ue(bw, 8);
+  bw.put_bit(false);
+  media::put_ue(bw, UINT32_MAX);
+  media::put_se(bw, 0);
+  const media::YuvFrame reference(16, 16);
+  const DecodeResult d = decode_frame(bw.finish(), &reference);
+  EXPECT_FALSE(d.ok);
 }
 
 }  // namespace

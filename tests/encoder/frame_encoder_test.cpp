@@ -4,6 +4,7 @@
 
 #include <memory>
 
+#include "encoder/decoder.h"
 #include "encoder/system_builder.h"
 #include "media/synthetic_video.h"
 
@@ -179,6 +180,80 @@ TEST(FrameEncoder, QualityRangeIsReported) {
   EXPECT_LE(s.min_quality, s.max_quality);
   EXPECT_GE(s.mean_quality, static_cast<double>(s.min_quality));
   EXPECT_LE(s.mean_quality, static_cast<double>(s.max_quality));
+}
+
+
+struct GoldenStream {
+  int width;
+  int height;
+  int qp;
+  std::uint64_t hash;  ///< FNV-1a over every frame's bitstream, in order
+  std::int64_t bits;   ///< sum of FrameStats::bits over the frames
+};
+
+// Recorded from the bit-at-a-time writer and the division quantizer
+// that the word-at-a-time writer and the reciprocal quantizer replaced.
+// Each run encodes 12 frames in 3 scenes under the table controller, so
+// a change to any emitted bit moves the hash, and (through the
+// Compress action's content-coupled cost) usually every later frame.
+const GoldenStream kGoldenStreams[] = {
+    {64, 48, 1, 0xd5ffeff9d06e9f0fULL, 282740},
+    {64, 48, 2, 0xc0ad004135d708eeULL, 192359},
+    {64, 48, 8, 0x5677361edb535cb3ULL, 63171},
+    {64, 48, 31, 0xd2a90e250f34992dULL, 23868},
+    {128, 96, 1, 0xe542ef0fcb925958ULL, 1023709},
+    {128, 96, 2, 0xbadba0cad38c6224ULL, 712795},
+    {128, 96, 8, 0xf8c8cc4e0519a076ULL, 223330},
+    {128, 96, 31, 0xbc7cd18e2f5a7885ULL, 78538},
+    {176, 144, 1, 0x862f490f9ba2bed9ULL, 2047088},
+    {176, 144, 2, 0xdf0cb1d0ea2db589ULL, 1442525},
+    {176, 144, 8, 0xbe265cdce1c247faULL, 413951},
+    {176, 144, 31, 0x570be9e1802a5d4dULL, 154966},
+};
+
+TEST(FrameEncoder, GoldenBitstreamsPinEveryBit) {
+  for (const GoldenStream& g : kGoldenStreams) {
+    EncoderConfig cfg;
+    cfg.width = g.width;
+    cfg.height = g.height;
+    const int mbs = (g.width / 16) * (g.height / 16);
+    const auto es = build_encoder_system(mbs, mbs * rt::Cycles{250000},
+                                         platform::figure5_cost_table());
+    media::VideoConfig vc;
+    vc.width = g.width;
+    vc.height = g.height;
+    vc.num_frames = 12;
+    vc.num_scenes = 3;
+    vc.seed = 2005;
+    const media::SyntheticVideo video(vc);
+    FrameEncoder encoder(cfg, make_cost_model(3));
+    qos::TableController ctl(es.tables);
+    std::uint64_t hash = 0xcbf29ce484222325ULL;  // FNV-1a offset basis
+    std::int64_t bits = 0;
+    media::YuvFrame displayed;
+    for (int f = 0; f < vc.num_frames; ++f) {
+      const FrameStats s =
+          encoder.encode_frame(video.frame_yuv(f), ctl, *es.system, g.qp);
+      bits += s.bits;
+      for (const std::uint8_t b : encoder.bitstream()) {
+        hash ^= b;
+        hash *= 1099511628211ULL;  // FNV prime
+      }
+      const DecodeResult d =
+          decode_frame(encoder.bitstream(), f == 0 ? nullptr : &displayed);
+      ASSERT_TRUE(d.ok) << g.width << "x" << g.height << " qp " << g.qp
+                        << " frame " << f;
+      ASSERT_EQ(d.frame.y.data(), encoder.reconstructed().y.data());
+      ASSERT_EQ(d.frame.cb.data(), encoder.reconstructed().cb.data());
+      ASSERT_EQ(d.frame.cr.data(), encoder.reconstructed().cr.data());
+      displayed = d.frame;
+    }
+    SCOPED_TRACE(testing::Message()
+                 << g.width << "x" << g.height << " qp " << g.qp << std::hex
+                 << " hash 0x" << hash << std::dec << " bits " << bits);
+    EXPECT_EQ(hash, g.hash);
+    EXPECT_EQ(bits, g.bits);
+  }
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 #include <numeric>
 #include <set>
 
+#include "media/quant.h"
 #include "util/rng.h"
 
 namespace qosctrl::media {
@@ -64,6 +65,40 @@ TEST(ExpGolomb, SignedRoundTrip) {
   for (std::int32_t v = -150; v <= 150; ++v) {
     EXPECT_EQ(get_se(br), v);
   }
+}
+
+TEST(ExpGolomb, SignedRoundTripAtTheEdgesOfInt32) {
+  // 2 * v - 1 overflowed int32 for v >= 2^30 before the mapping moved
+  // to 64 bits.
+  const std::int32_t values[] = {1 << 30,       -(1 << 30),
+                                 (1 << 30) + 1, -(1 << 30) - 1,
+                                 INT32_MAX,     -INT32_MAX};
+  util::BitWriter bw;
+  for (const std::int32_t v : values) put_se(bw, v);
+  const auto bytes = bw.finish();
+  util::BitReader br(bytes);
+  for (const std::int32_t v : values) EXPECT_EQ(get_se(br), v);
+  EXPECT_FALSE(br.overrun());
+}
+
+TEST(ExpGolomb, LongestUnsignedCodeIs65Bits) {
+  util::BitWriter bw;
+  put_ue(bw, UINT32_MAX);
+  EXPECT_EQ(bw.bit_count(), 65);
+  put_ue(bw, UINT32_MAX - 1);
+  EXPECT_EQ(bw.bit_count(), 65 + 63);
+  const auto bytes = bw.finish();
+  util::BitReader br(bytes);
+  EXPECT_EQ(get_ue(br), UINT32_MAX);
+  EXPECT_EQ(get_ue(br), UINT32_MAX - 1);
+  EXPECT_EQ(br.bits_consumed(), 65 + 63);
+  EXPECT_FALSE(br.overrun());
+}
+
+TEST(ExpGolombDeath, Int32MinIsNotEncodable) {
+  // Its code number would be 2^32; it used to wrap to 0 silently.
+  util::BitWriter bw;
+  EXPECT_DEATH(put_se(bw, INT32_MIN), "out of range");
 }
 
 TEST(EncodeBlock, EmptyBlockCostsOneBit) {
@@ -144,6 +179,24 @@ TEST(DecodeBlock, RejectsRunPastEndOfBlock) {
   const auto bytes = bw.finish();
   util::BitReader br(bytes);
   EXPECT_FALSE(decode_block(br).has_value());
+}
+
+TEST(DecodeBlock, RejectsLevelsTheQuantizerCannotProduce) {
+  for (const std::int32_t level : {kMaxLevel, -kMaxLevel, kMaxLevel + 1,
+                                   -kMaxLevel - 1, INT32_MAX}) {
+    Coeffs8 levels{};
+    levels[3] = level;
+    util::BitWriter bw;
+    encode_block(bw, levels);
+    const auto bytes = bw.finish();
+    util::BitReader br(bytes);
+    const auto out = decode_block(br);
+    if (level >= -kMaxLevel && level <= kMaxLevel) {
+      EXPECT_EQ(out, levels);
+    } else {
+      EXPECT_FALSE(out.has_value()) << level;
+    }
+  }
 }
 
 TEST(DecodeBlock, RejectsTruncatedStream) {

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdlib>
+
+#include "media/dct.h"
+
 #include "util/rng.h"
 
 namespace qosctrl::media {
@@ -64,6 +69,81 @@ TEST(Quant, BlockHelpersMatchScalar) {
     EXPECT_EQ(levels[i], quantize_coeff(coeffs[i], 6));
     EXPECT_EQ(recon[i], dequantize_coeff(levels[i], 6));
   }
+}
+
+TEST(Quant, BlockEqualsTheDivisionFormulaForEveryReachableCoefficient) {
+  // Every QP and every |c| <= 65536 (the inverse DCT's domain; the
+  // forward DCT of 8-bit residuals stays within 2041), both signs.
+  for (int qp = kMinQp; qp <= kMaxQp; ++qp) {
+    Coeffs8 coeffs;
+    for (std::int32_t base = -65536; base <= 65536; base += 64) {
+      for (std::size_t i = 0; i < 64; ++i) {
+        coeffs[i] = base + static_cast<std::int32_t>(i);
+      }
+      const Coeffs8 levels = quantize_block(coeffs, qp);
+      for (std::size_t i = 0; i < 64; ++i) {
+        ASSERT_EQ(levels[i], quantize_coeff(coeffs[i], qp))
+            << "qp " << qp << " c " << coeffs[i];
+      }
+    }
+  }
+}
+
+TEST(Quant, BlockIsExactAcrossTheWholeInt32Range) {
+  // The reciprocal is exact for every int32, including the extremes
+  // where the division formula itself would overflow int32.
+  const auto reference = [](std::int32_t c, int qp) {
+    const std::int64_t mag = (std::abs(std::int64_t{c}) + qp) / (2 * qp);
+    return static_cast<std::int32_t>(c < 0 ? -mag : mag);
+  };
+  util::Rng rng(14);
+  for (int qp = kMinQp; qp <= kMaxQp; ++qp) {
+    Coeffs8 coeffs;
+    for (int round = 0; round < 64; ++round) {
+      for (std::size_t i = 0; i < 64; ++i) {
+        coeffs[i] = static_cast<std::int32_t>(rng.next_u64());
+      }
+      coeffs[0] = INT32_MIN;
+      coeffs[1] = INT32_MAX;
+      coeffs[2] = INT32_MIN + 1;
+      coeffs[3] = INT32_MAX - qp;
+      // Multiples of the step, half-steps and their neighbours.
+      const std::int64_t k = rng.uniform_i64(0, INT32_MAX / (2 * qp) - 1);
+      for (std::size_t i = 4; i < 10; ++i) {
+        coeffs[i] = static_cast<std::int32_t>(k * 2 * qp + qp - 5 +
+                                              static_cast<std::int64_t>(i));
+      }
+      const Coeffs8 levels = quantize_block(coeffs, qp);
+      for (std::size_t i = 0; i < 64; ++i) {
+        ASSERT_EQ(levels[i], reference(coeffs[i], qp))
+            << "qp " << qp << " c " << coeffs[i];
+      }
+    }
+  }
+}
+
+TEST(Quant, EncoderLevelsStayWithinMaxLevel) {
+  // The largest coefficients 8-bit residuals can reach: each DCT basis
+  // function's sign pattern at full swing, both polarities, at QP 1.
+  std::int32_t largest = 0;
+  for (std::size_t k = 0; k < 64; ++k) {
+    for (const int polarity : {1, -1}) {
+      Block8 residual;
+      for (std::size_t p = 0; p < 64; ++p) {
+        Block8 impulse{};
+        impulse[p] = 255;
+        const std::int32_t basis = forward_dct8_ref(impulse)[k];
+        residual[p] = static_cast<Residual>(polarity *
+                                            (basis < 0 ? -255 : 255));
+      }
+      for (const std::int32_t level :
+           quantize_block(forward_dct8(residual), kMinQp)) {
+        largest = std::max(largest, std::abs(level));
+      }
+    }
+  }
+  EXPECT_LE(largest, kMaxLevel);
+  EXPECT_GE(largest, 1000);  // the bound is not loose by orders
 }
 
 TEST(Quant, CountNonzero) {

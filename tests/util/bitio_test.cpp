@@ -81,5 +81,79 @@ TEST(BitWriter, ZeroCountIsNoop) {
   EXPECT_TRUE(bw.finish().empty());
 }
 
+TEST(BitWriter, IgnoresBitsAboveCount) {
+  // Each value's garbage sits right above its count, where an unmasked
+  // OR would land on the bits already pending.
+  BitWriter bw;
+  bw.put_bits(0b101, 3);
+  bw.put_bits(~0ULL << 2, 2);
+  bw.put_bits(0x8000000000000001ULL, 64);
+  bw.put_bits(~1ULL, 1);
+  EXPECT_EQ(bw.bit_count(), 70);
+  const std::vector<std::uint8_t> expected{0xA4, 0, 0, 0, 0, 0, 0, 0, 0x08};
+  EXPECT_EQ(bw.finish(), expected);
+}
+
+TEST(BitWriter, BytesShowsEveryCompleteByte) {
+  BitWriter bw;
+  for (int i = 0; i < 70; ++i) {
+    bw.put_bits(0xA5, 8);
+    bw.put_bits(1, 3);
+    const auto bytes = bw.bytes();
+    ASSERT_EQ(bytes.size(), static_cast<std::size_t>(bw.bit_count() / 8));
+  }
+  const auto bytes = bw.bytes();
+  ASSERT_GE(bytes.size(), 2u);
+  EXPECT_EQ(bytes[0], 0xA5);
+  EXPECT_EQ(bytes[1], 0x34);  // 001 then the top five bits of 0xA5
+}
+
+TEST(BitWriter, FinishHandsOffAndEmpties) {
+  BitWriter bw;
+  bw.put_bits(0xABC, 12);
+  EXPECT_EQ(bw.finish(), (std::vector<std::uint8_t>{0xAB, 0xC0}));
+  EXPECT_EQ(bw.bit_count(), 0);
+  EXPECT_TRUE(bw.bytes().empty());
+  bw.put_bits(0x5, 4);
+  EXPECT_EQ(bw.finish(), (std::vector<std::uint8_t>{0x50}));
+}
+
+TEST(BitReader, FullWordReadsAcrossByteBoundaries) {
+  BitWriter bw;
+  bw.put_bits(0x5, 3);
+  bw.put_bits(0x0123456789ABCDEFULL, 64);
+  bw.put_bits(0xFEDCBA9876543210ULL, 64);
+  const auto bytes = bw.finish();
+  BitReader br(bytes);
+  EXPECT_EQ(br.get_bits(3), 0x5u);
+  EXPECT_EQ(br.peek(), 0x0123456789ABCDEFULL);
+  EXPECT_EQ(br.get_bits(64), 0x0123456789ABCDEFULL);
+  EXPECT_EQ(br.get_bits(64), 0xFEDCBA9876543210ULL);
+  EXPECT_FALSE(br.overrun());
+  EXPECT_EQ(br.bits_left(), 5);
+  EXPECT_EQ(br.peek(), 0u);  // padding, then zeros past the end
+  EXPECT_EQ(br.get_bits(6), 0u);
+  EXPECT_TRUE(br.overrun());
+  EXPECT_EQ(br.bits_consumed(), 137);
+}
+
+TEST(BitReader, ZeroCountReadsNothingEvenPastTheEnd) {
+  const std::vector<std::uint8_t> bytes{0x80};
+  BitReader br(bytes);
+  br.get_bits(8);
+  EXPECT_EQ(br.get_bits(0), 0u);
+  EXPECT_FALSE(br.overrun());
+  EXPECT_EQ(br.bits_consumed(), 8);
+}
+
+TEST(BitIoDeath, RejectsBadCounts) {
+  BitWriter bw;
+  EXPECT_DEATH(bw.put_bits(0, 65), "bit count");
+  EXPECT_DEATH(bw.put_bits(0, -1), "bit count");
+  const std::vector<std::uint8_t> bytes{0xFF};
+  BitReader br(bytes);
+  EXPECT_DEATH(br.get_bits(65), "bit count");
+}
+
 }  // namespace
 }  // namespace qosctrl::util

@@ -44,11 +44,15 @@ import sys
 # fleet at 1 and 64 shards: the pinned >= 10x sharded-vs-single join
 # rate lives in the ratio of these two rows (see docs/scenarios.md).
 # SyntheticFrame(Yuv) tracks the video source: the luma frame and the
-# full 4:2:0 frame the farm renders per encode.  Multi-worker farm rows
+# full 4:2:0 frame the farm renders per encode.  QuantizeBlock and
+# Entropy(Encode|Decode)Block track the encoder's Quantize / Compress
+# actions and the decoder's block parse on farm-like blocks.
+# Multi-worker farm rows
 # carry google-benchmark's /real_time suffix.
 DEFAULT_BENCHMARKS = (
     r"^BM_(SadMacroblock|ForwardDct8|PsnrFrame|SsimFrame"
     r"|SyntheticFrame(Yuv)?"
+    r"|QuantizeBlock|Entropy(Encode|Decode)Block"
     r"|AdmissionThroughput(Exact)?/\d+"
     r"|ShardedJoinRate/\d+"
     r"|FarmThroughput(Preemptive|Quantum|Faults|Timeseries)?/\d+"

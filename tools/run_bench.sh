@@ -9,6 +9,9 @@
 # check-point scan the QPA fast path replaces),
 # the video source (BM_SyntheticFrame = one QCIF luma frame,
 # BM_SyntheticFrameYuv = the full 4:2:0 frame the farm renders),
+# the encoder's Quantize / Compress path and the decoder's block parse
+# on farm-like blocks (BM_QuantizeBlock, BM_EntropyEncodeBlock,
+# BM_EntropyDecodeBlock: ns per 8x8 block, about 43 nonzero levels),
 # and the encoder-farm throughput (BM_FarmThroughput* items_per_second
 # = simulated stream-frames per wall-second, multi-worker rows timed in
 # wall time via UseRealTime(); the Preemptive / Quantum
@@ -32,7 +35,7 @@ cmake -B "$BUILD_DIR" -S "$ROOT" -DQOSCTRL_BUILD_BENCHES=ON \
 cmake --build "$BUILD_DIR" --target bench_micro -j "$(nproc)" >/dev/null
 
 "$BUILD_DIR/bench_micro" \
-    --benchmark_filter='BM_(SadMacroblock|HalfpelInterp|ForwardDct8|InverseDct8|MotionSearch|TableControllerDecision|PsnrFrame|SsimFrame|SyntheticFrame(Yuv)?|AdmissionThroughput(Exact)?|ShardedJoinRate|FarmThroughput(Preemptive|Quantum|Faults|Traced|Timeseries)?)' \
+    --benchmark_filter='BM_(SadMacroblock|HalfpelInterp|ForwardDct8|InverseDct8|MotionSearch|TableControllerDecision|PsnrFrame|SsimFrame|SyntheticFrame(Yuv)?|QuantizeBlock|Entropy(Encode|Decode)Block|AdmissionThroughput(Exact)?|ShardedJoinRate|FarmThroughput(Preemptive|Quantum|Faults|Traced|Timeseries)?)' \
     --benchmark_repetitions=3 \
     --benchmark_report_aggregates_only=true \
     --benchmark_out_format=json \
