@@ -452,6 +452,20 @@ void BM_SyntheticFrameYuv(benchmark::State& state) {
 }
 BENCHMARK(BM_SyntheticFrameYuv);
 
+// The same frames rendered in order through one carry, as a farm
+// session renders them: each frame evaluates only the background strip
+// its scene's pan exposed (and the first frame of each scene in full).
+void BM_SyntheticFrameYuvCarried(benchmark::State& state) {
+  const media::SyntheticVideo video{media::VideoConfig{}};
+  media::SyntheticVideo::Carry carry;
+  int f = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(video.frame_yuv(f, &carry));
+    f = (f + 1) % video.num_frames();
+  }
+}
+BENCHMARK(BM_SyntheticFrameYuvCarried);
+
 // Whole-farm throughput: a generated multi-stream scenario under
 // admission control, end to end (control plane, per-processor run
 // queues, real pixel encoding).  items_per_second reports simulated

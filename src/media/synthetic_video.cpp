@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdlib>
+#include <cstring>
 
 #include "util/check.h"
 
@@ -38,6 +40,11 @@ Sample clamp_sample(double v) {
 SyntheticVideo::SyntheticVideo(const VideoConfig& config) : config_(config) {
   QC_EXPECT(config.width > 0 && config.height > 0,
             "video dimensions must be positive");
+  QC_EXPECT(config.width % kMacroBlockSize == 0 &&
+                config.height % kMacroBlockSize == 0,
+            "video dimensions must be multiples of the macroblock size");
+  QC_EXPECT(std::isfinite(config.noise_amplitude),
+            "noise amplitude must be finite");
   QC_EXPECT(config.num_frames >= 1, "at least one frame required");
   QC_EXPECT(config.num_scenes >= 1 &&
                 config.num_scenes <= config.num_frames,
@@ -72,6 +79,10 @@ SyntheticVideo::SyntheticVideo(const VideoConfig& config) : config_(config) {
       // Force the dominant component to the full magnitude.
       scene.pan_vx = (scene.pan_vx >= 0) ? pan_mag : -pan_mag;
     }
+    // A Carry shifts the background by whole pixels (see the header).
+    QC_EXPECT(scene.pan_vx == std::trunc(scene.pan_vx) &&
+                  scene.pan_vy == std::trunc(scene.pan_vy),
+              "pan velocities must be whole pixels per frame");
     const int n_objects = static_cast<int>(rng.uniform_i64(3, 6));
     for (int o = 0; o < n_objects; ++o) {
       MovingObject obj;
@@ -125,18 +136,25 @@ bool SyntheticVideo::is_scene_cut(int index) const {
 
 std::vector<int> SyntheticVideo::scene_starts() const { return starts_; }
 
-Frame SyntheticVideo::frame(int index) const {
+SyntheticVideo::Pan SyntheticVideo::pan_of(int scene) const {
+  QC_EXPECT(scene >= 0 && scene < config_.num_scenes,
+            "scene index out of range");
+  const Scene& sc = scenes_[static_cast<std::size_t>(scene)];
+  return {static_cast<int>(sc.pan_vx), static_cast<int>(sc.pan_vy)};
+}
+
+Frame SyntheticVideo::frame(int index, Carry* carry) const {
   Frame out(config_.width, config_.height);
-  render(index, out, nullptr, nullptr);
+  render(index, out, nullptr, nullptr, carry);
   return out;
 }
 
-YuvFrame SyntheticVideo::frame_yuv(int index) const {
+YuvFrame SyntheticVideo::frame_yuv(int index, Carry* carry) const {
   YuvFrame out;
   out.y = Frame(config_.width, config_.height);
   out.cb = Plane(config_.width / 2, config_.height / 2);
   out.cr = Plane(config_.width / 2, config_.height / 2);
-  render(index, out.y, &out.cb, &out.cr);
+  render(index, out.y, &out.cb, &out.cr, carry);
   return out;
 }
 
@@ -162,26 +180,70 @@ YuvFrame SyntheticVideo::frame_yuv(int index) const {
 // per-column table or a per-row scalar without reordering any
 // operation, so the doubles, and hence the samples, are bit-identical
 // to evaluating the formula pixel by pixel.
-void SyntheticVideo::render(int index, Frame& luma, Plane* cb,
-                            Plane* cr) const {
+//
+// The background (the first three lines) depends only on (wx, wy),
+// which are integers because pans are.  A carry holding an earlier
+// frame of the same scene therefore already has this frame's
+// background at (x, y) in its pixel (x + sx, y + sy), with (sx, sy) the
+// pan over the frames between them; only pixels whose source lies
+// outside the frame are evaluated.  Rows are visited in the order that
+// reads every source row before it is overwritten.
+void SyntheticVideo::render(int index, Frame& luma, Plane* cb, Plane* cr,
+                            Carry* carry) const {
   const int s = scene_of(index);
   const Scene& scene = scenes_[static_cast<std::size_t>(s)];
   const int local_t = index - starts_[static_cast<std::size_t>(s)];
   const int width = config_.width;
+  const int height = config_.height;
   const double ox = scene.pan_vx * local_t;
   const double oy = scene.pan_vy * local_t;
 
-  // Per column: sinusoid 1's amp1 * sin(.) factor, sinusoid 2's x term
-  // and, when chroma is rendered, the cb field at even columns.
+  // Rows whose source row lies in the frame keep columns [keep0, keep1)
+  // and evaluate the exposed ones, [fresh0, fresh1); other rows
+  // evaluate every column.
+  bool shifted = false;
+  std::int64_t sx = 0, sy = 0;
+  if (carry != nullptr) {
+    Carry& c = *carry;
+    const Carry::Key key{config_.seed, width, height, config_.num_frames,
+                         config_.num_scenes, s};
+    if (!c.empty() && c.key_ == key) {
+      const std::int64_t dt = index - c.index_;
+      sx = static_cast<std::int64_t>(scene.pan_vx) * dt;
+      sy = static_cast<std::int64_t>(scene.pan_vy) * dt;
+      shifted = std::abs(sx) < width && std::abs(sy) < height;
+    }
+    if (!shifted) {
+      sx = sy = 0;
+      c.key_ = key;
+      c.background_.resize(static_cast<std::size_t>(width) *
+                           static_cast<std::size_t>(height));
+    }
+    c.index_ = index;
+  }
+  const int keep0 = static_cast<int>(std::max<std::int64_t>(0, -sx));
+  const int keep1 = static_cast<int>(std::min<std::int64_t>(width, width - sx));
+  const int fresh0 = sx >= 0 ? keep1 : 0;
+  const int fresh1 = sx >= 0 ? width : keep0;
+
+  // Per column: sinusoid 1's amp1 * sin(.) factor and sinusoid 2's x
+  // term, over the columns some row evaluates.
+  const bool every_column = !shifted || sy != 0;
+  const int col0 = every_column ? 0 : fresh0;
+  const int col1 = every_column ? width : fresh1;
   std::vector<double> wave1(static_cast<std::size_t>(width));
   std::vector<double> arg2_x(static_cast<std::size_t>(width));
-  std::vector<double> cb_field(static_cast<std::size_t>(width / 2));
-  for (int x = 0; x < width; ++x) {
+  for (int x = col0; x < col1; ++x) {
     const double wx = x + ox;
     wave1[static_cast<std::size_t>(x)] =
         scene.amp1 * std::sin(scene.fx1 * wx * 2.0 * kPi + scene.ph1);
     arg2_x[static_cast<std::size_t>(x)] = scene.fx2 * wx * 2.0 * kPi;
-    if (cb != nullptr && x % 2 == 0) {
+  }
+  // Per even column, when chroma is rendered: the cb field.
+  std::vector<double> cb_field(static_cast<std::size_t>(width / 2));
+  if (cb != nullptr) {
+    for (int x = 0; x < width; x += 2) {
+      const double wx = x + ox;
       cb_field[static_cast<std::size_t>(x / 2)] =
           scene.cb_base +
           scene.chroma_amp *
@@ -222,16 +284,38 @@ void SyntheticVideo::render(int index, Frame& luma, Plane* cb,
 
   std::vector<double> v(static_cast<std::size_t>(width));
   std::vector<double> cb_row(cb_field.size()), cr_row(cb_field.size());
-  for (int y = 0; y < config_.height; ++y) {
+  for (int n = 0; n < height; ++n) {
+    const int y = sy < 0 ? height - 1 - n : n;
     const double wy = y + oy;
-    const double wave1_y = std::cos(scene.fy1 * wy * 2.0 * kPi);
-    const double arg2_y = scene.fy2 * wy * 2.0 * kPi;
-    for (int x = 0; x < width; ++x) {
-      const std::size_t i = static_cast<std::size_t>(x);
-      v[i] = scene.base_level;
-      v[i] += wave1[i] * wave1_y;
-      v[i] += scene.amp2 * std::sin(arg2_x[i] + arg2_y + scene.ph2);
+    double* bg = carry != nullptr
+                     ? carry->background_.data() +
+                           static_cast<std::size_t>(y) *
+                               static_cast<std::size_t>(width)
+                     : v.data();
+    int x0 = 0, x1 = width;  // the columns evaluated in this row
+    if (shifted && y + sy >= 0 && y + sy < height) {
+      const double* src = carry->background_.data() +
+                          static_cast<std::size_t>(y + sy) *
+                              static_cast<std::size_t>(width) +
+                          static_cast<std::size_t>(keep0 + sx);
+      if (src != bg + keep0) {
+        std::memmove(bg + keep0, src,
+                     static_cast<std::size_t>(keep1 - keep0) * sizeof(double));
+      }
+      x0 = fresh0;
+      x1 = fresh1;
     }
+    if (x0 < x1) {
+      const double wave1_y = std::cos(scene.fy1 * wy * 2.0 * kPi);
+      const double arg2_y = scene.fy2 * wy * 2.0 * kPi;
+      for (int x = x0; x < x1; ++x) {
+        const std::size_t i = static_cast<std::size_t>(x);
+        bg[i] = scene.base_level;
+        bg[i] += wave1[i] * wave1_y;
+        bg[i] += scene.amp2 * std::sin(arg2_x[i] + arg2_y + scene.ph2);
+      }
+    }
+    if (bg != v.data()) std::copy(bg, bg + width, v.begin());
     const bool chroma = cb != nullptr && y % 2 == 0;
     if (chroma) {
       const double cr_field =
@@ -278,6 +362,13 @@ void SyntheticVideo::render(int index, Frame& luma, Plane* cb,
         out_cr[cx] = clamp_sample(cr_row[cx]);
       }
     }
+  }
+
+  const int last = s + 1 < config_.num_scenes
+                       ? starts_[static_cast<std::size_t>(s) + 1] - 1
+                       : config_.num_frames - 1;
+  if (carry != nullptr && index == last) {
+    std::vector<double>().swap(carry->background_);
   }
 }
 

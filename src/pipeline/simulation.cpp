@@ -167,7 +167,7 @@ const enc::EncoderSystem& StreamSession::repaced_system(rt::Cycles remaining) {
 }
 
 FrameRecord StreamSession::encode(int index, rt::Cycles t0) {
-  media::YuvFrame input = video_.frame_yuv(index);
+  media::YuvFrame input = video_.frame_yuv(index, &carry_);
 
   // Late start under backlog: re-pace this frame's deadlines over the
   // remaining window instead of entering arrival-paced tables with
@@ -229,7 +229,7 @@ FrameRecord StreamSession::skip(int index) {
 }
 
 media::Frame StreamSession::source_luma(int index) {
-  if (index != kept_index_) return video_.frame(index);
+  if (index != kept_index_) return video_.frame(index, &carry_);
   kept_index_ = -1;
   return std::move(kept_luma_);
 }

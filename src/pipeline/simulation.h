@@ -269,6 +269,10 @@ class StreamSession {
   /// and lose() score against it and release it.
   int kept_index_ = -1;
   media::Frame kept_luma_;
+  /// The background of the last frame this session rendered, shared by
+  /// encode() and source_luma() so each render evaluates only the strip
+  /// the pan exposed (see media::SyntheticVideo::Carry).
+  media::SyntheticVideo::Carry carry_;
 };
 
 /// Runs the full system simulation.

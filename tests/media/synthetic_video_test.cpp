@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <limits>
+#include <random>
+#include <thread>
 #include <vector>
 
 #include "media/motion.h"
@@ -215,10 +219,191 @@ TEST(SyntheticVideo, GoldenHashesPinEveryPlane) {
   }
 }
 
+// --- Carried renders -----------------------------------------------------
+
+bool last_of_scene(const SyntheticVideo& v, int f) {
+  return f + 1 == v.num_frames() || v.is_scene_cut(f + 1);
+}
+
+/// The frame orders a carry must be indifferent to: in order (across
+/// every cut), skipping 1-3 frames with each visited frame rendered
+/// twice (a zero shift), backward, and scrambled.
+std::vector<std::vector<int>> access_orders(int n, std::uint64_t seed) {
+  std::vector<int> forward(static_cast<std::size_t>(n));
+  for (int f = 0; f < n; ++f) forward[static_cast<std::size_t>(f)] = f;
+  std::vector<int> skipping;
+  for (int f = 0, k = 0; f < n; f += 2 + k++ % 3) {
+    skipping.insert(skipping.end(), {f, f});
+  }
+  std::vector<int> backward(forward.rbegin(), forward.rend());
+  std::vector<int> scrambled = forward;
+  std::shuffle(scrambled.begin(), scrambled.end(), std::mt19937_64(seed));
+  return {forward, skipping, backward, scrambled};
+}
+
+/// Renders `order` through one carry, alternating frame_yuv() and
+/// frame(), and compares every plane with the cold render.  Also checks
+/// that the carry is empty exactly after a scene's last frame.
+void expect_carried_equals_cold(const SyntheticVideo& v,
+                                const std::vector<YuvFrame>& cold,
+                                const std::vector<int>& order) {
+  SyntheticVideo::Carry carry;
+  for (std::size_t k = 0; k < order.size(); ++k) {
+    const int f = order[k];
+    const YuvFrame& want = cold[static_cast<std::size_t>(f)];
+    SCOPED_TRACE(testing::Message() << "visit " << k << ", frame " << f);
+    if (k % 2 == 0) {
+      const YuvFrame got = v.frame_yuv(f, &carry);
+      ASSERT_EQ(got.y.data(), want.y.data());
+      ASSERT_EQ(got.cb.data(), want.cb.data());
+      ASSERT_EQ(got.cr.data(), want.cr.data());
+    } else {
+      ASSERT_EQ(v.frame(f, &carry).data(), want.y.data());
+    }
+    ASSERT_EQ(carry.empty(), last_of_scene(v, f));
+  }
+}
+
+TEST(SyntheticVideoCarry, CarriedRendersEqualColdRenders) {
+  // The four mixed-geometry sizes, 80x64 and QCIF.
+  const int kGeometries[][2] = {{32, 32}, {64, 48},  {96, 80},
+                                {128, 96}, {80, 64}, {176, 144}};
+  // Pan signs seen, per axis: [negative, zero, positive].
+  bool seen_x[3] = {}, seen_y[3] = {};
+  for (const auto& g : kGeometries) {
+    for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+      for (const int scenes : {1, 2, 9}) {
+        VideoConfig c;
+        c.width = g[0];
+        c.height = g[1];
+        c.num_scenes = scenes;
+        c.num_frames = std::max(8, 2 * scenes);
+        c.seed = seed * 0x9e3779b97f4a7c15ULL;
+        const SyntheticVideo v(c);
+        SCOPED_TRACE(testing::Message() << g[0] << "x" << g[1] << " seed "
+                                        << c.seed << ", " << scenes
+                                        << " scenes");
+        for (int s = 0; s < scenes; ++s) {
+          const SyntheticVideo::Pan p = v.pan_of(s);
+          seen_x[(p.vx > 0) - (p.vx < 0) + 1] = true;
+          seen_y[(p.vy > 0) - (p.vy < 0) + 1] = true;
+        }
+        std::vector<YuvFrame> cold;
+        for (int f = 0; f < c.num_frames; ++f) cold.push_back(v.frame_yuv(f));
+        for (const auto& order : access_orders(c.num_frames, c.seed)) {
+          expect_carried_equals_cold(v, cold, order);
+          if (HasFatalFailure()) return;
+        }
+      }
+    }
+  }
+  for (int sign = 0; sign < 3; ++sign) {
+    EXPECT_TRUE(seen_x[sign]) << "no scene with horizontal pan sign "
+                              << sign - 1;
+    EXPECT_TRUE(seen_y[sign]) << "no scene with vertical pan sign "
+                              << sign - 1;
+  }
+}
+
+TEST(SyntheticVideoCarry, ForeignCarryIsRebuiltNotReused) {
+  VideoConfig base = small_config();
+  base.num_frames = 20;
+  base.num_scenes = 2;
+  VideoConfig other_seed = base;
+  other_seed.seed = 8;
+  VideoConfig other_width = base;
+  other_width.width = 80;
+  VideoConfig other_height = base;
+  other_height.height = 64;
+  VideoConfig other_length = base;  // same scenes, shifted cut
+  other_length.num_frames = 22;
+  VideoConfig other_scenes = base;
+  other_scenes.num_scenes = 4;
+  const SyntheticVideo a(base);
+  for (const VideoConfig& c :
+       {other_seed, other_width, other_height, other_length, other_scenes}) {
+    const SyntheticVideo b(c);
+    SyntheticVideo::Carry carry;
+    a.frame_yuv(12, &carry);
+    ASSERT_FALSE(carry.empty());
+    EXPECT_EQ(b.frame(13, &carry).data(), b.frame(13).data());
+    // And back: b's carry is foreign to a.
+    EXPECT_EQ(a.frame(13, &carry).data(), a.frame(13).data());
+  }
+  // Another scene of the same video: frame 9 is scene 0's last, so a
+  // carry left at frame 8 must not be shifted into scene 1.
+  SyntheticVideo::Carry carry;
+  a.frame(8, &carry);
+  EXPECT_EQ(a.frame(10, &carry).data(), a.frame(10).data());
+  // A different noise amplitude leaves the background alone, so the
+  // carry may be shared; the output still matches.
+  VideoConfig quiet = base;
+  quiet.noise_amplitude = 0.5;
+  const SyntheticVideo q(quiet);
+  EXPECT_EQ(q.frame(11, &carry).data(), q.frame(11).data());
+}
+
+TEST(SyntheticVideoCarry, EmptyAfterEachScenesLastFrame) {
+  VideoConfig c = small_config();  // scenes start at 0, 30, 60
+  const SyntheticVideo v(c);
+  SyntheticVideo::Carry carry;
+  EXPECT_TRUE(carry.empty());
+  v.frame_yuv(28, &carry);
+  EXPECT_FALSE(carry.empty());
+  v.frame_yuv(29, &carry);
+  EXPECT_TRUE(carry.empty());
+  v.frame(31, &carry);
+  EXPECT_FALSE(carry.empty());
+  v.frame(59, &carry);
+  EXPECT_TRUE(carry.empty());
+  v.frame(89, &carry);
+  EXPECT_TRUE(carry.empty());
+}
+
+TEST(SyntheticVideoCarry, OneVideoManyThreadsOwnCarries) {
+  const SyntheticVideo v(VideoConfig{.num_frames = 24, .num_scenes = 2});
+  std::vector<YuvFrame> cold;
+  for (int f = 0; f < v.num_frames(); ++f) cold.push_back(v.frame_yuv(f));
+  std::vector<int> mismatches(4, 0);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([&, t] {
+      SyntheticVideo::Carry carry;
+      for (int f = t; f < v.num_frames(); ++f) {
+        const YuvFrame got = v.frame_yuv(f, &carry);
+        const YuvFrame& want = cold[static_cast<std::size_t>(f)];
+        if (got.y.data() != want.y.data() || got.cb.data() != want.cb.data() ||
+            got.cr.data() != want.cr.data()) {
+          ++mismatches[static_cast<std::size_t>(t)];
+        }
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  EXPECT_EQ(mismatches, std::vector<int>(4, 0));
+}
+
 TEST(SyntheticVideoDeath, RejectsBadConfig) {
   VideoConfig c = small_config();
   c.num_scenes = 0;
   EXPECT_DEATH({ SyntheticVideo v(c); }, "scene count");
+}
+
+TEST(SyntheticVideoDeath, RejectsGeometryOffTheMacroblockGrid) {
+  VideoConfig c = small_config();
+  c.width = 72;
+  EXPECT_DEATH({ SyntheticVideo v(c); }, "multiples of the macroblock size");
+  c = small_config();
+  c.height = 40;
+  EXPECT_DEATH({ SyntheticVideo v(c); }, "multiples of the macroblock size");
+}
+
+TEST(SyntheticVideoDeath, RejectsNonFiniteNoiseAmplitude) {
+  VideoConfig c = small_config();
+  c.noise_amplitude = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_DEATH({ SyntheticVideo v(c); }, "noise amplitude must be finite");
+  c.noise_amplitude = std::numeric_limits<double>::infinity();
+  EXPECT_DEATH({ SyntheticVideo v(c); }, "noise amplitude must be finite");
 }
 
 }  // namespace

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
+
 namespace qosctrl::pipe {
 namespace {
 
@@ -253,6 +256,90 @@ TEST(StreamSessionDelivery, ResyncAfterResetReferenceScoresAsPinned) {
   EXPECT_EQ(drifted.psnr, 21.056837465258202);
   EXPECT_EQ(shown.psnr, 43.117642969385848);
   EXPECT_EQ(shown.ssim, 0.99498879909515381);
+}
+
+/// FNV-1a over the bytes of one value.
+template <class T>
+void fnv1a(std::uint64_t* h, const T& value) {
+  unsigned char bytes[sizeof(T)];
+  std::memcpy(bytes, &value, sizeof(T));
+  for (const unsigned char b : bytes) {
+    *h ^= b;
+    *h *= 1099511628211ULL;  // FNV prime
+  }
+}
+
+/// FNV-1a over every FrameRecord field, doubles by their bit pattern.
+void fnv1a_record(std::uint64_t* h, const FrameRecord& r) {
+  fnv1a(h, r.index);
+  fnv1a(h, r.skipped);
+  fnv1a(h, r.scene_cut);
+  fnv1a(h, r.concealed);
+  fnv1a(h, r.overrun);
+  fnv1a(h, r.aborted);
+  fnv1a(h, r.lost);
+  fnv1a(h, r.encode_cycles);
+  for (const rt::Cycles c : r.phase_cycles) fnv1a(h, c);
+  fnv1a(h, r.start_lag);
+  fnv1a(h, r.psnr);
+  fnv1a(h, r.ssim);
+  fnv1a(h, r.bits);
+  fnv1a(h, r.mean_quality);
+  fnv1a(h, r.min_quality);
+  fnv1a(h, r.max_quality);
+  fnv1a(h, r.quality_change_sum);
+  fnv1a(h, r.deadline_misses);
+  fnv1a(h, r.qp);
+  fnv1a(h, r.intra_macroblocks);
+}
+
+/// Drives one session through every call the farm makes, across the
+/// scene cut at frame 10: in-order encodes, skips, losses, drops (one
+/// while a frame is in service, one ahead of the next encode), a
+/// reference reset, a backlogged start and an out-of-order encode.
+/// Returns the FNV-1a digest of every record produced.
+std::uint64_t session_digest(bool tracked) {
+  PipelineConfig cfg = small_config();
+  cfg.video.width = 80;
+  cfg.video.height = 64;
+  cfg.video.num_frames = 20;
+  cfg.video.num_scenes = 2;  // the cut is frame 10
+  cfg.frame_period = 19555569 * 20 / 99;
+  StreamSession s(cfg);
+  if (tracked) s.track_delivery();
+  std::uint64_t h = 0xcbf29ce484222325ULL;  // FNV-1a offset basis
+  const auto record = [&](const FrameRecord& r) { fnv1a_record(&h, r); };
+  record(s.deliver(s.encode(0, 0)));
+  record(s.deliver(s.encode(1, 0)));
+  record(s.skip(2));
+  record(s.lose(s.encode(3, 0)));
+  record(s.drop(4));
+  record(s.deliver(s.encode(5, cfg.frame_period / 3)));
+  const FrameRecord in_service = s.encode(6, 0);
+  record(s.drop(7));
+  record(s.deliver(in_service));
+  s.reset_reference();
+  record(s.deliver(s.encode(8, 0)));
+  record(s.skip(9));
+  record(s.deliver(s.encode(10, 0)));
+  record(s.lose(s.encode(11, 0)));
+  record(s.drop(13));
+  record(s.deliver(s.encode(12, 0)));
+  record(s.skip(15));
+  record(s.deliver(s.encode(14, 0)));
+  s.reset_reference();
+  record(s.deliver(s.encode(16, 0)));
+  record(s.drop(17));
+  record(s.lose(s.encode(19, 0)));
+  record(s.skip(18));
+  return h;
+}
+
+// Recorded before sessions carried the rendered background between
+// frames: carrying must not move any field of any record.
+TEST(StreamSessionDelivery, SessionDigestIsPinned) {
+  EXPECT_EQ(session_digest(true), 0x81a2e3696c10f3d6ULL);
+  EXPECT_EQ(session_digest(false), 0x1ae14d1a34427d9aULL);
 }
 
 TEST(Pipeline, SummaryMentionsKeyFields) {

@@ -43,15 +43,16 @@ import sys
 # ShardedJoinRate tracks the flash-crowd join storm on a 1024-processor
 # fleet at 1 and 64 shards: the pinned >= 10x sharded-vs-single join
 # rate lives in the ratio of these two rows (see docs/scenarios.md).
-# SyntheticFrame(Yuv) tracks the video source: the luma frame and the
-# full 4:2:0 frame the farm renders per encode.  QuantizeBlock and
+# SyntheticFrame(Yuv) tracks the video source's cold renders: the luma
+# frame and the full 4:2:0 frame; SyntheticFrameYuvCarried renders the
+# 4:2:0 frames in order through one carry, as a farm session does.  QuantizeBlock and
 # Entropy(Encode|Decode)Block track the encoder's Quantize / Compress
 # actions and the decoder's block parse on farm-like blocks.
 # Multi-worker farm rows
 # carry google-benchmark's /real_time suffix.
 DEFAULT_BENCHMARKS = (
     r"^BM_(SadMacroblock|ForwardDct8|PsnrFrame|SsimFrame"
-    r"|SyntheticFrame(Yuv)?"
+    r"|SyntheticFrame(Yuv(Carried)?)?"
     r"|QuantizeBlock|Entropy(Encode|Decode)Block"
     r"|AdmissionThroughput(Exact)?/\d+"
     r"|ShardedJoinRate/\d+"

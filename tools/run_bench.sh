@@ -8,7 +8,9 @@
 # cycles per wall-second; the Exact suffix forces the full
 # check-point scan the QPA fast path replaces),
 # the video source (BM_SyntheticFrame = one QCIF luma frame,
-# BM_SyntheticFrameYuv = the full 4:2:0 frame the farm renders),
+# BM_SyntheticFrameYuv = the full 4:2:0 frame, BM_SyntheticFrameYuvCarried
+# = the same frames rendered in order through one carry, as the farm
+# renders them),
 # the encoder's Quantize / Compress path and the decoder's block parse
 # on farm-like blocks (BM_QuantizeBlock, BM_EntropyEncodeBlock,
 # BM_EntropyDecodeBlock: ns per 8x8 block, about 43 nonzero levels),
@@ -35,7 +37,7 @@ cmake -B "$BUILD_DIR" -S "$ROOT" -DQOSCTRL_BUILD_BENCHES=ON \
 cmake --build "$BUILD_DIR" --target bench_micro -j "$(nproc)" >/dev/null
 
 "$BUILD_DIR/bench_micro" \
-    --benchmark_filter='BM_(SadMacroblock|HalfpelInterp|ForwardDct8|InverseDct8|MotionSearch|TableControllerDecision|PsnrFrame|SsimFrame|SyntheticFrame(Yuv)?|QuantizeBlock|Entropy(Encode|Decode)Block|AdmissionThroughput(Exact)?|ShardedJoinRate|FarmThroughput(Preemptive|Quantum|Faults|Traced|Timeseries)?)' \
+    --benchmark_filter='BM_(SadMacroblock|HalfpelInterp|ForwardDct8|InverseDct8|MotionSearch|TableControllerDecision|PsnrFrame|SsimFrame|SyntheticFrame(Yuv(Carried)?)?|QuantizeBlock|Entropy(Encode|Decode)Block|AdmissionThroughput(Exact)?|ShardedJoinRate|FarmThroughput(Preemptive|Quantum|Faults|Traced|Timeseries)?)' \
     --benchmark_repetitions=3 \
     --benchmark_report_aggregates_only=true \
     --benchmark_out_format=json \
