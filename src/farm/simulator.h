@@ -97,16 +97,16 @@ struct FarmConfig {
   /// scaled by factor f runs (and accounts bitrate) at frame_rate / f.
   double frame_rate = 25.0;
   /// Record a schedule trace (obs/trace.h).  Off by default: with
-  /// trace == false the data plane's emission sites reduce to a branch
-  /// on a null buffer pointer, so the hot loop pays nothing.
+  /// trace == false each processor's probe holds no trace buffer and
+  /// skips the write, so the hot loop pays nothing.
   bool trace = false;
   /// Events retained per per-processor ring buffer when tracing.  On
   /// overflow the oldest events are dropped (counted in
   /// FarmResult::trace_dropped), never silently and never unbounded.
   int trace_buffer_capacity = 1 << 16;
-  /// Time-series window width in simulated cycles (obs/timeseries.h).
-  /// 0 (the default) disables sampling: like the trace, every
-  /// data-plane sampling site reduces to a branch on a null pointer.
+  /// Time-series window width in simulated cycles (obs/timeseries.h),
+  /// >= 0.  0 (the default) disables sampling: like the trace, the
+  /// probes then hold no series recorder and skip every sample.
   rt::Cycles ts_window = 0;
   /// Declarative objectives evaluated over the windowed series after
   /// the run (obs/slo.h).  Windowed metrics need ts_window > 0;

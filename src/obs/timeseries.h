@@ -14,8 +14,8 @@
 //    multiset, never of recording order.
 //
 // Like the schedule trace (and unlike the always-on registry), sampling
-// is off unless asked for: with no SeriesRecorder the data plane pays a
-// branch on a null pointer and nothing else.
+// is off unless asked for: with no SeriesRecorder the farm's probe
+// (farm/probe.h) skips every series write after one null check.
 #pragma once
 
 #include <map>

@@ -8,10 +8,10 @@
 //     cycles, buffers are per virtual processor (not per host thread),
 //     and the merge orders by (time, buffer id, intra-buffer sequence),
 //     all deterministic.
-//  2. *Zero overhead when off.*  Every data-plane emission site is a
-//     branch on a null TraceBuffer pointer; with tracing disabled no
-//     event is constructed and no memory is touched (BM_FarmThroughput
-//     regression-gates the claim).
+//  2. *Zero overhead when off.*  The farm emits through one probe per
+//     virtual processor (farm/probe.h), which holds a null TraceBuffer
+//     pointer when tracing is disabled: no event is constructed and no
+//     memory is touched (BM_FarmThroughput regression-gates the claim).
 //  3. *Bounded memory.*  Each buffer is a fixed-capacity ring of
 //     32-byte POD events, single-writer (one virtual processor is
 //     simulated by exactly one worker, the control plane is

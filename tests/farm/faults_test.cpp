@@ -341,5 +341,51 @@ TEST(FarmFaultsDeath, RejectsNonFiniteOrShrinkingOverrunFactor) {
   }
 }
 
+// Library callers get the CLI's fault-spec guarantees.  A NaN
+// probability compares false against everything, so it would quietly
+// switch its fault class off; a strike budget below 1 would quarantine
+// on every overrun, and negative periods would make quarantine a no-op.
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+
+TEST(FarmFaultsDeath, RejectsOverrunProbabilityOutsideUnitInterval) {
+  FarmConfig cfg;
+  cfg.num_processors = 2;
+  for (const double p : {kNaN, 1.5, -0.1}) {
+    FarmScenario sc = light_scenario(1, 2);
+    sc.faults.overrun.probability = p;
+    EXPECT_DEATH(run_farm(sc, cfg), "overrun probability") << p;
+  }
+}
+
+TEST(FarmFaultsDeath, RejectsLossProbabilityOutsideUnitInterval) {
+  FarmConfig cfg;
+  cfg.num_processors = 2;
+  for (const double p : {kNaN, 1.5, -0.1}) {
+    FarmScenario sc = light_scenario(1, 2);
+    sc.faults.loss.probability = p;
+    EXPECT_DEATH(run_farm(sc, cfg), "loss probability") << p;
+  }
+}
+
+TEST(FarmFaultsDeath, RejectsQuarantineStrikesBelowOne) {
+  FarmConfig cfg;
+  cfg.num_processors = 2;
+  FarmScenario sc = light_scenario(1, 2);
+  sc.faults.overrun.probability = 1.0;
+  sc.faults.overrun.policy = OverrunPolicy::kQuarantine;
+  sc.faults.overrun.quarantine_strikes = 0;
+  EXPECT_DEATH(run_farm(sc, cfg), "strike");
+}
+
+TEST(FarmFaultsDeath, RejectsNegativeQuarantinePeriods) {
+  FarmConfig cfg;
+  cfg.num_processors = 2;
+  FarmScenario sc = light_scenario(1, 2);
+  sc.faults.overrun.probability = 1.0;
+  sc.faults.overrun.policy = OverrunPolicy::kQuarantine;
+  sc.faults.overrun.quarantine_periods = -1;
+  EXPECT_DEATH(run_farm(sc, cfg), "quarantine periods");
+}
+
 }  // namespace
 }  // namespace qosctrl::farm

@@ -20,6 +20,7 @@
 
 #include "farm/load_gen.h"
 #include "farm/presets.h"
+#include "farm/probe.h"
 #include "farm/simulator.h"
 #include "obs/slo.h"
 #include "obs/trace.h"
@@ -306,6 +307,35 @@ TEST(SinkChannels, MetricsSeriesAndTraceAgree) {
     EXPECT_EQ(fleet_track_count(r, "frame_latency_cycles"), completed)
         << p.name;
   }
+}
+
+// The one event no pinned run emits, checked at the probe itself: a
+// display miss reaches the counter, the fleet and class series, and
+// the trace.
+TEST(SinkChannels, ProbeRecordsAMissInEverySink) {
+  obs::Registry metrics;
+  obs::TraceBuffer trace(0, 16);
+  obs::SeriesRecorder series(1000);
+  Probe probe(metrics, &trace, &series);
+  probe.on_miss(2500, pipe::ControlMode::kConstantQuality, 7, 3, 40);
+  EXPECT_EQ(metrics.counters().at("display_misses"), 1);
+  EXPECT_EQ(series.tracks().at("display_misses").at(2).count(), 1);
+  EXPECT_EQ(series.tracks().at("display_misses@constant").at(2).sum(), 40);
+  EXPECT_TRUE(series.tracks().at("display_misses@controlled").empty());
+  std::vector<obs::TraceEvent> events;
+  trace.drain_to(&events);
+  ASSERT_EQ(events.size(), 1u);
+  EXPECT_EQ(events[0].kind,
+            static_cast<std::uint16_t>(obs::EventKind::kDeadlineMiss));
+  EXPECT_EQ(events[0].stream, 7);
+  EXPECT_EQ(events[0].frame, 3);
+  EXPECT_EQ(events[0].arg, 40);
+
+  // Without a trace buffer or series recorder only the registry hears.
+  obs::Registry bare;
+  Probe off(bare, nullptr, nullptr);
+  off.on_miss(2500, pipe::ControlMode::kControlled, 7, 3, 40);
+  EXPECT_EQ(bare.counters().at("display_misses"), 1);
 }
 
 }  // namespace

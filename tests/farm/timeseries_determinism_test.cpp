@@ -183,5 +183,15 @@ TEST(TimeseriesDeterminismTest, SloVerdictsLandInReportsAndFaultRunsScore) {
   EXPECT_EQ(to_json(plain).find("\"slo\""), std::string::npos);
 }
 
+// A negative window (what a wrapped 64-bit CLI value becomes) would
+// silently turn sampling off and let every windowed SLO pass on zero
+// points; run_farm refuses it instead.
+TEST(TimeseriesDeterminismDeathTest, RejectsNegativeWindow) {
+  FarmConfig cfg;
+  cfg.num_processors = 2;
+  cfg.ts_window = -1;
+  EXPECT_DEATH(run_farm(small_flash_crowd(), cfg), "time-series window");
+}
+
 }  // namespace
 }  // namespace qosctrl::farm

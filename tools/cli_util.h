@@ -43,6 +43,19 @@ inline bool parse_u64(const char* s, std::uint64_t* out) {
   return true;
 }
 
+/// A positive cycle count that fits a signed 64-bit rt::Cycles: values
+/// above INT64_MAX would wrap negative (and, as a window, switch
+/// sampling off).
+inline bool parse_positive_cycles(const char* s, std::int64_t* out) {
+  std::uint64_t v = 0;
+  if (!parse_u64(s, &v) || v == 0 ||
+      v > static_cast<std::uint64_t>(std::numeric_limits<std::int64_t>::max())) {
+    return false;
+  }
+  *out = static_cast<std::int64_t>(v);
+  return true;
+}
+
 /// Any finite double (range checks are the caller's); strtod's "nan",
 /// "inf" and overflowing literals are rejected.
 inline bool parse_double(const char* s, double* out) {

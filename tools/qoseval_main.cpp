@@ -71,6 +71,7 @@ namespace {
 using namespace qosctrl;
 using cli::parse_int;
 using cli::parse_int_range;
+using cli::parse_positive_cycles;
 using cli::parse_u64;
 using cli::split_commas;
 
@@ -264,9 +265,7 @@ int main(int argc, char** argv) {
       sweep.split = true;
     } else if (std::strcmp(arg, "--ts-window") == 0) {
       const char* v = value();
-      std::uint64_t w = 0;
-      if (!v || !parse_u64(v, &w) || w == 0) return usage();
-      sweep.ts_window = static_cast<rt::Cycles>(w);
+      if (!v || !parse_positive_cycles(v, &sweep.ts_window)) return usage();
     } else if (std::strcmp(arg, "--slo") == 0) {
       const char* v = value();
       if (!v) return usage();

@@ -111,6 +111,7 @@ using cli::parse_double_list;
 using cli::parse_fraction;
 using cli::parse_int;
 using cli::parse_int_range;
+using cli::parse_positive_cycles;
 using cli::parse_u64;
 
 const char kUsage[] =
@@ -360,13 +361,12 @@ int main(int argc, char** argv) {
       }
     } else if (std::strcmp(arg, "--ts-window") == 0) {
       const char* v = value();
-      std::uint64_t w = 0;
-      if (!v || !parse_u64(v, &w) || w == 0) {
+      if (!v || !parse_positive_cycles(v, &cfg.ts_window)) {
         std::fprintf(stderr,
-                     "qosfarm: --ts-window wants a positive cycle count\n");
+                     "qosfarm: --ts-window wants a positive cycle count "
+                     "below 2^63\n");
         return usage();
       }
-      cfg.ts_window = static_cast<rt::Cycles>(w);
     } else if (std::strcmp(arg, "--slo") == 0) {
       const char* v = value();
       obs::SloSpec spec;
