@@ -42,7 +42,7 @@ class Probe {
                    rt::Cycles deadline, rt::Cycles lag) {
     ++*dispatched_;
     h_lag_->record(lag);
-    on_relay_dispatch(now, stream, frame, deadline);
+    trace(obs::EventKind::kDispatch, now, stream, frame, deadline);
   }
   /// A C=D relay took a handed-off frame (the head counted it).
   void on_relay_dispatch(rt::Cycles now, int stream, int frame,

@@ -56,7 +56,6 @@ struct FrameJob {
 /// An assigned segment's simulation state on its processor.  A tail
 /// relay has *no session*: every session-touching path checks relay().
 struct StreamState : Assignment {
-  const StreamSpec* spec = nullptr;
   std::unique_ptr<pipe::StreamSession> session;
   std::optional<FaultPlan> plan;
   rt::Cycles period = 0;
@@ -121,7 +120,6 @@ void run_processor(const FarmConfig& config, const SchedulingSpec& sched,
     const int index = static_cast<int>(streams.size());
     StreamState& st = streams.emplace_back();
     static_cast<Assignment&>(st) = asg;
-    st.spec = &asg.so->spec;
     st.period = period_of(*st.spec);
     st.latency = latency_of(*st.spec);
     st.next_arrival = asg.first_frame;

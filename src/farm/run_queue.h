@@ -64,7 +64,7 @@ struct HandoffEntry {
 /// (split_head > 0) and a tail relay (handoff_in) sharing records and
 /// res, run one level apart by the pool, so the sharing is sequential.
 struct Assignment {
-  StreamOutcome* so = nullptr;
+  const StreamSpec* spec = nullptr;
   const std::vector<BudgetEpoch>* epochs = nullptr;  ///< the segment's
   int first_frame = 0;
   int end_frame = 0;  ///< one past the last frame this segment serves

@@ -369,7 +369,7 @@ DataPlane assign(const FarmScenario& scenario, const FarmConfig& config,
       const Placement& pl =
           seg == 0 ? so->placement : so->failover[seg - 1].placement;
       Assignment asg;
-      asg.so = so;
+      asg.spec = &so->spec;
       asg.epochs = seg == 0 ? &so->epochs : &so->failover[seg - 1].epochs;
       asg.first_frame = seg == 0 ? 0 : so->failover[seg - 1].first_frame;
       asg.end_frame = seg < so->failover.size()
@@ -582,9 +582,9 @@ void finalize(const FarmConfig& config, const ShardedControlPlane& plane,
                                                         : -1);
     }
     r.slo = obs::evaluate_slos(config.slos, slo_inputs);
-    for (std::size_t i = 0; i < r.slo.objectives.size(); ++i) {
-      for (const obs::SloAlert& al : r.slo.objectives[i].alerts) {
-        if (config.ts_window > 0) {
+    if (config.ts_window > 0) {
+      for (std::size_t i = 0; i < r.slo.objectives.size(); ++i) {
+        for (const obs::SloAlert& al : r.slo.objectives[i].alerts) {
           sinks.control().on_slo_alert((al.window + 1) * config.ts_window,
                                        al.window, i);
         }
