@@ -14,6 +14,8 @@
 #include <utility>
 #include <vector>
 
+#include "encoder/decoder.h"
+#include "encoder/frame_encoder.h"
 #include "encoder/system_builder.h"
 #include "farm/load_gen.h"
 #include "farm/presets.h"
@@ -111,8 +113,10 @@ media::Block8 dct_input_block() {
 
 void BM_ForwardDct8(benchmark::State& state) {
   const media::Block8 block = dct_input_block();
+  media::Coeffs8 out;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(media::forward_dct8(block));
+    media::forward_dct8(block, out);
+    benchmark::DoNotOptimize(out);
   }
 }
 BENCHMARK(BM_ForwardDct8);
@@ -139,16 +143,24 @@ void BM_ForwardDct8Ref(benchmark::State& state) {
 }
 BENCHMARK(BM_ForwardDct8Ref);
 
+media::Coeffs8 dct_input_coeffs() {
+  media::Coeffs8 coeffs;
+  media::forward_dct8(dct_input_block(), coeffs);
+  return coeffs;
+}
+
 void BM_InverseDct8(benchmark::State& state) {
-  const media::Coeffs8 coeffs = media::forward_dct8(dct_input_block());
+  const media::Coeffs8 coeffs = dct_input_coeffs();
+  media::Block8 out;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(media::inverse_dct8(coeffs));
+    media::inverse_dct8(coeffs, out);
+    benchmark::DoNotOptimize(out);
   }
 }
 BENCHMARK(BM_InverseDct8);
 
 void BM_InverseDct8Ref(benchmark::State& state) {
-  const media::Coeffs8 coeffs = media::forward_dct8(dct_input_block());
+  const media::Coeffs8 coeffs = dct_input_coeffs();
   for (auto _ : state) {
     benchmark::DoNotOptimize(media::inverse_dct8_ref(coeffs));
   }
@@ -375,9 +387,11 @@ const EntropyFixture& entropy_fixture() {
                                              prev.at(x0 + x, y0 + y));
           }
         }
-        e.coeffs.push_back(media::forward_dct8(residual));
-        e.levels.push_back(media::quantize_block(e.coeffs.back(), kFixtureQp));
-        nonzero += media::count_nonzero(e.levels.back());
+        media::Coeffs8 coeffs;
+        media::forward_dct8(residual, coeffs);
+        e.coeffs.push_back(coeffs);
+        nonzero += media::quantize_block(coeffs, kFixtureQp);
+        e.levels.push_back(coeffs);
         media::encode_block(bw, e.levels.back());
       }
     }
@@ -392,8 +406,11 @@ const EntropyFixture& entropy_fixture() {
 void BM_QuantizeBlock(benchmark::State& state) {
   const auto& f = entropy_fixture();
   std::size_t i = 0;
+  media::Coeffs8 levels;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(media::quantize_block(f.coeffs[i], kFixtureQp));
+    levels = f.coeffs[i];
+    benchmark::DoNotOptimize(media::quantize_block(levels, kFixtureQp));
+    benchmark::DoNotOptimize(levels);
     if (++i == f.coeffs.size()) i = 0;
   }
 }
@@ -429,6 +446,73 @@ void BM_EntropyDecodeBlock(benchmark::State& state) {
   state.counters["nonzero_per_block"] = f.nonzero_per_block;
 }
 BENCHMARK(BM_EntropyDecodeBlock);
+
+// ---------------------------------------------------------------------------
+// One whole QCIF P-frame through the encoder's nine-action body under
+// the table controller at QP 2 (the farm's operating point), and the
+// decode of its bitstream: the glue between the kernels is gated here,
+// not only the kernels.  Inputs are rendered at run time.
+
+struct FrameFixture {
+  media::YuvFrame inter;  ///< frame 1, the P-frame under test
+  /// An encoder that has coded frame 0 (the reference).
+  enc::FrameEncoder primed{enc::EncoderConfig{}, cost_model()};
+  std::vector<std::uint8_t> bitstream;  ///< frame 1 as coded by `primed`
+  media::YuvFrame displayed;            ///< frame 0 as decoded
+
+  static platform::CostModel cost_model() {
+    return platform::CostModel(platform::figure5_cost_table(),
+                               platform::CostModelConfig{}, util::Rng(7));
+  }
+};
+
+constexpr int kFrameQp = 2;
+
+const FrameFixture& frame_fixture() {
+  static const FrameFixture f = [] {
+    FrameFixture x;
+    const media::SyntheticVideo video{media::VideoConfig{}};
+    x.inter = video.frame_yuv(1);
+    const enc::EncoderSystem& es = encoder_system();
+    qos::TableController ctl(es.tables);
+    x.primed.encode_frame(video.frame_yuv(0), ctl, *es.system, kFrameQp);
+    enc::DecodeResult decoded =
+        enc::decode_frame(x.primed.bitstream(), nullptr);
+    QC_EXPECT(decoded.ok, "the reference frame must decode");
+    x.displayed = std::move(decoded.frame);
+    enc::FrameEncoder probe = x.primed;
+    probe.encode_frame(x.inter, ctl, *es.system, kFrameQp);
+    x.bitstream = probe.bitstream();
+    return x;
+  }();
+  return f;
+}
+
+void BM_EncodeFrame(benchmark::State& state) {
+  const FrameFixture& f = frame_fixture();
+  const enc::EncoderSystem& es = encoder_system();
+  qos::TableController ctl(es.tables);
+  for (auto _ : state) {
+    // Every iteration codes the same P-frame from the same state: the
+    // encoder copy restores the reference and the cost model's draws.
+    state.PauseTiming();
+    enc::FrameEncoder encoder = f.primed;
+    state.ResumeTiming();
+    benchmark::DoNotOptimize(
+        encoder.encode_frame(f.inter, ctl, *es.system, kFrameQp));
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_EncodeFrame);
+
+void BM_DecodeFrame(benchmark::State& state) {
+  const FrameFixture& f = frame_fixture();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(enc::decode_frame(f.bitstream, &f.displayed));
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_DecodeFrame);
 
 void BM_SyntheticFrame(benchmark::State& state) {
   const media::SyntheticVideo video{media::VideoConfig{}};

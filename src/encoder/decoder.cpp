@@ -1,14 +1,14 @@
 #include "encoder/decoder.h"
 
-#include <algorithm>
+#include <cstddef>
 
-#include "media/dct.h"
 #include "media/entropy.h"
 #include "media/intra.h"
 #include "media/motion.h"
 #include "media/padded_frame.h"
 #include "media/plane.h"
 #include "media/quant.h"
+#include "media/reconstruct.h"
 #include "util/bitio.h"
 
 namespace qosctrl::enc {
@@ -57,7 +57,8 @@ DecodeResult decode_frame(const std::vector<std::uint8_t>& bitstream,
       const auto mode =
           static_cast<media::IntraMode>(br.get_bits(2));
       if (static_cast<int>(mode) > 2) return result;
-      prediction = media::intra_prediction_mode(result.frame.y, x0, y0, mode);
+      media::intra_prediction_mode(result.frame.y, x0, y0, mode,
+                                   prediction.data());
       for (int c = 0; c < 2; ++c) {
         const media::Plane& plane =
             (c == 0) ? result.frame.cb : result.frame.cr;
@@ -87,43 +88,33 @@ DecodeResult decode_frame(const std::vector<std::uint8_t>& bitstream,
       }
     }
 
-    std::array<media::Sample, 256> pixels;
-    for (int b = 0; b < 4; ++b) {
+    // Levels decode straight into the shared inverse path, one block
+    // at a time, written into the frame where they belong.
+    const auto reconstruct = [&](const media::Sample* pred,
+                                 std::ptrdiff_t pred_stride,
+                                 media::Sample* dst,
+                                 std::ptrdiff_t dst_stride) {
       const std::optional<media::Coeffs8> levels = media::decode_block(br);
-      if (!levels.has_value() || br.overrun()) return result;
-      const media::Block8 residual =
-          media::inverse_dct8(media::dequantize_block(*levels, qp));
+      if (!levels.has_value() || br.overrun()) return false;
+      media::reconstruct_block8(*levels, qp, pred, pred_stride, dst,
+                                dst_stride);
+      return true;
+    };
+    const std::ptrdiff_t stride = result.frame.y.stride();
+    for (int b = 0; b < 4; ++b) {
       const int bx = (b % 2) * kTb;
       const int by = (b / 2) * kTb;
-      for (int y = 0; y < kTb; ++y) {
-        for (int x = 0; x < kTb; ++x) {
-          const int p = (by + y) * kMb + (bx + x);
-          const int v =
-              static_cast<int>(prediction[static_cast<std::size_t>(p)]) +
-              static_cast<int>(
-                  residual[static_cast<std::size_t>(y * kTb + x)]);
-          pixels[static_cast<std::size_t>(p)] =
-              static_cast<media::Sample>(std::clamp(v, 0, 255));
-        }
+      if (!reconstruct(prediction.data() + by * kMb + bx, kMb,
+                       result.frame.y.row(y0 + by) + x0 + bx, stride)) {
+        return result;
       }
     }
-    media::write_macroblock(result.frame.y, x0, y0, pixels);
-    for (int c = 0; c < 2; ++c) {
-      const std::optional<media::Coeffs8> levels = media::decode_block(br);
-      if (!levels.has_value() || br.overrun()) return result;
-      const media::Block8 residual =
-          media::inverse_dct8(media::dequantize_block(*levels, qp));
-      std::array<media::Sample, 64> cpix;
-      for (std::size_t i = 0; i < 64; ++i) {
-        const int v =
-            static_cast<int>(
-                prediction_c[static_cast<std::size_t>(c)][i]) +
-            static_cast<int>(residual[i]);
-        cpix[i] = static_cast<media::Sample>(std::clamp(v, 0, 255));
+    for (std::size_t c = 0; c < 2; ++c) {
+      media::Plane& plane = (c == 0) ? result.frame.cb : result.frame.cr;
+      if (!reconstruct(prediction_c[c].data(), kTb,
+                       plane.row(y0 / 2) + x0 / 2, plane.stride())) {
+        return result;
       }
-      media::Plane& plane =
-          (c == 0) ? result.frame.cb : result.frame.cr;
-      media::write_plane_block8(plane, x0 / 2, y0 / 2, cpix);
     }
   }
   result.ok = !br.overrun();

@@ -8,6 +8,7 @@
 #include "media/motion.h"
 #include "media/plane.h"
 #include "media/quant.h"
+#include "media/reconstruct.h"
 #include "quality/distortion.h"
 #include "util/bitio.h"
 #include "util/check.h"
@@ -22,6 +23,31 @@ std::size_t quality_index_of(const rt::ParameterizedSystem& sys,
     if (levels[i] == q) return i;
   }
   QC_EXPECT(false, "controller chose a quality level outside Q");
+}
+
+constexpr int kMb = media::kMacroBlockSize;
+constexpr int kTb = media::kTransformSize;
+
+/// Offset of luma block `b` (0..3, raster order) in a 16-stride
+/// macroblock buffer.
+constexpr int luma_block_offset(int b) {
+  return (b / 2) * kTb * kMb + (b % 2) * kTb;
+}
+
+/// Residual formation: out = src - pred over the 8x8 blocks at `src`
+/// and `pred` (shared row stride).  Row loops over contiguous spans, so
+/// gcc vectorizes the widening subtraction at -O3.
+void subtract_block8(const media::Sample* src, const media::Sample* pred,
+                     int stride, media::Block8& out) {
+  media::Residual* r = out.data();
+  for (int y = 0; y < kTb; ++y) {
+    for (int x = 0; x < kTb; ++x) {
+      r[x] = static_cast<media::Residual>(src[x] - pred[x]);
+    }
+    src += stride;
+    pred += stride;
+    r += kTb;
+  }
 }
 
 }  // namespace
@@ -66,7 +92,7 @@ FrameStats FrameEncoder::encode_frame(const media::YuvFrame& input,
   FrameStats stats;
   stats.qp = qp;
   rt::Cycles t = t0;
-  MbContext ctx;
+  MbContext ctx{};
   double quality_sum = 0.0;
   int quality_count = 0;
   rt::QualityLevel last_me_quality = sys.qmin();
@@ -124,7 +150,7 @@ double FrameEncoder::run_action(const UnrolledAction& ua,
                                 MbContext& ctx) {
   switch (ua.action) {
     case BodyAction::kGrabMacroBlock: {
-      ctx = MbContext{};
+      static_cast<MbState&>(ctx) = MbState{};
       ctx.mb = ua.macroblock;
       const auto [x0, y0] = input.y.mb_origin(ua.macroblock);
       ctx.x0 = x0;
@@ -132,12 +158,8 @@ double FrameEncoder::run_action(const UnrolledAction& ua,
       ctx.source = media::read_macroblock(input.y, x0, y0);
       for (int c = 0; c < 2; ++c) {
         const media::Plane& plane = (c == 0) ? input.cb : input.cr;
-        const media::Block8 b =
-            media::read_plane_block8(plane, x0 / 2, y0 / 2);
-        for (std::size_t i = 0; i < 64; ++i) {
-          ctx.source_c[static_cast<std::size_t>(c)][i] =
-              static_cast<media::Sample>(b[i]);
-        }
+        media::copy_block(plane.row(y0 / 2) + x0 / 2, plane.stride(), kTb,
+                          ctx.source_c[static_cast<std::size_t>(c)].data());
       }
       return 1.0;
     }
@@ -173,87 +195,54 @@ double FrameEncoder::run_action(const UnrolledAction& ua,
     }
 
     case BodyAction::kIntraPredict: {
-      // Mode decision + residual formation.  The spatial prediction is
-      // always computed (the action has constant cost in Figure 5); it
-      // wins when clearly better than the motion-compensated one.
-      const media::IntraResult intra =
-          media::intra_predict(input.y, recon_.y, ctx.x0, ctx.y0);
+      // Mode decision + residual formation.  The spatial mode decision
+      // always runs (the action has constant cost in Figure 5) on the
+      // source Grab read; only the winning prediction is written.
+      const media::IntraResult intra = media::intra_predict(
+          ctx.source.data(), recon_.y, ctx.x0, ctx.y0);
       ctx.use_intra = !ctx.motion_valid ||
-                      intra.sad + config_.intra_bias <
-                          ctx.motion.sad;
+                      intra.sad + config_.intra_bias < ctx.motion.sad;
+      const int cx = ctx.x0 / 2;
+      const int cy = ctx.y0 / 2;
       if (ctx.use_intra) {
         ctx.intra_mode = intra.mode;
-        ctx.prediction = intra.prediction;
-        for (int c = 0; c < 2; ++c) {
-          const media::Plane& plane = (c == 0) ? recon_.cb : recon_.cr;
-          ctx.prediction_c[static_cast<std::size_t>(c)] =
-              media::chroma_dc_prediction(plane, ctx.x0 / 2, ctx.y0 / 2);
-        }
+        media::intra_prediction_mode(recon_.y, ctx.x0, ctx.y0, intra.mode,
+                                     ctx.prediction.data());
+        ctx.prediction_c[0] = media::chroma_dc_prediction(recon_.cb, cx, cy);
+        ctx.prediction_c[1] = media::chroma_dc_prediction(recon_.cr, cx, cy);
       } else {
+        const int dx2 = ctx.motion.dx2;
+        const int dy2 = ctx.motion.dy2;
         ctx.prediction = media::motion_compensate_halfpel(
-            padded_reference_, ctx.x0, ctx.y0, ctx.motion.dx2,
-            ctx.motion.dy2);
-        for (int c = 0; c < 2; ++c) {
-          const media::Plane& plane =
-              (c == 0) ? reference_.cb : reference_.cr;
-          ctx.prediction_c[static_cast<std::size_t>(c)] =
-              media::chroma_motion_compensate(plane, ctx.x0 / 2, ctx.y0 / 2,
-                                              ctx.motion.dx2,
-                                              ctx.motion.dy2);
-        }
+            padded_reference_, ctx.x0, ctx.y0, dx2, dy2);
+        ctx.prediction_c[0] = media::chroma_motion_compensate(
+            reference_.cb, cx, cy, dx2, dy2);
+        ctx.prediction_c[1] = media::chroma_motion_compensate(
+            reference_.cr, cx, cy, dx2, dy2);
       }
       for (int b = 0; b < 4; ++b) {
-        const int bx = (b % 2) * media::kTransformSize;
-        const int by = (b / 2) * media::kTransformSize;
-        for (int y = 0; y < media::kTransformSize; ++y) {
-          for (int x = 0; x < media::kTransformSize; ++x) {
-            const int p = (by + y) * media::kMacroBlockSize + (bx + x);
-            ctx.residual[static_cast<std::size_t>(b)]
-                        [static_cast<std::size_t>(y * media::kTransformSize + x)] =
-                static_cast<media::Residual>(
-                    static_cast<int>(ctx.source[static_cast<std::size_t>(p)]) -
-                    static_cast<int>(ctx.prediction[static_cast<std::size_t>(p)]));
-          }
-        }
+        const int off = luma_block_offset(b);
+        subtract_block8(ctx.source.data() + off, ctx.prediction.data() + off,
+                        kMb, ctx.residual[static_cast<std::size_t>(b)]);
       }
-      for (int c = 0; c < 2; ++c) {
-        for (std::size_t i = 0; i < 64; ++i) {
-          ctx.residual_c[static_cast<std::size_t>(c)][i] =
-              static_cast<media::Residual>(
-                  static_cast<int>(
-                      ctx.source_c[static_cast<std::size_t>(c)][i]) -
-                  static_cast<int>(
-                      ctx.prediction_c[static_cast<std::size_t>(c)][i]));
-        }
+      for (std::size_t c = 0; c < 2; ++c) {
+        subtract_block8(ctx.source_c[c].data(), ctx.prediction_c[c].data(),
+                        kTb, ctx.residual[4 + c]);
       }
       return 1.0;
     }
 
     case BodyAction::kDct: {
-      for (int b = 0; b < 4; ++b) {
-        ctx.coeffs[static_cast<std::size_t>(b)] =
-            media::forward_dct8(ctx.residual[static_cast<std::size_t>(b)]);
-      }
-      for (int c = 0; c < 2; ++c) {
-        ctx.coeffs_c[static_cast<std::size_t>(c)] =
-            media::forward_dct8(ctx.residual_c[static_cast<std::size_t>(c)]);
+      for (std::size_t b = 0; b < 6; ++b) {
+        media::forward_dct8(ctx.residual[b], ctx.levels[b]);
       }
       return 1.0;
     }
 
     case BodyAction::kQuantize: {
       ctx.nonzero = 0;
-      for (int b = 0; b < 4; ++b) {
-        ctx.levels[static_cast<std::size_t>(b)] =
-            media::quantize_block(ctx.coeffs[static_cast<std::size_t>(b)], qp);
-        ctx.nonzero +=
-            media::count_nonzero(ctx.levels[static_cast<std::size_t>(b)]);
-      }
-      for (int c = 0; c < 2; ++c) {
-        ctx.levels_c[static_cast<std::size_t>(c)] = media::quantize_block(
-            ctx.coeffs_c[static_cast<std::size_t>(c)], qp);
-        ctx.nonzero +=
-            media::count_nonzero(ctx.levels_c[static_cast<std::size_t>(c)]);
+      for (media::Coeffs8& block : ctx.levels) {
+        ctx.nonzero += media::quantize_block(block, qp);
       }
       return 1.0;
     }
@@ -269,74 +258,42 @@ double FrameEncoder::run_action(const UnrolledAction& ua,
         media::put_se(bw, ctx.motion.dx2);
         media::put_se(bw, ctx.motion.dy2);
       }
-      for (int b = 0; b < 4; ++b) {
-        media::encode_block(bw, ctx.levels[static_cast<std::size_t>(b)]);
-      }
-      for (int c = 0; c < 2; ++c) {
-        media::encode_block(bw, ctx.levels_c[static_cast<std::size_t>(c)]);
+      for (const media::Coeffs8& block : ctx.levels) {
+        media::encode_block(bw, block);
       }
       ctx.bits = bw.bit_count() - before;
       return std::max(
           0.2, static_cast<double>(ctx.bits) / config_.typical_compress_bits);
     }
 
-    case BodyAction::kInverseQuantize: {
-      for (int b = 0; b < 4; ++b) {
-        ctx.dequant[static_cast<std::size_t>(b)] = media::dequantize_block(
-            ctx.levels[static_cast<std::size_t>(b)], qp);
-      }
-      for (int c = 0; c < 2; ++c) {
-        ctx.dequant_c[static_cast<std::size_t>(c)] = media::dequantize_block(
-            ctx.levels_c[static_cast<std::size_t>(c)], qp);
-      }
+    // Inverse_Quantize and Inverse_DCT charge their Figure 5 costs; the
+    // pixel work of both runs at Reconstruct, fused per block in
+    // media::reconstruct_block8 (the routine the decoder runs), because
+    // Compress may still read the levels when they start.
+    case BodyAction::kInverseQuantize:
       return 1.0;
-    }
 
-    case BodyAction::kInverseDct: {
-      for (int b = 0; b < 4; ++b) {
-        ctx.recon_residual[static_cast<std::size_t>(b)] =
-            media::inverse_dct8(ctx.dequant[static_cast<std::size_t>(b)]);
-      }
-      for (int c = 0; c < 2; ++c) {
-        ctx.recon_residual_c[static_cast<std::size_t>(c)] =
-            media::inverse_dct8(ctx.dequant_c[static_cast<std::size_t>(c)]);
-      }
+    case BodyAction::kInverseDct:
       // Sparse blocks are cheaper to invert; couple the cost mildly.
       return 0.5 + static_cast<double>(ctx.nonzero) / 96.0;
-    }
 
     case BodyAction::kReconstruct: {
-      std::array<media::Sample, 256> pixels;
+      const std::ptrdiff_t stride = recon_.y.stride();
+      media::Sample* dst = recon_.y.row(ctx.y0) + ctx.x0;
       for (int b = 0; b < 4; ++b) {
-        const int bx = (b % 2) * media::kTransformSize;
-        const int by = (b / 2) * media::kTransformSize;
-        for (int y = 0; y < media::kTransformSize; ++y) {
-          for (int x = 0; x < media::kTransformSize; ++x) {
-            const int p = (by + y) * media::kMacroBlockSize + (bx + x);
-            const int v =
-                static_cast<int>(ctx.prediction[static_cast<std::size_t>(p)]) +
-                static_cast<int>(
-                    ctx.recon_residual[static_cast<std::size_t>(b)]
-                                      [static_cast<std::size_t>(
-                                          y * media::kTransformSize + x)]);
-            pixels[static_cast<std::size_t>(p)] =
-                static_cast<media::Sample>(std::clamp(v, 0, 255));
-          }
-        }
+        const int bx = (b % 2) * kTb;
+        const int by = (b / 2) * kTb;
+        media::reconstruct_block8(
+            ctx.levels[static_cast<std::size_t>(b)], qp,
+            ctx.prediction.data() + luma_block_offset(b), kMb,
+            dst + by * stride + bx, stride);
       }
-      media::write_macroblock(recon_.y, ctx.x0, ctx.y0, pixels);
-      for (int c = 0; c < 2; ++c) {
-        std::array<media::Sample, 64> cpix;
-        for (std::size_t i = 0; i < 64; ++i) {
-          const int v =
-              static_cast<int>(
-                  ctx.prediction_c[static_cast<std::size_t>(c)][i]) +
-              static_cast<int>(
-                  ctx.recon_residual_c[static_cast<std::size_t>(c)][i]);
-          cpix[i] = static_cast<media::Sample>(std::clamp(v, 0, 255));
-        }
+      for (std::size_t c = 0; c < 2; ++c) {
         media::Plane& plane = (c == 0) ? recon_.cb : recon_.cr;
-        media::write_plane_block8(plane, ctx.x0 / 2, ctx.y0 / 2, cpix);
+        media::reconstruct_block8(ctx.levels[4 + c], qp,
+                                  ctx.prediction_c[c].data(), kTb,
+                                  plane.row(ctx.y0 / 2) + ctx.x0 / 2,
+                                  plane.stride());
       }
       return 1.0;
     }

@@ -108,32 +108,33 @@ class FrameEncoder {
   const EncoderConfig& config() const { return config_; }
 
  private:
-  /// Mutable state threaded through one macroblock's actions.  The
-  /// luma path uses 4 8x8 blocks; chroma adds one Cb and one Cr block
-  /// (4:2:0), indexed 4 and 5 in the bitstream order.
-  struct MbContext {
+  /// Per-macroblock decisions threaded through one macroblock's
+  /// actions.  Grab resets exactly these.
+  struct MbState {
     int mb = -1;
     int x0 = 0, y0 = 0;
-    std::array<media::Sample, 256> source{};
-    std::array<std::array<media::Sample, 64>, 2> source_c{};
     media::MotionResult motion;
     bool motion_valid = false;
     bool use_intra = true;
     media::IntraMode intra_mode = media::IntraMode::kDc;
-    std::array<media::Sample, 256> prediction{};
-    std::array<std::array<media::Sample, 64>, 2> prediction_c{};
-    std::array<media::Block8, 4> residual{};
-    std::array<media::Block8, 2> residual_c{};
-    std::array<media::Coeffs8, 4> coeffs{};
-    std::array<media::Coeffs8, 2> coeffs_c{};
-    std::array<media::Coeffs8, 4> levels{};
-    std::array<media::Coeffs8, 2> levels_c{};
-    std::array<media::Coeffs8, 4> dequant{};
-    std::array<media::Coeffs8, 2> dequant_c{};
-    std::array<media::Block8, 4> recon_residual{};
-    std::array<media::Block8, 2> recon_residual_c{};
     std::int64_t bits = 0;
     int nonzero = 0;
+  };
+
+  /// The macroblock workspace, one per encode_frame call: the decisions
+  /// plus the pixel and coefficient arrays every action writes in
+  /// place.  Each array is written in full by its owning action before
+  /// any action reads it, so Grab leaves them as they are.  Blocks are
+  /// indexed in bitstream order: four 8x8 luma blocks in raster order,
+  /// then Cb and Cr.
+  struct MbContext : MbState {
+    std::array<media::Sample, 256> source;      ///< Grab
+    std::array<std::array<media::Sample, 64>, 2> source_c;
+    std::array<media::Sample, 256> prediction;  ///< Intra_Predict
+    std::array<std::array<media::Sample, 64>, 2> prediction_c;
+    std::array<media::Block8, 6> residual;      ///< Intra_Predict
+    /// DCT writes coefficients; Quantize turns them into levels.
+    std::array<media::Coeffs8, 6> levels;
   };
 
   /// Runs the real computation of one action; returns the content-

@@ -1,6 +1,7 @@
 #include "encoder/rate_control.h"
 
 #include <algorithm>
+#include <cmath>
 
 #include "util/check.h"
 
@@ -10,8 +11,12 @@ RateController::RateController(const RateControlConfig& config)
     : config_(config),
       target_(config.bitrate_bps / config.frame_rate),
       qp_(config.initial_qp) {
-  QC_EXPECT(config.bitrate_bps > 0, "bitrate must be positive");
-  QC_EXPECT(config.frame_rate > 0, "frame rate must be positive");
+  // An infinite rate would make the per-frame budget 0 or infinite and
+  // silently drive QP to an end stop.
+  QC_EXPECT(std::isfinite(config.bitrate_bps) && config.bitrate_bps > 0,
+            "bitrate must be finite and positive");
+  QC_EXPECT(std::isfinite(config.frame_rate) && config.frame_rate > 0,
+            "frame rate must be finite and positive");
   QC_EXPECT(config.initial_qp >= media::kMinQp &&
                 config.initial_qp <= media::kMaxQp,
             "initial QP out of range");

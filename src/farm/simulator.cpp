@@ -37,6 +37,8 @@ void validate(const FarmScenario& scenario, const FarmConfig& config) {
             "control epoch must be non-negative");
   QC_EXPECT(config.ts_window >= 0,
             "time-series window must be non-negative");
+  QC_EXPECT(std::isfinite(config.frame_rate) && config.frame_rate > 0,
+            "frame rate must be finite and positive");
   const FaultSpec& faults = scenario.faults;
   QC_EXPECT(std::isfinite(faults.overrun.factor) &&
                 faults.overrun.factor > 1.0,

@@ -33,16 +33,12 @@ const Basis& basis() {
 
 }  // namespace
 
-Coeffs8 forward_dct8(const Block8& block) {
-  Coeffs8 out;
+void forward_dct8(const Block8& block, Coeffs8& out) {
   simd::active_kernels().fdct8(block.data(), out.data());
-  return out;
 }
 
-Block8 inverse_dct8(const Coeffs8& coeffs) {
-  Block8 out;
+void inverse_dct8(const Coeffs8& coeffs, Block8& out) {
   simd::active_kernels().idct8(coeffs.data(), out.data());
-  return out;
 }
 
 Coeffs8 forward_dct8_ref(const Block8& block) {

@@ -23,11 +23,13 @@
 
 namespace qosctrl::media {
 
-/// Forward 8x8 DCT of a residual block (fixed-point integer kernel).
-Coeffs8 forward_dct8(const Block8& block);
+/// Forward 8x8 DCT of a residual block (fixed-point integer kernel),
+/// written into `out`.
+void forward_dct8(const Block8& block, Coeffs8& out);
 
-/// Inverse 8x8 DCT back to (rounded) residual samples.
-Block8 inverse_dct8(const Coeffs8& coeffs);
+/// Inverse 8x8 DCT back to (rounded) residual samples, written into
+/// `out`.
+void inverse_dct8(const Coeffs8& coeffs, Block8& out);
 
 /// Double-precision reference pair: the original implementation, kept
 /// as the oracle for equivalence tests and the ref side of bench_micro.

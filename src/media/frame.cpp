@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 
 #include "media/simd/kernels.h"
 
@@ -36,53 +35,8 @@ std::array<Sample, 256> read_macroblock(const Frame& frame, int x0, int y0) {
                                 y0 + kMacroBlockSize - 1),
             "macroblock out of bounds");
   std::array<Sample, 256> out;
-  Sample* dst = out.data();
-  for (int y = 0; y < kMacroBlockSize; ++y) {
-    std::memcpy(dst, frame.row(y0 + y) + x0, kMacroBlockSize);
-    dst += kMacroBlockSize;
-  }
+  copy_block(frame.row(y0) + x0, frame.stride(), kMacroBlockSize, out.data());
   return out;
-}
-
-void write_macroblock(Frame& frame, int x0, int y0,
-                      const std::array<Sample, 256>& pixels) {
-  QC_EXPECT(frame.in_bounds(x0, y0) &&
-                frame.in_bounds(x0 + kMacroBlockSize - 1,
-                                y0 + kMacroBlockSize - 1),
-            "macroblock out of bounds");
-  const Sample* src = pixels.data();
-  for (int y = 0; y < kMacroBlockSize; ++y) {
-    std::memcpy(frame.row(y0 + y) + x0, src, kMacroBlockSize);
-    src += kMacroBlockSize;
-  }
-}
-
-Block8 read_block8(const Frame& frame, int x0, int y0, int b) {
-  QC_EXPECT(b >= 0 && b < 4, "sub-block index must be 0..3");
-  const int bx = x0 + (b % 2) * kTransformSize;
-  const int by = y0 + (b / 2) * kTransformSize;
-  QC_EXPECT(frame.in_bounds(bx, by) &&
-                frame.in_bounds(bx + kTransformSize - 1,
-                                by + kTransformSize - 1),
-            "sub-block out of bounds");
-  Block8 out;
-  for (int y = 0; y < kTransformSize; ++y) {
-    const Sample* src = frame.row(by + y) + bx;
-    Residual* dst = out.data() + y * kTransformSize;
-    for (int x = 0; x < kTransformSize; ++x) {
-      dst[x] = static_cast<Residual>(src[x]);
-    }
-  }
-  return out;
-}
-
-std::int64_t sad_256(const std::array<Sample, 256>& a,
-                     const std::array<Sample, 256>& b) {
-  std::int64_t acc = 0;
-  for (std::size_t i = 0; i < 256; ++i) {
-    acc += std::abs(static_cast<int>(a[i]) - static_cast<int>(b[i]));
-  }
-  return acc;
 }
 
 std::int64_t frame_sse_i64(const Frame& a, const Frame& b) {

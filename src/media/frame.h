@@ -8,7 +8,9 @@
 #pragma once
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <vector>
 
 #include "util/check.h"
@@ -92,23 +94,23 @@ class Frame {
   std::vector<Sample> data_;
 };
 
+/// Copies the n x n block at `src` (row stride `stride`) into the
+/// contiguous buffer `dst` (row stride n).  Inline, so a constant `n`
+/// turns each row into one fixed-size move.
+inline void copy_block(const Sample* src, std::ptrdiff_t stride, int n,
+                       Sample* dst) {
+  for (int y = 0; y < n; ++y) {
+    std::memcpy(dst, src, static_cast<std::size_t>(n));
+    src += stride;
+    dst += n;
+  }
+}
+
 /// Copies the 16x16 macroblock at (x0, y0) into a 256-entry array.
 std::array<Sample, 256> read_macroblock(const Frame& frame, int x0, int y0);
 
-/// Writes a 16x16 macroblock (values already clamped to [0,255]).
-void write_macroblock(Frame& frame, int x0, int y0,
-                      const std::array<Sample, 256>& pixels);
-
-/// Reads the 8x8 sub-block `b` (0..3, raster order) of the macroblock
-/// at (x0, y0) as residual samples.
-Block8 read_block8(const Frame& frame, int x0, int y0, int b);
-
 // ---------------------------------------------------------------------------
 // Metrics (paper: PSNR between input and output frames)
-
-/// Sum of absolute differences between two 16x16 blocks.
-std::int64_t sad_256(const std::array<Sample, 256>& a,
-                     const std::array<Sample, 256>& b);
 
 /// Integer sum of squared errors over whole frames (equal dimensions
 /// required; SIMD-dispatched, exact).  The one kernel call site —

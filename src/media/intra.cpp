@@ -1,19 +1,22 @@
 #include "media/intra.h"
 
-#include <algorithm>
+#include <array>
 #include <cstring>
+
+#include "media/simd/kernels.h"
 
 namespace qosctrl::media {
 namespace {
 
 constexpr int kMb = kMacroBlockSize;
+constexpr Sample kMidGray = 128;
 
 // Frames tile exactly into macroblocks, so the row of neighbors above
 // exists as a whole iff y0 > 0, and the column to the left iff x0 > 0:
 // the per-pixel in_bounds probes of the scalar version reduce to two
 // checks hoisted out of the loops, and all reads become dense spans.
 
-std::array<Sample, 256> predict_dc(const Frame& recon, int x0, int y0) {
+Sample dc_value(const Frame& recon, int x0, int y0) {
   int sum = 0;
   int count = 0;
   if (y0 > 0) {
@@ -25,77 +28,69 @@ std::array<Sample, 256> predict_dc(const Frame& recon, int x0, int y0) {
     for (int y = 0; y < kMb; ++y) sum += recon.row(y0 + y)[x0 - 1];
     count += kMb;
   }
-  const Sample dc =
-      count > 0 ? static_cast<Sample>((sum + count / 2) / count) : 128;
-  std::array<Sample, 256> out;
-  out.fill(dc);
-  return out;
+  return count > 0 ? static_cast<Sample>((sum + count / 2) / count)
+                   : kMidGray;
 }
 
-std::array<Sample, 256> predict_horizontal(const Frame& recon, int x0,
-                                           int y0) {
-  std::array<Sample, 256> out;
-  Sample* dst = out.data();
+void predict_horizontal(const Frame& recon, int x0, int y0, Sample* out) {
   for (int y = 0; y < kMb; ++y) {
-    const Sample left = x0 > 0 ? recon.row(y0 + y)[x0 - 1] : 128;
-    std::memset(dst, left, kMb);
-    dst += kMb;
+    const Sample left = x0 > 0 ? recon.row(y0 + y)[x0 - 1] : kMidGray;
+    std::memset(out, left, kMb);
+    out += kMb;
   }
-  return out;
 }
 
-std::array<Sample, 256> predict_vertical(const Frame& recon, int x0, int y0) {
-  std::array<Sample, 256> out;
-  if (y0 > 0) {
-    const Sample* top = recon.row(y0 - 1) + x0;
-    Sample* dst = out.data();
-    for (int y = 0; y < kMb; ++y) {
-      std::memcpy(dst, top, kMb);
-      dst += kMb;
-    }
-  } else {
-    out.fill(128);
-  }
-  return out;
+/// The row every vertical-mode prediction row repeats.
+const Sample* vertical_row(const Frame& recon, int x0, int y0) {
+  static constexpr std::array<Sample, kMb> kMidGrayRow = [] {
+    std::array<Sample, kMb> row{};
+    row.fill(kMidGray);
+    return row;
+  }();
+  return y0 > 0 ? recon.row(y0 - 1) + x0 : kMidGrayRow.data();
 }
 
 }  // namespace
 
-std::array<Sample, 256> intra_prediction_mode(const Frame& recon, int x0,
-                                              int y0, IntraMode mode) {
+void intra_prediction_mode(const Frame& recon, int x0, int y0,
+                           IntraMode mode, Sample* out) {
   switch (mode) {
     case IntraMode::kDc:
-      return predict_dc(recon, x0, y0);
+      std::memset(out, dc_value(recon, x0, y0), kMb * kMb);
+      return;
     case IntraMode::kHorizontal:
-      return predict_horizontal(recon, x0, y0);
-    case IntraMode::kVertical:
-      return predict_vertical(recon, x0, y0);
+      predict_horizontal(recon, x0, y0, out);
+      return;
+    case IntraMode::kVertical: {
+      const Sample* top = vertical_row(recon, x0, y0);
+      for (int y = 0; y < kMb; ++y) std::memcpy(out + y * kMb, top, kMb);
+      return;
+    }
   }
-  std::array<Sample, 256> out;
-  out.fill(128);
-  return out;
+  std::memset(out, kMidGray, kMb * kMb);
 }
 
-IntraResult intra_predict(const Frame& source, const Frame& recon, int x0,
+IntraResult intra_predict(const Sample* src, const Frame& recon, int x0,
                           int y0) {
-  const std::array<Sample, 256> src = read_macroblock(source, x0, y0);
-
-  IntraResult best;
-  best.mode = IntraMode::kDc;
-  best.prediction = predict_dc(recon, x0, y0);
-  best.sad = sad_256(src, best.prediction);
-
-  const auto consider = [&](IntraMode mode,
-                            const std::array<Sample, 256>& pred) {
-    const std::int64_t s = sad_256(src, pred);
-    if (s < best.sad) {
-      best.mode = mode;
-      best.prediction = pred;
-      best.sad = s;
-    }
+  const auto sad = simd::active_kernels().sad_16x16;
+  // DC and vertical repeat one 16-sample row down the block, so their
+  // SADs read that row with stride 0 and neither block is built.  Each
+  // later mode passes the best SAD so far as the kernel's early-exit
+  // bound: a pruned sum is >= it and loses the strict comparison, so
+  // the winner and its (exact) SAD are those of full evaluation.
+  std::array<Sample, kMb> dc_row;
+  dc_row.fill(dc_value(recon, x0, y0));
+  IntraResult best{IntraMode::kDc,
+                   sad(src, dc_row.data(), 0, INT64_C(1) << 60)};
+  const auto consider = [&](IntraMode mode, std::int64_t s) {
+    if (s < best.sad) best = {mode, s};
   };
-  consider(IntraMode::kHorizontal, predict_horizontal(recon, x0, y0));
-  consider(IntraMode::kVertical, predict_vertical(recon, x0, y0));
+  std::array<Sample, kMb * kMb> horizontal;
+  predict_horizontal(recon, x0, y0, horizontal.data());
+  consider(IntraMode::kHorizontal,
+           sad(src, horizontal.data(), kMb, best.sad));
+  consider(IntraMode::kVertical,
+           sad(src, vertical_row(recon, x0, y0), 0, best.sad));
   return best;
 }
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdlib>
-#include <cstring>
 
 #include "media/simd/kernels.h"
 #include "util/check.h"
@@ -32,17 +31,6 @@ std::int64_t sad_clamped(const Sample* cur, const Frame& reference, int bx,
     cur += kMacroBlockSize;
   }
   return acc;
-}
-
-/// Copies a 16x16 block from `src` (row stride `stride`) into `out`.
-void copy_block16(const Sample* src, std::ptrdiff_t stride,
-                  std::array<Sample, 256>& out) {
-  Sample* dst = out.data();
-  for (int y = 0; y < kMacroBlockSize; ++y) {
-    std::memcpy(dst, src, kMacroBlockSize);
-    src += stride;
-    dst += kMacroBlockSize;
-  }
 }
 
 /// Bilinear half-pel interpolation of a 16x16 block anchored at `src`;
@@ -119,7 +107,10 @@ void refine_half_pel(const std::array<Sample, 256>& src, const RefView& view,
       const int dx2 = 2 * result.dx + fx;
       const int dy2 = 2 * result.dy + fy;
       const auto pred = view.compensate_halfpel(x0, y0, dx2, dy2);
-      const std::int64_t s = sad_256(src, pred);
+      // Bounded by the best SAD so far: a pruned (partial) sum is >= it
+      // and loses the strict comparison below.
+      const std::int64_t s =
+          sad_16x16(src.data(), pred.data(), kMacroBlockSize, result.sad);
       ++result.points_examined;
       if (s < result.sad) {
         result.sad = s;
@@ -146,7 +137,8 @@ MotionResult estimate_motion_impl(const Frame& current, const RefView& view,
   // macroblocks), so cache it once as a contiguous block: every SAD
   // below then runs over two dense spans with no per-pixel checks.
   std::array<Sample, 256> cur;
-  copy_block16(current.row(y0) + x0, current.stride(), cur);
+  copy_block(current.row(y0) + x0, current.stride(),
+             kMacroBlockSize, cur.data());
 
   std::int64_t best = view.sad(cur.data(), x0, y0, INT64_C(1) << 60);
   result.sad = best;
@@ -262,7 +254,8 @@ std::array<Sample, 256> motion_compensate(const Frame& reference, int x0,
                                           int y0, int dx, int dy) {
   std::array<Sample, 256> out;
   if (block16_interior(reference, x0 + dx, y0 + dy)) {
-    copy_block16(reference.row(y0 + dy) + x0 + dx, reference.stride(), out);
+    copy_block(reference.row(y0 + dy) + x0 + dx, reference.stride(),
+               kMacroBlockSize, out.data());
     return out;
   }
   for (int y = 0; y < kMacroBlockSize; ++y) {
@@ -279,7 +272,8 @@ std::array<Sample, 256> motion_compensate(const PaddedFrame& reference,
   QC_EXPECT(reference.covers_block16(x0, y0, dx, dy),
             "motion vector exceeds reference padding");
   std::array<Sample, 256> out;
-  copy_block16(reference.row(y0 + dy) + x0 + dx, reference.stride(), out);
+  copy_block(reference.row(y0 + dy) + x0 + dx, reference.stride(),
+             kMacroBlockSize, out.data());
   return out;
 }
 
@@ -337,7 +331,8 @@ std::array<Sample, 256> motion_compensate_halfpel(const PaddedFrame& reference,
             "motion vector exceeds reference padding");
   std::array<Sample, 256> out;
   if (fx == 0 && fy == 0) {
-    copy_block16(reference.row(y0 + iy) + x0 + ix, reference.stride(), out);
+    copy_block(reference.row(y0 + iy) + x0 + ix, reference.stride(),
+               kMacroBlockSize, out.data());
   } else {
     halfpel_block16(reference.row(y0 + iy) + x0 + ix, reference.stride(),
                     fx, fy, out);

@@ -1,7 +1,6 @@
 #include "media/plane.h"
 
 #include <algorithm>
-#include <cstring>
 
 namespace qosctrl::media {
 
@@ -18,35 +17,6 @@ Sample Plane::at_clamped(int x, int y) const {
   return at(std::clamp(x, 0, width_ - 1), std::clamp(y, 0, height_ - 1));
 }
 
-Block8 read_plane_block8(const Plane& plane, int x0, int y0) {
-  QC_EXPECT(plane.in_bounds(x0, y0) &&
-                plane.in_bounds(x0 + kTransformSize - 1,
-                                y0 + kTransformSize - 1),
-            "plane block out of bounds");
-  Block8 out;
-  for (int y = 0; y < kTransformSize; ++y) {
-    const Sample* src = plane.row(y0 + y) + x0;
-    Residual* dst = out.data() + y * kTransformSize;
-    for (int x = 0; x < kTransformSize; ++x) {
-      dst[x] = static_cast<Residual>(src[x]);
-    }
-  }
-  return out;
-}
-
-void write_plane_block8(Plane& plane, int x0, int y0,
-                        const std::array<Sample, 64>& pixels) {
-  QC_EXPECT(plane.in_bounds(x0, y0) &&
-                plane.in_bounds(x0 + kTransformSize - 1,
-                                y0 + kTransformSize - 1),
-            "plane block out of bounds");
-  const Sample* src = pixels.data();
-  for (int y = 0; y < kTransformSize; ++y) {
-    std::memcpy(plane.row(y0 + y) + x0, src, kTransformSize);
-    src += kTransformSize;
-  }
-}
-
 std::array<Sample, 64> chroma_motion_compensate(const Plane& reference,
                                                 int x0, int y0, int luma_dx2,
                                                 int luma_dy2) {
@@ -60,27 +30,53 @@ std::array<Sample, 64> chroma_motion_compensate(const Plane& reference,
   const int iy = (cdy2 >= 0) ? cdy2 / 2 : (cdy2 - 1) / 2;
   const int fx = cdx2 - 2 * ix;
   const int fy = cdy2 - 2 * iy;
+  // Every case is (a + b + c + d + 2) / 4 over the four taps at
+  // (0|fx, 0|fy), where a missing fraction repeats a tap —
+  // (a + b + a + b + 2) / 4 == (a + b + 1) / 2 and (4a + 2) / 4 == a —
+  // so every block runs one branch-free row loop that vectorizes.  The
+  // taps span (8 + fx) x (8 + fy) samples from (bx, by): read in place
+  // when that window lies inside the plane, else first gathered through
+  // clamped row and column indices.
+  const int bx = x0 + ix;
+  const int by = y0 + iy;
+  const int span_x = kTransformSize + fx;
+  const int span_y = kTransformSize + fy;
+  constexpr int kPatch = kTransformSize + 1;
+  std::array<Sample, kPatch * kPatch> patch;
+  const Sample* a;
+  int stride;
+  if (bx >= 0 && by >= 0 && bx + span_x <= reference.width() &&
+      by + span_y <= reference.height()) {
+    a = reference.row(by) + bx;
+    stride = reference.stride();
+  } else {
+    int cols[kPatch];
+    for (int x = 0; x < span_x; ++x) {
+      cols[x] = std::clamp(bx + x, 0, reference.width() - 1);
+    }
+    for (int y = 0; y < span_y; ++y) {
+      const Sample* src =
+          reference.row(std::clamp(by + y, 0, reference.height() - 1));
+      Sample* row = patch.data() + y * kPatch;
+      for (int x = 0; x < span_x; ++x) row[x] = src[cols[x]];
+    }
+    a = patch.data();
+    stride = kPatch;
+  }
+  const Sample* b = a + fx;
+  const Sample* c = a + fy * stride;
+  const Sample* d = c + fx;
   std::array<Sample, 64> out;
+  Sample* dst = out.data();
   for (int y = 0; y < kTransformSize; ++y) {
     for (int x = 0; x < kTransformSize; ++x) {
-      const int bx = x0 + x + ix;
-      const int by = y0 + y + iy;
-      const int a = reference.at_clamped(bx, by);
-      int v;
-      if (fx == 0 && fy == 0) {
-        v = a;
-      } else if (fx == 1 && fy == 0) {
-        v = (a + reference.at_clamped(bx + 1, by) + 1) / 2;
-      } else if (fx == 0) {
-        v = (a + reference.at_clamped(bx, by + 1) + 1) / 2;
-      } else {
-        v = (a + reference.at_clamped(bx + 1, by) +
-             reference.at_clamped(bx, by + 1) +
-             reference.at_clamped(bx + 1, by + 1) + 2) / 4;
-      }
-      out[static_cast<std::size_t>(y * kTransformSize + x)] =
-          static_cast<Sample>(v);
+      dst[x] = static_cast<Sample>((a[x] + b[x] + c[x] + d[x] + 2) >> 2);
     }
+    a += stride;
+    b += stride;
+    c += stride;
+    d += stride;
+    dst += kTransformSize;
   }
   return out;
 }

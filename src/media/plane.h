@@ -60,13 +60,6 @@ class Plane {
   std::vector<Sample> data_;
 };
 
-/// Reads the 8x8 block at (x0, y0) as residual samples.
-Block8 read_plane_block8(const Plane& plane, int x0, int y0);
-
-/// Writes an 8x8 block of already-clamped samples.
-void write_plane_block8(Plane& plane, int x0, int y0,
-                        const std::array<Sample, 64>& pixels);
-
 /// Motion compensation on a chroma plane with a *luma* half-pel vector:
 /// chroma moves at half the luma displacement, i.e. quarter-pel chroma
 /// positions rounded to the nearest half pel (the classic MPEG-style

@@ -4,6 +4,8 @@
 #include <cstdint>
 #include <cstdlib>
 
+#include "media/simd/kernels.h"
+
 namespace qosctrl::media {
 
 std::int32_t quantize_coeff(std::int32_t c, int qp) {
@@ -50,38 +52,14 @@ constexpr std::array<Reciprocal, kMaxQp + 1> kReciprocals =
 
 }  // namespace
 
-Coeffs8 quantize_block(const Coeffs8& coeffs, int qp) {
+int quantize_block(Coeffs8& block, int qp) {
   QC_EXPECT(qp >= kMinQp && qp <= kMaxQp, "QP out of range");
   // quantize_coeff without the division: (|c| + step / 2) / step equals
   // ((|c| + qp) >> 1) / qp, and that numerator is below 2^31 for every
   // int32 c, so the reciprocal is exact.
   const Reciprocal r = kReciprocals[static_cast<std::size_t>(qp)];
-  const auto half_step = static_cast<std::uint32_t>(qp);
-  Coeffs8 out;
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    // |c| and the sign restore as (x ^ s) - s with s = 0 or all ones:
-    // one multiply per lane when the loop vectorizes.
-    const auto c = static_cast<std::uint32_t>(coeffs[i]);
-    const std::uint32_t s = 0u - (c >> 31);
-    const std::uint64_t n = (((c ^ s) - s) + half_step) >> 1;
-    const auto mag = static_cast<std::uint32_t>((n * r.mul) >> r.shift);
-    out[i] = static_cast<std::int32_t>((mag ^ s) - s);
-  }
-  return out;
-}
-
-Coeffs8 dequantize_block(const Coeffs8& levels, int qp) {
-  Coeffs8 out;
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    out[i] = dequantize_coeff(levels[i], qp);
-  }
-  return out;
-}
-
-int count_nonzero(const Coeffs8& levels) {
-  int n = 0;
-  for (std::int32_t v : levels) n += (v != 0) ? 1 : 0;
-  return n;
+  return simd::active_kernels().quantize8x8(block.data(), qp, r.mul,
+                                            r.shift);
 }
 
 }  // namespace qosctrl::media

@@ -23,12 +23,9 @@ std::int32_t quantize_coeff(std::int32_t c, int qp);
 /// Reconstructs a coefficient from its quantized level.
 std::int32_t dequantize_coeff(std::int32_t level, int qp);
 
-/// Blockwise helpers.
-Coeffs8 quantize_block(const Coeffs8& coeffs, int qp);
-Coeffs8 dequantize_block(const Coeffs8& levels, int qp);
-
-/// Number of non-zero levels in a quantized block (drives the entropy
-/// coder's work scale).
-int count_nonzero(const Coeffs8& levels);
+/// Quantizes a block of coefficients into levels in place and returns
+/// the number of nonzero levels (the work scale of the inverse path).
+/// Dequantization lives in media::reconstruct_block8.
+int quantize_block(Coeffs8& block, int qp);
 
 }  // namespace qosctrl::media

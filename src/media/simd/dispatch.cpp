@@ -13,7 +13,8 @@ namespace {
 const KernelTable kScalarTable = {
     "scalar",           Backend::kScalar, scalar_sad_16x16,
     scalar_sad_16x16_x4, scalar_halfpel_16x16, scalar_fdct8, scalar_idct8,
-    scalar_sum_sq_diff,  scalar_ssim_stats_8x8,
+    scalar_quantize8x8,  scalar_reconstruct8x8, scalar_sum_sq_diff,
+    scalar_ssim_stats_8x8,
 };
 
 /// The CPU can execute `b`'s kernels *and* they were compiled in.

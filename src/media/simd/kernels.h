@@ -1,7 +1,8 @@
 // Runtime-dispatched SIMD media kernels.
 //
 // The encoder's hot pixel loops — macroblock SAD, half-pel bilinear
-// interpolation, the fixed-point LLM DCT butterflies, and the
+// interpolation, the fixed-point LLM DCT butterflies, quantization,
+// the fused inverse path (dequantize, IDCT, add, saturate), and the
 // PSNR / SSIM distortion accumulators — are reached through a table
 // of function pointers selected once at startup from CPUID: SSE2 is
 // the x86-64 baseline, AVX2 is used when the CPU reports it, and
@@ -44,7 +45,8 @@ struct KernelTable {
   Backend backend;
 
   /// SAD between a contiguous 16x16 block `cur` (row stride 16) and
-  /// the 16x16 block at `ref` (row stride `ref_stride`).  Early-exit
+  /// the 16x16 block at `ref` (row stride `ref_stride`; 0 repeats one
+  /// row, as the intra DC and vertical modes do).  Early-exit
   /// contract shared by all backends: the exact SAD is returned when
   /// it is < `best`; otherwise a partial sum (checked after every 4
   /// rows, identical across backends) >= `best` and <= the exact SAD
@@ -77,6 +79,26 @@ struct KernelTable {
   /// encoder's 9-bit residuals and their transform coefficients.
   void (*fdct8)(const std::int16_t* in, std::int32_t* out);
   void (*idct8)(const std::int32_t* in, std::int16_t* out);
+
+  /// Quantizes an 8x8 coefficient block in place and returns its
+  /// number of nonzero levels: level = sign(c) * ((((|c| + qp) >> 1) *
+  /// mul) >> shift), where (mul, shift) is qp's exact reciprocal (see
+  /// media/quant.cpp), so every backend equals the division formula
+  /// for every int32 coefficient.
+  int (*quantize8x8)(std::int32_t* block, int qp, std::uint32_t mul,
+                     int shift);
+
+  /// The inverse path of one 8x8 block in one call: dequantizes
+  /// `levels` (coefficient = level * step), inverse-transforms them
+  /// exactly as idct8 does (int16-saturated), adds the 8x8 prediction
+  /// at `pred` (row stride `pred_stride`), saturates to [0, 255] and
+  /// stores the block at `dst` (row stride `dst_stride`).  Bit-exact
+  /// across backends while every |level * step| <= 65536 (idct8's
+  /// domain).
+  void (*reconstruct8x8)(const std::int32_t* levels, std::int32_t step,
+                         const std::uint8_t* pred,
+                         std::ptrdiff_t pred_stride, std::uint8_t* dst,
+                         std::ptrdiff_t dst_stride);
 
   /// Sum of squared differences between two contiguous sample spans of
   /// `n` pixels, `n` a positive multiple of 16 — the PSNR accumulator
@@ -116,6 +138,20 @@ const KernelTable& kernels_for(Backend b);
 /// Not thread-safe against concurrent kernel use — call only from
 /// single-threaded test setup.
 Backend set_backend_for_testing(Backend b);
+
+/// Restores, on destruction, the backend that was active at
+/// construction — so a test that switches backends and returns early
+/// on a failed assertion does not leave its choice to later tests.
+class ScopedBackendRestore {
+ public:
+  ScopedBackendRestore() : saved_(active_backend()) {}
+  ~ScopedBackendRestore() { set_backend_for_testing(saved_); }
+  ScopedBackendRestore(const ScopedBackendRestore&) = delete;
+  ScopedBackendRestore& operator=(const ScopedBackendRestore&) = delete;
+
+ private:
+  Backend saved_;
+};
 
 // ---------------------------------------------------------------------------
 // Pure selection logic, exposed for unit tests.

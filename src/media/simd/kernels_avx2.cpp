@@ -1,6 +1,7 @@
 // AVX2 kernels: `vpsadbw` macroblock SAD (single and paired-candidate
-// batch), two-row `vpavgb` half-pel interpolation, and an exact
-// vectorized fixed-point LLM DCT.
+// batch), two-row `vpavgb` half-pel interpolation, an exact
+// vectorized fixed-point LLM DCT, the reciprocal quantizer, and the
+// fused inverse path (dequantize, IDCT, add, saturate, store).
 //
 // This translation unit is compiled with -mavx2 (see CMakeLists.txt);
 // everything in it must stay unreachable unless the dispatcher's
@@ -400,6 +401,74 @@ void avx2_idct8(const std::int32_t* in, std::int16_t* out) {
   }
 }
 
+int avx2_quantize8x8(std::int32_t* block, int qp, std::uint32_t mul,
+                     int shift) {
+  // The scalar formula 8 lanes wide: vpmuludq forms the exact 64-bit
+  // products n * mul on the even and the odd lanes; the low 32 bits of
+  // each shifted product are the magnitude (below 2^31).
+  const __m256i half_step = _mm256_set1_epi32(qp);
+  const __m256i vmul = _mm256_set1_epi64x(mul);
+  const __m128i vshift = _mm_cvtsi32_si128(shift);
+  const __m256i zero = _mm256_setzero_si256();
+  __m256i zeros = zero;
+  for (int v = 0; v < 8; ++v) {
+    auto* p = reinterpret_cast<__m256i*>(block + v * 8);
+    const __m256i c = _mm256_loadu_si256(p);
+    const __m256i n = _mm256_srli_epi32(
+        _mm256_add_epi32(_mm256_abs_epi32(c), half_step), 1);
+    const __m256i even = _mm256_srl_epi64(_mm256_mul_epu32(n, vmul), vshift);
+    const __m256i odd = _mm256_srl_epi64(
+        _mm256_mul_epu32(_mm256_srli_epi64(n, 32), vmul), vshift);
+    const __m256i mag =
+        _mm256_blend_epi32(even, _mm256_slli_epi64(odd, 32), 0xAA);
+    const __m256i s = _mm256_srai_epi32(c, 31);
+    _mm256_storeu_si256(p, _mm256_sub_epi32(_mm256_xor_si256(mag, s), s));
+    zeros = _mm256_sub_epi32(zeros, _mm256_cmpeq_epi32(mag, zero));
+  }
+  __m128i z = _mm_add_epi32(_mm256_castsi256_si128(zeros),
+                            _mm256_extracti128_si256(zeros, 1));
+  z = _mm_add_epi32(z, _mm_shuffle_epi32(z, _MM_SHUFFLE(1, 0, 3, 2)));
+  z = _mm_add_epi32(z, _mm_shuffle_epi32(z, _MM_SHUFFLE(2, 3, 0, 1)));
+  return 64 - _mm_cvtsi128_si32(z);
+}
+
+void avx2_reconstruct8x8(const std::int32_t* levels, std::int32_t step,
+                         const std::uint8_t* pred, std::ptrdiff_t pred_stride,
+                         std::uint8_t* dst, std::ptrdiff_t dst_stride) {
+  // Dequantize with vpmulld (exact in the documented domain), run the
+  // idct8 passes, then add the prediction two rows at a time: packs
+  // saturates the residual to int16 as idct8 does, adds_epi16 cannot
+  // move a sum across the [0, 255] clamp, and packus clamps.
+  const __m256i vstep = _mm256_set1_epi32(step);
+  __m256i x[8];
+  for (int v = 0; v < 8; ++v) {
+    x[v] = _mm256_mullo_epi32(
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(levels + v * 8)),
+        vstep);
+  }
+  idct_pass<kDctConstBits - kDctPass1Bits>(x);  // lane = column
+  transpose8x8_epi32(x);
+  idct_pass<kDctConstBits + kDctPass1Bits + 3>(x);  // lane = row
+  transpose8x8_epi32(x);
+  for (int y = 0; y < 8; y += 2) {
+    const __m256i residual = _mm256_permute4x64_epi64(
+        _mm256_packs_epi32(x[y], x[y + 1]), _MM_SHUFFLE(3, 1, 2, 0));
+    const __m128i p = _mm_unpacklo_epi64(
+        _mm_loadl_epi64(reinterpret_cast<const __m128i*>(pred)),
+        _mm_loadl_epi64(
+            reinterpret_cast<const __m128i*>(pred + pred_stride)));
+    const __m256i sum =
+        _mm256_adds_epi16(residual, _mm256_cvtepu8_epi16(p));
+    const __m256i px = _mm256_packus_epi16(sum, sum);
+    _mm_storel_epi64(reinterpret_cast<__m128i*>(dst),
+                     _mm256_castsi256_si128(px));
+    _mm_storel_epi64(reinterpret_cast<__m128i*>(dst + dst_stride),
+                     _mm256_extracti128_si256(px, 1));
+    pred += 2 * pred_stride;
+    dst += 2 * dst_stride;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Distortion kernels (PSNR / SSIM accumulators).
 
@@ -494,6 +563,7 @@ void avx2_ssim_stats_8x8(const std::uint8_t* a, std::ptrdiff_t a_stride,
 const KernelTable kAvx2Table = {
     "avx2",         Backend::kAvx2, avx2_sad_16x16, avx2_sad_16x16_x4,
     avx2_halfpel_16x16, avx2_fdct8, avx2_idct8,
+    avx2_quantize8x8,   avx2_reconstruct8x8,
     avx2_sum_sq_diff,   avx2_ssim_stats_8x8,
 };
 

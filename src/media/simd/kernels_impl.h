@@ -57,6 +57,12 @@ void scalar_halfpel_16x16(const std::uint8_t* src, std::ptrdiff_t stride,
                           int fx, int fy, std::uint8_t* dst);
 void scalar_fdct8(const std::int16_t* in, std::int32_t* out);
 void scalar_idct8(const std::int32_t* in, std::int16_t* out);
+int scalar_quantize8x8(std::int32_t* block, int qp, std::uint32_t mul,
+                       int shift);
+void scalar_reconstruct8x8(const std::int32_t* levels, std::int32_t step,
+                           const std::uint8_t* pred,
+                           std::ptrdiff_t pred_stride, std::uint8_t* dst,
+                           std::ptrdiff_t dst_stride);
 std::int64_t scalar_sum_sq_diff(const std::uint8_t* a, const std::uint8_t* b,
                                 std::size_t n);
 void scalar_ssim_stats_8x8(const std::uint8_t* a, std::ptrdiff_t a_stride,

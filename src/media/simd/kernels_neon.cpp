@@ -7,8 +7,9 @@
 // keeps the early-exit checkpoint bit-identical with the scalar /
 // SSE2 / AVX2 kernels.
 //
-// Half-pel interpolation, the fixed-point DCT, and the distortion
-// accumulators still alias the scalar kernels — `vrhadd`-based
+// Half-pel interpolation, the fixed-point DCT, the quantizer, the
+// fused inverse path and the distortion accumulators still alias the
+// scalar kernels — `vrhadd`-based
 // half-pel and a vabal-style SSE accumulator are the remaining
 // ROADMAP follow-ups.
 #include "media/simd/kernels_impl.h"
@@ -78,6 +79,7 @@ void neon_sad_16x16_x4(const std::uint8_t* cur,
 const KernelTable kNeonTable = {
     "neon",           Backend::kNeon,       neon_sad_16x16,
     neon_sad_16x16_x4, scalar_halfpel_16x16, scalar_fdct8, scalar_idct8,
+    scalar_quantize8x8, scalar_reconstruct8x8,
     scalar_sum_sq_diff, scalar_ssim_stats_8x8,
 };
 

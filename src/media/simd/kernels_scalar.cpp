@@ -290,4 +290,41 @@ void scalar_idct8(const std::int32_t* in, std::int16_t* out) {
   }
 }
 
+int scalar_quantize8x8(std::int32_t* block, int qp, std::uint32_t mul,
+                       int shift) {
+  const auto half_step = static_cast<std::uint32_t>(qp);
+  int nonzero = 0;
+  for (int i = 0; i < kN * kN; ++i) {
+    // |c| and the sign restore as (x ^ s) - s with s = 0 or all ones:
+    // one multiply per lane when the loop vectorizes.
+    const auto c = static_cast<std::uint32_t>(block[i]);
+    const std::uint32_t s = 0u - (c >> 31);
+    const std::uint64_t n = (((c ^ s) - s) + half_step) >> 1;
+    const auto mag = static_cast<std::uint32_t>((n * mul) >> shift);
+    block[i] = static_cast<std::int32_t>((mag ^ s) - s);
+    nonzero += mag != 0 ? 1 : 0;
+  }
+  return nonzero;
+}
+
+void scalar_reconstruct8x8(const std::int32_t* levels, std::int32_t step,
+                           const std::uint8_t* pred,
+                           std::ptrdiff_t pred_stride, std::uint8_t* dst,
+                           std::ptrdiff_t dst_stride) {
+  std::int32_t coeffs[kN * kN];
+  for (int i = 0; i < kN * kN; ++i) coeffs[i] = levels[i] * step;
+  std::int16_t residual[kN * kN];
+  scalar_idct8(coeffs, residual);
+  const std::int16_t* r = residual;
+  for (int y = 0; y < kN; ++y) {
+    for (int x = 0; x < kN; ++x) {
+      const int v = pred[x] + r[x];
+      dst[x] = static_cast<std::uint8_t>(v < 0 ? 0 : (v > 255 ? 255 : v));
+    }
+    r += kN;
+    pred += pred_stride;
+    dst += dst_stride;
+  }
+}
+
 }  // namespace qosctrl::media::simd

@@ -5,7 +5,9 @@
 // null table.  The DCT entries alias the scalar kernels: an exact
 // vector DCT needs 64-bit lanes and AVX2 makes that worthwhile
 // (kernels_avx2.cpp), while a 16-bit-lane SSE2 version could not stay
-// bit-exact with the scalar reference.
+// bit-exact with the scalar reference.  The quantizer and the fused
+// inverse path alias the scalar kernels too; gcc vectorizes their
+// loops for the SSE2 baseline in kernels_scalar.cpp.
 #include "media/simd/kernels_impl.h"
 
 // x86-64 only: the x86-64 ABI guarantees SSE2, so the table can be
@@ -220,6 +222,7 @@ void sse2_ssim_stats_8x8(const std::uint8_t* a, std::ptrdiff_t a_stride,
 const KernelTable kSse2Table = {
     "sse2",         Backend::kSse2,     sse2_sad_16x16, sse2_sad_16x16_x4,
     sse2_halfpel_16x16, scalar_fdct8, scalar_idct8,
+    scalar_quantize8x8, scalar_reconstruct8x8,
     sse2_sum_sq_diff,   sse2_ssim_stats_8x8,
 };
 

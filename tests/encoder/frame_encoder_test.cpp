@@ -3,9 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 
 #include "encoder/decoder.h"
 #include "encoder/system_builder.h"
+#include "media/simd/kernels.h"
 #include "media/synthetic_video.h"
 
 namespace qosctrl::enc {
@@ -211,48 +213,64 @@ const GoldenStream kGoldenStreams[] = {
     {176, 144, 31, 0x570be9e1802a5d4dULL, 154966},
 };
 
+// Every SIMD backend this machine runs must produce the same bits:
+// the pins are checked under scalar, SSE2 and AVX2 (and NEON on
+// AArch64) in one binary.
 TEST(FrameEncoder, GoldenBitstreamsPinEveryBit) {
-  for (const GoldenStream& g : kGoldenStreams) {
-    EncoderConfig cfg;
-    cfg.width = g.width;
-    cfg.height = g.height;
-    const int mbs = (g.width / 16) * (g.height / 16);
-    const auto es = build_encoder_system(mbs, mbs * rt::Cycles{250000},
-                                         platform::figure5_cost_table());
-    media::VideoConfig vc;
-    vc.width = g.width;
-    vc.height = g.height;
-    vc.num_frames = 12;
-    vc.num_scenes = 3;
-    vc.seed = 2005;
-    const media::SyntheticVideo video(vc);
-    FrameEncoder encoder(cfg, make_cost_model(3));
-    qos::TableController ctl(es.tables);
-    std::uint64_t hash = 0xcbf29ce484222325ULL;  // FNV-1a offset basis
-    std::int64_t bits = 0;
-    media::YuvFrame displayed;
-    for (int f = 0; f < vc.num_frames; ++f) {
-      const FrameStats s =
-          encoder.encode_frame(video.frame_yuv(f), ctl, *es.system, g.qp);
-      bits += s.bits;
-      for (const std::uint8_t b : encoder.bitstream()) {
-        hash ^= b;
-        hash *= 1099511628211ULL;  // FNV prime
+  const media::simd::ScopedBackendRestore restore;
+  for (const media::simd::Backend backend :
+       {media::simd::Backend::kScalar, media::simd::Backend::kSse2,
+        media::simd::Backend::kAvx2, media::simd::Backend::kNeon}) {
+    if (!media::simd::backend_supported(backend)) continue;
+    media::simd::set_backend_for_testing(backend);
+    for (const GoldenStream& g : kGoldenStreams) {
+      EncoderConfig cfg;
+      cfg.width = g.width;
+      cfg.height = g.height;
+      const int mbs = (g.width / 16) * (g.height / 16);
+      const auto es = build_encoder_system(mbs, mbs * rt::Cycles{250000},
+                                           platform::figure5_cost_table());
+      media::VideoConfig vc;
+      vc.width = g.width;
+      vc.height = g.height;
+      vc.num_frames = 12;
+      vc.num_scenes = 3;
+      vc.seed = 2005;
+      const media::SyntheticVideo video(vc);
+      FrameEncoder encoder(cfg, make_cost_model(3));
+      qos::TableController ctl(es.tables);
+      std::uint64_t hash = 0xcbf29ce484222325ULL;  // FNV-1a offset basis
+      std::int64_t bits = 0;
+      media::YuvFrame displayed;
+      const std::string where = testing::PrintToString(g.width) + "x" +
+                                testing::PrintToString(g.height) + " qp " +
+                                testing::PrintToString(g.qp) + " backend " +
+                                media::simd::backend_name(backend);
+      for (int f = 0; f < vc.num_frames; ++f) {
+        const FrameStats s =
+            encoder.encode_frame(video.frame_yuv(f), ctl, *es.system, g.qp);
+        bits += s.bits;
+        for (const std::uint8_t b : encoder.bitstream()) {
+          hash ^= b;
+          hash *= 1099511628211ULL;  // FNV prime
+        }
+        const DecodeResult d = decode_frame(encoder.bitstream(),
+                                            f == 0 ? nullptr : &displayed);
+        ASSERT_TRUE(d.ok) << where << " frame " << f;
+        ASSERT_EQ(d.frame.y.data(), encoder.reconstructed().y.data())
+            << where;
+        ASSERT_EQ(d.frame.cb.data(), encoder.reconstructed().cb.data())
+            << where;
+        ASSERT_EQ(d.frame.cr.data(), encoder.reconstructed().cr.data())
+            << where;
+        displayed = d.frame;
       }
-      const DecodeResult d =
-          decode_frame(encoder.bitstream(), f == 0 ? nullptr : &displayed);
-      ASSERT_TRUE(d.ok) << g.width << "x" << g.height << " qp " << g.qp
-                        << " frame " << f;
-      ASSERT_EQ(d.frame.y.data(), encoder.reconstructed().y.data());
-      ASSERT_EQ(d.frame.cb.data(), encoder.reconstructed().cb.data());
-      ASSERT_EQ(d.frame.cr.data(), encoder.reconstructed().cr.data());
-      displayed = d.frame;
+      SCOPED_TRACE(testing::Message() << where << std::hex << " hash 0x"
+                                      << hash << std::dec << " bits "
+                                      << bits);
+      EXPECT_EQ(hash, g.hash);
+      EXPECT_EQ(bits, g.bits);
     }
-    SCOPED_TRACE(testing::Message()
-                 << g.width << "x" << g.height << " qp " << g.qp << std::hex
-                 << " hash 0x" << hash << std::dec << " bits " << bits);
-    EXPECT_EQ(hash, g.hash);
-    EXPECT_EQ(bits, g.bits);
   }
 }
 

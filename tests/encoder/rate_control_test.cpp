@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "util/rng.h"
 
 namespace qosctrl::enc {
@@ -105,6 +107,21 @@ TEST(RateControllerDeath, RejectsBadConfig) {
   RateControlConfig cfg;
   cfg.bitrate_bps = 0;
   EXPECT_DEATH({ RateController rc(cfg); }, "bitrate");
+}
+
+TEST(RateControllerDeath, RejectsNonFiniteOrNonPositiveRates) {
+  // +inf would make the per-frame budget 0 (or infinite) and quietly
+  // pin QP at an end stop; NaN compares false against everything.
+  for (const double v : {std::numeric_limits<double>::infinity(),
+                         std::numeric_limits<double>::quiet_NaN(), 0.0,
+                         -25.0}) {
+    RateControlConfig frame_rate;
+    frame_rate.frame_rate = v;
+    EXPECT_DEATH({ RateController rc(frame_rate); }, "frame rate") << v;
+    RateControlConfig bitrate;
+    bitrate.bitrate_bps = v;
+    EXPECT_DEATH({ RateController rc(bitrate); }, "bitrate") << v;
+  }
 }
 
 }  // namespace

@@ -377,6 +377,19 @@ TEST(FarmFaultsDeath, RejectsQuarantineStrikesBelowOne) {
   EXPECT_DEATH(run_farm(sc, cfg), "strike");
 }
 
+// An infinite frame rate used to run silently at a far higher QP (a
+// zero per-frame bit budget); 0 and NaN aborted later, inside a
+// data-plane worker's rate controller.
+TEST(FarmFaultsDeath, RejectsNonFiniteOrNonPositiveFrameRate) {
+  for (const double rate :
+       {std::numeric_limits<double>::infinity(), kNaN, 0.0, -25.0}) {
+    FarmConfig cfg;
+    cfg.num_processors = 2;
+    cfg.frame_rate = rate;
+    EXPECT_DEATH(run_farm(light_scenario(1, 2), cfg), "frame rate") << rate;
+  }
+}
+
 TEST(FarmFaultsDeath, RejectsNegativeQuarantinePeriods) {
   FarmConfig cfg;
   cfg.num_processors = 2;

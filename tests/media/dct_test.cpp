@@ -9,18 +9,30 @@
 namespace qosctrl::media {
 namespace {
 
+Coeffs8 fdct(const Block8& block) {
+  Coeffs8 out;
+  forward_dct8(block, out);
+  return out;
+}
+
+Block8 idct(const Coeffs8& coeffs) {
+  Block8 out;
+  inverse_dct8(coeffs, out);
+  return out;
+}
+
 TEST(Dct, ZeroBlockMapsToZero) {
   Block8 zero{};
-  const Coeffs8 c = forward_dct8(zero);
+  const Coeffs8 c = fdct(zero);
   for (auto v : c) EXPECT_EQ(v, 0);
-  const Block8 back = inverse_dct8(c);
+  const Block8 back = idct(c);
   for (auto v : back) EXPECT_EQ(v, 0);
 }
 
 TEST(Dct, ConstantBlockIsPureDc) {
   Block8 b;
   b.fill(64);
-  const Coeffs8 c = forward_dct8(b);
+  const Coeffs8 c = fdct(b);
   // DC = 8 * value for an orthonormal 8x8 DCT.
   EXPECT_EQ(c[0], 512);
   for (std::size_t i = 1; i < 64; ++i) {
@@ -34,7 +46,7 @@ TEST(Dct, ParsevalEnergyPreservation) {
   for (auto& v : b) {
     v = static_cast<Residual>(rng.uniform_i64(-255, 255));
   }
-  const Coeffs8 c = forward_dct8(b);
+  const Coeffs8 c = fdct(b);
   double es = 0, ec = 0;
   for (auto v : b) es += static_cast<double>(v) * v;
   for (auto v : c) ec += static_cast<double>(v) * v;
@@ -51,7 +63,7 @@ TEST(Dct, HorizontalCosineHitsSingleBin) {
           std::lround(100.0 * std::cos((2 * x + 1) * 2.0 * M_PI / 16.0)));
     }
   }
-  const Coeffs8 c = forward_dct8(b);
+  const Coeffs8 c = fdct(b);
   int max_idx = 0;
   for (int i = 1; i < 64; ++i) {
     if (std::abs(c[static_cast<std::size_t>(i)]) >
@@ -73,7 +85,7 @@ TEST_P(DctRoundTrip, WithinOneLsb) {
     for (auto& v : b) {
       v = static_cast<Residual>(rng.uniform_i64(-255, 255));
     }
-    const Block8 back = inverse_dct8(forward_dct8(b));
+    const Block8 back = idct(fdct(b));
     for (std::size_t i = 0; i < 64; ++i) {
       EXPECT_NEAR(back[i], b[i], 1) << "sample " << i;
     }
@@ -91,9 +103,9 @@ TEST(Dct, LinearityUnderRounding) {
     b[i] = static_cast<Residual>(rng.uniform_i64(-100, 100));
     sum[i] = static_cast<Residual>(a[i] + b[i]);
   }
-  const Coeffs8 ca = forward_dct8(a);
-  const Coeffs8 cb = forward_dct8(b);
-  const Coeffs8 cs = forward_dct8(sum);
+  const Coeffs8 ca = fdct(a);
+  const Coeffs8 cb = fdct(b);
+  const Coeffs8 cs = fdct(sum);
   for (std::size_t i = 0; i < 64; ++i) {
     EXPECT_NEAR(cs[i], ca[i] + cb[i], 2) << "coefficient " << i;
   }

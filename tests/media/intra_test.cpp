@@ -2,16 +2,38 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstdlib>
+
 namespace qosctrl::media {
 namespace {
+
+std::array<Sample, 256> prediction_of(const Frame& recon, int x0, int y0,
+                                      IntraMode mode) {
+  std::array<Sample, 256> out;
+  intra_prediction_mode(recon, x0, y0, mode, out.data());
+  return out;
+}
+
+std::int64_t naive_sad(const std::array<Sample, 256>& a,
+                       const std::array<Sample, 256>& b) {
+  std::int64_t acc = 0;
+  for (std::size_t i = 0; i < 256; ++i) acc += std::abs(a[i] - b[i]);
+  return acc;
+}
 
 TEST(IntraPredict, NoNeighborsFallsBackToMidGray) {
   Frame src(32, 32, 50);
   Frame recon(32, 32, 99);  // values present but outside-frame for (0,0)
-  const IntraResult r = intra_predict(src, recon, 0, 0);
+  const IntraResult r =
+      intra_predict(read_macroblock(src, 0, 0).data(), recon, 0, 0);
   // For the top-left macroblock all three modes degenerate to 128 or
-  // DC over no neighbors; prediction must be flat.
-  for (auto v : r.prediction) EXPECT_EQ(v, r.prediction[0]);
+  // DC over no neighbors; every prediction is flat mid-gray.
+  for (const IntraMode mode :
+       {IntraMode::kDc, IntraMode::kHorizontal, IntraMode::kVertical}) {
+    for (auto v : prediction_of(recon, 0, 0, mode)) EXPECT_EQ(v, 128);
+  }
+  EXPECT_EQ(r.sad, 256 * (128 - 50));
 }
 
 TEST(IntraPredict, DcUsesNeighborMean) {
@@ -19,9 +41,11 @@ TEST(IntraPredict, DcUsesNeighborMean) {
   Frame recon(32, 32, 80);
   // Macroblock at (16, 16) has top and left neighbors all equal 80:
   // the DC prediction is exact and SAD must be 0.
-  const IntraResult r = intra_predict(src, recon, 16, 16);
+  const IntraResult r =
+      intra_predict(read_macroblock(src, 16, 16).data(), recon, 16, 16);
   EXPECT_EQ(r.sad, 0);
-  EXPECT_EQ(r.prediction[0], 80);
+  EXPECT_EQ(r.mode, IntraMode::kDc);
+  EXPECT_EQ(prediction_of(recon, 16, 16, IntraMode::kDc)[0], 80);
 }
 
 TEST(IntraPredict, VerticalModeWinsOnColumnPattern) {
@@ -35,7 +59,8 @@ TEST(IntraPredict, VerticalModeWinsOnColumnPattern) {
       recon.set(x, y, v);
     }
   }
-  const IntraResult r = intra_predict(src, recon, 16, 16);
+  const IntraResult r =
+      intra_predict(read_macroblock(src, 16, 16).data(), recon, 16, 16);
   EXPECT_EQ(r.mode, IntraMode::kVertical);
   EXPECT_EQ(r.sad, 0);
 }
@@ -50,7 +75,8 @@ TEST(IntraPredict, HorizontalModeWinsOnRowPattern) {
       recon.set(x, y, v);
     }
   }
-  const IntraResult r = intra_predict(src, recon, 16, 16);
+  const IntraResult r =
+      intra_predict(read_macroblock(src, 16, 16).data(), recon, 16, 16);
   EXPECT_EQ(r.mode, IntraMode::kHorizontal);
   EXPECT_EQ(r.sad, 0);
 }
@@ -58,20 +84,57 @@ TEST(IntraPredict, HorizontalModeWinsOnRowPattern) {
 TEST(IntraPredict, ReportsSadOfChosenMode) {
   Frame src(32, 32, 10);
   Frame recon(32, 32, 20);
-  const IntraResult r = intra_predict(src, recon, 16, 16);
   const auto s = read_macroblock(src, 16, 16);
-  EXPECT_EQ(r.sad, sad_256(s, r.prediction));
+  const IntraResult r = intra_predict(s.data(), recon, 16, 16);
+  EXPECT_EQ(r.sad, naive_sad(s, prediction_of(recon, 16, 16, r.mode)));
   EXPECT_EQ(r.sad, 256 * 10);
+}
+
+TEST(IntraPredict, DecisionMatchesExhaustiveSadOnRandomContent) {
+  // The winner and its SAD equal a full evaluation of every mode (ties
+  // go to the earlier mode), at the frame borders too, although the
+  // later modes' kernel calls may stop early.
+  std::uint32_t state = 7;
+  const auto next = [&state] {
+    state = state * 1664525u + 1013904223u;
+    return static_cast<Sample>(state >> 24);
+  };
+  for (int trial = 0; trial < 40; ++trial) {
+    Frame src(48, 32);
+    Frame recon(48, 32);
+    for (auto& v : src.data()) v = next();
+    for (auto& v : recon.data()) v = next() / 4 + (trial % 4) * 48;
+    for (int y0 = 0; y0 < 32; y0 += 16) {
+      for (int x0 = 0; x0 < 48; x0 += 16) {
+        const auto s = read_macroblock(src, x0, y0);
+        IntraMode mode = IntraMode::kDc;
+        std::int64_t best = INT64_MAX;
+        for (const IntraMode m : {IntraMode::kDc, IntraMode::kHorizontal,
+                                  IntraMode::kVertical}) {
+          const std::int64_t sad =
+              naive_sad(s, prediction_of(recon, x0, y0, m));
+          if (sad < best) {
+            best = sad;
+            mode = m;
+          }
+        }
+        const IntraResult r = intra_predict(s.data(), recon, x0, y0);
+        EXPECT_EQ(r.mode, mode) << "trial " << trial;
+        EXPECT_EQ(r.sad, best) << "trial " << trial;
+      }
+    }
+  }
 }
 
 TEST(IntraPredict, PredictionOnlyDependsOnRecon) {
   // Changing source pixels changes the mode choice at most, never the
   // candidate predictions themselves: verify prediction values come
   // from recon, not src.
-  Frame src(32, 32, 0);
   Frame recon(32, 32, 77);
-  const IntraResult r = intra_predict(src, recon, 16, 16);
-  EXPECT_EQ(r.prediction[0], 77);
+  for (const IntraMode mode :
+       {IntraMode::kDc, IntraMode::kHorizontal, IntraMode::kVertical}) {
+    for (auto v : prediction_of(recon, 16, 16, mode)) EXPECT_EQ(v, 77);
+  }
 }
 
 }  // namespace

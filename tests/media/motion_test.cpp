@@ -2,10 +2,19 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+
 #include "util/rng.h"
 
 namespace qosctrl::media {
 namespace {
+
+std::int64_t naive_sad(const std::array<Sample, 256>& a,
+                       const std::array<Sample, 256>& b) {
+  std::int64_t acc = 0;
+  for (std::size_t i = 0; i < 256; ++i) acc += std::abs(a[i] - b[i]);
+  return acc;
+}
 
 /// A textured frame whose content is a pure function of (x, y) so exact
 /// translations can be synthesized.
@@ -19,6 +28,35 @@ Frame textured(int w, int h, int shift_x = 0, int shift_y = 0) {
     }
   }
   return f;
+}
+
+TEST(Sad16x16, ZeroForIdentical) {
+  std::array<Sample, 256> a{}, b{};
+  a.fill(9);
+  b.fill(9);
+  EXPECT_EQ(sad_16x16(a.data(), b.data(), 16, INT64_C(1) << 60), 0);
+}
+
+TEST(Sad16x16, SumsAbsoluteDifferences) {
+  std::array<Sample, 256> a{}, b{};
+  a.fill(10);
+  b.fill(13);
+  EXPECT_EQ(sad_16x16(a.data(), b.data(), 16, INT64_C(1) << 60), 256 * 3);
+  b[0] = 0;  // |10 - 0| = 10 replaces |10 - 13| = 3
+  EXPECT_EQ(sad_16x16(a.data(), b.data(), 16, INT64_C(1) << 60),
+            255 * 3 + 10);
+}
+
+TEST(Sad16x16, ZeroStrideRepeatsOneRow) {
+  util::Rng rng(12);
+  std::array<Sample, 256> cur;
+  for (auto& v : cur) v = static_cast<Sample>(rng.uniform_i64(0, 255));
+  std::array<Sample, 256> row_block;
+  for (std::size_t i = 0; i < 256; ++i) {
+    row_block[i] = static_cast<Sample>(i % 16 * 11);
+  }
+  EXPECT_EQ(sad_16x16(cur.data(), row_block.data(), 0, INT64_C(1) << 60),
+            naive_sad(cur, row_block));
 }
 
 TEST(SearchRadius, MonotoneAndAnchored) {
@@ -105,7 +143,7 @@ TEST(EstimateMotion, SadIsBestOverWindow) {
   for (int dy = -2; dy <= 2; ++dy) {
     for (int dx = -2; dx <= 2; ++dx) {
       const auto pred = motion_compensate(ref, 24, 24, dx, dy);
-      best = std::min(best, sad_256(src, pred));
+      best = std::min(best, naive_sad(src, pred));
     }
   }
   EXPECT_EQ(r.sad, best);

@@ -25,18 +25,6 @@ TEST(PlaneDeath, RejectsNonBlockDimensions) {
   EXPECT_DEATH({ Plane p(16, 9); }, "multiples");
 }
 
-TEST(Plane, Block8RoundTrip) {
-  Plane p(16, 16);
-  std::array<Sample, 64> block;
-  for (std::size_t i = 0; i < 64; ++i) block[i] = static_cast<Sample>(i * 3);
-  write_plane_block8(p, 8, 8, block);
-  const Block8 back = read_plane_block8(p, 8, 8);
-  for (std::size_t i = 0; i < 64; ++i) {
-    EXPECT_EQ(back[i], static_cast<Residual>(block[i]));
-  }
-  EXPECT_EQ(p.at(0, 0), 128);  // untouched
-}
-
 TEST(ChromaMotionCompensate, EvenLumaVectorsCopyShifted) {
   util::Rng rng(1);
   Plane ref(32, 24);
@@ -71,6 +59,51 @@ TEST(ChromaMotionCompensate, HalfLumaPelLandsOnHalfChromaPel) {
       const int a = ref.at(4 + x, 4 + y);
       const int b = ref.at(4 + x + 1, 4 + y);
       EXPECT_EQ(pred[static_cast<std::size_t>(y * 8 + x)], (a + b + 1) / 2);
+    }
+  }
+}
+
+TEST(ChromaMotionCompensate, MatchesTheBilinearCasesInsideAndAtBorders) {
+  // Every luma vector up to +-12 half-pels at every block of a small
+  // plane (so interior and border-clamped blocks, all four fraction
+  // cases) against the per-case bilinear formula with clamped reads.
+  util::Rng rng(3);
+  Plane ref(32, 24);
+  for (int y = 0; y < 24; ++y) {
+    for (int x = 0; x < 32; ++x) {
+      ref.set(x, y, static_cast<Sample>(rng.uniform_i64(0, 255)));
+    }
+  }
+  for (int y0 = 0; y0 < 24; y0 += 8) {
+    for (int x0 = 0; x0 < 32; x0 += 8) {
+      for (int dy2 = -12; dy2 <= 12; ++dy2) {
+        for (int dx2 = -12; dx2 <= 12; ++dx2) {
+          const int cdx2 = dx2 / 2 + dx2 % 2;
+          const int cdy2 = dy2 / 2 + dy2 % 2;
+          const int ix = cdx2 >= 0 ? cdx2 / 2 : (cdx2 - 1) / 2;
+          const int iy = cdy2 >= 0 ? cdy2 / 2 : (cdy2 - 1) / 2;
+          const int fx = cdx2 - 2 * ix;
+          const int fy = cdy2 - 2 * iy;
+          const auto pred = chroma_motion_compensate(ref, x0, y0, dx2, dy2);
+          for (int y = 0; y < 8; ++y) {
+            for (int x = 0; x < 8; ++x) {
+              const int px = x0 + ix + x;
+              const int py = y0 + iy + y;
+              const int a = ref.at_clamped(px, py);
+              const int b = ref.at_clamped(px + 1, py);
+              const int c = ref.at_clamped(px, py + 1);
+              const int d = ref.at_clamped(px + 1, py + 1);
+              const int want = fx == 0 && fy == 0 ? a
+                               : fy == 0          ? (a + b + 1) / 2
+                               : fx == 0          ? (a + c + 1) / 2
+                                                  : (a + b + c + d + 2) / 4;
+              ASSERT_EQ(pred[static_cast<std::size_t>(y * 8 + x)], want)
+                  << "block (" << x0 << "," << y0 << ") vector (" << dx2
+                  << "," << dy2 << ")";
+            }
+          }
+        }
+      }
     }
   }
 }

@@ -6,7 +6,6 @@
 #include <cstdlib>
 
 #include "media/dct.h"
-
 #include "util/rng.h"
 
 namespace qosctrl::media {
@@ -63,11 +62,10 @@ TEST(Quant, BlockHelpersMatchScalar) {
   for (auto& v : coeffs) {
     v = static_cast<std::int32_t>(rng.uniform_i64(-500, 500));
   }
-  const Coeffs8 levels = quantize_block(coeffs, 6);
-  const Coeffs8 recon = dequantize_block(levels, 6);
+  Coeffs8 levels = coeffs;
+  quantize_block(levels, 6);
   for (std::size_t i = 0; i < 64; ++i) {
     EXPECT_EQ(levels[i], quantize_coeff(coeffs[i], 6));
-    EXPECT_EQ(recon[i], dequantize_coeff(levels[i], 6));
   }
 }
 
@@ -80,7 +78,8 @@ TEST(Quant, BlockEqualsTheDivisionFormulaForEveryReachableCoefficient) {
       for (std::size_t i = 0; i < 64; ++i) {
         coeffs[i] = base + static_cast<std::int32_t>(i);
       }
-      const Coeffs8 levels = quantize_block(coeffs, qp);
+      Coeffs8 levels = coeffs;
+      quantize_block(levels, qp);
       for (std::size_t i = 0; i < 64; ++i) {
         ASSERT_EQ(levels[i], quantize_coeff(coeffs[i], qp))
             << "qp " << qp << " c " << coeffs[i];
@@ -113,7 +112,8 @@ TEST(Quant, BlockIsExactAcrossTheWholeInt32Range) {
         coeffs[i] = static_cast<std::int32_t>(k * 2 * qp + qp - 5 +
                                               static_cast<std::int64_t>(i));
       }
-      const Coeffs8 levels = quantize_block(coeffs, qp);
+      Coeffs8 levels = coeffs;
+      quantize_block(levels, qp);
       for (std::size_t i = 0; i < 64; ++i) {
         ASSERT_EQ(levels[i], reference(coeffs[i], qp))
             << "qp " << qp << " c " << coeffs[i];
@@ -136,8 +136,10 @@ TEST(Quant, EncoderLevelsStayWithinMaxLevel) {
         residual[p] = static_cast<Residual>(polarity *
                                             (basis < 0 ? -255 : 255));
       }
-      for (const std::int32_t level :
-           quantize_block(forward_dct8(residual), kMinQp)) {
+      Coeffs8 levels;
+      forward_dct8(residual, levels);
+      quantize_block(levels, kMinQp);
+      for (const std::int32_t level : levels) {
         largest = std::max(largest, std::abs(level));
       }
     }
@@ -146,17 +148,31 @@ TEST(Quant, EncoderLevelsStayWithinMaxLevel) {
   EXPECT_GE(largest, 1000);  // the bound is not loose by orders
 }
 
-TEST(Quant, CountNonzero) {
+TEST(Quant, QuantizeBlockCountsNonzeroLevels) {
   Coeffs8 c{};
-  EXPECT_EQ(count_nonzero(c), 0);
-  c[0] = 5;
-  c[63] = -1;
-  EXPECT_EQ(count_nonzero(c), 2);
+  EXPECT_EQ(quantize_block(c, 1), 0);
+  c[0] = 5;    // level 3
+  c[40] = 1;   // level 1
+  c[63] = -2;  // level -1
+  EXPECT_EQ(quantize_block(c, 1), 3);
+  util::Rng rng(15);
+  for (int trial = 0; trial < 200; ++trial) {
+    const int qp = static_cast<int>(rng.uniform_i64(kMinQp, kMaxQp));
+    Coeffs8 levels;
+    for (auto& v : levels) {
+      v = static_cast<std::int32_t>(rng.uniform_i64(-4 * qp, 4 * qp));
+    }
+    const int nonzero = quantize_block(levels, qp);
+    EXPECT_EQ(nonzero, 64 - std::count(levels.begin(), levels.end(), 0));
+  }
 }
 
 TEST(QuantDeath, RejectsOutOfRangeQp) {
   EXPECT_DEATH(quantize_coeff(10, 0), "QP");
   EXPECT_DEATH(quantize_coeff(10, 32), "QP");
+  Coeffs8 block{};
+  EXPECT_DEATH(quantize_block(block, 0), "QP");
+  EXPECT_DEATH(quantize_block(block, 32), "QP");
 }
 
 }  // namespace

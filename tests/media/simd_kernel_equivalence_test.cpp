@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <utility>
 #include <vector>
 
 #include "media/frame.h"
@@ -65,6 +66,11 @@ TEST(SimdKernelEquivalence, SadMatchesScalarExactlyOnOddStrides) {
                             INT64_C(1) << 60),
                 exact)
           << t.name << " trial " << trial;
+      // Stride 0 repeats one row (the intra DC and vertical modes).
+      EXPECT_EQ(t.sad_16x16(cur.data(), ref.at(x, y), 0, INT64_C(1) << 60),
+                scalar_sad_16x16(cur.data(), ref.at(x, y), 0,
+                                 INT64_C(1) << 60))
+          << t.name << " stride 0, trial " << trial;
       // Pruned calls return the same 4-row partial sums.
       for (const std::int64_t best :
            {INT64_C(1), exact / 4, exact / 2, exact, exact + 1}) {
@@ -193,6 +199,95 @@ TEST(SimdKernelEquivalence, InverseDctBitExactOverCoefficientDomain) {
     scalar_idct8(in.data(), want.data());
     t.idct8(in.data(), got.data());
     ASSERT_EQ(got, want) << t.name << " all-max";
+  }
+}
+
+/// qp's exact reciprocal as media/quant.cpp derives it: shift = 31 +
+/// ceil(log2 qp), mul = ceil(2^shift / qp).
+std::pair<std::uint32_t, int> reciprocal(int qp) {
+  int log2_ceil = 0;
+  while ((1 << log2_ceil) < qp) ++log2_ceil;
+  const int shift = 31 + log2_ceil;
+  const auto q = static_cast<std::uint64_t>(qp);
+  return {static_cast<std::uint32_t>(((std::uint64_t{1} << shift) + q - 1) / q),
+          shift};
+}
+
+TEST(SimdKernelEquivalence, QuantizeMatchesScalarOverInt32) {
+  util::Rng rng(309);
+  std::array<std::int32_t, 64> want;
+  std::array<std::int32_t, 64> got;
+  for (const Backend b : simd_backends()) {
+    const KernelTable& t = kernels_for(b);
+    for (int qp = 1; qp <= 31; ++qp) {
+      const auto [mul, shift] = reciprocal(qp);
+      for (int trial = 0; trial < 40; ++trial) {
+        // Half the trials in the encoder's coefficient range (many
+        // zero levels), half over all of int32 with its extremes.
+        for (auto& v : want) {
+          v = trial % 2 == 0
+                  ? static_cast<std::int32_t>(rng.uniform_i64(-2041, 2041))
+                  : static_cast<std::int32_t>(rng.next_u64());
+        }
+        if (trial % 2 == 1) {
+          want[0] = INT32_MIN;
+          want[1] = INT32_MAX;
+          want[2] = 0;
+          want[3] = -qp;
+          want[4] = qp - 1;
+        }
+        got = want;
+        const int want_nz = scalar_quantize8x8(want.data(), qp, mul, shift);
+        const int got_nz = t.quantize8x8(got.data(), qp, mul, shift);
+        ASSERT_EQ(got, want) << t.name << " qp " << qp << " trial " << trial;
+        ASSERT_EQ(got_nz, want_nz) << t.name << " qp " << qp;
+      }
+    }
+  }
+}
+
+TEST(SimdKernelEquivalence, ReconstructMatchesScalarOnOddStrides) {
+  util::Rng rng(310);
+  std::array<std::int32_t, 64> levels;
+  const StridedBuffer pred(rng, /*stride=*/37, /*rows=*/12);
+  for (const Backend b : simd_backends()) {
+    const KernelTable& t = kernels_for(b);
+    for (int trial = 0; trial < 600; ++trial) {
+      const int qp = 1 + trial % 31;
+      const std::int32_t step = 2 * qp;
+      // The documented domain |level * step| <= 65536; a third of the
+      // trials use the farm's sparse small levels, a third the full
+      // domain (saturating both clamps), a third a lone DC level.
+      const std::int64_t max_level = 65536 / step;
+      for (auto& v : levels) {
+        switch (trial % 3) {
+          case 0:
+            v = rng.uniform_i64(0, 2) == 0
+                    ? static_cast<std::int32_t>(rng.uniform_i64(-12, 12))
+                    : 0;
+            break;
+          case 1:
+            v = static_cast<std::int32_t>(
+                rng.uniform_i64(-max_level, max_level));
+            break;
+          default:
+            v = 0;
+        }
+      }
+      if (trial % 3 == 2) {
+        levels[0] = static_cast<std::int32_t>(
+            rng.uniform_i64(-max_level, max_level));
+      }
+      const int px = static_cast<int>(rng.uniform_i64(0, 37 - 8));
+      const int py = static_cast<int>(rng.uniform_i64(0, 12 - 8));
+      std::vector<std::uint8_t> want(23 * 9, 7);
+      std::vector<std::uint8_t> got(23 * 9, 7);
+      scalar_reconstruct8x8(levels.data(), step, pred.at(px, py), 37,
+                            want.data() + 1, 23);
+      t.reconstruct8x8(levels.data(), step, pred.at(px, py), 37,
+                       got.data() + 1, 23);
+      ASSERT_EQ(got, want) << t.name << " trial " << trial;
+    }
   }
 }
 

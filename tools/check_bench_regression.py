@@ -47,13 +47,15 @@ import sys
 # frame and the full 4:2:0 frame; SyntheticFrameYuvCarried renders the
 # 4:2:0 frames in order through one carry, as a farm session does.  QuantizeBlock and
 # Entropy(Encode|Decode)Block track the encoder's Quantize / Compress
-# actions and the decoder's block parse on farm-like blocks.
+# actions and the decoder's block parse on farm-like blocks; EncodeFrame
+# tracks one whole QCIF P-frame through the encoder's action body, so
+# the glue between the kernels is gated too.
 # Multi-worker farm rows
 # carry google-benchmark's /real_time suffix.
 DEFAULT_BENCHMARKS = (
     r"^BM_(SadMacroblock|ForwardDct8|PsnrFrame|SsimFrame"
     r"|SyntheticFrame(Yuv(Carried)?)?"
-    r"|QuantizeBlock|Entropy(Encode|Decode)Block"
+    r"|QuantizeBlock|Entropy(Encode|Decode)Block|EncodeFrame"
     r"|AdmissionThroughput(Exact)?/\d+"
     r"|ShardedJoinRate/\d+"
     r"|FarmThroughput(Preemptive|Quantum|Faults|Timeseries)?/\d+"

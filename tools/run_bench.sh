@@ -14,6 +14,8 @@
 # the encoder's Quantize / Compress path and the decoder's block parse
 # on farm-like blocks (BM_QuantizeBlock, BM_EntropyEncodeBlock,
 # BM_EntropyDecodeBlock: ns per 8x8 block, about 43 nonzero levels),
+# one whole QCIF P-frame through the encoder's action body at QP 2 and
+# the decode of its bitstream (BM_EncodeFrame, BM_DecodeFrame),
 # and the encoder-farm throughput (BM_FarmThroughput* items_per_second
 # = simulated stream-frames per wall-second, multi-worker rows timed in
 # wall time via UseRealTime(); the Preemptive / Quantum
@@ -37,7 +39,7 @@ cmake -B "$BUILD_DIR" -S "$ROOT" -DQOSCTRL_BUILD_BENCHES=ON \
 cmake --build "$BUILD_DIR" --target bench_micro -j "$(nproc)" >/dev/null
 
 "$BUILD_DIR/bench_micro" \
-    --benchmark_filter='BM_(SadMacroblock|HalfpelInterp|ForwardDct8|InverseDct8|MotionSearch|TableControllerDecision|PsnrFrame|SsimFrame|SyntheticFrame(Yuv(Carried)?)?|QuantizeBlock|Entropy(Encode|Decode)Block|AdmissionThroughput(Exact)?|ShardedJoinRate|FarmThroughput(Preemptive|Quantum|Faults|Traced|Timeseries)?)' \
+    --benchmark_filter='BM_(SadMacroblock|HalfpelInterp|ForwardDct8|InverseDct8|MotionSearch|TableControllerDecision|PsnrFrame|SsimFrame|SyntheticFrame(Yuv(Carried)?)?|QuantizeBlock|Entropy(Encode|Decode)Block|(Encode|Decode)Frame|AdmissionThroughput(Exact)?|ShardedJoinRate|FarmThroughput(Preemptive|Quantum|Faults|Traced|Timeseries)?)' \
     --benchmark_repetitions=3 \
     --benchmark_report_aggregates_only=true \
     --benchmark_out_format=json \
