@@ -6,6 +6,11 @@
 //    1 and 4 workers.  Between them the scenarios emit every event kind
 //    the simulator has, so any change to what the data or control plane
 //    records — a missing, extra or reordered emission — moves a digest.
+//  * Report pin: the JSON report (build provenance stripped) and the
+//    CSV report of the same runs hash to fixed values, so the report
+//    writers are held to the bytes they produced before they shared
+//    one writer.  faulted_preemptive's SLOs cover an integral, a
+//    fractional and a window-multiple threshold and raise an alert.
 //  * Agreement: within one run the registry counters, the series track
 //    counts and the trace event counts describe the same frames.
 #include <gtest/gtest.h>
@@ -19,9 +24,11 @@
 #include <vector>
 
 #include "farm/load_gen.h"
+#include "farm/metrics.h"
 #include "farm/presets.h"
 #include "farm/probe.h"
 #include "farm/simulator.h"
+#include "obs/buildinfo.h"
 #include "obs/slo.h"
 #include "obs/trace.h"
 #include "platform/cost_model.h"
@@ -197,6 +204,53 @@ TEST(SinkBytes, DigestsArePinnedAtOneAndFourWorkers) {
           << " got 0x" << fnv1a(chrome);
     }
   }
+}
+
+/// The JSON report's FNV-1a with its build-provenance fields (version,
+/// compiler, SIMD backend) stripped, so the pin survives rebuilds.
+std::uint64_t json_digest(std::string json) {
+  const std::string provenance = obs::build_json_fields();
+  if (const std::size_t at = json.find(provenance); at != std::string::npos) {
+    json.erase(at, provenance.size());
+  }
+  return fnv1a(json);
+}
+
+struct PinnedReports {
+  std::uint64_t json;
+  std::uint64_t csv;
+};
+
+/// to_json / to_csv digests, in kPinned order.
+const std::array<PinnedReports, 3> kPinnedReports = {{
+    {0xc5ca5cfbd724bfd5ULL, 0xef78d7a4ffa6c439ULL},
+    {0x4a76ff500d365e30ULL, 0x9d44c1e2a5d51440ULL},
+    {0x2cbe5d01107e5230ULL, 0xedc8180f6baabdd7ULL},
+}};
+
+TEST(SinkBytes, ReportDigestsArePinnedAtOneAndFourWorkers) {
+  for (std::size_t i = 0; i < kPinned.size(); ++i) {
+    const Pinned& p = kPinned[i];
+    for (const int workers : {1, 4}) {
+      const FarmResult r = run(p, workers);
+      const std::string json = to_json(r);
+      const std::string csv = to_csv(r);
+      EXPECT_EQ(json_digest(json), kPinnedReports[i].json)
+          << p.name << " to_json, workers=" << workers << std::hex
+          << " got 0x" << json_digest(json);
+      EXPECT_EQ(fnv1a(csv), kPinnedReports[i].csv)
+          << p.name << " to_csv, workers=" << workers << std::hex
+          << " got 0x" << fnv1a(csv);
+    }
+  }
+  // The SLO sections the pin covers: every objective evaluated, and at
+  // least one burn-rate alert raised.
+  const FarmResult r = run(kPinned[0], 1);
+  ASSERT_EQ(r.slo.objectives.size(), 5u);
+  std::size_t alerts = 0;
+  for (const obs::SloOutcome& o : r.slo.objectives) alerts += o.alerts.size();
+  EXPECT_GT(alerts, 0u);
+  EXPECT_NE(to_json(r).find("\"timeseries\""), std::string::npos);
 }
 
 // The pin covers every recording path: each event kind the simulator
