@@ -11,6 +11,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -18,6 +19,7 @@
 #include "encoder/frame_encoder.h"
 #include "encoder/system_builder.h"
 #include "farm/load_gen.h"
+#include "farm/metrics.h"
 #include "farm/presets.h"
 #include "farm/shard.h"
 #include "farm/simulator.h"
@@ -30,6 +32,7 @@
 #include "media/synthetic_video.h"
 #include "obs/buildinfo.h"
 #include "obs/slo.h"
+#include "obs/trace.h"
 #include "qos/controller.h"
 #include "quality/distortion.h"
 #include "sched/edf.h"
@@ -804,6 +807,69 @@ void BM_ShardedJoinRate(benchmark::State& state) {
   state.SetItemsProcessed(joins);
 }
 BENCHMARK(BM_ShardedJoinRate)->Arg(1)->Arg(64)->Unit(benchmark::kMillisecond);
+
+// ---------------------------------------------------------------------------
+// Report writing: the Chrome trace export, and the JSON and CSV reports,
+// of one small faulted farm (overruns, loss, a transient failure, the
+// windowed series and SLOs) run once at set-up.  A job writes its
+// reports serially after the parallel run, so their cost adds straight
+// to its wall time (tools/check_bench_regression.py tracks the trace).
+
+const farm::FarmResult& faulted_farm_result() {
+  static const farm::FarmResult result = [] {
+    farm::LoadGenConfig load;
+    load.num_streams = 12;
+    load.resolutions = {{32, 32}};
+    load.resolution_weights = {1.0};
+    load.min_frames = 20;
+    load.max_frames = 30;
+    load.seed = 13;
+    farm::FarmScenario scenario = farm::generate_scenario(load);
+    scenario.sched.policy.kind = sched::PolicyKind::kPreemptiveEdf;
+    scenario.sched.policy.context_switch_cost =
+        platform::kContextSwitchCycles;
+    scenario.faults.overrun.probability = 0.25;
+    scenario.faults.overrun.factor = 3.0;
+    scenario.faults.loss.probability = 0.1;
+    scenario.faults.failures.push_back({1, 20000000, 5000000});
+    farm::FarmConfig cfg;
+    cfg.num_processors = 4;
+    cfg.trace = true;
+    cfg.ts_window = 4000000;
+    for (const char* text :
+         {"latency_p99<1.5w@20ms", "miss_rate<=0.5", "queue_p99<16"}) {
+      obs::SloSpec spec;
+      if (obs::parse_slo(text, &spec, nullptr)) cfg.slos.push_back(spec);
+    }
+    return farm::run_farm(scenario, cfg);
+  }();
+  return result;
+}
+
+void BM_ExportChromeTrace(benchmark::State& state) {
+  const farm::FarmResult& r = faulted_farm_result();
+  const int procs = static_cast<int>(r.processors.size());
+  for (auto _ : state) {
+    const std::string json = obs::export_chrome_trace(r.trace, procs);
+    benchmark::DoNotOptimize(json.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(r.trace.size()));
+}
+BENCHMARK(BM_ExportChromeTrace)->Unit(benchmark::kMicrosecond);
+
+void BM_FarmReportJson(benchmark::State& state) {
+  const farm::FarmResult& r = faulted_farm_result();
+  for (auto _ : state) {
+    const std::string json = farm::to_json(r);
+    const std::string csv = farm::to_csv(r);
+    benchmark::DoNotOptimize(json.data());
+    benchmark::DoNotOptimize(csv.data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_FarmReportJson)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 

@@ -2,9 +2,11 @@
 
 #include <iomanip>
 #include <sstream>
+#include <type_traits>
 
 #include "encoder/body.h"
 #include "obs/buildinfo.h"
+#include "util/json.h"
 
 namespace qosctrl::farm {
 namespace {
@@ -21,16 +23,28 @@ const char* mode_name(pipe::ControlMode mode) {
   return "?";
 }
 
-void json_kv(std::ostringstream& os, const char* key, double v,
-             bool comma = true) {
-  os << '"' << key << "\":" << v;
-  if (comma) os << ',';
+/// The budget a stream ended on: its last active epoch's, or the
+/// admission budget when it never renegotiated.
+rt::Cycles final_budget(const StreamOutcome& so) {
+  const std::vector<BudgetEpoch>& epochs = active_epochs(so);
+  return epochs.empty() ? so.placement.table_budget
+                        : epochs.back().table_budget;
 }
 
-void json_kv(std::ostringstream& os, const char* key, long long v,
-             bool comma = true) {
-  os << '"' << key << "\":" << v;
-  if (comma) os << ',';
+/// Appends ",<value>" for each value: integers (and bools, as 0/1)
+/// whole, doubles at round-trip precision, as the stream they replace
+/// printed them.
+template <class... Ts>
+void csv_fields(util::JsonWriter& w, const Ts&... values) {
+  const auto field = [&w](const auto& v) {
+    w.raw(',');
+    if constexpr (std::is_floating_point_v<std::decay_t<decltype(v)>>) {
+      w.raw_number(v);
+    } else {
+      w.raw_integer(static_cast<long long>(v));
+    }
+  };
+  (field(values), ...);
 }
 
 }  // namespace
@@ -229,258 +243,212 @@ std::string summarize(const FarmResult& r) {
 }
 
 std::string to_json(const FarmResult& r) {
-  std::ostringstream os;
-  os << std::setprecision(17);
-  os << "{\"build\":{" << obs::build_json_fields() << ',';
-  json_kv(os, "farm_seed", static_cast<long long>(r.farm_seed));
+  util::JsonWriter w;
+  w.begin_object().key("build").begin_object().json(obs::build_json_fields());
+  w.key("farm_seed").integer(static_cast<long long>(r.farm_seed));
   // 0 = the fault draws were derived from the farm seed.
-  json_kv(os, "fault_seed", static_cast<long long>(r.fault_spec.seed),
-          false);
-  os << "},\"fleet\":{";
-  os << "\"policy\":\"" << sched::policy_name(r.sched.policy.kind) << "\",";
-  json_kv(os, "quantum", static_cast<long long>(r.sched.policy.quantum));
-  json_kv(os, "context_switch_cost",
-          static_cast<long long>(r.sched.policy.context_switch_cost));
-  os << "\"renegotiate\":" << (r.sched.renegotiate ? "true" : "false")
-     << ",\"restore\":" << (r.sched.restore ? "true" : "false")
-     << ",\"split\":" << (r.sched.split ? "true" : "false") << ',';
-  json_kv(os, "preemptions", r.total_preemptions);
-  json_kv(os, "overhead_cycles",
-          static_cast<long long>(r.total_overhead_cycles));
-  json_kv(os, "total_streams", static_cast<long long>(r.total_streams));
-  json_kv(os, "admitted", static_cast<long long>(r.admitted));
-  json_kv(os, "rejected", static_cast<long long>(r.rejected));
-  json_kv(os, "migrated", static_cast<long long>(r.migrated));
-  json_kv(os, "degraded", static_cast<long long>(r.degraded));
-  json_kv(os, "split_streams", static_cast<long long>(r.split_streams));
-  json_kv(os, "admitted_via_renegotiation",
-          static_cast<long long>(r.admitted_via_renegotiation));
-  json_kv(os, "renegotiated_streams",
-          static_cast<long long>(r.renegotiated_streams));
-  json_kv(os, "restored_streams",
-          static_cast<long long>(r.restored_streams));
-  json_kv(os, "rejection_rate", r.rejection_rate);
-  json_kv(os, "total_frames", r.total_frames);
-  json_kv(os, "encoded_frames", r.encoded_frames);
-  json_kv(os, "total_skips", static_cast<long long>(r.total_skips));
-  json_kv(os, "display_misses",
-          static_cast<long long>(r.total_display_misses));
-  json_kv(os, "internal_misses",
-          static_cast<long long>(r.total_internal_misses));
-  json_kv(os, "mean_psnr", r.fleet_mean_psnr);
-  json_kv(os, "mean_ssim", r.fleet_mean_ssim);
-  json_kv(os, "total_concealed", r.total_concealed);
-  json_kv(os, "overruns_injected",
-          static_cast<long long>(r.faults_total.overruns_injected));
-  json_kv(os, "overruns_policed",
-          static_cast<long long>(r.faults_total.overruns_policed));
-  json_kv(os, "aborted_frames",
-          static_cast<long long>(r.faults_total.aborted_frames));
-  json_kv(os, "forced_downgrades",
-          static_cast<long long>(r.faults_total.forced_downgrades));
-  json_kv(os, "quarantines",
-          static_cast<long long>(r.faults_total.quarantines));
-  json_kv(os, "quarantine_drops",
-          static_cast<long long>(r.faults_total.quarantine_drops));
-  json_kv(os, "lost_frames",
-          static_cast<long long>(r.faults_total.lost_frames));
-  json_kv(os, "failure_drops",
-          static_cast<long long>(r.faults_total.failure_drops));
-  json_kv(os, "quarantined_streams",
-          static_cast<long long>(r.quarantined_streams));
-  json_kv(os, "failover_readmissions",
-          static_cast<long long>(r.failover_readmissions));
-  json_kv(os, "failover_drops",
-          static_cast<long long>(r.failover_drops));
-  json_kv(os, "mean_quality", r.fleet_mean_quality, false);
-  os << ",\"quality_histogram\":[";
-  for (std::size_t q = 0; q < r.quality_histogram.size(); ++q) {
-    os << (q ? "," : "") << r.quality_histogram[q];
+  w.key("fault_seed").integer(static_cast<long long>(r.fault_spec.seed));
+  w.end_object();
+
+  w.key("fleet").begin_object();
+  w.key("policy").string(sched::policy_name(r.sched.policy.kind));
+  w.key("quantum").integer(r.sched.policy.quantum);
+  w.key("context_switch_cost").integer(r.sched.policy.context_switch_cost);
+  w.key("renegotiate").boolean(r.sched.renegotiate);
+  w.key("restore").boolean(r.sched.restore);
+  w.key("split").boolean(r.sched.split);
+  w.key("preemptions").integer(r.total_preemptions);
+  w.key("overhead_cycles").integer(r.total_overhead_cycles);
+  w.key("total_streams").integer(r.total_streams);
+  w.key("admitted").integer(r.admitted);
+  w.key("rejected").integer(r.rejected);
+  w.key("migrated").integer(r.migrated);
+  w.key("degraded").integer(r.degraded);
+  w.key("split_streams").integer(r.split_streams);
+  w.key("admitted_via_renegotiation").integer(r.admitted_via_renegotiation);
+  w.key("renegotiated_streams").integer(r.renegotiated_streams);
+  w.key("restored_streams").integer(r.restored_streams);
+  w.key("rejection_rate").number(r.rejection_rate);
+  w.key("total_frames").integer(r.total_frames);
+  w.key("encoded_frames").integer(r.encoded_frames);
+  w.key("total_skips").integer(r.total_skips);
+  w.key("display_misses").integer(r.total_display_misses);
+  w.key("internal_misses").integer(r.total_internal_misses);
+  w.key("mean_psnr").number(r.fleet_mean_psnr);
+  w.key("mean_ssim").number(r.fleet_mean_ssim);
+  w.key("total_concealed").integer(r.total_concealed);
+  const StreamFaultStats& ft = r.faults_total;
+  w.key("overruns_injected").integer(ft.overruns_injected);
+  w.key("overruns_policed").integer(ft.overruns_policed);
+  w.key("aborted_frames").integer(ft.aborted_frames);
+  w.key("forced_downgrades").integer(ft.forced_downgrades);
+  w.key("quarantines").integer(ft.quarantines);
+  w.key("quarantine_drops").integer(ft.quarantine_drops);
+  w.key("lost_frames").integer(ft.lost_frames);
+  w.key("failure_drops").integer(ft.failure_drops);
+  w.key("quarantined_streams").integer(r.quarantined_streams);
+  w.key("failover_readmissions").integer(r.failover_readmissions);
+  w.key("failover_drops").integer(r.failover_drops);
+  w.key("mean_quality").number(r.fleet_mean_quality);
+  w.key("quality_histogram").begin_array();
+  for (const long long n : r.quality_histogram) w.integer(n);
+  w.end_array().end_object();
+
+  w.key("faults").begin_object();
+  w.key("overrun_probability").number(r.fault_spec.overrun.probability);
+  w.key("overrun_factor").number(r.fault_spec.overrun.factor);
+  w.key("overrun_policy")
+      .string(overrun_policy_name(r.fault_spec.overrun.policy));
+  w.key("loss_probability").number(r.fault_spec.loss.probability);
+  w.end_object();
+
+  w.key("failures").begin_array();
+  for (const FailureOutcome& fo : r.failures) {
+    w.begin_object();
+    w.key("processor").integer(fo.event.processor);
+    w.key("time").integer(fo.event.time);
+    w.key("permanent").boolean(fo.event.permanent());
+    w.key("repair").integer(fo.event.repair);
+    w.key("displaced").integer(fo.displaced);
+    w.key("readmitted").integer(fo.readmitted);
+    w.key("dropped").integer(fo.dropped);
+    w.key("recovered").integer(fo.recovered);
+    w.key("first_recovery").integer(fo.first_recovery);
+    w.key("full_recovery").integer(fo.full_recovery);
+    w.end_object();
   }
-  os << "]},\"faults\":{";
-  json_kv(os, "overrun_probability", r.fault_spec.overrun.probability);
-  json_kv(os, "overrun_factor", r.fault_spec.overrun.factor);
-  os << "\"overrun_policy\":\""
-     << overrun_policy_name(r.fault_spec.overrun.policy) << "\",";
-  json_kv(os, "loss_probability", r.fault_spec.loss.probability, false);
-  os << "},\"failures\":[";
-  for (std::size_t k = 0; k < r.failures.size(); ++k) {
-    const FailureOutcome& fo = r.failures[k];
-    os << (k ? "," : "") << "{";
-    json_kv(os, "processor", static_cast<long long>(fo.event.processor));
-    json_kv(os, "time", static_cast<long long>(fo.event.time));
-    os << "\"permanent\":" << (fo.event.permanent() ? "true" : "false")
-       << ',';
-    json_kv(os, "repair", static_cast<long long>(fo.event.repair));
-    json_kv(os, "displaced", static_cast<long long>(fo.displaced));
-    json_kv(os, "readmitted", static_cast<long long>(fo.readmitted));
-    json_kv(os, "dropped", static_cast<long long>(fo.dropped));
-    json_kv(os, "recovered", static_cast<long long>(fo.recovered));
-    json_kv(os, "first_recovery", static_cast<long long>(fo.first_recovery));
-    json_kv(os, "full_recovery", static_cast<long long>(fo.full_recovery),
-            false);
-    os << "}";
-  }
-  os << "],\"processors\":[";
+  w.end_array();
+
+  w.key("processors").begin_array();
   for (std::size_t p = 0; p < r.processors.size(); ++p) {
     const ProcessorOutcome& po = r.processors[p];
-    os << (p ? "," : "") << "{";
-    json_kv(os, "processor", static_cast<long long>(p));
-    json_kv(os, "streams", static_cast<long long>(po.streams_hosted));
-    json_kv(os, "frames", static_cast<long long>(po.frames_encoded));
-    json_kv(os, "busy_cycles", static_cast<long long>(po.busy_cycles));
-    json_kv(os, "span_cycles", static_cast<long long>(po.span_cycles));
-    json_kv(os, "utilization", po.utilization);
-    json_kv(os, "preemptions", static_cast<long long>(po.preemptions));
-    json_kv(os, "overhead_cycles",
-            static_cast<long long>(po.overhead_cycles));
-    os << "\"failed\":" << (po.failed ? "true" : "false") << ',';
-    json_kv(os, "failed_at", static_cast<long long>(po.failed_at));
-    json_kv(os, "fault_conceals",
-            static_cast<long long>(po.fault_conceals));
-    json_kv(os, "peak_committed_utilization",
-            po.peak_committed_utilization, false);
-    os << "}";
+    w.begin_object();
+    w.key("processor").integer(static_cast<long long>(p));
+    w.key("streams").integer(po.streams_hosted);
+    w.key("frames").integer(po.frames_encoded);
+    w.key("busy_cycles").integer(po.busy_cycles);
+    w.key("span_cycles").integer(po.span_cycles);
+    w.key("utilization").number(po.utilization);
+    w.key("preemptions").integer(po.preemptions);
+    w.key("overhead_cycles").integer(po.overhead_cycles);
+    w.key("failed").boolean(po.failed);
+    w.key("failed_at").integer(po.failed_at);
+    w.key("fault_conceals").integer(po.fault_conceals);
+    w.key("peak_committed_utilization").number(po.peak_committed_utilization);
+    w.end_object();
   }
-  os << "],\"streams\":[";
-  for (std::size_t i = 0; i < r.streams.size(); ++i) {
-    const StreamOutcome& so = r.streams[i];
-    os << (i ? "," : "") << "{";
-    json_kv(os, "id", static_cast<long long>(so.spec.id));
-    os << "\"mode\":\"" << mode_name(so.spec.mode) << "\",";
-    json_kv(os, "width", static_cast<long long>(so.spec.width));
-    json_kv(os, "height", static_cast<long long>(so.spec.height));
-    json_kv(os, "buffer_capacity",
-            static_cast<long long>(so.spec.buffer_capacity));
-    json_kv(os, "frame_period", static_cast<long long>(period_of(so.spec)));
-    json_kv(os, "join_time", static_cast<long long>(so.spec.join_time));
-    json_kv(os, "num_frames", static_cast<long long>(so.spec.num_frames));
-    os << "\"admitted\":" << (so.placement.admitted ? "true" : "false")
-       << ',';
-    if (!so.placement.admitted) {
-      os << "\"reason\":\"" << so.placement.reason << "\"}";
+  w.end_array();
+
+  w.key("streams").begin_array();
+  for (const StreamOutcome& so : r.streams) {
+    const Placement& pl = so.placement;
+    w.begin_object();
+    w.key("id").integer(so.spec.id);
+    w.key("mode").string(mode_name(so.spec.mode));
+    w.key("width").integer(so.spec.width);
+    w.key("height").integer(so.spec.height);
+    w.key("buffer_capacity").integer(so.spec.buffer_capacity);
+    w.key("frame_period").integer(period_of(so.spec));
+    w.key("join_time").integer(so.spec.join_time);
+    w.key("num_frames").integer(so.spec.num_frames);
+    w.key("admitted").boolean(pl.admitted);
+    if (!pl.admitted) {
+      w.key("reason").string(pl.reason).end_object();
       continue;
     }
-    json_kv(os, "processor", static_cast<long long>(so.placement.processor));
-    json_kv(os, "table_budget",
-            static_cast<long long>(so.placement.table_budget));
-    json_kv(os, "committed_cost",
-            static_cast<long long>(so.placement.committed_cost));
-    os << "\"migrated\":" << (so.placement.migrated ? "true" : "false")
-       << ",\"degraded\":" << (so.placement.degraded ? "true" : "false")
-       << ",\"split\":" << (so.placement.split ? "true" : "false")
-       << ",\"tail_processor\":" << so.placement.tail_processor
-       << ",\"via_renegotiation\":"
-       << (so.placement.via_renegotiation ? "true" : "false")
-       << ",\"renegotiated\":" << (so.renegotiated ? "true" : "false")
-       << ",\"restored\":" << (so.restored ? "true" : "false") << ',';
-    json_kv(os, "final_budget",
-            static_cast<long long>(
-                active_epochs(so).empty()
-                    ? so.placement.table_budget
-                    : active_epochs(so).back().table_budget));
-    json_kv(os, "initial_quality",
-            static_cast<long long>(so.placement.initial_quality));
-    json_kv(os, "skips", static_cast<long long>(so.result.total_skips));
-    json_kv(os, "concealed",
-            static_cast<long long>(so.result.total_concealed));
-    json_kv(os, "display_misses",
-            static_cast<long long>(so.display_misses));
-    json_kv(os, "internal_misses",
-            static_cast<long long>(so.internal_misses));
-    json_kv(os, "max_start_lag", static_cast<long long>(so.max_start_lag));
-    json_kv(os, "mean_start_lag", so.mean_start_lag);
-    json_kv(os, "start_lag_p95", static_cast<long long>(so.start_lag_p95));
-    json_kv(os, "overruns_injected",
-            static_cast<long long>(so.faults.overruns_injected));
-    json_kv(os, "overruns_policed",
-            static_cast<long long>(so.faults.overruns_policed));
-    json_kv(os, "aborted_frames",
-            static_cast<long long>(so.faults.aborted_frames));
-    json_kv(os, "forced_downgrades",
-            static_cast<long long>(so.faults.forced_downgrades));
-    json_kv(os, "quarantines",
-            static_cast<long long>(so.faults.quarantines));
-    json_kv(os, "quarantine_drops",
-            static_cast<long long>(so.faults.quarantine_drops));
-    json_kv(os, "lost_frames",
-            static_cast<long long>(so.faults.lost_frames));
-    json_kv(os, "failure_drops",
-            static_cast<long long>(so.faults.failure_drops));
-    os << "\"quarantined\":" << (so.quarantined ? "true" : "false") << ',';
-    json_kv(os, "failovers", static_cast<long long>(so.failover.size()));
-    json_kv(os, "mean_psnr", so.result.mean_psnr);
-    json_kv(os, "psnr_p5", so.result.psnr_stats.p5);
-    json_kv(os, "psnr_min", so.result.psnr_stats.min);
-    json_kv(os, "mean_ssim", so.result.mean_ssim);
-    json_kv(os, "ssim_p5", so.result.ssim_stats.p5);
-    json_kv(os, "ssim_min", so.result.ssim_stats.min);
-    json_kv(os, "mean_quality", so.result.mean_quality);
-    json_kv(os, "kbps", so.result.achieved_bps / 1e3);
-    os << "\"phase_cycles\":{";
+    w.key("processor").integer(pl.processor);
+    w.key("table_budget").integer(pl.table_budget);
+    w.key("committed_cost").integer(pl.committed_cost);
+    w.key("migrated").boolean(pl.migrated);
+    w.key("degraded").boolean(pl.degraded);
+    w.key("split").boolean(pl.split);
+    w.key("tail_processor").integer(pl.tail_processor);
+    w.key("via_renegotiation").boolean(pl.via_renegotiation);
+    w.key("renegotiated").boolean(so.renegotiated);
+    w.key("restored").boolean(so.restored);
+    w.key("final_budget").integer(final_budget(so));
+    w.key("initial_quality").integer(pl.initial_quality);
+    w.key("skips").integer(so.result.total_skips);
+    w.key("concealed").integer(so.result.total_concealed);
+    w.key("display_misses").integer(so.display_misses);
+    w.key("internal_misses").integer(so.internal_misses);
+    w.key("max_start_lag").integer(so.max_start_lag);
+    w.key("mean_start_lag").number(so.mean_start_lag);
+    w.key("start_lag_p95").integer(so.start_lag_p95);
+    w.key("overruns_injected").integer(so.faults.overruns_injected);
+    w.key("overruns_policed").integer(so.faults.overruns_policed);
+    w.key("aborted_frames").integer(so.faults.aborted_frames);
+    w.key("forced_downgrades").integer(so.faults.forced_downgrades);
+    w.key("quarantines").integer(so.faults.quarantines);
+    w.key("quarantine_drops").integer(so.faults.quarantine_drops);
+    w.key("lost_frames").integer(so.faults.lost_frames);
+    w.key("failure_drops").integer(so.faults.failure_drops);
+    w.key("quarantined").boolean(so.quarantined);
+    w.key("failovers").integer(static_cast<long long>(so.failover.size()));
+    w.key("mean_psnr").number(so.result.mean_psnr);
+    w.key("psnr_p5").number(so.result.psnr_stats.p5);
+    w.key("psnr_min").number(so.result.psnr_stats.min);
+    w.key("mean_ssim").number(so.result.mean_ssim);
+    w.key("ssim_p5").number(so.result.ssim_stats.p5);
+    w.key("ssim_min").number(so.result.ssim_stats.min);
+    w.key("mean_quality").number(so.result.mean_quality);
+    w.key("kbps").number(so.result.achieved_bps / 1e3);
+    w.key("phase_cycles").begin_object();
     for (int ph = 0; ph < enc::kNumEncodePhases; ++ph) {
-      os << (ph ? "," : "") << '"'
-         << enc::encode_phase_name(static_cast<enc::EncodePhase>(ph))
-         << "\":" << so.result.phase_cycles[static_cast<std::size_t>(ph)];
+      w.key(enc::encode_phase_name(static_cast<enc::EncodePhase>(ph)))
+          .integer(so.result.phase_cycles[static_cast<std::size_t>(ph)]);
     }
-    os << "}}";
+    w.end_object().end_object();
   }
-  os << "],";
+  w.end_array();
+
   // Shard block only when sharded, so single-shard JSON is unchanged.
   if (r.shards > 1) {
-    os << "\"shards\":{";
-    json_kv(os, "count", static_cast<long long>(r.shards));
-    json_kv(os, "join_batches", r.join_batches);
-    json_kv(os, "max_join_batch", static_cast<long long>(r.max_join_batch));
-    json_kv(os, "rebalance_migrations",
-            static_cast<long long>(r.rebalance_migrations));
-    os << "\"per_shard\":[";
+    w.key("shards").begin_object();
+    w.key("count").integer(r.shards);
+    w.key("join_batches").integer(r.join_batches);
+    w.key("max_join_batch").integer(r.max_join_batch);
+    w.key("rebalance_migrations").integer(r.rebalance_migrations);
+    w.key("per_shard").begin_array();
     for (std::size_t s = 0; s < r.shard_outcomes.size(); ++s) {
       const ShardOutcome& sh = r.shard_outcomes[s];
-      os << (s ? "," : "") << "{";
-      json_kv(os, "shard", static_cast<long long>(s));
-      json_kv(os, "first_processor",
-              static_cast<long long>(sh.first_processor));
-      json_kv(os, "num_processors",
-              static_cast<long long>(sh.num_processors));
-      json_kv(os, "admitted", sh.admitted);
-      json_kv(os, "probe_admits", sh.probe_admits);
-      json_kv(os, "rejected", sh.rejected);
-      json_kv(os, "migrations_in", sh.migrations_in);
-      json_kv(os, "migrations_out", sh.migrations_out);
-      json_kv(os, "demand_tests", sh.demand_tests);
-      json_kv(os, "peak_committed_utilization",
-              sh.peak_committed_utilization, false);
-      os << "}";
+      w.begin_object();
+      w.key("shard").integer(static_cast<long long>(s));
+      w.key("first_processor").integer(sh.first_processor);
+      w.key("num_processors").integer(sh.num_processors);
+      w.key("admitted").integer(sh.admitted);
+      w.key("probe_admits").integer(sh.probe_admits);
+      w.key("rejected").integer(sh.rejected);
+      w.key("migrations_in").integer(sh.migrations_in);
+      w.key("migrations_out").integer(sh.migrations_out);
+      w.key("demand_tests").integer(sh.demand_tests);
+      w.key("peak_committed_utilization")
+          .number(sh.peak_committed_utilization);
+      w.end_object();
     }
-    os << "]},";
+    w.end_array().end_object();
   }
-  os << "\"metrics\":" << r.metrics.to_json() << ',';
+  w.key("metrics").json(r.metrics.to_json());
   // Series / SLO blocks only when the features ran, so default JSON is
   // unchanged byte for byte.
-  if (r.series.window > 0) {
-    os << "\"timeseries\":" << r.series.to_json() << ',';
-  }
+  if (r.series.window > 0) w.key("timeseries").json(r.series.to_json());
   if (!r.slo.objectives.empty()) {
-    os << "\"slo\":" << obs::slo_to_json(r.slo) << ',';
+    w.key("slo").json(obs::slo_to_json(r.slo));
   }
-  json_kv(os, "trace_events", static_cast<long long>(r.trace.size()));
-  json_kv(os, "trace_dropped", r.trace_dropped, false);
+  w.key("trace_events").integer(static_cast<long long>(r.trace.size()));
+  w.key("trace_dropped").integer(r.trace_dropped);
   if (!r.trace_dropped_per_buffer.empty()) {
-    os << ",\"trace_dropped_per_buffer\":[";
-    for (std::size_t b = 0; b < r.trace_dropped_per_buffer.size(); ++b) {
-      os << (b ? "," : "") << r.trace_dropped_per_buffer[b];
-    }
-    os << ']';
+    w.key("trace_dropped_per_buffer").begin_array();
+    for (const long long n : r.trace_dropped_per_buffer) w.integer(n);
+    w.end_array();
   }
-  os << "}";
-  return os.str();
+  w.end_object();
+  return w.take();
 }
 
 std::string to_csv(const FarmResult& r) {
-  std::ostringstream os;
-  os << std::setprecision(17);
-  os << "id,mode,width,height,buffer_capacity,frame_period,join_time,"
+  util::JsonWriter w;
+  w.raw("id,mode,width,height,buffer_capacity,frame_period,join_time,"
         "num_frames,admitted,processor,table_budget,committed_cost,"
         "migrated,degraded,split,via_renegotiation,renegotiated,restored,"
         "final_budget,"
@@ -490,69 +458,62 @@ std::string to_csv(const FarmResult& r) {
         "mean_quality,kbps,"
         "concealed,start_lag_p95,overruns_injected,overruns_policed,"
         "aborted_frames,forced_downgrades,quarantines,quarantine_drops,"
-        "lost_frames,failure_drops,quarantined,failovers\n";
+        "lost_frames,failure_drops,quarantined,failovers\n");
   for (const StreamOutcome& so : r.streams) {
-    os << so.spec.id << ',' << mode_name(so.spec.mode) << ','
-       << so.spec.width << ',' << so.spec.height << ','
-       << so.spec.buffer_capacity << ',' << period_of(so.spec) << ','
-       << so.spec.join_time << ',' << so.spec.num_frames << ','
-       << (so.placement.admitted ? 1 : 0) << ',';
-    if (!so.placement.admitted) {
-      os << "-1,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,"
-            "0,0,0,0,0,0,0,0,0,0,0,0\n";
+    const Placement& pl = so.placement;
+    w.raw_integer(so.spec.id).raw(',').raw(mode_name(so.spec.mode));
+    csv_fields(w, so.spec.width, so.spec.height, so.spec.buffer_capacity,
+               period_of(so.spec), so.spec.join_time, so.spec.num_frames,
+               pl.admitted);
+    if (!pl.admitted) {
+      w.raw(",-1,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,"
+            "0,0,0,0,0,0,0,0,0,0,0,0\n");
       continue;
     }
-    os << so.placement.processor << ',' << so.placement.table_budget << ','
-       << so.placement.committed_cost << ','
-       << (so.placement.migrated ? 1 : 0) << ','
-       << (so.placement.degraded ? 1 : 0) << ','
-       << (so.placement.split ? 1 : 0) << ','
-       << (so.placement.via_renegotiation ? 1 : 0) << ','
-       << (so.renegotiated ? 1 : 0) << ',' << (so.restored ? 1 : 0) << ','
-       << (active_epochs(so).empty()
-               ? so.placement.table_budget
-               : active_epochs(so).back().table_budget)
-       << ','
-       << so.placement.initial_quality << ',' << so.result.total_skips
-       << ',' << so.display_misses << ',' << so.internal_misses << ','
-       << so.max_start_lag << ',' << so.mean_start_lag << ','
-       << so.result.mean_psnr << ',' << so.result.psnr_stats.p5 << ','
-       << so.result.psnr_stats.min << ',' << so.result.mean_ssim << ','
-       << so.result.ssim_stats.p5 << ',' << so.result.ssim_stats.min << ','
-       << so.result.mean_quality << ','
-       << so.result.achieved_bps / 1e3 << ','
-       << so.result.total_concealed << ',' << so.start_lag_p95 << ','
-       << so.faults.overruns_injected << ',' << so.faults.overruns_policed
-       << ',' << so.faults.aborted_frames << ','
-       << so.faults.forced_downgrades << ',' << so.faults.quarantines << ','
-       << so.faults.quarantine_drops << ',' << so.faults.lost_frames << ','
-       << so.faults.failure_drops << ',' << (so.quarantined ? 1 : 0) << ','
-       << so.failover.size() << '\n';
+    csv_fields(w, pl.processor, pl.table_budget, pl.committed_cost,
+               pl.migrated, pl.degraded, pl.split, pl.via_renegotiation,
+               so.renegotiated, so.restored, final_budget(so),
+               pl.initial_quality, so.result.total_skips, so.display_misses,
+               so.internal_misses, so.max_start_lag, so.mean_start_lag,
+               so.result.mean_psnr, so.result.psnr_stats.p5,
+               so.result.psnr_stats.min, so.result.mean_ssim,
+               so.result.ssim_stats.p5, so.result.ssim_stats.min,
+               so.result.mean_quality, so.result.achieved_bps / 1e3,
+               so.result.total_concealed, so.start_lag_p95);
+    const StreamFaultStats& f = so.faults;
+    csv_fields(w, f.overruns_injected, f.overruns_policed, f.aborted_frames,
+               f.forced_downgrades, f.quarantines, f.quarantine_drops,
+               f.lost_frames, f.failure_drops, so.quarantined,
+               so.failover.size());
+    w.raw('\n');
   }
   // Metrics table, blank-line separated from the stream table so the
   // file stays trivially splittable.
-  os << "\nmetric,kind,count,sum,min,max,p50,p95,p99\n";
+  w.raw("\nmetric,kind,count,sum,min,max,p50,p95,p99\n");
   for (const auto& [name, h] : r.metrics.histograms()) {
-    os << name << ",histogram," << h.count() << ',' << h.sum() << ','
-       << h.min() << ',' << h.max() << ',' << h.percentile(0.50) << ','
-       << h.percentile(0.95) << ',' << h.percentile(0.99) << '\n';
+    w.raw(name).raw(",histogram");
+    csv_fields(w, h.count(), h.sum(), h.min(), h.max(), h.percentile(0.50),
+               h.percentile(0.95), h.percentile(0.99));
+    w.raw('\n');
   }
   for (const auto& [name, v] : r.metrics.counters()) {
-    os << name << ",counter," << v << ',' << v << ",0,0,0,0,0\n";
+    w.raw(name).raw(",counter");
+    csv_fields(w, v, v);
+    w.raw(",0,0,0,0,0\n");
   }
   // SLO verdict table, again blank-line separated, only when
-  // objectives were configured (the spec grammar has no commas).
+  // objectives were configured (a spec has no commas or whitespace).
   if (!r.slo.objectives.empty()) {
-    os << "\nslo,points,violations,worst_window,worst_value,"
-          "budget_remaining,alerts,met\n";
+    w.raw("\nslo,points,violations,worst_window,worst_value,"
+          "budget_remaining,alerts,met\n");
     for (const obs::SloOutcome& o : r.slo.objectives) {
-      os << o.spec.text << ',' << o.points << ',' << o.violations << ','
-         << o.worst_window << ',' << o.worst_value << ','
-         << o.budget_remaining << ',' << o.alerts.size() << ','
-         << (o.met ? 1 : 0) << '\n';
+      w.raw(o.spec.text);
+      csv_fields(w, o.points, o.violations, o.worst_window, o.worst_value,
+                 o.budget_remaining, o.alerts.size(), o.met);
+      w.raw('\n');
     }
   }
-  return os.str();
+  return w.take();
 }
 
 }  // namespace qosctrl::farm

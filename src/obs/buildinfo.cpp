@@ -3,6 +3,7 @@
 #include <sstream>
 
 #include "media/simd/kernels.h"
+#include "util/json.h"
 
 // Generated into <build>/generated by CMake at configure time; absent
 // under build systems that skip the generation step.
@@ -43,11 +44,11 @@ std::string version_line(const char* tool) {
 
 std::string build_json_fields() {
   const BuildInfo info = build_info();
-  std::ostringstream os;
-  os << "\"version\":\"" << info.version << "\",\"compiler\":\""
-     << info.compiler << "\",\"simd_backend\":\"" << info.simd_backend
-     << '"';
-  return os.str();
+  util::JsonWriter w;
+  w.key("version").string(info.version);
+  w.key("compiler").string(info.compiler);
+  w.key("simd_backend").string(info.simd_backend);
+  return w.take();
 }
 
 }  // namespace qosctrl::obs

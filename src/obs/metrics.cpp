@@ -4,6 +4,8 @@
 #include <bit>
 #include <sstream>
 
+#include "util/json.h"
+
 namespace qosctrl::obs {
 
 int Histogram::bucket_of(long long v) {
@@ -67,26 +69,21 @@ void Registry::merge(const Registry& other) {
 }
 
 std::string Registry::to_json() const {
-  std::ostringstream os;
-  os << "{\"counters\":{";
-  bool first = true;
-  for (const auto& [name, value] : counters_) {
-    os << (first ? "" : ",") << '"' << name << "\":" << value;
-    first = false;
-  }
-  os << "},\"histograms\":{";
-  first = true;
+  util::JsonWriter w;
+  w.begin_object().key("counters").begin_object();
+  for (const auto& [name, value] : counters_) w.key(name).integer(value);
+  w.end_object().key("histograms").begin_object();
   for (const auto& [name, h] : histograms_) {
-    os << (first ? "" : ",") << '"' << name << "\":{"
-       << "\"count\":" << h.count() << ",\"sum\":" << h.sum()
-       << ",\"min\":" << h.min() << ",\"max\":" << h.max()
-       << ",\"p50\":" << h.percentile(0.50)
-       << ",\"p95\":" << h.percentile(0.95)
-       << ",\"p99\":" << h.percentile(0.99) << "}";
-    first = false;
+    w.key(name).begin_object();
+    w.key("count").integer(h.count()).key("sum").integer(h.sum());
+    w.key("min").integer(h.min()).key("max").integer(h.max());
+    w.key("p50").integer(h.percentile(0.50));
+    w.key("p95").integer(h.percentile(0.95));
+    w.key("p99").integer(h.percentile(0.99));
+    w.end_object();
   }
-  os << "}}";
-  return os.str();
+  w.end_object().end_object();
+  return w.take();
 }
 
 std::string Registry::summary() const {

@@ -2,10 +2,11 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cmath>
 #include <cstdlib>
 #include <deque>
-#include <iomanip>
-#include <sstream>
+
+#include "util/json.h"
 
 namespace qosctrl::obs {
 namespace {
@@ -93,7 +94,8 @@ bool parse_threshold(const std::string& s, double* value, bool* in_windows) {
   if (num.empty()) return false;
   char* end = nullptr;
   *value = std::strtod(num.c_str(), &end);
-  return end == num.c_str() + num.size() && *value >= 0.0;
+  return end == num.c_str() + num.size() && std::isfinite(*value) &&
+         *value >= 0.0;
 }
 
 /// The track an objective reads under its scope: the bare fleet track,
@@ -271,26 +273,6 @@ void evaluate_recovery(const SloSpec& spec, const SloInputs& in,
   }
 }
 
-void format_double(std::ostringstream& os, double v) {
-  // Integral values (cycle thresholds, counts) print without a point;
-  // fractions keep full round-trip precision.  Deterministic either way.
-  if (v == static_cast<double>(static_cast<long long>(v))) {
-    os << static_cast<long long>(v);
-  } else {
-    os << std::setprecision(17) << v << std::setprecision(6);
-  }
-}
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    out.push_back(c);
-  }
-  return out;
-}
-
 }  // namespace
 
 const char* slo_metric_name(SloMetric m) {
@@ -335,6 +317,15 @@ bool parse_slo(const std::string& text, SloSpec* out, std::string* error) {
   *out = SloSpec{};
   out->text = text;
 
+  // The spec is copied verbatim into the reports (a JSON string, a CSV
+  // field), and strtod would skip leading whitespace inside it.
+  for (const char c : text) {
+    const auto u = static_cast<unsigned char>(c);
+    if (std::isspace(u) || std::iscntrl(u)) {
+      return fail("whitespace or control character in spec");
+    }
+  }
+
   const std::size_t op = text.find('<');
   if (op == std::string::npos) return fail("missing '<' or '<='");
   if (op == 0) return fail("missing metric name");
@@ -375,7 +366,8 @@ bool parse_slo(const std::string& text, SloSpec* out, std::string* error) {
     } else {  // '%'
       char* end = nullptr;
       out->budget = std::strtod(seg.c_str(), &end);
-      if (end != seg.c_str() + seg.size() || out->budget <= 0.0 ||
+      // Written so that NaN fails too.
+      if (end != seg.c_str() + seg.size() || !(out->budget > 0.0) ||
           out->budget > 1.0) {
         return fail("bad budget '" + seg + "' (want a fraction in (0, 1])");
       }
@@ -439,58 +431,53 @@ SloReport evaluate_slos(const std::vector<SloSpec>& specs,
 }
 
 std::string slo_to_json(const SloReport& report) {
-  std::ostringstream os;
-  os << "{\"objectives\":[";
-  bool first = true;
+  // Thresholds, budgets and evaluated values print as integers when
+  // integral (cycle thresholds, counts), with full round-trip
+  // precision otherwise.
+  util::JsonWriter w;
+  w.begin_object().key("objectives").begin_array();
   for (const SloOutcome& o : report.objectives) {
-    if (!first) os << ',';
-    first = false;
-    os << "{\"spec\":\"" << json_escape(o.spec.text) << "\","
-       << "\"metric\":\"" << slo_metric_name(o.spec.metric) << "\","
-       << "\"scope\":\"" << slo_scope_name(o.spec.scope) << "\","
-       << "\"threshold\":";
-    format_double(os, o.spec.threshold);
-    os << ",\"threshold_in_windows\":"
-       << (o.spec.threshold_in_windows ? "true" : "false")
-       << ",\"span\":" << o.spec.span << ",\"budget\":";
-    format_double(os, o.spec.budget);
-    os << ",\"points\":" << o.points << ",\"violations\":" << o.violations
-       << ",\"worst_window\":" << o.worst_window << ",\"worst_value\":";
-    format_double(os, o.worst_value);
-    os << ",\"budget_remaining\":";
-    format_double(os, o.budget_remaining);
-    os << ",\"met\":" << (o.met ? "true" : "false") << ",\"alerts\":[";
-    bool first_alert = true;
+    w.begin_object();
+    w.key("spec").string(o.spec.text);
+    w.key("metric").string(slo_metric_name(o.spec.metric));
+    w.key("scope").string(slo_scope_name(o.spec.scope));
+    w.key("threshold").integral_or_number(o.spec.threshold);
+    w.key("threshold_in_windows").boolean(o.spec.threshold_in_windows);
+    w.key("span").integer(o.spec.span);
+    w.key("budget").integral_or_number(o.spec.budget);
+    w.key("points").integer(o.points);
+    w.key("violations").integer(o.violations);
+    w.key("worst_window").integer(o.worst_window);
+    w.key("worst_value").integral_or_number(o.worst_value);
+    w.key("budget_remaining").integral_or_number(o.budget_remaining);
+    w.key("met").boolean(o.met);
+    w.key("alerts").begin_array();
     for (const SloAlert& a : o.alerts) {
-      if (!first_alert) os << ',';
-      first_alert = false;
-      os << "{\"window\":" << a.window << ",\"fast_burn\":";
-      format_double(os, a.fast_burn);
-      os << ",\"slow_burn\":";
-      format_double(os, a.slow_burn);
-      os << '}';
+      w.begin_object().key("window").integer(a.window);
+      w.key("fast_burn").integral_or_number(a.fast_burn);
+      w.key("slow_burn").integral_or_number(a.slow_burn);
+      w.end_object();
     }
-    os << "]}";
+    w.end_array().end_object();
   }
-  os << "],\"all_met\":" << (report.all_met() ? "true" : "false") << '}';
-  return os.str();
+  w.end_array().key("all_met").boolean(report.all_met()).end_object();
+  return w.take();
 }
 
 std::string slo_summary(const SloReport& report) {
-  std::ostringstream os;
+  util::JsonWriter w;
   for (const SloOutcome& o : report.objectives) {
-    os << "slo " << o.spec.text << ": points=" << o.points
-       << " violations=" << o.violations;
+    w.raw("slo ").raw(o.spec.text).raw(": points=").raw_integer(o.points);
+    w.raw(" violations=").raw_integer(o.violations);
     if (o.worst_window >= 0) {
-      os << " worst_window=" << o.worst_window << " worst_value=";
-      format_double(os, o.worst_value);
+      w.raw(" worst_window=").raw_integer(o.worst_window);
+      w.raw(" worst_value=").raw_integral_or_number(o.worst_value);
     }
-    os << " budget_remaining=";
-    format_double(os, o.budget_remaining);
-    os << " alerts=" << o.alerts.size() << ' '
-       << (o.met ? "MET" : "MISSED") << "\n";
+    w.raw(" budget_remaining=").raw_integral_or_number(o.budget_remaining);
+    w.raw(" alerts=").raw_integer(static_cast<long long>(o.alerts.size()));
+    w.raw(o.met ? " MET\n" : " MISSED\n");
   }
-  return os.str();
+  return w.take();
 }
 
 }  // namespace qosctrl::obs

@@ -78,6 +78,8 @@ struct SloSpec {
 };
 
 /// Parses one spec string; on failure returns false and sets `*error`.
+/// Thresholds and budgets must be finite, and the spec may contain no
+/// whitespace or control character (reports copy it verbatim).
 bool parse_slo(const std::string& text, SloSpec* out, std::string* error);
 
 /// One multi-window burn-rate alert: the evaluation point where the

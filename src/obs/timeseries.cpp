@@ -3,6 +3,7 @@
 #include <sstream>
 
 #include "util/check.h"
+#include "util/json.h"
 
 namespace qosctrl::obs {
 
@@ -39,25 +40,21 @@ long long TimeSeries::last_window() const {
 }
 
 std::string TimeSeries::to_json() const {
-  std::ostringstream os;
-  os << "{\"window\":" << window << ",\"tracks\":{";
-  bool first_track = true;
+  util::JsonWriter w;
+  w.begin_object().key("window").integer(window);
+  w.key("tracks").begin_object();
   for (const auto& [name, track] : tracks) {
-    if (!first_track) os << ',';
-    first_track = false;
-    os << '"' << name << "\":[";
-    bool first_window = true;
-    for (const auto& [w, h] : track) {
-      if (!first_window) os << ',';
-      first_window = false;
-      os << '[' << w << ',' << h.count() << ',' << h.sum() << ','
-         << h.min() << ',' << h.max() << ',' << h.percentile(0.50) << ','
-         << h.percentile(0.95) << ',' << h.percentile(0.99) << ']';
+    w.key(name).begin_array();
+    for (const auto& [index, h] : track) {
+      w.begin_array().integer(index).integer(h.count()).integer(h.sum());
+      w.integer(h.min()).integer(h.max()).integer(h.percentile(0.50));
+      w.integer(h.percentile(0.95)).integer(h.percentile(0.99));
+      w.end_array();
     }
-    os << ']';
+    w.end_array();
   }
-  os << "}}";
-  return os.str();
+  w.end_object().end_object();
+  return w.take();
 }
 
 std::string TimeSeries::summary() const {

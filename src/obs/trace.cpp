@@ -1,10 +1,11 @@
 #include "obs/trace.h"
 
 #include <algorithm>
-#include <sstream>
+#include <iterator>
 
 #include "encoder/body.h"
 #include "util/check.h"
+#include "util/json.h"
 
 namespace qosctrl::obs {
 
@@ -113,170 +114,177 @@ const char* conceal_reason_name(std::uint32_t aux) {
   return "?";
 }
 
-/// Emits one complete Chrome trace-event object.  `frame_name` events
-/// are named "s<stream>/f<frame>" so a stream's service segments line
-/// up under one label per frame.
-void emit(std::ostringstream& os, bool* first, const TraceEvent& e,
-          const char* ph, const std::string& name,
-          const std::string& args) {
-  os << (*first ? "\n" : ",\n") << "{\"name\":\"" << name << "\",\"ph\":\""
-     << ph << "\",\"ts\":" << e.time << ",\"pid\":0,\"tid\":" << e.cpu;
-  if (ph[0] == 'i') os << ",\"s\":\"t\"";
-  if (!args.empty()) os << ",\"args\":{" << args << "}";
-  os << "}";
-  *first = false;
-}
+/// How an event's name continues after its fixed text.  Frame-scoped
+/// events end in "s<stream>/f<frame>" so a stream's service segments
+/// line up under one label per frame.
+enum class Label : std::uint8_t {
+  kNone,
+  kFrame,   ///< "s<stream>/f<frame>"
+  kStream,  ///< " s<stream>"
+  kCpu,     ///< "/cpu<cpu>" (counter tracks)
+  kPhase,   ///< "<encode phase of aux>/cpu<cpu>"
+};
 
-std::string frame_label(const TraceEvent& e) {
-  std::ostringstream os;
-  os << 's' << e.stream << "/f" << e.frame;
-  return os.str();
-}
+/// Where an argument's value comes from.
+enum class From : std::uint8_t {
+  kArg,
+  kAux,
+  kOutcome,        ///< outcome_name(aux)
+  kConcealReason,  ///< conceal_reason_name(aux)
+  kConcealed,      ///< the string "concealed"
+};
 
-std::string stream_label(const char* what, const TraceEvent& e) {
-  std::ostringstream os;
-  os << what << " s" << e.stream;
-  return os.str();
-}
+struct ArgFormat {
+  const char* key = nullptr;  ///< nullptr: no argument
+  From from = From::kArg;
+};
 
-std::string one_arg(const char* key, long long v) {
-  std::ostringstream os;
-  os << '"' << key << "\":" << v;
-  return os.str();
-}
+/// One event kind's Chrome trace-event shape; kFormats holds one per
+/// EventKind, in enum order.
+struct EventFormat {
+  char ph = 0;  ///< 0: not exported
+  const char* name = "";
+  Label label = Label::kNone;
+  ArgFormat args[2];
+};
+
+constexpr EventFormat kFormats[] = {
+    // kNone
+    {},
+    // kDispatch
+    {'B', "", Label::kFrame, {{"deadline"}}},
+    // kResume
+    {'B', "", Label::kFrame, {{"remaining"}}},
+    // kPreempt
+    {'E', "", Label::kFrame, {{"remaining"}}},
+    // kComplete
+    {'E', "", Label::kFrame, {{"cycles"}, {"outcome", From::kOutcome}}},
+    // kConcealService
+    {'E', "", Label::kFrame, {{"cycles"}, {"outcome", From::kConcealed}}},
+    // kDeadlineMiss
+    {'i', "deadline_miss ", Label::kFrame, {{"lateness"}}},
+    // kEpochClose
+    {'i', "epoch_close", Label::kStream, {{"budget"}}},
+    // kEpochOpen
+    {'i', "epoch_open", Label::kStream, {{"budget"}}},
+    // kAdmit
+    {'i', "admit", Label::kStream, {{"budget"}, {"processor", From::kAux}}},
+    // kReject
+    {'i', "reject", Label::kStream, {}},
+    // kRenegotiate
+    {'i', "renegotiate", Label::kStream, {{"budget"}}},
+    // kRestore
+    {'i', "restore", Label::kStream, {{"budget"}}},
+    // kMigrate
+    {'i', "migrate", Label::kStream, {{"processor", From::kAux}}},
+    // kFailover
+    {'i', "failover", Label::kStream, {{"processor", From::kAux}, {"budget"}}},
+    // kFailoverDrop
+    {'i', "failover_drop", Label::kStream, {}},
+    // kProcFail
+    {'i', "processor_fail", Label::kNone, {{"permanent", From::kAux}}},
+    // kProcRepair
+    {'i', "processor_repair", Label::kNone, {}},
+    // kFaultInject
+    {'i', "overrun ", Label::kFrame, {{"demand"}}},
+    // kConceal
+    {'i', "conceal ", Label::kFrame, {{"reason", From::kConcealReason}}},
+    // kQuarantine
+    {'i', "quarantine", Label::kStream, {{"until"}}},
+    // kQueueDepth
+    {'C', "queue_depth", Label::kCpu, {{"frames"}}},
+    // kPhaseCycles
+    {'C', "phase_", Label::kPhase, {{"cycles"}}},
+    // kJoinBatch
+    {'i', "join_batch", Label::kNone, {{"joins"}}},
+    // kRebalance
+    {'i', "rebalance", Label::kStream, {{"processor"}, {"shard", From::kAux}}},
+    // kSloAlert
+    {'i', "slo_alert", Label::kNone, {{"window"}, {"objective", From::kAux}}},
+};
+static_assert(std::size(kFormats) ==
+                  static_cast<std::size_t>(EventKind::kSloAlert) + 1,
+              "one trace-event format per EventKind");
+
+/// A typical event's share of the export, for the up-front reserve.
+constexpr std::size_t kBytesPerEvent = 104;
 
 }  // namespace
 
 std::string export_chrome_trace(const std::vector<TraceEvent>& events,
                                 int num_processors) {
-  std::ostringstream os;
-  os << "{\"traceEvents\":[";
-  bool first = true;
+  util::JsonWriter w;
+  w.reserve(kBytesPerEvent *
+            (events.size() + static_cast<std::size_t>(num_processors) + 1));
+  w.begin_object().key("traceEvents").begin_array();
   // Timeline row names: one per virtual processor, one control plane.
   for (int t = 0; t <= num_processors; ++t) {
-    os << (first ? "\n" : ",\n")
-       << "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,\"tid\":" << t
-       << ",\"args\":{\"name\":\""
-       << (t < num_processors ? "cpu " + std::to_string(t)
-                              : std::string("control-plane"))
-       << "\"}}";
-    first = false;
+    w.newline().begin_object();
+    w.key("name").string("thread_name").key("ph").string("M");
+    w.key("pid").integer(0).key("tid").integer(t);
+    w.key("args").begin_object().key("name");
+    if (t < num_processors) {
+      w.begin_string().raw("cpu ").raw_integer(t).end_string();
+    } else {
+      w.string("control-plane");
+    }
+    w.end_object().end_object();
   }
   for (const TraceEvent& e : events) {
-    std::ostringstream args;
-    switch (static_cast<EventKind>(e.kind)) {
-      case EventKind::kDispatch:
-        emit(os, &first, e, "B", frame_label(e),
-             one_arg("deadline", e.arg));
+    if (e.kind >= std::size(kFormats) || kFormats[e.kind].ph == 0) continue;
+    const EventFormat& f = kFormats[e.kind];
+    w.newline().begin_object();
+    w.key("name").begin_string().raw(f.name);
+    switch (f.label) {
+      case Label::kNone:
         break;
-      case EventKind::kResume:
-        emit(os, &first, e, "B", frame_label(e),
-             one_arg("remaining", e.arg));
+      case Label::kFrame:
+        w.raw('s').raw_integer(e.stream).raw("/f").raw_integer(e.frame);
         break;
-      case EventKind::kPreempt:
-        emit(os, &first, e, "E", frame_label(e),
-             one_arg("remaining", e.arg));
+      case Label::kStream:
+        w.raw(" s").raw_integer(e.stream);
         break;
-      case EventKind::kComplete:
-        args << one_arg("cycles", e.arg) << ",\"outcome\":\""
-             << outcome_name(e.aux) << '"';
-        emit(os, &first, e, "E", frame_label(e), args.str());
-        break;
-      case EventKind::kConcealService:
-        args << one_arg("cycles", e.arg) << ",\"outcome\":\"concealed\"";
-        emit(os, &first, e, "E", frame_label(e), args.str());
-        break;
-      case EventKind::kDeadlineMiss:
-        emit(os, &first, e, "i", "deadline_miss " + frame_label(e),
-             one_arg("lateness", e.arg));
-        break;
-      case EventKind::kEpochClose:
-        emit(os, &first, e, "i", stream_label("epoch_close", e),
-             one_arg("budget", e.arg));
-        break;
-      case EventKind::kEpochOpen:
-        emit(os, &first, e, "i", stream_label("epoch_open", e),
-             one_arg("budget", e.arg));
-        break;
-      case EventKind::kAdmit:
-        args << one_arg("budget", e.arg) << ','
-             << one_arg("processor", e.aux);
-        emit(os, &first, e, "i", stream_label("admit", e), args.str());
-        break;
-      case EventKind::kReject:
-        emit(os, &first, e, "i", stream_label("reject", e), "");
-        break;
-      case EventKind::kRenegotiate:
-        emit(os, &first, e, "i", stream_label("renegotiate", e),
-             one_arg("budget", e.arg));
-        break;
-      case EventKind::kRestore:
-        emit(os, &first, e, "i", stream_label("restore", e),
-             one_arg("budget", e.arg));
-        break;
-      case EventKind::kMigrate:
-        emit(os, &first, e, "i", stream_label("migrate", e),
-             one_arg("processor", e.aux));
-        break;
-      case EventKind::kFailover:
-        args << one_arg("processor", e.aux) << ','
-             << one_arg("budget", e.arg);
-        emit(os, &first, e, "i", stream_label("failover", e), args.str());
-        break;
-      case EventKind::kFailoverDrop:
-        emit(os, &first, e, "i", stream_label("failover_drop", e), "");
-        break;
-      case EventKind::kProcFail:
-        emit(os, &first, e, "i", "processor_fail",
-             one_arg("permanent", e.aux));
-        break;
-      case EventKind::kProcRepair:
-        emit(os, &first, e, "i", "processor_repair", "");
-        break;
-      case EventKind::kFaultInject:
-        emit(os, &first, e, "i", "overrun " + frame_label(e),
-             one_arg("demand", e.arg));
-        break;
-      case EventKind::kConceal:
-        args << "\"reason\":\"" << conceal_reason_name(e.aux) << '"';
-        emit(os, &first, e, "i", "conceal " + frame_label(e), args.str());
-        break;
-      case EventKind::kQuarantine:
-        emit(os, &first, e, "i", stream_label("quarantine", e),
-             one_arg("until", e.arg));
-        break;
-      case EventKind::kQueueDepth:
-        emit(os, &first, e, "C",
-             "queue_depth/cpu" + std::to_string(e.cpu),
-             one_arg("frames", e.arg));
-        break;
-      case EventKind::kPhaseCycles:
-        emit(os, &first, e, "C",
-             std::string("phase_") +
-                 enc::encode_phase_name(
-                     static_cast<enc::EncodePhase>(e.aux)) +
-                 "/cpu" + std::to_string(e.cpu),
-             one_arg("cycles", e.arg));
-        break;
-      case EventKind::kJoinBatch:
-        emit(os, &first, e, "i", "join_batch", one_arg("joins", e.arg));
-        break;
-      case EventKind::kRebalance:
-        args << one_arg("processor", e.arg) << ','
-             << one_arg("shard", e.aux);
-        emit(os, &first, e, "i", stream_label("rebalance", e), args.str());
-        break;
-      case EventKind::kSloAlert:
-        args << one_arg("window", e.arg) << ','
-             << one_arg("objective", e.aux);
-        emit(os, &first, e, "i", "slo_alert", args.str());
-        break;
-      case EventKind::kNone:
+      case Label::kPhase:
+        w.raw(enc::encode_phase_name(static_cast<enc::EncodePhase>(e.aux)));
+        [[fallthrough]];
+      case Label::kCpu:
+        w.raw("/cpu").raw_integer(e.cpu);
         break;
     }
+    w.end_string();
+    w.key("ph").begin_string().raw(f.ph).end_string();
+    w.key("ts").integer(e.time);
+    w.key("pid").integer(0).key("tid").integer(e.cpu);
+    if (f.ph == 'i') w.key("s").string("t");
+    if (f.args[0].key != nullptr) {
+      w.key("args").begin_object();
+      for (const ArgFormat& a : f.args) {
+        if (a.key == nullptr) break;
+        w.key(a.key);
+        switch (a.from) {
+          case From::kArg:
+            w.integer(e.arg);
+            break;
+          case From::kAux:
+            w.integer(e.aux);
+            break;
+          case From::kOutcome:
+            w.string(outcome_name(e.aux));
+            break;
+          case From::kConcealReason:
+            w.string(conceal_reason_name(e.aux));
+            break;
+          case From::kConcealed:
+            w.string("concealed");
+            break;
+        }
+      }
+      w.end_object();
+    }
+    w.end_object();
   }
-  os << "\n]}\n";
-  return os.str();
+  w.raw('\n').end_array().end_object().raw('\n');
+  return w.take();
 }
 
 }  // namespace qosctrl::obs

@@ -1,11 +1,147 @@
 #include "util/json.h"
 
+#include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <cstdlib>
 
 #include "util/check.h"
 
 namespace qosctrl::util {
+
+namespace {
+
+/// RFC 8259: the quote, the backslash and the control characters.
+bool needs_escape(char ch) {
+  const auto c = static_cast<unsigned char>(ch);
+  return c < 0x20 || c == '"' || c == '\\';
+}
+
+}  // namespace
+
+void JsonWriter::grow(std::size_t n) {
+  buf_.resize(std::max(2 * buf_.size(), len_ + n));
+}
+
+JsonWriter& JsonWriter::begin_object() {
+  separate();
+  return raw('{');
+}
+
+JsonWriter& JsonWriter::end_object() {
+  raw('}');
+  return item_done();
+}
+
+JsonWriter& JsonWriter::begin_array() {
+  separate();
+  return raw('[');
+}
+
+JsonWriter& JsonWriter::end_array() {
+  raw(']');
+  return item_done();
+}
+
+JsonWriter& JsonWriter::key(std::string_view name) {
+  QC_DCHECK(std::none_of(name.begin(), name.end(), needs_escape),
+            "JSON keys are written verbatim and must need no escape");
+  separate();
+  return raw('"').raw(name).raw("\":");
+}
+
+JsonWriter& JsonWriter::string(std::string_view s) {
+  static constexpr char kHex[] = "0123456789abcdef";
+  separate();
+  raw('"');
+  for (auto run = s.begin(); run != s.end();) {
+    const auto at = std::find_if(run, s.end(), needs_escape);
+    raw(std::string_view(run, at));
+    if (at == s.end()) break;
+    const auto c = static_cast<unsigned char>(*at);
+    if (c < 0x20) {
+      raw("\\u00").raw(kHex[c >> 4]).raw(kHex[c & 0xF]);
+    } else {
+      raw('\\').raw(*at);
+    }
+    run = at + 1;
+  }
+  raw('"');
+  return item_done();
+}
+
+JsonWriter& JsonWriter::integer(long long v) {
+  separate();
+  raw_integer(v);
+  return item_done();
+}
+
+JsonWriter& JsonWriter::number(double v) {
+  separate();
+  raw_number(v);
+  return item_done();
+}
+
+JsonWriter& JsonWriter::integral_or_number(double v) {
+  separate();
+  raw_integral_or_number(v);
+  return item_done();
+}
+
+JsonWriter& JsonWriter::boolean(bool b) {
+  separate();
+  raw(b ? "true" : "false");
+  return item_done();
+}
+
+JsonWriter& JsonWriter::json(std::string_view text) {
+  separate();
+  raw(text);
+  return item_done();
+}
+
+JsonWriter& JsonWriter::begin_string() {
+  separate();
+  return raw('"');
+}
+
+JsonWriter& JsonWriter::end_string() {
+  raw('"');
+  return item_done();
+}
+
+JsonWriter& JsonWriter::newline() {
+  separate();
+  return raw('\n');
+}
+
+JsonWriter& JsonWriter::raw_integer(long long v) {
+  constexpr std::size_t kMaxChars = 20;  // "-9223372036854775808"
+  char* at = room(kMaxChars);
+  len_ = static_cast<std::size_t>(std::to_chars(at, at + kMaxChars, v).ptr -
+                                  buf_.data());
+  return *this;
+}
+
+JsonWriter& JsonWriter::raw_number(double v) {
+  constexpr std::size_t kMaxChars = 24;  // "-2.2250738585072014e-308"
+  char* at = room(kMaxChars);
+  len_ = static_cast<std::size_t>(
+      std::to_chars(at, at + kMaxChars, v, std::chars_format::general, 17)
+          .ptr -
+      buf_.data());
+  return *this;
+}
+
+JsonWriter& JsonWriter::raw_integral_or_number(double v) {
+  // The range test comes first: casting a double outside the int64
+  // range (or NaN) to long long is undefined behaviour.
+  if (v >= -0x1p63 && v < 0x1p63) {
+    const auto i = static_cast<long long>(v);
+    if (static_cast<double>(i) == v) return raw_integer(i);
+  }
+  return raw_number(v);
+}
 
 bool JsonValue::as_bool() const {
   QC_EXPECT(kind_ == JsonKind::kBool, "JSON value is not a bool");

@@ -1,4 +1,6 @@
-// Minimal JSON document model and recursive-descent parser.
+// The reports' JSON format in one module: an append-only writer that
+// every report emitter builds its text with, and a minimal document
+// model with a recursive-descent parser.
 //
 // qosreport (tools/qosreport_main.cpp) reads the farm's own JSON
 // export back in to render the HTML dashboard, so the parser only has
@@ -10,11 +12,97 @@
 #pragma once
 
 #include <cstddef>
+#include <cstring>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
 namespace qosctrl::util {
+
+/// Append-only text builder for the JSON reports (and, through its raw
+/// appends, the CSV report).  Integers and doubles are written with
+/// std::to_chars; a double prints as printf's "%.17g" would, which
+/// round-trips.  String values are escaped per RFC 8259: the quote,
+/// the backslash and every control character (as \u00XX).  The structural
+/// calls insert the separating commas themselves, so an object's
+/// members or an array's items are written one after another.
+class JsonWriter {
+ public:
+  /// Sizes the buffer for `bytes` of text up front.
+  void reserve(std::size_t bytes) {
+    if (bytes > buf_.size()) buf_.resize(bytes);
+  }
+  /// Moves the text out; the writer is empty afterwards.
+  std::string take() {
+    buf_.resize(len_);
+    len_ = 0;
+    need_comma_ = false;
+    return std::move(buf_);
+  }
+
+  JsonWriter& begin_object();
+  JsonWriter& end_object();
+  JsonWriter& begin_array();
+  JsonWriter& end_array();
+  /// An object member's key, `"name":`; the value follows.  Keys are
+  /// names the program defines (literals, metric, track and phase
+  /// names), written verbatim; debug builds check that none needs an
+  /// escape.
+  JsonWriter& key(std::string_view name);
+  JsonWriter& string(std::string_view s);
+  JsonWriter& integer(long long v);
+  JsonWriter& number(double v);
+  /// An integral value within the int64 range as an integer ("3", not
+  /// "3.0"), anything else as number().
+  JsonWriter& integral_or_number(double v);
+  JsonWriter& boolean(bool b);
+  /// Already-serialized JSON written as one item: a value, or inside an
+  /// object a run of members.
+  JsonWriter& json(std::string_view text);
+  /// A string value assembled from raw appends between the two calls;
+  /// the caller guarantees that none of the pieces needs escaping.
+  JsonWriter& begin_string();
+  JsonWriter& end_string();
+  /// Starts the next item on a new line (after its comma, if any).
+  JsonWriter& newline();
+
+  /// Raw appends: no separators, quoting or escaping.
+  JsonWriter& raw(std::string_view text) {
+    std::memcpy(room(text.size()), text.data(), text.size());
+    len_ += text.size();
+    return *this;
+  }
+  JsonWriter& raw(char c) {
+    *room(1) = c;
+    ++len_;
+    return *this;
+  }
+  JsonWriter& raw_integer(long long v);
+  JsonWriter& raw_number(double v);
+  JsonWriter& raw_integral_or_number(double v);
+
+ private:
+  /// Where the next `n` bytes go; the buffer grows geometrically.
+  char* room(std::size_t n) {
+    if (buf_.size() - len_ < n) grow(n);
+    return buf_.data() + len_;
+  }
+  void grow(std::size_t n);
+  /// Writes the comma owed to the previous item, if any.
+  void separate() {
+    if (need_comma_) raw(',');
+    need_comma_ = false;
+  }
+  JsonWriter& item_done() {
+    need_comma_ = true;
+    return *this;
+  }
+
+  std::string buf_;      ///< text in [0, len_); the rest is headroom
+  std::size_t len_ = 0;
+  bool need_comma_ = false;
+};
 
 enum class JsonKind { kNull, kBool, kNumber, kString, kArray, kObject };
 

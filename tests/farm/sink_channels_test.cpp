@@ -32,6 +32,7 @@
 #include "obs/slo.h"
 #include "obs/trace.h"
 #include "platform/cost_model.h"
+#include "util/json.h"
 
 namespace qosctrl::farm {
 namespace {
@@ -251,6 +252,39 @@ TEST(SinkBytes, ReportDigestsArePinnedAtOneAndFourWorkers) {
   for (const obs::SloOutcome& o : r.slo.objectives) alerts += o.alerts.size();
   EXPECT_GT(alerts, 0u);
   EXPECT_NE(to_json(r).find("\"timeseries\""), std::string::npos);
+}
+
+// The pinned runs' JSON report and Chrome trace are documents
+// util::parse_json accepts (qosreport reads the former back), and they
+// carry what the run recorded.
+TEST(SinkBytes, ReportsParseBack) {
+  for (const Pinned& p : kPinned) {
+    const FarmResult r = run(p, 1);
+    util::JsonValue doc;
+    std::string error;
+    ASSERT_TRUE(util::parse_json(to_json(r), &doc, &error))
+        << p.name << ": " << error;
+    const util::JsonValue* streams =
+        doc.find("streams", util::JsonKind::kArray);
+    ASSERT_NE(streams, nullptr) << p.name;
+    EXPECT_EQ(streams->items().size(), r.streams.size()) << p.name;
+    EXPECT_EQ(doc.find("trace_events")->as_int(),
+              static_cast<long long>(r.trace.size()))
+        << p.name;
+    EXPECT_EQ(doc.find("slo") != nullptr, !r.slo.objectives.empty())
+        << p.name;
+
+    const int procs = static_cast<int>(r.processors.size());
+    ASSERT_TRUE(util::parse_json(obs::export_chrome_trace(r.trace, procs),
+                                 &doc, &error))
+        << p.name << ": " << error;
+    const util::JsonValue* events =
+        doc.find("traceEvents", util::JsonKind::kArray);
+    ASSERT_NE(events, nullptr) << p.name;
+    // One thread-name row per processor and the control plane, then
+    // one entry per recorded event.
+    EXPECT_EQ(events->items().size(), r.trace.size() + procs + 1) << p.name;
+  }
 }
 
 // The pin covers every recording path: each event kind the simulator

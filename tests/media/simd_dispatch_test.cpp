@@ -95,11 +95,13 @@ TEST(SimdDispatch, TablesCarryTheirOwnBackendTag) {
 
 TEST(SimdDispatch, TestingOverrideSwitchesAndRestores) {
   const Backend original = active_backend();
-  const Backend prev = set_backend_for_testing(Backend::kScalar);
-  EXPECT_EQ(prev, original);
-  EXPECT_EQ(active_backend(), Backend::kScalar);
-  EXPECT_EQ(active_kernels().backend, Backend::kScalar);
-  set_backend_for_testing(original);
+  {
+    const ScopedBackendRestore restore;
+    const Backend prev = set_backend_for_testing(Backend::kScalar);
+    EXPECT_EQ(prev, original);
+    EXPECT_EQ(active_backend(), Backend::kScalar);
+    EXPECT_EQ(active_kernels().backend, Backend::kScalar);
+  }
   EXPECT_EQ(active_backend(), original);
 }
 

@@ -409,7 +409,7 @@ TEST(SimdKernelEquivalence, MotionSearchIdenticalUnderEveryBackend) {
   }
   const PaddedFrame padded(ref);
 
-  const Backend original = active_backend();
+  const ScopedBackendRestore restore;
   std::vector<MotionResult> scalar_results;
   for (const bool collect : {true, false}) {
     // First pass: scalar baseline.  Second pass: each SIMD backend.
@@ -457,7 +457,6 @@ TEST(SimdKernelEquivalence, MotionSearchIdenticalUnderEveryBackend) {
       }
     }
   }
-  set_backend_for_testing(original);
 }
 
 }  // namespace

@@ -78,6 +78,31 @@ TEST(SloParseTest, RejectsMalformedSpecs) {
   EXPECT_NE(parse_error("recovery_latency<5w@50ms"), "");  // no span
 }
 
+// The reports copy the spec verbatim and print its threshold and
+// budget as JSON numbers, so only finite values and specs without
+// whitespace or control characters may pass.
+TEST(SloParseTest, RejectsNonFiniteValuesAndWhitespace) {
+  EXPECT_NE(parse_error("latency_p99<inf"), "");
+  EXPECT_NE(parse_error("latency_p99<infinity"), "");
+  EXPECT_NE(parse_error("latency_p99<nan"), "");
+  EXPECT_NE(parse_error("latency_p99<1e999"), "");  // overflows to inf
+  EXPECT_NE(parse_error("latency_p99<infw"), "");
+  EXPECT_NE(parse_error("miss_rate<=0.1%nan"), "");
+  EXPECT_NE(parse_error("miss_rate<=0.1%inf"), "");
+  EXPECT_NE(parse_error("latency_p99<\n1.5w"), "");  // strtod skips it
+  EXPECT_NE(parse_error("latency_p99< 1.5w"), "");
+  EXPECT_NE(parse_error("latency_p99<1.5w\t"), "");
+  EXPECT_NE(parse_error("miss_rate<=0.1% 0.5"), "");
+  EXPECT_NE(parse_error("latency_p99<5@\x01" "50ms"), "");
+  EXPECT_NE(parse_error("latency_p99<5\x7f"), "");
+  // A huge but finite threshold is fine, and prints in exponent form
+  // rather than through an out-of-range integer cast.
+  const SloSpec huge = parse_ok("latency_p99<1e30");
+  const SloReport report = evaluate_slos({huge}, SloInputs{});
+  EXPECT_NE(slo_to_json(report).find("\"threshold\":1e+30,"),
+            std::string::npos);
+}
+
 /// A series whose fleet latency track holds ten samples of `good`
 /// cycles per window over [0, n), except ten of `bad` in the listed
 /// windows — enough samples that a fully-bad window dominates a merged

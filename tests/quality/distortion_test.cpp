@@ -60,7 +60,7 @@ constexpr Golden kGoldens[] = {
 TEST(Distortion, GoldenValuesPinnedAcrossEveryBackend) {
   const media::SyntheticVideo video = golden_video();
   const media::Frame reference = video.frame(0);
-  const Backend original = media::simd::active_backend();
+  const media::simd::ScopedBackendRestore restore;
   for (const Backend b : supported_backends()) {
     media::simd::set_backend_for_testing(b);
     for (const Golden& g : kGoldens) {
@@ -73,7 +73,6 @@ TEST(Distortion, GoldenValuesPinnedAcrossEveryBackend) {
           << media::simd::backend_name(b) << " frame " << g.frame;
     }
   }
-  media::simd::set_backend_for_testing(original);
 }
 
 TEST(Distortion, BackendsAgreeBitForBitOnRandomFrames) {
@@ -86,7 +85,7 @@ TEST(Distortion, BackendsAgreeBitForBitOnRandomFrames) {
         b.set(x, y, static_cast<media::Sample>(rng.uniform_i64(0, 255)));
       }
     }
-    const Backend original = media::simd::active_backend();
+    const media::simd::ScopedBackendRestore restore;
     media::simd::set_backend_for_testing(Backend::kScalar);
     const std::int64_t want_sse = quality::frame_sse(a, b);
     const double want_psnr = quality::psnr(a, b);
@@ -98,7 +97,6 @@ TEST(Distortion, BackendsAgreeBitForBitOnRandomFrames) {
       EXPECT_EQ(quality::psnr(a, b), want_psnr) << media::simd::backend_name(bk);
       EXPECT_EQ(ssim(a, b), want_ssim) << media::simd::backend_name(bk);
     }
-    media::simd::set_backend_for_testing(original);
   }
 }
 

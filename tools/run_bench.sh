@@ -25,7 +25,10 @@
 # and the sharded join storm (BM_ShardedJoinRate at 1 / 64 shards on a
 # 1024-processor fleet, items_per_second = admission verdicts per
 # wall-second on the pinned 10k-stream flash-crowd; the 64-shard row
-# must stay >= 10x the single-controller row) — is tracked across PRs.
+# must stay >= 10x the single-controller row), and the report writers
+# on a small faulted farm (BM_ExportChromeTrace: the Chrome trace
+# export, items_per_second = events per second; BM_FarmReportJson: the
+# JSON plus the CSV report) — is tracked across PRs.
 #
 # Usage: tools/run_bench.sh [build-dir] [output.json]
 set -e
@@ -39,7 +42,7 @@ cmake -B "$BUILD_DIR" -S "$ROOT" -DQOSCTRL_BUILD_BENCHES=ON \
 cmake --build "$BUILD_DIR" --target bench_micro -j "$(nproc)" >/dev/null
 
 "$BUILD_DIR/bench_micro" \
-    --benchmark_filter='BM_(SadMacroblock|HalfpelInterp|ForwardDct8|InverseDct8|MotionSearch|TableControllerDecision|PsnrFrame|SsimFrame|SyntheticFrame(Yuv(Carried)?)?|QuantizeBlock|Entropy(Encode|Decode)Block|(Encode|Decode)Frame|AdmissionThroughput(Exact)?|ShardedJoinRate|FarmThroughput(Preemptive|Quantum|Faults|Traced|Timeseries)?)' \
+    --benchmark_filter='BM_(SadMacroblock|HalfpelInterp|ForwardDct8|InverseDct8|MotionSearch|TableControllerDecision|PsnrFrame|SsimFrame|SyntheticFrame(Yuv(Carried)?)?|QuantizeBlock|Entropy(Encode|Decode)Block|(Encode|Decode)Frame|AdmissionThroughput(Exact)?|ShardedJoinRate|FarmThroughput(Preemptive|Quantum|Faults|Traced|Timeseries)?|ExportChromeTrace|FarmReportJson)' \
     --benchmark_repetitions=3 \
     --benchmark_report_aggregates_only=true \
     --benchmark_out_format=json \
