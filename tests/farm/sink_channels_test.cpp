@@ -268,8 +268,10 @@ TEST(SinkBytes, ReportsParseBack) {
         doc.find("streams", util::JsonKind::kArray);
     ASSERT_NE(streams, nullptr) << p.name;
     EXPECT_EQ(streams->items().size(), r.streams.size()) << p.name;
-    EXPECT_EQ(doc.find("trace_events")->as_int(),
-              static_cast<long long>(r.trace.size()))
+    const util::JsonValue* trace_events =
+        doc.find("trace_events", util::JsonKind::kNumber);
+    ASSERT_NE(trace_events, nullptr) << p.name;
+    EXPECT_EQ(trace_events->as_int(), static_cast<long long>(r.trace.size()))
         << p.name;
     EXPECT_EQ(doc.find("slo") != nullptr, !r.slo.objectives.empty())
         << p.name;
