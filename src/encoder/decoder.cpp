@@ -1,6 +1,7 @@
 #include "encoder/decoder.h"
 
 #include <cstddef>
+#include <cstdint>
 
 #include "media/entropy.h"
 #include "media/intra.h"
@@ -16,6 +17,7 @@ namespace {
 
 constexpr int kMb = media::kMacroBlockSize;
 constexpr int kTb = media::kTransformSize;
+constexpr std::int64_t kMinMacroblockBits = 1 + 2 + 6;
 
 }  // namespace
 
@@ -28,6 +30,14 @@ DecodeResult decode_frame(const std::vector<std::uint8_t>& bitstream,
   const auto qp = static_cast<int>(media::get_ue(br));
   if (br.overrun() || mb_cols <= 0 || mb_rows <= 0 || mb_cols > 1024 ||
       mb_rows > 1024 || qp < media::kMinQp || qp > media::kMaxQp) {
+    return result;
+  }
+  // Every macroblock costs at least 9 bits (the intra flag, a 2-bit
+  // mode or two 1-bit se(0), six end-of-block bits), so a header whose
+  // geometry the rest of the stream cannot fill is rejected before
+  // the frame is allocated.
+  if (static_cast<std::int64_t>(mb_cols) * mb_rows * kMinMacroblockBits >
+      br.bits_left()) {
     return result;
   }
   if (reference != nullptr &&

@@ -183,8 +183,8 @@ double FrameEncoder::run_action(const UnrolledAction& ua,
                     static_cast<std::int64_t>(256.0 *
                                               config_.me_early_exit_qp_gain *
                                               qp);
-      ctx.motion = media::estimate_motion(input.y, padded_reference_, ctx.x0,
-                                          ctx.y0, cfg);
+      ctx.motion = media::estimate_motion(ctx.source.data(), padded_reference_,
+                                          ctx.x0, ctx.y0, cfg);
       ctx.motion_valid = true;
       const double typical =
           std::max(1.0, config_.typical_point_fraction *

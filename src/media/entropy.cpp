@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <cstring>
 
 #include "media/quant.h"
 #include "util/check.h"
@@ -67,11 +68,156 @@ std::uint64_t se_code_number(std::int32_t v) {
 
 /// Inverse of the signed mapping: code number u -> 0, 1, -1, 2, -2, ...
 /// (u = 2^32 − 1 wraps to INT32_MIN).
-std::int32_t se_of(std::uint32_t u) {
+constexpr std::int32_t se_of(std::uint32_t u) {
   if (u == 0) return 0;
   const std::int64_t mag = (static_cast<std::int64_t>(u) + 1) / 2;
   return (u % 2 == 1) ? static_cast<std::int32_t>(mag)
                       : static_cast<std::int32_t>(-mag);
+}
+
+// ---------------------------------------------------------------------------
+// Encoder: codes as (value, length) pairs, the length in the top byte.
+
+constexpr int kLengthShift = 24;
+constexpr std::uint32_t kCodeMask = (std::uint32_t{1} << kLengthShift) - 1;
+
+/// The value of v's se() code, se_code_number(v) + 1, in 32-bit lanes
+/// so that a loop over a block vectorizes.  Exact for |v| < 2^30.
+std::uint32_t se_code_value(std::int32_t v) {
+  const auto u = static_cast<std::uint32_t>(v);
+  const std::uint32_t mag = v < 0 ? 0u - u : u;
+  return 2 * mag - static_cast<std::uint32_t>(v > 0) + 1;
+}
+
+/// std::bit_width(x) for 0 < x < 2^24, read off the exponent of x as
+/// a float (exact in that range), which vectorizes where a leading-zero
+/// count does not.
+std::uint32_t bit_width_below_2_24(std::uint32_t x) {
+  const float f = static_cast<float>(static_cast<std::int32_t>(x));
+  return (std::bit_cast<std::uint32_t>(f) >> 23) - 126;
+}
+
+/// kRunCodes[r]: the "coefficient follows" flag and ue(r), one code of
+/// 2·bit_width(r + 1) bits, as value | length << kLengthShift.
+constexpr std::array<std::uint32_t, 64> make_run_codes() {
+  std::array<std::uint32_t, 64> t{};
+  for (std::uint32_t r = 0; r < 64; ++r) {
+    const auto ue_bits =
+        2 * static_cast<std::uint32_t>(std::bit_width(r + 1)) - 1;
+    t[r] = ((std::uint32_t{1} << ue_bits) | (r + 1)) |
+           (ue_bits + 1) << kLengthShift;
+  }
+  return t;
+}
+
+constexpr std::array<std::uint32_t, 64> kRunCodes = make_run_codes();
+
+/// Bit i set: zigzag position i holds a nonzero level, from one 0/1
+/// flag per raster position.  A multiply gathers the flags of four
+/// positions into a nibble (each flag lands on its own bit of the top
+/// byte, so nothing carries).
+std::uint64_t zigzag_nonzero_mask(const std::array<std::uint8_t, 64>& flags) {
+  std::uint64_t nonzero = 0;
+  for (std::size_t g = 0; g < 16; ++g) {
+    std::uint32_t four;
+    std::memcpy(&four, &flags[4 * g], 4);
+    if constexpr (std::endian::native == std::endian::big) {
+      four = __builtin_bswap32(four);
+    }
+    nonzero |= kNibbleScanBits[g][(four * 0x01020408u) >> 24];
+  }
+  return nonzero;
+}
+
+/// encode_block for a block holding a level beyond kMaxLevel, whose
+/// codes can outgrow the packer: one put_bits-based code at a time.
+std::int64_t encode_block_wide(util::BitWriter& bw, const Coeffs8& levels,
+                               std::uint64_t nonzero) {
+  const std::int64_t before = bw.bit_count();
+  int next = 0;
+  for (; nonzero != 0; nonzero &= nonzero - 1) {
+    const int i = std::countr_zero(nonzero);
+    bw.put_bit(true);
+    put_ue(bw, static_cast<std::uint32_t>(i - next));
+    put_se(bw, levels[static_cast<std::size_t>(
+                   kZigzag[static_cast<std::size_t>(i)])]);
+    next = i + 1;
+  }
+  bw.put_bit(false);  // end of block
+  return bw.bit_count() - before;
+}
+
+// ---------------------------------------------------------------------------
+// Decoder: one table lookup per code.
+
+// The table path needs no end-of-buffer check per code: it takes a
+// 64-bit window (BitReader::peek reads nine source bytes) only while
+// at least kDecodeFastModeBits bits remain, so all nine must fit.
+static_assert(kDecodeFastModeBits > 64);
+
+using RunLevelTable =
+    std::array<std::uint16_t, std::size_t{1} << kDecodeTableBits>;
+
+/// kRunLevelTable[i]: the code that the kDecodeTableBits bits of i
+/// start with (flag 1, ue(run), se(level)) when all of it lies within
+/// them, as length | run << 4 | level << 10 with the level in 6-bit
+/// two's complement; 0 (length 0) for end of block and longer codes.
+constexpr RunLevelTable make_run_level_table() {
+  static_assert(kDecodeTableBits <= 13, "run < 64 and |level| < 32 must fit");
+  RunLevelTable t{};
+  for (std::uint32_t i = 0; i < t.size(); ++i) {
+    const std::uint32_t bits = i << (32 - kDecodeTableBits);  // MSB-aligned
+    if ((bits >> 31) == 0) continue;  // end of block
+    const int run_bits = 2 * std::countl_zero(bits << 1) + 1;
+    if (1 + run_bits >= kDecodeTableBits) continue;
+    const int level_bits = 2 * std::countl_zero(bits << (1 + run_bits)) + 1;
+    const int len = 1 + run_bits + level_bits;
+    if (len > kDecodeTableBits) continue;
+    const std::uint32_t run = ((bits << 1) >> (32 - run_bits)) - 1;
+    const std::int32_t level =
+        se_of(((bits << (1 + run_bits)) >> (32 - level_bits)) - 1);
+    t[i] = static_cast<std::uint16_t>(
+        static_cast<std::uint32_t>(len) | run << 4 |
+        (static_cast<std::uint32_t>(level) & 63) << 10);
+  }
+  return t;
+}
+
+constexpr RunLevelTable kRunLevelTable = make_run_level_table();
+
+/// Decodes the block's next codes through kRunLevelTable, continuing
+/// at zigzag position `pos`, while at least kDecodeFastModeBits bits
+/// remain.  Stops (true) at the first code the table does not hold,
+/// leaving it to the exact path; returns false after consuming a code
+/// whose run ends past the block, as the exact path would.
+bool decode_table_codes(util::BitReader& br, Coeffs8& out, int& pos) {
+  int p = pos;
+  while (br.bits_left() >= kDecodeFastModeBits) {
+    std::uint64_t w = br.peek();  // 64 bits, all before the end
+    int used = 0;
+    do {
+      const unsigned e = kRunLevelTable[w >> (64 - kDecodeTableBits)];
+      const int len = static_cast<int>(e & 15);
+      if (len == 0) {
+        br.skip(used);
+        pos = p;
+        return true;
+      }
+      used += len;
+      w <<= len;
+      p += static_cast<int>((e >> 4) & 63);
+      if (p >= 64) {
+        br.skip(used);
+        return false;
+      }
+      out[static_cast<std::size_t>(kZigzag[static_cast<std::size_t>(p)])] =
+          static_cast<std::int16_t>(e) >> 10;
+      ++p;
+    } while (used <= 64 - kDecodeTableBits);
+    br.skip(used);
+  }
+  pos = p;
+  return true;
 }
 
 }  // namespace
@@ -124,40 +270,44 @@ void put_se(util::BitWriter& bw, std::int32_t v) {
 std::int32_t get_se(util::BitReader& br) { return se_of(get_ue(br)); }
 
 std::int64_t encode_block(util::BitWriter& bw, const Coeffs8& levels) {
+  // One data-parallel pass over the block in raster order: each
+  // position's se(level) code and its length, its nonzero flag, and
+  // whether any level lies beyond kMaxLevel (too long for the packer).
+  std::array<std::uint32_t, 64> level_codes;
+  std::array<std::uint8_t, 64> is_nonzero;
+  std::uint32_t wide = 0;
+  for (std::size_t j = 0; j < 64; ++j) {
+    const std::int32_t v = levels[j];
+    const std::uint32_t code = se_code_value(v);
+    level_codes[j] = code | static_cast<std::uint32_t>(
+                                2 * bit_width_below_2_24(code) - 1)
+                                << kLengthShift;
+    is_nonzero[j] = static_cast<std::uint8_t>(v != 0);
+    wide |= static_cast<std::uint32_t>(v < -kMaxLevel || v > kMaxLevel);
+  }
+  const std::uint64_t nonzero = zigzag_nonzero_mask(is_nonzero);
+  if (wide != 0) return encode_block_wide(bw, levels, nonzero);
+
+  // Walk the levels in zigzag order and pack each one's run code (with
+  // the flag) and level code as one code of at most 1 + 13 + 23 bits.
   const std::int64_t before = bw.bit_count();
-  std::uint64_t nonzero = 0;  // bit i: zigzag position i holds a level
-  for (std::size_t g = 0; g < 16; ++g) {
-    const std::int32_t* l = &levels[4 * g];
-    const unsigned nib = static_cast<unsigned>(l[0] != 0) |
-                         static_cast<unsigned>(l[1] != 0) << 1 |
-                         static_cast<unsigned>(l[2] != 0) << 2 |
-                         static_cast<unsigned>(l[3] != 0) << 3;
-    nonzero |= kNibbleScanBits[g][nib];
-  }
-  int next = 0;  // first zigzag position after the previous level
-  for (; nonzero != 0; nonzero &= nonzero - 1) {
-    const int i = std::countr_zero(nonzero);
-    const std::int32_t v =
-        levels[static_cast<std::size_t>(kZigzag[static_cast<std::size_t>(i)])];
-    // "Coefficient follows" flag, ue(run), se(level): one put_bits
-    // when the three codes fit a word (always, for levels the
-    // quantizer can produce).
-    const auto run_code = static_cast<std::uint64_t>(i - next) + 1;
-    const int run_bits = 2 * std::bit_width(run_code) - 1;
-    const std::uint64_t level_code = se_code_number(v) + 1;
-    const int level_bits = 2 * std::bit_width(level_code) - 1;
-    if (1 + run_bits + level_bits <= 64) {
-      bw.put_bits((std::uint64_t{1} << (run_bits + level_bits)) |
-                      (run_code << level_bits) | level_code,
-                  1 + run_bits + level_bits);
-    } else {
-      bw.put_bit(true);
-      put_ue(bw, static_cast<std::uint32_t>(i - next));
-      put_se(bw, v);
+  {
+    util::BitWriter::Packer::Buffer buffer;
+    util::BitWriter::Packer packer(bw, buffer);
+    std::size_t next = 0;  // first zigzag position after the last level
+    for (std::uint64_t m = nonzero; m != 0; m &= m - 1) {
+      const auto i = static_cast<std::size_t>(std::countr_zero(m));
+      const std::uint32_t run = kRunCodes[i - next];
+      const std::uint32_t level =
+          level_codes[static_cast<std::size_t>(kZigzag[i])];
+      const std::uint32_t level_bits = level >> kLengthShift;
+      packer.put(static_cast<std::uint64_t>(run & kCodeMask) << level_bits |
+                     (level & kCodeMask),
+                 static_cast<int>((run >> kLengthShift) + level_bits));
+      next = i + 1;
     }
-    next = i + 1;
+    packer.put(0, 1);  // end of block
   }
-  bw.put_bit(false);  // end of block
   return bw.bit_count() - before;
 }
 
@@ -165,13 +315,16 @@ std::optional<Coeffs8> decode_block(util::BitReader& br) {
   Coeffs8 out{};
   int pos = 0;
   for (;;) {
+    if (!decode_table_codes(br, out, pos)) return std::nullopt;
+    // The exact path, one code: end of block, a code longer than the
+    // table's, or one of the stream's last kDecodeFastModeBits bits.
     int run = 0;
     std::int32_t level = 0;
-    // Fast path: the flag, ue(run) and se(level) all sit in one window
-    // and before the end of the buffer, so they parse without refills
-    // and exactly as the calls below would.  Every run < 64 has at most
-    // 6 leading zeros; with at most 24 for the level the three codes
-    // span at most 63 bits.
+    // One-window parse: the flag, ue(run) and se(level) all sit in one
+    // window and before the end of the buffer, so they parse without
+    // refills and exactly as the calls below would.  Every run < 64 has
+    // at most 6 leading zeros; with at most 24 for the level the three
+    // codes span at most 63 bits.
     const std::uint64_t w = br.peek();
     const int run_zeros = std::countl_zero(w << 1);
     const int level_zeros =

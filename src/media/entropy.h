@@ -35,6 +35,15 @@ std::int64_t encode_block(util::BitWriter& bw, const Coeffs8& levels);
 /// std::nullopt on a corrupt stream (zero-run past the end of the
 /// block, a level beyond kMaxLevel, or reader overrun) — hostile input
 /// must fail, not abort.
+///
+/// While at least kDecodeFastModeBits bits remain, every code of at
+/// most kDecodeTableBits bits (flag, ue(run), se(level)) is parsed with
+/// one table lookup; end of block, longer codes and the buffer's last
+/// kDecodeFastModeBits bits take the exact path.  Both consume the
+/// same bits and give the same result.
 std::optional<Coeffs8> decode_block(util::BitReader& br);
+
+inline constexpr int kDecodeTableBits = 13;
+inline constexpr std::int64_t kDecodeFastModeBits = 128;
 
 }  // namespace qosctrl::media

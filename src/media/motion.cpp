@@ -99,8 +99,8 @@ struct ClampedRefView {
 
 /// Half-pel refinement around the full-pel winner.
 template <typename RefView>
-void refine_half_pel(const std::array<Sample, 256>& src, const RefView& view,
-                     int x0, int y0, MotionResult& result) {
+void refine_half_pel(const Sample* src, const RefView& view, int x0, int y0,
+                     MotionResult& result) {
   for (int fy = -1; fy <= 1; ++fy) {
     for (int fx = -1; fx <= 1; ++fx) {
       if (fx == 0 && fy == 0) continue;
@@ -110,7 +110,7 @@ void refine_half_pel(const std::array<Sample, 256>& src, const RefView& view,
       // Bounded by the best SAD so far: a pruned (partial) sum is >= it
       // and loses the strict comparison below.
       const std::int64_t s =
-          sad_16x16(src.data(), pred.data(), kMacroBlockSize, result.sad);
+          sad_16x16(src, pred.data(), kMacroBlockSize, result.sad);
       ++result.points_examined;
       if (s < result.sad) {
         result.sad = s;
@@ -121,26 +121,19 @@ void refine_half_pel(const std::array<Sample, 256>& src, const RefView& view,
   }
 }
 
+/// The search over the contiguous 16x16 source block `cur` (row stride
+/// 16) of the macroblock at (x0, y0): every SAD runs over two dense
+/// spans with no per-pixel checks.
 template <typename RefView>
-MotionResult estimate_motion_impl(const Frame& current, const RefView& view,
+MotionResult estimate_motion_impl(const Sample* cur, const RefView& view,
                                   int x0, int y0,
                                   const MotionConfig& config) {
   QC_EXPECT(config.radius >= 0, "search radius must be >= 0");
-  QC_EXPECT(x0 >= 0 && y0 >= 0 && x0 + kMacroBlockSize <= current.width() &&
-                y0 + kMacroBlockSize <= current.height(),
-            "macroblock origin out of bounds");
   MotionResult result;
   const int r = config.radius;
   result.points_total = (2 * r + 1) * (2 * r + 1);
 
-  // The current macroblock is fully interior (frames tile exactly into
-  // macroblocks), so cache it once as a contiguous block: every SAD
-  // below then runs over two dense spans with no per-pixel checks.
-  std::array<Sample, 256> cur;
-  copy_block(current.row(y0) + x0, current.stride(),
-             kMacroBlockSize, cur.data());
-
-  std::int64_t best = view.sad(cur.data(), x0, y0, INT64_C(1) << 60);
+  std::int64_t best = view.sad(cur, x0, y0, INT64_C(1) << 60);
   result.sad = best;
   result.points_examined = 1;
   const auto finish = [&]() -> MotionResult {
@@ -172,7 +165,7 @@ MotionResult estimate_motion_impl(const Frame& current, const RefView& view,
     int n = 0;
     // Returns true when the early-exit threshold ends the search.
     const auto flush = [&]() -> bool {
-      view.sad4(cur.data(), x0, y0, cdx, cdy, best, sads);
+      view.sad4(cur, x0, y0, cdx, cdy, best, sads);
       for (int k = 0; k < n; ++k) {
         ++result.points_examined;
         if (sads[k] < best) {
@@ -207,7 +200,7 @@ MotionResult estimate_motion_impl(const Frame& current, const RefView& view,
         const int step = edge_row ? 1 : 2 * ring;  // skip the ring interior
         for (int dx = -ring; dx <= ring; dx += step) {
           const std::int64_t s =
-              view.sad(cur.data(), x0 + dx, y0 + dy, best);
+              view.sad(cur, x0 + dx, y0 + dy, best);
           ++result.points_examined;
           if (s < best) {
             best = s;
@@ -225,6 +218,17 @@ MotionResult estimate_motion_impl(const Frame& current, const RefView& view,
   return finish();
 }
 
+/// The macroblock at (x0, y0) of `current`, copied out contiguously.
+std::array<Sample, 256> source_block(const Frame& current, int x0, int y0) {
+  QC_EXPECT(x0 >= 0 && y0 >= 0 && x0 + kMacroBlockSize <= current.width() &&
+                y0 + kMacroBlockSize <= current.height(),
+            "macroblock origin out of bounds");
+  std::array<Sample, 256> src;
+  copy_block(current.row(y0) + x0, current.stride(), kMacroBlockSize,
+             src.data());
+  return src;
+}
+
 }  // namespace
 
 int search_radius_for_level(std::size_t qi) {
@@ -237,17 +241,26 @@ int search_radius_for_level(std::size_t qi) {
 
 MotionResult estimate_motion(const Frame& current, const Frame& reference,
                              int x0, int y0, const MotionConfig& config) {
-  return estimate_motion_impl(current, ClampedRefView{&reference}, x0, y0,
-                              config);
+  return estimate_motion_impl(source_block(current, x0, y0).data(),
+                              ClampedRefView{&reference}, x0, y0, config);
 }
 
 MotionResult estimate_motion(const Frame& current,
                              const PaddedFrame& reference, int x0, int y0,
                              const MotionConfig& config) {
+  return estimate_motion(source_block(current, x0, y0).data(), reference, x0,
+                         y0, config);
+}
+
+MotionResult estimate_motion(const Sample* src, const PaddedFrame& reference,
+                             int x0, int y0, const MotionConfig& config) {
+  QC_EXPECT(x0 >= 0 && y0 >= 0 &&
+                x0 + kMacroBlockSize <= reference.width() &&
+                y0 + kMacroBlockSize <= reference.height(),
+            "macroblock origin out of bounds");
   QC_EXPECT(config.radius + 1 <= reference.pad(),
             "search radius (plus half-pel margin) exceeds reference pad");
-  return estimate_motion_impl(current, PaddedRefView{&reference}, x0, y0,
-                              config);
+  return estimate_motion_impl(src, PaddedRefView{&reference}, x0, y0, config);
 }
 
 std::array<Sample, 256> motion_compensate(const Frame& reference, int x0,

@@ -75,6 +75,14 @@ MotionResult estimate_motion(const Frame& current,
                              const PaddedFrame& reference, int x0, int y0,
                              const MotionConfig& config);
 
+/// The padded search for a macroblock whose source pixels the caller
+/// already holds: `src` is the 16x16 block at (x0, y0) of the current
+/// frame (contiguous, row stride 16), as intra_predict takes it.  The
+/// Frame overloads copy that block out and search the same way; the
+/// encoder passes the block Grab read.
+MotionResult estimate_motion(const Sample* src, const PaddedFrame& reference,
+                             int x0, int y0, const MotionConfig& config);
+
 /// Motion-compensated 16x16 prediction from `reference` at
 /// (x0 + dx, y0 + dy), border-clamped.
 std::array<Sample, 256> motion_compensate(const Frame& reference, int x0,

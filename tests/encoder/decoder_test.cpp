@@ -5,6 +5,7 @@
 #include "encoder/frame_encoder.h"
 #include "encoder/system_builder.h"
 #include "media/entropy.h"
+#include "media/intra.h"
 #include "media/synthetic_video.h"
 #include "util/bitio.h"
 
@@ -175,6 +176,55 @@ TEST(Decoder, RejectsInt32MinMotionVector) {
   const media::YuvFrame reference(16, 16);
   const DecodeResult d = decode_frame(bw.finish(), &reference);
   EXPECT_FALSE(d.ok);
+}
+
+TEST(Decoder, RejectsGeometryTheStreamCannotFillBeforeAllocating) {
+  // ue(1024) ue(1024) ue(2) in 6 bytes: a 16384x16384 frame with 3 bits
+  // left, when every macroblock needs at least 9.
+  util::BitWriter bw;
+  media::put_ue(bw, 1024);
+  media::put_ue(bw, 1024);
+  media::put_ue(bw, 2);
+  const std::vector<std::uint8_t> bytes = bw.finish();
+  ASSERT_EQ(bytes.size(), 6u);
+  const DecodeResult d = decode_frame(bytes, nullptr);
+  EXPECT_FALSE(d.ok);
+  EXPECT_TRUE(d.frame.empty()) << "no frame may be allocated";
+
+  // One bit short of the bound: a 6x1-macroblock header (11 bits) and
+  // 53 bits where six macroblocks need 54.
+  util::BitWriter short_by_one;
+  media::put_ue(short_by_one, 6);
+  media::put_ue(short_by_one, 1);
+  media::put_ue(short_by_one, 2);
+  short_by_one.put_bits(0, 53);
+  ASSERT_EQ(short_by_one.bit_count(), 64);
+  const DecodeResult s = decode_frame(short_by_one.finish(), nullptr);
+  EXPECT_FALSE(s.ok);
+  EXPECT_TRUE(s.frame.empty());
+}
+
+TEST(Decoder, DecodesAStreamExactlyAtTheMacroblockBitBound) {
+  // A 5x1-macroblock header (11 bits) and five 9-bit macroblocks, each
+  // intra DC with six empty blocks: 1 00 000000.  56 bits, no padding.
+  util::BitWriter bw;
+  media::put_ue(bw, 5);
+  media::put_ue(bw, 1);
+  media::put_ue(bw, 2);
+  for (int mb = 0; mb < 5; ++mb) {
+    bw.put_bit(true);
+    bw.put_bits(static_cast<std::uint64_t>(media::IntraMode::kDc), 2);
+    bw.put_bits(0, 6);
+  }
+  ASSERT_EQ(bw.bit_count(), 56);
+  const DecodeResult d = decode_frame(bw.finish(), nullptr);
+  ASSERT_TRUE(d.ok);
+  EXPECT_EQ(d.frame.width(), 80);
+  EXPECT_EQ(d.frame.height(), 16);
+  EXPECT_EQ(d.intra_macroblocks, 5);
+  EXPECT_EQ(d.frame.y.data(),
+            std::vector<media::Sample>(80 * 16, media::Sample{128}))
+      << "DC prediction of nothing is mid-gray, and no residual";
 }
 
 }  // namespace

@@ -8,7 +8,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdlib>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "media/entropy.h"
@@ -362,6 +365,222 @@ TEST(EntropyDifferential, LongZeroRunsAndCodesAtTheBufferEnd) {
         }
       }
     }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// The table-driven decoder's and the packing encoder's fast paths.
+
+/// Bits of one level's flag + ue(run) + se(level) code.
+int code_bits(int run, std::int32_t level) {
+  const auto ue_bits = [](std::uint64_t v) {
+    return 2 * static_cast<int>(std::bit_width(v + 1)) - 1;
+  };
+  const std::int64_t wide = level;
+  const auto se_number = static_cast<std::uint64_t>(
+      wide > 0 ? 2 * wide - 1 : -2 * wide);
+  return 1 + ue_bits(static_cast<std::uint64_t>(run)) + ue_bits(se_number);
+}
+
+/// Reads `skip` bits, then decodes `calls` blocks with both readers,
+/// which must agree on the result, bits_consumed() and overrun() after
+/// every call.
+void expect_readers_agree(const std::vector<std::uint8_t>& bytes, int skip,
+                          int calls, const std::string& what) {
+  util::BitReader br(bytes);
+  RefBitReader ref(bytes);
+  ASSERT_EQ(br.get_bits(skip), ref.get_bits(skip)) << what;
+  for (int call = 0; call < calls; ++call) {
+    ASSERT_EQ(decode_block(br), ref_decode_block(ref))
+        << what << " call " << call;
+    ASSERT_EQ(br.bits_consumed(), ref.bits_consumed())
+        << what << " call " << call;
+    ASSERT_EQ(br.overrun(), ref.overrun()) << what << " call " << call;
+  }
+}
+
+/// `bits` random bits through the library's writer.
+void put_random_bits(util::BitWriter& bw, util::Rng& rng, int bits) {
+  for (; bits > 0; bits -= 64) {
+    bw.put_bits(rng.next_u64(), std::min(bits, 64));
+  }
+}
+
+/// A quantizer-like block: `nonzero` levels, mostly small, at random
+/// positions.
+Coeffs8 farm_like_block(util::Rng& rng, int nonzero) {
+  Coeffs8 levels{};
+  for (int k = 0; k < nonzero; ++k) {
+    levels[static_cast<std::size_t>(rng.uniform_i64(0, 63))] =
+        random_level(rng, rng.uniform_i64(0, 7) == 0 ? 10 : 3);
+  }
+  return levels;
+}
+
+TEST(EntropyDifferential, CodesAroundTheTableWidthAndAtTheLevelBounds) {
+  // Every code length is odd (flag + two odd exp-Golomb codes), so the
+  // table's edge is crossed by codes of kDecodeTableBits - 2,
+  // kDecodeTableBits and kDecodeTableBits + 2 bits; all of them are
+  // here, plus run 63 and levels of +-kMaxLevel and one past it.  Each
+  // code is a one-level block in fast mode (a 200-bit random tail
+  // follows), after one level at position 0 (the table path continues
+  // mid-block), and repeated until its runs leave the block.
+  util::Rng rng(1405);
+  int fits = 0, misses = 0;
+  for (int run = 0; run < 64; ++run) {
+    for (std::int32_t level = -kMaxLevel - 1; level <= kMaxLevel + 1;
+         ++level) {
+      if (level == 0) continue;
+      const int bits = code_bits(run, level);
+      const bool edge = bits >= kDecodeTableBits - 2 &&
+                        bits <= kDecodeTableBits + 2;
+      if (!edge && run != 63 && std::abs(level) < kMaxLevel) continue;
+      ++(bits <= kDecodeTableBits ? fits : misses);
+      const auto stream = [&](int lead, int repeats) {
+        util::BitWriter bw;
+        put_random_bits(bw, rng, lead);
+        if (lead == 0 && repeats == 1) {
+          bw.put_bit(true);  // a level at position 0, then the code
+          put_ue(bw, 0);
+          put_se(bw, 1);
+        }
+        for (int k = 0; k < repeats; ++k) {
+          bw.put_bit(true);
+          put_ue(bw, static_cast<std::uint32_t>(run));
+          put_se(bw, level);
+        }
+        bw.put_bit(false);
+        put_random_bits(bw, rng, 200);
+        return bw.finish();
+      };
+      const std::string what =
+          "run " + std::to_string(run) + " level " + std::to_string(level);
+      const int lead = static_cast<int>(rng.uniform_i64(1, 7));
+      expect_readers_agree(stream(lead, 1), lead, 2, what);
+      expect_readers_agree(stream(0, 1), 0, 2, what + " after a level");
+      expect_readers_agree(stream(lead, 64 / (run + 1) + 1), lead, 2,
+                           what + " repeated");
+    }
+  }
+  EXPECT_GT(fits, 100);
+  EXPECT_GT(misses, 100);
+}
+
+TEST(EntropyDifferential, BlocksAroundTheFastModeThreshold) {
+  // Each block starts with bits_left() from 40 below the fast-mode
+  // threshold to past its own end plus the threshold, at every bit
+  // alignment: the table path hands over to the exact path before,
+  // inside and after the block, and short buffers truncate it.
+  util::Rng rng(1406);
+  for (int trial = 0; trial < 24; ++trial) {
+    const Coeffs8 block =
+        farm_like_block(rng, static_cast<int>(rng.uniform_i64(1, 48)));
+    util::BitWriter coded;
+    const auto block_bits = encode_block(coded, block);
+    const std::vector<std::uint8_t> block_bytes = coded.finish();
+    for (int lead = 0; lead < 8; ++lead) {
+      for (std::int64_t left = kDecodeFastModeBits - 40;
+           left <= block_bits + kDecodeFastModeBits + 16; ++left) {
+        if ((lead + left) % 8 != 0) continue;
+        util::BitWriter bw;
+        put_random_bits(bw, rng, lead);
+        encode_block(bw, block);
+        put_random_bits(bw, rng, 400);
+        std::vector<std::uint8_t> bytes = bw.finish();
+        bytes.resize(static_cast<std::size_t>((lead + left) / 8));
+        expect_readers_agree(bytes, lead, 3,
+                             "trial " + std::to_string(trial) + " left " +
+                                 std::to_string(left));
+      }
+    }
+    ASSERT_FALSE(block_bytes.empty());
+  }
+}
+
+TEST(EntropyDifferential, FlipsAndTruncationsInsideFastModeBlocks) {
+  // Long streams of farm-like blocks, so that most of each lies in fast
+  // mode, with bits flipped inside the blocks and cuts at any bit.
+  util::Rng rng(1407);
+  int rejected = 0;
+  for (int trial = 0; trial < 600; ++trial) {
+    util::BitWriter bw;
+    const int blocks = static_cast<int>(rng.uniform_i64(4, 16));
+    for (int i = 0; i < blocks; ++i) {
+      const int nonzero = static_cast<int>(rng.uniform_i64(0, 64));
+      encode_block(bw, farm_like_block(rng, nonzero));
+    }
+    std::vector<std::uint8_t> bytes = bw.finish();
+    const auto bits = static_cast<std::int64_t>(bytes.size()) * 8;
+    const int flips = static_cast<int>(rng.uniform_i64(0, 3));
+    for (int i = 0; i < flips; ++i) {
+      const auto at = static_cast<std::size_t>(rng.uniform_i64(0, bits - 1));
+      bytes[at / 8] ^= static_cast<std::uint8_t>(0x80 >> (at % 8));
+    }
+    if (flips == 0 || rng.uniform_i64(0, 1) == 0) {
+      bytes.resize(static_cast<std::size_t>(
+          rng.uniform_i64(0, static_cast<std::int64_t>(bytes.size()))));
+    }
+    util::BitReader br(bytes);
+    RefBitReader ref(bytes);
+    for (int call = 0; call < blocks + 2; ++call) {
+      const std::optional<Coeffs8> got = decode_block(br);
+      ASSERT_EQ(got, ref_decode_block(ref))
+          << "trial " << trial << " call " << call;
+      ASSERT_EQ(br.bits_consumed(), ref.bits_consumed())
+          << "trial " << trial << " call " << call;
+      ASSERT_EQ(br.overrun(), ref.overrun())
+          << "trial " << trial << " call " << call;
+      rejected += got.has_value() ? 0 : 1;
+    }
+  }
+  EXPECT_GT(rejected, 600);
+}
+
+TEST(EntropyDifferential, PackedBlocksBetweenPutBitsAtEveryAlignment) {
+  // encode_block packs from whatever the writer holds: 0 to 63 pending
+  // bits, after put_bits, put_ue or another block; blocks with run 63,
+  // +-kMaxLevel and levels past it (the put_bits path) included.
+  util::Rng rng(1408);
+  std::vector<Coeffs8> blocks;
+  blocks.push_back(Coeffs8{});
+  Coeffs8 last{};
+  last[static_cast<std::size_t>(zigzag_order()[63])] = -kMaxLevel;
+  blocks.push_back(last);
+  Coeffs8 full{};
+  for (std::size_t i = 0; i < 64; ++i) {
+    full[i] = (i % 2 == 0) ? kMaxLevel : -kMaxLevel;
+  }
+  blocks.push_back(full);
+  Coeffs8 wide = full;
+  wide[5] = kMaxLevel + 1;
+  blocks.push_back(wide);
+  for (int i = 0; i < 8; ++i) blocks.push_back(random_block(rng, 11));
+  for (int i = 0; i < 8; ++i) {
+    const int nonzero = static_cast<int>(rng.uniform_i64(1, 64));
+    blocks.push_back(farm_like_block(rng, nonzero));
+  }
+  for (int align = 0; align < 64; ++align) {
+    util::BitWriter bw;
+    RefBitWriter ref;
+    const std::uint64_t lead = rng.next_u64();
+    bw.put_bits(lead, align);
+    ref.put_bits(align == 0 ? 0 : lead & ((1ULL << align) - 1), align);
+    for (const Coeffs8& block : blocks) {
+      ASSERT_EQ(encode_block(bw, block), ref_encode_block(ref, block))
+          << "align " << align;
+      ASSERT_EQ(bw.bit_count(), ref.bit_count()) << "align " << align;
+      ASSERT_EQ(bw.bytes(), ref.bytes()) << "align " << align;
+      const auto v = static_cast<std::uint32_t>(rng.uniform_i64(0, 300));
+      put_ue(bw, v);
+      ref_put_ue(ref, v);
+      const int count = static_cast<int>(rng.uniform_i64(0, 64));
+      const std::uint64_t value = rng.next_u64();
+      bw.put_bits(value, count);
+      ref.put_bits(count == 64 ? value : value & ((1ULL << count) - 1),
+                   count);
+      ASSERT_EQ(bw.bit_count(), ref.bit_count()) << "align " << align;
+    }
+    ASSERT_EQ(bw.finish(), ref.finish()) << "align " << align;
   }
 }
 

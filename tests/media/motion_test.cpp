@@ -149,6 +149,28 @@ TEST(EstimateMotion, SadIsBestOverWindow) {
   EXPECT_EQ(r.sad, best);
 }
 
+TEST(EstimateMotion, CallersBlockMatchesTheFrameSearch) {
+  // The overload the encoder calls, with the source block Grab holds,
+  // returns what the padded Frame overload returns at every macroblock.
+  const Frame ref = textured(64, 48);
+  const Frame cur = textured(64, 48, 3, -2);
+  const PaddedFrame padded(ref);
+  MotionConfig cfg;
+  cfg.radius = 4;
+  cfg.half_pel = true;
+  for (int y0 = 0; y0 < 48; y0 += 16) {
+    for (int x0 = 0; x0 < 64; x0 += 16) {
+      const auto src = read_macroblock(cur, x0, y0);
+      const MotionResult a = estimate_motion(src.data(), padded, x0, y0, cfg);
+      const MotionResult b = estimate_motion(cur, padded, x0, y0, cfg);
+      EXPECT_EQ(a.dx2, b.dx2);
+      EXPECT_EQ(a.dy2, b.dy2);
+      EXPECT_EQ(a.sad, b.sad);
+      EXPECT_EQ(a.points_examined, b.points_examined);
+    }
+  }
+}
+
 TEST(MotionCompensate, CopiesShiftedBlock) {
   const Frame ref = textured(64, 64);
   const auto pred = motion_compensate(ref, 16, 16, 2, -1);

@@ -49,7 +49,8 @@ import sys
 # Entropy(Encode|Decode)Block track the encoder's Quantize / Compress
 # actions and the decoder's block parse on farm-like blocks; EncodeFrame
 # tracks one whole QCIF P-frame through the encoder's action body, so
-# the glue between the kernels is gated too.  ExportChromeTrace tracks
+# the glue between the kernels is gated too, and DecodeFrame that
+# frame's decode (the farm's delivery path).  ExportChromeTrace tracks
 # the trace export of a small faulted farm, the largest report a job
 # writes serially after its run.
 # Multi-worker farm rows
@@ -57,7 +58,7 @@ import sys
 DEFAULT_BENCHMARKS = (
     r"^BM_(SadMacroblock|ForwardDct8|PsnrFrame|SsimFrame"
     r"|SyntheticFrame(Yuv(Carried)?)?"
-    r"|QuantizeBlock|Entropy(Encode|Decode)Block|EncodeFrame"
+    r"|QuantizeBlock|Entropy(Encode|Decode)Block|(En|De)codeFrame"
     r"|ExportChromeTrace"
     r"|AdmissionThroughput(Exact)?/\d+"
     r"|ShardedJoinRate/\d+"
