@@ -318,30 +318,9 @@ std::optional<Coeffs8> decode_block(util::BitReader& br) {
     if (!decode_table_codes(br, out, pos)) return std::nullopt;
     // The exact path, one code: end of block, a code longer than the
     // table's, or one of the stream's last kDecodeFastModeBits bits.
-    int run = 0;
-    std::int32_t level = 0;
-    // One-window parse: the flag, ue(run) and se(level) all sit in one
-    // window and before the end of the buffer, so they parse without
-    // refills and exactly as the calls below would.  Every run < 64 has
-    // at most 6 leading zeros; with at most 24 for the level the three
-    // codes span at most 63 bits.
-    const std::uint64_t w = br.peek();
-    const int run_zeros = std::countl_zero(w << 1);
-    const int level_zeros =
-        std::countl_zero(w << std::min(2 + 2 * run_zeros, 63));
-    const int total = 3 + 2 * (run_zeros + level_zeros);
-    if ((w >> 63) != 0 && run_zeros <= 6 && level_zeros <= 24 &&
-        total <= br.bits_left()) {
-      const int run_bits = 2 * run_zeros + 1;
-      run = static_cast<int>(((w << 1) >> (64 - run_bits)) - 1);
-      level = se_of(static_cast<std::uint32_t>(
-          ((w << (1 + run_bits)) >> (63 - 2 * level_zeros)) - 1));
-      br.skip(total);
-    } else {
-      if (!br.get_bit()) break;
-      run = static_cast<int>(get_ue(br));
-      level = get_se(br);
-    }
+    if (!br.get_bit()) break;
+    const int run = static_cast<int>(get_ue(br));
+    const std::int32_t level = get_se(br);
     if (run < 0 || pos + run >= 64 || br.overrun()) {
       return std::nullopt;  // corrupt stream: run past end of block
     }
