@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <limits>
 #include <map>
 #include <queue>
 #include <thread>
@@ -30,9 +31,17 @@ StreamFaultStats& operator+=(StreamFaultStats& a, const StreamFaultStats& b) {
 }
 
 /// Library callers get the CLI's input checks: no wrapped window, no
-/// NaN that switches a fault class off, no no-op policer.
+/// NaN that switches a fault class off, no no-op policer, no overhead
+/// cost or repair instant that overflows.
 void validate(const FarmScenario& scenario, const FarmConfig& config) {
   QC_EXPECT(config.num_processors >= 1, "farm needs >= 1 processor");
+  QC_EXPECT(config.admission.migration_cost >= 0 &&
+                config.admission.migration_cost <=
+                    platform::kMaxOverheadCycles,
+            "migration cost must be in [0, platform::kMaxOverheadCycles]");
+  QC_EXPECT(scenario.sched.policy.context_switch_cost <=
+                platform::kMaxOverheadCycles,
+            "context switch cost exceeds platform::kMaxOverheadCycles");
   QC_EXPECT(config.control_epoch >= 0,
             "control epoch must be non-negative");
   QC_EXPECT(config.ts_window >= 0,
@@ -57,6 +66,8 @@ void validate(const FarmScenario& scenario, const FarmConfig& config) {
               "failure event targets a processor outside the farm");
     QC_EXPECT(ev.time >= 0 && ev.repair >= 0,
               "failure event times must be non-negative");
+    QC_EXPECT(ev.repair <= std::numeric_limits<rt::Cycles>::max() - ev.time,
+              "failure repair instant overflows");
   }
 }
 

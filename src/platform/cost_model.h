@@ -96,6 +96,15 @@ inline constexpr rt::Cycles kContextSwitchCycles = 20000;
 /// of migration always winning.
 inline constexpr rt::Cycles kMigrationCycles = 120000;
 
+/// Ceiling on the two overhead costs a caller may configure, the
+/// context-switch cost and the migration surcharge: 2^40 cycles, about
+/// 137 s at the paper's 8 GHz, already far beyond any frame period.
+/// It keeps exact the sums that add an overhead to a frame's
+/// worst-case cost: `cost + 2 * context_switch` in
+/// sched::inflate_context_switch and `cost + migration_cost` in
+/// farm::AdmissionController's placement and split tests.
+inline constexpr rt::Cycles kMaxOverheadCycles = rt::Cycles{1} << 40;
+
 /// The paper's Figure 5 tables for the MPEG-4 encoder benchmark:
 /// 9 actions (ids follow qosctrl::enc::BodyAction order), 8 quality
 /// levels; only Motion_Estimate varies with quality.

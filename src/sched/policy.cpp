@@ -52,10 +52,13 @@ class QuantumEdfPolicy final : public SchedPolicy {
   }
   rt::Cycles preemption_point(rt::Cycles dispatched_at,
                               rt::Cycles now) const override {
-    // Next multiple of the quantum from dispatch, at or after now.
-    const rt::Cycles served = now - dispatched_at;
+    // Next multiple of the quantum from dispatch, at or after now; a
+    // boundary at or past kNeverPreempts is never reached.
     const rt::Cycles q = params_.quantum;
-    return dispatched_at + (served + q - 1) / q * q;
+    const rt::Cycles into = (now - dispatched_at) % q;
+    if (into == 0) return now;
+    return q - into >= kNeverPreempts - now ? kNeverPreempts
+                                            : now + (q - into);
   }
 };
 

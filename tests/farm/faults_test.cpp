@@ -400,5 +400,41 @@ TEST(FarmFaultsDeath, RejectsNegativeQuarantinePeriods) {
   EXPECT_DEATH(run_farm(sc, cfg), "quarantine periods");
 }
 
+// The overhead costs stay within platform::kMaxOverheadCycles, which
+// keeps `cost + 2 * ctx` and `cost + migration_cost` exact; a negative
+// surcharge would make migrated placements cheaper than local ones.
+TEST(FarmFaultsDeath, RejectsMigrationCostOutsideCeiling) {
+  for (const rt::Cycles cost : {rt::Cycles{-1},
+                                platform::kMaxOverheadCycles + 1,
+                                std::numeric_limits<rt::Cycles>::max()}) {
+    FarmConfig cfg;
+    cfg.num_processors = 2;
+    cfg.admission.migration_cost = cost;
+    EXPECT_DEATH(run_farm(light_scenario(1, 2), cfg), "migration cost")
+        << cost;
+  }
+}
+
+TEST(FarmFaultsDeath, RejectsContextSwitchCostAboveCeiling) {
+  FarmConfig cfg;
+  cfg.num_processors = 2;
+  for (const rt::Cycles cost : {platform::kMaxOverheadCycles + 1,
+                                std::numeric_limits<rt::Cycles>::max()}) {
+    FarmScenario sc = light_scenario(1, 2);
+    sc.sched.policy.kind = sched::PolicyKind::kPreemptiveEdf;
+    sc.sched.policy.context_switch_cost = cost;
+    EXPECT_DEATH(run_farm(sc, cfg), "context switch cost") << cost;
+  }
+}
+
+TEST(FarmFaultsDeath, RejectsFailureRepairInstantOverflow) {
+  FarmConfig cfg;
+  cfg.num_processors = 2;
+  FarmScenario sc = light_scenario(1, 2);
+  sc.faults.failures.push_back(
+      {0, std::numeric_limits<rt::Cycles>::max() - 100, 101});
+  EXPECT_DEATH(run_farm(sc, cfg), "repair instant");
+}
+
 }  // namespace
 }  // namespace qosctrl::farm

@@ -4,12 +4,14 @@
 Two checks, both dependency-free:
 
  1. Flag sync: for each binary (qosfarm, qoseval, qosreport, qosc),
-    every `--flag` its `--help` prints must appear in the first column
-    of a table in that binary's `## <binary>` section of docs/cli.md,
-    and every flag documented there must still exist in the help — so
-    a flag cannot be added, renamed, or removed without the reference
-    page following.  `--help`/`--version` are documented once for all
-    four binaries and exempt from the per-binary tables.
+    every `[--flag PLACEHOLDER]` entry its `--help` synopsis prints
+    must appear, flag and placeholder alike (`--procs N`, `--split`),
+    as the first column of a table row in that binary's `## <binary>`
+    section of docs/cli.md, and every pair documented there must still
+    be in the help — so a flag cannot be added, renamed or removed, nor
+    its placeholder changed, without the reference page following.
+    `--help`/`--version` are documented once for all four binaries and
+    exempt from the per-binary tables.
 
  2. Link check: every relative markdown link in README.md and
     docs/*.md must resolve to an existing file (external http(s) and
@@ -28,16 +30,24 @@ REPO = pathlib.Path(__file__).resolve().parent.parent
 BINARIES = ("qosfarm", "qoseval", "qosreport", "qosc")
 EXEMPT = {"--help", "--version"}
 FLAG_RE = re.compile(r"--[a-z][a-z0-9-]*")
+# A synopsis entry: "[--flag]" or "[--flag PLACEHOLDER]", where the
+# placeholder may itself hold one bracketed part ("LO[:HI]", "P@T[+R]").
+HELP_ENTRY_RE = re.compile(
+    r"\[(--[a-z][a-z0-9-]*)(?: ((?:[^\[\]\s]|\[[^\]]*\])+))?\]")
+# A table cell's "`--flag PLACEHOLDER`" (a markdown "\|" is a literal |).
+DOC_ENTRY_RE = re.compile(r"^`(--[a-z][a-z0-9-]*)(?: ([^`]+))?`$")
 LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 
 
-def help_flags(binary):
-    """Flags the binary's --help mentions (stdout or stderr)."""
+def help_pairs(binary):
+    """(flag, placeholder or None) entries of the binary's --help."""
     proc = subprocess.run([str(binary), "--help"], capture_output=True,
                           text=True)
     if proc.returncode != 0:
         raise RuntimeError(f"{binary} --help exited {proc.returncode}")
-    return set(FLAG_RE.findall(proc.stdout + proc.stderr)) - EXEMPT
+    return {(flag, ph or None)
+            for flag, ph in HELP_ENTRY_RE.findall(proc.stdout + proc.stderr)
+            if flag not in EXEMPT}
 
 
 def doc_sections(text):
@@ -54,15 +64,28 @@ def doc_sections(text):
     return {k: "\n".join(v) for k, v in sections.items()}
 
 
-def table_flags(section):
-    """Flags in the first column of the section's markdown tables."""
-    flags = set()
+def table_pairs(section, name, errors):
+    """(flag, placeholder or None) in the first column of the section's
+    markdown tables; a first cell that names a flag but is not one
+    `--flag PLACEHOLDER` code span is an error."""
+    pairs = set()
     for line in section.splitlines():
         if not line.startswith("|"):
             continue
-        first_cell = line.split("|")[1]
-        flags.update(FLAG_RE.findall(first_cell))
-    return flags - EXEMPT
+        first_cell = re.split(r"(?<!\\)\|", line)[1].strip()
+        if not FLAG_RE.search(first_cell):
+            continue
+        m = DOC_ENTRY_RE.match(first_cell.replace("\\|", "|"))
+        if not m:
+            errors.append(f"docs/cli.md [{name}]: cannot read flag cell "
+                          f"{first_cell!r}")
+        elif m.group(1) not in EXEMPT:
+            pairs.add((m.group(1), m.group(2)))
+    return pairs
+
+
+def show(pair):
+    return pair[0] if pair[1] is None else f"{pair[0]} {pair[1]}"
 
 
 def check_flag_sync(build_dir, errors):
@@ -76,16 +99,16 @@ def check_flag_sync(build_dir, errors):
         if name not in sections:
             errors.append(f"docs/cli.md: missing '## {name}' section")
             continue
-        in_help = help_flags(binary)
-        in_docs = table_flags(sections[name])
-        for flag in sorted(in_help - in_docs):
+        in_help = help_pairs(binary)
+        in_docs = table_pairs(sections[name], name, errors)
+        for pair in sorted(in_help - in_docs, key=show):
             errors.append(
-                f"docs/cli.md [{name}]: {flag} is in `{name} --help` "
-                f"but not in the section's flag tables")
-        for flag in sorted(in_docs - in_help):
+                f"docs/cli.md [{name}]: `{show(pair)}` is in `{name} "
+                f"--help` but not in the section's flag tables")
+        for pair in sorted(in_docs - in_help, key=show):
             errors.append(
-                f"docs/cli.md [{name}]: {flag} is documented but "
-                f"`{name} --help` no longer mentions it")
+                f"docs/cli.md [{name}]: `{show(pair)}` is documented but "
+                f"`{name} --help` does not print it")
         if not errors:
             print(f"ok: {name}: {len(in_help)} flags in sync")
 

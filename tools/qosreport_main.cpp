@@ -10,13 +10,10 @@
 // tables.  The output is a single HTML file with no external assets or
 // scripts, so it can be archived as a CI artifact and opened anywhere.
 //
-// Usage:
-//   qosreport render --in report.json --out dashboard.html [--title T]
+//   qosreport render --in PATH --out PATH [--title T]
 //
-// Options:
-//   --in PATH    qosfarm --json export to render (required)
-//   --out PATH   HTML file to write (required)
-//   --title T    dashboard heading (default: the input path)
+// docs/cli.md documents the flags.  Exit codes: 2 usage, 1 an
+// unreadable or unparsable input, or an unwritable output.
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
@@ -35,17 +32,6 @@ namespace {
 
 using qosctrl::util::JsonKind;
 using qosctrl::util::JsonValue;
-
-const char kUsage[] =
-    "usage: qosreport render --in report.json --out dashboard.html\n"
-    "                        [--title T]\n"
-    "       qosreport --version\n"
-    "       qosreport --help\n";
-
-int usage() {
-  std::fputs(kUsage, stderr);
-  return 2;
-}
 
 std::string html_escape(const std::string& s) {
   std::string out;
@@ -371,41 +357,19 @@ const char kStyle[] =
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc >= 2 && std::strcmp(argv[1], "--version") == 0) {
-    std::printf("%s\n",
-                qosctrl::obs::version_line("qosreport").c_str());
-    return 0;
-  }
-  if (argc >= 2 && (std::strcmp(argv[1], "--help") == 0 ||
-                    std::strcmp(argv[1], "-h") == 0)) {
-    std::fputs(kUsage, stdout);
-    return 0;
-  }
-  if (argc < 2 || std::strcmp(argv[1], "render") != 0) return usage();
-
   const char* in_path = nullptr;
   const char* out_path = nullptr;
   const char* title = nullptr;
-  for (int i = 2; i < argc; ++i) {
-    const char* arg = argv[i];
-    auto value = [&]() -> const char* {
-      return i + 1 < argc ? argv[++i] : nullptr;
-    };
-    if (std::strcmp(arg, "--in") == 0) {
-      in_path = value();
-      if (!in_path) return usage();
-    } else if (std::strcmp(arg, "--out") == 0) {
-      out_path = value();
-      if (!out_path) return usage();
-    } else if (std::strcmp(arg, "--title") == 0) {
-      title = value();
-      if (!title) return usage();
-    } else {
-      std::fprintf(stderr, "qosreport: unknown option %s\n", arg);
-      return usage();
-    }
+  const qosctrl::cli::CommandLine cl{"qosreport", "render", {
+      qosctrl::cli::text("--in", "PATH", &in_path),
+      qosctrl::cli::text("--out", "PATH", &out_path),
+      qosctrl::cli::text("--title", "T", &title),
+  }};
+  if (const int rc = cl.parse(argc, argv); rc >= 0) return rc;
+  if (in_path == nullptr || out_path == nullptr) {
+    std::fputs("qosreport: render needs --in and --out\n", stderr);
+    return cl.usage_error();
   }
-  if (in_path == nullptr || out_path == nullptr) return usage();
 
   std::ifstream in(in_path);
   if (!in) {
