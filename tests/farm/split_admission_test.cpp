@@ -9,12 +9,14 @@
 // (pinned in admission_test.cpp), so the arithmetic below is exact.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <regex>
 #include <string>
 
 #include "farm/load_gen.h"
 #include "farm/metrics.h"
 #include "farm/simulator.h"
+#include "obs/buildinfo.h"
 
 namespace qosctrl::farm {
 namespace {
@@ -144,13 +146,10 @@ std::string strip_scan_counters(std::string json) {
   return std::regex_replace(json, kScanCounter, "");
 }
 
-TEST(SplitAdmission, QpaAndExactScanProduceIdenticalReportsUnderChurn) {
-  // End-to-end decision identity: a generated churn load (joins,
-  // bursts, leaves, mixed geometries and control modes) played with
-  // every admission feature on — split, renegotiation, restore —
-  // must yield the same placements, the same misses, the same
-  // quality, the same everything, whichever demand algorithm runs
-  // underneath.  Only the scan-effort counters may differ.
+/// A generated churn load (joins, bursts, leaves, mixed geometries and
+/// control modes) on three processors, played with every admission
+/// feature on: split, renegotiation, restore.
+FarmScenario churn_scenario() {
   LoadGenConfig load;
   load.num_streams = 14;
   load.seed = 20260807;
@@ -158,7 +157,45 @@ TEST(SplitAdmission, QpaAndExactScanProduceIdenticalReportsUnderChurn) {
   sc.sched.split = true;
   sc.sched.renegotiate = true;
   sc.sched.restore = true;
+  return sc;
+}
 
+/// FNV-1a of a report with its build-provenance fields (version,
+/// compiler, SIMD backend) stripped, so the pin survives rebuilds.
+std::uint64_t report_digest(std::string json) {
+  const std::string provenance = obs::build_json_fields();
+  if (const std::size_t at = json.find(provenance); at != std::string::npos) {
+    json.erase(at, provenance.size());
+  }
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const char c : json) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 1099511628211ULL;
+  }
+  return h;
+}
+
+TEST(SplitAdmission, ChurnReportIsPinned) {
+  // Every placement, shrink, restore and split of the churn load, and
+  // everything the data plane made of them, pinned in one digest.
+  FarmConfig cfg;
+  cfg.num_processors = 3;
+  const FarmResult r = run_farm(churn_scenario(), cfg);
+  EXPECT_EQ(r.admitted, 11) << summarize(r);
+  EXPECT_EQ(r.rejected, 3);
+  EXPECT_EQ(r.split_streams, 0);
+  EXPECT_EQ(report_digest(to_json(r)), 0x715db9b3b2cfb586ULL)
+      << std::hex << " got 0x" << report_digest(to_json(r));
+}
+
+TEST(SplitAdmission, QpaAndExactScanProduceIdenticalReportsUnderChurn) {
+  // End-to-end decision identity: a generated churn load (joins,
+  // bursts, leaves, mixed geometries and control modes) played with
+  // every admission feature on — split, renegotiation, restore —
+  // must yield the same placements, the same misses, the same
+  // quality, the same everything, whichever demand algorithm runs
+  // underneath.  Only the scan-effort counters may differ.
+  FarmScenario sc = churn_scenario();
   FarmConfig cfg;
   cfg.num_processors = 3;
 
