@@ -682,11 +682,9 @@ BENCHMARK(BM_FarmThroughputTimeseries)
 // Admission-control churn at scale: N resident streams packed ~64 per
 // processor at ~0.95 committed utilization, then a steady-state
 // join/leave probe rotating over the processors.  items_per_second is
-// admit+release cycles per wall-second.  The default variant is the
-// production fast path (warm-seeded QPA + incremental per-processor
-// demand caches + the release host index); the exact variant forces
-// the full check-point scan on the same population — the ratio backs
-// the >= 10x steady-state claim in docs/admission.md.
+// admit+release cycles per wall-second, through the production path:
+// warm-seeded QPA, incremental per-processor demand caches and the
+// release host index.
 
 struct AdmissionChurnFixture {
   farm::TableCache tables{platform::figure5_cost_table()};
@@ -699,10 +697,10 @@ struct AdmissionChurnFixture {
   // round(24 * 1.145^slot) x min_budget for slots 0..63, i.e. ~0.99
   // committed utilization spread over timescales from 24 to ~120k.
   // The smooth spectrum keeps the busy-period recursion alive across
-  // every scale (a two-timescale mix stalls at the first gap), so the
-  // exact test enumerates tens of thousands of check points per
-  // admission — the dense high-utilization regime QPA collapses to a
-  // short downward iteration.
+  // every scale (a two-timescale mix stalls at the first gap): tens of
+  // thousands of deadlines fall in each admission's horizon — the
+  // dense high-utilization regime QPA collapses to a short downward
+  // iteration.
   farm::StreamSpec stream(int id) const {
     const int slot = id / procs;  // same ladder on every processor
     farm::StreamSpec s;
@@ -714,12 +712,10 @@ struct AdmissionChurnFixture {
     return s;
   }
 
-  AdmissionChurnFixture(int residents, sched::DemandAlgo algo) {
+  explicit AdmissionChurnFixture(int residents) {
     procs = (residents + 63) / 64;
-    farm::SchedulingSpec sched;
-    sched.policy.demand_algo = algo;
     ctl = std::make_unique<farm::AdmissionController>(
-        procs, farm::AdmissionConfig{}, &tables, sched);
+        procs, farm::AdmissionConfig{}, &tables);
     for (int i = 0; i < residents; ++i) {
       const farm::Placement pl = ctl->admit(stream(i), i % procs);
       if (!pl.admitted) std::abort();  // fixture invariant, not a result
@@ -727,24 +723,19 @@ struct AdmissionChurnFixture {
   }
 };
 
-// The resident population is expensive to build (especially under the
-// exact scan), so it is constructed once per (size, algorithm) and
-// shared across google-benchmark's repeated timing runs.
-AdmissionChurnFixture& admission_fixture(int residents,
-                                         sched::DemandAlgo algo) {
-  static std::map<std::pair<int, int>,
-                  std::unique_ptr<AdmissionChurnFixture>>
-      cache;
-  auto& slot = cache[{residents, static_cast<int>(algo)}];
-  if (!slot) {
-    slot = std::make_unique<AdmissionChurnFixture>(residents, algo);
-  }
+// The resident population is expensive to build, so it is constructed
+// once per size and shared across google-benchmark's repeated timing
+// runs.
+AdmissionChurnFixture& admission_fixture(int residents) {
+  static std::map<int, std::unique_ptr<AdmissionChurnFixture>> cache;
+  auto& slot = cache[residents];
+  if (!slot) slot = std::make_unique<AdmissionChurnFixture>(residents);
   return *slot;
 }
 
-void run_admission_churn(benchmark::State& state, sched::DemandAlgo algo) {
+void BM_AdmissionThroughput(benchmark::State& state) {
   const int residents = static_cast<int>(state.range(0));
-  AdmissionChurnFixture& f = admission_fixture(residents, algo);
+  AdmissionChurnFixture& f = admission_fixture(residents);
   const int probe_id = residents;  // fresh id, reused every iteration
   int p = 0;
   for (auto _ : state) {
@@ -756,16 +747,7 @@ void run_admission_churn(benchmark::State& state, sched::DemandAlgo algo) {
   }
   state.SetItemsProcessed(state.iterations());
 }
-
-void BM_AdmissionThroughput(benchmark::State& state) {
-  run_admission_churn(state, sched::DemandAlgo::kQpa);
-}
 BENCHMARK(BM_AdmissionThroughput)->Arg(1000)->Arg(10000)->Arg(100000);
-
-void BM_AdmissionThroughputExact(benchmark::State& state) {
-  run_admission_churn(state, sched::DemandAlgo::kExactScan);
-}
-BENCHMARK(BM_AdmissionThroughputExact)->Arg(1000)->Arg(10000);
 
 // ---------------------------------------------------------------------------
 // Join-storm rate through the control-plane router: a pinned

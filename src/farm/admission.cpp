@@ -1,6 +1,7 @@
 #include "farm/admission.h"
 
 #include <algorithm>
+#include <cmath>
 #include <functional>
 
 #include "util/check.h"
@@ -47,7 +48,7 @@ AdmissionController::AdmissionController(int num_processors,
                                          SchedulingSpec sched)
     : config_(std::move(config)),
       sched_(sched),
-      policy_(sched::make_policy(sched.policy)),
+      policy_(sched.policy),
       tables_(tables) {
   QC_EXPECT(num_processors >= 1, "farm needs at least one processor");
   QC_EXPECT(tables_ != nullptr, "admission needs a table cache");
@@ -55,6 +56,13 @@ AdmissionController::AdmissionController(int num_processors,
             "utilization cap must be in (0, 1]");
   QC_EXPECT(config_.max_stream_share > 0.0 && config_.max_stream_share <= 1.0,
             "max stream share must be in (0, 1]");
+  for (const std::vector<double>* ladder :
+       {&config_.budget_fractions, &config_.min_budget_multiples}) {
+    for (const double x : *ladder) {
+      QC_EXPECT(std::isfinite(x) && x > 0.0,
+                "budget ladder entries must be finite and positive");
+    }
+  }
   committed_.resize(static_cast<std::size_t>(num_processors));
   failed_.resize(static_cast<std::size_t>(num_processors), false);
   demand_.resize(static_cast<std::size_t>(num_processors));
@@ -146,20 +154,6 @@ int AdmissionController::committed_streams(int processor) const {
       committed_.at(static_cast<std::size_t>(processor)).size());
 }
 
-int AdmissionController::least_loaded() const {
-  int best = -1;
-  double best_u = 0.0;
-  for (int p = 0; p < num_processors(); ++p) {
-    if (failed_[static_cast<std::size_t>(p)]) continue;
-    const double u = committed_utilization(p);
-    if (best < 0 || u < best_u) {
-      best = p;
-      best_u = u;
-    }
-  }
-  return best < 0 ? 0 : best;
-}
-
 bool AdmissionController::fits(int p, const sched::NpTask& candidate) const {
   if (failed_[static_cast<std::size_t>(p)]) return false;
   CachedDemand& d = demand(p);
@@ -172,7 +166,7 @@ bool AdmissionController::fits(int p, const sched::NpTask& candidate) const {
   last_test_busy_ = 0;
   const sched::DemandQuery query{&scan_stats_, d.busy_hint,
                                  &last_test_busy_};
-  const bool ok = policy_->schedulable(d.tasks, query);
+  const bool ok = policy_.schedulable(d.tasks, query);
   d.tasks.pop_back();
   return ok;
 }
@@ -191,6 +185,9 @@ const std::vector<rt::Cycles>& AdmissionController::controlled_candidates(
   const double share_cap =
       config_.max_stream_share * static_cast<double>(period);
   auto add_candidate = [&](double cycles) {
+    // Past the window whatever the rounding; checked in double so a
+    // huge ladder entry never reaches the integer cast.
+    if (cycles >= static_cast<double>(latency) + 1.0) return;
     const rt::Cycles b =
         (static_cast<rt::Cycles>(cycles) / macroblocks) * macroblocks;
     if (b >= min_budget && b <= latency &&
@@ -256,6 +253,23 @@ const std::vector<int>& AdmissionController::unpreferred_order() const {
   return unpreferred_cache_;
 }
 
+template <typename Place>
+bool AdmissionController::sweep(int preferred, Place&& place) {
+  // Bound once per sweep: shrinks inside a renegotiating sweep dirty
+  // the cached order, but nothing re-reads it until the next sweep.
+  static const std::vector<int> kNoOrder;
+  const std::vector<int>& unpreferred =
+      preferred < 0 ? unpreferred_order() : kNoOrder;
+  for (int k = 0; k < num_processors(); ++k) {
+    const int p = preferred < 0
+                      ? unpreferred[static_cast<std::size_t>(k)]
+                      : (k == 0 ? preferred
+                                : (k - 1 < preferred ? k - 1 : k));
+    if (place(p)) return true;
+  }
+  return false;
+}
+
 bool AdmissionController::try_place(const StreamSpec& spec,
                                     rt::Cycles table_budget, rt::Cycles cost,
                                     int preferred, Placement* out) {
@@ -266,26 +280,16 @@ bool AdmissionController::try_place(const StreamSpec& spec,
   const auto& system = tables_->get(macroblocks_of(spec), table_budget);
   if (system->tables->max_initial_delay() < 0) return false;
 
-  static const std::vector<int> kNoOrder;
-  const std::vector<int>& unpreferred =
-      preferred < 0 ? unpreferred_order() : kNoOrder;
-  for (int k = 0; k < num_processors(); ++k) {
-    // Preferred processor first, then the rest in index order; an
-    // off-preferred host charges the migration surcharge on top of
-    // the stream's own worst case.  With no preference (-1) the sweep
-    // runs least-loaded first and every host charges the surcharge.
-    const int p = preferred < 0
-                      ? unpreferred[static_cast<std::size_t>(k)]
-                      : (k == 0 ? preferred
-                                : (k - 1 < preferred ? k - 1 : k));
+  return sweep(preferred, [&](int p) {
+    // An off-preferred host charges the migration surcharge on top of
+    // the stream's own worst case.
     const sched::NpTask task{
         cost + (p != preferred ? config_.migration_cost : 0),
         latency_of(spec), period_of(spec)};
-    if (!fits(p, task)) continue;
+    if (!fits(p, task)) return false;
     commit_and_fill(spec, task, table_budget, p, preferred, system, out);
     return true;
-  }
-  return false;
+  });
 }
 
 bool AdmissionController::try_place_renegotiating(const StreamSpec& spec,
@@ -296,16 +300,7 @@ bool AdmissionController::try_place_renegotiating(const StreamSpec& spec,
   const auto& system = tables_->get(macroblocks_of(spec), table_budget);
   if (system->tables->max_initial_delay() < 0) return false;
 
-  static const std::vector<int> kNoOrder;
-  // Bound once, like the old per-call snapshot: shrinks inside the
-  // loop dirty the cache but nothing re-reads it until the next admit.
-  const std::vector<int>& unpreferred =
-      preferred < 0 ? unpreferred_order() : kNoOrder;
-  for (int k = 0; k < num_processors(); ++k) {
-    const int p = preferred < 0
-                      ? unpreferred[static_cast<std::size_t>(k)]
-                      : (k == 0 ? preferred
-                                : (k - 1 < preferred ? k - 1 : k));
+  return sweep(preferred, [&](int p) {
     const sched::NpTask task{
         cost + (p != preferred ? config_.migration_cost : 0),
         latency_of(spec), period_of(spec)};
@@ -353,7 +348,7 @@ bool AdmissionController::try_place_renegotiating(const StreamSpec& spec,
     if (!ok) {
       cs = saved;  // roll back this processor's shrinks
       demand_invalidate(p);
-      continue;
+      return false;
     }
 
     // Record one shrink per incumbent whose budget actually moved.
@@ -371,8 +366,7 @@ bool AdmissionController::try_place_renegotiating(const StreamSpec& spec,
     commit_and_fill(spec, task, table_budget, p, preferred, system, out);
     out->via_renegotiation = true;
     return true;
-  }
-  return false;
+  });
 }
 
 bool AdmissionController::try_place_split(const StreamSpec& spec,
@@ -575,7 +569,7 @@ bool AdmissionController::set_schedulable(int p) const {
   last_test_busy_ = 0;
   const sched::DemandQuery query{&scan_stats_, d.busy_hint,
                                  &last_test_busy_};
-  return policy_->schedulable(d.tasks, query);
+  return policy_.schedulable(d.tasks, query);
 }
 
 void AdmissionController::restore_pass(int p, rt::Cycles now) {

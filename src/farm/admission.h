@@ -225,7 +225,6 @@ class AdmissionController {
   }
   double committed_utilization(int processor) const;
   int committed_streams(int processor) const;
-  const sched::SchedPolicy& policy() const { return *policy_; }
 
   /// Cumulative demand-scan work done by every schedulability query
   /// this controller issued (admission, renegotiation, restore) — the
@@ -236,14 +235,9 @@ class AdmissionController {
   /// admission_splits counter).
   long long split_count() const { return split_count_; }
 
-  /// The processor a newcomer should prefer: least committed
-  /// utilization over the surviving processors, ties to the lowest
-  /// index (0 when every processor has failed).
-  int least_loaded() const;
-
   /// Marks `processor` permanently failed: it hosts no new
-  /// commitments, the restore pass skips it, and least_loaded() never
-  /// prefers it.  Existing commitments stay until release() — the
+  /// commitments, the restore pass skips it, and neither the sweep
+  /// order nor a sharded router's floor ever prefers it.  Existing commitments stay until release() — the
   /// failure handler releases and re-admits them one by one.
   void fail_processor(int processor);
   bool processor_failed(int processor) const;
@@ -333,6 +327,13 @@ class AdmissionController {
                        std::shared_ptr<const enc::EncoderSystem> system,
                        Placement* out);
 
+  /// Calls `place(p)` over the processors in sweep order until one
+  /// call returns true (and then returns true): `preferred` first,
+  /// then the rest in index order; with preferred = -1, least-loaded
+  /// first (unpreferred_order(), bound when the sweep starts).
+  template <typename Place>
+  bool sweep(int preferred, Place&& place);
+
   /// Tries one (budget, cost) candidate on the preferred processor
   /// first, then the others; commits and fills `out` on success.
   /// With preferred = -1 the sweep runs least-loaded first and every
@@ -377,7 +378,7 @@ class AdmissionController {
 
   AdmissionConfig config_;
   SchedulingSpec sched_;
-  std::unique_ptr<sched::SchedPolicy> policy_;
+  sched::SchedPolicy policy_;
   TableCache* tables_;
   std::vector<std::vector<Commitment>> committed_;  ///< per processor
   std::vector<bool> failed_;                        ///< per processor
@@ -388,8 +389,7 @@ class AdmissionController {
   /// Per-processor incremental demand caches (lazily refreshed by the
   /// const test paths, hence mutable — control plane is sequential).
   mutable std::vector<CachedDemand> demand_;
-  /// Busy length reported by the most recent QPA test (0 under the
-  /// exact scan, which neither needs nor feeds warm hints).
+  /// Busy length reported by the most recent demand test.
   mutable rt::Cycles last_test_busy_ = 0;
   /// controlled_candidates memo (see its doc comment).
   mutable int cand_mb_ = -1;

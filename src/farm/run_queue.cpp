@@ -101,9 +101,8 @@ void run_processor(const FarmConfig& config, const SchedulingSpec& sched,
                    const std::vector<Window>& windows,
                    const std::vector<Assignment>& assigned,
                    ProcessorOutcome* out, Probe& probe) {
-  const std::unique_ptr<sched::SchedPolicy> policy =
-      sched::make_policy(sched.policy);
-  const rt::Cycles ctx = policy->context_switch_cost();
+  const sched::SchedPolicy policy(sched.policy);
+  const rt::Cycles ctx = policy.context_switch_cost();
   const bool police_overruns = fault_spec.overrun.enabled();
   const bool inject_loss = fault_spec.loss.enabled();
   const OverrunSpec& ospec = fault_spec.overrun;
@@ -259,12 +258,16 @@ void run_processor(const FarmConfig& config, const SchedulingSpec& sched,
       if (police_overruns && a.faults.overrun) {
         // Injected WCET overrun: the frame demands `factor` times its
         // honest cost.  The policer cuts it off at the stream's
-        // committed worst case — co-resident streams never pay.
+        // committed worst case — co-resident streams never pay.  The
+        // product is clamped while still a double: past the int64
+        // range llround has no answer, and the overrun would slip by.
         a.rec.overrun = true;
         ++st.res->faults.overruns_injected;
-        demand = std::max(
-            demand, static_cast<rt::Cycles>(std::llround(
-                        static_cast<double>(demand) * ospec.factor)));
+        const double inflated =
+            std::min(static_cast<double>(demand) * ospec.factor,
+                     static_cast<double>(rt::kNoDeadline));
+        demand = std::max(demand,
+                          static_cast<rt::Cycles>(std::llround(inflated)));
         if (demand > st.enforce_cost) {
           ++st.res->faults.overruns_policed;
           a.aborted = true;
@@ -423,7 +426,7 @@ void run_processor(const FarmConfig& config, const SchedulingSpec& sched,
       return kNever;
     }
     const rt::Cycles pp =
-        policy->preemption_point(running->dispatched_at, now);
+        policy.preemption_point(running->dispatched_at, now);
     return pp >= sched::kNeverPreempts ? kNever : std::max(now, pp);
   };
 

@@ -106,8 +106,8 @@ double ShardedControlPlane::committed_utilization(int processor) const {
 int ShardedControlPlane::least_loaded() const {
   // route_order_ is sorted by (floor utilization, shard index) with
   // survivors first, and each shard's floor already ties to the
-  // lowest local index — so the head of the order IS the whole-fleet
-  // least_loaded() scan's answer, read in O(1).
+  // lowest local index — so the head of the order is what a scan of
+  // every processor would find, read in O(1).
   const int p = floor_proc_[static_cast<std::size_t>(route_order_.front())];
   return p < 0 ? 0 : p;  // a dead head means every processor failed
 }

@@ -1,6 +1,6 @@
 // Sharded control plane: the fleet's M processors divided into S
 // contiguous groups, each owned by its own AdmissionController (QPA
-// fast path and incremental re-test caches carry over unchanged),
+// and its incremental re-test caches carry over unchanged),
 // fronted by a router that keeps the whole-fleet admission surface
 // run_farm already speaks — global processor indices in, global
 // placements out.
@@ -99,8 +99,8 @@ class ShardedControlPlane {
   int num_processors() const { return num_processors_; }
   double committed_utilization(int processor) const;
   /// Globally least committed utilization over surviving processors,
-  /// ties to the lowest index (0 when every processor has failed) —
-  /// identical semantics to AdmissionController::least_loaded().
+  /// ties to the lowest index (0 when every processor has failed),
+  /// read from the cached per-shard floors.
   int least_loaded() const;
   void fail_processor(int processor);
   bool processor_failed(int processor) const;
@@ -153,8 +153,8 @@ class ShardedControlPlane {
   /// Cached per-shard floor: the shard's least-loaded live processor
   /// (global index; -1 with no survivors) and its committed
   /// utilization.  Ties go to the lowest index, so the min over
-  /// shards IS AdmissionController::least_loaded() on the whole
-  /// fleet — routing through the cache changes no decision.
+  /// shards is the fleet's least-loaded live processor, lowest index
+  /// first — what a scan of every processor would find.
   std::vector<int> floor_proc_;
   std::vector<double> floor_util_;
   /// Shards sorted ascending by (floor utilization, index), dead

@@ -140,10 +140,6 @@ bool StreamSession::stateless_controller() const {
   return false;
 }
 
-bool StreamSession::repace_eligible() const {
-  return config_.repace_on_backlog && stateless_controller();
-}
-
 const enc::EncoderSystem& StreamSession::repaced_system(rt::Cycles remaining) {
   // Cost-model jitter makes every backlog lag unique, so caching by
   // the exact remaining window would never hit.  Quantize the window
@@ -180,7 +176,7 @@ FrameRecord StreamSession::encode(int index, rt::Cycles t0) {
   rt::Cycles elapsed = t0;
   std::unique_ptr<qos::Controller> repaced_controller;
   if (t0 > 0 && budget() > t0 &&
-      budget() - t0 >= min_repace_budget_ && repace_eligible()) {
+      budget() - t0 >= min_repace_budget_ && stateless_controller()) {
     sys = &repaced_system(budget() - t0);
     repaced_controller = make_controller(config_, *sys);
     controller = repaced_controller.get();

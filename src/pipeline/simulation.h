@@ -21,9 +21,10 @@
 // the budget without leaving already-expired early deadlines behind —
 // the paced-from-arrival artifact that used to log spurious
 // intermediate misses while the display deadline a_f + K * P still
-// held.  Re-paced systems are compiled on demand and cached per
-// remaining budget; set PipelineConfig::repace_on_backlog = false to
-// reproduce the old behavior.
+// held.  Re-pacing applies to the table-driven, online, and constant
+// controllers; the adaptive and feedback controllers carry state
+// across frames and keep arrival pacing.  Re-paced systems are
+// compiled on demand and cached per remaining budget.
 #pragma once
 
 #include <map>
@@ -67,11 +68,6 @@ struct PipelineConfig {
   bool use_adaptive_controller = false;
   qos::AdaptiveConfig adaptive{};
   qos::FeedbackConfig feedback{};  ///< for ControlMode::kFeedback
-  /// Re-pace a late-starting frame's deadlines over the remaining
-  /// window (see the header comment).  Applies to the table-driven,
-  /// online, and constant controllers; the adaptive and feedback
-  /// controllers carry state across frames and keep arrival pacing.
-  bool repace_on_backlog = true;
   std::uint64_t seed = 42;     ///< cost-model jitter stream
   enc::EncoderConfig encoder{};
   enc::RateControlConfig rate{};
@@ -168,8 +164,8 @@ class StreamSession {
   /// Encodes camera frame `index`; `t0` is the elapsed time already
   /// consumed when the encoder starts (the buffer wait in the
   /// single-stream pipeline; 0 in the farm, whose tables are paced
-  /// from service start).  With repace_on_backlog (the default) a
-  /// positive `t0` re-paces this frame's deadlines over the remaining
+  /// from service start).  For a stateless controller a positive
+  /// `t0` re-paces this frame's deadlines over the remaining
   /// budget() - t0 and measures elapsed time from the actual start.
   FrameRecord encode(int index, rt::Cycles t0);
 
@@ -237,8 +233,6 @@ class StreamSession {
   /// True when the configured controller holds no cross-frame state
   /// and may be rebuilt at will (table / online / constant).
   bool stateless_controller() const;
-  /// stateless_controller() gated by the repace_on_backlog knob.
-  bool repace_eligible() const;
   /// Recomputes min_repace_budget_ from the current system (see the
   /// constructor comment).
   void recompute_min_repace_budget();

@@ -82,7 +82,7 @@ class CostModel {
 /// 8 GHz.  Small next to the 176000-cycle qmin frame worst case, but
 /// a preemption bills it twice (switch-out + switch-in), so the
 /// preemptive scheduling classes inflate committed costs by it
-/// (sched/preemptive_edf.h) and the farm's data plane charges it on
+/// (sched/policy.h) and the farm's data plane charges it on
 /// every switch.
 inline constexpr rt::Cycles kContextSwitchCycles = 20000;
 

@@ -91,9 +91,4 @@ bool edf_demand_schedulable(const std::vector<NpTask>& tasks,
   return true;
 }
 
-bool np_edf_schedulable(const std::vector<NpTask>& tasks,
-                        EdfScanStats* stats) {
-  return edf_demand_schedulable(tasks, kUncappedBlocking, stats);
-}
-
 }  // namespace qosctrl::sched

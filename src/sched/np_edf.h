@@ -24,10 +24,11 @@
 //   * quantum-sliced EDF:  B(t) = min(max{ C_j : D_j > t }, quantum)
 //     (preemption waits at most one quantum boundary);
 //   * fully preemptive EDF: B(t) = 0 (the exact demand test).
-// edf_demand_schedulable exposes the blocking cap directly;
-// np_edf_schedulable is the uncapped non-preemptive instance the
-// farm has always used.  sched/preemptive_edf.h wraps the other two
-// and adds context-switch overhead inflation.
+// edf_demand_schedulable evaluates the criterion by enumerating every
+// check point.  It is the test reference: the farm's admission runs
+// the decision-identical QPA (sched/qpa.h) through the scheduling
+// policies of sched/policy.h, which pick the blocking cap and add
+// context-switch overhead inflation.
 //
 // Sufficient (never admits an unschedulable set); exact up to the
 // blocking term.
@@ -82,38 +83,27 @@ double np_utilization(const std::vector<NpTask>& tasks);
 rt::Cycles edf_request_bound(const std::vector<NpTask>& tasks,
                              rt::Cycles w);
 
-/// Which algorithm evaluates the processor-demand criterion.  Both
-/// return identical accept/reject decisions (pinned by
-/// tests/sched/qpa_property_test.cpp) up to the conservative scan
-/// caps; they differ only in how many points they touch.
-enum class DemandAlgo {
-  kExactScan,  ///< enumerate every deadline check point (this file)
-  kQpa,        ///< Quick Processor-demand Analysis (sched/qpa.h)
-};
-
 /// Work accounting for one or more demand scans — how much the
 /// control plane actually computed to reach its admission verdicts.
 /// Accumulated (never reset) by the tests below when a non-null
 /// pointer is passed, so one instance can meter a whole admission
 /// session.
 struct EdfScanStats {
-  long long demand_tests = 0;     ///< demand tests run (either algo)
+  long long demand_tests = 0;     ///< demand tests run
   long long busy_iterations = 0;  ///< busy-period fixpoint steps
   long long check_points = 0;     ///< exact-scan check points evaluated
   long long qpa_points = 0;       ///< QPA demand evaluations h(t)
 };
 
-/// Per-call knobs for a demand test, shared by both algorithms.
+/// Per-call knobs for a QPA demand test (sched/qpa.h).
 ///
-/// `busy_seed` warm-starts the busy-period fixpoint (QPA only; the
-/// exact scan ignores it so the `--admission exact` baseline stays
-/// byte-for-byte the original test).  Contract: the seed must be a
-/// lower bound on the set's true synchronous busy-period length —
-/// any previously computed busy length of a SUBSET of the tasks
-/// qualifies (adding tasks or growing costs only lengthens the busy
-/// period), 0 always does.  `busy_out`, when non-null, receives the
-/// converged busy length (QPA only) so callers can cache it as a
-/// future seed.
+/// `busy_seed` warm-starts the busy-period fixpoint.  Contract: the
+/// seed must be a lower bound on the set's true synchronous
+/// busy-period length — any previously computed busy length of a
+/// SUBSET of the tasks qualifies (adding tasks or growing costs only
+/// lengthens the busy period), 0 always does.  `busy_out`, when
+/// non-null, receives the converged busy length so callers can cache
+/// it as a future seed.
 struct DemandQuery {
   EdfScanStats* stats = nullptr;
   rt::Cycles busy_seed = 0;
@@ -130,11 +120,5 @@ struct DemandQuery {
 bool edf_demand_schedulable(const std::vector<NpTask>& tasks,
                             rt::Cycles max_blocking,
                             EdfScanStats* stats = nullptr);
-
-/// True when the task set is schedulable by non-preemptive EDF on one
-/// processor — edf_demand_schedulable with the uncapped blocking
-/// term.  Sufficient; subject to the scan caps above.
-bool np_edf_schedulable(const std::vector<NpTask>& tasks,
-                        EdfScanStats* stats = nullptr);
 
 }  // namespace qosctrl::sched

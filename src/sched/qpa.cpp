@@ -148,13 +148,4 @@ bool qpa_demand_schedulable(const std::vector<NpTask>& tasks,
   return true;
 }
 
-bool demand_schedulable(const std::vector<NpTask>& tasks,
-                        rt::Cycles max_blocking, DemandAlgo algo,
-                        const DemandQuery& query) {
-  if (algo == DemandAlgo::kExactScan) {
-    return edf_demand_schedulable(tasks, max_blocking, query.stats);
-  }
-  return qpa_demand_schedulable(tasks, max_blocking, query);
-}
-
 }  // namespace qosctrl::sched

@@ -1,7 +1,9 @@
-// Quick Processor-demand Analysis (QPA) — the fast path for the
-// processor-demand criterion in sched/np_edf.h.
+// Quick Processor-demand Analysis (QPA) — the farm's admission test:
+// the processor-demand criterion of sched/np_edf.h, evaluated at a
+// handful of points.  Every scheduling policy (sched/policy.h) runs it.
 //
-// The exact scan enumerates every absolute deadline in the scan
+// The exact scan (edf_demand_schedulable, kept as the test reference)
+// enumerates every absolute deadline in the scan
 // horizon and tests demand at each.  Zhang & Burns (2009) observed
 // that the test can instead iterate DOWNWARD from the top of the
 // horizon: at any point t, every deadline p in (h(t), t] satisfies
@@ -65,11 +67,5 @@ inline constexpr long long kQpaMaxIterations = 1LL << 20;
 bool qpa_demand_schedulable(const std::vector<NpTask>& tasks,
                             rt::Cycles max_blocking,
                             const DemandQuery& query = {});
-
-/// Dispatches to the exact scan or QPA.  The exact path ignores the
-/// warm-start fields of `query` (baseline behavior preserved).
-bool demand_schedulable(const std::vector<NpTask>& tasks,
-                        rt::Cycles max_blocking, DemandAlgo algo,
-                        const DemandQuery& query = {});
 
 }  // namespace qosctrl::sched

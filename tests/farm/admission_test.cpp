@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 namespace qosctrl::farm {
 namespace {
 
@@ -421,6 +423,38 @@ TEST_F(AdmissionTest, DeterministicVerdicts) {
     EXPECT_EQ(pa.processor, pb.processor);
     EXPECT_EQ(pa.table_budget, pb.table_budget);
     EXPECT_EQ(pa.initial_quality, pb.initial_quality);
+  }
+}
+
+TEST_F(AdmissionTest, HugeLadderEntriesOfferNoCandidate) {
+  // A rung far past the latency window is dropped before it reaches
+  // the integer cast: the verdicts match a ladder without it.
+  AdmissionConfig huge;
+  huge.budget_fractions.push_back(1e300);
+  huge.min_budget_multiples.push_back(1e30);
+  AdmissionController a(2, huge, &tables_);
+  AdmissionController b(2, {}, &tables_);
+  for (int i = 0; i < 6; ++i) {
+    const Placement pa = a.admit(small_stream(i), i % 2);
+    const Placement pb = b.admit(small_stream(i), i % 2);
+    EXPECT_EQ(pa.admitted, pb.admitted);
+    EXPECT_EQ(pa.processor, pb.processor);
+    EXPECT_EQ(pa.table_budget, pb.table_budget);
+  }
+}
+
+TEST_F(AdmissionTest, RejectsNonFiniteOrNonPositiveLadderEntries) {
+  for (const double bad :
+       {std::numeric_limits<double>::quiet_NaN(),
+        std::numeric_limits<double>::infinity(), 0.0, -0.5}) {
+    AdmissionConfig fractions;
+    fractions.budget_fractions = {0.85, bad};
+    EXPECT_DEATH(AdmissionController(1, fractions, &tables_),
+                 "budget ladder");
+    AdmissionConfig multiples;
+    multiples.min_budget_multiples = {bad};
+    EXPECT_DEATH(AdmissionController(1, multiples, &tables_),
+                 "budget ladder");
   }
 }
 

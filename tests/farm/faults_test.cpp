@@ -109,6 +109,24 @@ TEST(FarmFaults, OverrunsNeverCauseDeadlineMissesUnderAnyPolicy) {
   }
 }
 
+TEST(FarmFaults, AstronomicalOverrunFactorIsStillPoliced) {
+  // A factor whose product leaves the int64 range must still read as
+  // an overrun: every injected frame is cut at its committed worst case.
+  for (const double factor : {1e15, 1e300}) {
+    FarmScenario sc = light_scenario(4, 20);
+    sc.faults.seed = 3;
+    sc.faults.overrun.probability = 1.0;
+    sc.faults.overrun.factor = factor;
+    FarmConfig cfg;
+    cfg.num_processors = 2;
+    const FarmResult r = run_farm(sc, cfg);
+    SCOPED_TRACE(factor);
+    EXPECT_EQ(r.faults_total.overruns_injected, 80) << summarize(r);
+    EXPECT_EQ(r.faults_total.overruns_policed, 80);
+    EXPECT_EQ(r.total_display_misses, 0);
+  }
+}
+
 TEST(FarmFaults, DowngradePolicyStepsDownTheCertifiedLadder) {
   FarmScenario sc = light_scenario();
   sc.faults.seed = 17;

@@ -162,22 +162,5 @@ TEST(BufferAccounting, ControlledModeIsCleanForK3Too) {
   }
 }
 
-TEST(BufferAccounting, ArrivalPacingArtifactStillReproducible) {
-  // The pre-re-pacing behavior stays reachable for comparison: with
-  // repace_on_backlog off, the tables are paced over K * P from
-  // arrival and a backlog walks early per-macroblock deadlines into
-  // the past, logging intermediate misses even though every frame
-  // still meets a_f + K * P (checked above).  This is the wart the
-  // farm sidesteps by pacing from service start, and the single-stream
-  // pipeline now re-paces away.
-  PipelineConfig cfg = overload_config(2);
-  cfg.mode = ControlMode::kControlled;
-  cfg.repace_on_backlog = false;
-  const PipelineResult r = run_pipeline(cfg);
-  EXPECT_EQ(r.total_skips, 0);
-  EXPECT_GT(r.total_deadline_misses, 0)
-      << "arrival pacing under backlog is expected to log pacing misses";
-}
-
 }  // namespace
 }  // namespace qosctrl::pipe

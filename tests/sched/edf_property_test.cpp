@@ -1,11 +1,10 @@
-// Property-style randomized cross-checks of the EDF admission-test
-// family over sporadic task sets.  Deterministic: a fixed-seed
-// util::Rng drives every draw.
+// Property-style randomized cross-checks of the three scheduling
+// policies' admission tests (sched/policy.h) over sporadic task sets.
+// Deterministic: a fixed-seed util::Rng drives every draw.
 //
-// The pinned orderings follow from the shared demand core
-// (sched/np_edf.h): demand and scan caps are identical across the
-// family and only the blocking term shrinks, so (with equal
-// context-switch cost)
+// The pinned orderings follow from the shared demand core: demand and
+// caps are identical across the policies and only the blocking term
+// shrinks, so (with equal context-switch cost)
 //
 //   np-admissible  ⊆  quantum-admissible  ⊆  preemptive-admissible
 //
@@ -14,11 +13,16 @@
 
 #include <vector>
 
-#include "sched/preemptive_edf.h"
+#include "sched/policy.h"
 #include "util/rng.h"
 
 namespace qosctrl::sched {
 namespace {
+
+bool admits(PolicyKind kind, const std::vector<NpTask>& tasks,
+            rt::Cycles quantum = 0, rt::Cycles context_switch = 0) {
+  return SchedPolicy({kind, context_switch, quantum}).schedulable(tasks);
+}
 
 std::vector<NpTask> random_task_set(util::Rng& rng) {
   const int n = static_cast<int>(rng.uniform_i64(1, 5));
@@ -40,10 +44,10 @@ TEST(EdfProperty, PreemptiveAdmitsEverythingNpAdmits) {
   int np_yes = 0, preemptive_yes = 0;
   for (int trial = 0; trial < 2000; ++trial) {
     const std::vector<NpTask> tasks = random_task_set(rng);
-    const bool np = np_edf_schedulable(tasks);
-    const bool quantum = quantum_edf_schedulable(
-        tasks, rng.uniform_i64(1, 40));
-    const bool preemptive = preemptive_edf_schedulable(tasks);
+    const bool np = admits(PolicyKind::kNonPreemptiveEdf, tasks);
+    const bool quantum =
+        admits(PolicyKind::kQuantumEdf, tasks, rng.uniform_i64(1, 40));
+    const bool preemptive = admits(PolicyKind::kPreemptiveEdf, tasks);
     np_yes += np ? 1 : 0;
     preemptive_yes += preemptive ? 1 : 0;
     if (np) {
@@ -71,9 +75,9 @@ TEST(EdfProperty, OverUtilizationRejectedByEveryPolicy) {
     while (np_utilization(tasks) <= 1.0) {
       for (NpTask& t : tasks) t.cost += 1 + t.cost / 2;
     }
-    EXPECT_FALSE(np_edf_schedulable(tasks));
-    EXPECT_FALSE(quantum_edf_schedulable(tasks, 10));
-    EXPECT_FALSE(preemptive_edf_schedulable(tasks));
+    EXPECT_FALSE(admits(PolicyKind::kNonPreemptiveEdf, tasks));
+    EXPECT_FALSE(admits(PolicyKind::kQuantumEdf, tasks, 10));
+    EXPECT_FALSE(admits(PolicyKind::kPreemptiveEdf, tasks));
   }
 }
 
@@ -81,8 +85,8 @@ TEST(EdfProperty, ContextSwitchCostOnlyShrinksTheAdmissibleSet) {
   util::Rng rng(424242);
   for (int trial = 0; trial < 500; ++trial) {
     const std::vector<NpTask> tasks = random_task_set(rng);
-    if (preemptive_edf_schedulable(tasks, 2)) {
-      EXPECT_TRUE(preemptive_edf_schedulable(tasks, 0))
+    if (admits(PolicyKind::kPreemptiveEdf, tasks, 0, 2)) {
+      EXPECT_TRUE(admits(PolicyKind::kPreemptiveEdf, tasks))
           << "overhead-inflated admission must imply zero-overhead "
           << "admission (trial " << trial << ")";
     }

@@ -1,38 +1,46 @@
+// Non-preemptive EDF admission through the np scheduling policy (the
+// farm's production path), plus the exact scan's conservative caps.
 #include "sched/np_edf.h"
 
 #include <gtest/gtest.h>
 
+#include "sched/policy.h"
+
 namespace qosctrl::sched {
 namespace {
 
+bool np_schedulable(const std::vector<NpTask>& tasks) {
+  return SchedPolicy(PolicyParams{}).schedulable(tasks);
+}
+
 TEST(NpEdf, EmptySetIsSchedulable) {
-  EXPECT_TRUE(np_edf_schedulable({}));
+  EXPECT_TRUE(np_schedulable({}));
 }
 
 TEST(NpEdf, SingleTaskFittingItsDeadline) {
-  EXPECT_TRUE(np_edf_schedulable({{30, 100, 100}}));
-  EXPECT_TRUE(np_edf_schedulable({{100, 100, 100}}));  // U == 1, C == D
+  EXPECT_TRUE(np_schedulable({{30, 100, 100}}));
+  EXPECT_TRUE(np_schedulable({{100, 100, 100}}));  // U == 1, C == D
 }
 
 TEST(NpEdf, CostBeyondDeadlineFails) {
-  EXPECT_FALSE(np_edf_schedulable({{120, 100, 200}}));
+  EXPECT_FALSE(np_schedulable({{120, 100, 200}}));
 }
 
 TEST(NpEdf, OverUtilizationFails) {
-  EXPECT_FALSE(np_edf_schedulable({{60, 100, 100}, {60, 100, 100}}));
+  EXPECT_FALSE(np_schedulable({{60, 100, 100}, {60, 100, 100}}));
   EXPECT_NEAR(np_utilization({{60, 100, 100}, {60, 100, 100}}), 1.2, 1e-12);
 }
 
 TEST(NpEdf, TwoHarmonicTasksFit) {
   // U = 0.5 + 0.25, short task deadline leaves room for blocking.
-  EXPECT_TRUE(np_edf_schedulable({{50, 100, 100}, {50, 200, 200}}));
+  EXPECT_TRUE(np_schedulable({{50, 100, 100}, {50, 200, 200}}));
 }
 
 TEST(NpEdf, BlockingTermRejectsLongLowPriorityJob) {
   // A tight task alone is fine, but a long job with a later deadline
   // can block it right after its release: 90 (blocking) + 20 > 100.
-  EXPECT_TRUE(np_edf_schedulable({{20, 100, 100}}));
-  EXPECT_FALSE(np_edf_schedulable({{20, 100, 100}, {90, 1000, 1000}}));
+  EXPECT_TRUE(np_schedulable({{20, 100, 100}}));
+  EXPECT_FALSE(np_schedulable({{20, 100, 100}, {90, 1000, 1000}}));
   // Preemptive EDF would accept this set (U = 0.29): the rejection is
   // exactly the non-preemptive blocking penalty.
 }
@@ -40,29 +48,29 @@ TEST(NpEdf, BlockingTermRejectsLongLowPriorityJob) {
 TEST(NpEdf, DeadlineLargerThanPeriod) {
   // The farm's K > 1 streams: D = K * P.  Three tasks, each C = 0.6 P,
   // D = 2 P: infeasible preemptively (U = 1.8) -> must reject.
-  EXPECT_FALSE(np_edf_schedulable(
+  EXPECT_FALSE(np_schedulable(
       {{60, 200, 100}, {60, 200, 100}, {60, 200, 100}}));
   // Two of them: U = 1.2 -> reject.
-  EXPECT_FALSE(np_edf_schedulable({{60, 200, 100}, {60, 200, 100}}));
+  EXPECT_FALSE(np_schedulable({{60, 200, 100}, {60, 200, 100}}));
   // C = 0.4 P each, D = 2 P, U = 0.8: the extra deadline slack absorbs
   // the blocking -> accept.
-  EXPECT_TRUE(np_edf_schedulable({{40, 200, 100}, {40, 200, 100}}));
+  EXPECT_TRUE(np_schedulable({{40, 200, 100}, {40, 200, 100}}));
 }
 
 TEST(NpEdf, ManySmallTasksPack) {
   std::vector<NpTask> tasks(8, NpTask{10, 100, 100});  // U = 0.8
-  EXPECT_TRUE(np_edf_schedulable(tasks));
+  EXPECT_TRUE(np_schedulable(tasks));
   tasks.assign(11, NpTask{10, 100, 100});  // U = 1.1
-  EXPECT_FALSE(np_edf_schedulable(tasks));
+  EXPECT_FALSE(np_schedulable(tasks));
 }
 
 TEST(NpEdf, SufficiencyOnKnownBoundaryCase) {
   // Jeffay's classic example shape: C = {1, 3}, T = {4, 6}, D = T.
   // Demand at t = 6: 1*ceil... dbf = 1 (task 1 job) + 3 = 4; plus
   // blocking at t = 4 from the 3-unit task: 1 + 3 <= 4 -> schedulable.
-  EXPECT_TRUE(np_edf_schedulable({{1, 4, 4}, {3, 6, 6}}));
+  EXPECT_TRUE(np_schedulable({{1, 4, 4}, {3, 6, 6}}));
   // Tighten the long task: C = 4 -> at t = 4 blocking 4 + demand 1 > 4.
-  EXPECT_FALSE(np_edf_schedulable({{1, 4, 4}, {4, 6, 6}}));
+  EXPECT_FALSE(np_schedulable({{1, 4, 4}, {4, 6, 6}}));
 }
 
 TEST(NpEdf, UtilizationAccessor) {
@@ -82,9 +90,11 @@ TEST(NpEdf, CheckPointCapFailsConservatively) {
   // rejects.  Sanity: shrinking the huge deadline back into a small
   // horizon restores acceptance.
   const rt::Cycles huge = 1'000'000'000;
-  EXPECT_FALSE(np_edf_schedulable({{1, 2, 2}, {1, huge, huge}}));
+  EXPECT_FALSE(edf_demand_schedulable({{1, 2, 2}, {1, huge, huge}},
+                                      kUncappedBlocking));
   EXPECT_FALSE(edf_demand_schedulable({{1, 2, 2}, {1, huge, huge}}, 0));
-  EXPECT_TRUE(np_edf_schedulable({{1, 2, 2}, {1, 100, 100}}));
+  EXPECT_TRUE(edf_demand_schedulable({{1, 2, 2}, {1, 100, 100}},
+                                     kUncappedBlocking));
   // The cap itself is part of the contract.
   EXPECT_EQ(kEdfMaxCheckPoints, std::size_t{1} << 16);
   EXPECT_EQ(kEdfMaxBusyIterations, 256);
@@ -101,8 +111,10 @@ TEST(NpEdf, BusyPeriodCapFailsConservatively) {
       {300, 3'100'000, 3'100'000},
   };
   EXPECT_LT(np_utilization(pathological), 1.0);
-  EXPECT_FALSE(np_edf_schedulable(pathological));
+  EXPECT_FALSE(edf_demand_schedulable(pathological, kUncappedBlocking));
   EXPECT_FALSE(edf_demand_schedulable(pathological, 0));
+  // QPA shares the busy-period fixpoint and its cap.
+  EXPECT_FALSE(np_schedulable(pathological));
 }
 
 }  // namespace

@@ -1,7 +1,8 @@
 // Pins QPA (sched/qpa.h) decision-identical to the exact check-point
-// scan (sched/np_edf.h) — randomized task sets across every blocking
-// regime and all three scheduling policies, the warm busy-seed
-// contract, and the worked numeric example from docs/admission.md.
+// scan (sched/np_edf.h, the test reference) — randomized task sets
+// across every blocking regime and all three scheduling policies, the
+// warm busy-seed contract, and the worked numeric example from
+// docs/admission.md.
 // Deterministic: fixed-seed util::Rng drives every draw.
 #include "sched/qpa.h"
 
@@ -55,9 +56,10 @@ TEST(QpaProperty, MatchesExactAcrossRandomSetsAndBlockingRegimes) {
 }
 
 TEST(QpaProperty, MatchesExactThroughAllThreePolicies) {
-  // Through the policy layer (sched/policy.h), where the demand test
-  // composes with context-switch inflation and the per-policy blocking
-  // cap: flipping only demand_algo must never flip a verdict.
+  // Through the policy layer (sched/policy.h), where QPA composes with
+  // context-switch inflation and the per-policy blocking cap: the
+  // verdict must equal the exact scan's over the same inflated set
+  // and cap.
   util::Rng rng(20260808);
   for (int trial = 0; trial < 500; ++trial) {
     const std::vector<NpTask> tasks = random_task_set(rng);
@@ -68,10 +70,14 @@ TEST(QpaProperty, MatchesExactThroughAllThreePolicies) {
       params.kind = kind;
       params.quantum = rng.uniform_i64(1, 20);
       params.context_switch_cost = rng.uniform_i64(0, 2);
-      params.demand_algo = DemandAlgo::kExactScan;
-      const bool exact = make_policy(params)->schedulable(tasks);
-      params.demand_algo = DemandAlgo::kQpa;
-      const bool qpa = make_policy(params)->schedulable(tasks);
+      const bool qpa = SchedPolicy(params).schedulable(tasks);
+      const bool exact =
+          kind == PolicyKind::kNonPreemptiveEdf
+              ? edf_demand_schedulable(tasks, kUncappedBlocking)
+              : edf_demand_schedulable(
+                    inflate_context_switch(tasks,
+                                           params.context_switch_cost),
+                    kind == PolicyKind::kQuantumEdf ? params.quantum : 0);
       ASSERT_EQ(exact, qpa)
           << "policy " << policy_name(kind) << " diverged (trial "
           << trial << ")";

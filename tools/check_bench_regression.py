@@ -37,9 +37,8 @@ import sys
 # queues, plus the faulted run and the faulted run with the windowed
 # time series + SLO engine on (Timeseries — gates the observability
 # layer's overhead); PsnrFrame/SsimFrame track the distortion kernels.
-# AdmissionThroughput tracks steady-state admission churn (the QPA
-# fast path at 1k/10k/100k resident streams plus the exact-scan
-# baseline it must stay >= 10x ahead of — see docs/admission.md).
+# AdmissionThroughput tracks steady-state admission churn (QPA at
+# 1k/10k/100k resident streams — see docs/admission.md).
 # ShardedJoinRate tracks the flash-crowd join storm on a 1024-processor
 # fleet at 1 and 64 shards: the pinned >= 10x sharded-vs-single join
 # rate lives in the ratio of these two rows (see docs/scenarios.md).
@@ -60,7 +59,7 @@ DEFAULT_BENCHMARKS = (
     r"|SyntheticFrame(Yuv(Carried)?)?"
     r"|QuantizeBlock|Entropy(Encode|Decode)Block|(En|De)codeFrame"
     r"|ExportChromeTrace"
-    r"|AdmissionThroughput(Exact)?/\d+"
+    r"|AdmissionThroughput/\d+"
     r"|ShardedJoinRate/\d+"
     r"|FarmThroughput(Preemptive|Quantum|Faults|Timeseries)?/\d+"
     r"(/real_time)?)$"

@@ -55,7 +55,6 @@ int main(int argc, char** argv) {
                                           sched::PolicyKind::kQuantumEdf};
   rt::Cycles quantum = 1000000;
   rt::Cycles ctx_switch = platform::kContextSwitchCycles;
-  sched::DemandAlgo admission = sched::DemandAlgo::kQpa;
   const char* csv_path = nullptr;
   bool quiet = false;
   int constant_q = 3;
@@ -94,8 +93,6 @@ int main(int argc, char** argv) {
       cli::fraction("--loss-prob", "F", &sweep.faults.loss.probability),
       cli::u64("--fault-seed", "S", &sweep.faults.seed),
       cli::fraction("--latency-discount", "F", &sweep.latency_discount),
-      cli::named("--admission", "A", &admission,
-                 sched::parse_demand_algo_name),
       cli::enable("--split", &sweep.split),
       cli::u64("--seed", "S", &sweep.farm_seed),
       cli::cycles("--ts-window", "W", &sweep.ts_window, 1),
@@ -134,7 +131,6 @@ int main(int argc, char** argv) {
     p.kind = k;
     p.context_switch_cost = ctx_switch;
     p.quantum = quantum;
-    p.demand_algo = admission;
     sweep.sched_policies.push_back(p);
   }
 

@@ -98,8 +98,6 @@ int main(int argc, char** argv) {
        }},
       cli::named("--policy", "P", &sched.policy.kind,
                  sched::parse_policy_name),
-      cli::named("--admission", "A", &sched.policy.demand_algo,
-                 sched::parse_demand_algo_name),
       cli::enable("--split", &sched.split),
       cli::cycles("--quantum", "C", &sched.policy.quantum, 1),
       cli::cycles("--ctx-switch", "C", &sched.policy.context_switch_cost, 0,

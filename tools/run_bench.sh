@@ -3,10 +3,9 @@
 # BENCH_micro.json (google-benchmark JSON: ns/op per benchmark) so the
 # perf trajectory of the hot kernels — SAD per macroblock, forward /
 # inverse DCT, motion search, the table-driven controller decision,
-# the steady-state admission churn (BM_AdmissionThroughput* at 1k /
+# the steady-state admission churn (BM_AdmissionThroughput at 1k /
 # 10k / 100k resident streams, items_per_second = admit+release
-# cycles per wall-second; the Exact suffix forces the full
-# check-point scan the QPA fast path replaces),
+# cycles per wall-second),
 # the video source (BM_SyntheticFrame = one QCIF luma frame,
 # BM_SyntheticFrameYuv = the full 4:2:0 frame, BM_SyntheticFrameYuvCarried
 # = the same frames rendered in order through one carry, as the farm
@@ -42,7 +41,7 @@ cmake -B "$BUILD_DIR" -S "$ROOT" -DQOSCTRL_BUILD_BENCHES=ON \
 cmake --build "$BUILD_DIR" --target bench_micro -j "$(nproc)" >/dev/null
 
 "$BUILD_DIR/bench_micro" \
-    --benchmark_filter='BM_(SadMacroblock|HalfpelInterp|ForwardDct8|InverseDct8|MotionSearch|TableControllerDecision|PsnrFrame|SsimFrame|SyntheticFrame(Yuv(Carried)?)?|QuantizeBlock|Entropy(Encode|Decode)Block|(Encode|Decode)Frame|AdmissionThroughput(Exact)?|ShardedJoinRate|FarmThroughput(Preemptive|Quantum|Faults|Traced|Timeseries)?|ExportChromeTrace|FarmReportJson)' \
+    --benchmark_filter='BM_(SadMacroblock|HalfpelInterp|ForwardDct8|InverseDct8|MotionSearch|TableControllerDecision|PsnrFrame|SsimFrame|SyntheticFrame(Yuv(Carried)?)?|QuantizeBlock|Entropy(Encode|Decode)Block|(Encode|Decode)Frame|AdmissionThroughput|ShardedJoinRate|FarmThroughput(Preemptive|Quantum|Faults|Traced|Timeseries)?|ExportChromeTrace|FarmReportJson)' \
     --benchmark_repetitions=3 \
     --benchmark_report_aggregates_only=true \
     --benchmark_out_format=json \
