@@ -233,7 +233,13 @@ media::Frame StreamSession::source_luma(int index) {
 void StreamSession::score_against_display(FrameRecord* rec) {
   const media::Frame input = source_luma(rec->index);
   if (track_delivery_) {
-    if (!displayed_) return;  // nothing ever displayed: scores stay 0
+    if (!displayed_) {
+      // Nothing displayed yet: the viewer sees no picture, whatever the
+      // record carried from the encoder.
+      rec->psnr = 0.0;
+      rec->ssim = 0.0;
+      return;
+    }
     const quality::FrameDistortion d = quality::measure(input, displayed_->y);
     rec->psnr = d.psnr;
     rec->ssim = d.ssim;

@@ -127,6 +127,29 @@ TEST(FarmFaults, AstronomicalOverrunFactorIsStillPoliced) {
   }
 }
 
+TEST(FarmFaults, FramesNeverDisplayedScoreZero) {
+  // Every frame overruns past any budget and is aborted, so no picture
+  // ever reaches the viewer: a concealed frame must not keep the
+  // encoder's scores.
+  FarmScenario sc = light_scenario(4, 20);
+  sc.faults.seed = 3;
+  sc.faults.overrun.probability = 1.0;
+  sc.faults.overrun.factor = 1e9;
+  FarmConfig cfg;
+  cfg.num_processors = 2;
+  const FarmResult r = run_farm(sc, cfg);
+  EXPECT_EQ(r.total_concealed, 80) << summarize(r);
+  EXPECT_EQ(r.fleet_mean_psnr, 0.0);
+  EXPECT_EQ(r.fleet_mean_ssim, 0.0);
+  for (const StreamOutcome& so : r.streams) {
+    for (const pipe::FrameRecord& rec : so.result.frames) {
+      EXPECT_EQ(rec.psnr, 0.0) << "stream " << so.spec.id << " frame "
+                               << rec.index;
+      EXPECT_EQ(rec.ssim, 0.0);
+    }
+  }
+}
+
 TEST(FarmFaults, DowngradePolicyStepsDownTheCertifiedLadder) {
   FarmScenario sc = light_scenario();
   sc.faults.seed = 17;
@@ -286,8 +309,9 @@ std::uint64_t report_digest(std::string json) {
 // Pinned delivery path: the fault soup drives every render, decode and
 // score the delivery path has (delivered, lost, policer-aborted, outage
 // drops, a repair's intra re-sync, failover).  Its report hashes to the
-// same value at 1 and 4 workers, recorded before synthesis and delivery
-// scoring were restructured.
+// same value at 1 and 4 workers.  Re-recorded when frames concealed
+// before any picture was displayed started scoring 0 instead of
+// keeping the encoder's scores.
 TEST(FarmFaults, FaultSoupReportDigestIsPinned) {
   for (const int workers : {1, 4}) {
     FarmConfig cfg;
@@ -296,7 +320,7 @@ TEST(FarmFaults, FaultSoupReportDigestIsPinned) {
     const FarmResult r = run_farm(soup_scenario(), cfg);
     EXPECT_GT(r.total_concealed, 0);
     EXPECT_GT(r.faults_total.overruns_policed, 0);
-    EXPECT_EQ(report_digest(to_json(r)), 0x61db9058158d20a1ULL)
+    EXPECT_EQ(report_digest(to_json(r)), 0x1fdacb54cb5607a0ULL)
         << "workers=" << workers;
   }
 }

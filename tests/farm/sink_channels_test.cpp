@@ -222,11 +222,13 @@ struct PinnedReports {
   std::uint64_t csv;
 };
 
-/// to_json / to_csv digests, in kPinned order.
+/// to_json / to_csv digests, in kPinned order.  sharded_rebalance's
+/// pair was re-recorded when frames concealed before any picture was
+/// displayed started scoring 0.
 const std::array<PinnedReports, 3> kPinnedReports = {{
     {0xc5ca5cfbd724bfd5ULL, 0xef78d7a4ffa6c439ULL},
     {0x4a76ff500d365e30ULL, 0x9d44c1e2a5d51440ULL},
-    {0x2cbe5d01107e5230ULL, 0xedc8180f6baabdd7ULL},
+    {0x314c227052690189ULL, 0x1012beca852a8464ULL},
 }};
 
 TEST(SinkBytes, ReportDigestsArePinnedAtOneAndFourWorkers) {
