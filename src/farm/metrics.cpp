@@ -128,7 +128,7 @@ std::string summarize(const FarmResult& r) {
     os << "proc " << p << ": streams=" << po.streams_hosted
        << " frames=" << po.frames_encoded << " busy_Mcycles="
        << static_cast<double>(po.busy_cycles) / 1e6
-       << " util=" << po.utilization
+       << " util=" << po.utilization()
        << " peak_committed=" << po.peak_committed_utilization
        << " preemptions=" << po.preemptions;
     if (po.failed) {
@@ -191,20 +191,20 @@ std::string summarize(const FarmResult& r) {
        << " skips=" << so.result.total_skips
        << " concealed=" << so.result.total_concealed
        << " display_misses=" << so.display_misses
-       << " internal_misses=" << so.internal_misses
+       << " internal_misses=" << so.result.total_deadline_misses
        << " mean_psnr=" << so.result.mean_psnr
        << " psnr_p5=" << so.result.psnr_stats.p5
        << " psnr_min=" << so.result.psnr_stats.min
        << " mean_ssim=" << so.result.mean_ssim
        << " mean_quality=" << so.result.mean_quality;
     if (so.faults.overruns_injected > 0 || so.faults.lost_frames > 0 ||
-        so.faults.failure_drops > 0 || so.quarantined) {
+        so.faults.failure_drops > 0 || so.faults.quarantines > 0) {
       os << " overruns=" << so.faults.overruns_injected << "/policed="
          << so.faults.overruns_policed
          << " downgrades=" << so.faults.forced_downgrades
          << " lost=" << so.faults.lost_frames
          << " failure_drops=" << so.faults.failure_drops;
-      if (so.quarantined) os << " QUARANTINED";
+      if (so.faults.quarantines > 0) os << " QUARANTINED";
     }
     if (!so.failover.empty()) {
       os << " failovers=" << so.failover.size() << " (->proc";
@@ -328,7 +328,7 @@ std::string to_json(const FarmResult& r) {
     w.key("frames").integer(po.frames_encoded);
     w.key("busy_cycles").integer(po.busy_cycles);
     w.key("span_cycles").integer(po.span_cycles);
-    w.key("utilization").number(po.utilization);
+    w.key("utilization").number(po.utilization());
     w.key("preemptions").integer(po.preemptions);
     w.key("overhead_cycles").integer(po.overhead_cycles);
     w.key("failed").boolean(po.failed);
@@ -371,7 +371,7 @@ std::string to_json(const FarmResult& r) {
     w.key("skips").integer(so.result.total_skips);
     w.key("concealed").integer(so.result.total_concealed);
     w.key("display_misses").integer(so.display_misses);
-    w.key("internal_misses").integer(so.internal_misses);
+    w.key("internal_misses").integer(so.result.total_deadline_misses);
     w.key("max_start_lag").integer(so.max_start_lag);
     w.key("mean_start_lag").number(so.mean_start_lag);
     w.key("start_lag_p95").integer(so.start_lag_p95);
@@ -383,7 +383,7 @@ std::string to_json(const FarmResult& r) {
     w.key("quarantine_drops").integer(so.faults.quarantine_drops);
     w.key("lost_frames").integer(so.faults.lost_frames);
     w.key("failure_drops").integer(so.faults.failure_drops);
-    w.key("quarantined").boolean(so.quarantined);
+    w.key("quarantined").boolean(so.faults.quarantines > 0);
     w.key("failovers").integer(static_cast<long long>(so.failover.size()));
     w.key("mean_psnr").number(so.result.mean_psnr);
     w.key("psnr_p5").number(so.result.psnr_stats.p5);
@@ -474,7 +474,7 @@ std::string to_csv(const FarmResult& r) {
                pl.migrated, pl.degraded, pl.split, pl.via_renegotiation,
                so.renegotiated, so.restored, final_budget(so),
                pl.initial_quality, so.result.total_skips, so.display_misses,
-               so.internal_misses, so.max_start_lag, so.mean_start_lag,
+               so.result.total_deadline_misses, so.max_start_lag, so.mean_start_lag,
                so.result.mean_psnr, so.result.psnr_stats.p5,
                so.result.psnr_stats.min, so.result.mean_ssim,
                so.result.ssim_stats.p5, so.result.ssim_stats.min,
@@ -483,7 +483,7 @@ std::string to_csv(const FarmResult& r) {
     const StreamFaultStats& f = so.faults;
     csv_fields(w, f.overruns_injected, f.overruns_policed, f.aborted_frames,
                f.forced_downgrades, f.quarantines, f.quarantine_drops,
-               f.lost_frames, f.failure_drops, so.quarantined,
+               f.lost_frames, f.failure_drops, f.quarantines > 0,
                so.failover.size());
     w.raw('\n');
   }

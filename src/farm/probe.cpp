@@ -15,9 +15,10 @@ std::string phase_metric(std::size_t ph) {
 
 }  // namespace
 
-Probe::Probe(obs::Registry& metrics, obs::TraceBuffer* trace,
+Probe::Probe(int processor, obs::Registry& metrics, obs::TraceBuffer* trace,
              obs::SeriesRecorder* series)
-    : trace_(trace),
+    : processor_(processor),
+      trace_(trace),
       series_(series),
       dispatched_(&metrics.counter("frames_dispatched")),
       completed_(&metrics.counter("frames_completed")),
@@ -59,6 +60,16 @@ Probe::Probe(obs::TraceBuffer* trace, obs::SeriesRecorder* series,
   }
 }
 
+void Probe::write_tallies(ProcessorOutcome* out) const {
+  out->busy_cycles = busy_;
+  out->span_cycles = span_;
+  out->frames_encoded = static_cast<int>(*completed_);
+  out->streams_hosted = streams_hosted_;
+  out->preemptions = static_cast<int>(*preemptions_);
+  out->overhead_cycles = overhead_;
+  out->fault_conceals = fault_conceals_;
+}
+
 Probe::ClassTracks Probe::class_tracks(const std::string& name) {
   ClassTracks t{&series_->track(name), {}};
   const char* const suffix[] = {"@controlled", "@constant", "@feedback"};
@@ -86,7 +97,7 @@ Sinks::Sinks(const FarmConfig& config)
   probes_.reserve(static_cast<std::size_t>(config.num_processors) + 1);
   for (int p = 0; p < config.num_processors; ++p) {
     const auto i = static_cast<std::size_t>(p);
-    probes_.emplace_back(metrics_[i], trace_ ? trace_->processor(p) : nullptr,
+    probes_.emplace_back(p, metrics_[i], trace_ ? trace_->processor(p) : nullptr,
                          series_.empty() ? nullptr : &series_[i]);
   }
   probes_.emplace_back(trace_ ? trace_->control() : nullptr,
@@ -95,19 +106,7 @@ Sinks::Sinks(const FarmConfig& config)
 }
 
 void Sinks::merge_series(obs::TimeSeries* out) const {
-  if (series_.empty()) return;
-  for (int p = 0; p < num_processors_; ++p) {
-    // The plain busy_cycles track aggregates the fleet; each
-    // processor's copy is also kept as busy_cycles/cpu<p>, the
-    // per-processor utilization heatmap.
-    const obs::SeriesRecorder& r = series_[static_cast<std::size_t>(p)];
-    out->merge(r);
-    const auto it = r.tracks().find("busy_cycles");
-    if (it != r.tracks().end() && !it->second.empty()) {
-      out->tracks["busy_cycles/cpu" + std::to_string(p)] = it->second;
-    }
-  }
-  out->merge(series_.back());
+  for (const obs::SeriesRecorder& r : series_) out->merge(r);
 }
 
 void Sinks::merge(const obs::Registry& control, FarmResult* result) {

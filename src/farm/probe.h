@@ -4,9 +4,10 @@
 // (FarmConfig::trace) and a series recorder (FarmConfig::ts_window).  A
 // Probe is one plane's view of them: one method per simulation event,
 // writing every live sink.  The simulator never touches a sink, so the
-// null checks on the optional ones live here only.  Sinks owns them and
-// merges them in index order, control plane last, so the merged output
-// does not depend on the worker count.
+// null checks on the optional ones live here only.  A processor's probe
+// also keeps that processor's ProcessorOutcome tallies, from the same
+// events.  Sinks owns them and merges them in index order, control
+// plane last, so the merged output does not depend on the worker count.
 #pragma once
 
 #include <array>
@@ -21,14 +22,16 @@ namespace qosctrl::farm {
 
 class Probe {
  public:
-  /// A virtual processor's probe; resolves its sinks once.
-  Probe(obs::Registry& metrics, obs::TraceBuffer* trace,
+  /// Virtual processor `processor`'s probe; resolves its sinks once.
+  Probe(int processor, obs::Registry& metrics, obs::TraceBuffer* trace,
         obs::SeriesRecorder* series);
   /// The control plane's probe; a plane of `shards` > 1 also gets
   /// `/shard<k>` admission and rebalance tracks.
   Probe(obs::TraceBuffer* trace, obs::SeriesRecorder* series, int shards);
 
   // ----- Data plane.
+  /// A stream segment joined this processor's run queue.
+  void on_host() { ++streams_hosted_; }
   void on_queue_depth(rt::Cycles now, std::size_t depth) {
     trace(obs::EventKind::kQueueDepth, now, -1, -1, to_ll(depth));
   }
@@ -49,12 +52,17 @@ class Probe {
                          rt::Cycles deadline) {
     trace(obs::EventKind::kDispatch, now, stream, frame, deadline);
   }
-  void on_resume(rt::Cycles now, int stream, int frame, rt::Cycles left) {
+  /// A preempted frame resumed after a `switch_cost` switch-in.
+  void on_resume(rt::Cycles now, int stream, int frame, rt::Cycles left,
+                 rt::Cycles switch_cost) {
+    overhead_ += switch_cost;
     trace(obs::EventKind::kResume, now, stream, frame, left);
   }
+  /// The running frame was suspended; `switch_cost` is its switch-out.
   void on_preempt(rt::Cycles now, int stream, int frame, rt::Cycles left,
-                  std::size_t depth) {
+                  std::size_t depth, rt::Cycles switch_cost) {
     ++*preemptions_;
+    overhead_ += switch_cost;
     trace(obs::EventKind::kPreempt, now, stream, frame, left);
     on_queue_depth(now, depth);
   }
@@ -67,6 +75,7 @@ class Probe {
   void on_complete(rt::Cycles now, pipe::ControlMode mode, int stream,
                    int frame, rt::Cycles latency, rt::Cycles encode_cycles,
                    obs::CompleteOutcome outcome) {
+    span_ = now;
     if (outcome != obs::CompleteOutcome::kDelivered) {
       ++*concealed_;
       record(s_concealed_, mode, now, 1);
@@ -83,6 +92,7 @@ class Probe {
   /// A C=D head handed a frame on (the tail counts the completion).
   void on_handoff(rt::Cycles now, int stream, int frame,
                   rt::Cycles encode_cycles) {
+    span_ = now;
     trace(obs::EventKind::kComplete, now, stream, frame, encode_cycles,
           static_cast<std::uint32_t>(obs::CompleteOutcome::kDelivered));
   }
@@ -105,17 +115,29 @@ class Probe {
     trace(obs::EventKind::kDeadlineMiss, now, stream, frame, lateness);
   }
   /// A frame concealed unserved (kConceal), or cut off mid-service by
-  /// an outage (kConcealService).
+  /// an outage (kConcealService).  Every reason but a quarantine drop
+  /// is this processor's outage.
   void on_conceal(rt::Cycles now, pipe::ControlMode mode, obs::EventKind kind,
                   int stream, int frame, rt::Cycles cycles,
                   obs::ConcealReason reason) {
+    if (reason != obs::ConcealReason::kQuarantineDrop) ++fault_conceals_;
     ++*concealed_;
     record(s_concealed_, mode, now, 1);
     trace(kind, now, stream, frame, cycles,
           static_cast<std::uint32_t>(reason));
   }
+  /// Served cycles: the fleet busy_cycles track and this processor's
+  /// busy_cycles/cpu<p>, the utilization heatmap's row.  The row is
+  /// created on its first record, so an idle processor has none.
   void on_busy(rt::Cycles now, rt::Cycles cycles) {
+    busy_ += cycles;
+    if (series_ == nullptr) return;
+    if (s_busy_cpu_ == nullptr) {
+      s_busy_cpu_ =
+          &series_->track("busy_cycles/cpu" + std::to_string(processor_));
+    }
     record(s_busy_, now, cycles);
+    record(s_busy_cpu_, now, cycles);
   }
   void on_camera_skip() { ++*camera_skips_; }
   void on_quarantine(rt::Cycles now, int stream, rt::Cycles until) {
@@ -173,6 +195,10 @@ class Probe {
           static_cast<std::uint32_t>(objective));
   }
 
+  /// Writes a processor probe's tallies into `out`, leaving the
+  /// failure and peak fields to the control plane.
+  void write_tallies(ProcessorOutcome* out) const;
+
  private:
   /// A fleet track and its per-pipe::ControlMode variants, which the
   /// SLO class scopes read.
@@ -196,8 +222,12 @@ class Probe {
     record(t.by_class[static_cast<std::size_t>(mode)], at, v);
   }
 
+  int processor_ = -1;  ///< -1 on the control plane
   obs::TraceBuffer* trace_;
   obs::SeriesRecorder* series_;
+  // Processor tallies the registry does not count.
+  rt::Cycles busy_ = 0, span_ = 0, overhead_ = 0;
+  int streams_hosted_ = 0, fault_conceals_ = 0;
   long long *dispatched_ = nullptr, *completed_ = nullptr;
   long long *preemptions_ = nullptr, *concealed_ = nullptr;
   long long *display_misses_ = nullptr, *camera_skips_ = nullptr;
@@ -208,7 +238,7 @@ class Probe {
   std::array<long long, enc::kNumEncodePhases> phase_total_{};
   // Series tracks, null unless series_ is live.
   obs::SeriesTrack *s_queue_ = nullptr, *s_encode_ = nullptr,
-                   *s_busy_ = nullptr;
+                   *s_busy_ = nullptr, *s_busy_cpu_ = nullptr;
   std::array<obs::SeriesTrack*, enc::kNumEncodePhases> s_phase_{};
   ClassTracks s_latency_, s_completed_, s_misses_, s_concealed_;
   obs::SeriesTrack *s_admitted_ = nullptr, *s_rejected_ = nullptr,
@@ -230,8 +260,8 @@ class Sinks {
   /// Processor p's probe; one worker at a time uses it.
   Probe& processor(int p) { return probes_[static_cast<std::size_t>(p)]; }
   Probe& control() { return probes_.back(); }
-  /// Folds the series into `out`; the SLOs read it before the trace
-  /// merge, so their alerts still land in the trace.
+  /// Folds the series into `out`, in index order; the SLOs read it
+  /// before the trace merge, so their alerts still land in the trace.
   void merge_series(obs::TimeSeries* out) const;
   /// Merges the registries (`control` last) and the trace.
   void merge(const obs::Registry& control, FarmResult* result);

@@ -99,8 +99,7 @@ struct ActiveJob {
 void run_processor(const FarmConfig& config, const SchedulingSpec& sched,
                    const FaultSpec& fault_spec,
                    const std::vector<Window>& windows,
-                   const std::vector<Assignment>& assigned,
-                   ProcessorOutcome* out, Probe& probe) {
+                   const std::vector<Assignment>& assigned, Probe& probe) {
   const sched::SchedPolicy policy(sched.policy);
   const rt::Cycles ctx = policy.context_switch_cost();
   const bool police_overruns = fault_spec.overrun.enabled();
@@ -119,6 +118,7 @@ void run_processor(const FarmConfig& config, const SchedulingSpec& sched,
     const int index = static_cast<int>(streams.size());
     StreamState& st = streams.emplace_back();
     static_cast<Assignment&>(st) = asg;
+    probe.on_host();
     st.period = period_of(*st.spec);
     st.latency = latency_of(*st.spec);
     st.next_arrival = asg.first_frame;
@@ -150,7 +150,6 @@ void run_processor(const FarmConfig& config, const SchedulingSpec& sched,
   std::map<std::pair<int, int>, ActiveJob> suspended;
   std::optional<ActiveJob> running;
   rt::Cycles now = 0;
-  rt::Cycles span = 0;  ///< last completion time
   std::size_t next_window = 0;
   rt::Cycles blackout_until = -1;  ///< end of the current transient outage
   bool halted = false;             ///< permanently failed
@@ -159,11 +158,6 @@ void run_processor(const FarmConfig& config, const SchedulingSpec& sched,
     return std::any_of(windows.begin(), windows.end(), [t](const Window& w) {
       return t >= w.start && t < w.end;
     });
-  };
-
-  auto add_busy = [&](rt::Cycles cycles) {
-    out->busy_cycles += cycles;
-    probe.on_busy(now, cycles);
   };
 
   /// Conceals frame `f` of `st`: its final record, the fault tally and
@@ -184,7 +178,6 @@ void run_processor(const FarmConfig& config, const SchedulingSpec& sched,
       ++st.res->faults.quarantine_drops;
     } else {
       ++st.res->faults.failure_drops;
-      ++out->fault_conceals;
     }
     probe.on_conceal(now, st.spec->mode, kind, st.spec->id, f, cycles, why);
   };
@@ -233,9 +226,8 @@ void run_processor(const FarmConfig& config, const SchedulingSpec& sched,
       // preemption charge.
       a = it->second;
       suspended.erase(it);
-      out->overhead_cycles += ctx;
       now += ctx;
-      probe.on_resume(now, sid, job.frame, a.remaining);
+      probe.on_resume(now, sid, job.frame, a.remaining, ctx);
     } else if (st.relay()) {
       // The record is final; just serve the remaining demand.
       --st.queued;
@@ -282,7 +274,6 @@ void run_processor(const FarmConfig& config, const SchedulingSpec& sched,
         a.tail_demand = demand - st.split_head;
       }
       a.remaining = demand - a.tail_demand;
-      st.res->lags.push_back(a.rec.start_lag);
       probe.on_dispatch(now, sid, job.frame, job.deadline, a.rec.start_lag);
       if (a.rec.overrun) {
         probe.on_fault_inject(now, sid, job.frame, demand, a.aborted);
@@ -378,19 +369,17 @@ void run_processor(const FarmConfig& config, const SchedulingSpec& sched,
       }
       probe.on_complete(now, st.spec->mode, st.spec->id, a.job.frame,
                         now - a.job.arrival, rec.encode_cycles, outcome);
-      ++out->frames_encoded;
     }
     // Only the locally-served cycles are busy time: a relay serves the
     // tail share, a head everything else (a concealed split-head
     // frame's tail share was never served anywhere).
     if (st.relay()) {
-      add_busy(a.tail_demand);
+      probe.on_busy(now, a.tail_demand);
     } else {
       probe.on_phases(now, rec.phase_cycles);
-      add_busy(rec.encode_cycles - a.tail_demand);
+      probe.on_busy(now, rec.encode_cycles - a.tail_demand);
       st.records[a.job.frame] = rec;
     }
-    span = now;
     running.reset();
   };
 
@@ -412,7 +401,7 @@ void run_processor(const FarmConfig& config, const SchedulingSpec& sched,
     conceal(st, a.job.frame, obs::ConcealReason::kSuspendedOutage, served,
             was_running ? obs::EventKind::kConcealService
                         : obs::EventKind::kConceal);
-    add_busy(served);
+    probe.on_busy(now, served);
   };
 
   // The earliest instant the policy lets the top ready job displace
@@ -534,10 +523,8 @@ void run_processor(const FarmConfig& config, const SchedulingSpec& sched,
       running.reset();
       suspended.emplace(std::make_pair(a.job.stream, a.job.frame), a);
       ready.insert(a.job);
-      ++out->preemptions;
       probe.on_preempt(now, stream_of(a.job).spec->id, a.job.frame,
-                       a.remaining, ready.size());
-      out->overhead_cycles += ctx;
+                       a.remaining, ready.size(), ctx);
       now += ctx;
       continue;
     }
@@ -564,14 +551,6 @@ void run_processor(const FarmConfig& config, const SchedulingSpec& sched,
     now = t;
     if (running && running->remaining == 0) complete();
   }
-
-  out->span_cycles = span;
-  out->streams_hosted = static_cast<int>(streams.size());
-  out->utilization =
-      out->span_cycles > 0
-          ? static_cast<double>(out->busy_cycles) /
-                static_cast<double>(out->span_cycles)
-          : 0.0;
 }
 
 }  // namespace qosctrl::farm

@@ -34,10 +34,11 @@ struct Window {
 };
 
 /// Per-segment tallies the data plane writes and stitch folds into the
-/// StreamOutcome.
+/// StreamOutcome.  Start lags live in the records: every frame the data
+/// plane dispatched keeps its encoder bits (> 0) and its start_lag in
+/// its final record, whatever became of it afterwards.
 struct SegmentResult {
   int display_misses = 0;
-  std::vector<rt::Cycles> lags;  ///< start lag of every dispatched frame
   StreamFaultStats faults;
   /// First on-time completion of a delivered frame (-1: none); a
   /// failover segment recovers at first_ontime - failure time.
@@ -79,11 +80,11 @@ struct Assignment {
 };
 
 /// Simulates one processor's run queue to completion, writing frame
-/// records back through `assigned` and recording through `probe`.
+/// records back through `assigned` and recording through `probe`,
+/// which also keeps the processor's tallies.
 void run_processor(const FarmConfig& config, const SchedulingSpec& sched,
                    const FaultSpec& fault_spec,
                    const std::vector<Window>& windows,
-                   const std::vector<Assignment>& assigned,
-                   ProcessorOutcome* out, Probe& probe);
+                   const std::vector<Assignment>& assigned, Probe& probe);
 
 }  // namespace qosctrl::farm

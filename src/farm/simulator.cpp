@@ -423,7 +423,7 @@ DataPlane assign(const FarmScenario& scenario, const FarmConfig& config,
 
 /// Runs the queues level by level on up to FarmConfig::workers threads.
 void run_pool(const FarmScenario& scenario, const FarmConfig& config,
-              const DataPlane& dp, Sinks& sinks, FarmResult* result) {
+              const DataPlane& dp, Sinks& sinks) {
   const int workers = std::clamp(config.workers, 1, config.num_processors);
   for (const std::vector<int>& procs : dp.levels) {
     std::atomic<std::size_t> next_slot{0};
@@ -432,8 +432,7 @@ void run_pool(const FarmScenario& scenario, const FarmConfig& config,
            s = next_slot.fetch_add(1)) {
         const auto p = static_cast<std::size_t>(procs[s]);
         run_processor(config, scenario.sched, scenario.faults, dp.windows[p],
-                      dp.assigned[p], &result->processors[p],
-                      sinks.processor(procs[s]));
+                      dp.assigned[p], sinks.processor(procs[s]));
       }
     };
     const int nthreads = std::min(workers, static_cast<int>(procs.size()));
@@ -451,22 +450,24 @@ void stitch(const FarmConfig& config, DataPlane& dp, FarmResult* result) {
   for (std::size_t i = 0; i < result->streams.size(); ++i) {
     StreamOutcome& so = result->streams[i];
     if (!so.placement.admitted) continue;
-    std::vector<rt::Cycles> lags;
     StreamWork& w = dp.streams[i];
     for (const SegmentResult& sr : w.segments) {
       so.display_misses += sr.display_misses;
       so.faults += sr.faults;
-      lags.insert(lags.end(), sr.lags.begin(), sr.lags.end());
     }
-    so.quarantined = so.faults.quarantines > 0;
+    // Start lags of the dispatched frames, the ones with encoder bits.
+    // The lags are integers, so their sum is exact in any order.
+    std::vector<rt::Cycles> lags;
+    double lag_sum = 0.0;
+    for (const pipe::FrameRecord& fr : w.records) {
+      if (fr.bits == 0) continue;
+      lags.push_back(fr.start_lag);
+      lag_sum += static_cast<double>(fr.start_lag);
+    }
     if (!lags.empty()) {
-      double lag_sum = 0.0;
-      for (rt::Cycles lag : lags) {
-        so.max_start_lag = std::max(so.max_start_lag, lag);
-        lag_sum += static_cast<double>(lag);
-      }
-      so.mean_start_lag = lag_sum / static_cast<double>(lags.size());
       std::sort(lags.begin(), lags.end());
+      so.max_start_lag = lags.back();
+      so.mean_start_lag = lag_sum / static_cast<double>(lags.size());
       so.start_lag_p95 =
           lags[static_cast<std::size_t>(0.95 *
                                         static_cast<double>(lags.size() - 1))];
@@ -475,7 +476,6 @@ void stitch(const FarmConfig& config, DataPlane& dp, FarmResult* result) {
         std::move(w.records), so.placement.table_budget,
         stream_pipeline_config(so.spec, config.seed, config.frame_rate)
             .rate.frame_rate);
-    so.internal_misses = so.result.total_deadline_misses;
 
     // Recovery: failure instant -> first on-time frame after it.
     for (std::size_t k = 0; k < so.failover.size(); ++k) {
@@ -500,7 +500,9 @@ void finalize(const FarmConfig& config, const ShardedControlPlane& plane,
   FarmResult& r = *result;
   r.total_streams = static_cast<int>(r.streams.size());
   r.quality_histogram.assign(platform::figure5_quality_levels().size(), 0);
-  for (const ProcessorOutcome& po : r.processors) {
+  for (std::size_t p = 0; p < r.processors.size(); ++p) {
+    ProcessorOutcome& po = r.processors[p];
+    sinks.processor(static_cast<int>(p)).write_tallies(&po);
     r.total_preemptions += po.preemptions;
     r.total_overhead_cycles += po.overhead_cycles;
   }
@@ -521,9 +523,9 @@ void finalize(const FarmConfig& config, const ShardedControlPlane& plane,
     r.total_skips += so.result.total_skips;
     r.total_concealed += so.result.total_concealed;
     r.total_display_misses += so.display_misses;
-    r.total_internal_misses += so.internal_misses;
+    r.total_internal_misses += so.result.total_deadline_misses;
     r.faults_total += so.faults;
-    if (so.quarantined) ++r.quarantined_streams;
+    if (so.faults.quarantines > 0) ++r.quarantined_streams;
     for (const pipe::FrameRecord& fr : so.result.frames) {
       psnr_sum += fr.psnr;
       ssim_sum += fr.ssim;
@@ -623,7 +625,7 @@ FarmResult run_farm(const FarmScenario& scenario, const FarmConfig& config) {
   FarmResult result =
       run_control_plane(scenario, config, plane, sinks.control());
   DataPlane data = assign(scenario, config, plane, result);
-  run_pool(scenario, config, data, sinks, &result);
+  run_pool(scenario, config, data, sinks);
   stitch(config, data, &result);
   finalize(config, plane, sinks, &result);
   return result;

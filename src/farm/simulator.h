@@ -165,9 +165,6 @@ struct StreamOutcome {
   /// Frames whose encoding finished past arrival + K * P (concealed
   /// frames are not counted — the viewer saw stale output instead).
   int display_misses = 0;
-  /// Actions finishing past the controller's paced deadlines
-  /// (== result.total_deadline_misses).
-  int internal_misses = 0;
   rt::Cycles max_start_lag = 0;   ///< worst queueing delay observed
   double mean_start_lag = 0.0;    ///< over encoded frames
   /// 95th-percentile start lag over encoded frames (sorted ascending,
@@ -175,13 +172,13 @@ struct StreamOutcome {
   /// score discounts by.
   rt::Cycles start_lag_p95 = 0;
   StreamFaultStats faults;        ///< zero without a FaultSpec
-  bool quarantined = false;       ///< ever quarantined by the policer
 };
 
+/// One processor's run: the tallies its probe kept (farm/probe.h),
+/// then the control plane's failure and peak.
 struct ProcessorOutcome {
   rt::Cycles busy_cycles = 0;   ///< cycles spent encoding
   rt::Cycles span_cycles = 0;   ///< last completion time
-  double utilization = 0.0;     ///< busy (service only) / span
   int frames_encoded = 0;
   int streams_hosted = 0;       ///< stream segments assigned
   double peak_committed_utilization = 0.0;
@@ -194,6 +191,13 @@ struct ProcessorOutcome {
   /// Frames concealed because this processor was dead or blacked out
   /// (in-flight, queued, and arriving during the outage).
   int fault_conceals = 0;
+
+  /// Busy (service only) / span; 0 before the first completion.
+  double utilization() const {
+    return span_cycles > 0 ? static_cast<double>(busy_cycles) /
+                                 static_cast<double>(span_cycles)
+                           : 0.0;
+  }
 };
 
 /// Per-shard control-plane accounting (one entry per configured

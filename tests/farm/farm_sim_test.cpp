@@ -41,7 +41,7 @@ void expect_no_misses_on_admitted(const FarmResult& r) {
     if (so.spec.mode != pipe::ControlMode::kControlled) continue;
     EXPECT_EQ(so.display_misses, 0)
         << "stream " << so.spec.id << " missed its display deadline";
-    EXPECT_EQ(so.internal_misses, 0)
+    EXPECT_EQ(so.result.total_deadline_misses, 0)
         << "stream " << so.spec.id << " missed a paced deadline";
     EXPECT_EQ(so.result.total_skips, 0)
         << "stream " << so.spec.id << " dropped a camera frame";
@@ -166,8 +166,8 @@ TEST(FarmSim, UtilizationAndHistogramAreSane) {
   for (const long long c : r.quality_histogram) hist_total += c;
   EXPECT_EQ(hist_total, r.encoded_frames);
   for (const ProcessorOutcome& p : r.processors) {
-    EXPECT_GE(p.utilization, 0.0);
-    EXPECT_LE(p.utilization, 1.0 + 1e-12);
+    EXPECT_GE(p.utilization(), 0.0);
+    EXPECT_LE(p.utilization(), 1.0 + 1e-12);
     EXPECT_LE(p.peak_committed_utilization, 1.0 + 1e-12);
   }
   EXPECT_GT(r.fleet_mean_psnr, 20.0);

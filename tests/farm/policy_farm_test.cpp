@@ -25,7 +25,7 @@ void expect_all_admitted_miss_free(const FarmResult& r) {
     if (!so.placement.admitted) continue;
     EXPECT_EQ(so.display_misses, 0)
         << "stream " << so.spec.id << " missed its display deadline";
-    EXPECT_EQ(so.internal_misses, 0)
+    EXPECT_EQ(so.result.total_deadline_misses, 0)
         << "stream " << so.spec.id << " missed a paced deadline";
     EXPECT_EQ(so.result.total_skips, 0)
         << "stream " << so.spec.id << " dropped a camera frame";
@@ -287,7 +287,7 @@ TEST(PolicyFarm, GeneratedLoadStaysSafeUnderEveryPolicy) {
       if (so.spec.mode != pipe::ControlMode::kControlled) continue;
       EXPECT_EQ(so.display_misses, 0)
           << sched::policy_name(kind) << " stream " << so.spec.id;
-      EXPECT_EQ(so.internal_misses, 0)
+      EXPECT_EQ(so.result.total_deadline_misses, 0)
           << sched::policy_name(kind) << " stream " << so.spec.id;
     }
   }

@@ -408,7 +408,7 @@ TEST(SinkChannels, ProbeRecordsAMissInEverySink) {
   obs::Registry metrics;
   obs::TraceBuffer trace(0, 16);
   obs::SeriesRecorder series(1000);
-  Probe probe(metrics, &trace, &series);
+  Probe probe(0, metrics, &trace, &series);
   probe.on_miss(2500, pipe::ControlMode::kConstantQuality, 7, 3, 40);
   EXPECT_EQ(metrics.counters().at("display_misses"), 1);
   EXPECT_EQ(series.tracks().at("display_misses").at(2).count(), 1);
@@ -425,7 +425,7 @@ TEST(SinkChannels, ProbeRecordsAMissInEverySink) {
 
   // Without a trace buffer or series recorder only the registry hears.
   obs::Registry bare;
-  Probe off(bare, nullptr, nullptr);
+  Probe off(0, bare, nullptr, nullptr);
   off.on_miss(2500, pipe::ControlMode::kControlled, 7, 3, 40);
   EXPECT_EQ(bare.counters().at("display_misses"), 1);
 }

@@ -26,7 +26,7 @@ void expect_all_admitted_miss_free(const FarmResult& r) {
     if (!so.placement.admitted) continue;
     EXPECT_EQ(so.display_misses, 0)
         << "stream " << so.spec.id << " missed its display deadline";
-    EXPECT_EQ(so.internal_misses, 0)
+    EXPECT_EQ(so.result.total_deadline_misses, 0)
         << "stream " << so.spec.id << " missed a paced deadline";
     EXPECT_EQ(so.result.total_skips, 0)
         << "stream " << so.spec.id << " dropped a camera frame";
