@@ -99,7 +99,8 @@ int main() {
   // ships.  Report both, against the QCIF working set and against the
   // paper's PAL working set (3 frames of 720x576).
   const std::size_t dense_bytes = es.tables->table_bytes();
-  const std::size_t compact_bytes = es.periodic->table_bytes();
+  const std::size_t compact_bytes =
+      qos::PeriodicSlackTables::build(*es.body).table_bytes();
   const std::size_t qcif_state = 3 * 176 * 144 + sizeof(enc::FrameEncoder);
   const std::size_t pal_state = 3 * 720 * 576 + sizeof(enc::FrameEncoder);
   const double memory_overhead_qcif =

@@ -40,8 +40,6 @@ EncoderSystem build_encoder_system(int macroblocks, rt::Cycles budget,
   if (budget % macroblocks == 0) {
     sys.body = std::make_shared<const qos::PeriodicBody>(
         toolgen::make_periodic_body(input, budget));
-    sys.periodic = std::make_shared<const qos::PeriodicSlackTables>(
-        qos::PeriodicSlackTables::build(*sys.body));
   }
   sys.macroblocks = macroblocks;
   sys.budget = budget;

@@ -13,11 +13,10 @@ namespace qosctrl::enc {
 struct EncoderSystem {
   std::shared_ptr<rt::ParameterizedSystem> system;  ///< unrolled, N MBs
   std::shared_ptr<const qos::SlackTables> tables;   ///< compiled controller
-  /// Compact O(m * |Q|) tables; non-null when budget % macroblocks == 0
-  /// (the default pipeline geometry guarantees it).
-  std::shared_ptr<const qos::PeriodicSlackTables> periodic;
-  /// Body-level description (for qos::AdaptiveController); non-null
-  /// under the same divisibility condition.
+  /// Body-level description (for qos::AdaptiveController, which builds
+  /// its compact O(m * |Q|) tables from it); non-null when
+  /// budget % macroblocks == 0 (the default pipeline geometry
+  /// guarantees it).
   std::shared_ptr<const qos::PeriodicBody> body;
   int macroblocks = 0;
   rt::Cycles budget = 0;  ///< frame budget the deadlines were paced to
