@@ -6,22 +6,10 @@
 
 #include "farm/load_gen.h"
 #include "farm/metrics.h"
+#include "farm_test_util.h"
 
 namespace qosctrl::farm {
 namespace {
-
-// 32x32 luma (4 macroblocks) keeps the pixel math cheap in tests.
-StreamSpec tiny_stream(int id, double period_factor, int frames = 6) {
-  StreamSpec s;
-  s.id = id;
-  s.width = 32;
-  s.height = 32;
-  s.num_frames = frames;
-  s.num_scenes = 1;
-  s.frame_period = static_cast<rt::Cycles>(
-      static_cast<double>(default_frame_period(4)) * period_factor);
-  return s;
-}
 
 /// The acceptance scenario: 8 concurrent streams on 2 processors,
 /// staggered joins, all table-controlled.

@@ -8,28 +8,15 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdint>
 #include <limits>
 #include <string>
 
 #include "farm/metrics.h"
 #include "farm/simulator.h"
-#include "obs/buildinfo.h"
+#include "farm_test_util.h"
 
 namespace qosctrl::farm {
 namespace {
-
-StreamSpec tiny_stream(int id, double period_factor, int frames = 6) {
-  StreamSpec s;
-  s.id = id;
-  s.width = 32;
-  s.height = 32;
-  s.num_frames = frames;
-  s.num_scenes = 1;
-  s.frame_period = static_cast<rt::Cycles>(
-      static_cast<double>(default_frame_period(4)) * period_factor);
-  return s;
-}
 
 /// 6 staggered light streams on `procs` processors — U well below 1,
 /// so any miss is a fault-handling bug, not overload.
@@ -289,21 +276,6 @@ TEST(FarmFaults, FaultScenarioIsBitIdenticalAcrossWorkerCounts) {
       EXPECT_EQ(json, reference) << "workers=" << workers;
     }
   }
-}
-
-/// FNV-1a of a report with its build-provenance fields (version,
-/// compiler, SIMD backend) stripped, so the pin survives rebuilds.
-std::uint64_t report_digest(std::string json) {
-  const std::string provenance = obs::build_json_fields();
-  if (const std::size_t at = json.find(provenance); at != std::string::npos) {
-    json.erase(at, provenance.size());
-  }
-  std::uint64_t h = 0xcbf29ce484222325ULL;  // FNV-1a offset basis
-  for (const char c : json) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ULL;  // FNV prime
-  }
-  return h;
 }
 
 // Pinned delivery path: the fault soup drives every render, decode and

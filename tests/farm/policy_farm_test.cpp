@@ -14,23 +14,10 @@
 #include "farm/load_gen.h"
 #include "farm/metrics.h"
 #include "farm/simulator.h"
+#include "farm_test_util.h"
 
 namespace qosctrl::farm {
 namespace {
-
-constexpr rt::Cycles kM = 176000;  ///< qmin worst case per macroblock
-
-void expect_all_admitted_miss_free(const FarmResult& r) {
-  for (const StreamOutcome& so : r.streams) {
-    if (!so.placement.admitted) continue;
-    EXPECT_EQ(so.display_misses, 0)
-        << "stream " << so.spec.id << " missed its display deadline";
-    EXPECT_EQ(so.result.total_deadline_misses, 0)
-        << "stream " << so.spec.id << " missed a paced deadline";
-    EXPECT_EQ(so.result.total_skips, 0)
-        << "stream " << so.spec.id << " dropped a camera frame";
-  }
-}
 
 /// The blocking-limited mix: per processor, one tight stream (16x16,
 /// C = m, D = T = 2m) plus one long stream (32x32, C = 4m,
@@ -64,15 +51,6 @@ FarmScenario blocking_limited_mix(rt::Cycles wide_period = 8 * kM) {
   }
   sc.sched.policy.context_switch_cost = 0;  // exact U = 1 packing
   return sc;
-}
-
-FarmConfig two_proc_config() {
-  FarmConfig cfg;
-  cfg.num_processors = 2;
-  // The pinned mixes' arithmetic is exact in m; keep the migration
-  // surcharge out of it (admission_test.cpp pins the surcharge).
-  cfg.admission.migration_cost = 0;
-  return cfg;
 }
 
 TEST(PolicyFarm, NpRejectsTheBlockingLimitedMix) {

@@ -22,17 +22,12 @@
 #include "farm/metrics.h"
 #include "farm/presets.h"
 #include "farm/simulator.h"
+#include "farm_test_util.h"
 #include "obs/trace.h"
 #include "platform/cost_model.h"
 
 namespace qosctrl::farm {
 namespace {
-
-FarmScenario small_flash_crowd() {
-  PresetParams pp;
-  pp.num_streams = 24;  // 8 processors hold 32: nothing is rejected
-  return compile_preset(PresetKind::kFlashCrowd, pp);
-}
 
 struct RunArtifacts {
   std::string csv;
@@ -41,16 +36,12 @@ struct RunArtifacts {
   std::string json;
 };
 
-RunArtifacts run_combo(const FarmScenario& sc, int workers, int shards) {
-  FarmConfig cfg;
-  cfg.num_processors = 8;
-  cfg.workers = workers;
-  cfg.shards = shards;
-  cfg.trace = true;
-  const FarmResult r = run_farm(sc, cfg);
+RunArtifacts artifacts(const FarmScenario& sc, int workers, int shards) {
+  const FarmResult r = run_combo(sc, workers, shards);
   RunArtifacts out;
   out.csv = to_csv(r);
-  out.chrome = obs::export_chrome_trace(r.trace, cfg.num_processors);
+  out.chrome = obs::export_chrome_trace(
+      r.trace, static_cast<int>(r.processors.size()));
   out.summary = summarize(r);
   out.json = to_json(r);
   return out;
@@ -58,11 +49,11 @@ RunArtifacts run_combo(const FarmScenario& sc, int workers, int shards) {
 
 TEST(ShardPlaneTest, ReportsInvariantAcrossWorkersAndShards) {
   const FarmScenario sc = small_flash_crowd();
-  const RunArtifacts baseline = run_combo(sc, 1, 1);
+  const RunArtifacts baseline = artifacts(sc, 1, 1);
   ASSERT_FALSE(baseline.csv.empty());
   for (const int workers : {1, 2, 4}) {
     for (const int shards : {1, 2, 4}) {
-      const RunArtifacts run = run_combo(sc, workers, shards);
+      const RunArtifacts run = artifacts(sc, workers, shards);
       // The cross-shard identity artifacts: per-stream report rows and
       // the merged schedule trace.
       EXPECT_EQ(run.csv, baseline.csv)
@@ -72,8 +63,8 @@ TEST(ShardPlaneTest, ReportsInvariantAcrossWorkersAndShards) {
     }
     // summarize/to_json add per-shard sections when shards > 1, so
     // they are pinned across workers at a fixed shard count instead.
-    const RunArtifacts sharded = run_combo(sc, workers, 4);
-    const RunArtifacts sharded_base = run_combo(sc, 1, 4);
+    const RunArtifacts sharded = artifacts(sc, workers, 4);
+    const RunArtifacts sharded_base = artifacts(sc, 1, 4);
     EXPECT_EQ(sharded.summary, sharded_base.summary)
         << "summary diverged at workers=" << workers;
     EXPECT_EQ(sharded.json, sharded_base.json)

@@ -28,7 +28,7 @@
 #include "farm/presets.h"
 #include "farm/probe.h"
 #include "farm/simulator.h"
-#include "obs/buildinfo.h"
+#include "farm_test_util.h"
 #include "obs/slo.h"
 #include "obs/trace.h"
 #include "platform/cost_model.h"
@@ -36,8 +36,6 @@
 
 namespace qosctrl::farm {
 namespace {
-
-constexpr rt::Cycles kM = 176000;  ///< qmin worst case per macroblock
 
 std::vector<obs::SloSpec> slos(std::initializer_list<const char*> texts) {
   std::vector<obs::SloSpec> out;
@@ -85,38 +83,13 @@ std::pair<FarmScenario, FarmConfig> faulted_preemptive() {
   return {sc, cfg};
 }
 
-/// split_admission_test's split-limited mix with C=D splitting on: the
-/// constant-quality newcomer runs as a head on processor 0 and a
-/// session-less relay on processor 1.
-std::pair<FarmScenario, FarmConfig> split_limited_mix() {
-  FarmScenario sc;
-  sc.sched.policy.kind = sched::PolicyKind::kPreemptiveEdf;
+/// The split-limited mix with C=D splitting on: the constant-quality
+/// newcomer runs as a head on processor 0 and a session-less relay on
+/// processor 1.
+std::pair<FarmScenario, FarmConfig> split_limited() {
+  FarmScenario sc = split_limited_mix();
   sc.sched.split = true;
-  for (int i = 0; i < 2; ++i) {
-    StreamSpec inc;
-    inc.id = i;
-    inc.width = 16;
-    inc.height = 16;
-    inc.num_frames = 4;
-    inc.num_scenes = 1;
-    inc.frame_period = 4 * kM;
-    inc.buffer_capacity = 1;
-    sc.streams.push_back(inc);
-  }
-  StreamSpec n;
-  n.id = 2;
-  n.width = 32;
-  n.height = 32;
-  n.num_frames = 4;
-  n.num_scenes = 1;
-  n.frame_period = 5 * kM;
-  n.buffer_capacity = 1;
-  n.mode = pipe::ControlMode::kConstantQuality;
-  n.constant_quality = 0;
-  sc.streams.push_back(n);
-  FarmConfig cfg;
-  cfg.num_processors = 2;
-  cfg.admission.migration_cost = 0;
+  FarmConfig cfg = two_proc_config();
   cfg.ts_window = 4 * kM;
   return {sc, cfg};
 }
@@ -165,20 +138,11 @@ struct Pinned {
 const std::array<Pinned, 3> kPinned = {{
     {"faulted_preemptive", faulted_preemptive, 0xefe8a029963258e8ULL,
      0xfd27d7d313af3744ULL, 0x80fbe22cfe4e5cc3ULL},
-    {"split_limited_mix", split_limited_mix, 0xd5616969706e2713ULL,
+    {"split_limited_mix", split_limited, 0xd5616969706e2713ULL,
      0x407d86b05bdf70c6ULL, 0x015ceddf3bcfae73ULL},
     {"sharded_rebalance", sharded_rebalance, 0x69c0b8e0086700b1ULL,
      0xf41c9ce7e5f5c28bULL, 0xd2d060c4b40695a5ULL},
 }};
-
-std::uint64_t fnv1a(const std::string& bytes) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (const char c : bytes) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
 
 FarmResult run(const Pinned& p, int workers) {
   auto [sc, cfg] = p.make();
@@ -207,16 +171,6 @@ TEST(SinkBytes, DigestsArePinnedAtOneAndFourWorkers) {
   }
 }
 
-/// The JSON report's FNV-1a with its build-provenance fields (version,
-/// compiler, SIMD backend) stripped, so the pin survives rebuilds.
-std::uint64_t json_digest(std::string json) {
-  const std::string provenance = obs::build_json_fields();
-  if (const std::size_t at = json.find(provenance); at != std::string::npos) {
-    json.erase(at, provenance.size());
-  }
-  return fnv1a(json);
-}
-
 struct PinnedReports {
   std::uint64_t json;
   std::uint64_t csv;
@@ -238,9 +192,9 @@ TEST(SinkBytes, ReportDigestsArePinnedAtOneAndFourWorkers) {
       const FarmResult r = run(p, workers);
       const std::string json = to_json(r);
       const std::string csv = to_csv(r);
-      EXPECT_EQ(json_digest(json), kPinnedReports[i].json)
+      EXPECT_EQ(report_digest(json), kPinnedReports[i].json)
           << p.name << " to_json, workers=" << workers << std::hex
-          << " got 0x" << json_digest(json);
+          << " got 0x" << report_digest(json);
       EXPECT_EQ(fnv1a(csv), kPinnedReports[i].csv)
           << p.name << " to_csv, workers=" << workers << std::hex
           << " got 0x" << fnv1a(csv);

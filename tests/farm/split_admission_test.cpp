@@ -8,77 +8,13 @@
 // (pinned in admission_test.cpp), so the arithmetic below is exact.
 #include <gtest/gtest.h>
 
-#include <cstdint>
-#include <string>
-
 #include "farm/load_gen.h"
 #include "farm/metrics.h"
 #include "farm/simulator.h"
-#include "obs/buildinfo.h"
+#include "farm_test_util.h"
 
 namespace qosctrl::farm {
 namespace {
-
-constexpr rt::Cycles kM = 176000;  ///< qmin worst case per macroblock
-
-void expect_all_admitted_miss_free(const FarmResult& r) {
-  for (const StreamOutcome& so : r.streams) {
-    if (!so.placement.admitted) continue;
-    EXPECT_EQ(so.display_misses, 0)
-        << "stream " << so.spec.id << " missed its display deadline";
-    EXPECT_EQ(so.result.total_deadline_misses, 0)
-        << "stream " << so.spec.id << " missed a paced deadline";
-    EXPECT_EQ(so.result.total_skips, 0)
-        << "stream " << so.spec.id << " dropped a camera frame";
-  }
-}
-
-FarmConfig two_proc_config() {
-  FarmConfig cfg;
-  cfg.num_processors = 2;
-  // The pinned mix's arithmetic is exact in m; keep the migration
-  // surcharge out of it (admission_test.cpp pins the surcharge).
-  cfg.admission.migration_cost = 0;
-  return cfg;
-}
-
-/// The split-limited mix: one controlled incumbent per processor
-/// (16x16, T = D = 4m; the 0.25 share cap makes the qmin minimum m
-/// its only candidate, so each processor carries utilization 0.25),
-/// then a constant-quality newcomer (32x32 at qmin, worst case
-/// C = 4m, T = D = 5m, utilization 0.8).  Whole, the newcomer
-/// overflows the utilization cap on both processors (0.25 + 0.8 > 1);
-/// split, the largest zero-slack head the preemptive demand test
-/// admits next to (m, 4m, 4m) is exactly 3m — at t = 4m demand is
-/// m + C1, so C1 <= 3m — leaving a tail (4m - 3m, 5m - 3m, 5m) =
-/// (m, 2m, 5m) that trivially fits the other processor.
-FarmScenario split_limited_mix() {
-  FarmScenario sc;
-  sc.sched.policy.kind = sched::PolicyKind::kPreemptiveEdf;
-  for (int i = 0; i < 2; ++i) {
-    StreamSpec inc;
-    inc.id = i;
-    inc.width = 16;
-    inc.height = 16;
-    inc.num_frames = 4;
-    inc.num_scenes = 1;
-    inc.frame_period = 4 * kM;
-    inc.buffer_capacity = 1;
-    sc.streams.push_back(inc);
-  }
-  StreamSpec n;
-  n.id = 2;
-  n.width = 32;
-  n.height = 32;
-  n.num_frames = 4;
-  n.num_scenes = 1;
-  n.frame_period = 5 * kM;
-  n.buffer_capacity = 1;
-  n.mode = pipe::ControlMode::kConstantQuality;
-  n.constant_quality = 0;
-  sc.streams.push_back(n);
-  return sc;
-}
 
 TEST(SplitAdmission, UnsplitFarmRejectsTheSplitLimitedMix) {
   const FarmResult r = run_farm(split_limited_mix(), two_proc_config());
@@ -146,21 +82,6 @@ FarmScenario churn_scenario() {
   sc.sched.renegotiate = true;
   sc.sched.restore = true;
   return sc;
-}
-
-/// FNV-1a of a report with its build-provenance fields (version,
-/// compiler, SIMD backend) stripped, so the pin survives rebuilds.
-std::uint64_t report_digest(std::string json) {
-  const std::string provenance = obs::build_json_fields();
-  if (const std::size_t at = json.find(provenance); at != std::string::npos) {
-    json.erase(at, provenance.size());
-  }
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (const char c : json) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ULL;
-  }
-  return h;
 }
 
 TEST(SplitAdmission, ChurnReportIsPinned) {

@@ -12,6 +12,7 @@
 #include "farm/metrics.h"
 #include "farm/presets.h"
 #include "farm/simulator.h"
+#include "farm_test_util.h"
 #include "obs/slo.h"
 #include "obs/timeseries.h"
 
@@ -19,12 +20,6 @@ namespace qosctrl::farm {
 namespace {
 
 constexpr rt::Cycles kWindow = 4000000;
-
-FarmScenario small_flash_crowd() {
-  PresetParams pp;
-  pp.num_streams = 24;
-  return compile_preset(PresetKind::kFlashCrowd, pp);
-}
 
 std::vector<obs::SloSpec> test_slos() {
   const char* const kSpecs[] = {
@@ -44,15 +39,8 @@ std::vector<obs::SloSpec> test_slos() {
   return out;
 }
 
-FarmResult run_combo(const FarmScenario& sc, int workers, int shards) {
-  FarmConfig cfg;
-  cfg.num_processors = 8;
-  cfg.workers = workers;
-  cfg.shards = shards;
-  cfg.trace = true;
-  cfg.ts_window = kWindow;
-  cfg.slos = test_slos();
-  return run_farm(sc, cfg);
+FarmResult run_sampled(const FarmScenario& sc, int workers, int shards) {
+  return run_combo(sc, workers, shards, kWindow, test_slos());
 }
 
 /// The series minus the `.../shard<k>` control tracks, which — like
@@ -70,7 +58,7 @@ std::string shard_independent_json(const obs::TimeSeries& series) {
 
 TEST(TimeseriesDeterminismTest, SeriesAndVerdictsInvariantAcrossCombos) {
   const FarmScenario sc = small_flash_crowd();
-  const FarmResult baseline = run_combo(sc, 1, 1);
+  const FarmResult baseline = run_sampled(sc, 1, 1);
   const std::string series_json = shard_independent_json(baseline.series);
   const std::string slo_json = obs::slo_to_json(baseline.slo);
   ASSERT_GT(baseline.series.last_window(), 0);
@@ -78,7 +66,7 @@ TEST(TimeseriesDeterminismTest, SeriesAndVerdictsInvariantAcrossCombos) {
 
   for (const int workers : {1, 2, 4}) {
     for (const int shards : {1, 2, 4}) {
-      const FarmResult run = run_combo(sc, workers, shards);
+      const FarmResult run = run_sampled(sc, workers, shards);
       // Everything the data plane samples — and the verdicts computed
       // over it — is invariant across the whole grid.
       EXPECT_EQ(shard_independent_json(run.series), series_json)
@@ -89,15 +77,15 @@ TEST(TimeseriesDeterminismTest, SeriesAndVerdictsInvariantAcrossCombos) {
     }
     // With the shard topology fixed, the per-shard control tracks pin
     // byte for byte across workers too.
-    EXPECT_EQ(run_combo(sc, workers, 4).series.to_json(),
-              run_combo(sc, 1, 4).series.to_json())
+    EXPECT_EQ(run_sampled(sc, workers, 4).series.to_json(),
+              run_sampled(sc, 1, 4).series.to_json())
         << "sharded series diverged at workers=" << workers;
   }
 }
 
 TEST(TimeseriesDeterminismTest, SeriesCarriesTheDashboardSignals) {
   const FarmScenario sc = small_flash_crowd();
-  const FarmResult r = run_combo(sc, 2, 2);
+  const FarmResult r = run_sampled(sc, 2, 2);
 
   auto count_of = [&](const std::string& name) {
     const auto it = r.series.tracks.find(name);
@@ -146,15 +134,9 @@ TEST(TimeseriesDeterminismTest, SloVerdictsLandInReportsAndFaultRunsScore) {
   ev.processor = 1;
   ev.time = 30000000;
   sc.faults.failures.push_back(ev);
-  FarmConfig cfg;
-  cfg.num_processors = 8;
-  cfg.workers = 2;
-  cfg.trace = true;
-  cfg.ts_window = kWindow;
-  cfg.slos = test_slos();
 
-  const FarmResult a = run_farm(sc, cfg);
-  const FarmResult b = run_farm(sc, cfg);
+  const FarmResult a = run_sampled(sc, 2, 1);
+  const FarmResult b = run_sampled(sc, 2, 1);
   EXPECT_EQ(to_json(a), to_json(b));
   EXPECT_EQ(summarize(a), summarize(b));
 
