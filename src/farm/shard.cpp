@@ -28,6 +28,7 @@ ShardedControlPlane::ShardedControlPlane(int num_processors,
   stats_.resize(static_cast<std::size_t>(s_count));
   floor_proc_.resize(static_cast<std::size_t>(s_count));
   floor_util_.resize(static_cast<std::size_t>(s_count));
+  peak_.resize(static_cast<std::size_t>(num_processors));
   for (int s = 0; s < s_count; ++s) {
     // Contiguous near-even slices: shard s owns global processors
     // [s*M/S, (s+1)*M/S).
@@ -42,18 +43,20 @@ ShardedControlPlane::ShardedControlPlane(int num_processors,
 
 void ShardedControlPlane::recompute_floor(int s) {
   const AdmissionController& ctl = shards_[static_cast<std::size_t>(s)];
+  const int base = bases_[static_cast<std::size_t>(s)];
   int best = -1;
   double best_u = 0.0;
   for (int p = 0; p < ctl.num_processors(); ++p) {
     if (ctl.processor_failed(p)) continue;
     const double u = ctl.committed_utilization(p);
+    double& peak = peak_[static_cast<std::size_t>(base + p)];
+    peak = std::max(peak, u);
     if (best < 0 || u < best_u) {  // strict: ties keep the lowest index
       best = p;
       best_u = u;
     }
   }
-  floor_proc_[static_cast<std::size_t>(s)] =
-      best < 0 ? -1 : bases_[static_cast<std::size_t>(s)] + best;
+  floor_proc_[static_cast<std::size_t>(s)] = best < 0 ? -1 : base + best;
   floor_util_[static_cast<std::size_t>(s)] = best_u;
   reposition_route(s);
 }
@@ -169,6 +172,11 @@ double ShardedControlPlane::shard_pressure(int s) const {
     worst = std::max(worst, ctl.committed_utilization(p));
   }
   return worst;
+}
+
+double ShardedControlPlane::shard_peak_committed_utilization(int s) const {
+  const auto first = peak_.begin() + shard_base(s);
+  return *std::max_element(first, first + shard_size(s));
 }
 
 namespace {

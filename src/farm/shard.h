@@ -121,6 +121,14 @@ class ShardedControlPlane {
   /// Hottest live processor's committed utilization (the watermark's
   /// subject); 0 when the shard has no survivors.
   double shard_pressure(int s) const;
+  /// The highest committed utilization `processor` held after any call
+  /// that changed the plane: admits (split tails included), releases
+  /// and their restore passes, failures and rebalance moves.
+  double peak_committed_utilization(int processor) const {
+    return peak_.at(static_cast<std::size_t>(processor));
+  }
+  /// The highest of shard s's processor peaks.
+  double shard_peak_committed_utilization(int s) const;
   const ShardStats& shard_stats(int s) const {
     return stats_.at(static_cast<std::size_t>(s));
   }
@@ -133,10 +141,10 @@ class ShardedControlPlane {
   int local_of(int shard, int processor) const {
     return processor - bases_[static_cast<std::size_t>(shard)];
   }
-  /// Rescans shard `s` and refreshes its cached floor (and the
-  /// routing order).  Called after any mutation of the shard's
-  /// committed state, so joins route in O(1) instead of rescanning
-  /// the whole fleet.
+  /// Rescans shard `s`, refreshes its cached floor (and the routing
+  /// order) and raises its live processors' peaks.  Called after any
+  /// mutation of the shard's committed state, so joins route in O(1)
+  /// instead of rescanning the whole fleet.
   void recompute_floor(int s);
   /// Routing order on the cached floors: live shards first, then
   /// ascending (floor utilization, shard index).
@@ -157,6 +165,7 @@ class ShardedControlPlane {
   /// first — what a scan of every processor would find.
   std::vector<int> floor_proc_;
   std::vector<double> floor_util_;
+  std::vector<double> peak_;  ///< per global processor
   /// Shards sorted ascending by (floor utilization, index), dead
   /// shards (no survivors) last — the router's whole view of the
   /// fleet.  route_order_[0] holds the globally least-loaded live

@@ -142,17 +142,6 @@ FarmResult run_control_plane(const FarmScenario& scenario,
     }
   };
 
-  auto note_peak = [&](int processor) {
-    auto& proc = result.processors[static_cast<std::size_t>(processor)];
-    const double u = plane.committed_utilization(processor);
-    proc.peak_committed_utilization =
-        std::max(proc.peak_committed_utilization, u);
-    auto& sp = result.shard_outcomes[static_cast<std::size_t>(
-                                         plane.shard_of(processor))]
-                   .peak_committed_utilization;
-    sp = std::max(sp, u);
-  };
-
   /// Opens a failover segment of `so` (failure_index -1: a rebalancer
   /// migration) serving from `first_frame` under `pl`, whose first
   /// budget epoch starts at `epoch_from`.
@@ -163,7 +152,6 @@ FarmResult run_control_plane(const FarmScenario& scenario,
         failure_index, from, first_frame, pl,
         {BudgetEpoch{epoch_from, pl.table_budget, pl.committed_cost,
                      pl.system}}});
-    note_peak(pl.processor);
   };
 
   /// A permanent processor failure: mark it dead, then release and
@@ -294,7 +282,6 @@ FarmResult run_control_plane(const FarmScenario& scenario,
             BudgetEpoch{so->spec.join_time, so->placement.table_budget,
                         so->placement.committed_cost, so->placement.system});
         leaves.emplace(leave_time_of(so->spec), so->spec.id);
-        note_peak(so->placement.processor);
         probe.on_admit(so->spec.join_time, so->spec.id, so->placement,
                        plane.shard_of(so->placement.processor));
       } else {
@@ -503,6 +490,8 @@ void finalize(const FarmConfig& config, const ShardedControlPlane& plane,
   for (std::size_t p = 0; p < r.processors.size(); ++p) {
     ProcessorOutcome& po = r.processors[p];
     sinks.processor(static_cast<int>(p)).write_tallies(&po);
+    po.peak_committed_utilization =
+        plane.peak_committed_utilization(static_cast<int>(p));
     r.total_preemptions += po.preemptions;
     r.total_overhead_cycles += po.overhead_cycles;
   }
@@ -577,6 +566,7 @@ void finalize(const FarmConfig& config, const ShardedControlPlane& plane,
     o.migrations_in = st.migrations_in;
     o.migrations_out = st.migrations_out;
     o.demand_tests = plane.shard_scan_stats(s).demand_tests;
+    o.peak_committed_utilization = plane.shard_peak_committed_utilization(s);
   }
 
   // SLO verdicts over the merged series plus the per-failure recovery

@@ -12,19 +12,28 @@
 //    releases it, so migrations_in == migrations_out ==
 //    rebalance_migrations and every admitted stream still serves its
 //    full frame count.
+//
+// Each processor's peak_committed_utilization is the plane's too: the
+// maximum after every mutation, split tails and restore growth
+// included.
 #include "farm/shard.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <string>
+#include <unordered_set>
 #include <vector>
 
+#include "farm/load_gen.h"
 #include "farm/metrics.h"
 #include "farm/presets.h"
 #include "farm/simulator.h"
 #include "farm_test_util.h"
 #include "obs/trace.h"
 #include "platform/cost_model.h"
+#include "util/rng.h"
 
 namespace qosctrl::farm {
 namespace {
@@ -172,6 +181,134 @@ TEST(ShardPlaneTest, RebalancerConservesStreams) {
   const FarmResult again = run_farm(sc, cfg);
   EXPECT_EQ(to_csv(r), to_csv(again));
   EXPECT_EQ(to_json(r), to_json(again));
+}
+
+/// `qosfarm run --procs <procs> --seed <seed>` over `load` under
+/// `sched`, configured as qosfarm configures it: the default
+/// context-switch cost, a 1e6-cycle quantum and its farm-seed
+/// derivation.
+FarmResult run_like_qosfarm(LoadGenConfig load, SchedulingSpec sched,
+                            int procs, std::uint64_t seed) {
+  load.seed = seed;
+  FarmScenario sc = generate_scenario(load);
+  sched.policy.context_switch_cost = platform::kContextSwitchCycles;
+  sched.policy.quantum = 1000000;
+  sc.sched = sched;
+  FarmConfig cfg;
+  cfg.num_processors = procs;
+  cfg.workers = procs;
+  cfg.seed = seed * 0x9e3779b9ULL + 1;
+  return run_farm(sc, cfg);
+}
+
+// qosfarm run --procs 4 --streams 16 --split --seed 24 --policy
+// preemptive --constant-frac 0.5 --period-factors 2,3,4: a C=D tail
+// commits load to a processor no placement heads, and the peak counts
+// it.
+TEST(ShardPlanePeaks, SplitTailRaisesItsProcessorsPeak) {
+  LoadGenConfig load;
+  load.num_streams = 16;
+  load.constant_mode_fraction = 0.5;
+  load.period_factors = {2.0, 3.0, 4.0};
+  SchedulingSpec sched;
+  sched.policy.kind = sched::PolicyKind::kPreemptiveEdf;
+  sched.split = true;
+  const FarmResult r = run_like_qosfarm(load, sched, 4, 24);
+  ASSERT_EQ(r.split_streams, 1) << summarize(r);
+  for (const StreamOutcome& so : r.streams) {
+    if (!so.placement.split) continue;
+    const ProcessorOutcome& tail = r.processors.at(
+        static_cast<std::size_t>(so.placement.tail_processor));
+    EXPECT_GT(tail.peak_committed_utilization, 0.0)
+        << "tail processor " << so.placement.tail_processor;
+  }
+}
+
+// qosfarm run --procs 2 --streams 24 --renegotiate --restore --seed 26
+// --frames 4:40 --period-factors 3,4,6: a departure's restore pass
+// grows processor 1 past anything an admission left it at.
+TEST(ShardPlanePeaks, RestorePassRaisesThePeak) {
+  LoadGenConfig load;
+  load.num_streams = 24;
+  load.min_frames = 4;
+  load.max_frames = 40;
+  load.period_factors = {3.0, 4.0, 6.0};
+  SchedulingSpec sched;
+  sched.renegotiate = true;
+  sched.restore = true;
+  const FarmResult r = run_like_qosfarm(load, sched, 2, 26);
+  ASSERT_GT(r.restored_streams, 0) << summarize(r);
+  EXPECT_GE(r.processors.at(1).peak_committed_utilization, 0.9875);
+}
+
+// Randomized: on a split + renegotiate + restore plane, seeded
+// sequences of admits, releases, failures and rebalance steps never
+// leave a processor above its recorded peak.
+TEST(ShardPlanePeaks, PeakBoundsEveryCommitmentAfterEveryCall) {
+  TableCache tables(platform::figure5_cost_table());
+  SchedulingSpec sched;
+  sched.policy.kind = sched::PolicyKind::kPreemptiveEdf;
+  sched.split = true;
+  sched.renegotiate = true;
+  sched.restore = true;
+  ShardPlaneConfig pc;
+  pc.shards = 2;
+  pc.rebalance_watermark = 0.3;
+  int splits = 0, grows = 0, moves = 0;
+  for (const std::uint64_t seed : {1, 2, 3, 4, 5, 6}) {
+    LoadGenConfig load;
+    load.num_streams = 80;
+    load.constant_mode_fraction = 0.3;
+    load.seed = seed;
+    const FarmScenario sc = generate_scenario(load);
+    ShardedControlPlane plane(4, pc, AdmissionConfig{}, &tables, sched);
+    util::Rng rng(seed);
+    std::vector<int> live;
+    std::unordered_set<int> failed;
+    rt::Cycles now = 0;
+    std::size_t next = 0;
+    auto check = [&](const char* call) {
+      for (int p = 0; p < plane.num_processors(); ++p) {
+        ASSERT_GE(plane.peak_committed_utilization(p),
+                  plane.committed_utilization(p))
+            << "seed " << seed << " processor " << p << " after " << call;
+      }
+    };
+    while (next < sc.streams.size()) {
+      const double roll = rng.uniform_01();
+      if (roll < 0.7 || live.empty()) {
+        const StreamSpec& spec = sc.streams[next++];
+        now = std::max(now, spec.join_time);
+        const Placement pl = plane.admit(spec);
+        if (pl.admitted) live.push_back(spec.id);
+        splits += pl.split ? 1 : 0;
+        check("admit");
+      } else if (roll < 0.9) {
+        const auto k = static_cast<std::size_t>(
+            rng.uniform_i64(0, static_cast<std::int64_t>(live.size()) - 1));
+        plane.release(live[k], now);
+        live.erase(live.begin() + static_cast<std::ptrdiff_t>(k));
+        check("release");
+      } else if (roll < 0.92 && failed.empty()) {
+        const int p = static_cast<int>(rng.uniform_i64(0, 3));
+        plane.fail_processor(p);
+        failed.insert(p);
+        check("fail_processor");
+      } else {
+        ShardMigration mg;
+        moves += plane.rebalance_step(now, &mg) ? 1 : 0;
+        check("rebalance_step");
+      }
+      for (const BudgetRenegotiation& r : plane.take_renegotiations()) {
+        grows += r.grow ? 1 : 0;
+      }
+      if (::testing::Test::HasFatalFailure()) return;
+    }
+  }
+  // The sequences reach every path that can raise a commitment.
+  EXPECT_GT(splits, 0);
+  EXPECT_GT(grows, 0);
+  EXPECT_GT(moves, 0);
 }
 
 }  // namespace
