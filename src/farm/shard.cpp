@@ -152,7 +152,6 @@ sched::EdfScanStats ShardedControlPlane::scan_stats() const {
     const sched::EdfScanStats& s = ctl.scan_stats();
     total.demand_tests += s.demand_tests;
     total.busy_iterations += s.busy_iterations;
-    total.check_points += s.check_points;
     total.qpa_points += s.qpa_points;
   }
   return total;

@@ -546,7 +546,6 @@ void finalize(const FarmConfig& config, const ShardedControlPlane& plane,
   const sched::EdfScanStats scan = plane.scan_stats();
   control.counter("admission_demand_tests") = scan.demand_tests;
   control.counter("admission_busy_iterations") = scan.busy_iterations;
-  control.counter("admission_check_points") = scan.check_points;
   control.counter("admission_qpa_points") = scan.qpa_points;
   control.counter("admission_splits") = plane.split_count();
   control.counter("join_batches") = r.join_batches;

@@ -26,8 +26,7 @@ double np_utilization(const std::vector<NpTask>& tasks) {
 }
 
 bool edf_demand_schedulable(const std::vector<NpTask>& tasks,
-                            rt::Cycles max_blocking, EdfScanStats* stats) {
-  if (stats != nullptr) ++stats->demand_tests;
+                            rt::Cycles max_blocking) {
   if (tasks.empty()) return true;
   rt::Cycles total_cost = 0;
   for (const NpTask& t : tasks) {
@@ -44,7 +43,6 @@ bool edf_demand_schedulable(const std::vector<NpTask>& tasks,
   rt::Cycles busy = total_cost;
   bool converged = false;
   for (int it = 0; it < kEdfMaxBusyIterations; ++it) {
-    if (stats != nullptr) ++stats->busy_iterations;
     const rt::Cycles next = edf_request_bound(tasks, busy);
     if (next == busy) {
       converged = true;
@@ -69,9 +67,6 @@ bool edf_demand_schedulable(const std::vector<NpTask>& tasks,
   std::sort(points.begin(), points.end());
   points.erase(std::unique(points.begin(), points.end()), points.end());
 
-  if (stats != nullptr) {
-    stats->check_points += static_cast<long long>(points.size());
-  }
   for (const rt::Cycles p : points) {
     rt::Cycles demand = 0;
     rt::Cycles blocking = 0;

@@ -83,15 +83,13 @@ double np_utilization(const std::vector<NpTask>& tasks);
 rt::Cycles edf_request_bound(const std::vector<NpTask>& tasks,
                              rt::Cycles w);
 
-/// Work accounting for one or more demand scans — how much the
-/// control plane actually computed to reach its admission verdicts.
-/// Accumulated (never reset) by the tests below when a non-null
-/// pointer is passed, so one instance can meter a whole admission
-/// session.
+/// Work accounting for one or more QPA demand tests (sched/qpa.h) —
+/// how much the control plane actually computed to reach its admission
+/// verdicts.  Accumulated (never reset) when a non-null pointer is
+/// passed, so one instance can meter a whole admission session.
 struct EdfScanStats {
   long long demand_tests = 0;     ///< demand tests run
   long long busy_iterations = 0;  ///< busy-period fixpoint steps
-  long long check_points = 0;     ///< exact-scan check points evaluated
   long long qpa_points = 0;       ///< QPA demand evaluations h(t)
 };
 
@@ -115,10 +113,9 @@ struct DemandQuery {
 /// kUncappedBlocking = non-preemptive EDF, a quantum length between.
 /// The empty set is schedulable.  Requires cost >= 0, period > 0 for
 /// every task; a task with cost > deadline is trivially
-/// unschedulable.  Subject to the scan caps above.  `stats`, when
-/// non-null, accumulates the scan work done.
+/// unschedulable.  Subject to the scan caps above.  The reference the
+/// QPA fast path is checked against.
 bool edf_demand_schedulable(const std::vector<NpTask>& tasks,
-                            rt::Cycles max_blocking,
-                            EdfScanStats* stats = nullptr);
+                            rt::Cycles max_blocking);
 
 }  // namespace qosctrl::sched
