@@ -474,8 +474,8 @@ std::string to_csv(const FarmResult& r) {
                pl.migrated, pl.degraded, pl.split, pl.via_renegotiation,
                so.renegotiated, so.restored, final_budget(so),
                pl.initial_quality, so.result.total_skips, so.display_misses,
-               so.result.total_deadline_misses, so.max_start_lag, so.mean_start_lag,
-               so.result.mean_psnr, so.result.psnr_stats.p5,
+               so.result.total_deadline_misses, so.max_start_lag,
+               so.mean_start_lag, so.result.mean_psnr, so.result.psnr_stats.p5,
                so.result.psnr_stats.min, so.result.mean_ssim,
                so.result.ssim_stats.p5, so.result.ssim_stats.min,
                so.result.mean_quality, so.result.achieved_bps / 1e3,

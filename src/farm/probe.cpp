@@ -17,7 +17,7 @@ std::string phase_metric(std::size_t ph) {
 
 Probe::Probe(int processor, obs::Registry& metrics, obs::TraceBuffer* trace,
              obs::SeriesRecorder* series)
-    : processor_(processor),
+    : busy_cpu_name_("busy_cycles/cpu" + std::to_string(processor)),
       trace_(trace),
       series_(series),
       dispatched_(&metrics.counter("frames_dispatched")),
@@ -97,7 +97,8 @@ Sinks::Sinks(const FarmConfig& config)
   probes_.reserve(static_cast<std::size_t>(config.num_processors) + 1);
   for (int p = 0; p < config.num_processors; ++p) {
     const auto i = static_cast<std::size_t>(p);
-    probes_.emplace_back(p, metrics_[i], trace_ ? trace_->processor(p) : nullptr,
+    probes_.emplace_back(p, metrics_[i],
+                         trace_ ? trace_->processor(p) : nullptr,
                          series_.empty() ? nullptr : &series_[i]);
   }
   probes_.emplace_back(trace_ ? trace_->control() : nullptr,

@@ -132,12 +132,9 @@ class Probe {
   void on_busy(rt::Cycles now, rt::Cycles cycles) {
     busy_ += cycles;
     if (series_ == nullptr) return;
-    if (s_busy_cpu_ == nullptr) {
-      s_busy_cpu_ =
-          &series_->track("busy_cycles/cpu" + std::to_string(processor_));
-    }
-    record(s_busy_, now, cycles);
-    record(s_busy_cpu_, now, cycles);
+    if (s_busy_cpu_ == nullptr) s_busy_cpu_ = &series_->track(busy_cpu_name_);
+    series_->record(*s_busy_, now, cycles);
+    series_->record(*s_busy_cpu_, now, cycles);
   }
   void on_camera_skip() { ++*camera_skips_; }
   void on_quarantine(rt::Cycles now, int stream, rt::Cycles until) {
@@ -222,7 +219,9 @@ class Probe {
     record(t.by_class[static_cast<std::size_t>(mode)], at, v);
   }
 
-  int processor_ = -1;  ///< -1 on the control plane
+  /// The processor's busy_cycles/cpu<p> track name; empty on the
+  /// control plane.
+  std::string busy_cpu_name_;
   obs::TraceBuffer* trace_;
   obs::SeriesRecorder* series_;
   // Processor tallies the registry does not count.

@@ -28,6 +28,8 @@ ShardedControlPlane::ShardedControlPlane(int num_processors,
   stats_.resize(static_cast<std::size_t>(s_count));
   floor_proc_.resize(static_cast<std::size_t>(s_count));
   floor_util_.resize(static_cast<std::size_t>(s_count));
+  hot_proc_.resize(static_cast<std::size_t>(s_count));
+  hot_util_.resize(static_cast<std::size_t>(s_count));
   peak_.resize(static_cast<std::size_t>(num_processors));
   for (int s = 0; s < s_count; ++s) {
     // Contiguous near-even slices: shard s owns global processors
@@ -44,20 +46,28 @@ ShardedControlPlane::ShardedControlPlane(int num_processors,
 void ShardedControlPlane::recompute_floor(int s) {
   const AdmissionController& ctl = shards_[static_cast<std::size_t>(s)];
   const int base = bases_[static_cast<std::size_t>(s)];
-  int best = -1;
-  double best_u = 0.0;
+  int best = -1, hot = -1;
+  double best_u = 0.0, hot_u = 0.0;
   for (int p = 0; p < ctl.num_processors(); ++p) {
     if (ctl.processor_failed(p)) continue;
     const double u = ctl.committed_utilization(p);
     double& peak = peak_[static_cast<std::size_t>(base + p)];
     peak = std::max(peak, u);
-    if (best < 0 || u < best_u) {  // strict: ties keep the lowest index
+    // Strict comparisons: ties keep the lowest index.
+    if (best < 0 || u < best_u) {
       best = p;
       best_u = u;
     }
+    if (hot < 0 || u > hot_u) {
+      hot = p;
+      hot_u = u;
+    }
   }
-  floor_proc_[static_cast<std::size_t>(s)] = best < 0 ? -1 : base + best;
-  floor_util_[static_cast<std::size_t>(s)] = best_u;
+  const auto i = static_cast<std::size_t>(s);
+  floor_proc_[i] = best < 0 ? -1 : base + best;
+  floor_util_[i] = best_u;
+  hot_proc_[i] = hot;
+  hot_util_[i] = hot_u;
   reposition_route(s);
 }
 
@@ -161,16 +171,6 @@ long long ShardedControlPlane::split_count() const {
   long long total = 0;
   for (const AdmissionController& ctl : shards_) total += ctl.split_count();
   return total;
-}
-
-double ShardedControlPlane::shard_pressure(int s) const {
-  const AdmissionController& ctl = shards_[static_cast<std::size_t>(s)];
-  double worst = 0.0;
-  for (int p = 0; p < ctl.num_processors(); ++p) {
-    if (ctl.processor_failed(p)) continue;
-    worst = std::max(worst, ctl.committed_utilization(p));
-  }
-  return worst;
 }
 
 double ShardedControlPlane::shard_peak_committed_utilization(int s) const {
@@ -286,17 +286,8 @@ bool ShardedControlPlane::rebalance_step(rt::Cycles now,
 
   // Source: the hot shard's hottest surviving processor.
   AdmissionController& src_ctl = shards_[static_cast<std::size_t>(hot)];
-  int src = -1;
-  double src_u = 0.0;
-  for (int p = 0; p < src_ctl.num_processors(); ++p) {
-    if (src_ctl.processor_failed(p)) continue;
-    const double u = src_ctl.committed_utilization(p);
-    if (src < 0 || u > src_u) {
-      src = p;
-      src_u = u;
-    }
-  }
-  if (src < 0) return false;
+  const int src = hot_proc_[static_cast<std::size_t>(hot)];
+  const double src_u = hot_u;
 
   AdmissionController& dst_ctl = shards_[static_cast<std::size_t>(cold)];
   for (const int id : src_ctl.resident_stream_ids(src)) {

@@ -120,7 +120,9 @@ class ShardedControlPlane {
   int shard_size(int s) const;
   /// Hottest live processor's committed utilization (the watermark's
   /// subject); 0 when the shard has no survivors.
-  double shard_pressure(int s) const;
+  double shard_pressure(int s) const {
+    return hot_util_.at(static_cast<std::size_t>(s));
+  }
   /// The highest committed utilization `processor` held after any call
   /// that changed the plane: admits (split tails included), releases
   /// and their restore passes, failures and rebalance moves.
@@ -141,10 +143,11 @@ class ShardedControlPlane {
   int local_of(int shard, int processor) const {
     return processor - bases_[static_cast<std::size_t>(shard)];
   }
-  /// Rescans shard `s`, refreshes its cached floor (and the routing
-  /// order) and raises its live processors' peaks.  Called after any
-  /// mutation of the shard's committed state, so joins route in O(1)
-  /// instead of rescanning the whole fleet.
+  /// Rescans shard `s`: refreshes its cached floor (and the routing
+  /// order) and hottest processor, and raises its live processors'
+  /// peaks.  Called after any mutation of the shard's committed state,
+  /// so joins route and the rebalancer reads pressure in O(1) instead
+  /// of rescanning the whole fleet.
   void recompute_floor(int s);
   /// Routing order on the cached floors: live shards first, then
   /// ascending (floor utilization, shard index).
@@ -165,6 +168,11 @@ class ShardedControlPlane {
   /// first — what a scan of every processor would find.
   std::vector<int> floor_proc_;
   std::vector<double> floor_util_;
+  /// Cached per-shard ceiling: the hottest live processor (local
+  /// index, lowest on ties; -1 with no survivors) and its committed
+  /// utilization, the shard's pressure.
+  std::vector<int> hot_proc_;
+  std::vector<double> hot_util_;
   std::vector<double> peak_;  ///< per global processor
   /// Shards sorted ascending by (floor utilization, index), dead
   /// shards (no survivors) last — the router's whole view of the

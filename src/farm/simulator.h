@@ -194,8 +194,7 @@ struct ProcessorOutcome {
 
   /// Busy (service only) / span; 0 before the first completion.
   double utilization() const {
-    return span_cycles > 0 ? static_cast<double>(busy_cycles) /
-                                 static_cast<double>(span_cycles)
+    return span_cycles > 0 ? static_cast<double>(busy_cycles) / span_cycles
                            : 0.0;
   }
 };
