@@ -688,7 +688,7 @@ BENCHMARK(BM_FarmThroughputTimeseries)
 
 struct AdmissionChurnFixture {
   farm::TableCache tables{platform::figure5_cost_table()};
-  std::unique_ptr<farm::AdmissionController> ctl;
+  std::unique_ptr<farm::ShardedControlPlane> ctl;
   int procs = 0;
 
   // One-macroblock streams, committed at the richest share-capped
@@ -714,8 +714,8 @@ struct AdmissionChurnFixture {
 
   explicit AdmissionChurnFixture(int residents) {
     procs = (residents + 63) / 64;
-    ctl = std::make_unique<farm::AdmissionController>(
-        procs, farm::AdmissionConfig{}, &tables);
+    ctl = std::make_unique<farm::ShardedControlPlane>(
+        procs, farm::ShardPlaneConfig{}, farm::AdmissionConfig{}, &tables);
     for (int i = 0; i < residents; ++i) {
       const farm::Placement pl = ctl->admit(stream(i), i % procs);
       if (!pl.admitted) std::abort();  // fixture invariant, not a result

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <functional>
 
+#include "farm/shard.h"
 #include "util/check.h"
 
 namespace qosctrl::farm {
@@ -42,92 +43,35 @@ rt::Cycles TableCache::worst_case_frame_cost(int macroblocks,
   return static_cast<rt::Cycles>(macroblocks) * wc_frame_per_mb_[qi];
 }
 
-AdmissionController::AdmissionController(int num_processors,
-                                         AdmissionConfig config,
-                                         TableCache* tables,
-                                         SchedulingSpec sched)
-    : config_(std::move(config)),
-      sched_(sched),
-      policy_(sched.policy),
-      tables_(tables) {
-  QC_EXPECT(num_processors >= 1, "farm needs at least one processor");
-  QC_EXPECT(tables_ != nullptr, "admission needs a table cache");
-  QC_EXPECT(config_.utilization_cap > 0.0 && config_.utilization_cap <= 1.0,
-            "utilization cap must be in (0, 1]");
-  QC_EXPECT(config_.max_stream_share > 0.0 && config_.max_stream_share <= 1.0,
-            "max stream share must be in (0, 1]");
-  for (const std::vector<double>* ladder :
-       {&config_.budget_fractions, &config_.min_budget_multiples}) {
-    for (const double x : *ladder) {
-      QC_EXPECT(std::isfinite(x) && x > 0.0,
-                "budget ladder entries must be finite and positive");
-    }
+
+// ---- ShardedControlPlane: admission inside one shard's range ----
+
+void ShardedControlPlane::refresh(int p) {
+  Processor& pr = procs_[static_cast<std::size_t>(p)];
+  pr.tasks.clear();
+  pr.tasks.reserve(pr.commitments.size() + 1);
+  pr.util = 0.0;
+  for (const Commitment& c : pr.commitments) {
+    pr.tasks.push_back(c.task);
+    pr.util += static_cast<double>(c.task.cost) /
+               static_cast<double>(c.task.period);
   }
-  committed_.resize(static_cast<std::size_t>(num_processors));
-  failed_.resize(static_cast<std::size_t>(num_processors), false);
-  demand_.resize(static_cast<std::size_t>(num_processors));
+  pr.busy_hint = 0;
+  shards_[static_cast<std::size_t>(shard_of(p))].unpreferred_dirty = true;
 }
 
-AdmissionController::CachedDemand& AdmissionController::demand(
-    int p) const {
-  CachedDemand& d = demand_[static_cast<std::size_t>(p)];
-  if (d.dirty) {
-    const auto& cs = committed_[static_cast<std::size_t>(p)];
-    d.tasks.clear();
-    d.tasks.reserve(cs.size() + 1);
-    d.util = 0.0;
-    for (const Commitment& c : cs) {
-      d.tasks.push_back(c.task);
-      // Same left-fold addition order as a fresh np_utilization scan
-      // over the same task order: cap comparisons stay bit-identical.
-      d.util += static_cast<double>(c.task.cost) /
-                static_cast<double>(c.task.period);
-    }
-    d.busy_hint = 0;
-    d.dirty = false;
-  }
-  return d;
-}
-
-void AdmissionController::demand_invalidate(int p) {
-  demand_[static_cast<std::size_t>(p)].dirty = true;
-  unpreferred_dirty_ = true;
-}
-
-void AdmissionController::demand_append(int p,
-                                        const sched::NpTask& task) {
-  CachedDemand& d = demand_[static_cast<std::size_t>(p)];
-  if (!d.dirty) {
-    d.tasks.push_back(task);
-    d.util += static_cast<double>(task.cost) /
-              static_cast<double>(task.period);
-  }
-  // The admitting test ran over exactly the new committed set, so its
-  // busy length is this set's true busy length — the best warm seed.
-  d.busy_hint = last_test_busy_;
-  unpreferred_dirty_ = true;
-}
-
-void AdmissionController::fail_processor(int processor) {
-  failed_.at(static_cast<std::size_t>(processor)) = true;
-}
-
-bool AdmissionController::processor_failed(int processor) const {
-  return failed_.at(static_cast<std::size_t>(processor));
-}
-
-std::vector<int> AdmissionController::resident_stream_ids(
+std::vector<int> ShardedControlPlane::resident_stream_ids(
     int processor) const {
   std::vector<int> ids;
   for (const Commitment& c :
-       committed_.at(static_cast<std::size_t>(processor))) {
+       procs_.at(static_cast<std::size_t>(processor)).commitments) {
     ids.push_back(c.stream_id);
   }
   std::sort(ids.begin(), ids.end());
   return ids;
 }
 
-std::vector<CertifiedRung> AdmissionController::certified_ladder(
+std::vector<CertifiedRung> ShardedControlPlane::certified_ladder(
     int macroblocks, rt::Cycles latency, rt::Cycles period) {
   std::vector<CertifiedRung> ladder;
   for (const rt::Cycles b :
@@ -139,40 +83,38 @@ std::vector<CertifiedRung> AdmissionController::certified_ladder(
   return ladder;
 }
 
-double AdmissionController::committed_utilization(int processor) const {
-  const auto& cs = committed_.at(static_cast<std::size_t>(processor));
-  double u = 0.0;
-  for (const Commitment& c : cs) {
-    u += static_cast<double>(c.task.cost) /
-         static_cast<double>(c.task.period);
-  }
-  return u;
-}
-
-int AdmissionController::committed_streams(int processor) const {
-  return static_cast<int>(
-      committed_.at(static_cast<std::size_t>(processor)).size());
-}
-
-bool AdmissionController::fits(int p, const sched::NpTask& candidate) const {
-  if (failed_[static_cast<std::size_t>(p)]) return false;
-  CachedDemand& d = demand(p);
-  // Candidate last, exactly where the old full rebuild put it.
-  const double util =
-      d.util + static_cast<double>(candidate.cost) /
-                   static_cast<double>(candidate.period);
-  if (util > config_.utilization_cap) return false;
-  d.tasks.push_back(candidate);
+bool ShardedControlPlane::demand_test(int p) {
+  Processor& pr = procs_[static_cast<std::size_t>(p)];
+  ++shards_[static_cast<std::size_t>(shard_of(p))].stats.demand_tests;
   last_test_busy_ = 0;
-  const sched::DemandQuery query{&scan_stats_, d.busy_hint,
+  const sched::DemandQuery query{&scan_stats_, pr.busy_hint,
                                  &last_test_busy_};
-  const bool ok = policy_.schedulable(d.tasks, query);
-  d.tasks.pop_back();
+  return policy_.schedulable(pr.tasks, query);
+}
+
+bool ShardedControlPlane::fits(int p, const sched::NpTask& candidate) {
+  Processor& pr = procs_[static_cast<std::size_t>(p)];
+  if (pr.failed) return false;
+  // Candidate last, exactly where a full rebuild would put it.
+  const double util =
+      pr.util + static_cast<double>(candidate.cost) /
+                    static_cast<double>(candidate.period);
+  if (util > config_.utilization_cap) return false;
+  pr.tasks.push_back(candidate);
+  const bool ok = demand_test(p);
+  pr.tasks.pop_back();
   return ok;
 }
 
-const std::vector<rt::Cycles>& AdmissionController::controlled_candidates(
-    int macroblocks, rt::Cycles latency, rt::Cycles period) const {
+bool ShardedControlPlane::set_schedulable(int p) {
+  if (procs_[static_cast<std::size_t>(p)].util > config_.utilization_cap) {
+    return false;
+  }
+  return demand_test(p);
+}
+
+const std::vector<rt::Cycles>& ShardedControlPlane::controlled_candidates(
+    int macroblocks, rt::Cycles latency, rt::Cycles period) {
   if (macroblocks == cand_mb_ && latency == cand_latency_ &&
       period == cand_period_) {
     return cand_cache_;
@@ -213,7 +155,7 @@ const std::vector<rt::Cycles>& AdmissionController::controlled_candidates(
   return cand_cache_;
 }
 
-void AdmissionController::commit_and_fill(
+void ShardedControlPlane::commit_and_fill(
     const StreamSpec& spec, const sched::NpTask& task,
     rt::Cycles table_budget, int p, int preferred,
     std::shared_ptr<const enc::EncoderSystem> system, Placement* out) {
@@ -226,9 +168,17 @@ void AdmissionController::commit_and_fill(
   c.min_budget = tables_->min_budget(c.macroblocks);
   c.desired_budget = table_budget;
   c.migration_surcharge = p != preferred ? config_.migration_cost : 0;
-  committed_[static_cast<std::size_t>(p)].push_back(std::move(c));
-  host_of_[spec.id].push_back(p);
-  demand_append(p, task);
+  Processor& pr = procs_[static_cast<std::size_t>(p)];
+  pr.commitments.push_back(std::move(c));
+  // An append extends the fold; the admitting test ran over exactly
+  // the new committed set, so its busy length is this set's true busy
+  // length — the best warm seed.
+  pr.tasks.push_back(task);
+  pr.util += static_cast<double>(task.cost) /
+             static_cast<double>(task.period);
+  pr.busy_hint = last_test_busy_;
+  shards_[static_cast<std::size_t>(shard_of(p))].unpreferred_dirty = true;
+  residents_[spec.id].hosts.push_back(p);
   out->admitted = true;
   out->processor = p;
   out->committed_cost = task.cost;
@@ -238,39 +188,43 @@ void AdmissionController::commit_and_fill(
   out->system = std::move(system);
 }
 
-const std::vector<int>& AdmissionController::unpreferred_order() const {
-  if (!unpreferred_dirty_) return unpreferred_cache_;
+const std::vector<int>& ShardedControlPlane::unpreferred_order(int s) {
+  Shard& sh = shards_[static_cast<std::size_t>(s)];
+  if (!sh.unpreferred_dirty) return sh.unpreferred;
   std::vector<std::pair<double, int>> keyed;
-  keyed.reserve(static_cast<std::size_t>(num_processors()));
-  for (int p = 0; p < num_processors(); ++p) {
-    keyed.emplace_back(committed_utilization(p), p);
+  keyed.reserve(static_cast<std::size_t>(sh.size));
+  for (int p = sh.base; p < sh.base + sh.size; ++p) {
+    keyed.emplace_back(procs_[static_cast<std::size_t>(p)].util, p);
   }
   std::sort(keyed.begin(), keyed.end());
-  unpreferred_cache_.clear();
-  unpreferred_cache_.reserve(keyed.size());
-  for (const auto& [u, p] : keyed) unpreferred_cache_.push_back(p);
-  unpreferred_dirty_ = false;
-  return unpreferred_cache_;
+  sh.unpreferred.clear();
+  sh.unpreferred.reserve(keyed.size());
+  for (const auto& [u, p] : keyed) sh.unpreferred.push_back(p);
+  sh.unpreferred_dirty = false;
+  return sh.unpreferred;
 }
 
 template <typename Place>
-bool AdmissionController::sweep(int preferred, Place&& place) {
+bool ShardedControlPlane::sweep(int s, int preferred, Place&& host) {
   // Bound once per sweep: shrinks inside a renegotiating sweep dirty
   // the cached order, but nothing re-reads it until the next sweep.
   static const std::vector<int> kNoOrder;
   const std::vector<int>& unpreferred =
-      preferred < 0 ? unpreferred_order() : kNoOrder;
-  for (int k = 0; k < num_processors(); ++k) {
+      preferred < 0 ? unpreferred_order(s) : kNoOrder;
+  const int base = shards_[static_cast<std::size_t>(s)].base;
+  const int size = shards_[static_cast<std::size_t>(s)].size;
+  const int local = preferred - base;
+  for (int k = 0; k < size; ++k) {
     const int p = preferred < 0
                       ? unpreferred[static_cast<std::size_t>(k)]
-                      : (k == 0 ? preferred
-                                : (k - 1 < preferred ? k - 1 : k));
-    if (place(p)) return true;
+                      : base + (k == 0 ? local
+                                       : (k - 1 < local ? k - 1 : k));
+    if (host(p)) return true;
   }
   return false;
 }
 
-bool AdmissionController::try_place(const StreamSpec& spec,
+bool ShardedControlPlane::try_place(const StreamSpec& spec, int s,
                                     rt::Cycles table_budget, rt::Cycles cost,
                                     int preferred, Placement* out) {
   // Certify the budget against the stream's compiled slack tables:
@@ -280,7 +234,7 @@ bool AdmissionController::try_place(const StreamSpec& spec,
   const auto& system = tables_->get(macroblocks_of(spec), table_budget);
   if (system->tables->max_initial_delay() < 0) return false;
 
-  return sweep(preferred, [&](int p) {
+  return sweep(s, preferred, [&](int p) {
     // An off-preferred host charges the migration surcharge on top of
     // the stream's own worst case.
     const sched::NpTask task{
@@ -292,7 +246,8 @@ bool AdmissionController::try_place(const StreamSpec& spec,
   });
 }
 
-bool AdmissionController::try_place_renegotiating(const StreamSpec& spec,
+bool ShardedControlPlane::try_place_renegotiating(const StreamSpec& spec,
+                                                  int s,
                                                   rt::Cycles table_budget,
                                                   rt::Cycles cost,
                                                   int preferred,
@@ -300,11 +255,11 @@ bool AdmissionController::try_place_renegotiating(const StreamSpec& spec,
   const auto& system = tables_->get(macroblocks_of(spec), table_budget);
   if (system->tables->max_initial_delay() < 0) return false;
 
-  return sweep(preferred, [&](int p) {
+  return sweep(s, preferred, [&](int p) {
     const sched::NpTask task{
         cost + (p != preferred ? config_.migration_cost : 0),
         latency_of(spec), period_of(spec)};
-    auto& cs = committed_[static_cast<std::size_t>(p)];
+    auto& cs = procs_[static_cast<std::size_t>(p)].commitments;
     const std::vector<Commitment> saved = cs;
 
     // Shrink incumbents until the newcomer fits: pick the controlled
@@ -342,12 +297,12 @@ bool AdmissionController::try_place_renegotiating(const StreamSpec& spec,
       }
       victim->table_budget = next;
       victim->task.cost = next + victim->migration_surcharge;
-      demand_invalidate(p);
+      refresh(p);
       ok = fits(p, task);
     }
     if (!ok) {
       cs = saved;  // roll back this processor's shrinks
-      demand_invalidate(p);
+      refresh(p);
       return false;
     }
 
@@ -360,7 +315,7 @@ bool AdmissionController::try_place_renegotiating(const StreamSpec& spec,
       r.table_budget = cs[i].table_budget;
       r.committed_cost = cs[i].task.cost;
       r.system = tables_->get(cs[i].macroblocks, cs[i].table_budget);
-      pending_renegotiations_.push_back(std::move(r));
+      shards_[static_cast<std::size_t>(s)].pending.push_back(std::move(r));
     }
 
     commit_and_fill(spec, task, table_budget, p, preferred, system, out);
@@ -369,18 +324,20 @@ bool AdmissionController::try_place_renegotiating(const StreamSpec& spec,
   });
 }
 
-bool AdmissionController::try_place_split(const StreamSpec& spec,
+bool ShardedControlPlane::try_place_split(const StreamSpec& spec, int s,
                                           rt::Cycles table_budget,
                                           rt::Cycles cost, Placement* out) {
-  if (!sched_.split || num_processors() < 2 || cost < 2) return false;
+  const int first = shards_[static_cast<std::size_t>(s)].base;
+  const int end = first + shards_[static_cast<std::size_t>(s)].size;
+  if (!sched_.split || end - first < 2 || cost < 2) return false;
   const int mb = macroblocks_of(spec);
   const auto& system = tables_->get(mb, table_budget);
   if (system->tables->max_initial_delay() < 0) return false;
 
   const rt::Cycles latency = latency_of(spec);
   const rt::Cycles period = period_of(spec);
-  for (int a = 0; a + 1 < num_processors(); ++a) {
-    if (failed_[static_cast<std::size_t>(a)]) continue;
+  for (int a = first; a + 1 < end; ++a) {
+    if (procs_[static_cast<std::size_t>(a)].failed) continue;
     // Largest zero-slack head piece processor `a` admits.  The
     // schedulability of (C1, D = C1, T = P) is not monotone in C1 in
     // general, so the binary search is a heuristic for picking C1 —
@@ -403,13 +360,13 @@ bool AdmissionController::try_place_split(const StreamSpec& spec,
     // Shrinking the head moves cost and deadline of the tail by the
     // same amount (its slack is the constant K*P - C - migration), so
     // there is nothing to search on the tail side: try the remainder
-    // on every higher-indexed processor.  The index order — head
-    // below tail — is what lets the data plane simulate handoff
-    // sources before sinks.
+    // on every higher-indexed processor of the shard.  The index
+    // order — head below tail — is what lets the data plane simulate
+    // handoff sources before sinks.
     const sched::NpTask tail{cost - head + config_.migration_cost,
                              latency - head, period};
-    for (int b = a + 1; b < num_processors(); ++b) {
-      if (failed_[static_cast<std::size_t>(b)]) continue;
+    for (int b = a + 1; b < end; ++b) {
+      if (procs_[static_cast<std::size_t>(b)].failed) continue;
       if (!fits(b, tail)) continue;
 
       const sched::NpTask head_task{head, head, period};
@@ -422,13 +379,13 @@ bool AdmissionController::try_place_split(const StreamSpec& spec,
       piece.min_budget = tables_->min_budget(mb);
       piece.desired_budget = table_budget;
       piece.migration_surcharge = 0;
-      committed_[static_cast<std::size_t>(a)].push_back(piece);
-      demand_invalidate(a);
+      procs_[static_cast<std::size_t>(a)].commitments.push_back(piece);
+      refresh(a);
       piece.task = tail;
       piece.migration_surcharge = config_.migration_cost;
-      committed_[static_cast<std::size_t>(b)].push_back(piece);
-      demand_invalidate(b);
-      auto& hosts = host_of_[spec.id];
+      procs_[static_cast<std::size_t>(b)].commitments.push_back(piece);
+      refresh(b);
+      auto& hosts = residents_[spec.id].hosts;
       hosts.push_back(a);
       hosts.push_back(b);
       ++split_count_;
@@ -450,11 +407,8 @@ bool AdmissionController::try_place_split(const StreamSpec& spec,
   return false;
 }
 
-Placement AdmissionController::admit(const StreamSpec& spec,
-                                     int preferred_processor) {
-  QC_EXPECT(preferred_processor >= -1 &&
-                preferred_processor < num_processors(),
-            "preferred processor out of range");
+Placement ShardedControlPlane::place(const StreamSpec& spec, int s,
+                                     int preferred, bool renegotiate) {
   QC_EXPECT(macroblocks_of(spec) >= 1,
             "stream geometry must cover at least one macroblock");
   Placement out;
@@ -467,7 +421,7 @@ Placement AdmissionController::admit(const StreamSpec& spec,
     const std::vector<rt::Cycles> candidates =
         controlled_candidates(mb, latency, period_of(spec));
     for (std::size_t i = 0; i < candidates.size(); ++i) {
-      if (try_place(spec, candidates[i], candidates[i], preferred_processor,
+      if (try_place(spec, s, candidates[i], candidates[i], preferred,
                     &out)) {
         out.degraded = i > 0;
         return out;
@@ -476,7 +430,7 @@ Placement AdmissionController::admit(const StreamSpec& spec,
       // processor can host whole may still fit as head + tail pieces,
       // keeping the stream at this quality instead of dropping to the
       // next candidate.
-      if (try_place_split(spec, candidates[i], candidates[i], &out)) {
+      if (try_place_split(spec, s, candidates[i], candidates[i], &out)) {
         out.degraded = i > 0;
         return out;
       }
@@ -486,9 +440,9 @@ Placement AdmissionController::admit(const StreamSpec& spec,
     // and always certifiable — which minimizes the shrink imposed on
     // incumbents.  Schedulability is monotone in the newcomer's cost,
     // so if that fails, every richer candidate fails too.
-    if (sched_.renegotiate && !candidates.empty() &&
-        try_place_renegotiating(spec, candidates.back(), candidates.back(),
-                                preferred_processor, &out)) {
+    if (renegotiate && !candidates.empty() &&
+        try_place_renegotiating(spec, s, candidates.back(),
+                                candidates.back(), preferred, &out)) {
       out.degraded = candidates.size() > 1;
       return out;
     }
@@ -520,11 +474,10 @@ Placement AdmissionController::admit(const StreamSpec& spec,
     out.reason = "worst-case frame cost exceeds the latency window";
     return out;
   }
-  if (try_place(spec, table_budget, cost, preferred_processor, &out) ||
-      try_place_split(spec, table_budget, cost, &out) ||
-      (sched_.renegotiate &&
-       try_place_renegotiating(spec, table_budget, cost,
-                               preferred_processor, &out))) {
+  if (try_place(spec, s, table_budget, cost, preferred, &out) ||
+      try_place_split(spec, s, table_budget, cost, &out) ||
+      (renegotiate && try_place_renegotiating(spec, s, table_budget, cost,
+                                              preferred, &out))) {
     // The slack-table prediction does not apply: an uncontrolled
     // stream encodes at its fixed level (resp. wherever feedback
     // drives it), not at what the tables would grant.
@@ -535,48 +488,11 @@ Placement AdmissionController::admit(const StreamSpec& spec,
   return out;
 }
 
-std::vector<BudgetRenegotiation> AdmissionController::take_renegotiations() {
-  return std::exchange(pending_renegotiations_, {});
-}
-
-void AdmissionController::release(int stream_id, rt::Cycles now) {
-  // The host index narrows the sweep to the 1-2 processors actually
-  // holding the stream; processing them in ascending index order keeps
-  // restore_pass's renegotiation records in the same order the old
-  // whole-fleet sweep produced.
-  const auto hit = host_of_.find(stream_id);
-  if (hit == host_of_.end()) return;  // unknown stream: no-op
-  std::vector<int> procs = std::move(hit->second);
-  host_of_.erase(hit);
-  std::sort(procs.begin(), procs.end());
-  procs.erase(std::unique(procs.begin(), procs.end()), procs.end());
-  for (const int p : procs) {
-    auto& cs = committed_[static_cast<std::size_t>(p)];
-    const auto it = std::remove_if(cs.begin(), cs.end(),
-                                   [stream_id](const Commitment& c) {
-                                     return c.stream_id == stream_id;
-                                   });
-    if (it == cs.end()) continue;
-    cs.erase(it, cs.end());
-    demand_invalidate(p);
-    if (sched_.restore) restore_pass(p, now);
-  }
-}
-
-bool AdmissionController::set_schedulable(int p) const {
-  CachedDemand& d = demand(p);
-  if (d.util > config_.utilization_cap) return false;
-  last_test_busy_ = 0;
-  const sched::DemandQuery query{&scan_stats_, d.busy_hint,
-                                 &last_test_busy_};
-  return policy_.schedulable(d.tasks, query);
-}
-
-void AdmissionController::restore_pass(int p, rt::Cycles now) {
+void ShardedControlPlane::restore_pass(int p, rt::Cycles now) {
   // A dead processor serves nothing: growing its residents' budgets
   // would only inflate commitments the failure handler is about to
   // release.
-  if (failed_[static_cast<std::size_t>(p)]) return;
+  if (procs_[static_cast<std::size_t>(p)].failed) return;
   // Inverse of the shrink loop in try_place_renegotiating: grow the
   // incumbent with the largest deficit below the budget it was
   // admitted at (ties to the lowest stream id) one certified ladder
@@ -584,7 +500,7 @@ void AdmissionController::restore_pass(int p, rt::Cycles now) {
   // considering a stream whose next rung does not fit (larger rungs
   // only demand more).  Each iteration either raises a budget or
   // retires a stream, so the loop terminates.
-  auto& cs = committed_[static_cast<std::size_t>(p)];
+  auto& cs = procs_[static_cast<std::size_t>(p)].commitments;
   std::vector<bool> retired(cs.size(), false);
   std::vector<rt::Cycles> grown_from(cs.size(), 0);
   std::vector<bool> grown(cs.size(), false);
@@ -626,11 +542,11 @@ void AdmissionController::restore_pass(int p, rt::Cycles now) {
     const rt::Cycles saved_cost = c.task.cost;
     c.table_budget = next;
     c.task.cost = next + c.migration_surcharge;
-    demand_invalidate(p);
+    refresh(p);
     if (!set_schedulable(p)) {
       c.table_budget = saved_budget;
       c.task.cost = saved_cost;
-      demand_invalidate(p);
+      refresh(p);
       retired[victim] = true;
       continue;
     }
@@ -650,7 +566,8 @@ void AdmissionController::restore_pass(int p, rt::Cycles now) {
     r.committed_cost = cs[i].task.cost;
     r.grow = true;
     r.system = tables_->get(cs[i].macroblocks, cs[i].table_budget);
-    pending_renegotiations_.push_back(std::move(r));
+    shards_[static_cast<std::size_t>(shard_of(p))].pending.push_back(
+        std::move(r));
   }
 }
 

@@ -234,7 +234,6 @@ FarmResult run_control_plane(const FarmScenario& scenario,
   /// failover hand-off, minus the blackout.  The per-batch cap bounds
   /// churn even under adversarial load.
   auto run_rebalancer = [&](rt::Cycles now) {
-    if (config.rebalance_watermark <= 0.0) return;
     const int cap = 4 * plane.num_shards();
     int moved = 0;
     ShardMigration mg;
@@ -543,7 +542,7 @@ void finalize(const FarmConfig& config, const ShardedControlPlane& plane,
   control.counter("admission_restores") = r.restored_streams;
   control.counter("failover_readmissions") = r.failover_readmissions;
   control.counter("failover_drops") = r.failover_drops;
-  const sched::EdfScanStats scan = plane.scan_stats();
+  const sched::EdfScanStats& scan = plane.scan_stats();
   control.counter("admission_demand_tests") = scan.demand_tests;
   control.counter("admission_busy_iterations") = scan.busy_iterations;
   control.counter("admission_qpa_points") = scan.qpa_points;
@@ -564,7 +563,7 @@ void finalize(const FarmConfig& config, const ShardedControlPlane& plane,
     o.rejected = st.rejected;
     o.migrations_in = st.migrations_in;
     o.migrations_out = st.migrations_out;
-    o.demand_tests = plane.shard_scan_stats(s).demand_tests;
+    o.demand_tests = st.demand_tests;
     o.peak_committed_utilization = plane.shard_peak_committed_utilization(s);
   }
 

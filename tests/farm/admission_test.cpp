@@ -1,4 +1,4 @@
-#include "farm/admission.h"
+#include "farm/shard.h"
 
 #include <gtest/gtest.h>
 
@@ -33,7 +33,7 @@ TEST_F(AdmissionTest, MinBudgetMatchesQminWorstCase) {
 }
 
 TEST_F(AdmissionTest, EmptyProcessorAdmitsAtRichBudget) {
-  AdmissionController ac(2, {}, &tables_);
+  ShardedControlPlane ac(2, {}, {}, &tables_);
   const StreamSpec s = small_stream(0);
   const Placement p = ac.admit(s, 0);
   ASSERT_TRUE(p.admitted) << p.reason;
@@ -46,16 +46,16 @@ TEST_F(AdmissionTest, EmptyProcessorAdmitsAtRichBudget) {
   EXPECT_NE(p.system, nullptr);
   // The reserved budget is committed worst-case load.
   EXPECT_GT(ac.committed_utilization(0), 0.0);
-  EXPECT_EQ(ac.committed_streams(0), 1);
-  EXPECT_EQ(ac.committed_streams(1), 0);
+  EXPECT_EQ(ac.resident_stream_ids(0).size(), 1u);
+  EXPECT_EQ(ac.resident_stream_ids(1).size(), 0u);
 }
 
 TEST_F(AdmissionTest, RicherBudgetRaisesInitialQuality) {
-  AdmissionController ac(1, {}, &tables_);
+  ShardedControlPlane ac(1, {}, {}, &tables_);
   // Slow camera -> latency window allows a rich budget.
   const Placement rich = ac.admit(small_stream(0, 8.0), 0);
   ASSERT_TRUE(rich.admitted);
-  AdmissionController ac2(1, {}, &tables_);
+  ShardedControlPlane ac2(1, {}, {}, &tables_);
   const Placement tight = ac2.admit(small_stream(1, 1.05), 0);
   ASSERT_TRUE(tight.admitted) << tight.reason;
   EXPECT_GT(rich.table_budget, tight.table_budget);
@@ -64,7 +64,7 @@ TEST_F(AdmissionTest, RicherBudgetRaisesInitialQuality) {
 }
 
 TEST_F(AdmissionTest, MigratesWhenPreferredProcessorIsFull) {
-  AdmissionController ac(2, {}, &tables_);
+  ShardedControlPlane ac(2, {}, {}, &tables_);
   // Fill processor 0 (everyone prefers it) until a stream overflows.
   Placement p;
   int i = 0;
@@ -88,7 +88,7 @@ TEST_F(AdmissionTest, DegradesBudgetUnderPressureThenRejects) {
   cfg.budget_fractions = {};
   cfg.min_budget_multiples = {4.0, 2.0, 1.3};
   cfg.max_stream_share = 1.0;  // isolate the ladder from the share cap
-  AdmissionController ac(2, cfg, &tables_);
+  ShardedControlPlane ac(2, {}, cfg, &tables_);
   int admitted = 0, rejected = 0, degraded = 0;
   rt::Cycles first_budget = 0;
   for (int i = 0; i < 16; ++i) {
@@ -116,7 +116,7 @@ TEST_F(AdmissionTest, ShareCapLeavesRoomForLaterArrivals) {
   // With the default share cap no single stream may commit more than
   // a quarter of a processor, so at least three streams fit wherever
   // one does at the rich budget.
-  AdmissionController ac(1, {}, &tables_);
+  ShardedControlPlane ac(1, {}, {}, &tables_);
   int admitted = 0;
   for (int i = 0; i < 8; ++i) {
     admitted += ac.admit(small_stream(i, 6.0), 0).admitted ? 1 : 0;
@@ -125,7 +125,7 @@ TEST_F(AdmissionTest, ShareCapLeavesRoomForLaterArrivals) {
 }
 
 TEST_F(AdmissionTest, ReleaseMakesRoomAgain) {
-  AdmissionController ac(1, {}, &tables_);
+  ShardedControlPlane ac(1, {}, {}, &tables_);
   std::vector<int> admitted_ids;
   for (int i = 0; i < 12; ++i) {
     if (ac.admit(small_stream(i), 0).admitted) admitted_ids.push_back(i);
@@ -134,14 +134,14 @@ TEST_F(AdmissionTest, ReleaseMakesRoomAgain) {
   ASSERT_FALSE(ac.admit(extra, 0).admitted)
       << "the processor should be saturated";
   for (const int id : admitted_ids) ac.release(id, /*now=*/0);
-  EXPECT_EQ(ac.committed_streams(0), 0);
+  EXPECT_EQ(ac.resident_stream_ids(0).size(), 0u);
   const Placement p = ac.admit(extra, 0);
   EXPECT_TRUE(p.admitted) << p.reason;
   EXPECT_FALSE(p.degraded) << "an empty processor offers the rich budget";
 }
 
 TEST_F(AdmissionTest, ConstantQualityCommitsItsLevelWorstCase) {
-  AdmissionController ac(1, {}, &tables_);
+  ShardedControlPlane ac(1, {}, {}, &tables_);
   StreamSpec s = small_stream(0, 6.0);
   s.mode = pipe::ControlMode::kConstantQuality;
   s.constant_quality = 2;
@@ -159,7 +159,7 @@ TEST_F(AdmissionTest, ConstantQualityCommitsItsLevelWorstCase) {
 TEST_F(AdmissionTest, OutOfRangeConstantLevelIsRejectedNotClamped) {
   // The data plane's ConstantController would refuse the level, so
   // admission must too — admit-then-crash is not an option.
-  AdmissionController ac(1, {}, &tables_);
+  ShardedControlPlane ac(1, {}, {}, &tables_);
   StreamSpec s = small_stream(0, 6.0);
   s.mode = pipe::ControlMode::kConstantQuality;
   s.constant_quality = 9;  // levels are 0..7
@@ -171,7 +171,7 @@ TEST_F(AdmissionTest, OutOfRangeConstantLevelIsRejectedNotClamped) {
 }
 
 TEST_F(AdmissionTest, FeedbackModeAssumesQmaxAndIsRejected) {
-  AdmissionController ac(1, {}, &tables_);
+  ShardedControlPlane ac(1, {}, {}, &tables_);
   StreamSpec s = small_stream(0, 6.0);
   s.mode = pipe::ControlMode::kFeedback;
   const Placement p = ac.admit(s, 0);
@@ -180,7 +180,7 @@ TEST_F(AdmissionTest, FeedbackModeAssumesQmaxAndIsRejected) {
 }
 
 TEST_F(AdmissionTest, TableCacheSharesCompiledSystems) {
-  AdmissionController ac(2, {}, &tables_);
+  ShardedControlPlane ac(2, {}, {}, &tables_);
   ASSERT_TRUE(ac.admit(small_stream(0), 0).admitted);
   const std::size_t after_first = tables_.compiled_systems();
   ASSERT_TRUE(ac.admit(small_stream(1), 1).admitted);
@@ -213,7 +213,7 @@ StreamSpec long_stream(int id) {
 }
 
 TEST_F(AdmissionTest, PreemptivePolicyAdmitsWhatNpRejects) {
-  AdmissionController np(1, {}, &tables_);
+  ShardedControlPlane np(1, {}, {}, &tables_);
   ASSERT_TRUE(np.admit(tight_stream(0), 0).admitted);
   const Placement rejected = np.admit(long_stream(1), 0);
   EXPECT_FALSE(rejected.admitted)
@@ -221,7 +221,7 @@ TEST_F(AdmissionTest, PreemptivePolicyAdmitsWhatNpRejects) {
 
   SchedulingSpec sched;
   sched.policy.kind = sched::PolicyKind::kPreemptiveEdf;
-  AdmissionController pre(1, {}, &tables_, sched);
+  ShardedControlPlane pre(1, {}, {}, &tables_, sched);
   ASSERT_TRUE(pre.admit(tight_stream(0), 0).admitted);
   const Placement admitted = pre.admit(long_stream(1), 0);
   EXPECT_TRUE(admitted.admitted) << admitted.reason;
@@ -234,14 +234,14 @@ TEST_F(AdmissionTest, QuantumPolicySitsBetweenNpAndPreemptive) {
   SchedulingSpec tight_quantum;
   tight_quantum.policy.kind = sched::PolicyKind::kQuantumEdf;
   tight_quantum.policy.quantum = 100000;  // < the tight stream's slack
-  AdmissionController a(1, {}, &tables_, tight_quantum);
+  ShardedControlPlane a(1, {}, {}, &tables_, tight_quantum);
   ASSERT_TRUE(a.admit(tight_stream(0), 0).admitted);
   EXPECT_TRUE(a.admit(long_stream(1), 0).admitted);
 
   SchedulingSpec coarse_quantum;
   coarse_quantum.policy.kind = sched::PolicyKind::kQuantumEdf;
   coarse_quantum.policy.quantum = 704000;  // one full long frame
-  AdmissionController b(1, {}, &tables_, coarse_quantum);
+  ShardedControlPlane b(1, {}, {}, &tables_, coarse_quantum);
   ASSERT_TRUE(b.admit(tight_stream(0), 0).admitted);
   EXPECT_FALSE(b.admit(long_stream(1), 0).admitted)
       << "a quantum as long as the blocking job restores the np verdict";
@@ -253,7 +253,7 @@ TEST_F(AdmissionTest, RenegotiationShrinksIncumbentsToAdmitNewcomer) {
   // cap, so only shrinking the incumbents can admit it.
   SchedulingSpec sched;
   sched.renegotiate = true;
-  AdmissionController ac(1, {}, &tables_, sched);
+  ShardedControlPlane ac(1, {}, {}, &tables_, sched);
   StreamSpec incumbent;
   incumbent.width = 32;
   incumbent.height = 32;
@@ -297,7 +297,7 @@ TEST_F(AdmissionTest, RenegotiationShrinksIncumbentsToAdmitNewcomer) {
 TEST_F(AdmissionTest, RenegotiationRollsBackWhenEvenQminCannotFit) {
   SchedulingSpec sched;
   sched.renegotiate = true;
-  AdmissionController ac(1, {}, &tables_, sched);
+  ShardedControlPlane ac(1, {}, {}, &tables_, sched);
   // Two incumbents with no headroom: fast cameras commit exactly qmin.
   for (int i = 0; i < 2; ++i) {
     StreamSpec s = tight_stream(i);
@@ -326,7 +326,7 @@ AdmissionConfig two_rung_config(rt::Cycles migration_cost) {
 }
 
 TEST_F(AdmissionTest, MigrationChargesTheSurchargeOnOffPreferredHosts) {
-  AdmissionController ac(2, two_rung_config(120000), &tables_);
+  ShardedControlPlane ac(2, {}, two_rung_config(120000), &tables_);
   ASSERT_TRUE(ac.admit(small_stream(0, 4.0), 0).admitted);
 
   const Placement p = ac.admit(small_stream(1, 4.0), 0);
@@ -345,7 +345,7 @@ TEST_F(AdmissionTest, ExpensiveMigrationMakesLocalDegradationWin) {
   // locally to the qmin rung instead — the trade-off the cost term
   // exists to expose (with a zero surcharge it would migrate rich,
   // as the test above pins).
-  AdmissionController ac(2, two_rung_config(20000000), &tables_);
+  ShardedControlPlane ac(2, {}, two_rung_config(20000000), &tables_);
   ASSERT_TRUE(ac.admit(small_stream(0, 4.0), 0).admitted);
 
   const Placement p = ac.admit(small_stream(1, 4.0), 0);
@@ -361,7 +361,7 @@ TEST_F(AdmissionTest, RestorePassGrowsShrunkIncumbentsBackOnRelease) {
   SchedulingSpec sched;
   sched.renegotiate = true;
   sched.restore = true;
-  AdmissionController ac(1, {}, &tables_, sched);
+  ShardedControlPlane ac(1, {}, {}, &tables_, sched);
   // Three rich incumbents (share 0.25 each), then a newcomer whose
   // qmin worst case only fits after incumbents shrink.
   rt::Cycles rich_budget = 0;
@@ -401,7 +401,7 @@ TEST_F(AdmissionTest, RestorePassGrowsShrunkIncumbentsBackOnRelease) {
   SchedulingSpec no_restore;
   no_restore.renegotiate = true;
   TableCache tables2(platform::figure5_cost_table());
-  AdmissionController ac2(1, {}, &tables2, no_restore);
+  ShardedControlPlane ac2(1, {}, {}, &tables2, no_restore);
   for (int i = 0; i < 3; ++i) {
     ASSERT_TRUE(ac2.admit(small_stream(i, 4.0), 0).admitted);
   }
@@ -413,9 +413,9 @@ TEST_F(AdmissionTest, RestorePassGrowsShrunkIncumbentsBackOnRelease) {
 }
 
 TEST_F(AdmissionTest, DeterministicVerdicts) {
-  AdmissionController a(2, {}, &tables_);
+  ShardedControlPlane a(2, {}, {}, &tables_);
   TableCache tables2(platform::figure5_cost_table());
-  AdmissionController b(2, {}, &tables2);
+  ShardedControlPlane b(2, {}, {}, &tables2);
   for (int i = 0; i < 10; ++i) {
     const Placement pa = a.admit(small_stream(i), i % 2);
     const Placement pb = b.admit(small_stream(i), i % 2);
@@ -432,8 +432,8 @@ TEST_F(AdmissionTest, HugeLadderEntriesOfferNoCandidate) {
   AdmissionConfig huge;
   huge.budget_fractions.push_back(1e300);
   huge.min_budget_multiples.push_back(1e30);
-  AdmissionController a(2, huge, &tables_);
-  AdmissionController b(2, {}, &tables_);
+  ShardedControlPlane a(2, {}, huge, &tables_);
+  ShardedControlPlane b(2, {}, {}, &tables_);
   for (int i = 0; i < 6; ++i) {
     const Placement pa = a.admit(small_stream(i), i % 2);
     const Placement pb = b.admit(small_stream(i), i % 2);
@@ -449,11 +449,11 @@ TEST_F(AdmissionTest, RejectsNonFiniteOrNonPositiveLadderEntries) {
         std::numeric_limits<double>::infinity(), 0.0, -0.5}) {
     AdmissionConfig fractions;
     fractions.budget_fractions = {0.85, bad};
-    EXPECT_DEATH(AdmissionController(1, fractions, &tables_),
+    EXPECT_DEATH(ShardedControlPlane(1, {}, fractions, &tables_),
                  "budget ladder");
     AdmissionConfig multiples;
     multiples.min_budget_multiples = {bad};
-    EXPECT_DEATH(AdmissionController(1, multiples, &tables_),
+    EXPECT_DEATH(ShardedControlPlane(1, {}, multiples, &tables_),
                  "budget ladder");
   }
 }
