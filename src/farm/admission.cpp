@@ -315,7 +315,7 @@ bool ShardedControlPlane::try_place_renegotiating(const StreamSpec& spec,
       r.table_budget = cs[i].table_budget;
       r.committed_cost = cs[i].task.cost;
       r.system = tables_->get(cs[i].macroblocks, cs[i].table_budget);
-      shards_[static_cast<std::size_t>(s)].pending.push_back(std::move(r));
+      pending_renegotiations_.push_back(std::move(r));
     }
 
     commit_and_fill(spec, task, table_budget, p, preferred, system, out);
@@ -566,8 +566,7 @@ void ShardedControlPlane::restore_pass(int p, rt::Cycles now) {
     r.committed_cost = cs[i].task.cost;
     r.grow = true;
     r.system = tables_->get(cs[i].macroblocks, cs[i].table_budget);
-    shards_[static_cast<std::size_t>(shard_of(p))].pending.push_back(
-        std::move(r));
+    pending_renegotiations_.push_back(std::move(r));
   }
 }
 

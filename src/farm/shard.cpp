@@ -228,13 +228,7 @@ void ShardedControlPlane::release(int stream_id, rt::Cycles now) {
 }
 
 std::vector<BudgetRenegotiation> ShardedControlPlane::take_renegotiations() {
-  std::vector<BudgetRenegotiation> all;
-  for (Shard& sh : shards_) {
-    all.insert(all.end(), std::make_move_iterator(sh.pending.begin()),
-               std::make_move_iterator(sh.pending.end()));
-    sh.pending.clear();
-  }
-  return all;
+  return std::exchange(pending_renegotiations_, {});
 }
 
 bool ShardedControlPlane::rebalance_step(rt::Cycles now,
@@ -287,7 +281,11 @@ bool ShardedControlPlane::rebalance_step(rt::Cycles now,
     resume.join_time =
         cur.join_time + static_cast<rt::Cycles>(first_frame) * period;
     resume.num_frames = cur.num_frames - first_frame;
-    Placement pl = place(resume, cold, -1, sched_.renegotiate);
+    // The probe never renegotiates: a move is worth making only if the
+    // cold shard has room as it stands, and shrinking its incumbents
+    // to make room would hand them budget epochs for a move that may
+    // still be rejected below.
+    Placement pl = place(resume, cold, -1, /*renegotiate=*/false);
     if (!pl.admitted) continue;  // try a smaller resident
 
     // Only keep a move that lands below where the source stood —
@@ -298,10 +296,9 @@ bool ShardedControlPlane::rebalance_step(rt::Cycles now,
       dst_u = std::max(dst_u, committed_utilization(pl.tail_processor));
     }
     if (dst_u >= src_u) {
-      retract(id, resident, cold, now, sched_.restore);  // undo the probe
-      // The release's restore pass may have regrown incumbents, so
-      // the cold shard's floor can differ even after a rollback.
-      recompute_floor(cold);
+      // Retract the probe without a restore pass: the cold shard's
+      // commitments, floor and peaks are exactly as before the probe.
+      retract(id, resident, cold, now, /*restore=*/false);
       continue;
     }
 

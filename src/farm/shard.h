@@ -19,6 +19,9 @@
 // onto the coldest shard, admit-first / release-second so a migration
 // can never drop a stream: the continuation is re-admitted (paying
 // the migration surcharge) before the old commitment is released.
+// The re-admission never renegotiates, and a move the rebalancer
+// rejects is retracted without a restore pass, so it leaves no trace:
+// no commitment, budget change or peak of the cold shard moves.
 // Everything here runs on the sequential control plane, so decisions
 // stay a pure function of the call sequence.
 #pragma once
@@ -97,8 +100,8 @@ class ShardedControlPlane {
   void release(int stream_id, rt::Cycles now);
 
   /// Budget changes imposed since the last call (admits append
-  /// shrinks, releases append restore grows), drained in shard order,
-  /// each shard's in decision order; each carries its effective time.
+  /// shrinks, releases and rebalance moves append restore grows), in
+  /// decision order; each carries its effective time.
   std::vector<BudgetRenegotiation> take_renegotiations();
 
   /// One rebalancer move, or false when no shard is past the
@@ -221,8 +224,6 @@ class ShardedControlPlane {
     /// unpreferred_order()).
     std::vector<int> unpreferred;
     bool unpreferred_dirty = true;
-    /// Budget changes decided on this range, drained in shard order.
-    std::vector<BudgetRenegotiation> pending;
   };
 
   /// A stream's current spec (continuations overwrite it: the
@@ -307,7 +308,7 @@ class ShardedControlPlane {
   /// Like try_place, but allowed to shrink running controlled
   /// commitments (largest budget headroom first, one ladder step at a
   /// time) until the candidate fits; rolls back on failure.  Appends
-  /// the imposed shrinks to shard s's pending records on success.
+  /// the imposed shrinks to pending_renegotiations_ on success.
   bool try_place_renegotiating(const StreamSpec& spec, int s,
                                rt::Cycles table_budget, rt::Cycles cost,
                                int preferred, Placement* out);
@@ -328,7 +329,7 @@ class ShardedControlPlane {
   /// previously-shrunk controlled commitments back toward the budget
   /// they were admitted at, largest deficit first, one certified
   /// ladder rung at a time, while the set stays schedulable.  Appends
-  /// grow records (effective at `now`) to its shard's pending records.
+  /// grow records (effective at `now`) to pending_renegotiations_.
   void restore_pass(int p, rt::Cycles now);
 
   // ---- routing and the fleet (shard.cpp) ----
@@ -369,6 +370,7 @@ class ShardedControlPlane {
   /// processor; probes read the next entries.
   std::vector<int> route_order_;
   std::unordered_map<int, Resident> residents_;  ///< by stream id
+  std::vector<BudgetRenegotiation> pending_renegotiations_;
   sched::EdfScanStats scan_stats_;
   /// Busy length reported by the most recent demand test.
   rt::Cycles last_test_busy_ = 0;

@@ -311,5 +311,80 @@ TEST(ShardPlanePeaks, PeakBoundsEveryCommitmentAfterEveryCall) {
   EXPECT_GT(failures, 0);
 }
 
+// Randomized: a rebalance move never renegotiates, and a move the
+// rebalancer rejects leaves no trace.  On 4-processor, 2-shard planes
+// with renegotiation on (restore off and on), every rebalance_step
+// that returns false must leave each processor's commitments and the
+// renegotiation queue exactly as they were, and one that moves a
+// stream may only queue the source shard's restore grows — never a
+// shrink.
+TEST(ShardPlaneRebalance, RejectedMoveLeavesNoTrace) {
+  TableCache tables(platform::figure5_cost_table());
+  ShardPlaneConfig pc;
+  pc.shards = 2;
+  pc.rebalance_watermark = 0.3;
+  int idle_steps = 0, moves = 0;
+  for (const bool restore : {false, true}) {
+    SchedulingSpec sched;
+    sched.renegotiate = true;
+    sched.restore = restore;
+    for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+      LoadGenConfig load;
+      load.num_streams = 40;
+      load.seed = seed;
+      const FarmScenario sc = generate_scenario(load);
+      ShardedControlPlane plane(4, pc, AdmissionConfig{}, &tables, sched);
+      util::Rng rng(seed);
+      std::vector<int> live;
+      rt::Cycles now = 0;
+      for (const StreamSpec& spec : sc.streams) {
+        now = std::max(now, spec.join_time);
+        if (plane.admit(spec).admitted) live.push_back(spec.id);
+        if (!live.empty() && rng.uniform_01() < 0.3) {
+          const auto k = static_cast<std::size_t>(rng.uniform_i64(
+              0, static_cast<std::int64_t>(live.size()) - 1));
+          plane.release(live[k], now);
+          live.erase(live.begin() + static_cast<std::ptrdiff_t>(k));
+        }
+        plane.take_renegotiations();
+
+        std::vector<double> util;
+        std::vector<std::vector<int>> residents;
+        for (int p = 0; p < plane.num_processors(); ++p) {
+          util.push_back(plane.committed_utilization(p));
+          residents.push_back(plane.resident_stream_ids(p));
+        }
+        ShardMigration mg;
+        const bool moved = plane.rebalance_step(now, &mg);
+        const std::vector<BudgetRenegotiation> records =
+            plane.take_renegotiations();
+        if (moved) {
+          ++moves;
+          for (const BudgetRenegotiation& r : records) {
+            ASSERT_TRUE(r.grow) << "seed " << seed << ": the move of stream "
+                                << mg.stream_id << " shrank stream "
+                                << r.stream_id;
+          }
+          continue;
+        }
+        ++idle_steps;
+        ASSERT_TRUE(records.empty())
+            << "seed " << seed << " restore " << restore << ": a step that "
+            << "moved nothing queued " << records.size() << " records";
+        for (int p = 0; p < plane.num_processors(); ++p) {
+          ASSERT_EQ(plane.committed_utilization(p),
+                    util[static_cast<std::size_t>(p)])
+              << "seed " << seed << " processor " << p;
+          ASSERT_EQ(plane.resident_stream_ids(p),
+                    residents[static_cast<std::size_t>(p)])
+              << "seed " << seed << " processor " << p;
+        }
+      }
+    }
+  }
+  EXPECT_GT(moves, 0);
+  EXPECT_GT(idle_steps, 0);
+}
+
 }  // namespace
 }  // namespace qosctrl::farm
