@@ -27,6 +27,11 @@ const std::shared_ptr<const enc::EncoderSystem>& TableCache::get(
   if (it != cache_.end()) return it->second;
   auto sys = std::make_shared<const enc::EncoderSystem>(
       enc::build_encoder_system(macroblocks, budget, costs_));
+  // Certification: building the tables already aborts on a budget the
+  // qmin worst case cannot meet, so every cached system certifies its
+  // budget (paced over it from service start, qmin is schedulable).
+  QC_DCHECK(sys->tables->max_initial_delay() >= 0,
+            "compiled budget does not certify the qmin worst case");
   // Map nodes are stable, so the returned reference outlives later
   // insertions; callers that keep a system copy the shared_ptr.
   return cache_.emplace(key, std::move(sys)).first->second;
@@ -76,9 +81,7 @@ std::vector<CertifiedRung> ShardedControlPlane::certified_ladder(
   std::vector<CertifiedRung> ladder;
   for (const rt::Cycles b :
        controlled_candidates(macroblocks, latency, period)) {
-    auto system = tables_->get(macroblocks, b);
-    if (system->tables->max_initial_delay() < 0) continue;
-    ladder.push_back(CertifiedRung{b, std::move(system)});
+    ladder.push_back(CertifiedRung{b, tables_->get(macroblocks, b)});
   }
   return ladder;
 }
@@ -227,12 +230,9 @@ bool ShardedControlPlane::sweep(int s, int preferred, Place&& host) {
 bool ShardedControlPlane::try_place(const StreamSpec& spec, int s,
                                     rt::Cycles table_budget, rt::Cycles cost,
                                     int preferred, Placement* out) {
-  // Certify the budget against the stream's compiled slack tables:
-  // paced over table_budget from service start, the qmin worst case
-  // must be schedulable (max_initial_delay >= 0).  Processor-
-  // independent, so check it once before any demand test.
+  // The compiled system certifies the budget (TableCache::get) and is
+  // processor-independent, so it is fetched once before any demand test.
   const auto& system = tables_->get(macroblocks_of(spec), table_budget);
-  if (system->tables->max_initial_delay() < 0) return false;
 
   return sweep(s, preferred, [&](int p) {
     // An off-preferred host charges the migration surcharge on top of
@@ -253,7 +253,6 @@ bool ShardedControlPlane::try_place_renegotiating(const StreamSpec& spec,
                                                   int preferred,
                                                   Placement* out) {
   const auto& system = tables_->get(macroblocks_of(spec), table_budget);
-  if (system->tables->max_initial_delay() < 0) return false;
 
   return sweep(s, preferred, [&](int p) {
     const sched::NpTask task{
@@ -283,17 +282,17 @@ bool ShardedControlPlane::try_place_renegotiating(const StreamSpec& spec,
       }
       if (victim == nullptr) break;  // all headroom exhausted
 
+      // The next candidate below the current budget (the ladder is
+      // sorted richest first); its tables are compiled only if the
+      // shrink sticks, for the record below.
       rt::Cycles next = victim->min_budget;
       for (const rt::Cycles b : controlled_candidates(
                victim->macroblocks, victim->task.deadline,
                victim->task.period)) {
-        if (b >= victim->table_budget) continue;
-        if (tables_->get(victim->macroblocks, b)
-                ->tables->max_initial_delay() < 0) {
-          continue;  // uncertifiable rung: keep descending
+        if (b < victim->table_budget) {
+          next = b;
+          break;
         }
-        next = b;
-        break;
       }
       victim->table_budget = next;
       victim->task.cost = next + victim->migration_surcharge;
@@ -332,7 +331,6 @@ bool ShardedControlPlane::try_place_split(const StreamSpec& spec, int s,
   if (!sched_.split || end - first < 2 || cost < 2) return false;
   const int mb = macroblocks_of(spec);
   const auto& system = tables_->get(mb, table_budget);
-  if (system->tables->max_initial_delay() < 0) return false;
 
   const rt::Cycles latency = latency_of(spec);
   const rt::Cycles period = period_of(spec);
@@ -524,19 +522,14 @@ void ShardedControlPlane::restore_pass(int p, rt::Cycles now) {
     if (victim == cs.size()) break;  // nothing left below its target
 
     Commitment& c = cs[victim];
-    // Smallest certified rung strictly above the current budget (the
-    // candidate ladder is sorted richest first), capped at the budget
-    // the stream was admitted with.
+    // Smallest candidate strictly above the current budget (the
+    // ladder is sorted richest first), capped at the budget the stream
+    // was admitted with.
     rt::Cycles next = c.desired_budget;
     for (const rt::Cycles b :
          controlled_candidates(c.macroblocks, c.task.deadline,
                                c.task.period)) {
-      if (b <= c.table_budget || b > c.desired_budget) continue;
-      if (tables_->get(c.macroblocks, b)->tables->max_initial_delay() <
-          0) {
-        continue;  // uncertifiable rung
-      }
-      next = b;
+      if (b > c.table_budget && b <= c.desired_budget) next = b;
     }
     const rt::Cycles saved_budget = c.table_budget;
     const rt::Cycles saved_cost = c.task.cost;

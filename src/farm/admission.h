@@ -12,9 +12,11 @@
 // guarantees (paper Prop. 2.1) that an admitted frame occupies the
 // processor for at most B cycles and finishes within B of starting —
 // making the stream, from the processor's point of view, a sporadic
-// task (C = B, D = K * P, T = P).  The compiled slack table is queried
-// to certify the candidate budget (qmin worst case schedulable within
-// B: SlackTables::max_initial_delay >= 0) and to predict the quality
+// task (C = B, D = K * P, T = P).  Every candidate budget is a
+// multiple of the macroblock count at or above the qmin minimum, so
+// its compiled slack table certifies it by construction (qmin worst
+// case schedulable within B: SlackTables::max_initial_delay >= 0;
+// compilation aborts otherwise), and is queried to predict the quality
 // the stream's first quality-sensitive decision will be granted at
 // that budget.
 //
@@ -99,9 +101,11 @@ class TableCache {
   explicit TableCache(platform::CostTable costs);
 
   /// The compiled system for (macroblocks, budget); built on first
-  /// use.  Returned by reference into the cache (stable across later
-  /// insertions) so certification probes on the admission hot path
-  /// skip the shared_ptr refcount round trip; copy it to keep it.
+  /// use, and certified: its slack tables schedule the qmin worst case
+  /// within the budget (compilation aborts on a budget that cannot).
+  /// Returned by reference into the cache (stable across later
+  /// insertions) so the admission hot path skips the shared_ptr
+  /// refcount round trip; copy it to keep it.
   const std::shared_ptr<const enc::EncoderSystem>& get(int macroblocks,
                                                        rt::Cycles budget);
 
@@ -168,9 +172,9 @@ struct BudgetEpoch {
   std::shared_ptr<const enc::EncoderSystem> system;
 };
 
-/// One certified rung of a controlled stream's budget ladder: a
-/// candidate budget whose slack tables certify the qmin worst case
-/// (max_initial_delay >= 0), with its compiled system.  Ladders are
+/// One rung of a controlled stream's budget ladder: a candidate budget
+/// with its compiled system, whose slack tables certify the qmin worst
+/// case (max_initial_delay >= 0, see TableCache::get).  Ladders are
 /// built by the control plane (TableCache is not thread-safe); the
 /// data plane's overrun policer only follows the shared pointers.
 struct CertifiedRung {

@@ -130,8 +130,9 @@ class ShardedControlPlane {
   /// Stream ids currently committed on `processor`, ascending — the
   /// deterministic re-admission order after a failure.
   std::vector<int> resident_stream_ids(int processor) const;
-  /// The certified budget ladder for a controlled stream's geometry
-  /// and contract, richest rung first, the qmin minimum last: the
+  /// The budget ladder for a controlled stream's geometry and
+  /// contract — its candidate budgets with their certified systems,
+  /// richest rung first, the qmin minimum last: the
   /// rungs the simulator's forced-downgrade and quarantine re-entry
   /// paths may move a stream to.  Compiles (and caches) each rung's
   /// system, so callers must be on the control plane.
