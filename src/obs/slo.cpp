@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cerrno>
 #include <cmath>
 #include <cstdlib>
 #include <deque>
+#include <limits>
 
 #include "util/json.h"
 
@@ -61,22 +63,28 @@ bool is_latency(SloMetric m) {
          m == SloMetric::kLatencyP99;
 }
 
-/// "50ms" / "4Mc" / "400000c" -> cycles.
+/// "50ms" / "4Mc" / "400000c" -> cycles; false for a count or span
+/// past the cycle range.
 bool parse_span(const std::string& s, rt::Cycles* out) {
   std::size_t i = 0;
   while (i < s.size() && std::isdigit(static_cast<unsigned char>(s[i]))) ++i;
   if (i == 0) return false;
+  errno = 0;
   const long long n = std::strtoll(s.substr(0, i).c_str(), nullptr, 10);
+  if (errno == ERANGE) return false;
   const std::string unit = s.substr(i);
+  rt::Cycles scale = 0;
   if (unit == "ms") {
-    *out = n * kCyclesPerMs;
+    scale = kCyclesPerMs;
   } else if (unit == "Mc") {
-    *out = n * 1000000;
+    scale = 1000000;
   } else if (unit == "c") {
-    *out = n;
+    scale = 1;
   } else {
     return false;
   }
+  if (n > std::numeric_limits<rt::Cycles>::max() / scale) return false;
+  *out = n * scale;
   return *out > 0;
 }
 

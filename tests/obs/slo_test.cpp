@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -76,6 +77,22 @@ TEST(SloParseTest, RejectsMalformedSpecs) {
   EXPECT_NE(parse_error("queue_p99<8:controlled"), "");    // fleet-only
   EXPECT_NE(parse_error("recovery_latency<5w:constant"), "");
   EXPECT_NE(parse_error("recovery_latency<5w@50ms"), "");  // no span
+}
+
+TEST(SloParseTest, RejectsSpansPastTheCycleRange) {
+  // The largest span of each unit still parses exactly ...
+  EXPECT_EQ(parse_ok("latency_p99<0.8w@9223372036854775807c").span,
+            std::numeric_limits<rt::Cycles>::max());
+  EXPECT_EQ(parse_ok("latency_p99<0.8w@9223372036854Mc").span,
+            9223372036854LL * 1000000);
+  EXPECT_EQ(parse_ok("latency_p99<0.8w@1152921504606ms").span,
+            1152921504606LL * kCyclesPerMs);
+  // ... and one past it is a bad span, not a wrapped or clamped one.
+  EXPECT_NE(parse_error("latency_p99<0.8w@9999999999999ms"), "");
+  EXPECT_NE(parse_error("latency_p99<0.8w@1152921504607ms"), "");
+  EXPECT_NE(parse_error("latency_p99<0.8w@9223372036855Mc"), "");
+  EXPECT_NE(parse_error("latency_p99<0.8w@9223372036854775808c"), "");
+  EXPECT_NE(parse_error("latency_p99<0.8w@99999999999999999999c"), "");
 }
 
 // The reports copy the spec verbatim and print its threshold and
