@@ -1,6 +1,7 @@
 #include "toolgen/spec_parser.h"
 
 #include <algorithm>
+#include <charconv>
 #include <istream>
 #include <map>
 #include <sstream>
@@ -21,6 +22,15 @@ std::string at_line(int line, const std::string& what) {
   std::ostringstream os;
   os << "line " << line << ": " << what;
   return os.str();
+}
+
+/// Reads `token` whole as a base-10 integer: false on trailing text
+/// ("9x", "20.5") or a value outside T.
+template <typename T>
+bool parse_whole(const std::string& token, T* out) {
+  const char* last = token.data() + token.size();
+  const auto [end, ec] = std::from_chars(token.data(), last, *out);
+  return ec == std::errc() && end == last;
 }
 
 }  // namespace
@@ -46,21 +56,23 @@ ParsedSpec parse_spec(std::istream& in) {
     const std::size_t hash = raw.find('#');
     if (hash != std::string::npos) raw.erase(hash);
     std::istringstream line(raw);
-    std::string keyword;
-    if (!(line >> keyword)) continue;  // blank line
+    std::vector<std::string> args;
+    for (std::string token; line >> token;) args.push_back(token);
+    if (args.empty()) continue;  // blank line
+    const std::string keyword = args.front();
+    args.erase(args.begin());
 
     if (keyword == "action") {
-      std::string name;
-      if (!(line >> name)) return fail(line_no, "action needs a name");
+      if (args.size() != 1) return fail(line_no, "action needs one name");
+      const std::string& name = args[0];
       if (actions.count(name) != 0) {
         return fail(line_no, "duplicate action '" + name + "'");
       }
       actions[name] = spec.input.body.add_action(name);
     } else if (keyword == "edge") {
-      std::string from, to;
-      if (!(line >> from >> to)) {
-        return fail(line_no, "edge needs <from> <to>");
-      }
+      if (args.size() != 2) return fail(line_no, "edge needs <from> <to>");
+      const std::string& from = args[0];
+      const std::string& to = args[1];
       const auto fi = actions.find(from);
       const auto ti = actions.find(to);
       if (fi == actions.end()) {
@@ -75,8 +87,13 @@ ParsedSpec parse_spec(std::istream& in) {
       spec.input.body.add_edge(fi->second, ti->second);
     } else if (keyword == "levels") {
       if (have_levels) return fail(line_no, "levels declared twice");
-      rt::QualityLevel q;
-      while (line >> q) spec.input.qualities.push_back(q);
+      for (const std::string& token : args) {
+        rt::QualityLevel q;
+        if (!parse_whole(token, &q)) {
+          return fail(line_no, "bad quality level '" + token + "'");
+        }
+        spec.input.qualities.push_back(q);
+      }
       if (spec.input.qualities.empty()) {
         return fail(line_no, "levels needs at least one integer");
       }
@@ -89,11 +106,13 @@ ParsedSpec parse_spec(std::istream& in) {
       }
       have_levels = true;
     } else if (keyword == "times") {
-      std::string name, level_token;
-      long long avg, wc;
-      if (!(line >> name >> level_token >> avg >> wc)) {
+      rt::Cycles avg, wc;
+      if (args.size() != 4 || !parse_whole(args[2], &avg) ||
+          !parse_whole(args[3], &wc)) {
         return fail(line_no, "times needs <action> <q|*> <avg> <wc>");
       }
+      const std::string& name = args[0];
+      const std::string& level_token = args[1];
       const auto it = actions.find(name);
       if (it == actions.end()) {
         return fail(line_no, "unknown action '" + name + "'");
@@ -105,25 +124,21 @@ ParsedSpec parse_spec(std::istream& in) {
       d.action = it->second;
       d.all_levels = level_token == "*";
       d.level = 0;
-      if (!d.all_levels) {
-        try {
-          d.level = std::stoi(level_token);
-        } catch (...) {
-          return fail(line_no, "bad quality level '" + level_token + "'");
-        }
+      if (!d.all_levels && !parse_whole(level_token, &d.level)) {
+        return fail(line_no, "bad quality level '" + level_token + "'");
       }
       d.average = avg;
       d.worst_case = wc;
       times.push_back(d);
     } else if (keyword == "iterations") {
       int n;
-      if (!(line >> n) || n < 1) {
+      if (args.size() != 1 || !parse_whole(args[0], &n) || n < 1) {
         return fail(line_no, "iterations needs a positive integer");
       }
       spec.input.iterations = n;
     } else if (keyword == "budget") {
-      long long b;
-      if (!(line >> b) || b <= 0) {
+      rt::Cycles b;
+      if (args.size() != 1 || !parse_whole(args[0], &b) || b <= 0) {
         return fail(line_no, "budget needs a positive cycle count");
       }
       spec.budget = b;

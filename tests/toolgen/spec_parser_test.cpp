@@ -125,6 +125,47 @@ TEST(SpecParser, RejectsEmptySpec) {
   EXPECT_FALSE(spec.ok);
 }
 
+/// A spec that is well formed except for `line`, appended last.
+ParsedSpec parse_with(const std::string& line) {
+  return parse_spec_string(
+      "action a\naction b\nlevels 0 1\ntimes a * 1 2\ntimes b * 1 2\n"
+      "budget 100\n" +
+      line + "\n");
+}
+
+TEST(SpecParser, RejectsTrailingTextInNumbers) {
+  // Each number token is read whole: "9x" is not 9, "20.5" is not 20.
+  EXPECT_FALSE(parse_spec_string("action a\nlevels 0 1 2 3 9x\n"
+                                 "times a * 1 2\nbudget 100\n")
+                   .ok);
+  EXPECT_FALSE(parse_spec_string("action a\nlevels 0 1 2 3 junk\n"
+                                 "times a * 1 2\nbudget 100\n")
+                   .ok);
+  EXPECT_FALSE(parse_spec_string("action a\nlevels 0\n"
+                                 "times a * 1 2\nbudget 1234x\n")
+                   .ok);
+  EXPECT_FALSE(parse_with("iterations 20.5").ok);
+  const ParsedSpec level = parse_with("times a 3x 1 2");
+  EXPECT_FALSE(level.ok);
+  EXPECT_NE(level.error.find("3x"), std::string::npos) << level.error;
+  EXPECT_FALSE(parse_with("times a 0 1 2x").ok);
+  EXPECT_FALSE(parse_with("budget 99999999999999999999").ok);  // past int64
+}
+
+TEST(SpecParser, RejectsLeftoverTextInADirective) {
+  // Every directive consumes its whole line.
+  for (const char* line :
+       {"action c d", "edge a b extra", "iterations 4 4", "budget 100 7",
+        "times a * 1 2 3"}) {
+    const ParsedSpec spec = parse_with(line);
+    EXPECT_FALSE(spec.ok) << line;
+    EXPECT_NE(spec.error.find("line 7"), std::string::npos) << spec.error;
+  }
+  // Comments still end a directive anywhere.
+  const ParsedSpec commented = parse_with("iterations 4 # four");
+  EXPECT_TRUE(commented.ok) << commented.error;
+}
+
 TEST(SpecParser, LaterTimesOverrideEarlier) {
   const ParsedSpec spec = parse_spec_string(
       "action a\nlevels 0\ntimes a * 1 2\ntimes a 0 5 9\nbudget 10\n");
