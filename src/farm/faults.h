@@ -16,7 +16,7 @@
 //    either transient (service resumes after `repair` cycles; encoder
 //    state is lost, so the first frame after repair is forced intra)
 //    or permanent (the control plane re-admits resident streams across
-//    the survivors through the AdmissionController's migration and
+//    the survivors through the control plane's migration and
 //    renegotiation machinery).  Failure events are explicit scenario
 //    data, not draws: *when* a machine dies is the experiment's
 //    choice; what the fleet does about it is what is measured.

@@ -5,7 +5,7 @@
 //
 //  * Control plane (sequential): a global event queue interleaves
 //    stream joins, leaves, and injected permanent processor failures
-//    in virtual-time order.  Each join asks the AdmissionController
+//    in virtual-time order.  Each join asks the ShardedControlPlane
 //    for a placement (preferred processor = least committed load);
 //    each leave releases its commitment.  A permanent failure marks
 //    the processor dead and re-admits its resident streams across the
@@ -76,9 +76,9 @@ struct FarmConfig {
   /// Host threads for the data plane (clamped to [1, processors]).
   int workers = 1;
   AdmissionConfig admission{};
-  /// Control-plane shards: contiguous processor groups, each with its
-  /// own AdmissionController behind a router (farm/shard.h).  1 (the
-  /// default) is exactly the old single-controller plane.
+  /// Control-plane shards: contiguous processor ranges, each deciding
+  /// its own admissions behind a router (farm/shard.h).  1 (the
+  /// default) is one range over the whole fleet.
   int shards = 1;
   /// Extra shards the router probes after the preferred one rejects.
   int probe_shards = 1;

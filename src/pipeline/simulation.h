@@ -150,7 +150,7 @@ struct PipelineResult {
 /// smaller budget B <= K * P and measures elapsed time from *service
 /// start* (t0 = 0): the controller then guarantees completion within B
 /// of starting, leaving K * P - B of queueing tolerance for the
-/// processor — see farm::AdmissionController.
+/// processor — see farm/admission.h.
 class StreamSession {
  public:
   /// Builds every component from the config.  `budget` == 0 selects

@@ -90,7 +90,7 @@ inline constexpr rt::Cycles kContextSwitchCycles = 20000;
 /// processor: the encoder's working set (reference frame rows, slack
 /// tables) no longer lives in that processor's cache, so every frame
 /// pays a cold-refill surcharge — ~15 us at the paper's 8 GHz, several
-/// context switches' worth.  farm::AdmissionController inflates a
+/// context switches' worth.  farm::ShardedControlPlane inflates a
 /// migrated stream's committed worst-case frame cost by it, which is
 /// what makes migration vs local degradation a real trade-off instead
 /// of migration always winning.
@@ -102,7 +102,7 @@ inline constexpr rt::Cycles kMigrationCycles = 120000;
 /// It keeps exact the sums that add an overhead to a frame's
 /// worst-case cost: `cost + 2 * context_switch` in
 /// sched::inflate_context_switch and `cost + migration_cost` in
-/// farm::AdmissionController's placement and split tests.
+/// farm::ShardedControlPlane's placement and split tests.
 inline constexpr rt::Cycles kMaxOverheadCycles = rt::Cycles{1} << 40;
 
 /// The paper's Figure 5 tables for the MPEG-4 encoder benchmark:

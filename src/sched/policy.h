@@ -4,7 +4,7 @@
 //
 //  * the admission test — one-processor schedulability of a committed
 //    sporadic task set under that discipline's run-queue semantics
-//    (farm::AdmissionController calls it for every placement
+//    (farm::ShardedControlPlane calls it for every placement
 //    candidate);
 //  * the run-queue semantics themselves — when a higher-priority
 //    (earlier display deadline) arrival may displace the job in

@@ -6,7 +6,7 @@
 //    move a single placement or reorder a single trace event.
 //  * Router equivalence at scale — a saturating 1200-stream storm
 //    gets the same verdict, processor, and budget from 32 shards as
-//    from one controller, stream by stream.
+//    from one shard, stream by stream.
 //  * Rebalancer conservation — every migration is admit-first: the
 //    stream is re-admitted on the cold shard before the hot shard
 //    releases it, so migrations_in == migrations_out ==
@@ -15,7 +15,8 @@
 //
 // Each processor's peak_committed_utilization is the plane's too: the
 // maximum after every mutation, split tails and restore growth
-// included.
+// included.  A rebalance move never renegotiates, and one the
+// rebalancer rejects leaves no trace.
 #include "farm/shard.h"
 
 #include <gtest/gtest.h>

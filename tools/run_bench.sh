@@ -24,7 +24,7 @@
 # and the sharded join storm (BM_ShardedJoinRate at 1 / 64 shards on a
 # 1024-processor fleet, items_per_second = admission verdicts per
 # wall-second on the pinned 10k-stream flash-crowd; the 64-shard row
-# must stay >= 10x the single-controller row), and the report writers
+# must stay >= 10x the one-shard row), and the report writers
 # on a small faulted farm (BM_ExportChromeTrace: the Chrome trace
 # export, items_per_second = events per second; BM_FarmReportJson: the
 # JSON plus the CSV report) — is tracked across PRs.
