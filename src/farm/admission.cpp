@@ -48,7 +48,6 @@ rt::Cycles TableCache::worst_case_frame_cost(int macroblocks,
   return static_cast<rt::Cycles>(macroblocks) * wc_frame_per_mb_[qi];
 }
 
-
 // ---- ShardedControlPlane: admission inside one shard's range ----
 
 void ShardedControlPlane::refresh(int p) {

@@ -196,15 +196,13 @@ void ShardedControlPlane::retract(int stream_id, Resident& resident, int s,
   // ascending index order keeps restore_pass's renegotiation records
   // in the order a sweep over the shard would produce.
   const Shard& sh = shard(s);
-  std::vector<int> procs;
   std::vector<int>& hosts = resident.hosts;
   const auto outside = std::stable_partition(
       hosts.begin(), hosts.end(),
       [&](int p) { return p < sh.base || p >= sh.base + sh.size; });
-  procs.assign(outside, hosts.end());
+  std::vector<int> procs(outside, hosts.end());
   hosts.erase(outside, hosts.end());
   std::sort(procs.begin(), procs.end());
-  procs.erase(std::unique(procs.begin(), procs.end()), procs.end());
   for (const int p : procs) {
     auto& cs = procs_[static_cast<std::size_t>(p)].commitments;
     const auto it = std::remove_if(cs.begin(), cs.end(),
@@ -264,9 +262,7 @@ bool ShardedControlPlane::rebalance_step(rt::Cycles now,
   const double src_u = hot_u;
 
   for (const int id : resident_stream_ids(src)) {
-    const auto rit = residents_.find(id);
-    if (rit == residents_.end()) continue;
-    Resident& resident = rit->second;
+    Resident& resident = residents_.at(id);
     const StreamSpec& cur = resident.spec;
     const rt::Cycles period = period_of(cur);
     if (now < cur.join_time) continue;  // not serving yet

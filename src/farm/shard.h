@@ -132,10 +132,10 @@ class ShardedControlPlane {
   std::vector<int> resident_stream_ids(int processor) const;
   /// The budget ladder for a controlled stream's geometry and
   /// contract — its candidate budgets with their certified systems,
-  /// richest rung first, the qmin minimum last: the
-  /// rungs the simulator's forced-downgrade and quarantine re-entry
-  /// paths may move a stream to.  Compiles (and caches) each rung's
-  /// system, so callers must be on the control plane.
+  /// richest rung first, the qmin minimum last: the rungs the
+  /// simulator's forced-downgrade and quarantine re-entry paths may
+  /// move a stream to.  Compiles (and caches) each rung's system, so
+  /// callers must be on the control plane.
   std::vector<CertifiedRung> certified_ladder(int macroblocks,
                                               rt::Cycles latency,
                                               rt::Cycles period);
