@@ -1,13 +1,12 @@
 #include "quality/qoseval.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <iomanip>
 #include <sstream>
-#include <thread>
 
 #include "util/check.h"
+#include "util/parallel.h"
 
 namespace qosctrl::quality {
 namespace {
@@ -190,50 +189,40 @@ SweepResult run_sweep(const SweepConfig& config) {
 
   // Cells are independent; workers pull the next grid index and write
   // only their own slot, so any worker count produces the same bytes.
-  std::atomic<std::size_t> next{0};
-  auto drain = [&] {
-    for (std::size_t i = next.fetch_add(1); i < n_cells;
-         i = next.fetch_add(1)) {
-      const std::size_t fi = i % nf;
-      const std::size_t ri = (i / nf) % nr;
-      const std::size_t pi = (i / (nf * nr)) % np;
-      const std::size_t qi = (i / (nf * nr * np)) % nq;
-      const std::size_t si = i / (nf * nr * np * nq);
+  util::parallel_for(n_cells, config.workers, [&](std::size_t i) {
+    const std::size_t fi = i % nf;
+    const std::size_t ri = (i / nf) % nr;
+    const std::size_t pi = (i / (nf * nr)) % np;
+    const std::size_t qi = (i / (nf * nr * np)) % nq;
+    const std::size_t si = i / (nf * nr * np * nq);
 
-      farm::FarmScenario scenario = apply_quality_policy(
-          bases[si], config.quality_policies[qi], config.constant_quality);
-      scenario.sched.policy = config.sched_policies[pi];
-      scenario.sched.renegotiate = config.renegotiate[ri];
-      scenario.sched.restore = config.renegotiate[ri];
-      scenario.sched.split = config.split;
-      if (config.fault_axis[fi]) scenario.faults = config.faults;
+    farm::FarmScenario scenario = apply_quality_policy(
+        bases[si], config.quality_policies[qi], config.constant_quality);
+    scenario.sched.policy = config.sched_policies[pi];
+    scenario.sched.renegotiate = config.renegotiate[ri];
+    scenario.sched.restore = config.renegotiate[ri];
+    scenario.sched.split = config.split;
+    if (config.fault_axis[fi]) scenario.faults = config.faults;
 
-      farm::FarmConfig fc;
-      fc.num_processors = config.num_processors;
-      fc.shards = config.shards;
-      fc.workers = 1;  // determinism is per-cell; parallelism is across
-      fc.seed = config.farm_seed;
-      fc.frame_rate = config.frame_rate;
-      fc.ts_window = config.ts_window;
-      fc.slos = config.slos;
+    farm::FarmConfig fc;
+    fc.num_processors = config.num_processors;
+    fc.shards = config.shards;
+    fc.workers = 1;  // determinism is per-cell; parallelism is across
+    fc.seed = config.farm_seed;
+    fc.frame_rate = config.frame_rate;
+    fc.ts_window = config.ts_window;
+    fc.slos = config.slos;
 
-      CellResult cell = measure_cell(farm::run_farm(scenario, fc),
-                                     config.latency_discount);
-      cell.scenario = static_cast<int>(si);
-      cell.scenario_name = names[si];
-      cell.quality_policy = config.quality_policies[qi];
-      cell.sched = config.sched_policies[pi];
-      cell.renegotiate = config.renegotiate[ri];
-      cell.faulted = config.fault_axis[fi];
-      result.cells[i] = cell;
-    }
-  };
-  const int workers = std::max(1, config.workers);
-  std::vector<std::thread> pool;
-  pool.reserve(static_cast<std::size_t>(workers - 1));
-  for (int w = 1; w < workers; ++w) pool.emplace_back(drain);
-  drain();
-  for (std::thread& t : pool) t.join();
+    CellResult cell = measure_cell(farm::run_farm(scenario, fc),
+                                   config.latency_discount);
+    cell.scenario = static_cast<int>(si);
+    cell.scenario_name = names[si];
+    cell.quality_policy = config.quality_policies[qi];
+    cell.sched = config.sched_policies[pi];
+    cell.renegotiate = config.renegotiate[ri];
+    cell.faulted = config.fault_axis[fi];
+    result.cells[i] = cell;
+  });
 
   // One frontier point per policy combination, averaged over scenarios.
   for (std::size_t qi = 0; qi < nq; ++qi) {

@@ -100,8 +100,9 @@ struct SweepConfig {
   /// Admission shards per cell farm (farm/shard.h); 1 keeps the
   /// single-controller plane.
   int shards = 1;
-  /// Host threads over grid cells (each cell's farm runs with one
-  /// inner worker); any value yields bit-identical results.
+  /// Host threads over grid cells, capped at the cell count (each
+  /// cell's farm runs with one inner worker); any value yields
+  /// bit-identical results.
   int workers = 1;
   std::uint64_t farm_seed = 2026;
   double frame_rate = 25.0;
