@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <functional>
+#include <utility>
 
 #include "farm/shard.h"
 #include "util/check.h"
@@ -108,13 +109,6 @@ bool ShardedControlPlane::fits(int p, const sched::NpTask& candidate) {
   return ok;
 }
 
-bool ShardedControlPlane::set_schedulable(int p) {
-  if (procs_[static_cast<std::size_t>(p)].util > config_.utilization_cap) {
-    return false;
-  }
-  return demand_test(p);
-}
-
 const std::vector<rt::Cycles>& ShardedControlPlane::controlled_candidates(
     int macroblocks, rt::Cycles latency, rt::Cycles period) {
   if (macroblocks == cand_mb_ && latency == cand_latency_ &&
@@ -157,37 +151,99 @@ const std::vector<rt::Cycles>& ShardedControlPlane::controlled_candidates(
   return cand_cache_;
 }
 
-void ShardedControlPlane::commit_and_fill(
-    const StreamSpec& spec, const sched::NpTask& task,
-    rt::Cycles table_budget, int p, int preferred,
-    std::shared_ptr<const enc::EncoderSystem> system, Placement* out) {
+std::vector<rt::Cycles> ShardedControlPlane::budgets(int p) const {
+  std::vector<rt::Cycles> out;
+  for (const Commitment& c : procs_[static_cast<std::size_t>(p)].commitments) {
+    out.push_back(c.table_budget);
+  }
+  return out;
+}
+
+void ShardedControlPlane::set_budget(Commitment& c, rt::Cycles budget) {
+  c.table_budget = budget;
+  c.task.cost = budget + c.migration_surcharge;
+}
+
+template <typename Gap>
+std::size_t ShardedControlPlane::widest_gap(const std::vector<Commitment>& cs,
+                                            Gap&& gap) {
+  std::size_t victim = cs.size();
+  rt::Cycles widest = 0;
+  for (std::size_t i = 0; i < cs.size(); ++i) {
+    const rt::Cycles g = gap(i);
+    if (g <= 0) continue;
+    if (g > widest ||
+        (g == widest && cs[i].stream_id < cs[victim].stream_id)) {
+      victim = i;
+      widest = g;
+    }
+  }
+  return victim;
+}
+
+void ShardedControlPlane::step_rung(Commitment& c, bool grow) {
+  // The ladder runs richest first: a shrink takes the first budget
+  // below the current one, a grow the last one above it.
+  rt::Cycles next = grow ? c.desired_budget : c.min_budget;
+  for (const rt::Cycles b : controlled_candidates(
+           c.macroblocks, c.task.deadline, c.task.period)) {
+    if (!grow && b < c.table_budget) {
+      next = b;
+      break;
+    }
+    if (grow && b > c.table_budget && b <= c.desired_budget) next = b;
+  }
+  set_budget(c, next);
+}
+
+void ShardedControlPlane::record_budget_changes(
+    int p, const std::vector<rt::Cycles>& before, rt::Cycles when, bool grow) {
+  const auto& cs = procs_[static_cast<std::size_t>(p)].commitments;
+  for (std::size_t i = 0; i < cs.size(); ++i) {
+    const Commitment& c = cs[i];
+    if (c.table_budget == before[i]) continue;
+    pending_renegotiations_.push_back(
+        BudgetRenegotiation{c.stream_id, when, c.table_budget, c.task.cost,
+                            grow, tables_->get(c.macroblocks, c.table_budget)});
+  }
+}
+
+void ShardedControlPlane::commit(
+    const StreamSpec& spec, int p, const sched::NpTask& task,
+    rt::Cycles table_budget, rt::Cycles surcharge, rt::Cycles busy_seed,
+    const std::shared_ptr<const enc::EncoderSystem>& system, Placement* out) {
   Commitment c;
   c.stream_id = spec.id;
   c.task = task;
-  c.controlled = spec.mode == pipe::ControlMode::kControlled;
+  // Split pieces are never renegotiated, restored or downgraded.
+  c.controlled = spec.mode == pipe::ControlMode::kControlled && !out->split;
   c.macroblocks = macroblocks_of(spec);
   c.table_budget = table_budget;
   c.min_budget = tables_->min_budget(c.macroblocks);
   c.desired_budget = table_budget;
-  c.migration_surcharge = p != preferred ? config_.migration_cost : 0;
+  c.migration_surcharge = surcharge;
   Processor& pr = procs_[static_cast<std::size_t>(p)];
   pr.commitments.push_back(std::move(c));
-  // An append extends the fold; the admitting test ran over exactly
-  // the new committed set, so its busy length is this set's true busy
-  // length — the best warm seed.
+  // An append extends the fold: tasks and utilization come out exactly
+  // as refresh() would rebuild them.
   pr.tasks.push_back(task);
   pr.util += static_cast<double>(task.cost) /
              static_cast<double>(task.period);
-  pr.busy_hint = last_test_busy_;
+  pr.busy_hint = busy_seed;
   shards_[static_cast<std::size_t>(shard_of(p))].unpreferred_dirty = true;
   residents_[spec.id].hosts.push_back(p);
+  if (out->admitted) {  // a split's second piece: the tail
+    out->tail_processor = p;
+    out->tail_cost = task.cost;
+    out->committed_cost += task.cost;
+    return;
+  }
   out->admitted = true;
   out->processor = p;
   out->committed_cost = task.cost;
   out->table_budget = table_budget;
-  out->migrated = p != preferred;
   out->initial_quality = system->tables->initial_quality();
-  out->system = std::move(system);
+  out->system = system;
 }
 
 const std::vector<int>& ShardedControlPlane::unpreferred_order(int s) {
@@ -227,109 +283,68 @@ bool ShardedControlPlane::sweep(int s, int preferred, Place&& host) {
 }
 
 bool ShardedControlPlane::try_place(const StreamSpec& spec, int s,
-                                    rt::Cycles table_budget, rt::Cycles cost,
-                                    int preferred, Placement* out) {
+                                    Candidate cand, int preferred,
+                                    bool renegotiate, Placement* out) {
   // The compiled system certifies the budget (TableCache::get) and is
   // processor-independent, so it is fetched once before any demand test.
-  const auto& system = tables_->get(macroblocks_of(spec), table_budget);
+  const auto& system = tables_->get(macroblocks_of(spec), cand.budget);
 
   return sweep(s, preferred, [&](int p) {
     // An off-preferred host charges the migration surcharge on top of
     // the stream's own worst case.
-    const sched::NpTask task{
-        cost + (p != preferred ? config_.migration_cost : 0),
-        latency_of(spec), period_of(spec)};
-    if (!fits(p, task)) return false;
-    commit_and_fill(spec, task, table_budget, p, preferred, system, out);
+    const rt::Cycles surcharge = p != preferred ? config_.migration_cost : 0;
+    const sched::NpTask task{cand.cost + surcharge, latency_of(spec),
+                             period_of(spec)};
+    if (!fits(p, task) &&
+        !(renegotiate && shrink_to_fit(p, task, spec.join_time))) {
+      return false;
+    }
+    // The admitting test ran over exactly the new committed set, so its
+    // busy length is this set's true busy length: the best warm seed.
+    commit(spec, p, task, cand.budget, surcharge, last_test_busy_, system,
+           out);
+    out->migrated = p != preferred;
+    out->via_renegotiation = renegotiate;
     return true;
   });
 }
 
-bool ShardedControlPlane::try_place_renegotiating(const StreamSpec& spec,
-                                                  int s,
-                                                  rt::Cycles table_budget,
-                                                  rt::Cycles cost,
-                                                  int preferred,
-                                                  Placement* out) {
-  const auto& system = tables_->get(macroblocks_of(spec), table_budget);
-
-  return sweep(s, preferred, [&](int p) {
-    const sched::NpTask task{
-        cost + (p != preferred ? config_.migration_cost : 0),
-        latency_of(spec), period_of(spec)};
-    auto& cs = procs_[static_cast<std::size_t>(p)].commitments;
-    const std::vector<Commitment> saved = cs;
-
-    // Shrink incumbents until the newcomer fits: pick the controlled
-    // commitment with the largest budget headroom (ties to the lowest
-    // stream id) and move it one certified ladder step down.  Every
-    // step strictly lowers a budget, so the loop terminates; shrinking
-    // only removes demand, so the surviving set stays schedulable.
-    bool ok = fits(p, task);
-    while (!ok) {
-      Commitment* victim = nullptr;
-      for (Commitment& c : cs) {
-        if (!c.controlled || c.table_budget <= c.min_budget) continue;
-        if (victim == nullptr ||
-            c.table_budget - c.min_budget >
-                victim->table_budget - victim->min_budget ||
-            (c.table_budget - c.min_budget ==
-                 victim->table_budget - victim->min_budget &&
-             c.stream_id < victim->stream_id)) {
-          victim = &c;
-        }
-      }
-      if (victim == nullptr) break;  // all headroom exhausted
-
-      // The next candidate below the current budget (the ladder is
-      // sorted richest first); its tables are compiled only if the
-      // shrink sticks, for the record below.
-      rt::Cycles next = victim->min_budget;
-      for (const rt::Cycles b : controlled_candidates(
-               victim->macroblocks, victim->task.deadline,
-               victim->task.period)) {
-        if (b < victim->table_budget) {
-          next = b;
-          break;
-        }
-      }
-      victim->table_budget = next;
-      victim->task.cost = next + victim->migration_surcharge;
-      refresh(p);
-      ok = fits(p, task);
-    }
-    if (!ok) {
-      cs = saved;  // roll back this processor's shrinks
-      refresh(p);
-      return false;
-    }
-
-    // Record one shrink per incumbent whose budget actually moved.
-    for (std::size_t i = 0; i < cs.size(); ++i) {
-      if (cs[i].table_budget == saved[i].table_budget) continue;
-      BudgetRenegotiation r;
-      r.stream_id = cs[i].stream_id;
-      r.effective_time = spec.join_time;
-      r.table_budget = cs[i].table_budget;
-      r.committed_cost = cs[i].task.cost;
-      r.system = tables_->get(cs[i].macroblocks, cs[i].table_budget);
-      pending_renegotiations_.push_back(std::move(r));
-    }
-
-    commit_and_fill(spec, task, table_budget, p, preferred, system, out);
-    out->via_renegotiation = true;
+bool ShardedControlPlane::shrink_to_fit(int p, const sched::NpTask& task,
+                                        rt::Cycles when) {
+  // Shrink incumbents until the newcomer fits: the controlled
+  // commitment with the largest budget headroom moves one certified
+  // rung down at a time.  Every step strictly lowers a budget, so the
+  // loop terminates; shrinking only removes demand, so the surviving
+  // set stays schedulable.
+  auto& cs = procs_[static_cast<std::size_t>(p)].commitments;
+  const std::vector<rt::Cycles> before = budgets(p);
+  bool ok = false;
+  while (!ok) {
+    const std::size_t v = widest_gap(cs, [&](std::size_t i) {
+      return cs[i].controlled ? cs[i].table_budget - cs[i].min_budget : 0;
+    });
+    if (v == cs.size()) break;  // all headroom exhausted
+    step_rung(cs[v], /*grow=*/false);
+    refresh(p);
+    ok = fits(p, task);
+  }
+  if (ok) {
+    record_budget_changes(p, before, when, /*grow=*/false);
     return true;
-  });
+  }
+  for (std::size_t i = 0; i < cs.size(); ++i) {  // roll back the shrinks
+    if (cs[i].table_budget != before[i]) set_budget(cs[i], before[i]);
+  }
+  refresh(p);
+  return false;
 }
 
 bool ShardedControlPlane::try_place_split(const StreamSpec& spec, int s,
-                                          rt::Cycles table_budget,
-                                          rt::Cycles cost, Placement* out) {
+                                          Candidate cand, Placement* out) {
   const int first = shards_[static_cast<std::size_t>(s)].base;
   const int end = first + shards_[static_cast<std::size_t>(s)].size;
-  if (!sched_.split || end - first < 2 || cost < 2) return false;
-  const int mb = macroblocks_of(spec);
-  const auto& system = tables_->get(mb, table_budget);
+  if (!sched_.split || end - first < 2 || cand.cost < 2) return false;
+  const auto& system = tables_->get(macroblocks_of(spec), cand.budget);
 
   const rt::Cycles latency = latency_of(spec);
   const rt::Cycles period = period_of(spec);
@@ -341,7 +356,7 @@ bool ShardedControlPlane::try_place_split(const StreamSpec& spec, int s,
     // but every kept midpoint passed the real demand test, so the
     // chosen head is always genuinely admissible.
     rt::Cycles lo = 1;
-    rt::Cycles hi = cost - 1;  // head < cost: a genuine split
+    rt::Cycles hi = cand.cost - 1;  // head < cost: a genuine split
     rt::Cycles head = 0;
     while (lo <= hi) {
       const rt::Cycles mid = lo + (hi - lo) / 2;
@@ -360,44 +375,21 @@ bool ShardedControlPlane::try_place_split(const StreamSpec& spec, int s,
     // on every higher-indexed processor of the shard.  The index
     // order — head below tail — is what lets the data plane simulate
     // handoff sources before sinks.
-    const sched::NpTask tail{cost - head + config_.migration_cost,
+    const sched::NpTask tail{cand.cost - head + config_.migration_cost,
                              latency - head, period};
     for (int b = a + 1; b < end; ++b) {
       if (procs_[static_cast<std::size_t>(b)].failed) continue;
       if (!fits(b, tail)) continue;
-
-      const sched::NpTask head_task{head, head, period};
-      Commitment piece;
-      piece.stream_id = spec.id;
-      piece.task = head_task;
-      piece.controlled = false;  // split pieces never renegotiate
-      piece.macroblocks = mb;
-      piece.table_budget = table_budget;
-      piece.min_budget = tables_->min_budget(mb);
-      piece.desired_budget = table_budget;
-      piece.migration_surcharge = 0;
-      procs_[static_cast<std::size_t>(a)].commitments.push_back(piece);
-      refresh(a);
-      piece.task = tail;
-      piece.migration_surcharge = config_.migration_cost;
-      procs_[static_cast<std::size_t>(b)].commitments.push_back(piece);
-      refresh(b);
-      auto& hosts = residents_[spec.id].hosts;
-      hosts.push_back(a);
-      hosts.push_back(b);
-      ++split_count_;
-
-      out->admitted = true;
-      out->processor = a;
-      out->tail_processor = b;
+      // Both pieces start their processors' QPA cold (seed 0): the last
+      // probes ran over other candidate sets.
       out->split = true;
-      out->head_cost = head;
-      out->tail_cost = tail.cost;
-      out->committed_cost = head + tail.cost;
-      out->table_budget = table_budget;
       out->migrated = true;  // the frame crosses processors each period
-      out->initial_quality = system->tables->initial_quality();
-      out->system = system;
+      out->head_cost = head;
+      commit(spec, a, sched::NpTask{head, head, period}, cand.budget, 0, 0,
+             system, out);
+      commit(spec, b, tail, cand.budget, config_.migration_cost, 0, system,
+             out);
+      ++split_count_;
       return true;
     }
   }
@@ -412,76 +404,78 @@ Placement ShardedControlPlane::place(const StreamSpec& spec, int s,
 
   const int mb = macroblocks_of(spec);
   const rt::Cycles latency = latency_of(spec);
-  const rt::Cycles min_budget = tables_->min_budget(mb);
+  const bool controlled = spec.mode == pipe::ControlMode::kControlled;
 
-  if (spec.mode == pipe::ControlMode::kControlled) {
-    const std::vector<rt::Cycles> candidates =
-        controlled_candidates(mb, latency, period_of(spec));
-    for (std::size_t i = 0; i < candidates.size(); ++i) {
-      if (try_place(spec, s, candidates[i], candidates[i], preferred,
-                    &out)) {
-        out.degraded = i > 0;
-        return out;
-      }
-      // C=D semi-partitioning before degradation: a budget no single
-      // processor can host whole may still fit as head + tail pieces,
-      // keeping the stream at this quality instead of dropping to the
-      // next candidate.
-      if (try_place_split(spec, s, candidates[i], candidates[i], &out)) {
-        out.degraded = i > 0;
-        return out;
-      }
+  // The candidates, richest first.  A controlled stream offers its
+  // certified ladder (a copy: the shrink loop's ladder lookups replace
+  // the memoized one), each rung at its own cost.  An uncontrolled
+  // stream has no compiled occupancy bound below its level's full
+  // worst case, so it offers that one cost; feedback control may pick
+  // any level, so it must be assumed to run at qmax.
+  std::vector<Candidate> candidates;
+  std::size_t qi = 0;
+  if (controlled) {
+    for (const rt::Cycles b :
+         controlled_candidates(mb, latency, period_of(spec))) {
+      candidates.push_back(Candidate{b, b});
     }
-    // Renegotiation is a last resort: the newcomer enters at its
-    // cheapest budget — the qmin minimum, always last in the ladder
-    // and always certifiable — which minimizes the shrink imposed on
-    // incumbents.  Schedulability is monotone in the newcomer's cost,
-    // so if that fails, every richer candidate fails too.
-    if (renegotiate && !candidates.empty() &&
-        try_place_renegotiating(spec, s, candidates.back(),
-                                candidates.back(), preferred, &out)) {
-      out.degraded = candidates.size() > 1;
+  } else {
+    if (spec.mode == pipe::ControlMode::kConstantQuality &&
+        (spec.constant_quality < 0 ||
+         static_cast<std::size_t>(spec.constant_quality) >=
+             tables_->num_quality_levels())) {
+      // Reject here rather than clamp: the data plane's controller
+      // would refuse the level anyway.
+      out.reason = "constant quality level outside the system's Q";
       return out;
     }
-    out.reason = candidates.empty()
+    qi = spec.mode == pipe::ControlMode::kConstantQuality
+             ? static_cast<std::size_t>(spec.constant_quality)
+             : tables_->num_quality_levels() - 1;
+    const rt::Cycles cost = tables_->worst_case_frame_cost(mb, qi);
+    if (cost > latency) {
+      out.reason = "worst-case frame cost exceeds the latency window";
+      return out;
+    }
+    candidates.push_back(Candidate{
+        std::max((latency / mb) * mb, tables_->min_budget(mb)), cost});
+  }
+
+  // Each candidate whole (preferred processor first, then migrated),
+  // then as C=D head + tail pieces — a budget no single processor can
+  // host may still fit split, keeping the stream at this quality —
+  // before the next, cheaper one: quality before locality.
+  std::size_t rung = 0;
+  while (rung < candidates.size() &&
+         !try_place(spec, s, candidates[rung], preferred, false, &out) &&
+         !try_place_split(spec, s, candidates[rung], &out)) {
+    ++rung;
+  }
+  bool ok = rung < candidates.size();
+  // Renegotiation is a last resort: the newcomer enters at its
+  // cheapest candidate (for a controlled stream the qmin minimum,
+  // always certifiable), which minimizes the shrink imposed on
+  // incumbents.  Schedulability is monotone in the newcomer's cost, so
+  // if that fails, every richer candidate fails too.
+  if (!ok && renegotiate && !candidates.empty()) {
+    rung = candidates.size() - 1;
+    ok = try_place(spec, s, candidates[rung], preferred, true, &out);
+  }
+  if (!ok) {
+    out.reason = !controlled ? "no processor can host the worst-case frame cost"
+                 : candidates.empty()
                      ? "latency window below the qmin worst case"
                      : "no processor can host any candidate budget";
     return out;
   }
-
-  // Uncontrolled streams have no compiled occupancy bound below their
-  // level's full worst case; commit that.  Feedback control may pick
-  // any level, so it must be assumed to run at qmax.
-  if (spec.mode == pipe::ControlMode::kConstantQuality &&
-      (spec.constant_quality < 0 ||
-       static_cast<std::size_t>(spec.constant_quality) >=
-           tables_->num_quality_levels())) {
-    // Reject here rather than clamp: the data plane's controller
-    // would refuse the level anyway.
-    out.reason = "constant quality level outside the system's Q";
-    return out;
-  }
-  const std::size_t qi =
-      spec.mode == pipe::ControlMode::kConstantQuality
-          ? static_cast<std::size_t>(spec.constant_quality)
-          : tables_->num_quality_levels() - 1;
-  const rt::Cycles cost = tables_->worst_case_frame_cost(mb, qi);
-  const rt::Cycles table_budget = std::max((latency / mb) * mb, min_budget);
-  if (cost > latency) {
-    out.reason = "worst-case frame cost exceeds the latency window";
-    return out;
-  }
-  if (try_place(spec, s, table_budget, cost, preferred, &out) ||
-      try_place_split(spec, s, table_budget, cost, &out) ||
-      (renegotiate && try_place_renegotiating(spec, s, table_budget, cost,
-                                              preferred, &out))) {
+  if (controlled) {
+    out.degraded = rung > 0;
+  } else {
     // The slack-table prediction does not apply: an uncontrolled
     // stream encodes at its fixed level (resp. wherever feedback
     // drives it), not at what the tables would grant.
     out.initial_quality = qi;
-    return out;
   }
-  out.reason = "no processor can host the worst-case frame cost";
   return out;
 }
 
@@ -490,76 +484,33 @@ void ShardedControlPlane::restore_pass(int p, rt::Cycles now) {
   // would only inflate commitments the failure handler is about to
   // release.
   if (procs_[static_cast<std::size_t>(p)].failed) return;
-  // Inverse of the shrink loop in try_place_renegotiating: grow the
-  // incumbent with the largest deficit below the budget it was
-  // admitted at (ties to the lowest stream id) one certified ladder
-  // rung, keep it if the processor stays schedulable, and stop
-  // considering a stream whose next rung does not fit (larger rungs
-  // only demand more).  Each iteration either raises a budget or
-  // retires a stream, so the loop terminates.
+  // Inverse of the shrink loop: grow the incumbent with the largest
+  // deficit below the budget it was admitted at one certified rung,
+  // keep it if the processor stays schedulable, and stop considering a
+  // stream whose next rung does not fit (larger rungs only demand
+  // more).  Each iteration either raises a budget or retires a
+  // stream, so the loop terminates.
   auto& cs = procs_[static_cast<std::size_t>(p)].commitments;
+  const std::vector<rt::Cycles> before = budgets(p);
   std::vector<bool> retired(cs.size(), false);
-  std::vector<rt::Cycles> grown_from(cs.size(), 0);
-  std::vector<bool> grown(cs.size(), false);
   for (;;) {
-    std::size_t victim = cs.size();
-    for (std::size_t i = 0; i < cs.size(); ++i) {
-      const Commitment& c = cs[i];
-      if (retired[i] || !c.controlled ||
-          c.table_budget >= c.desired_budget) {
-        continue;
-      }
-      if (victim == cs.size() ||
-          c.desired_budget - c.table_budget >
-              cs[victim].desired_budget - cs[victim].table_budget ||
-          (c.desired_budget - c.table_budget ==
-               cs[victim].desired_budget - cs[victim].table_budget &&
-           c.stream_id < cs[victim].stream_id)) {
-        victim = i;
-      }
-    }
-    if (victim == cs.size()) break;  // nothing left below its target
-
-    Commitment& c = cs[victim];
-    // Smallest candidate strictly above the current budget (the
-    // ladder is sorted richest first), capped at the budget the stream
-    // was admitted with.
-    rt::Cycles next = c.desired_budget;
-    for (const rt::Cycles b :
-         controlled_candidates(c.macroblocks, c.task.deadline,
-                               c.task.period)) {
-      if (b > c.table_budget && b <= c.desired_budget) next = b;
-    }
-    const rt::Cycles saved_budget = c.table_budget;
-    const rt::Cycles saved_cost = c.task.cost;
-    c.table_budget = next;
-    c.task.cost = next + c.migration_surcharge;
+    const std::size_t v = widest_gap(cs, [&](std::size_t i) {
+      return cs[i].controlled && !retired[i]
+                 ? cs[i].desired_budget - cs[i].table_budget
+                 : 0;
+    });
+    if (v == cs.size()) break;  // nothing left below its target
+    const rt::Cycles from = cs[v].table_budget;
+    step_rung(cs[v], /*grow=*/true);
     refresh(p);
-    if (!set_schedulable(p)) {
-      c.table_budget = saved_budget;
-      c.task.cost = saved_cost;
+    if (procs_[static_cast<std::size_t>(p)].util > config_.utilization_cap ||
+        !demand_test(p)) {
+      set_budget(cs[v], from);
       refresh(p);
-      retired[victim] = true;
-      continue;
-    }
-    if (!grown[victim]) {
-      grown[victim] = true;
-      grown_from[victim] = saved_budget;
+      retired[v] = true;
     }
   }
-
-  // One grow record per stream whose budget actually moved.
-  for (std::size_t i = 0; i < cs.size(); ++i) {
-    if (!grown[i] || cs[i].table_budget == grown_from[i]) continue;
-    BudgetRenegotiation r;
-    r.stream_id = cs[i].stream_id;
-    r.effective_time = now;
-    r.table_budget = cs[i].table_budget;
-    r.committed_cost = cs[i].task.cost;
-    r.grow = true;
-    r.system = tables_->get(cs[i].macroblocks, cs[i].table_budget);
-    pending_renegotiations_.push_back(std::move(r));
-  }
+  record_budget_changes(p, before, now, /*grow=*/true);
 }
 
 }  // namespace qosctrl::farm

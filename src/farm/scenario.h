@@ -63,6 +63,24 @@ inline rt::Cycles leave_time_of(const StreamSpec& s) {
          latency_of(s);
 }
 
+/// Where a placement taking over `s` at instant `t` starts: the index
+/// of the first frame arriving strictly after `t` (0 when `t` precedes
+/// the join).  When a frame remains, `*resume` becomes `s` cut to the
+/// frames from that one on — the continuation the failover path and
+/// the rebalancer re-admit.
+inline int resume_after(const StreamSpec& s, rt::Cycles t,
+                        StreamSpec* resume) {
+  const rt::Cycles period = period_of(s);
+  const int first =
+      t < s.join_time ? 0 : static_cast<int>((t - s.join_time) / period) + 1;
+  if (first < s.num_frames) {
+    *resume = s;
+    resume->join_time += static_cast<rt::Cycles>(first) * period;
+    resume->num_frames -= first;
+  }
+  return first;
+}
+
 /// The farm-wide scheduling contract the scenario is played under:
 /// which per-processor scheduling class serves frames (and backs the
 /// admission demand test), what a context switch costs, and whether

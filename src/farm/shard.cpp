@@ -68,34 +68,21 @@ void ShardedControlPlane::recompute_floor(int s) {
       sh.hot_util = pr.util;
     }
   }
-  reposition_route(s);
 }
 
-bool ShardedControlPlane::route_less(int a, int b) const {
-  const Shard& sa = shard(a);
-  const Shard& sb = shard(b);
-  const bool live_a = sa.floor_proc >= 0;
-  const bool live_b = sb.floor_proc >= 0;
-  if (live_a != live_b) return live_a;  // survivors first
-  if (live_a && sa.floor_util != sb.floor_util) {
-    return sa.floor_util < sb.floor_util;
+int ShardedControlPlane::next_route(int after) const {
+  auto before = [this](int a, int b) {
+    const double ua = shards_[static_cast<std::size_t>(a)].floor_util;
+    const double ub = shards_[static_cast<std::size_t>(b)].floor_util;
+    return ua < ub || (ua == ub && a < b);
+  };
+  int next = -1;
+  for (int s = 0; s < num_shards(); ++s) {
+    if (shards_[static_cast<std::size_t>(s)].floor_proc < 0) continue;
+    if (after >= 0 && !before(after, s)) continue;
+    if (next < 0 || before(s, next)) next = s;
   }
-  return a < b;
-}
-
-void ShardedControlPlane::reposition_route(int s) {
-  auto it = std::find(route_order_.begin(), route_order_.end(), s);
-  if (it == route_order_.end()) {  // first sighting: construction
-    it = route_order_.insert(route_order_.end(), s);
-  }
-  while (it != route_order_.begin() && route_less(*it, *(it - 1))) {
-    std::iter_swap(it, it - 1);
-    --it;
-  }
-  while (it + 1 != route_order_.end() && route_less(*(it + 1), *it)) {
-    std::iter_swap(it, it + 1);
-    ++it;
-  }
+  return next;
 }
 
 int ShardedControlPlane::shard_of(int processor) const {
@@ -109,12 +96,11 @@ int ShardedControlPlane::shard_of(int processor) const {
 }
 
 int ShardedControlPlane::least_loaded() const {
-  // route_order_ is sorted by (floor utilization, shard index) with
-  // survivors first, and each shard's floor already ties to the
-  // lowest index — so the head of the order is what a scan of every
-  // processor would find, read in O(1).
-  const int p = shard(route_order_.front()).floor_proc;
-  return p < 0 ? 0 : p;  // a dead head means every processor failed
+  // Each shard's floor already ties to the lowest index, so the first
+  // shard in routing order holds what a scan of every processor would
+  // find.
+  const int s = next_route(-1);
+  return s < 0 ? 0 : shard(s).floor_proc;  // none: every processor failed
 }
 
 void ShardedControlPlane::fail_processor(int processor) {
@@ -152,17 +138,16 @@ Placement ShardedControlPlane::admit(const StreamSpec& spec) {
     return rejection;
   }
 
-  // Probes: walk the cached order (ascending floor, ties to the
-  // lowest shard index), skipping the shard already tried and any
-  // shard with no survivors (sorted to the tail).  A probed shard
-  // admits with no preferred processor, so every cross-shard
-  // placement pays the migration surcharge.
+  // Probes: walk the routing order (ascending floor, ties to the
+  // lowest shard index, live shards only), skipping the shard already
+  // tried.  A rejected verdict moves no floor, so the order holds for
+  // the whole walk.  A probed shard admits with no preferred
+  // processor, so every cross-shard placement pays the migration
+  // surcharge.
   int probes_left = probe_shards_;
-  for (std::size_t k = 0;
-       k < route_order_.size() && probes_left > 0; ++k) {
-    const int s = route_order_[k];
+  for (int s = next_route(-1); s >= 0 && probes_left > 0;
+       s = next_route(s)) {
     if (s == preferred_shard) continue;
-    if (shard(s).floor_proc < 0) break;
     --probes_left;
     Placement pl = place(spec, s, -1, sched_.renegotiate);
     if (pl.admitted) {
@@ -235,48 +220,34 @@ bool ShardedControlPlane::rebalance_step(rt::Cycles now,
 
   // Hottest and coldest shards by pressure (hottest live processor's
   // committed utilization) among shards with survivors; ties to the
-  // lowest index.
+  // lowest index.  Unless every live pressure is equal (then nothing
+  // improves), the coldest is never the hottest.
   int hot = -1, cold = -1;
-  double hot_u = 0.0, cold_u = 0.0;
   for (int s = 0; s < num_shards(); ++s) {
     if (shard(s).hot_proc < 0) continue;
-    const double u = shard_pressure(s);
-    if (hot < 0 || u > hot_u) {
-      hot = s;
-      hot_u = u;
-    }
+    if (hot < 0 || shard_pressure(s) > shard_pressure(hot)) hot = s;
+    if (cold < 0 || shard_pressure(s) < shard_pressure(cold)) cold = s;
   }
-  if (hot < 0 || hot_u <= 1.0 - watermark_) return false;
-  for (int s = 0; s < num_shards(); ++s) {
-    if (s == hot || shard(s).hot_proc < 0) continue;
-    const double u = shard_pressure(s);
-    if (cold < 0 || u < cold_u) {
-      cold = s;
-      cold_u = u;
-    }
+  if (hot < 0 || shard_pressure(hot) <= 1.0 - watermark_ ||
+      shard_pressure(cold) >= shard_pressure(hot)) {
+    return false;
   }
-  if (cold < 0 || cold_u >= hot_u) return false;
+  const double hot_u = shard_pressure(hot);
 
   // Source: the hot shard's hottest surviving processor.
   const int src = shard(hot).hot_proc;
-  const double src_u = hot_u;
 
   for (const int id : resident_stream_ids(src)) {
     Resident& resident = residents_.at(id);
-    const StreamSpec& cur = resident.spec;
-    const rt::Cycles period = period_of(cur);
-    if (now < cur.join_time) continue;  // not serving yet
+    if (now < resident.spec.join_time) continue;  // not serving yet
     // The new placement takes over at the first arrival strictly
-    // after `now` — the same continuation split the failover path
-    // uses, so the segment bookkeeping downstream is shared.
-    const int first_frame =
-        static_cast<int>((now - cur.join_time) / period) + 1;
-    if (first_frame >= cur.num_frames) continue;  // nearly done
-
-    StreamSpec resume = cur;
-    resume.join_time =
-        cur.join_time + static_cast<rt::Cycles>(first_frame) * period;
-    resume.num_frames = cur.num_frames - first_frame;
+    // after `now` — the same continuation the failover path re-admits,
+    // so the segment bookkeeping downstream is shared.
+    StreamSpec resume;
+    if (resume_after(resident.spec, now, &resume) >=
+        resident.spec.num_frames) {
+      continue;  // nearly done
+    }
     // The probe never renegotiates: a move is worth making only if the
     // cold shard has room as it stands, and shrinking its incumbents
     // to make room would hand them budget epochs for a move that may
@@ -291,7 +262,7 @@ bool ShardedControlPlane::rebalance_step(rt::Cycles now,
     if (pl.split) {
       dst_u = std::max(dst_u, committed_utilization(pl.tail_processor));
     }
-    if (dst_u >= src_u) {
+    if (dst_u >= hot_u) {
       // Retract the probe without a restore pass: the cold shard's
       // commitments, floor and peaks are exactly as before the probe.
       retract(id, resident, cold, now, /*restore=*/false);
@@ -305,8 +276,6 @@ bool ShardedControlPlane::rebalance_step(rt::Cycles now,
     ++shards_[static_cast<std::size_t>(hot)].stats.migrations_out;
     ++shards_[static_cast<std::size_t>(cold)].stats.migrations_in;
     out->stream_id = id;
-    out->from_processor = src;
-    out->from_shard = hot;
     out->to_shard = cold;
     out->from_time = resume.join_time;
     out->placement = std::move(pl);

@@ -54,8 +54,6 @@ struct ShardPlaneConfig {
 /// (from_time - join) / period).
 struct ShardMigration {
   int stream_id = 0;
-  int from_processor = 0;
-  int from_shard = 0;
   int to_shard = 0;
   rt::Cycles from_time = 0;
   Placement placement;
@@ -114,10 +112,6 @@ class ShardedControlPlane {
   double committed_utilization(int processor) const {
     return procs_.at(static_cast<std::size_t>(processor)).util;
   }
-  /// Globally least committed utilization over surviving processors,
-  /// ties to the lowest index (0 when every processor has failed),
-  /// read from the cached per-shard floors.
-  int least_loaded() const;
   /// Marks `processor` permanently failed: it hosts no new
   /// commitments, the restore pass skips it, and neither the sweep
   /// order nor the router's floor ever prefers it.  Existing
@@ -245,10 +239,20 @@ class ShardedControlPlane {
 
   // ---- admission inside one shard (admission.cpp) ----
 
+  /// One (budget, cost) pair place() offers: a controlled stream's
+  /// ladder rung at its own cost, or an uncontrolled stream's level
+  /// worst case over the widest budget its window allows.
+  struct Candidate {
+    rt::Cycles budget = 0;
+    rt::Cycles cost = 0;
+  };
+
   /// The admission decision for `spec` inside shard `s`, preferring
   /// global processor `preferred` (in s), or none with -1: placements
   /// are then tried least-loaded first and every one pays the
-  /// migration surcharge.  `renegotiate` gates the shrink path.
+  /// migration surcharge.  Walks the stream's candidates richest
+  /// first — each whole, then split — and then, if `renegotiate`,
+  /// shrinks incumbents to fit the last one.
   Placement place(const StreamSpec& spec, int s, int preferred,
                   bool renegotiate);
 
@@ -264,10 +268,6 @@ class ShardedControlPlane {
   /// commitments (policy demand test + utilization cap).
   bool fits(int p, const sched::NpTask& candidate);
 
-  /// The committed set of processor `p` is schedulable as-is (policy
-  /// demand test + utilization cap, no candidate).
-  bool set_schedulable(int p);
-
   /// Candidate service budgets for a controlled stream, richest first
   /// (fractions of the latency window and multiples of the qmin
   /// minimum, share-capped; the qmin minimum always last).  A pure
@@ -278,13 +278,16 @@ class ShardedControlPlane {
   const std::vector<rt::Cycles>& controlled_candidates(
       int macroblocks, rt::Cycles latency, rt::Cycles period);
 
-  /// Records the commitment of an accepted (budget, cost) candidate
-  /// on processor `p` and fills `out` (shared tail of the placement
-  /// paths).
-  void commit_and_fill(const StreamSpec& spec, const sched::NpTask& task,
-                       rt::Cycles table_budget, int p, int preferred,
-                       std::shared_ptr<const enc::EncoderSystem> system,
-                       Placement* out);
+  /// Appends one piece of `spec` (task, budget, migration surcharge)
+  /// to processor `p`'s commitments, extending its task mirror and
+  /// utilization fold, seeding its QPA busy hint with `busy_seed`, and
+  /// recording the host.  The first piece fills `out` as admitted; a
+  /// second one is a split's tail.
+  void commit(const StreamSpec& spec, int p, const sched::NpTask& task,
+              rt::Cycles table_budget, rt::Cycles surcharge,
+              rt::Cycles busy_seed,
+              const std::shared_ptr<const enc::EncoderSystem>& system,
+              Placement* out);
 
   /// Calls `place(p)` over shard s's processors in sweep order until
   /// one call returns true (and then returns true): `preferred` first,
@@ -299,20 +302,18 @@ class ShardedControlPlane {
   /// per candidate, so rebuilding it each time would be pure waste.
   const std::vector<int>& unpreferred_order(int s);
 
-  /// Tries one (budget, cost) candidate on the preferred processor
-  /// first, then the shard's others; commits and fills `out` on
-  /// success.  With preferred = -1 the sweep runs least-loaded first
-  /// and every processor charges the migration surcharge.
-  bool try_place(const StreamSpec& spec, int s, rt::Cycles table_budget,
-                 rt::Cycles cost, int preferred, Placement* out);
+  /// Sweeps one candidate over shard s, commits it on the first
+  /// processor it fits and fills `out`.  With `renegotiate`, a
+  /// processor it does not fit first shrinks its running controlled
+  /// commitments (shrink_to_fit).
+  bool try_place(const StreamSpec& spec, int s, Candidate cand,
+                 int preferred, bool renegotiate, Placement* out);
 
-  /// Like try_place, but allowed to shrink running controlled
-  /// commitments (largest budget headroom first, one ladder step at a
-  /// time) until the candidate fits; rolls back on failure.  Appends
-  /// the imposed shrinks to pending_renegotiations_ on success.
-  bool try_place_renegotiating(const StreamSpec& spec, int s,
-                               rt::Cycles table_budget, rt::Cycles cost,
-                               int preferred, Placement* out);
+  /// Shrinks `p`'s controlled commitments (largest budget headroom
+  /// first, one ladder step at a time) until `task` fits; rolls back
+  /// and returns false if it never does.  Appends the imposed shrinks,
+  /// effective at `when`, to pending_renegotiations_.
+  bool shrink_to_fit(int p, const sched::NpTask& task, rt::Cycles when);
 
   /// C=D semi-partitioning (SchedulingSpec::split): places the stream
   /// as a zero-slack head piece (C1, D = C1, T = P) on one processor
@@ -322,8 +323,7 @@ class ShardedControlPlane {
   /// over the demand test).  Commits both pieces and fills `out` on
   /// success.  Split pieces are never renegotiated, restored, or
   /// ladder-downgraded.
-  bool try_place_split(const StreamSpec& spec, int s,
-                       rt::Cycles table_budget, rt::Cycles cost,
+  bool try_place_split(const StreamSpec& spec, int s, Candidate cand,
                        Placement* out);
 
   /// Restore pass after a departure freed capacity on `p`: grow
@@ -332,6 +332,27 @@ class ShardedControlPlane {
   /// ladder rung at a time, while the set stays schedulable.  Appends
   /// grow records (effective at `now`) to pending_renegotiations_.
   void restore_pass(int p, rt::Cycles now);
+
+  // ---- the ladder step shared by shrink_to_fit and restore_pass ----
+
+  /// `p`'s commitment budgets, in commitment order.
+  std::vector<rt::Cycles> budgets(int p) const;
+  /// Sets a commitment's budget, keeping its migration surcharge.
+  static void set_budget(Commitment& c, rt::Cycles budget);
+  /// The index whose gap(i) — how far commitment i may still move — is
+  /// the widest positive one, ties to the lowest stream id;
+  /// cs.size() when none is positive.
+  template <typename Gap>
+  static std::size_t widest_gap(const std::vector<Commitment>& cs, Gap&& gap);
+  /// Moves `c` to the neighbouring rung of its certified ladder: the
+  /// next lower budget (the qmin minimum at the bottom), or with
+  /// `grow` the next higher one, capped at the budget it was admitted
+  /// at.
+  void step_rung(Commitment& c, bool grow);
+  /// Appends one BudgetRenegotiation, effective at `when`, for each of
+  /// `p`'s commitments whose budget differs from `before`.
+  void record_budget_changes(int p, const std::vector<rt::Cycles>& before,
+                             rt::Cycles when, bool grow);
 
   // ---- routing and the fleet (shard.cpp) ----
 
@@ -345,19 +366,21 @@ class ShardedControlPlane {
   void retract(int stream_id, Resident& resident, int s, rt::Cycles now,
                bool restore);
 
-  /// Rescans shard `s`: refreshes its cached floor (and the routing
-  /// order) and hottest processor, and raises its live processors'
-  /// peaks.  Called after any call that changed the shard's committed
-  /// state, so joins route and the rebalancer reads pressure in O(1)
-  /// instead of rescanning the whole fleet.
+  /// Rescans shard `s`: refreshes its cached floor and hottest
+  /// processor, and raises its live processors' peaks.  Called after
+  /// any call that changed the shard's committed state, so joins route
+  /// and the rebalancer reads pressure from S cached entries instead
+  /// of rescanning the whole fleet.
   void recompute_floor(int s);
-  /// Routing order on the cached floors: live shards first, then
-  /// ascending (floor utilization, shard index).
-  bool route_less(int a, int b) const;
-  /// Restores route_order_'s sort after shard `s`'s floor moved:
-  /// bubbles the one displaced entry to its place.  Only one key
-  /// changes per mutation, so a full re-sort would be waste.
-  void reposition_route(int s);
+  /// The live shard routed to after shard `after` (-1: the first), or
+  /// -1 when none is left.  The routing order is ascending (floor
+  /// utilization, shard index) over the shards with survivors; a scan
+  /// of the S cached floors.
+  int next_route(int after) const;
+  /// Globally least committed utilization over surviving processors,
+  /// ties to the lowest index (0 when every processor has failed): the
+  /// floor of the first shard in routing order.
+  int least_loaded() const;
 
   AdmissionConfig config_;
   SchedulingSpec sched_;
@@ -365,11 +388,6 @@ class ShardedControlPlane {
   TableCache* tables_;
   std::vector<Processor> procs_;  ///< per global processor
   std::vector<Shard> shards_;
-  /// Shards sorted ascending by (floor utilization, index), dead
-  /// shards (no survivors) last — the router's whole view of the
-  /// fleet.  route_order_[0] holds the globally least-loaded live
-  /// processor; probes read the next entries.
-  std::vector<int> route_order_;
   std::unordered_map<int, Resident> residents_;  ///< by stream id
   std::vector<BudgetRenegotiation> pending_renegotiations_;
   sched::EdfScanStats scan_stats_;

@@ -1,12 +1,10 @@
 #include "farm/simulator.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <limits>
 #include <map>
 #include <queue>
-#include <thread>
 #include <tuple>
 #include <utility>
 
@@ -14,6 +12,7 @@
 #include "farm/run_queue.h"
 #include "farm/shard.h"
 #include "util/check.h"
+#include "util/parallel.h"
 
 namespace qosctrl::farm {
 namespace {
@@ -104,7 +103,6 @@ FarmResult run_control_plane(const FarmScenario& scenario,
   for (const FailureEvent& ev : scenario.faults.failures) {
     result.failures.emplace_back().event = ev;
   }
-  result.shard_outcomes.resize(static_cast<std::size_t>(plane.num_shards()));
 
   std::map<int, StreamOutcome*> by_id;
   for (StreamOutcome& so : result.streams) by_id[so.spec.id] = &so;
@@ -173,19 +171,12 @@ FarmResult run_control_plane(const FarmScenario& scenario,
       plane.release(id, ev.time);
       apply_renegotiations();
       ++fo.displaced;
-      const rt::Cycles period = period_of(so->spec);
       // First frame the survivors serve: the first arrival strictly
       // after the failure instant (an arrival at the instant itself is
       // concealed by the dying processor's blackout).
-      const rt::Cycles elapsed = ev.time - so->spec.join_time;
-      int ff = elapsed >= 0
-                   ? static_cast<int>(elapsed / period) + 1
-                   : 0;
+      StreamSpec resume;
+      const int ff = resume_after(so->spec, ev.time, &resume);
       if (ff >= so->spec.num_frames) continue;  // nothing left to serve
-      StreamSpec resume = so->spec;
-      resume.join_time =
-          so->spec.join_time + static_cast<rt::Cycles>(ff) * period;
-      resume.num_frames = so->spec.num_frames - ff;
       const Placement pl = plane.admit(resume);
       apply_renegotiations();
       if (!pl.admitted) {
@@ -410,23 +401,12 @@ DataPlane assign(const FarmScenario& scenario, const FarmConfig& config,
 /// Runs the queues level by level on up to FarmConfig::workers threads.
 void run_pool(const FarmScenario& scenario, const FarmConfig& config,
               const DataPlane& dp, Sinks& sinks) {
-  const int workers = std::clamp(config.workers, 1, config.num_processors);
   for (const std::vector<int>& procs : dp.levels) {
-    std::atomic<std::size_t> next_slot{0};
-    auto drain = [&] {
-      for (std::size_t s = next_slot.fetch_add(1); s < procs.size();
-           s = next_slot.fetch_add(1)) {
-        const auto p = static_cast<std::size_t>(procs[s]);
-        run_processor(config, scenario.sched, scenario.faults, dp.windows[p],
-                      dp.assigned[p], sinks.processor(procs[s]));
-      }
-    };
-    const int nthreads = std::min(workers, static_cast<int>(procs.size()));
-    std::vector<std::thread> pool;
-    pool.reserve(static_cast<std::size_t>(nthreads - 1));
-    for (int w = 1; w < nthreads; ++w) pool.emplace_back(drain);
-    drain();
-    for (std::thread& t : pool) t.join();
+    util::parallel_for(procs.size(), config.workers, [&](std::size_t s) {
+      const auto p = static_cast<std::size_t>(procs[s]);
+      run_processor(config, scenario.sched, scenario.faults, dp.windows[p],
+                    dp.assigned[p], sinks.processor(procs[s]));
+    });
   }
 }
 
@@ -554,17 +534,10 @@ void finalize(const FarmConfig& config, const ShardedControlPlane& plane,
   // plane is actually sharded, keeping single-shard output stable).
   r.shards = plane.num_shards();
   for (int s = 0; s < plane.num_shards(); ++s) {
-    ShardOutcome& o = r.shard_outcomes[static_cast<std::size_t>(s)];
-    o.first_processor = plane.shard_base(s);
-    o.num_processors = plane.shard_size(s);
-    const ShardStats& st = plane.shard_stats(s);
-    o.admitted = st.admitted;
-    o.probe_admits = st.probe_admits;
-    o.rejected = st.rejected;
-    o.migrations_in = st.migrations_in;
-    o.migrations_out = st.migrations_out;
-    o.demand_tests = st.demand_tests;
-    o.peak_committed_utilization = plane.shard_peak_committed_utilization(s);
+    r.shard_outcomes.push_back(
+        ShardOutcome{plane.shard_stats(s), plane.shard_base(s),
+                     plane.shard_size(s),
+                     plane.shard_peak_committed_utilization(s)});
   }
 
   // SLO verdicts over the merged series plus the per-failure recovery

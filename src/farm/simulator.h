@@ -63,6 +63,7 @@
 #include "farm/admission.h"
 #include "farm/faults.h"
 #include "farm/scenario.h"
+#include "farm/shard.h"
 #include "obs/metrics.h"
 #include "obs/slo.h"
 #include "obs/timeseries.h"
@@ -201,15 +202,9 @@ struct ProcessorOutcome {
 
 /// Per-shard control-plane accounting (one entry per configured
 /// shard; a single entry when the plane is unsharded).
-struct ShardOutcome {
+struct ShardOutcome : ShardStats {
   int first_processor = 0;  ///< global index of the shard's first processor
   int num_processors = 0;
-  long long admitted = 0;      ///< placements landed on this shard
-  long long probe_admits = 0;  ///< ...of which arrived by probing
-  long long rejected = 0;      ///< rejects charged as the preferred shard
-  long long migrations_in = 0;   ///< rebalancer arrivals
-  long long migrations_out = 0;  ///< rebalancer departures
-  long long demand_tests = 0;    ///< schedulability tests this shard ran
   double peak_committed_utilization = 0.0;
 };
 
