@@ -407,12 +407,13 @@ Placement ShardedControlPlane::place(const StreamSpec& spec, int s,
   const bool controlled = spec.mode == pipe::ControlMode::kControlled;
 
   // The candidates, richest first.  A controlled stream offers its
-  // certified ladder (a copy: the shrink loop's ladder lookups replace
+  // certified ladder (copied: the shrink loop's ladder lookups replace
   // the memoized one), each rung at its own cost.  An uncontrolled
   // stream has no compiled occupancy bound below its level's full
   // worst case, so it offers that one cost; feedback control may pick
   // any level, so it must be assumed to run at qmax.
-  std::vector<Candidate> candidates;
+  std::vector<Candidate>& candidates = walk_;
+  candidates.clear();
   std::size_t qi = 0;
   if (controlled) {
     for (const rt::Cycles b :

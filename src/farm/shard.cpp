@@ -40,6 +40,7 @@ ShardedControlPlane::ShardedControlPlane(int num_processors,
             "rebalance watermark must be in [0, 1)");
   procs_.resize(static_cast<std::size_t>(num_processors));
   shards_.resize(static_cast<std::size_t>(plane.shards));
+  floors_.resize(static_cast<std::size_t>(plane.shards));
   for (int s = 0; s < plane.shards; ++s) {
     // Contiguous near-even slices: shard s owns global processors
     // [s*M/S, (s+1)*M/S).
@@ -52,16 +53,18 @@ ShardedControlPlane::ShardedControlPlane(int num_processors,
 
 void ShardedControlPlane::recompute_floor(int s) {
   Shard& sh = shards_[static_cast<std::size_t>(s)];
+  double& floor = floors_[static_cast<std::size_t>(s)];
   sh.floor_proc = sh.hot_proc = -1;
-  sh.floor_util = sh.hot_util = 0.0;
+  sh.hot_util = 0.0;
+  floor = kNoSurvivor;
   for (int p = sh.base; p < sh.base + sh.size; ++p) {
     Processor& pr = procs_[static_cast<std::size_t>(p)];
     if (pr.failed) continue;
     pr.peak = std::max(pr.peak, pr.util);
     // Strict comparisons: ties keep the lowest index.
-    if (sh.floor_proc < 0 || pr.util < sh.floor_util) {
+    if (pr.util < floor) {
       sh.floor_proc = p;
-      sh.floor_util = pr.util;
+      floor = pr.util;
     }
     if (sh.hot_proc < 0 || pr.util > sh.hot_util) {
       sh.hot_proc = p;
@@ -70,19 +73,26 @@ void ShardedControlPlane::recompute_floor(int s) {
   }
 }
 
-int ShardedControlPlane::next_route(int after) const {
-  auto before = [this](int a, int b) {
-    const double ua = shards_[static_cast<std::size_t>(a)].floor_util;
-    const double ub = shards_[static_cast<std::size_t>(b)].floor_util;
-    return ua < ub || (ua == ub && a < b);
-  };
-  int next = -1;
+void ShardedControlPlane::route(std::size_t k) {
+  route_.clear();
+  // Only a floor strictly below `cut` — the k-th kept so far, or
+  // kNoSurvivor until k are kept — enters, so shards without survivors
+  // never do and, shards ascending, ties keep the lowest index.
+  double cut = kNoSurvivor;
   for (int s = 0; s < num_shards(); ++s) {
-    if (shards_[static_cast<std::size_t>(s)].floor_proc < 0) continue;
-    if (after >= 0 && !before(after, s)) continue;
-    if (next < 0 || before(s, next)) next = s;
+    const double f = floors_[static_cast<std::size_t>(s)];
+    if (!(f < cut)) continue;
+    auto at = route_.end();
+    while (at != route_.begin() &&
+           f < floors_[static_cast<std::size_t>(*(at - 1))]) {
+      --at;
+    }
+    route_.insert(at, s);
+    if (route_.size() > k) route_.pop_back();
+    if (route_.size() == k) {
+      cut = floors_[static_cast<std::size_t>(route_.back())];
+    }
   }
-  return next;
 }
 
 int ShardedControlPlane::shard_of(int processor) const {
@@ -93,14 +103,6 @@ int ShardedControlPlane::shard_of(int processor) const {
       shards_.begin(), shards_.end(), processor,
       [](int p, const Shard& sh) { return p < sh.base; });
   return static_cast<int>(it - shards_.begin()) - 1;
-}
-
-int ShardedControlPlane::least_loaded() const {
-  // Each shard's floor already ties to the lowest index, so the first
-  // shard in routing order holds what a scan of every processor would
-  // find.
-  const int s = next_route(-1);
-  return s < 0 ? 0 : shard(s).floor_proc;  // none: every processor failed
 }
 
 void ShardedControlPlane::fail_processor(int processor) {
@@ -125,30 +127,29 @@ void ShardedControlPlane::land(const StreamSpec& spec, int s, bool probed) {
 }
 
 Placement ShardedControlPlane::admit(const StreamSpec& spec) {
-  const int g = least_loaded();
+  // One scan of the cached floors: the preferred shard first, then up
+  // to probe_shards more.  Each shard's floor already ties to the
+  // lowest index, so the first shard's floor processor is what a scan
+  // of every processor would find (0 when every processor failed).
+  route(static_cast<std::size_t>(probe_shards_) + 1);
+  const int g = route_.empty() ? 0 : shard(route_.front()).floor_proc;
   const int preferred_shard = shard_of(g);
 
   // The preferred shard inherits the global preference; the whole
-  // attempt reads only cached routing state, so a rejected join costs
-  // the preferred verdict plus probe_shards shard-local verdicts — no
-  // fleet rescans, no allocation.
+  // attempt reads only the cached floors, so a rejected join costs the
+  // preferred verdict plus probe_shards shard-local verdicts — no
+  // processor rescans.
   Placement rejection = place(spec, preferred_shard, g, sched_.renegotiate);
   if (rejection.admitted) {
     land(spec, preferred_shard, false);
     return rejection;
   }
 
-  // Probes: walk the routing order (ascending floor, ties to the
-  // lowest shard index, live shards only), skipping the shard already
-  // tried.  A rejected verdict moves no floor, so the order holds for
-  // the whole walk.  A probed shard admits with no preferred
-  // processor, so every cross-shard placement pays the migration
-  // surcharge.
-  int probes_left = probe_shards_;
-  for (int s = next_route(-1); s >= 0 && probes_left > 0;
-       s = next_route(s)) {
-    if (s == preferred_shard) continue;
-    --probes_left;
+  // Probes: the rest of the routing order.  A probed shard admits with
+  // no preferred processor, so every cross-shard placement pays the
+  // migration surcharge.
+  for (std::size_t k = 1; k < route_.size(); ++k) {
+    const int s = route_[k];
     Placement pl = place(spec, s, -1, sched_.renegotiate);
     if (pl.admitted) {
       land(spec, s, true);

@@ -26,6 +26,7 @@
 // stay a pure function of the call sequence.
 #pragma once
 
+#include <limits>
 #include <unordered_map>
 #include <vector>
 
@@ -204,12 +205,12 @@ class ShardedControlPlane {
     int base = 0;  ///< first global processor
     int size = 0;
     ShardStats stats;
-    /// The least-loaded live processor (-1 with no survivors) and its
-    /// committed utilization.  Ties go to the lowest index, so the min
-    /// over shards is the fleet's least-loaded live processor, lowest
-    /// index first — what a scan of every processor would find.
+    /// The least-loaded live processor (-1 with no survivors); its
+    /// committed utilization is floors_[s].  Ties go to the lowest
+    /// index, so the min over shards is the fleet's least-loaded live
+    /// processor, lowest index first — what a scan of every processor
+    /// would find.
     int floor_proc = -1;
-    double floor_util = 0.0;
     /// The hottest live processor (lowest on ties; -1 with no
     /// survivors) and its committed utilization, the shard's pressure.
     int hot_proc = -1;
@@ -372,15 +373,10 @@ class ShardedControlPlane {
   /// and the rebalancer reads pressure from S cached entries instead
   /// of rescanning the whole fleet.
   void recompute_floor(int s);
-  /// The live shard routed to after shard `after` (-1: the first), or
-  /// -1 when none is left.  The routing order is ascending (floor
-  /// utilization, shard index) over the shards with survivors; a scan
-  /// of the S cached floors.
-  int next_route(int after) const;
-  /// Globally least committed utilization over surviving processors,
-  /// ties to the lowest index (0 when every processor has failed): the
-  /// floor of the first shard in routing order.
-  int least_loaded() const;
+  /// Fills route_ with the first `k` live shards in routing order —
+  /// ascending (floor utilization, shard index) — or all of them when
+  /// fewer are live: one scan of the S cached floors.
+  void route(std::size_t k);
 
   AdmissionConfig config_;
   SchedulingSpec sched_;
@@ -388,6 +384,14 @@ class ShardedControlPlane {
   TableCache* tables_;
   std::vector<Processor> procs_;  ///< per global processor
   std::vector<Shard> shards_;
+  /// Per shard, its floor processor's committed utilization
+  /// (kNoSurvivor with none): the routing key, kept contiguous so the
+  /// router's scan stays short.
+  std::vector<double> floors_;
+  static constexpr double kNoSurvivor =
+      std::numeric_limits<double>::infinity();
+  /// The last route(): admit()'s preferred shard and its probes.
+  std::vector<int> route_;
   std::unordered_map<int, Resident> residents_;  ///< by stream id
   std::vector<BudgetRenegotiation> pending_renegotiations_;
   sched::EdfScanStats scan_stats_;
@@ -398,6 +402,9 @@ class ShardedControlPlane {
   rt::Cycles cand_latency_ = 0;
   rt::Cycles cand_period_ = 0;
   std::vector<rt::Cycles> cand_cache_;
+  /// place()'s candidate list, a member only so its storage is reused
+  /// across verdicts (place() never nests).
+  std::vector<Candidate> walk_;
   long long split_count_ = 0;
   int probe_shards_;
   double watermark_;
