@@ -380,8 +380,11 @@ bool ShardedControlPlane::try_place_split(const StreamSpec& spec, int s,
     for (int b = a + 1; b < end; ++b) {
       if (procs_[static_cast<std::size_t>(b)].failed) continue;
       if (!fits(b, tail)) continue;
-      // Both pieces start their processors' QPA cold (seed 0): the last
-      // probes ran over other candidate sets.
+      // Both pieces leave their processor's next QPA test cold (seed
+      // 0): the head's last probe may have been a rejected midpoint,
+      // and the tail keeps the seed the reported scan counters
+      // (admission_busy_iterations, admission_qpa_points) were pinned
+      // with.
       out->split = true;
       out->migrated = true;  // the frame crosses processors each period
       out->head_cost = head;
