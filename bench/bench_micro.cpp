@@ -756,8 +756,8 @@ BENCHMARK(BM_AdmissionThroughput)->Arg(1000)->Arg(10000)->Arg(100000);
 // fleet, so most joins are rejections — the regime where a single
 // controller sweeps every processor's candidate ladder per verdict,
 // while the sharded router's per-join work is bounded by the shard
-// size: floor-cached O(1) routing plus verdicts from the preferred
-// shard and one probe.  items_per_second is joins routed per
+// size: one scan of the S cached shard floors plus verdicts from the
+// preferred shard and one probe.  items_per_second is joins routed per
 // wall-second; the S=64 / S=1 ratio backs the >= 10x
 // sharded-join-rate claim in docs/scenarios.md
 // (tools/check_bench_regression.py tracks both).
