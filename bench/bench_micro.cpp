@@ -326,7 +326,7 @@ void BM_PsnrFrameScalarKernel(benchmark::State& state) {
   const auto& t = media::simd::kernels_for(media::simd::Backend::kScalar);
   const auto& f = sad_fixture();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(media::psnr_from_sse(
+    benchmark::DoNotOptimize(quality::psnr_from_sse(
         t.sum_sq_diff(f.cur.data().data(), f.ref.data().data(),
                       f.cur.data().size()),
         static_cast<std::int64_t>(f.cur.data().size())));

@@ -1,10 +1,11 @@
 // Bitstream decoder — the receiving end of the encoder's Compress
 // action, and the ground truth for what a viewer sees.
 //
-// The decoder mirrors the reconstruction path exactly (same intra
-// prediction from its own partially-decoded frame, same motion
-// compensation, same dequantize + inverse DCT), so its output is
-// bit-exact with FrameEncoder::reconstructed().  That equivalence is
+// The decoder runs the encoder's own macroblock codec
+// (encoder/macroblock.h) — same header syntax, same intra prediction
+// from its own partially-decoded frame, same motion compensation, same
+// dequantize + inverse DCT — so its output is bit-exact with
+// FrameEncoder::reconstructed().  That equivalence is
 // the encoder's end-to-end correctness test: the PSNR numbers reported
 // for every experiment are PSNR against a *decodable* stream, not
 // against internal state.

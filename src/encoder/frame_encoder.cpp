@@ -3,14 +3,9 @@
 #include <algorithm>
 
 #include "media/dct.h"
-#include "media/entropy.h"
 #include "media/intra.h"
-#include "media/motion.h"
-#include "media/plane.h"
 #include "media/quant.h"
-#include "media/reconstruct.h"
 #include "quality/distortion.h"
-#include "util/bitio.h"
 #include "util/check.h"
 
 namespace qosctrl::enc {
@@ -80,14 +75,9 @@ FrameStats FrameEncoder::encode_frame(const media::YuvFrame& input,
   }
   controller.start_cycle();
 
-  // Frame header: geometry and quantizer (what enc::decode_frame needs
-  // besides the reference frame).
   frame_writer_ = util::BitWriter();
-  media::put_ue(frame_writer_,
-                static_cast<std::uint32_t>(input.y.mb_cols()));
-  media::put_ue(frame_writer_,
-                static_cast<std::uint32_t>(input.y.mb_rows()));
-  media::put_ue(frame_writer_, static_cast<std::uint32_t>(qp));
+  put_frame_header(frame_writer_,
+                   {input.y.mb_cols(), input.y.mb_rows(), qp});
 
   FrameStats stats;
   stats.qp = qp;
@@ -126,7 +116,7 @@ FrameStats FrameEncoder::encode_frame(const media::YuvFrame& input,
       stats.min_quality = std::min(stats.min_quality, d.quality);
       stats.max_quality = std::max(stats.max_quality, d.quality);
     }
-    if (ua.action == BodyAction::kReconstruct && ctx.use_intra) {
+    if (ua.action == BodyAction::kReconstruct && ctx.header.intra) {
       ++stats.intra_macroblocks;
     }
   }
@@ -136,7 +126,7 @@ FrameStats FrameEncoder::encode_frame(const media::YuvFrame& input,
   stats.mean_quality =
       quality_count > 0 ? quality_sum / quality_count : 0.0;
   // One block-moment pass yields both metrics (the PSNR route is
-  // pinned bit-identical to media::psnr in tests/quality/).
+  // pinned bit-identical to quality::psnr in tests/quality/).
   const quality::FrameDistortion distortion =
       quality::measure(input.y, recon_.y);
   stats.psnr = distortion.psnr;
@@ -200,34 +190,23 @@ double FrameEncoder::run_action(const UnrolledAction& ua,
       // source Grab read; only the winning prediction is written.
       const media::IntraResult intra = media::intra_predict(
           ctx.source.data(), recon_.y, ctx.x0, ctx.y0);
-      ctx.use_intra = !ctx.motion_valid ||
-                      intra.sad + config_.intra_bias < ctx.motion.sad;
-      const int cx = ctx.x0 / 2;
-      const int cy = ctx.y0 / 2;
-      if (ctx.use_intra) {
-        ctx.intra_mode = intra.mode;
-        media::intra_prediction_mode(recon_.y, ctx.x0, ctx.y0, intra.mode,
-                                     ctx.prediction.data());
-        ctx.prediction_c[0] = media::chroma_dc_prediction(recon_.cb, cx, cy);
-        ctx.prediction_c[1] = media::chroma_dc_prediction(recon_.cr, cx, cy);
-      } else {
-        const int dx2 = ctx.motion.dx2;
-        const int dy2 = ctx.motion.dy2;
-        ctx.prediction = media::motion_compensate_halfpel(
-            padded_reference_, ctx.x0, ctx.y0, dx2, dy2);
-        ctx.prediction_c[0] = media::chroma_motion_compensate(
-            reference_.cb, cx, cy, dx2, dy2);
-        ctx.prediction_c[1] = media::chroma_motion_compensate(
-            reference_.cr, cx, cy, dx2, dy2);
-      }
+      const bool use_intra = !ctx.motion_valid ||
+                             intra.sad + config_.intra_bias < ctx.motion.sad;
+      ctx.header = use_intra ? MbHeader{true, intra.mode, 0, 0}
+                             : MbHeader{false, media::IntraMode::kDc,
+                                        ctx.motion.dx2, ctx.motion.dy2};
+      predict_macroblock(ctx.header, ctx.x0, ctx.y0, recon_, &reference_,
+                         padded_reference_, &ctx.prediction);
       for (int b = 0; b < 4; ++b) {
         const int off = luma_block_offset(b);
-        subtract_block8(ctx.source.data() + off, ctx.prediction.data() + off,
-                        kMb, ctx.residual[static_cast<std::size_t>(b)]);
+        subtract_block8(ctx.source.data() + off,
+                        ctx.prediction.luma.data() + off, kMb,
+                        ctx.residual[static_cast<std::size_t>(b)]);
       }
       for (std::size_t c = 0; c < 2; ++c) {
-        subtract_block8(ctx.source_c[c].data(), ctx.prediction_c[c].data(),
-                        kTb, ctx.residual[4 + c]);
+        subtract_block8(ctx.source_c[c].data(),
+                        ctx.prediction.chroma[c].data(), kTb,
+                        ctx.residual[4 + c]);
       }
       return 1.0;
     }
@@ -250,17 +229,7 @@ double FrameEncoder::run_action(const UnrolledAction& ua,
     case BodyAction::kCompress: {
       util::BitWriter& bw = frame_writer_;
       const std::int64_t before = bw.bit_count();
-      bw.put_bit(ctx.use_intra);
-      if (ctx.use_intra) {
-        bw.put_bits(static_cast<std::uint64_t>(ctx.intra_mode), 2);
-      } else {
-        // Motion vectors travel in half-pel units (even = full pel).
-        media::put_se(bw, ctx.motion.dx2);
-        media::put_se(bw, ctx.motion.dy2);
-      }
-      for (const media::Coeffs8& block : ctx.levels) {
-        media::encode_block(bw, block);
-      }
+      put_macroblock(bw, ctx.header, ctx.levels);
       ctx.bits = bw.bit_count() - before;
       return std::max(
           0.2, static_cast<double>(ctx.bits) / config_.typical_compress_bits);
@@ -268,7 +237,7 @@ double FrameEncoder::run_action(const UnrolledAction& ua,
 
     // Inverse_Quantize and Inverse_DCT charge their Figure 5 costs; the
     // pixel work of both runs at Reconstruct, fused per block in
-    // media::reconstruct_block8 (the routine the decoder runs), because
+    // reconstruct_macroblock (the routine the decoder runs), because
     // Compress may still read the levels when they start.
     case BodyAction::kInverseQuantize:
       return 1.0;
@@ -277,26 +246,10 @@ double FrameEncoder::run_action(const UnrolledAction& ua,
       // Sparse blocks are cheaper to invert; couple the cost mildly.
       return 0.5 + static_cast<double>(ctx.nonzero) / 96.0;
 
-    case BodyAction::kReconstruct: {
-      const std::ptrdiff_t stride = recon_.y.stride();
-      media::Sample* dst = recon_.y.row(ctx.y0) + ctx.x0;
-      for (int b = 0; b < 4; ++b) {
-        const int bx = (b % 2) * kTb;
-        const int by = (b / 2) * kTb;
-        media::reconstruct_block8(
-            ctx.levels[static_cast<std::size_t>(b)], qp,
-            ctx.prediction.data() + luma_block_offset(b), kMb,
-            dst + by * stride + bx, stride);
-      }
-      for (std::size_t c = 0; c < 2; ++c) {
-        media::Plane& plane = (c == 0) ? recon_.cb : recon_.cr;
-        media::reconstruct_block8(ctx.levels[4 + c], qp,
-                                  ctx.prediction_c[c].data(), kTb,
-                                  plane.row(ctx.y0 / 2) + ctx.x0 / 2,
-                                  plane.stride());
-      }
+    case BodyAction::kReconstruct:
+      reconstruct_macroblock(ctx.levels, qp, ctx.prediction, ctx.x0, ctx.y0,
+                             &recon_);
       return 1.0;
-    }
   }
   QC_EXPECT(false, "unknown body action");
 }

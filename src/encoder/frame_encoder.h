@@ -12,8 +12,8 @@
 #include <vector>
 
 #include "encoder/body.h"
+#include "encoder/macroblock.h"
 #include "media/frame.h"
-#include "media/intra.h"
 #include "media/motion.h"
 #include "media/padded_frame.h"
 #include "media/yuv.h"
@@ -115,8 +115,7 @@ class FrameEncoder {
     int x0 = 0, y0 = 0;
     media::MotionResult motion;
     bool motion_valid = false;
-    bool use_intra = true;
-    media::IntraMode intra_mode = media::IntraMode::kDc;
+    MbHeader header;  ///< Intra_Predict's decision, as Compress writes it
     std::int64_t bits = 0;
     int nonzero = 0;
   };
@@ -130,11 +129,10 @@ class FrameEncoder {
   struct MbContext : MbState {
     std::array<media::Sample, 256> source;      ///< Grab
     std::array<std::array<media::Sample, 64>, 2> source_c;
-    std::array<media::Sample, 256> prediction;  ///< Intra_Predict
-    std::array<std::array<media::Sample, 64>, 2> prediction_c;
+    MbPrediction prediction;                    ///< Intra_Predict
     std::array<media::Block8, 6> residual;      ///< Intra_Predict
     /// DCT writes coefficients; Quantize turns them into levels.
-    std::array<media::Coeffs8, 6> levels;
+    MbLevels levels;
   };
 
   /// Runs the real computation of one action; returns the content-

@@ -1,0 +1,92 @@
+// The macroblock codec: the one statement of the bitstream syntax and
+// of the prediction and reconstruction rules.
+//
+// A frame is a header (geometry in macroblocks, quantizer) followed by
+// its macroblocks in raster order.  A macroblock is a header (intra
+// flag, then a 2-bit intra mode or a half-pel motion vector) and six
+// run-level coded 8x8 blocks in bitstream order: four luma blocks in
+// raster order, then Cb and Cr.  FrameEncoder's Intra_Predict,
+// Compress and Reconstruct actions and enc::decode_frame all call the
+// functions below, so the decoder rebuilds the encoder's
+// reconstruction bit for bit by construction.
+#pragma once
+
+#include <array>
+#include <cstdint>
+
+#include "media/intra.h"
+#include "media/padded_frame.h"
+#include "media/yuv.h"
+#include "util/bitio.h"
+
+namespace qosctrl::enc {
+
+/// Largest frame side, in macroblocks, a stream may declare.
+inline constexpr int kMaxMbPerSide = 1024;
+/// Largest |dx2| and |dy2|, in half pels, a stream may carry.
+inline constexpr int kMaxVectorHalfPel = 128;
+/// The fewest bits a macroblock can take: the intra flag, a 2-bit mode
+/// (or two 1-bit se(0)), six end-of-block bits.
+inline constexpr std::int64_t kMinMacroblockBits = 1 + 2 + 6;
+
+struct FrameHeader {
+  int mb_cols = 0;
+  int mb_rows = 0;
+  int qp = 0;
+};
+
+struct MbHeader {
+  bool intra = true;
+  media::IntraMode mode = media::IntraMode::kDc;  ///< intra only
+  int dx2 = 0;  ///< motion vector in half pels; inter only
+  int dy2 = 0;
+};
+
+/// A macroblock's six quantized level blocks in bitstream order.
+using MbLevels = std::array<media::Coeffs8, 6>;
+
+/// A macroblock's prediction: the 16x16 luma block (row stride 16) and
+/// the Cb and Cr 8x8 blocks (row stride 8).
+struct MbPrediction {
+  std::array<media::Sample, 256> luma;
+  std::array<std::array<media::Sample, 64>, 2> chroma;
+};
+
+void put_frame_header(util::BitWriter& bw, const FrameHeader& header);
+
+/// Parses a frame header.  False on overrun, a side outside
+/// [1, kMaxMbPerSide] macroblocks, a quantizer outside
+/// [kMinQp, kMaxQp], or a geometry the rest of the stream cannot fill
+/// at kMinMacroblockBits per macroblock (checked before the caller
+/// allocates the frame).
+bool get_frame_header(util::BitReader& br, FrameHeader* out);
+
+void put_macroblock(util::BitWriter& bw, const MbHeader& header,
+                    const MbLevels& levels);
+
+/// Parses one macroblock's header and its six level blocks.  False on
+/// an intra mode above 2, a vector component beyond
+/// kMaxVectorHalfPel, a corrupt block, or overrun.
+bool get_macroblock(util::BitReader& br, MbHeader* header,
+                    MbLevels* levels);
+
+/// Predicts the macroblock at luma (x0, y0).  Intra predicts luma in
+/// `header.mode` and chroma by DC from `recon`, the frame being
+/// reconstructed.  Inter compensates `reference` (non-null) by the
+/// header's vector: luma through `padded_reference` (the padded copy
+/// of reference->y) when the vector stays inside its pad, through the
+/// border-clamped path otherwise; chroma by half the vector.
+void predict_macroblock(const MbHeader& header, int x0, int y0,
+                        const media::YuvFrame& recon,
+                        const media::YuvFrame* reference,
+                        const media::PaddedFrame& padded_reference,
+                        MbPrediction* out);
+
+/// Rebuilds the macroblock at luma (x0, y0) of `recon` from its levels
+/// at `qp` and its prediction, block by block through
+/// media::reconstruct_block8.
+void reconstruct_macroblock(const MbLevels& levels, int qp,
+                            const MbPrediction& prediction, int x0, int y0,
+                            media::YuvFrame* recon);
+
+}  // namespace qosctrl::enc

@@ -311,28 +311,33 @@ std::int64_t encode_block(util::BitWriter& bw, const Coeffs8& levels) {
   return bw.bit_count() - before;
 }
 
-std::optional<Coeffs8> decode_block(util::BitReader& br) {
-  Coeffs8 out{};
+bool decode_block(util::BitReader& br, Coeffs8& out) {
+  out.fill(0);
   int pos = 0;
   for (;;) {
-    if (!decode_table_codes(br, out, pos)) return std::nullopt;
+    if (!decode_table_codes(br, out, pos)) return false;
     // The exact path, one code: end of block, a code longer than the
     // table's, or one of the stream's last kDecodeFastModeBits bits.
     if (!br.get_bit()) break;
     const int run = static_cast<int>(get_ue(br));
     const std::int32_t level = get_se(br);
     if (run < 0 || pos + run >= 64 || br.overrun()) {
-      return std::nullopt;  // corrupt stream: run past end of block
+      return false;  // corrupt stream: run past end of block
     }
     if (level < -kMaxLevel || level > kMaxLevel) {
-      return std::nullopt;  // no quantizer output is that large
+      return false;  // no quantizer output is that large
     }
     pos += run;
     out[static_cast<std::size_t>(kZigzag[static_cast<std::size_t>(pos)])] =
         level;
     ++pos;
   }
-  if (br.overrun()) return std::nullopt;
+  return !br.overrun();
+}
+
+std::optional<Coeffs8> decode_block(util::BitReader& br) {
+  Coeffs8 out;
+  if (!decode_block(br, out)) return std::nullopt;
   return out;
 }
 

@@ -31,8 +31,8 @@ std::int32_t get_se(util::BitReader& br);
 /// appended to `bw`.
 std::int64_t encode_block(util::BitWriter& bw, const Coeffs8& levels);
 
-/// Decodes one block previously written by encode_block.  Returns
-/// std::nullopt on a corrupt stream (zero-run past the end of the
+/// Decodes one block previously written by encode_block into `out`.
+/// Returns false on a corrupt stream (zero-run past the end of the
 /// block, a level beyond kMaxLevel, or reader overrun) — hostile input
 /// must fail, not abort.
 ///
@@ -41,6 +41,8 @@ std::int64_t encode_block(util::BitWriter& bw, const Coeffs8& levels);
 /// one table lookup; end of block, longer codes and the buffer's last
 /// kDecodeFastModeBits bits take the exact path.  Both consume the
 /// same bits and give the same result.
+bool decode_block(util::BitReader& br, Coeffs8& out);
+/// decode_block into a returned block.
 std::optional<Coeffs8> decode_block(util::BitReader& br);
 
 inline constexpr int kDecodeTableBits = 13;

@@ -4,11 +4,11 @@
 
 namespace qosctrl::media {
 
-Plane::Plane(int width, int height, Sample fill)
+Plane::Plane(int width, int height, Sample fill, int tile)
     : width_(width), height_(height) {
-  QC_EXPECT(width > 0 && height > 0, "plane dimensions must be positive");
-  QC_EXPECT(width % kTransformSize == 0 && height % kTransformSize == 0,
-            "plane dimensions must be multiples of 8");
+  QC_EXPECT(width > 0 && height > 0 && width % tile == 0 &&
+                height % tile == 0,
+            "dimensions must be positive multiples of 8 (16 for a frame)");
   data_.assign(static_cast<std::size_t>(width) * static_cast<std::size_t>(height),
                fill);
 }
@@ -102,19 +102,6 @@ std::array<Sample, 64> chroma_dc_prediction(const Plane& recon, int x0,
   std::array<Sample, 64> out;
   out.fill(dc);
   return out;
-}
-
-double plane_sse(const Plane& a, const Plane& b) {
-  QC_EXPECT(a.width() == b.width() && a.height() == b.height(),
-            "planes must have equal dimensions");
-  double acc = 0.0;
-  const auto& da = a.data();
-  const auto& db = b.data();
-  for (std::size_t i = 0; i < da.size(); ++i) {
-    const double d = static_cast<double>(da[i]) - static_cast<double>(db[i]);
-    acc += d * d;
-  }
-  return acc;
 }
 
 }  // namespace qosctrl::media

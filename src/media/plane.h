@@ -1,34 +1,51 @@
-// A standalone sample plane for chroma (4:2:0 subsampled) data.
+// 8-bit sample planes: the one pixel type of the media layer.
 //
-// Luma lives in media::Frame, which enforces 16-pixel macroblock
-// tiling; chroma planes are half-resolution and tile into 8x8 blocks,
-// so they get their own lighter type with the same pixel accessors.
+// A Plane is a row-major 8-bit image whose sides are multiples of 8,
+// so it tiles exactly into 8x8 transform blocks.  Chroma (4:2:0,
+// half-resolution) is a Plane as it stands; luma is a media::Frame
+// (frame.h), a Plane that also tiles into 16x16 macroblocks.
 #pragma once
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <vector>
 
-#include "media/frame.h"
+#include "util/check.h"
 
 namespace qosctrl::media {
+
+/// Pixel residuals / predictions use 16-bit signed samples.
+using Sample = std::uint8_t;
+using Residual = std::int16_t;
+
+/// An 8x8 residual block in row-major order.
+using Block8 = std::array<Residual, 64>;
+/// An 8x8 block of transform coefficients.
+using Coeffs8 = std::array<std::int32_t, 64>;
+
+inline constexpr int kMacroBlockSize = 16;   ///< 16x16 = 256 pixels
+inline constexpr int kTransformSize = 8;     ///< 8x8 DCT blocks
 
 /// An 8-bit sample plane whose dimensions are multiples of 8.
 class Plane {
  public:
   Plane() = default;
-  Plane(int width, int height, Sample fill = 128);
+  Plane(int width, int height, Sample fill = 128)
+      : Plane(width, height, fill, kTransformSize) {}
 
   int width() const { return width_; }
   int height() const { return height_; }
   bool empty() const { return data_.empty(); }
 
   Sample at(int x, int y) const {
-    QC_DCHECK(in_bounds(x, y), "plane pixel out of bounds");
+    QC_DCHECK(in_bounds(x, y), "pixel out of bounds");
     return data_[static_cast<std::size_t>(y) * static_cast<std::size_t>(width_) +
                  static_cast<std::size_t>(x)];
   }
   void set(int x, int y, Sample v) {
-    QC_DCHECK(in_bounds(x, y), "plane pixel out of bounds");
+    QC_DCHECK(in_bounds(x, y), "pixel out of bounds");
     data_[static_cast<std::size_t>(y) * static_cast<std::size_t>(width_) +
           static_cast<std::size_t>(x)] = v;
   }
@@ -36,29 +53,52 @@ class Plane {
   /// Distance in samples between vertically adjacent pixels.
   int stride() const { return width_; }
 
-  /// Raw pointer to row `y` (column 0); bounds hoisted to the call.
+  /// Raw pointer to row `y` (column 0); valid for `width()` samples.
+  /// The bounds check is hoisted to the call, so kernels iterating a
+  /// row pay no per-pixel checks.
   const Sample* row(int y) const {
-    QC_DCHECK(y >= 0 && y < height_, "plane row out of bounds");
+    QC_DCHECK(y >= 0 && y < height_, "row out of bounds");
     return data_.data() +
            static_cast<std::size_t>(y) * static_cast<std::size_t>(width_);
   }
   Sample* row(int y) {
-    QC_DCHECK(y >= 0 && y < height_, "plane row out of bounds");
+    QC_DCHECK(y >= 0 && y < height_, "row out of bounds");
     return data_.data() +
            static_cast<std::size_t>(y) * static_cast<std::size_t>(width_);
   }
+
+  /// Clamped read: coordinates outside the plane are clamped to the
+  /// border (used by motion compensation near edges).
   Sample at_clamped(int x, int y) const;
+
   bool in_bounds(int x, int y) const {
     return x >= 0 && y >= 0 && x < width_ && y < height_;
   }
 
   const std::vector<Sample>& data() const { return data_; }
+  std::vector<Sample>& data() { return data_; }
+
+ protected:
+  /// A plane whose sides must be positive multiples of `tile`.
+  Plane(int width, int height, Sample fill, int tile);
 
  private:
   int width_ = 0;
   int height_ = 0;
   std::vector<Sample> data_;
 };
+
+/// Copies the n x n block at `src` (row stride `stride`) into the
+/// contiguous buffer `dst` (row stride n).  Inline, so a constant `n`
+/// turns each row into one fixed-size move.
+inline void copy_block(const Sample* src, std::ptrdiff_t stride, int n,
+                       Sample* dst) {
+  for (int y = 0; y < n; ++y) {
+    std::memcpy(dst, src, static_cast<std::size_t>(n));
+    src += stride;
+    dst += n;
+  }
+}
 
 /// Motion compensation on a chroma plane with a *luma* half-pel vector:
 /// chroma moves at half the luma displacement, i.e. quarter-pel chroma
@@ -75,8 +115,5 @@ std::array<Sample, 64> chroma_motion_compensate(const Plane& reference,
 /// chroma reconstruction is bit-exact.
 std::array<Sample, 64> chroma_dc_prediction(const Plane& recon, int x0,
                                             int y0);
-
-/// Mean squared error between two planes (for chroma PSNR).
-double plane_sse(const Plane& a, const Plane& b);
 
 }  // namespace qosctrl::media

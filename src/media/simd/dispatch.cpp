@@ -1,5 +1,5 @@
-// Backend selection: CPUID detection, the QOSCTRL_FORCE_SCALAR /
-// QOSCTRL_SIMD overrides, and the per-backend table registry.
+// Backend selection: CPUID detection, the QOSCTRL_SIMD override, and
+// the per-backend table registry.
 #include <atomic>
 #include <cstdlib>
 #include <cstring>
@@ -55,18 +55,8 @@ bool ascii_iequals(const char* a, const char* b) {
 }
 
 std::atomic<const KernelTable*>& active_table_slot() {
-  static std::atomic<const KernelTable*> slot{[] {
-#ifdef QOSCTRL_FORCE_SCALAR
-    constexpr bool kCompiledForceScalar = true;
-#else
-    constexpr bool kCompiledForceScalar = false;
-#endif
-    const Backend chosen = resolve_backend(
-        detect_best(), kCompiledForceScalar,
-        std::getenv("QOSCTRL_FORCE_SCALAR"), std::getenv("QOSCTRL_SIMD"),
-        &cpu_supports);
-    return &kernels_for(chosen);
-  }()};
+  static std::atomic<const KernelTable*> slot{&kernels_for(resolve_backend(
+      detect_best(), std::getenv("QOSCTRL_SIMD"), &cpu_supports))};
   return slot;
 }
 
@@ -95,23 +85,10 @@ Backend parse_backend(const char* s, Backend fallback) {
   return fallback;
 }
 
-bool env_flag_set(const char* value) {
-  if (value == nullptr) return false;
-  return !(value[0] == '\0' || ascii_iequals(value, "0") ||
-           ascii_iequals(value, "off") || ascii_iequals(value, "false"));
-}
-
-Backend resolve_backend(Backend detected, bool compiled_force_scalar,
-                        const char* force_scalar_env, const char* simd_env,
+Backend resolve_backend(Backend detected, const char* simd_env,
                         bool (*supported)(Backend)) {
-  if (compiled_force_scalar || env_flag_set(force_scalar_env)) {
-    return Backend::kScalar;
-  }
-  if (simd_env != nullptr) {
-    const Backend requested = parse_backend(simd_env, detected);
-    if (supported(requested)) return requested;
-  }
-  return detected;
+  const Backend requested = parse_backend(simd_env, detected);
+  return supported(requested) ? requested : detected;
 }
 
 bool backend_supported(Backend b) { return cpu_supports(b); }

@@ -12,15 +12,11 @@
 // (tests/media/simd_kernel_equivalence_test.cpp), so the backend in
 // use is unobservable except through speed.
 //
-// Selection order (first match wins):
-//  1. -DQOSCTRL_FORCE_SCALAR=ON at configure time compiles the
-//     dispatcher to answer scalar unconditionally;
-//  2. the QOSCTRL_FORCE_SCALAR environment variable (any value other
-//     than "", "0", "off", "false") forces scalar at startup;
-//  3. the QOSCTRL_SIMD environment variable ("scalar", "sse2",
-//     "avx2") requests a specific backend, honored when the CPU
-//     supports it;
-//  4. otherwise the best CPUID-supported backend is used.
+// Selection: the QOSCTRL_SIMD environment variable ("scalar", "sse2",
+// "avx2", "neon") requests a backend at startup, honored when the CPU
+// supports it; otherwise (unset, unknown or unsupported) the best
+// CPUID-supported backend is used.  `--version` prints the backend in
+// use, so an ignored request is visible.
 //
 // Tests switch backends in-process with set_backend_for_testing so one
 // binary can compare scalar, SSE2, and AVX2 results directly.
@@ -102,7 +98,7 @@ struct KernelTable {
 
   /// Sum of squared differences between two contiguous sample spans of
   /// `n` pixels, `n` a positive multiple of 16 — the PSNR accumulator
-  /// (quality::frame_sse feeds whole luma planes through one call).
+  /// (quality::frame_sse feeds whole planes through one call).
   /// Integer accumulation: the result is exact, so every backend
   /// returns the identical sum.
   std::int64_t (*sum_sq_diff)(const std::uint8_t* a, const std::uint8_t* b,
@@ -162,16 +158,10 @@ const char* backend_name(Backend b);
 /// anything else (including nullptr) yields `fallback`.
 Backend parse_backend(const char* s, Backend fallback);
 
-/// True for any value other than nullptr, "", "0", "off", "false"
-/// (case-insensitive) — the QOSCTRL_FORCE_SCALAR convention.
-bool env_flag_set(const char* value);
-
-/// Applies the override chain to the CPUID-detected backend:
-/// compiled force-scalar, then the QOSCTRL_FORCE_SCALAR env value,
-/// then the QOSCTRL_SIMD env request (honored only when supported —
-/// the caller's `supported` predicate decides).
-Backend resolve_backend(Backend detected, bool compiled_force_scalar,
-                        const char* force_scalar_env, const char* simd_env,
+/// Applies the QOSCTRL_SIMD request `simd_env` (nullptr when unset) to
+/// the CPUID-detected backend: honored only when supported (the
+/// caller's `supported` predicate decides), else `detected`.
+Backend resolve_backend(Backend detected, const char* simd_env,
                         bool (*supported)(Backend));
 
 }  // namespace qosctrl::media::simd

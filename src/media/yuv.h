@@ -5,10 +5,10 @@
 // (as is conventional) on luma; chroma is carried end to end through
 // motion compensation, transform coding, and the bitstream so the
 // encoder is a complete codec rather than a luma-only toy.
+// quality::psnr scores any plane, chroma included.
 #pragma once
 
 #include "media/frame.h"
-#include "media/plane.h"
 
 namespace qosctrl::media {
 
@@ -28,14 +28,5 @@ struct YuvFrame {
   int height() const { return y.height(); }
   bool empty() const { return y.empty(); }
 };
-
-/// Luma PSNR (the paper's metric).
-inline double psnr_y(const YuvFrame& a, const YuvFrame& b,
-                     double cap = 99.0) {
-  return psnr(a.y, b.y, cap);
-}
-
-/// Combined chroma PSNR over both planes (diagnostic).
-double psnr_chroma(const YuvFrame& a, const YuvFrame& b, double cap = 99.0);
 
 }  // namespace qosctrl::media

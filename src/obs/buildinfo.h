@@ -16,7 +16,7 @@ struct BuildInfo {
   /// Compiler identification (__VERSION__).
   const char* compiler;
   /// The SIMD backend the kernel dispatcher actually selected at
-  /// runtime — overrides (QOSCTRL_FORCE_SCALAR, env) included.
+  /// runtime — the QOSCTRL_SIMD override included.
   const char* simd_backend;
 };
 

@@ -374,9 +374,11 @@ bool parse_slo(const std::string& text, SloSpec* out, std::string* error) {
     } else {  // '%'
       char* end = nullptr;
       out->budget = std::strtod(seg.c_str(), &end);
-      // Written so that NaN fails too.
+      // Written so that NaN fails too.  The burn rates and the
+      // remaining budget divide by the budget, so its reciprocal must
+      // be finite: a denormal budget would report infinities.
       if (end != seg.c_str() + seg.size() || !(out->budget > 0.0) ||
-          out->budget > 1.0) {
+          out->budget > 1.0 || !std::isfinite(1.0 / out->budget)) {
         return fail("bad budget '" + seg + "' (want a fraction in (0, 1])");
       }
     }

@@ -1,5 +1,8 @@
 #include "quality/distortion.h"
 
+#include <algorithm>
+#include <cmath>
+
 #include "media/simd/kernels.h"
 #include "util/check.h"
 
@@ -54,12 +57,26 @@ double mean_ssim_of(const BlockScan& s) {
 
 }  // namespace
 
-std::int64_t frame_sse(const media::Frame& a, const media::Frame& b) {
-  return media::frame_sse_i64(a, b);
+std::int64_t frame_sse(const media::Plane& a, const media::Plane& b) {
+  QC_EXPECT(a.width() == b.width() && a.height() == b.height(),
+            "planes must have equal dimensions");
+  // Planes are contiguous row-major buffers whose sides are multiples
+  // of 8, so the whole plane is one kernel call.
+  return media::simd::active_kernels().sum_sq_diff(
+      a.data().data(), b.data().data(), a.data().size());
 }
 
-double psnr(const media::Frame& a, const media::Frame& b, double cap) {
-  return media::psnr(a, b, cap);
+double psnr_from_sse(std::int64_t sse, std::int64_t pixels, double cap) {
+  QC_EXPECT(pixels > 0, "PSNR needs a non-empty frame");
+  if (sse <= 0) return cap;
+  const double mse =
+      static_cast<double>(sse) / static_cast<double>(pixels);
+  return std::min(cap, 10.0 * std::log10(255.0 * 255.0 / mse));
+}
+
+double psnr(const media::Plane& a, const media::Plane& b, double cap) {
+  return psnr_from_sse(frame_sse(a, b),
+                       static_cast<std::int64_t>(a.data().size()), cap);
 }
 
 std::int64_t ssim_block_fp(const std::int64_t stats[5]) {
@@ -95,7 +112,7 @@ FrameDistortion measure(const media::Frame& a, const media::Frame& b,
                         double psnr_cap) {
   const BlockScan s = scan_blocks(a, b);
   FrameDistortion d;
-  d.psnr = media::psnr_from_sse(
+  d.psnr = psnr_from_sse(
       s.sse, static_cast<std::int64_t>(a.width()) * a.height(), psnr_cap);
   d.ssim = mean_ssim_of(s);
   return d;

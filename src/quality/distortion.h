@@ -32,15 +32,22 @@ namespace qosctrl::quality {
 /// Fractional bits of the fixed-point per-block SSIM scores.
 inline constexpr int kSsimFpBits = 20;
 
-/// Integer sum of squared errors over two equal-geometry luma frames
-/// (SIMD-dispatched; exact, so bit-identical across backends).
-std::int64_t frame_sse(const media::Frame& a, const media::Frame& b);
+/// Integer sum of squared errors over two equal-geometry planes, luma
+/// or chroma: one call of the dispatched sum_sq_diff kernel, exact, so
+/// bit-identical across backends.
+std::int64_t frame_sse(const media::Plane& a, const media::Plane& b);
 
-/// Luma PSNR via the dispatched SSE kernel — a delegation to
-/// media::psnr, which owns the single copy of the dB formula
-/// (media::psnr_from_sse), so encoded-frame and skipped-frame scores
-/// can never drift apart.
-double psnr(const media::Frame& a, const media::Frame& b, double cap = 99.0);
+/// PSNR in dB from an integer sum of squared errors over `pixels`
+/// 8-bit samples; `cap` bounds the value for identical inputs
+/// (sse == 0).  The single home of the dB formula: psnr() and
+/// measure() both route through it, so encoded-frame and
+/// skipped-frame scores can never drift apart.
+double psnr_from_sse(std::int64_t sse, std::int64_t pixels,
+                     double cap = 99.0);
+
+/// PSNR of two equal-geometry planes from frame_sse; identical planes
+/// yield `cap` (default 99 dB) rather than infinity.
+double psnr(const media::Plane& a, const media::Plane& b, double cap = 99.0);
 
 /// Fixed-point SSIM score of one 8x8 block pair from its raw moments
 /// {sum a, sum b, sum a*a, sum b*b, sum a*b}, in [-1, 1] scaled by

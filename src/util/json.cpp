@@ -124,6 +124,9 @@ JsonWriter& JsonWriter::raw_integer(long long v) {
 }
 
 JsonWriter& JsonWriter::raw_number(double v) {
+  // std::to_chars would write "inf" or "nan", which no JSON reader
+  // (util::parse_json included) accepts.
+  QC_EXPECT(std::isfinite(v), "JSON numbers must be finite");
   constexpr std::size_t kMaxChars = 24;  // "-2.2250738585072014e-308"
   char* at = room(kMaxChars);
   len_ = static_cast<std::size_t>(

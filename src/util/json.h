@@ -23,7 +23,7 @@ namespace qosctrl::util {
 /// Append-only text builder for the JSON reports (and, through its raw
 /// appends, the CSV report).  Integers and doubles are written with
 /// std::to_chars; a double prints as printf's "%.17g" would, which
-/// round-trips.  String values are escaped per RFC 8259: the quote,
+/// round-trips, and must be finite (checked: JSON has no infinities).  String values are escaped per RFC 8259: the quote,
 /// the backslash and every control character (as \u00XX).  The structural
 /// calls insert the separating commas themselves, so an object's
 /// members or an array's items are written one after another.

@@ -9,6 +9,7 @@
 #include "encoder/system_builder.h"
 #include "media/simd/kernels.h"
 #include "media/synthetic_video.h"
+#include "quality/distortion.h"
 
 namespace qosctrl::enc {
 namespace {
@@ -120,7 +121,7 @@ TEST(FrameEncoder, ReconstructionTracksInput) {
   const media::YuvFrame input = video.frame_yuv(0);
   const FrameStats stats = encoder.encode_frame(input, ctl, *es.system, 6);
   EXPECT_DOUBLE_EQ(stats.psnr,
-                   media::psnr(input.y, encoder.reconstructed().y));
+                   quality::psnr(input.y, encoder.reconstructed().y));
   EXPECT_GT(stats.psnr, 25.0);
 }
 

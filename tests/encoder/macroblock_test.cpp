@@ -1,0 +1,238 @@
+// The macroblock codec on its own: header put/get round trips and
+// rejections, and the decoder's prediction of inter vectors beyond the
+// reference pad, which the encoder never writes (its search window
+// fits the pad), checked against the border-clamped compensation.
+#include "encoder/macroblock.h"
+
+#include <gtest/gtest.h>
+
+#include <vector>
+
+#include "encoder/decoder.h"
+#include "media/entropy.h"
+#include "media/motion.h"
+#include "media/quant.h"
+#include "util/rng.h"
+
+namespace qosctrl::enc {
+namespace {
+
+/// Sparse random levels within the decoder's level bound.
+MbLevels random_levels(util::Rng& rng) {
+  MbLevels levels{};
+  for (media::Coeffs8& block : levels) {
+    for (std::int32_t& level : block) {
+      if (rng.uniform_i64(0, 5) == 0) {
+        level = static_cast<std::int32_t>(
+            rng.uniform_i64(-media::kMaxLevel, media::kMaxLevel));
+      }
+    }
+  }
+  return levels;
+}
+
+void fill_random(util::Rng& rng, media::Plane& plane) {
+  for (media::Sample& s : plane.data()) {
+    s = static_cast<media::Sample>(rng.uniform_i64(0, 255));
+  }
+}
+
+/// Parses one macroblock from what put_macroblock wrote, requiring the
+/// parse to consume exactly the written bits.
+bool round_trip(const MbHeader& header, const MbLevels& levels,
+                MbHeader* got_header, MbLevels* got_levels) {
+  util::BitWriter bw;
+  put_macroblock(bw, header, levels);
+  const std::int64_t bits = bw.bit_count();
+  const std::vector<std::uint8_t> bytes = bw.finish();
+  util::BitReader br(bytes);
+  const bool ok = get_macroblock(br, got_header, got_levels);
+  if (ok) {
+    EXPECT_EQ(br.bits_left(),
+              static_cast<std::int64_t>(bytes.size()) * 8 - bits);
+  }
+  return ok;
+}
+
+TEST(MacroblockCodec, FrameHeaderRoundTrips) {
+  for (const FrameHeader h : {FrameHeader{1, 1, media::kMinQp},
+                              FrameHeader{11, 9, 2},
+                              FrameHeader{kMaxMbPerSide, 3, media::kMaxQp}}) {
+    util::BitWriter bw;
+    put_frame_header(bw, h);
+    // Room for the macroblocks the geometry promises.
+    for (int mb = 0; mb < h.mb_cols * h.mb_rows; ++mb) {
+      bw.put_bits(0, kMinMacroblockBits);
+    }
+    const std::vector<std::uint8_t> bytes = bw.finish();
+    util::BitReader br(bytes);
+    FrameHeader got;
+    ASSERT_TRUE(get_frame_header(br, &got)) << h.mb_cols << "x" << h.mb_rows;
+    EXPECT_EQ(got.mb_cols, h.mb_cols);
+    EXPECT_EQ(got.mb_rows, h.mb_rows);
+    EXPECT_EQ(got.qp, h.qp);
+  }
+}
+
+TEST(MacroblockCodec, FrameHeaderRejectsOutOfRangeFields) {
+  const auto parses = [](std::uint32_t cols, std::uint32_t rows,
+                         std::uint32_t qp) {
+    util::BitWriter bw;
+    media::put_ue(bw, cols);
+    media::put_ue(bw, rows);
+    media::put_ue(bw, qp);
+    bw.put_bits(0, 64);  // enough for a few macroblocks
+    const std::vector<std::uint8_t> bytes = bw.finish();
+    util::BitReader br(bytes);
+    FrameHeader h;
+    return get_frame_header(br, &h);
+  };
+  EXPECT_TRUE(parses(2, 3, 8));
+  EXPECT_FALSE(parses(0, 3, 8));
+  EXPECT_FALSE(parses(2, 0, 8));
+  EXPECT_FALSE(parses(kMaxMbPerSide + 1, 1, 8));
+  EXPECT_FALSE(parses(1, kMaxMbPerSide + 1, 8));
+  EXPECT_FALSE(parses(UINT32_MAX - 1, 1, 8));
+  EXPECT_FALSE(parses(2, 3, media::kMinQp - 1));
+  EXPECT_FALSE(parses(2, 3, media::kMaxQp + 1));
+  // 64 bits of macroblocks hold at most seven at 9 bits each.
+  EXPECT_TRUE(parses(7, 1, 8));
+  EXPECT_FALSE(parses(8, 1, 8));
+}
+
+TEST(MacroblockCodec, IntraHeadersRoundTripInEveryMode) {
+  util::Rng rng(5);
+  for (const media::IntraMode mode :
+       {media::IntraMode::kDc, media::IntraMode::kHorizontal,
+        media::IntraMode::kVertical}) {
+    const MbHeader header{true, mode, 0, 0};
+    const MbLevels levels = random_levels(rng);
+    MbHeader got;
+    MbLevels got_levels;
+    ASSERT_TRUE(round_trip(header, levels, &got, &got_levels));
+    EXPECT_TRUE(got.intra);
+    EXPECT_EQ(got.mode, mode);
+    EXPECT_EQ(got_levels, levels);
+  }
+}
+
+TEST(MacroblockCodec, InterHeadersRoundTripOverTheVectorRange) {
+  util::Rng rng(6);
+  for (int dy2 = -kMaxVectorHalfPel; dy2 <= kMaxVectorHalfPel; dy2 += 17) {
+    for (int dx2 = -kMaxVectorHalfPel; dx2 <= kMaxVectorHalfPel; dx2 += 15) {
+      const MbHeader header{false, media::IntraMode::kDc, dx2, dy2};
+      const MbLevels levels = random_levels(rng);
+      MbHeader got;
+      MbLevels got_levels;
+      ASSERT_TRUE(round_trip(header, levels, &got, &got_levels))
+          << dx2 << "," << dy2;
+      EXPECT_FALSE(got.intra);
+      EXPECT_EQ(got.dx2, dx2);
+      EXPECT_EQ(got.dy2, dy2);
+      EXPECT_EQ(got_levels, levels);
+    }
+  }
+  // The ends of the range, where the sweep's step does not land.
+  for (const int v : {-kMaxVectorHalfPel, kMaxVectorHalfPel}) {
+    MbHeader got;
+    MbLevels got_levels;
+    EXPECT_TRUE(round_trip(MbHeader{false, media::IntraMode::kDc, v, -v},
+                           MbLevels{}, &got, &got_levels));
+    EXPECT_EQ(got.dx2, v);
+    EXPECT_EQ(got.dy2, -v);
+  }
+}
+
+TEST(MacroblockCodec, RejectsIntraModeThreeAndVectorsPastTheRange) {
+  util::BitWriter mode3;
+  mode3.put_bit(true);
+  mode3.put_bits(3, 2);
+  mode3.put_bits(0, 6);
+  const std::vector<std::uint8_t> bytes = mode3.finish();
+  util::BitReader br(bytes);
+  MbHeader header;
+  MbLevels levels;
+  EXPECT_FALSE(get_macroblock(br, &header, &levels));
+
+  for (const auto& [dx2, dy2] :
+       {std::pair{kMaxVectorHalfPel + 1, 0}, std::pair{0, kMaxVectorHalfPel + 1},
+        std::pair{-kMaxVectorHalfPel - 1, 0},
+        std::pair{0, -kMaxVectorHalfPel - 1}}) {
+    MbHeader got;
+    EXPECT_FALSE(round_trip(MbHeader{false, media::IntraMode::kDc, dx2, dy2},
+                            MbLevels{}, &got, &levels))
+        << dx2 << "," << dy2;
+  }
+}
+
+/// One frame of inter macroblocks with zero residual, each carrying
+/// the vector `vectors[mb % size]`.
+std::vector<std::uint8_t> inter_frame(
+    int mb_cols, int mb_rows, const std::vector<std::pair<int, int>>& vectors) {
+  util::BitWriter bw;
+  put_frame_header(bw, {mb_cols, mb_rows, 8});
+  for (int mb = 0; mb < mb_cols * mb_rows; ++mb) {
+    const auto [dx2, dy2] = vectors[static_cast<std::size_t>(mb) % vectors.size()];
+    put_macroblock(bw, {false, media::IntraMode::kDc, dx2, dy2}, MbLevels{});
+  }
+  return bw.finish();
+}
+
+TEST(MacroblockCodec, DecodesVectorsBeyondThePadThroughTheClampedPath) {
+  constexpr int kCols = 4;
+  constexpr int kRows = 3;
+  util::Rng rng(21);
+  media::YuvFrame reference(kCols * 16, kRows * 16);
+  fill_random(rng, reference.y);
+  fill_random(rng, reference.cb);
+  fill_random(rng, reference.cr);
+
+  // Full- and half-pel vectors out to the range's ends (64 pixels,
+  // four times the pad), mixed with ones inside the pad.
+  const std::vector<std::pair<int, int>> vectors = {
+      {128, 128}, {-128, -128}, {128, -128}, {-128, 128}, {127, -1},
+      {-127, 33}, {0, 128},     {-128, 0},   {3, -5},     {-40, 101},
+      {128, 0},   {1, -127}};
+  const DecodeResult d = decode_frame(inter_frame(kCols, kRows, vectors),
+                                      &reference);
+  ASSERT_TRUE(d.ok);
+  EXPECT_EQ(d.intra_macroblocks, 0);
+  for (int mb = 0; mb < kCols * kRows; ++mb) {
+    const auto [dx2, dy2] = vectors[static_cast<std::size_t>(mb)];
+    const int x0 = (mb % kCols) * 16;
+    const int y0 = (mb / kCols) * 16;
+    const std::array<media::Sample, 256> luma =
+        media::motion_compensate_halfpel(reference.y, x0, y0, dx2, dy2);
+    for (int y = 0; y < 16; ++y) {
+      for (int x = 0; x < 16; ++x) {
+        ASSERT_EQ(d.frame.y.at(x0 + x, y0 + y),
+                  luma[static_cast<std::size_t>(y * 16 + x)])
+            << "mb " << mb << " vector " << dx2 << "," << dy2;
+      }
+    }
+    for (int c = 0; c < 2; ++c) {
+      const media::Plane& ref = c == 0 ? reference.cb : reference.cr;
+      const media::Plane& got = c == 0 ? d.frame.cb : d.frame.cr;
+      const std::array<media::Sample, 64> chroma =
+          media::chroma_motion_compensate(ref, x0 / 2, y0 / 2, dx2, dy2);
+      for (int y = 0; y < 8; ++y) {
+        for (int x = 0; x < 8; ++x) {
+          ASSERT_EQ(got.at(x0 / 2 + x, y0 / 2 + y),
+                    chroma[static_cast<std::size_t>(y * 8 + x)])
+              << "mb " << mb << " plane " << c;
+        }
+      }
+    }
+  }
+
+  // One component past the range fails the whole frame.
+  for (const auto& v : {std::pair{129, 0}, std::pair{0, -129}}) {
+    std::vector<std::pair<int, int>> bad = vectors;
+    bad[5] = v;
+    EXPECT_FALSE(decode_frame(inter_frame(kCols, kRows, bad), &reference).ok)
+        << v.first << "," << v.second;
+  }
+}
+
+}  // namespace
+}  // namespace qosctrl::enc

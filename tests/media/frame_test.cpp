@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
-
 namespace qosctrl::media {
 namespace {
 
@@ -45,6 +43,19 @@ TEST(Frame, MbOriginRasterOrder) {
 TEST(FrameDeath, RejectsNonMacroblockDimensions) {
   EXPECT_DEATH(Frame(17, 16), "multiples");
   EXPECT_DEATH(Frame(16, 20), "multiples");
+  EXPECT_DEATH(Frame(24, 16), "multiples");  // a valid plane, not a frame
+}
+
+TEST(Frame, IsAPlane) {
+  // One pixel type: a frame's accessors are the plane's, so a frame
+  // binds wherever a plane is taken.
+  Frame f(32, 16, 9);
+  f.set(31, 15, 4);
+  const Plane& p = f;
+  EXPECT_EQ(p.width(), 32);
+  EXPECT_EQ(p.at(31, 15), 4);
+  EXPECT_EQ(p.row(15), f.row(15));
+  EXPECT_EQ(p.data().size(), 32u * 16u);
 }
 
 TEST(Macroblock, ReadCopiesTheBlockInRasterOrder) {
@@ -61,28 +72,6 @@ TEST(Macroblock, ReadCopiesTheBlockInRasterOrder) {
                 f.at(16 + x, 16 + y));
     }
   }
-}
-
-TEST(Psnr, IdenticalFramesHitTheCap) {
-  Frame a(16, 16, 100), b(16, 16, 100);
-  EXPECT_DOUBLE_EQ(psnr(a, b), 99.0);
-  EXPECT_DOUBLE_EQ(psnr(a, b, 60.0), 60.0);
-}
-
-TEST(Psnr, KnownValue) {
-  Frame a(16, 16, 100), b(16, 16, 110);  // MSE = 100
-  EXPECT_NEAR(psnr(a, b), 10.0 * std::log10(255.0 * 255.0 / 100.0), 1e-9);
-}
-
-TEST(Psnr, MonotoneInError) {
-  Frame a(16, 16, 100);
-  Frame small_err(16, 16, 102), big_err(16, 16, 140);
-  EXPECT_GT(psnr(a, small_err), psnr(a, big_err));
-}
-
-TEST(FrameSse, CountsAllPixels) {
-  Frame a(16, 16, 0), b(16, 16, 1);
-  EXPECT_DOUBLE_EQ(frame_sse(a, b), 256.0);
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 #include "media/motion.h"
 #include "media/synthetic_video.h"
 #include "media/yuv.h"
+#include "quality/distortion.h"
 #include "util/rng.h"
 
 namespace qosctrl::media {
@@ -125,7 +126,7 @@ TEST(ChromaDcPrediction, NoNeighborsIsMidGray) {
 
 TEST(PlaneSse, CountsSquaredError) {
   Plane a(8, 8, 10), b(8, 8, 13);
-  EXPECT_DOUBLE_EQ(plane_sse(a, b), 64.0 * 9.0);
+  EXPECT_EQ(quality::frame_sse(a, b), 64 * 9);
 }
 
 TEST(YuvFrame, GeometryIs420) {
@@ -135,15 +136,19 @@ TEST(YuvFrame, GeometryIs420) {
   EXPECT_EQ(f.cr.height(), 24);
 }
 
-TEST(YuvFrame, PsnrHelpers) {
+TEST(YuvFrame, PsnrScoresEveryPlane) {
   YuvFrame a(32, 32), b(32, 32);
-  EXPECT_DOUBLE_EQ(psnr_y(a, b), 99.0);
-  EXPECT_DOUBLE_EQ(psnr_chroma(a, b), 99.0);
-  for (int y = 0; y < 16; ++y) {
+  EXPECT_DOUBLE_EQ(quality::psnr(a.y, b.y), 99.0);
+  EXPECT_DOUBLE_EQ(quality::psnr(a.cb, b.cb), 99.0);
+  for (int y = 0; y < 8; ++y) {
     for (int x = 0; x < 16; ++x) b.cb.set(x, y, 138);
   }
-  EXPECT_LT(psnr_chroma(a, b), 99.0);
-  EXPECT_DOUBLE_EQ(psnr_y(a, b), 99.0);
+  // Half of the 16x16 plane is off by 10: MSE 50.
+  EXPECT_DOUBLE_EQ(quality::psnr(a.cb, b.cb),
+                   quality::psnr_from_sse(128 * 100, 256));
+  EXPECT_LT(quality::psnr(a.cb, b.cb), 99.0);
+  EXPECT_DOUBLE_EQ(quality::psnr(a.cr, b.cr), 99.0);
+  EXPECT_DOUBLE_EQ(quality::psnr(a.y, b.y), 99.0);
 }
 
 TEST(SyntheticVideo, ChromaPansWithLuma) {
@@ -193,9 +198,9 @@ TEST(SyntheticVideo, SceneCutChangesColorCast) {
   const auto starts = v.scene_starts();
   const YuvFrame before = v.frame_yuv(starts[1] - 1);
   const YuvFrame after = v.frame_yuv(starts[1]);
-  const double across = plane_sse(before.cb, after.cb);
+  const std::int64_t across = quality::frame_sse(before.cb, after.cb);
   const YuvFrame next = v.frame_yuv(starts[1] + 1);
-  const double within = plane_sse(after.cb, next.cb);
+  const std::int64_t within = quality::frame_sse(after.cb, next.cb);
   EXPECT_GT(across, within);
 }
 

@@ -1,5 +1,5 @@
 // The dispatch layer itself: backend name/parse round-trips, the
-// QOSCTRL_FORCE_SCALAR / QOSCTRL_SIMD resolution chain, CPUID-derived
+// QOSCTRL_SIMD resolution, CPUID-derived
 // support monotonicity, and the in-process test override.
 #include <gtest/gtest.h>
 
@@ -25,44 +25,19 @@ TEST(SimdDispatch, BackendNamesParseRoundTrip) {
   EXPECT_EQ(parse_backend(nullptr, Backend::kScalar), Backend::kScalar);
 }
 
-TEST(SimdDispatch, EnvFlagConvention) {
-  EXPECT_FALSE(env_flag_set(nullptr));
-  EXPECT_FALSE(env_flag_set(""));
-  EXPECT_FALSE(env_flag_set("0"));
-  EXPECT_FALSE(env_flag_set("off"));
-  EXPECT_FALSE(env_flag_set("OFF"));
-  EXPECT_FALSE(env_flag_set("false"));
-  EXPECT_TRUE(env_flag_set("1"));
-  EXPECT_TRUE(env_flag_set("on"));
-  EXPECT_TRUE(env_flag_set("yes"));
-}
-
-TEST(SimdDispatch, ForceScalarWinsOverEverything) {
-  EXPECT_EQ(resolve_backend(Backend::kAvx2, /*compiled=*/true, nullptr,
-                            "avx2", &all_supported),
-            Backend::kScalar);
-  EXPECT_EQ(resolve_backend(Backend::kAvx2, /*compiled=*/false, "1", "avx2",
-                            &all_supported),
-            Backend::kScalar);
-  EXPECT_EQ(resolve_backend(Backend::kAvx2, /*compiled=*/false, "0", nullptr,
-                            &all_supported),
-            Backend::kAvx2);
-}
-
 TEST(SimdDispatch, SimdEnvRequestHonoredOnlyWhenSupported) {
-  EXPECT_EQ(resolve_backend(Backend::kAvx2, false, nullptr, "sse2",
-                            &all_supported),
+  EXPECT_EQ(resolve_backend(Backend::kAvx2, "sse2", &all_supported),
             Backend::kSse2);
-  EXPECT_EQ(resolve_backend(Backend::kAvx2, false, nullptr, "scalar",
-                            &all_supported),
+  EXPECT_EQ(resolve_backend(Backend::kAvx2, "scalar", &all_supported),
             Backend::kScalar);
+  // Unset keeps the detected backend.
+  EXPECT_EQ(resolve_backend(Backend::kAvx2, nullptr, &all_supported),
+            Backend::kAvx2);
   // An unsupported request falls back to the detected backend.
-  EXPECT_EQ(resolve_backend(Backend::kScalar, false, nullptr, "avx2",
-                            &scalar_only),
+  EXPECT_EQ(resolve_backend(Backend::kScalar, "avx2", &scalar_only),
             Backend::kScalar);
   // Garbage parses to the detected backend and stays there.
-  EXPECT_EQ(resolve_backend(Backend::kSse2, false, nullptr, "avx512",
-                            &all_supported),
+  EXPECT_EQ(resolve_backend(Backend::kSse2, "avx512", &all_supported),
             Backend::kSse2);
 }
 

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "media/motion.h"
+#include "quality/distortion.h"
 
 namespace qosctrl::media {
 namespace {
@@ -75,9 +76,9 @@ TEST(SyntheticVideo, UnevenSceneSplitSpreadsRemainder) {
 TEST(SyntheticVideo, CutChangesContentMoreThanContinuation) {
   const SyntheticVideo v(small_config());
   // Within-scene consecutive frames are closer than frames across a cut.
-  const double within = frame_sse(v.frame(10), v.frame(11));
-  const double across = frame_sse(v.frame(29), v.frame(30));
-  EXPECT_GT(across, 2.0 * within);
+  const std::int64_t within = quality::frame_sse(v.frame(10), v.frame(11));
+  const std::int64_t across = quality::frame_sse(v.frame(29), v.frame(30));
+  EXPECT_GT(across, 2 * within);
 }
 
 TEST(SyntheticVideo, ConsecutiveFramesAreTrackableWithinAScene) {

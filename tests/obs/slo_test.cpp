@@ -120,6 +120,16 @@ TEST(SloParseTest, RejectsNonFiniteValuesAndWhitespace) {
             std::string::npos);
 }
 
+// The burn rates and the remaining budget divide by the budget, so a
+// budget whose reciprocal overflows would print infinities into the
+// JSON and CSV reports.
+TEST(SloParseTest, RejectsBudgetsWhoseReciprocalOverflows) {
+  EXPECT_NE(parse_error("miss_rate<0%4.9e-324"), "");
+  EXPECT_NE(parse_error("miss_rate<0%1e-310"), "");
+  const SloSpec tiny = parse_ok("miss_rate<0%1e-300");
+  EXPECT_EQ(tiny.budget, 1e-300);
+}
+
 /// A series whose fleet latency track holds ten samples of `good`
 /// cycles per window over [0, n), except ten of `bad` in the listed
 /// windows — enough samples that a fully-bad window dominates a merged

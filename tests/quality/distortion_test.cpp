@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <vector>
 
@@ -122,16 +123,47 @@ TEST(Distortion, IdenticalFramesScorePerfect) {
   EXPECT_DOUBLE_EQ(d.ssim, 1.0);
 }
 
-TEST(Distortion, PsnrMatchesTheLegacyMediaPsnrExactly) {
-  // media::psnr's double accumulation of 8-bit squared differences is
-  // exact, so routing it through the integer kernel must not move a
-  // single bit.
+TEST(Distortion, PsnrMatchesTheBlockScanExactly) {
+  // measure() takes its SSE from the SSIM block moments, psnr() from
+  // the sum_sq_diff kernel; both feed psnr_from_sse, so the two routes
+  // must agree to the bit.
   const media::SyntheticVideo video = golden_video();
   for (int f = 1; f < 8; ++f) {
     const media::Frame a = video.frame(0);
     const media::Frame b = video.frame(f);
-    EXPECT_EQ(quality::psnr(a, b), media::psnr(a, b)) << "frame " << f;
+    EXPECT_EQ(psnr(a, b), measure(a, b).psnr) << "frame " << f;
   }
+}
+
+TEST(Psnr, IdenticalPlanesHitTheCap) {
+  const media::Frame a(16, 16, 100), b(16, 16, 100);
+  EXPECT_DOUBLE_EQ(psnr(a, b), 99.0);
+  EXPECT_DOUBLE_EQ(psnr(a, b, 60.0), 60.0);
+}
+
+TEST(Psnr, KnownValue) {
+  const media::Frame a(16, 16, 100), b(16, 16, 110);  // MSE = 100
+  EXPECT_NEAR(psnr(a, b), 10.0 * std::log10(255.0 * 255.0 / 100.0), 1e-9);
+  EXPECT_EQ(psnr(a, b), psnr_from_sse(256 * 100, 256));
+}
+
+TEST(Psnr, MonotoneInError) {
+  const media::Frame a(16, 16, 100);
+  const media::Frame small_err(16, 16, 102), big_err(16, 16, 140);
+  EXPECT_GT(psnr(a, small_err), psnr(a, big_err));
+}
+
+TEST(FrameSse, CountsEveryPixelOfAnyPlane) {
+  const media::Frame a(16, 16, 0), b(16, 16, 1);
+  EXPECT_EQ(frame_sse(a, b), 256);
+  // A chroma-sized plane (8-pixel tiling) through the same kernel.
+  const media::Plane c(24, 8, 10), d(24, 8, 13);
+  EXPECT_EQ(frame_sse(c, d), 24 * 8 * 9);
+}
+
+TEST(FrameSseDeath, RejectsUnequalGeometry) {
+  const media::Plane a(16, 8), b(8, 16);
+  EXPECT_DEATH(frame_sse(a, b), "equal dimensions");
 }
 
 TEST(Distortion, SsimDegradesMonotonicallyWithNoise) {

@@ -43,23 +43,35 @@ JsonValue parse_ok(const std::string& text) {
 }
 
 TEST(JsonWriterTest, DoublesPrintAsPrintfG17) {
-  const double inf = std::numeric_limits<double>::infinity();
   for (const double v :
        {0.0, -0.0, 1.0, -1.0, 0.1, 0.5, 36.123456789, 1e16, 1e17, 1e-5,
         1e-300, 5e-324, std::numeric_limits<double>::max(),
-        123456789012345678.0, inf, -inf,
-        std::numeric_limits<double>::quiet_NaN()}) {
+        -std::numeric_limits<double>::max(), 123456789012345678.0}) {
     JsonWriter w;
     w.raw_number(v);
     EXPECT_EQ(w.take(), printf_g17(v)) << v;
   }
   Rng rng(17);
   for (int i = 0; i < 20000; ++i) {
-    const double v = std::bit_cast<double>(rng.next_u64());  // any class
+    const double v = random_finite_double(rng);
     JsonWriter w;
     w.raw_number(v);
     ASSERT_EQ(w.take(), printf_g17(v)) << std::bit_cast<std::uint64_t>(v);
   }
+}
+
+// std::to_chars would print "inf" and "nan", which util::parse_json
+// (and every JSON reader) rejects, so every number entry point aborts
+// on them instead.
+TEST(JsonWriterDeathTest, RejectsNonFiniteNumbers) {
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_DEATH(JsonWriter().number(inf), "finite");
+  EXPECT_DEATH(JsonWriter().raw_number(-inf), "finite");
+  EXPECT_DEATH(JsonWriter().integral_or_number(-inf), "finite");
+  EXPECT_DEATH(
+      JsonWriter().raw_integral_or_number(
+          std::numeric_limits<double>::quiet_NaN()),
+      "finite");
 }
 
 TEST(JsonWriterTest, IntegersPrintAsPrintf) {
@@ -90,9 +102,7 @@ TEST(JsonWriterTest, IntegralOrNumberChecksTheRangeBeforeCasting) {
       {0x1p63, "9.2233720368547758e+18"},
       {1e30, "1e+30"},
       {-1e300, "-1.0000000000000001e+300"},
-      {std::numeric_limits<double>::infinity(), "inf"},
-      {std::numeric_limits<double>::quiet_NaN(), "nan"},
-  };
+  };  // infinities and NaN abort (RejectsNonFiniteNumbers)
   for (const auto& [v, text] : cases) {
     JsonWriter w;
     w.raw_integral_or_number(v);
