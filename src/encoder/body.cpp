@@ -61,12 +61,4 @@ rt::PrecedenceGraph make_body_graph() {
   return g;
 }
 
-UnrolledAction decode_unrolled(rt::ActionId unrolled_id) {
-  QC_EXPECT(unrolled_id >= 0, "invalid unrolled action id");
-  UnrolledAction out;
-  out.macroblock = unrolled_id / kNumBodyActions;
-  out.action = static_cast<BodyAction>(unrolled_id % kNumBodyActions);
-  return out;
-}
-
 }  // namespace qosctrl::enc

@@ -17,6 +17,7 @@
 #pragma once
 
 #include "rt/precedence_graph.h"
+#include "util/check.h"
 
 namespace qosctrl::enc {
 
@@ -90,6 +91,10 @@ struct UnrolledAction {
   int macroblock = 0;
   BodyAction action = BodyAction::kGrabMacroBlock;
 };
-UnrolledAction decode_unrolled(rt::ActionId unrolled_id);
+inline UnrolledAction decode_unrolled(rt::ActionId unrolled_id) {
+  QC_EXPECT(unrolled_id >= 0, "invalid unrolled action id");
+  return {unrolled_id / kNumBodyActions,
+          static_cast<BodyAction>(unrolled_id % kNumBodyActions)};
+}
 
 }  // namespace qosctrl::enc

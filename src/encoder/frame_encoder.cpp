@@ -5,6 +5,7 @@
 #include "media/dct.h"
 #include "media/intra.h"
 #include "media/quant.h"
+#include "qos/runner.h"
 #include "quality/distortion.h"
 #include "util/check.h"
 
@@ -19,6 +20,22 @@ std::size_t quality_index_of(const rt::ParameterizedSystem& sys,
   }
   QC_EXPECT(false, "controller chose a quality level outside Q");
 }
+
+/// Intra mode wins when intra_sad + kIntraBias < inter_sad.
+constexpr std::int64_t kIntraBias = 512;
+/// Early-exit SAD threshold for motion search: kMeEarlyExitSad + 256 *
+/// kMeEarlyExitQpGain * QP.  The QP term accounts for quantization error
+/// in the reconstructed reference: even a perfect motion match carries
+/// roughly QP/2 of residual per pixel.
+constexpr std::int64_t kMeEarlyExitSad = 512;
+constexpr double kMeEarlyExitQpGain = 0.5;
+/// Share of its window a typical motion search probes; a search that
+/// probes this share costs the table average (EncoderConfig::me_work_*).
+constexpr double kTypicalPointFraction = 0.5;
+/// Quality levels at or above this index refine motion to half-pel
+/// accuracy (bilinear).  The top levels' extra accuracy is part of what
+/// their higher Motion_Estimate cost in Figure 5 buys.
+constexpr int kHalfPelMinLevel = 6;
 
 constexpr int kMb = media::kMacroBlockSize;
 constexpr int kTb = media::kTransformSize;
@@ -73,7 +90,6 @@ FrameStats FrameEncoder::encode_frame(const media::YuvFrame& input,
     // every SAD and motion-compensation call of the frame.
     padded_reference_.update_from(reference_.y);
   }
-  controller.start_cycle();
 
   frame_writer_ = util::BitWriter();
   put_frame_header(frame_writer_,
@@ -81,7 +97,6 @@ FrameStats FrameEncoder::encode_frame(const media::YuvFrame& input,
 
   FrameStats stats;
   stats.qp = qp;
-  rt::Cycles t = t0;
   MbContext ctx{};
   double quality_sum = 0.0;
   int quality_count = 0;
@@ -89,37 +104,36 @@ FrameStats FrameEncoder::encode_frame(const media::YuvFrame& input,
   stats.min_quality = sys.qmax();
   stats.max_quality = sys.qmin();
 
-  while (!controller.done()) {
-    const qos::Decision d = controller.next(t);
-    const UnrolledAction ua = decode_unrolled(d.action);
-    const std::size_t qi = quality_index_of(sys, d.quality);
-
-    const double work = run_action(ua, qi, qp, input, ctx);
-    const rt::Cycles cost = cost_model_.sample(id(ua.action), qi, work);
-    controller.observe(cost);
-    t += cost;
-    stats.encode_cycles += cost;
-    stats.phase_cycles[static_cast<std::size_t>(phase_of(ua.action))] += cost;
-
-    const rt::Cycles deadline = sys.deadline(d.quality, d.action);
-    if (!rt::is_no_deadline(deadline) && t > deadline) {
-      ++stats.deadline_misses;
-    }
-    if (ua.action == BodyAction::kMotionEstimate) {
-      if (quality_count > 0) {
-        stats.quality_change_sum +=
-            std::abs(d.quality - last_me_quality);
-      }
-      last_me_quality = d.quality;
-      quality_sum += static_cast<double>(d.quality);
-      ++quality_count;
-      stats.min_quality = std::min(stats.min_quality, d.quality);
-      stats.max_quality = std::max(stats.max_quality, d.quality);
-    }
-    if (ua.action == BodyAction::kReconstruct && ctx.header.intra) {
-      ++stats.intra_macroblocks;
-    }
-  }
+  const qos::CycleTotals totals = qos::run_cycle(
+      sys, controller,
+      [&](rt::ActionId action, rt::QualityLevel quality) {
+        const UnrolledAction ua = decode_unrolled(action);
+        const std::size_t qi = quality_index_of(sys, quality);
+        const double work = run_action(ua, qi, qp, input, ctx);
+        return cost_model_.sample(id(ua.action), qi, work);
+      },
+      [&](const qos::StepTrace& step) {
+        const BodyAction action = decode_unrolled(step.action).action;
+        stats.phase_cycles[static_cast<std::size_t>(phase_of(action))] +=
+            step.cost;
+        if (action == BodyAction::kMotionEstimate) {
+          if (quality_count > 0) {
+            stats.quality_change_sum +=
+                std::abs(step.quality - last_me_quality);
+          }
+          last_me_quality = step.quality;
+          quality_sum += static_cast<double>(step.quality);
+          ++quality_count;
+          stats.min_quality = std::min(stats.min_quality, step.quality);
+          stats.max_quality = std::max(stats.max_quality, step.quality);
+        }
+        if (action == BodyAction::kReconstruct && ctx.header.intra) {
+          ++stats.intra_macroblocks;
+        }
+      },
+      t0);
+  stats.encode_cycles = totals.total_cycles;
+  stats.deadline_misses = totals.deadline_misses;
   stats.bits = frame_writer_.bit_count();
   bitstream_ = frame_writer_.finish();
   has_reference_ = true;
@@ -163,21 +177,15 @@ double FrameEncoder::run_action(const UnrolledAction& ua,
       }
       media::MotionConfig cfg;
       cfg.radius = radius;
-      cfg.half_pel =
-          config_.half_pel_min_level >= 0 &&
-          static_cast<int>(quality_index) >= config_.half_pel_min_level;
+      cfg.half_pel = static_cast<int>(quality_index) >= kHalfPelMinLevel;
       cfg.early_exit_sad =
-          config_.me_early_exit_sad <= 0
-              ? 0
-              : config_.me_early_exit_sad +
-                    static_cast<std::int64_t>(256.0 *
-                                              config_.me_early_exit_qp_gain *
-                                              qp);
+          kMeEarlyExitSad +
+          static_cast<std::int64_t>(256.0 * kMeEarlyExitQpGain * qp);
       ctx.motion = media::estimate_motion(ctx.source.data(), padded_reference_,
                                           ctx.x0, ctx.y0, cfg);
       ctx.motion_valid = true;
       const double typical =
-          std::max(1.0, config_.typical_point_fraction *
+          std::max(1.0, kTypicalPointFraction *
                             static_cast<double>(ctx.motion.points_total));
       return config_.me_work_base +
              config_.me_work_span *
@@ -191,7 +199,7 @@ double FrameEncoder::run_action(const UnrolledAction& ua,
       const media::IntraResult intra = media::intra_predict(
           ctx.source.data(), recon_.y, ctx.x0, ctx.y0);
       const bool use_intra = !ctx.motion_valid ||
-                             intra.sad + config_.intra_bias < ctx.motion.sad;
+                             intra.sad + kIntraBias < ctx.motion.sad;
       ctx.header = use_intra ? MbHeader{true, intra.mode, 0, 0}
                              : MbHeader{false, media::IntraMode::kDc,
                                         ctx.motion.dx2, ctx.motion.dy2};

@@ -27,29 +27,13 @@ namespace qosctrl::enc {
 struct EncoderConfig {
   int width = 176;
   int height = 144;
-  /// Intra mode wins when intra_sad + intra_bias < inter_sad.
-  std::int64_t intra_bias = 512;
-  /// Early-exit SAD threshold for motion search: base + 256 * qp_gain
-  /// * QP (<= 0 disables).  The QP term accounts for quantization
-  /// error in the reconstructed reference: even a perfect motion match
-  /// carries roughly QP/2 of residual per pixel.
-  std::int64_t me_early_exit_sad = 512;
-  double me_early_exit_qp_gain = 0.5;
   /// ME work calibration.  The work scale handed to the cost model is
-  ///   me_work_base + me_work_span * examined / (typical_point_fraction
-  ///   * window)
-  /// so a search that probes `typical_point_fraction` of its window
-  /// costs (base + span) = 1.0x the table average; instant early exits
-  /// cost ~base; exhausted windows cost up to base + span / fraction
-  /// (clamped at the worst case).
-  double typical_point_fraction = 0.5;
+  ///   me_work_base + me_work_span * examined / (0.5 * window)
+  /// so a search that probes half its window costs (base + span) =
+  /// 1.0x the table average; instant early exits cost ~base; exhausted
+  /// windows cost up to base + 2 * span (clamped at the worst case).
   double me_work_base = 0.55;
   double me_work_span = 0.45;
-  /// Quality levels at or above this index refine motion to half-pel
-  /// accuracy (bilinear); negative disables half-pel entirely.  The
-  /// top levels' extra accuracy is part of what their higher
-  /// Motion_Estimate cost in Figure 5 buys.
-  int half_pel_min_level = 6;
   /// Compress work calibration: bits per macroblock that cost exactly
   /// the table's average time.
   double typical_compress_bits = 560.0;
@@ -81,11 +65,11 @@ class FrameEncoder {
  public:
   FrameEncoder(const EncoderConfig& config, platform::CostModel cost_model);
 
-  /// Encodes `input` (4:2:0) at quantizer `qp`, consulting `controller`
-  /// before every action.  `sys` supplies deadlines for miss
-  /// accounting; `t0` is the elapsed time at cycle start (a late start
-  /// shrinks the budget, which is how the pipeline models buffer
-  /// occupancy).
+  /// Encodes `input` (4:2:0) at quantizer `qp` as one qos::run_cycle of
+  /// `controller` over the frame's actions.  `sys` supplies deadlines
+  /// for miss accounting; `t0` is the elapsed time at cycle start (a
+  /// late start shrinks the budget, which is how the pipeline models
+  /// buffer occupancy).
   FrameStats encode_frame(const media::YuvFrame& input,
                           qos::Controller& controller,
                           const rt::ParameterizedSystem& sys, int qp,

@@ -6,6 +6,15 @@
 #include "util/check.h"
 
 namespace qosctrl::enc {
+namespace {
+
+/// Dead zone as a fraction of the per-frame budget: no QP change when
+/// |buffer| <= kDeadZone * target.
+constexpr double kDeadZone = 0.15;
+/// Step-2 threshold: QP moves by 2 when |buffer| > kStep2 * target.
+constexpr double kStep2 = 1.0;
+
+}  // namespace
 
 RateController::RateController(const RateControlConfig& config)
     : config_(config),
@@ -40,13 +49,13 @@ void RateController::frame_skipped() {
 void RateController::adjust_qp() {
   const double err = buffer_ / target_;
   int delta = 0;
-  if (err > config_.step2) {
+  if (err > kStep2) {
     delta = 2;
-  } else if (err > config_.dead_zone) {
+  } else if (err > kDeadZone) {
     delta = 1;
-  } else if (err < -config_.step2) {
+  } else if (err < -kStep2) {
     delta = -2;
-  } else if (err < -config_.dead_zone) {
+  } else if (err < -kDeadZone) {
     delta = -1;
   }
   qp_ = std::clamp(qp_ + delta, media::kMinQp, media::kMaxQp);

@@ -19,11 +19,6 @@ struct RateControlConfig {
   double bitrate_bps = 1.1e6;   ///< target bitrate (bits per second)
   double frame_rate = 25.0;     ///< frames per second
   int initial_qp = 8;
-  /// Dead zone as a fraction of the per-frame budget: no QP change when
-  /// |buffer| < dead_zone * target.
-  double dead_zone = 0.15;
-  /// Step-2 threshold: QP moves by 2 when |buffer| > step2 * target.
-  double step2 = 1.0;
 };
 
 class RateController {

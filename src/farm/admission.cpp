@@ -9,6 +9,12 @@
 #include "util/check.h"
 
 namespace qosctrl::farm {
+namespace {
+
+/// Committed-utilization ceiling per processor.
+constexpr double kUtilizationCap = 1.0;
+
+}  // namespace
 
 TableCache::TableCache(platform::CostTable costs) : costs_(std::move(costs)) {
   wc_frame_per_mb_.resize(costs_.num_levels(), 0);
@@ -102,7 +108,7 @@ bool ShardedControlPlane::fits(int p, const sched::NpTask& candidate) {
   const double util =
       pr.util + static_cast<double>(candidate.cost) /
                     static_cast<double>(candidate.period);
-  if (util > config_.utilization_cap) return false;
+  if (util > kUtilizationCap) return false;
   pr.tasks.push_back(candidate);
   const bool ok = demand_test(p);
   pr.tasks.pop_back();
@@ -507,7 +513,7 @@ void ShardedControlPlane::restore_pass(int p, rt::Cycles now) {
     const rt::Cycles from = cs[v].table_budget;
     step_rung(cs[v], /*grow=*/true);
     refresh(p);
-    if (procs_[static_cast<std::size_t>(p)].util > config_.utilization_cap ||
+    if (procs_[static_cast<std::size_t>(p)].util > kUtilizationCap ||
         !demand_test(p)) {
       set_budget(cs[v], from);
       refresh(p);

@@ -65,8 +65,6 @@
 namespace qosctrl::farm {
 
 struct AdmissionConfig {
-  /// Committed-utilization ceiling per processor (<= 1.0).
-  double utilization_cap = 1.0;
   /// Candidate service budgets come from two families, merged, clamped
   /// to [qmin minimum, latency window], and tried richest first:
   ///  * fractions of the K * P latency window (generous-latency

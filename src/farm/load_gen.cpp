@@ -1,6 +1,7 @@
 #include "farm/load_gen.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <limits>
 
@@ -9,6 +10,16 @@
 
 namespace qosctrl::farm {
 namespace {
+
+/// Mean join inter-arrival in units of the *smallest* stream period
+/// (exponential gaps).
+constexpr double kMeanInterarrivalPeriods = 0.5;
+/// Latency contracts K to draw from, uniformly.
+constexpr std::array<int, 3> kBufferCapacities = {1, 1, 2};
+/// A constant-quality stream's level is uniform in
+/// [kConstantQualityLo, kConstantQualityHi].
+constexpr rt::QualityLevel kConstantQualityLo = 1;
+constexpr rt::QualityLevel kConstantQualityHi = 4;
 
 std::size_t weighted_pick(util::Rng& rng, const std::vector<double>& w) {
   double total = 0.0;
@@ -35,8 +46,6 @@ FarmScenario generate_scenario(const LoadGenConfig& config) {
   }
   QC_EXPECT(weight_total > 0.0, "resolution weights must not all be zero");
   QC_EXPECT(!config.period_factors.empty(), "need at least one period factor");
-  QC_EXPECT(!config.buffer_capacities.empty(),
-            "need at least one buffer capacity");
   QC_EXPECT(config.min_frames >= 1 && config.max_frames >= config.min_frames,
             "frame lifetime range must be non-empty");
   QC_EXPECT(config.max_burst >= 1, "max_burst must be >= 1");
@@ -70,7 +79,7 @@ FarmScenario generate_scenario(const LoadGenConfig& config) {
     // Poisson gap, then possibly a burst of simultaneous joins.
     const double gap_periods =
         -std::log(1.0 - arrival_rng.uniform_01()) *
-        config.mean_interarrival_periods;
+        kMeanInterarrivalPeriods;
     now += static_cast<rt::Cycles>(
         std::llround(gap_periods * static_cast<double>(min_period)));
     int batch = 1;
@@ -94,11 +103,9 @@ FarmScenario generate_scenario(const LoadGenConfig& config) {
       s.frame_period = static_cast<rt::Cycles>(std::llround(
           static_cast<double>(default_frame_period(macroblocks_of(s))) *
           pf));
-      s.buffer_capacity = config.buffer_capacities[static_cast<std::size_t>(
+      s.buffer_capacity = kBufferCapacities[static_cast<std::size_t>(
           shape_rng.uniform_i64(
-              0,
-              static_cast<std::int64_t>(config.buffer_capacities.size()) -
-                  1))];
+              0, static_cast<std::int64_t>(kBufferCapacities.size()) - 1))];
       s.num_frames = static_cast<int>(shape_rng.uniform_i64(
           config.min_frames, config.max_frames));
       // The synthetic source needs at least one frame per scene.
@@ -107,8 +114,7 @@ FarmScenario generate_scenario(const LoadGenConfig& config) {
       if (mode_rng.chance(config.constant_mode_fraction)) {
         s.mode = pipe::ControlMode::kConstantQuality;
         s.constant_quality = static_cast<rt::QualityLevel>(
-            mode_rng.uniform_i64(config.constant_quality_lo,
-                                 config.constant_quality_hi));
+            mode_rng.uniform_i64(kConstantQualityLo, kConstantQualityHi));
       }
       scenario.streams.push_back(s);
     }

@@ -18,11 +18,9 @@ namespace qosctrl::farm {
 struct LoadGenConfig {
   int num_streams = 12;
 
-  /// Mean join inter-arrival in units of the *smallest* stream
-  /// period (Poisson process; exponential gaps).
-  double mean_interarrival_periods = 0.5;
-  /// Probability that a join is a burst; a burst adds up to
-  /// `max_burst - 1` extra simultaneous joins.
+  /// Joins arrive as a Poisson process (kMeanInterarrivalPeriods in
+  /// load_gen.cpp).  Probability that a join is a burst; a burst adds
+  /// up to `max_burst - 1` extra simultaneous joins.
   double burst_probability = 0.15;
   int max_burst = 3;
 
@@ -39,8 +37,6 @@ struct LoadGenConfig {
   /// when cameras are slower than that, so the defaults are
   /// surveillance-style factors.
   std::vector<double> period_factors = {3.0, 4.0, 6.0};
-  /// Latency contracts K to draw from.
-  std::vector<int> buffer_capacities = {1, 1, 2};
 
   /// Stream lifetimes in frames, uniform in [min_frames, max_frames].
   int min_frames = 8;
@@ -50,10 +46,8 @@ struct LoadGenConfig {
 
   /// Fraction of streams offered as constant-quality (uncontrolled)
   /// instead of table-controlled; their level is uniform in
-  /// [constant_quality_lo, constant_quality_hi].
+  /// [kConstantQualityLo, kConstantQualityHi] (load_gen.cpp).
   double constant_mode_fraction = 0.15;
-  rt::QualityLevel constant_quality_lo = 1;
-  rt::QualityLevel constant_quality_hi = 4;
 
   std::uint64_t seed = 7;
 };

@@ -21,8 +21,6 @@ ShardedControlPlane::ShardedControlPlane(int num_processors,
       watermark_(plane.rebalance_watermark) {
   QC_EXPECT(num_processors >= 1, "farm needs at least one processor");
   QC_EXPECT(tables_ != nullptr, "admission needs a table cache");
-  QC_EXPECT(config_.utilization_cap > 0.0 && config_.utilization_cap <= 1.0,
-            "utilization cap must be in (0, 1]");
   QC_EXPECT(config_.max_stream_share > 0.0 && config_.max_stream_share <= 1.0,
             "max stream share must be in (0, 1]");
   for (const std::vector<double>* ladder :

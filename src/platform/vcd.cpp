@@ -25,7 +25,7 @@ void emit_vector(std::ostream& os, std::int64_t value, char id) {
 
 }  // namespace
 
-void write_vcd(std::ostream& os, const std::vector<ExecutionRecord>& trace,
+void write_vcd(std::ostream& os, const std::vector<qos::StepTrace>& trace,
                const VcdOptions& options) {
   constexpr char kActionId = '!';
   constexpr char kQualityId = '"';
@@ -46,7 +46,7 @@ void write_vcd(std::ostream& os, const std::vector<ExecutionRecord>& trace,
   os << "0" << kBusyId << "\n$end\n";
 
   rt::Cycles last_end = 0;
-  for (const ExecutionRecord& rec : trace) {
+  for (const qos::StepTrace& rec : trace) {
     QC_EXPECT(rec.start >= last_end, "trace must be chronological");
     if (rec.start > last_end) {
       os << '#' << last_end << '\n';
@@ -54,7 +54,7 @@ void write_vcd(std::ostream& os, const std::vector<ExecutionRecord>& trace,
     }
     os << '#' << rec.start << '\n';
     emit_vector(os, rec.action, kActionId);
-    emit_vector(os, static_cast<std::int64_t>(rec.quality_index), kQualityId);
+    emit_vector(os, rec.quality, kQualityId);
     os << '1' << kBusyId << '\n';
     last_end = rec.start + rec.cost;
   }
@@ -63,7 +63,7 @@ void write_vcd(std::ostream& os, const std::vector<ExecutionRecord>& trace,
 }
 
 bool write_vcd_file(const std::string& path,
-                    const std::vector<ExecutionRecord>& trace,
+                    const std::vector<qos::StepTrace>& trace,
                     const VcdOptions& options) {
   std::ofstream f(path);
   if (!f) return false;

@@ -1,4 +1,4 @@
-// VCD (value change dump) export of virtual-platform execution traces.
+// VCD (value change dump) export of controlled-cycle step traces.
 //
 // Writes IEEE 1364-style VCD with three signals — the running action
 // id, its quality level, and a busy flag — over virtual cycle time, so
@@ -12,7 +12,7 @@
 #include <string>
 #include <vector>
 
-#include "platform/virtual_processor.h"
+#include "qos/runner.h"
 
 namespace qosctrl::platform {
 
@@ -21,15 +21,15 @@ struct VcdOptions {
   std::string timescale = "1ns";  ///< one virtual cycle per timescale unit
 };
 
-/// Writes the execution records as a VCD document.  Records must be in
-/// chronological order (as produced by VirtualProcessor with tracing
-/// enabled).  Gaps between records show as busy = 0.
-void write_vcd(std::ostream& os, const std::vector<ExecutionRecord>& trace,
+/// Writes the steps as a VCD document.  Steps must be in chronological
+/// order (as qos::run_cycle records them).  Gaps between steps show as
+/// busy = 0.
+void write_vcd(std::ostream& os, const std::vector<qos::StepTrace>& trace,
                const VcdOptions& options = {});
 
 /// Convenience: writes to a file; returns false on I/O failure.
 bool write_vcd_file(const std::string& path,
-                    const std::vector<ExecutionRecord>& trace,
+                    const std::vector<qos::StepTrace>& trace,
                     const VcdOptions& options = {});
 
 }  // namespace qosctrl::platform

@@ -7,6 +7,14 @@
 #include "util/check.h"
 
 namespace qosctrl::qos {
+namespace {
+
+constexpr double kKp = 6.0;  ///< proportional gain (in quality levels/unit)
+constexpr double kKi = 1.5;  ///< integral gain
+constexpr double kKd = 2.0;  ///< derivative gain
+constexpr double kIntegralClamp = 2.0;  ///< anti-windup bound on the I term
+
+}  // namespace
 
 FeedbackController::FeedbackController(const rt::ParameterizedSystem& sys,
                                        rt::Cycles budget,
@@ -29,12 +37,12 @@ void FeedbackController::start_cycle() {
     const double utilization =
         static_cast<double>(cycle_cost_) / static_cast<double>(budget_);
     const double error = config_.setpoint - utilization;
-    integral_ = std::clamp(integral_ + error, -config_.integral_clamp,
-                           config_.integral_clamp);
+    integral_ = std::clamp(integral_ + error, -kIntegralClamp,
+                           kIntegralClamp);
     const double derivative = error - previous_error_;
     previous_error_ = error;
-    const double correction = config_.kp * error + config_.ki * integral_ +
-                              config_.kd * derivative;
+    const double correction =
+        kKp * error + kKi * integral_ + kKd * derivative;
     const auto delta = static_cast<long>(std::lround(correction));
     const long next = std::clamp<long>(
         static_cast<long>(level_index_) + delta, 0,

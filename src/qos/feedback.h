@@ -23,10 +23,6 @@ namespace qosctrl::qos {
 
 struct FeedbackConfig {
   double setpoint = 0.9;  ///< target budget utilization
-  double kp = 6.0;        ///< proportional gain (in quality levels/unit)
-  double ki = 1.5;        ///< integral gain
-  double kd = 2.0;        ///< derivative gain
-  double integral_clamp = 2.0;  ///< anti-windup bound on the I term
 };
 
 /// Per-cycle PID quality selection over a static EDF schedule.

@@ -17,28 +17,13 @@ double CycleTrace::budget_utilization(rt::Cycles budget) const {
 }
 
 CycleTrace run_cycle(const rt::ParameterizedSystem& sys,
-                     Controller& controller, const CostSource& source) {
+                     Controller& controller, const CostSource& source,
+                     rt::Cycles t0) {
   QC_EXPECT(static_cast<bool>(source), "cost source must be callable");
-  controller.start_cycle();
   CycleTrace trace;
-  rt::Cycles t = 0;
-  while (!controller.done()) {
-    const Decision d = controller.next(t);
-    const rt::Cycles cost = source(d.action, d.quality);
-    QC_EXPECT(cost >= 0, "actual execution times are non-negative");
-    controller.observe(cost);
-    StepTrace step;
-    step.action = d.action;
-    step.quality = d.quality;
-    step.start = t;
-    step.cost = cost;
-    step.deadline = sys.deadline(d.quality, d.action);
-    t += cost;
-    step.missed = !rt::is_no_deadline(step.deadline) && t > step.deadline;
-    if (step.missed) ++trace.deadline_misses;
-    trace.steps.push_back(step);
-  }
-  trace.total_cycles = t;
+  static_cast<CycleTotals&>(trace) = run_cycle(
+      sys, controller, source,
+      [&trace](const StepTrace& step) { trace.steps.push_back(step); }, t0);
   return trace;
 }
 

@@ -7,11 +7,21 @@
 namespace qosctrl::platform {
 namespace {
 
-std::vector<ExecutionRecord> sample_trace() {
+qos::StepTrace step(rt::ActionId action, rt::QualityLevel quality,
+                    rt::Cycles start, rt::Cycles cost) {
+  qos::StepTrace s;
+  s.action = action;
+  s.quality = quality;
+  s.start = start;
+  s.cost = cost;
+  return s;
+}
+
+std::vector<qos::StepTrace> sample_trace() {
   return {
-      ExecutionRecord{3, 2, 0, 100},
-      ExecutionRecord{4, 1, 100, 50},
-      ExecutionRecord{5, 0, 200, 25},  // 50-cycle idle gap before
+      step(3, 2, 0, 100),
+      step(4, 1, 100, 50),
+      step(5, 0, 200, 25),  // 50-cycle idle gap before
   };
 }
 
@@ -72,25 +82,35 @@ TEST(Vcd, EmptyTraceIsStillValid) {
   EXPECT_NE(vcd.find("#0"), std::string::npos);
 }
 
-TEST(Vcd, EndToEndWithVirtualProcessor) {
-  CostModelConfig cfg;
-  cfg.jitter_sigma = 0.0;
-  CostModel model(CostTable({{CostSpec{10, 20}, CostSpec{30, 40}}}), cfg,
-                  util::Rng(1));
-  VirtualProcessor proc(std::move(model), /*keep_trace=*/true);
-  proc.execute(0, 0, 1.0);
-  proc.execute(0, 1, 1.0);
+TEST(Vcd, EndToEndWithRunCycle) {
+  rt::PrecedenceGraph g;
+  g.add_action("a");
+  g.add_action("b");
+  g.add_edge(0, 1);
+  rt::ParameterizedSystem sys(std::move(g), {0, 1});
+  for (rt::ActionId a = 0; a < 2; ++a) {
+    sys.set_times(0, a, 10, 10);
+    sys.set_times(1, a, 30, 30);
+    sys.set_deadline_all_q(a, 1000);
+  }
+  qos::ConstantController ctl(sys, 1);
+  // A late start at t0 = 5 shows as an idle gap before the first step.
+  const qos::CycleTrace trace = qos::run_cycle(
+      sys, ctl,
+      [&](rt::ActionId a, rt::QualityLevel q) { return sys.cwc(q, a); },
+      /*t0=*/5);
   std::ostringstream os;
-  write_vcd(os, proc.trace());
-  EXPECT_NE(os.str().find("#10"), std::string::npos);
-  EXPECT_NE(os.str().find("#40"), std::string::npos);
+  write_vcd(os, trace.steps);
+  const std::string vcd = os.str();
+  EXPECT_NE(vcd.find("#0\n0#\n#5\n"), std::string::npos);
+  EXPECT_NE(vcd.find("b1 \""), std::string::npos);  // quality level 1
+  EXPECT_NE(vcd.find("#35\n"), std::string::npos);
+  EXPECT_NE(vcd.find("#65\n0#"), std::string::npos);
 }
 
 TEST(VcdDeath, RejectsNonChronologicalTrace) {
-  std::vector<ExecutionRecord> bad{
-      ExecutionRecord{0, 0, 100, 10},
-      ExecutionRecord{1, 0, 50, 10},
-  };
+  const std::vector<qos::StepTrace> bad{step(0, 0, 100, 10),
+                                        step(1, 0, 50, 10)};
   std::ostringstream os;
   EXPECT_DEATH(write_vcd(os, bad), "chronological");
 }

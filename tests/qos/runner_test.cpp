@@ -86,5 +86,47 @@ TEST(RunCycle, CostSourceSeesChosenQuality) {
   EXPECT_EQ(seen[0], 1);  // plenty of slack at t=0
 }
 
+TEST(RunCycle, StartOffsetShiftsTimeButNotTotals) {
+  const auto sys = tiny();
+  ConstantController ctl(sys, 1);
+  // Steps end at 120 and 180: the first misses its deadline of 100.
+  const CycleTrace trace = run_cycle(
+      sys, ctl, [](rt::ActionId, rt::QualityLevel) -> Cycles { return 60; },
+      /*t0=*/60);
+  ASSERT_EQ(trace.steps.size(), 2u);
+  EXPECT_EQ(trace.steps[0].start, 60);
+  EXPECT_EQ(trace.steps[1].start, 120);
+  EXPECT_TRUE(trace.steps[0].missed);
+  EXPECT_FALSE(trace.steps[1].missed);
+  EXPECT_EQ(trace.deadline_misses, 1);
+  EXPECT_EQ(trace.total_cycles, 120);
+}
+
+TEST(RunCycle, StepCallbackSeesWhatTheRecordingFormRecords) {
+  const auto sys = tiny();
+  auto tables = std::make_shared<const SlackTables>(SlackTables::build(sys));
+  const auto cost = [](rt::ActionId a, rt::QualityLevel q) -> Cycles {
+    return 7 + 11 * a + 13 * q;
+  };
+  TableController recorded_ctl(tables);
+  const CycleTrace recorded = run_cycle(sys, recorded_ctl, cost, 3);
+  TableController streamed_ctl(tables);
+  std::vector<StepTrace> streamed;
+  const CycleTotals totals = run_cycle(
+      sys, streamed_ctl, cost,
+      [&streamed](const StepTrace& s) { streamed.push_back(s); }, 3);
+  ASSERT_EQ(streamed.size(), recorded.steps.size());
+  for (std::size_t i = 0; i < streamed.size(); ++i) {
+    EXPECT_EQ(streamed[i].action, recorded.steps[i].action);
+    EXPECT_EQ(streamed[i].quality, recorded.steps[i].quality);
+    EXPECT_EQ(streamed[i].start, recorded.steps[i].start);
+    EXPECT_EQ(streamed[i].cost, recorded.steps[i].cost);
+    EXPECT_EQ(streamed[i].deadline, recorded.steps[i].deadline);
+    EXPECT_EQ(streamed[i].missed, recorded.steps[i].missed);
+  }
+  EXPECT_EQ(totals.total_cycles, recorded.total_cycles);
+  EXPECT_EQ(totals.deadline_misses, recorded.deadline_misses);
+}
+
 }  // namespace
 }  // namespace qosctrl::qos
