@@ -66,12 +66,12 @@ int main() {
   vc.num_frames = 2;
   vc.num_scenes = 1;
   const media::SyntheticVideo video(vc);
-  const media::Frame f0 = video.frame(0);
-  const media::Frame f1 = video.frame(1);
+  const media::PaddedFrame f0(video.frame(0));
+  const auto src = media::read_macroblock(video.frame(1), 80, 64);
   const double ns_me = ns_per_call(
       [&] {
         media::MotionConfig cfg{4, 0};
-        (void)media::estimate_motion(f1, f0, 80, 64, cfg);
+        (void)media::estimate_motion(src.data(), f0, 80, 64, cfg);
       },
       3000);
   media::Block8 block;

@@ -3,7 +3,6 @@
 #include <cstddef>
 
 #include "media/entropy.h"
-#include "media/motion.h"
 #include "media/quant.h"
 #include "media/reconstruct.h"
 
@@ -89,15 +88,8 @@ void predict_macroblock(const MbHeader& header, int x0, int y0,
     return;
   }
   QC_DCHECK(reference != nullptr, "inter prediction needs a reference");
-  // The encoder's search window always fits the pad; a vector beyond
-  // it (legal in the bitstream) takes the clamped path, which is
-  // bit-exact with the padded one wherever both apply.
-  out->luma = padded_reference.covers_block16_halfpel(x0, y0, header.dx2,
-                                                      header.dy2)
-                  ? media::motion_compensate_halfpel(
-                        padded_reference, x0, y0, header.dx2, header.dy2)
-                  : media::motion_compensate_halfpel(
-                        reference->y, x0, y0, header.dx2, header.dy2);
+  out->luma = media::motion_compensate_halfpel(padded_reference, x0, y0,
+                                               header.dx2, header.dy2);
   out->chroma[0] = media::chroma_motion_compensate(reference->cb, cx, cy,
                                                    header.dx2, header.dy2);
   out->chroma[1] = media::chroma_motion_compensate(reference->cr, cx, cy,

@@ -15,6 +15,7 @@
 #include <cstdint>
 
 #include "media/intra.h"
+#include "media/motion.h"
 #include "media/padded_frame.h"
 #include "media/yuv.h"
 #include "util/bitio.h"
@@ -23,8 +24,21 @@ namespace qosctrl::enc {
 
 /// Largest frame side, in macroblocks, a stream may declare.
 inline constexpr int kMaxMbPerSide = 1024;
-/// Largest |dx2| and |dy2|, in half pels, a stream may carry.
-inline constexpr int kMaxVectorHalfPel = 128;
+/// Largest |dx2| and |dy2|, in half pels, a stream may carry: one
+/// pixel less than the default reference pad, so the compensated
+/// block, interpolation column and row included, stays inside the pad
+/// at every macroblock and inter prediction has one luma path.
+inline constexpr int kMaxVectorHalfPel =
+    2 * (media::PaddedFrame::kDefaultPad - 1);
+// A vector of -v half pels reads ceil(v / 2) pixels before the block;
+// +v reads floor(v / 2) past it, plus the interpolation's one.
+static_assert((kMaxVectorHalfPel + 1) / 2 <= media::PaddedFrame::kDefaultPad &&
+                  kMaxVectorHalfPel / 2 + 1 <= media::PaddedFrame::kDefaultPad,
+              "the vector range must fit the reference pad");
+// The encoder's widest vector: the widest search plus half-pel
+// refinement.  Every stream it writes parses.
+static_assert(2 * media::kMaxSearchRadius + 1 <= kMaxVectorHalfPel,
+              "the vector range must hold every vector the encoder writes");
 /// The fewest bits a macroblock can take: the intra flag, a 2-bit mode
 /// (or two 1-bit se(0)), six end-of-block bits.
 inline constexpr std::int64_t kMinMacroblockBits = 1 + 2 + 6;
@@ -73,9 +87,9 @@ bool get_macroblock(util::BitReader& br, MbHeader* header,
 /// Predicts the macroblock at luma (x0, y0).  Intra predicts luma in
 /// `header.mode` and chroma by DC from `recon`, the frame being
 /// reconstructed.  Inter compensates `reference` (non-null) by the
-/// header's vector: luma through `padded_reference` (the padded copy
-/// of reference->y) when the vector stays inside its pad, through the
-/// border-clamped path otherwise; chroma by half the vector.
+/// header's vector: luma through `padded_reference` (the copy of
+/// reference->y padded by PaddedFrame::kDefaultPad), chroma by half
+/// the vector.
 void predict_macroblock(const MbHeader& header, int x0, int y0,
                         const media::YuvFrame& recon,
                         const media::YuvFrame* reference,

@@ -83,8 +83,6 @@ Sinks::Sinks(const FarmConfig& config)
     : num_processors_(config.num_processors),
       metrics_(static_cast<std::size_t>(config.num_processors)) {
   if (config.trace) {
-    QC_EXPECT(config.trace_buffer_capacity > 0,
-              "trace buffer capacity must be positive");
     trace_.emplace(config.num_processors,
                    static_cast<std::size_t>(config.trace_buffer_capacity));
   }

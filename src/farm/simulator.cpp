@@ -31,7 +31,8 @@ StreamFaultStats& operator+=(StreamFaultStats& a, const StreamFaultStats& b) {
 
 /// Library callers get the CLI's input checks: no wrapped window, no
 /// NaN that switches a fault class off, no no-op policer, no overhead
-/// cost or repair instant that overflows.
+/// cost or repair instant that overflows, no trace ring larger than
+/// kMaxTraceBufferCapacity.
 void validate(const FarmScenario& scenario, const FarmConfig& config) {
   QC_EXPECT(config.num_processors >= 1, "farm needs >= 1 processor");
   QC_EXPECT(config.admission.migration_cost >= 0 &&
@@ -47,6 +48,10 @@ void validate(const FarmScenario& scenario, const FarmConfig& config) {
             "time-series window must be non-negative");
   QC_EXPECT(std::isfinite(config.frame_rate) && config.frame_rate > 0,
             "frame rate must be finite and positive");
+  QC_EXPECT(!config.trace || (config.trace_buffer_capacity >= 1 &&
+                              config.trace_buffer_capacity <=
+                                  kMaxTraceBufferCapacity),
+            "trace buffer capacity must be in [1, kMaxTraceBufferCapacity]");
   const FaultSpec& faults = scenario.faults;
   QC_EXPECT(std::isfinite(faults.overrun.factor) &&
                 faults.overrun.factor > 1.0,

@@ -72,6 +72,11 @@
 
 namespace qosctrl::farm {
 
+/// Largest FarmConfig::trace_buffer_capacity.  Each of the procs + 1
+/// trace rings reserves capacity x 32 B up front, so this caps one
+/// ring at 512 MiB.
+inline constexpr int kMaxTraceBufferCapacity = 1 << 24;
+
 struct FarmConfig {
   int num_processors = 2;
   /// Host threads for the data plane (clamped to [1, processors]).
@@ -101,9 +106,10 @@ struct FarmConfig {
   /// trace == false each processor's probe holds no trace buffer and
   /// skips the write, so the hot loop pays nothing.
   bool trace = false;
-  /// Events retained per per-processor ring buffer when tracing.  On
-  /// overflow the oldest events are dropped (counted in
-  /// FarmResult::trace_dropped), never silently and never unbounded.
+  /// Events retained per per-processor ring buffer when tracing, in
+  /// [1, kMaxTraceBufferCapacity].  On overflow the oldest events are
+  /// dropped (counted in FarmResult::trace_dropped), never silently
+  /// and never unbounded.
   int trace_buffer_capacity = 1 << 16;
   /// Time-series window width in simulated cycles (obs/timeseries.h),
   /// >= 0.  0 (the default) disables sampling: like the trace, the

@@ -7,9 +7,13 @@
 // scenes terminate after a few points (cheap), scene cuts and fast
 // motion exhaust the window (expensive), exactly the load profile the
 // paper's controller reacts to.
+//
+// Search and compensation read the luma reference through its
+// PaddedFrame only: the border is replicated once per frame, so every
+// candidate, border macroblocks included, is two dense spans.
 #pragma once
 
-#include <vector>
+#include <array>
 
 #include "media/frame.h"
 #include "media/padded_frame.h"
@@ -42,6 +46,9 @@ struct MotionConfig {
   bool half_pel = false;
 };
 
+/// The widest search radius search_radius_for_level returns.
+inline constexpr int kMaxSearchRadius = 8;
+
 /// Search window radius for quality level index `qi` (0..7), matching
 /// the paper's monotone ME cost table: level 0 means "no search"
 /// (zero-vector only), level 7 the widest window.
@@ -56,50 +63,21 @@ int search_radius_for_level(std::size_t qi);
 std::int64_t sad_16x16(const Sample* cur, const Sample* ref,
                        std::ptrdiff_t ref_stride, std::int64_t best);
 
-/// Estimates motion of the macroblock at (x0, y0) of `current` against
-/// `reference`.  Candidates are visited in spiral (increasing Chebyshev
-/// ring) order starting at the zero vector.  The current macroblock is
-/// read once per call; each candidate runs the fused early-exit SAD
-/// kernel, falling back to the border-clamped scalar path only for
-/// candidate blocks that overlap the frame edge.
-MotionResult estimate_motion(const Frame& current, const Frame& reference,
-                             int x0, int y0, const MotionConfig& config);
-
-/// Fast variant against a pre-padded reference: every candidate —
-/// border macroblocks included — runs the span kernel with no clamping
-/// branches, and ring candidates are batched 4 per SIMD kernel call.
-/// Bit-exact with the Frame overload as long as the search window
-/// (radius + 1 for half-pel) fits in reference.pad().  This is the
-/// path the encoder uses, amortizing the pad over a whole frame.
-MotionResult estimate_motion(const Frame& current,
-                             const PaddedFrame& reference, int x0, int y0,
-                             const MotionConfig& config);
-
-/// The padded search for a macroblock whose source pixels the caller
-/// already holds: `src` is the 16x16 block at (x0, y0) of the current
-/// frame (contiguous, row stride 16), as intra_predict takes it.  The
-/// Frame overloads copy that block out and search the same way; the
-/// encoder passes the block Grab read.
+/// Estimates motion of the macroblock at (x0, y0) against `reference`.
+/// `src` is the 16x16 source block at (x0, y0) of the current frame
+/// (contiguous, row stride 16; read_macroblock copies one out, the
+/// encoder passes the block Grab read).  Candidates are visited in
+/// spiral (increasing Chebyshev ring) order starting at the zero
+/// vector; ring candidates run 4 per SIMD kernel call.  The search
+/// window (radius + 1 for half-pel) must fit in reference.pad().
 MotionResult estimate_motion(const Sample* src, const PaddedFrame& reference,
                              int x0, int y0, const MotionConfig& config);
 
 /// Motion-compensated 16x16 prediction from `reference` at
-/// (x0 + dx, y0 + dy), border-clamped.
-std::array<Sample, 256> motion_compensate(const Frame& reference, int x0,
-                                          int y0, int dx, int dy);
-
-/// Half-pel motion compensation: (dx2, dy2) in half-pel units.
-/// Fractional positions use bilinear interpolation with standard
-/// rounding ((a+b+1)/2 axis-aligned, (a+b+c+d+2)/4 diagonal).  The
-/// even-vector case reduces exactly to motion_compensate.
-std::array<Sample, 256> motion_compensate_halfpel(const Frame& reference,
-                                                  int x0, int y0, int dx2,
-                                                  int dy2);
-
-/// Padded variants: contiguous row reads, no per-pixel clamping.
-/// Bit-exact with the Frame overloads for displacements within the pad.
-std::array<Sample, 256> motion_compensate(const PaddedFrame& reference,
-                                          int x0, int y0, int dx, int dy);
+/// (x0, y0) displaced by (dx2, dy2) half pels: a copy for even
+/// vectors, bilinear interpolation with standard rounding otherwise
+/// ((a+b+1)/2 axis-aligned, (a+b+c+d+2)/4 diagonal).  The block plus
+/// the interpolation's extra column and row must stay inside the pad.
 std::array<Sample, 256> motion_compensate_halfpel(const PaddedFrame& reference,
                                                   int x0, int y0, int dx2,
                                                   int dy2);

@@ -1,13 +1,13 @@
 // Border-extended (padded) reference frames.
 //
 // Motion search and compensation read blocks displaced off the frame
-// edge; the scalar kernels resolve this with a per-pixel clamp branch
-// (Frame::at_clamped).  A PaddedFrame replicates the border once into a
-// margin of `pad` pixels on every side, so kernels can read contiguous
-// rows for any displacement within the margin with *no* per-pixel
-// bounds or clamp logic — the clamping is hoisted into a one-time pad
-// step that costs O(perimeter) per frame instead of O(pixels) per
-// search candidate.
+// edge.  A PaddedFrame replicates the border once into a margin of
+// `pad` pixels on every side, so the kernels read contiguous rows for
+// any displacement within the margin with *no* per-pixel bounds or
+// clamp logic — the clamping is hoisted into a one-time pad step that
+// costs O(perimeter) per frame instead of O(pixels) per search
+// candidate.  It is the only luma reference motion search and
+// compensation read (media/motion.h).
 //
 // row(y) stays valid for x in [-pad, width + pad) and y in
 // [-pad, height + pad), and replicates Frame::at_clamped exactly over
@@ -23,7 +23,8 @@ namespace qosctrl::media {
 class PaddedFrame {
  public:
   /// Default margin: covers the widest encoder search window (radius 8)
-  /// plus half-pel interpolation with room to spare.
+  /// plus half-pel interpolation with room to spare, and bounds the
+  /// vector range a bitstream may carry (enc::kMaxVectorHalfPel).
   static constexpr int kDefaultPad = 16;
 
   PaddedFrame() = default;
@@ -64,15 +65,6 @@ class PaddedFrame {
     return x0 + dx >= -pad_ && y0 + dy >= -pad_ &&
            x0 + dx + kMacroBlockSize + 1 <= width_ + pad_ &&
            y0 + dy + kMacroBlockSize + 1 <= height_ + pad_;
-  }
-
-  /// covers_block16 for a vector in half-pel units, owning the
-  /// floor-division split so callers need not repeat the rounding
-  /// convention of motion_compensate_halfpel.
-  bool covers_block16_halfpel(int x0, int y0, int dx2, int dy2) const {
-    const int ix = (dx2 >= 0) ? dx2 / 2 : (dx2 - 1) / 2;
-    const int iy = (dy2 >= 0) ? dy2 / 2 : (dy2 - 1) / 2;
-    return covers_block16(x0, y0, ix, iy);
   }
 
  private:

@@ -26,9 +26,9 @@ struct BlockScan {
   std::int64_t blocks = 0;
 };
 
-BlockScan scan_blocks(const media::Frame& a, const media::Frame& b) {
+BlockScan scan_blocks(const media::Plane& a, const media::Plane& b) {
   QC_EXPECT(a.width() == b.width() && a.height() == b.height(),
-            "frames must have equal dimensions");
+            "planes must have equal dimensions");
   const auto& kernels = media::simd::active_kernels();
   const int bw = a.width() / media::kTransformSize;
   const int bh = a.height() / media::kTransformSize;
@@ -104,11 +104,11 @@ std::int64_t ssim_block_fp(const std::int64_t stats[5]) {
       scaled >= 0 ? (scaled + half) / den : (scaled - half) / den);
 }
 
-double ssim(const media::Frame& a, const media::Frame& b) {
+double ssim(const media::Plane& a, const media::Plane& b) {
   return mean_ssim_of(scan_blocks(a, b));
 }
 
-FrameDistortion measure(const media::Frame& a, const media::Frame& b,
+FrameDistortion measure(const media::Plane& a, const media::Plane& b,
                         double psnr_cap) {
   const BlockScan s = scan_blocks(a, b);
   FrameDistortion d;

@@ -7,12 +7,12 @@
 // dispatched kernel table as the encoder's hot loops
 // (media/simd/kernels.h):
 //
-//  * PSNR — from the integer sum of squared errors over the luma
-//    plane.  The accumulation is integer in every backend, so the SSE
-//    (and hence the dB value, a pure function of it) is bit-identical
-//    scalar / SSE2 / AVX2 / NEON.
-//  * SSIM — mean structural similarity over non-overlapping 8x8 luma
-//    blocks.  Per block the kernels return raw integer moments
+//  * PSNR — from the integer sum of squared errors over a plane.  The
+//    accumulation is integer in every backend, so the SSE (and hence
+//    the dB value, a pure function of it) is bit-identical scalar /
+//    SSE2 / AVX2 / NEON.
+//  * SSIM — mean structural similarity over non-overlapping 8x8
+//    blocks of a plane.  Per block the kernels return raw integer moments
 //    (sums, second moments, cross moment); the SSIM ratio is then
 //    evaluated in 64/128-bit fixed point (kSsimFpBits fractional
 //    bits) from those integers, so the per-block scores — and their
@@ -25,7 +25,7 @@
 
 #include <cstdint>
 
-#include "media/frame.h"
+#include "media/plane.h"
 
 namespace qosctrl::quality {
 
@@ -55,17 +55,17 @@ double psnr(const media::Plane& a, const media::Plane& b, double cap = 99.0);
 std::int64_t ssim_block_fp(const std::int64_t stats[5]);
 
 /// Mean SSIM over the non-overlapping 8x8 block grid of two
-/// equal-geometry luma frames (frame dimensions are multiples of 16,
-/// so the grid tiles exactly).  The mean of integer per-block scores:
-/// bit-identical across backends; 1.0 for identical frames.
-double ssim(const media::Frame& a, const media::Frame& b);
+/// equal-geometry planes, luma or chroma (plane sides are multiples of
+/// 8, so the grid tiles exactly).  The mean of integer per-block
+/// scores: bit-identical across backends; 1.0 for identical planes.
+double ssim(const media::Plane& a, const media::Plane& b);
 
-/// Both metrics in one pass over the frame pair.
+/// Both metrics in one pass over the plane pair.
 struct FrameDistortion {
   double psnr = 0.0;
   double ssim = 0.0;
 };
-FrameDistortion measure(const media::Frame& a, const media::Frame& b,
+FrameDistortion measure(const media::Plane& a, const media::Plane& b,
                         double psnr_cap = 99.0);
 
 }  // namespace qosctrl::quality

@@ -143,8 +143,7 @@ double fuse_stream_quality(double mean_psnr, double mean_ssim,
 }
 
 SweepResult run_sweep(const SweepConfig& config) {
-  QC_EXPECT(!config.scenarios.empty() || !config.preset_scenarios.empty(),
-            "sweep needs at least one scenario");
+  QC_EXPECT(!config.scenarios.empty(), "sweep needs at least one scenario");
   QC_EXPECT(!config.sched_policies.empty(),
             "sweep needs at least one scheduling policy");
   QC_EXPECT(!config.quality_policies.empty(),
@@ -154,35 +153,12 @@ SweepResult run_sweep(const SweepConfig& config) {
   QC_EXPECT(!config.fault_axis.empty(),
             "sweep needs the fault axis non-empty");
 
-  // Offered loads are a pure function of their LoadGenConfig; generate
-  // each once and share across the policy axes.
-  std::vector<farm::FarmScenario> bases;
-  bases.reserve(config.scenarios.size() + config.preset_scenarios.size());
-  for (const farm::LoadGenConfig& lg : config.scenarios) {
-    bases.push_back(farm::generate_scenario(lg));
-  }
-  for (const farm::FarmScenario& sc : config.preset_scenarios) {
-    bases.push_back(sc);
-  }
-  // Resolved scenario-axis names: explicit names win, generated loads
-  // fall back to their seed, presets to their axis position.
-  std::vector<std::string> names(bases.size());
-  for (std::size_t si = 0; si < bases.size(); ++si) {
-    if (si < config.scenario_names.size() &&
-        !config.scenario_names[si].empty()) {
-      names[si] = config.scenario_names[si];
-    } else if (si < config.scenarios.size()) {
-      names[si] = "seed" + std::to_string(config.scenarios[si].seed);
-    } else {
-      names[si] = "preset" + std::to_string(si - config.scenarios.size());
-    }
-  }
-
   const std::size_t nq = config.quality_policies.size();
   const std::size_t np = config.sched_policies.size();
   const std::size_t nr = config.renegotiate.size();
   const std::size_t nf = config.fault_axis.size();
-  const std::size_t n_cells = bases.size() * nq * np * nr * nf;
+  const std::size_t ns = config.scenarios.size();
+  const std::size_t n_cells = ns * nq * np * nr * nf;
 
   SweepResult result;
   result.cells.resize(n_cells);
@@ -196,8 +172,10 @@ SweepResult run_sweep(const SweepConfig& config) {
     const std::size_t qi = (i / (nf * nr * np)) % nq;
     const std::size_t si = i / (nf * nr * np * nq);
 
-    farm::FarmScenario scenario = apply_quality_policy(
-        bases[si], config.quality_policies[qi], config.constant_quality);
+    farm::FarmScenario scenario =
+        apply_quality_policy(config.scenarios[si].scenario,
+                             config.quality_policies[qi],
+                             config.constant_quality);
     scenario.sched.policy = config.sched_policies[pi];
     scenario.sched.renegotiate = config.renegotiate[ri];
     scenario.sched.restore = config.renegotiate[ri];
@@ -216,7 +194,7 @@ SweepResult run_sweep(const SweepConfig& config) {
     CellResult cell = measure_cell(farm::run_farm(scenario, fc),
                                    config.latency_discount);
     cell.scenario = static_cast<int>(si);
-    cell.scenario_name = names[si];
+    cell.scenario_name = config.scenarios[si].name;
     cell.quality_policy = config.quality_policies[qi];
     cell.sched = config.sched_policies[pi];
     cell.renegotiate = config.renegotiate[ri];
@@ -235,7 +213,7 @@ SweepResult run_sweep(const SweepConfig& config) {
           pt.renegotiate = config.renegotiate[ri];
           pt.faulted = config.fault_axis[fi];
           int offered = 0, rejected = 0;
-          for (std::size_t si = 0; si < bases.size(); ++si) {
+          for (std::size_t si = 0; si < ns; ++si) {
             const CellResult& c =
                 result.cells[(((si * nq + qi) * np + pi) * nr + ri) * nf +
                              fi];
@@ -246,11 +224,11 @@ SweepResult run_sweep(const SweepConfig& config) {
             offered += c.offered;
             rejected += c.rejected;
           }
-          const double ns = static_cast<double>(bases.size());
-          pt.fused_quality /= ns;
-          pt.miss_rate /= ns;
-          pt.mean_psnr /= ns;
-          pt.mean_ssim /= ns;
+          const double count = static_cast<double>(ns);
+          pt.fused_quality /= count;
+          pt.miss_rate /= count;
+          pt.mean_psnr /= count;
+          pt.mean_ssim /= count;
           pt.rejection_rate =
               offered > 0 ? static_cast<double>(rejected) / offered : 0.0;
           result.ranking.push_back(pt);

@@ -8,7 +8,8 @@
 // (quality/distortion.h) now measures per frame.  qoseval runs the
 // same offered loads under every combination of:
 //
-//   * scenario          — a generated FarmScenario (load_gen seed);
+//   * scenario          — a named FarmScenario (a generated load or a
+//                         preset, compiled by the caller);
 //   * quality policy    — how per-stream quality decisions are made:
 //                         the paper's table-driven controller vs the
 //                         industrial fixed-quality baseline;
@@ -42,7 +43,6 @@
 #include <string>
 #include <vector>
 
-#include "farm/load_gen.h"
 #include "farm/simulator.h"
 
 namespace qosctrl::quality {
@@ -55,16 +55,16 @@ enum class QualityPolicy {
 
 const char* quality_policy_name(QualityPolicy p);
 
+/// One scenario-axis entry: an offered load and the name the reports
+/// print for it.
+struct NamedScenario {
+  std::string name;
+  farm::FarmScenario scenario;
+};
+
 struct SweepConfig {
-  /// Scenario axis: one generated offered load per entry.
-  std::vector<farm::LoadGenConfig> scenarios;
-  /// Additional scenario-axis entries: pre-compiled scenarios (e.g.
-  /// farm/presets.h presets), appended after the generated ones.
-  std::vector<farm::FarmScenario> preset_scenarios;
-  /// Human-readable name per scenario-axis entry (generated first,
-  /// then presets).  Missing entries fall back to "seed<N>" /
-  /// "preset<K>"-style defaults in the reports.
-  std::vector<std::string> scenario_names;
+  /// Scenario axis, in report order.
+  std::vector<NamedScenario> scenarios;
   /// Scheduling-policy axis (np / preemptive / quantum, with their
   /// context-switch and quantum parameters).
   std::vector<sched::PolicyParams> sched_policies;
@@ -110,8 +110,8 @@ struct SweepConfig {
 
 /// One grid cell: the coordinates and the measured outcome.
 struct CellResult {
-  int scenario = 0;  ///< index on the scenario axis (generated + preset)
-  std::string scenario_name;  ///< resolved scenario-axis name
+  int scenario = 0;  ///< index on the scenario axis
+  std::string scenario_name;  ///< the scenario-axis entry's name
   QualityPolicy quality_policy = QualityPolicy::kControlled;
   sched::PolicyParams sched{};
   bool renegotiate = false;

@@ -1,7 +1,8 @@
 // The macroblock codec on its own: header put/get round trips and
-// rejections, and the decoder's prediction of inter vectors beyond the
-// reference pad, which the encoder never writes (its search window
-// fits the pad), checked against the border-clamped compensation.
+// rejections, and the decoder's prediction of inter vectors out to the
+// ends of the legal range, which the encoder never writes (its widest
+// vector is 17 half pels), checked at every border macroblock against
+// a border-clamped compensation written here.
 #include "encoder/macroblock.h"
 
 #include <gtest/gtest.h>
@@ -10,7 +11,6 @@
 
 #include "encoder/decoder.h"
 #include "media/entropy.h"
-#include "media/motion.h"
 #include "media/quant.h"
 #include "util/rng.h"
 
@@ -154,6 +154,9 @@ TEST(MacroblockCodec, RejectsIntraModeThreeAndVectorsPastTheRange) {
   MbLevels levels;
   EXPECT_FALSE(get_macroblock(br, &header, &levels));
 
+  // The range is 15 pixels, one less than the reference pad: ±31 is
+  // past it.
+  EXPECT_EQ(kMaxVectorHalfPel, 30);
   for (const auto& [dx2, dy2] :
        {std::pair{kMaxVectorHalfPel + 1, 0}, std::pair{0, kMaxVectorHalfPel + 1},
         std::pair{-kMaxVectorHalfPel - 1, 0},
@@ -178,8 +181,41 @@ std::vector<std::uint8_t> inter_frame(
   return bw.finish();
 }
 
-TEST(MacroblockCodec, DecodesVectorsBeyondThePadThroughTheClampedPath) {
-  constexpr int kCols = 4;
+/// Half-pel luma compensation read pixel by pixel from the
+/// border-clamped plane: the bilinear rule with its rounding, written
+/// independently of the library's padded path.
+std::array<media::Sample, 256> clamped_halfpel(const media::Plane& ref,
+                                               int x0, int y0, int dx2,
+                                               int dy2) {
+  const int ix = (dx2 >= 0) ? dx2 / 2 : (dx2 - 1) / 2;
+  const int iy = (dy2 >= 0) ? dy2 / 2 : (dy2 - 1) / 2;
+  const int fx = dx2 - 2 * ix;
+  const int fy = dy2 - 2 * iy;
+  std::array<media::Sample, 256> out;
+  for (int y = 0; y < 16; ++y) {
+    for (int x = 0; x < 16; ++x) {
+      const int bx = x0 + x + ix;
+      const int by = y0 + y + iy;
+      const int a = ref.at_clamped(bx, by);
+      const int b = ref.at_clamped(bx + fx, by);
+      const int c = ref.at_clamped(bx, by + fy);
+      const int d = ref.at_clamped(bx + fx, by + fy);
+      int v = a;
+      if (fx == 1 && fy == 1) {
+        v = (a + b + c + d + 2) / 4;
+      } else if (fx == 1) {
+        v = (a + b + 1) / 2;
+      } else if (fy == 1) {
+        v = (a + c + 1) / 2;
+      }
+      out[static_cast<std::size_t>(y * 16 + x)] = static_cast<media::Sample>(v);
+    }
+  }
+  return out;
+}
+
+TEST(MacroblockCodec, DecodesTheEndsOfTheVectorRangeAtEveryBorderMacroblock) {
+  constexpr int kCols = 3;
   constexpr int kRows = 3;
   util::Rng rng(21);
   media::YuvFrame reference(kCols * 16, kRows * 16);
@@ -187,46 +223,51 @@ TEST(MacroblockCodec, DecodesVectorsBeyondThePadThroughTheClampedPath) {
   fill_random(rng, reference.cb);
   fill_random(rng, reference.cr);
 
-  // Full- and half-pel vectors out to the range's ends (64 pixels,
-  // four times the pad), mixed with ones inside the pad.
+  // The range's full-pel ends (15 pixels, one less than the pad), its
+  // odd half-pel ends, and mixed signs, each carried by every
+  // macroblock of one frame.
+  constexpr int kEnd = kMaxVectorHalfPel;
   const std::vector<std::pair<int, int>> vectors = {
-      {128, 128}, {-128, -128}, {128, -128}, {-128, 128}, {127, -1},
-      {-127, 33}, {0, 128},     {-128, 0},   {3, -5},     {-40, 101},
-      {128, 0},   {1, -127}};
-  const DecodeResult d = decode_frame(inter_frame(kCols, kRows, vectors),
-                                      &reference);
-  ASSERT_TRUE(d.ok);
-  EXPECT_EQ(d.intra_macroblocks, 0);
-  for (int mb = 0; mb < kCols * kRows; ++mb) {
-    const auto [dx2, dy2] = vectors[static_cast<std::size_t>(mb)];
-    const int x0 = (mb % kCols) * 16;
-    const int y0 = (mb / kCols) * 16;
-    const std::array<media::Sample, 256> luma =
-        media::motion_compensate_halfpel(reference.y, x0, y0, dx2, dy2);
-    for (int y = 0; y < 16; ++y) {
-      for (int x = 0; x < 16; ++x) {
-        ASSERT_EQ(d.frame.y.at(x0 + x, y0 + y),
-                  luma[static_cast<std::size_t>(y * 16 + x)])
-            << "mb " << mb << " vector " << dx2 << "," << dy2;
+      {kEnd, kEnd},         {-kEnd, -kEnd},       {kEnd, -kEnd},
+      {-kEnd, kEnd},        {kEnd - 1, kEnd - 1}, {1 - kEnd, 1 - kEnd},
+      {kEnd - 1, 1 - kEnd}, {1 - kEnd, kEnd - 1}, {kEnd, 1 - kEnd},
+      {1 - kEnd, kEnd},     {0, -kEnd},           {kEnd - 1, 0}};
+  for (const auto& [dx2, dy2] : vectors) {
+    const DecodeResult d =
+        decode_frame(inter_frame(kCols, kRows, {{dx2, dy2}}), &reference);
+    ASSERT_TRUE(d.ok) << dx2 << "," << dy2;
+    EXPECT_EQ(d.intra_macroblocks, 0);
+    for (int mb = 0; mb < kCols * kRows; ++mb) {
+      const int x0 = (mb % kCols) * 16;
+      const int y0 = (mb / kCols) * 16;
+      const std::array<media::Sample, 256> luma =
+          clamped_halfpel(reference.y, x0, y0, dx2, dy2);
+      for (int y = 0; y < 16; ++y) {
+        for (int x = 0; x < 16; ++x) {
+          ASSERT_EQ(d.frame.y.at(x0 + x, y0 + y),
+                    luma[static_cast<std::size_t>(y * 16 + x)])
+              << "mb " << mb << " vector " << dx2 << "," << dy2;
+        }
       }
-    }
-    for (int c = 0; c < 2; ++c) {
-      const media::Plane& ref = c == 0 ? reference.cb : reference.cr;
-      const media::Plane& got = c == 0 ? d.frame.cb : d.frame.cr;
-      const std::array<media::Sample, 64> chroma =
-          media::chroma_motion_compensate(ref, x0 / 2, y0 / 2, dx2, dy2);
-      for (int y = 0; y < 8; ++y) {
-        for (int x = 0; x < 8; ++x) {
-          ASSERT_EQ(got.at(x0 / 2 + x, y0 / 2 + y),
-                    chroma[static_cast<std::size_t>(y * 8 + x)])
-              << "mb " << mb << " plane " << c;
+      for (int c = 0; c < 2; ++c) {
+        const media::Plane& ref = c == 0 ? reference.cb : reference.cr;
+        const media::Plane& got = c == 0 ? d.frame.cb : d.frame.cr;
+        const std::array<media::Sample, 64> chroma =
+            media::chroma_motion_compensate(ref, x0 / 2, y0 / 2, dx2, dy2);
+        for (int y = 0; y < 8; ++y) {
+          for (int x = 0; x < 8; ++x) {
+            ASSERT_EQ(got.at(x0 / 2 + x, y0 / 2 + y),
+                      chroma[static_cast<std::size_t>(y * 8 + x)])
+                << "mb " << mb << " plane " << c << " vector " << dx2 << ","
+                << dy2;
+          }
         }
       }
     }
   }
 
   // One component past the range fails the whole frame.
-  for (const auto& v : {std::pair{129, 0}, std::pair{0, -129}}) {
+  for (const auto& v : {std::pair{kEnd + 1, 0}, std::pair{0, -kEnd - 1}}) {
     std::vector<std::pair<int, int>> bad = vectors;
     bad[5] = v;
     EXPECT_FALSE(decode_frame(inter_frame(kCols, kRows, bad), &reference).ok)

@@ -143,5 +143,22 @@ TEST(TraceDeterminism, TinyBufferDropsOldestAndCountsInMetrics) {
   EXPECT_FALSE(obs::export_chrome_trace(r.trace, 2).empty());
 }
 
+// Every ring reserves its capacity up front, so a capacity past the
+// ceiling must be refused before any allocation rather than end in
+// std::bad_alloc.  Without tracing the capacity is never used.
+TEST(TraceDeterminismDeath, RejectsRingCapacitiesOutsideTheBound) {
+  const FarmScenario sc =
+      traced_scenario(sched::PolicyKind::kNonPreemptiveEdf, false);
+  for (const int capacity : {0, kMaxTraceBufferCapacity + 1, 2000000000}) {
+    FarmConfig cfg;
+    cfg.num_processors = 2;
+    cfg.trace = true;
+    cfg.trace_buffer_capacity = capacity;
+    EXPECT_DEATH(run_farm(sc, cfg), "trace buffer capacity") << capacity;
+    cfg.trace = false;
+    EXPECT_EQ(run_farm(sc, cfg).trace_dropped, 0) << capacity;
+  }
+}
+
 }  // namespace
 }  // namespace qosctrl::farm

@@ -16,7 +16,20 @@ Frame gradient(int w, int h) {
   return f;
 }
 
-TEST(HalfPel, EvenVectorsMatchFullPelCompensation) {
+/// Half-pel compensation of `ref` through its padded copy.
+std::array<Sample, 256> compensate(const Frame& ref, int x0, int y0, int dx2,
+                                   int dy2) {
+  return motion_compensate_halfpel(PaddedFrame(ref), x0, y0, dx2, dy2);
+}
+
+/// The search of the macroblock at (x0, y0) of `cur` against `ref`.
+MotionResult search(const Frame& cur, const Frame& ref, int x0, int y0,
+                    const MotionConfig& cfg) {
+  return estimate_motion(read_macroblock(cur, x0, y0).data(),
+                         PaddedFrame(ref), x0, y0, cfg);
+}
+
+TEST(HalfPel, EvenVectorsCopyTheShiftedBlock) {
   util::Rng rng(1);
   Frame ref(64, 64);
   for (int y = 0; y < 64; ++y) {
@@ -26,16 +39,21 @@ TEST(HalfPel, EvenVectorsMatchFullPelCompensation) {
   }
   for (int dx = -3; dx <= 3; ++dx) {
     for (int dy = -3; dy <= 3; ++dy) {
-      EXPECT_EQ(motion_compensate_halfpel(ref, 24, 24, 2 * dx, 2 * dy),
-                motion_compensate(ref, 24, 24, dx, dy))
-          << "dx=" << dx << " dy=" << dy;
+      const auto pred = compensate(ref, 24, 24, 2 * dx, 2 * dy);
+      for (int y = 0; y < 16; ++y) {
+        for (int x = 0; x < 16; ++x) {
+          ASSERT_EQ(pred[static_cast<std::size_t>(y * 16 + x)],
+                    ref.at(24 + x + dx, 24 + y + dy))
+              << "dx=" << dx << " dy=" << dy;
+        }
+      }
     }
   }
 }
 
 TEST(HalfPel, HorizontalInterpolationAveragesNeighbors) {
   const Frame ref = gradient(64, 64);
-  const auto pred = motion_compensate_halfpel(ref, 16, 16, 1, 0);
+  const auto pred = compensate(ref, 16, 16, 1, 0);
   for (int y = 0; y < 16; ++y) {
     for (int x = 0; x < 15; ++x) {
       const int a = ref.at(16 + x, 16 + y);
@@ -53,7 +71,7 @@ TEST(HalfPel, DiagonalInterpolationAveragesFour) {
       ref.set(x, y, static_cast<Sample>(rng.uniform_i64(0, 255)));
     }
   }
-  const auto pred = motion_compensate_halfpel(ref, 16, 16, 1, 1);
+  const auto pred = compensate(ref, 16, 16, 1, 1);
   for (int y = 0; y < 15; ++y) {
     for (int x = 0; x < 15; ++x) {
       const int expected = (ref.at(16 + x, 16 + y) +
@@ -69,7 +87,7 @@ TEST(HalfPel, NegativeVectorsFloorCorrectly) {
   const Frame ref = gradient(64, 64);
   // dx2 = -1 means integer part -1, fraction +1: the average of
   // columns x-1 and x.
-  const auto pred = motion_compensate_halfpel(ref, 24, 24, -1, 0);
+  const auto pred = compensate(ref, 24, 24, -1, 0);
   const int a = ref.at(24 - 1, 24);
   const int b = ref.at(24, 24);
   EXPECT_EQ(pred[0], (a + b + 1) / 2);
@@ -95,8 +113,8 @@ TEST(HalfPel, RefinementFindsSubPixelShift) {
   }
   MotionConfig full{4, 0, false};
   MotionConfig half{4, 0, true};
-  const MotionResult rf = estimate_motion(cur, ref, 24, 24, full);
-  const MotionResult rh = estimate_motion(cur, ref, 24, 24, half);
+  const MotionResult rf = search(cur, ref, 24, 24, full);
+  const MotionResult rh = search(cur, ref, 24, 24, half);
   EXPECT_LT(rh.sad, rf.sad / 4) << "half-pel must align almost exactly";
   EXPECT_EQ(rh.dx2 % 2 != 0 || rh.dy2 % 2 != 0, true)
       << "the winning vector should be fractional";
@@ -118,8 +136,8 @@ TEST(HalfPel, RefinementNeverWorsensSad) {
     const int y0 = 16 * static_cast<int>(rng.uniform_i64(1, 2));
     MotionConfig full{3, 0, false};
     MotionConfig half{3, 0, true};
-    const MotionResult rf = estimate_motion(cur, ref, x0, y0, full);
-    const MotionResult rh = estimate_motion(cur, ref, x0, y0, half);
+    const MotionResult rf = search(cur, ref, x0, y0, full);
+    const MotionResult rh = search(cur, ref, x0, y0, half);
     EXPECT_LE(rh.sad, rf.sad);
     EXPECT_EQ(rh.points_examined, rf.points_examined + 8);
   }
@@ -129,7 +147,7 @@ TEST(HalfPel, DisabledKeepsEvenVectors) {
   const Frame ref = gradient(64, 64);
   const Frame cur = gradient(64, 64);
   MotionConfig cfg{3, 0, false};
-  const MotionResult r = estimate_motion(cur, ref, 24, 24, cfg);
+  const MotionResult r = search(cur, ref, 24, 24, cfg);
   EXPECT_EQ(r.dx2, 2 * r.dx);
   EXPECT_EQ(r.dy2, 2 * r.dy);
 }

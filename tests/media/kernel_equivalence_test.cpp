@@ -8,7 +8,9 @@
 // oracle.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdlib>
 
 #include "media/dct.h"
 #include "media/intra.h"
@@ -129,10 +131,12 @@ TEST(KernelEquivalence, FullPelCompensationBitExactIncludingBorders) {
       for (int trial = 0; trial < 30; ++trial) {
         const int dx = static_cast<int>(rng.uniform_i64(-15, 15));
         const int dy = static_cast<int>(rng.uniform_i64(-15, 15));
-        const auto a = motion_compensate(ref, mbx * 16, mby * 16, dx, dy);
-        const auto b = motion_compensate(padded, mbx * 16, mby * 16, dx, dy);
-        ASSERT_EQ(a, b) << "mb (" << mbx << "," << mby << ") d (" << dx
-                        << "," << dy << ")";
+        const int x0 = mbx * 16;
+        const int y0 = mby * 16;
+        ASSERT_EQ(motion_compensate_halfpel(padded, x0, y0, 2 * dx, 2 * dy),
+                  naive_halfpel(ref, x0, y0, 2 * dx, 2 * dy))
+            << "mb (" << mbx << "," << mby << ") d (" << dx << "," << dy
+            << ")";
       }
     }
   }
@@ -148,12 +152,9 @@ TEST(KernelEquivalence, HalfPelCompensationBitExactIncludingBorders) {
         for (int dx2 = -19; dx2 <= 19; dx2 += 3) {
           const int x0 = mbx * 16;
           const int y0 = mby * 16;
-          const auto naive = naive_halfpel(ref, x0, y0, dx2, dy2);
-          ASSERT_EQ(motion_compensate_halfpel(ref, x0, y0, dx2, dy2), naive)
-              << "frame path, d2 (" << dx2 << "," << dy2 << ")";
           ASSERT_EQ(motion_compensate_halfpel(padded, x0, y0, dx2, dy2),
-                    naive)
-              << "padded path, d2 (" << dx2 << "," << dy2 << ")";
+                    naive_halfpel(ref, x0, y0, dx2, dy2))
+              << "d2 (" << dx2 << "," << dy2 << ")";
         }
       }
     }
@@ -161,9 +162,61 @@ TEST(KernelEquivalence, HalfPelCompensationBitExactIncludingBorders) {
 }
 
 // ---------------------------------------------------------------------------
-// Motion estimation: padded and clamped searches decide identically
+// Motion estimation: the padded search decides as a clamped one does
 
-TEST(KernelEquivalence, EstimateMotionPaddedMatchesFrameEverywhere) {
+/// The search one candidate at a time on the border-clamped frame:
+/// spiral order, early exit after each candidate, then half-pel
+/// refinement over the 8 neighbors of the full-pel winner.
+MotionResult naive_search(const Frame& cur, const Frame& ref, int x0, int y0,
+                          const MotionConfig& cfg) {
+  MotionResult r;
+  r.points_total = (2 * cfg.radius + 1) * (2 * cfg.radius + 1);
+  r.sad = naive_sad(cur, ref, x0, y0, 0, 0);
+  r.points_examined = 1;
+  const auto good_enough = [&] {
+    return cfg.early_exit_sad > 0 && r.sad <= cfg.early_exit_sad;
+  };
+  bool stop = good_enough();
+  for (int ring = 1; ring <= cfg.radius && !stop; ++ring) {
+    for (int dy = -ring; dy <= ring && !stop; ++dy) {
+      for (int dx = -ring; dx <= ring && !stop; ++dx) {
+        if (std::max(std::abs(dx), std::abs(dy)) != ring) continue;
+        const std::int64_t s = naive_sad(cur, ref, x0, y0, dx, dy);
+        ++r.points_examined;
+        if (s < r.sad) {
+          r.sad = s;
+          r.dx = dx;
+          r.dy = dy;
+        }
+        stop = good_enough();
+      }
+    }
+  }
+  r.dx2 = 2 * r.dx;
+  r.dy2 = 2 * r.dy;
+  if (!cfg.half_pel) return r;
+  const auto src = read_macroblock(cur, x0, y0);
+  const int best_dx = r.dx;
+  const int best_dy = r.dy;
+  for (int fy = -1; fy <= 1; ++fy) {
+    for (int fx = -1; fx <= 1; ++fx) {
+      if (fx == 0 && fy == 0) continue;
+      const auto pred =
+          naive_halfpel(ref, x0, y0, 2 * best_dx + fx, 2 * best_dy + fy);
+      std::int64_t s = 0;
+      for (std::size_t i = 0; i < 256; ++i) s += std::abs(src[i] - pred[i]);
+      ++r.points_examined;
+      if (s < r.sad) {
+        r.sad = s;
+        r.dx2 = 2 * best_dx + fx;
+        r.dy2 = 2 * best_dy + fy;
+      }
+    }
+  }
+  return r;
+}
+
+TEST(KernelEquivalence, EstimateMotionMatchesTheClampedSearchEverywhere) {
   util::Rng rng(25);
   for (int trial = 0; trial < 4; ++trial) {
     const Frame ref = random_frame(rng, 64, 48);
@@ -182,16 +235,18 @@ TEST(KernelEquivalence, EstimateMotionPaddedMatchesFrameEverywhere) {
           cfg.radius = 8;
           cfg.early_exit_sad = (trial % 2 == 0) ? 512 : 0;
           cfg.half_pel = half_pel;
-          const MotionResult a =
-              estimate_motion(cur, ref, mbx * 16, mby * 16, cfg);
-          const MotionResult b =
-              estimate_motion(cur, padded, mbx * 16, mby * 16, cfg);
+          const int x0 = mbx * 16;
+          const int y0 = mby * 16;
+          const MotionResult a = naive_search(cur, ref, x0, y0, cfg);
+          const MotionResult b = estimate_motion(
+              read_macroblock(cur, x0, y0).data(), padded, x0, y0, cfg);
           EXPECT_EQ(a.dx, b.dx);
           EXPECT_EQ(a.dy, b.dy);
           EXPECT_EQ(a.dx2, b.dx2);
           EXPECT_EQ(a.dy2, b.dy2);
           EXPECT_EQ(a.sad, b.sad);
           EXPECT_EQ(a.points_examined, b.points_examined);
+          EXPECT_EQ(a.points_total, b.points_total);
         }
       }
     }

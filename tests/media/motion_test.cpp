@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 
 #include "util/rng.h"
@@ -28,6 +29,13 @@ Frame textured(int w, int h, int shift_x = 0, int shift_y = 0) {
     }
   }
   return f;
+}
+
+/// The search of the macroblock at (x0, y0) of `cur` against `ref`.
+MotionResult search(const Frame& cur, const Frame& ref, int x0, int y0,
+                    const MotionConfig& cfg) {
+  return estimate_motion(read_macroblock(cur, x0, y0).data(),
+                         PaddedFrame(ref), x0, y0, cfg);
 }
 
 TEST(Sad16x16, ZeroForIdentical) {
@@ -73,7 +81,7 @@ TEST(EstimateMotion, FindsExactTranslation) {
   // cur(x,y) = ref(x+3, y-2), so block at (x0,y0) of cur matches ref at
   // (x0+3, y0-2): motion vector (dx, dy) = (3, -2).
   MotionConfig cfg{8, 0};
-  const MotionResult r = estimate_motion(cur, ref, 24, 24, cfg);
+  const MotionResult r = search(cur, ref, 24, 24, cfg);
   EXPECT_EQ(r.dx, 3);
   EXPECT_EQ(r.dy, -2);
   EXPECT_EQ(r.sad, 0);
@@ -83,7 +91,7 @@ TEST(EstimateMotion, ZeroRadiusOnlyChecksZeroVector) {
   const Frame ref = textured(64, 64);
   const Frame cur = textured(64, 64, 5, 5);
   MotionConfig cfg{0, 0};
-  const MotionResult r = estimate_motion(cur, ref, 24, 24, cfg);
+  const MotionResult r = search(cur, ref, 24, 24, cfg);
   EXPECT_EQ(r.dx, 0);
   EXPECT_EQ(r.dy, 0);
   EXPECT_EQ(r.points_examined, 1);
@@ -95,11 +103,11 @@ TEST(EstimateMotion, EarlyExitStopsAtGoodMatch) {
   const Frame ref = textured(64, 64);
   const Frame cur = textured(64, 64);  // identical: zero vector perfect
   MotionConfig lazy{8, 512};
-  const MotionResult r = estimate_motion(cur, ref, 24, 24, lazy);
+  const MotionResult r = search(cur, ref, 24, 24, lazy);
   EXPECT_EQ(r.points_examined, 1);
   EXPECT_EQ(r.sad, 0);
   MotionConfig eager{8, 0};  // disabled early exit scans everything
-  const MotionResult r2 = estimate_motion(cur, ref, 24, 24, eager);
+  const MotionResult r2 = search(cur, ref, 24, 24, eager);
   EXPECT_EQ(r2.points_examined, r2.points_total);
 }
 
@@ -107,10 +115,10 @@ TEST(EstimateMotion, WindowTooSmallMissesTheMatch) {
   const Frame ref = textured(64, 64);
   const Frame cur = textured(64, 64, 6, 0);
   MotionConfig small{3, 0};
-  const MotionResult r = estimate_motion(cur, ref, 24, 24, small);
+  const MotionResult r = search(cur, ref, 24, 24, small);
   EXPECT_GT(r.sad, 0) << "radius 3 cannot reach the (6,0) match";
   MotionConfig big{8, 0};
-  const MotionResult r2 = estimate_motion(cur, ref, 24, 24, big);
+  const MotionResult r2 = search(cur, ref, 24, 24, big);
   EXPECT_EQ(r2.sad, 0);
   EXPECT_EQ(r2.dx, 6);
 }
@@ -120,7 +128,7 @@ TEST(EstimateMotion, PointCounts) {
   const Frame cur = textured(64, 64, 1, 1);
   for (int radius : {0, 1, 2, 4}) {
     MotionConfig cfg{radius, 0};
-    const MotionResult r = estimate_motion(cur, ref, 24, 24, cfg);
+    const MotionResult r = search(cur, ref, 24, 24, cfg);
     EXPECT_EQ(r.points_total, (2 * radius + 1) * (2 * radius + 1));
     EXPECT_EQ(r.points_examined, r.points_total);
   }
@@ -137,43 +145,37 @@ TEST(EstimateMotion, SadIsBestOverWindow) {
     }
   }
   MotionConfig cfg{2, 0};
-  const MotionResult r = estimate_motion(cur, ref, 24, 24, cfg);
-  const auto src = read_macroblock(cur, 24, 24);
+  const MotionResult r = search(cur, ref, 24, 24, cfg);
   std::int64_t best = INT64_MAX;
   for (int dy = -2; dy <= 2; ++dy) {
     for (int dx = -2; dx <= 2; ++dx) {
-      const auto pred = motion_compensate(ref, 24, 24, dx, dy);
-      best = std::min(best, naive_sad(src, pred));
+      std::int64_t sad = 0;
+      for (int y = 0; y < 16; ++y) {
+        for (int x = 0; x < 16; ++x) {
+          sad += std::abs(cur.at(24 + x, 24 + y) -
+                          ref.at(24 + x + dx, 24 + y + dy));
+        }
+      }
+      best = std::min(best, sad);
     }
   }
   EXPECT_EQ(r.sad, best);
 }
 
-TEST(EstimateMotion, CallersBlockMatchesTheFrameSearch) {
-  // The overload the encoder calls, with the source block Grab holds,
-  // returns what the padded Frame overload returns at every macroblock.
+TEST(EstimateMotionDeath, RejectsAWindowPastThePad) {
   const Frame ref = textured(64, 48);
-  const Frame cur = textured(64, 48, 3, -2);
-  const PaddedFrame padded(ref);
-  MotionConfig cfg;
-  cfg.radius = 4;
-  cfg.half_pel = true;
-  for (int y0 = 0; y0 < 48; y0 += 16) {
-    for (int x0 = 0; x0 < 64; x0 += 16) {
-      const auto src = read_macroblock(cur, x0, y0);
-      const MotionResult a = estimate_motion(src.data(), padded, x0, y0, cfg);
-      const MotionResult b = estimate_motion(cur, padded, x0, y0, cfg);
-      EXPECT_EQ(a.dx2, b.dx2);
-      EXPECT_EQ(a.dy2, b.dy2);
-      EXPECT_EQ(a.sad, b.sad);
-      EXPECT_EQ(a.points_examined, b.points_examined);
-    }
-  }
+  const auto src = read_macroblock(ref, 16, 16);
+  // Radius 8 plus the half-pel margin needs a pad of 9.
+  const MotionConfig cfg{8, 0};
+  EXPECT_DEATH(estimate_motion(src.data(), PaddedFrame(ref, 8), 16, 16, cfg),
+               "exceeds reference pad");
+  EXPECT_DEATH(estimate_motion(src.data(), PaddedFrame(ref), 56, 16, cfg),
+               "out of bounds");
 }
 
 TEST(MotionCompensate, CopiesShiftedBlock) {
   const Frame ref = textured(64, 64);
-  const auto pred = motion_compensate(ref, 16, 16, 2, -1);
+  const auto pred = motion_compensate_halfpel(PaddedFrame(ref), 16, 16, 4, -2);
   for (int y = 0; y < 16; ++y) {
     for (int x = 0; x < 16; ++x) {
       EXPECT_EQ(pred[static_cast<std::size_t>(y * 16 + x)],
@@ -182,10 +184,23 @@ TEST(MotionCompensate, CopiesShiftedBlock) {
   }
 }
 
-TEST(MotionCompensate, ClampsAtBorders) {
+TEST(MotionCompensate, ReplicatesTheBorder) {
   const Frame ref = textured(32, 32);
-  const auto pred = motion_compensate(ref, 0, 0, -10, -10);
+  const auto pred = motion_compensate_halfpel(PaddedFrame(ref), 0, 0, -20, -20);
   EXPECT_EQ(pred[0], ref.at(0, 0));
+  EXPECT_EQ(pred[15 * 16 + 15], ref.at(5, 5));
+}
+
+TEST(MotionCompensateDeath, RejectsAVectorPastThePad) {
+  const PaddedFrame padded(textured(32, 32));
+  // Pad 16: the block may start 16 pixels left of the frame, and its
+  // interpolation column must end inside the right margin.
+  (void)motion_compensate_halfpel(padded, 0, 0, -32, 0);
+  (void)motion_compensate_halfpel(padded, 16, 0, 31, 0);
+  EXPECT_DEATH(motion_compensate_halfpel(padded, 0, 0, -33, 0),
+               "exceeds reference padding");
+  EXPECT_DEATH(motion_compensate_halfpel(padded, 16, 0, 32, 0),
+               "exceeds reference padding");
 }
 
 }  // namespace

@@ -160,7 +160,8 @@ TEST(SyntheticVideo, ChromaPansWithLuma) {
   const YuvFrame b = v.frame_yuv(11);
   // Find the dominant pan by luma full search at a central MB.
   MotionConfig cfg{8, 0};
-  const MotionResult mv = estimate_motion(b.y, a.y, 80, 64, cfg);
+  const MotionResult mv = estimate_motion(read_macroblock(b.y, 80, 64).data(),
+                                         PaddedFrame(a.y), 80, 64, cfg);
   // Compensate the co-located chroma block with that vector and check
   // it beats the zero-vector difference.
   const auto moved =

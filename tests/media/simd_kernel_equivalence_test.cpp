@@ -384,9 +384,7 @@ TEST(SimdKernelEquivalence, SsimStatsMatchScalarExactlyOnOddStrides) {
 
 // ---------------------------------------------------------------------------
 // Whole-search equivalence: estimate_motion through each dispatched
-// backend must produce identical results, frame borders included (the
-// padded reference plus the clamped Frame overload both run under
-// every backend).
+// backend must produce identical results, frame borders included.
 
 Frame random_frame(util::Rng& rng, int w, int h) {
   Frame f(w, h);
@@ -424,24 +422,22 @@ TEST(SimdKernelEquivalence, MotionSearchIdenticalUnderEveryBackend) {
               cfg.radius = 8;
               cfg.early_exit_sad = early;
               cfg.half_pel = half_pel;
-              const MotionResult pr =
-                  estimate_motion(cur, padded, mbx * 16, mby * 16, cfg);
-              const MotionResult fr =
-                  estimate_motion(cur, ref, mbx * 16, mby * 16, cfg);
-              for (const MotionResult* m : {&pr, &fr}) {
-                if (sink != nullptr) {
-                  sink->push_back(*m);
-                } else {
-                  const MotionResult& want = (*expect)[i];
-                  EXPECT_EQ(m->dx, want.dx);
-                  EXPECT_EQ(m->dy, want.dy);
-                  EXPECT_EQ(m->dx2, want.dx2);
-                  EXPECT_EQ(m->dy2, want.dy2);
-                  EXPECT_EQ(m->sad, want.sad);
-                  EXPECT_EQ(m->points_examined, want.points_examined);
-                }
-                ++i;
+              const int x0 = mbx * 16;
+              const int y0 = mby * 16;
+              const MotionResult m = estimate_motion(
+                  read_macroblock(cur, x0, y0).data(), padded, x0, y0, cfg);
+              if (sink != nullptr) {
+                sink->push_back(m);
+              } else {
+                const MotionResult& want = (*expect)[i];
+                EXPECT_EQ(m.dx, want.dx);
+                EXPECT_EQ(m.dy, want.dy);
+                EXPECT_EQ(m.dx2, want.dx2);
+                EXPECT_EQ(m.dy2, want.dy2);
+                EXPECT_EQ(m.sad, want.sad);
+                EXPECT_EQ(m.points_examined, want.points_examined);
               }
+              ++i;
             }
           }
         }

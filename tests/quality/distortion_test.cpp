@@ -164,6 +164,29 @@ TEST(FrameSse, CountsEveryPixelOfAnyPlane) {
 TEST(FrameSseDeath, RejectsUnequalGeometry) {
   const media::Plane a(16, 8), b(8, 16);
   EXPECT_DEATH(frame_sse(a, b), "equal dimensions");
+  EXPECT_DEATH(measure(a, b), "equal dimensions");
+}
+
+TEST(Distortion, MeasuresAChromaSizedPlane) {
+  // A 24x8 plane tiles the 8x8 SSIM grid but not the 16-pixel
+  // macroblock grid.  Its scores match the luma path's rules: the
+  // block-scan PSNR equals psnr(), and identical planes score 1.
+  util::Rng rng(8);
+  media::Plane a(24, 8), b(24, 8);
+  for (media::Sample& v : a.data()) {
+    v = static_cast<media::Sample>(rng.uniform_i64(0, 255));
+  }
+  for (std::size_t i = 0; i < b.data().size(); ++i) {
+    b.data()[i] = static_cast<media::Sample>(
+        std::clamp<int>(a.data()[i] + static_cast<int>(rng.uniform_i64(-9, 9)),
+                        0, 255));
+  }
+  EXPECT_DOUBLE_EQ(ssim(a, a), 1.0);
+  const FrameDistortion d = measure(a, b);
+  EXPECT_EQ(d.psnr, psnr(a, b));
+  EXPECT_EQ(d.ssim, ssim(a, b));
+  EXPECT_LT(d.ssim, 1.0);
+  EXPECT_GT(d.ssim, 0.5);
 }
 
 TEST(Distortion, SsimDegradesMonotonicallyWithNoise) {

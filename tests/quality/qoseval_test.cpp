@@ -7,6 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "farm/load_gen.h"
 #include "farm/metrics.h"
 
 namespace qosctrl::quality {
@@ -24,7 +27,8 @@ SweepConfig small_grid() {
     lg.min_frames = 2;
     lg.max_frames = 4;
     lg.seed = seed;
-    cfg.scenarios.push_back(lg);
+    cfg.scenarios.push_back(
+        {"seed" + std::to_string(seed), farm::generate_scenario(lg)});
   }
   for (const sched::PolicyKind kind :
        {sched::PolicyKind::kNonPreemptiveEdf,
@@ -155,6 +159,8 @@ TEST(QosEval, CellsCoverTheFullGridInScenarioMajorOrder) {
         for (const bool rn : cfg.renegotiate) {
           const CellResult& c = r.cells[i++];
           EXPECT_EQ(c.scenario, s);
+          EXPECT_EQ(c.scenario_name,
+                    cfg.scenarios[static_cast<std::size_t>(s)].name);
           EXPECT_EQ(c.quality_policy, qp);
           EXPECT_EQ(c.sched.kind, sp.kind);
           EXPECT_EQ(c.renegotiate, rn);

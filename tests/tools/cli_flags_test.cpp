@@ -7,6 +7,8 @@
 #include <string>
 #include <vector>
 
+#include "farm/simulator.h"
+
 namespace qosctrl::cli {
 namespace {
 
@@ -168,6 +170,27 @@ TEST(CliFlags, IntBounds) {
                    {"--count", "-1"},
                    {"--count", "3x"},
                    {"--count", ""}});
+}
+
+TEST(CliFlags, TraceBufferStopsAtTheRingCeiling) {
+  // qosfarm's --trace-buf: each trace ring reserves its capacity up
+  // front, so a value past the ceiling is a usage error, not a
+  // std::bad_alloc.
+  int capacity = 0;
+  const CommandLine cl{"tool", "cmd", {integer("--trace-buf", "N", &capacity, 1,
+                                               farm::kMaxTraceBufferCapacity)}};
+  const std::string ceiling = std::to_string(farm::kMaxTraceBufferCapacity);
+  ASSERT_EQ(Parsed(cl, {"--trace-buf", ceiling}).rc, -1);
+  EXPECT_EQ(capacity, farm::kMaxTraceBufferCapacity);
+  for (const std::string v :
+       {std::to_string(farm::kMaxTraceBufferCapacity + 1),
+        std::string("2000000000"), std::string("0")}) {
+    const Parsed r(cl, {"--trace-buf", v});
+    EXPECT_EQ(r.rc, 2) << v;
+    EXPECT_NE(r.err.find("bad value for --trace-buf: '" + v + "'"),
+              std::string::npos)
+        << r.err;
+  }
 }
 
 TEST(CliFlags, RangesAreOrderedAndBounded) {

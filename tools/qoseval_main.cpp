@@ -18,6 +18,7 @@
 
 #include "cli_util.h"
 #include "farm/faults.h"
+#include "farm/load_gen.h"
 #include "farm/presets.h"
 #include "quality/qoseval.h"
 
@@ -116,15 +117,15 @@ int main(int argc, char** argv) {
       lg.min_frames = min_frames;
       lg.max_frames = max_frames;
       lg.seed = s;
-      sweep.scenarios.push_back(lg);
-      sweep.scenario_names.push_back("seed" + std::to_string(s));
+      sweep.scenarios.push_back(
+          {"seed" + std::to_string(s), farm::generate_scenario(lg)});
     }
   }
   for (const farm::PresetKind k : presets) {
     farm::PresetParams pp;
     if (streams_given) pp.num_streams = streams;
-    sweep.preset_scenarios.push_back(farm::compile_preset(k, pp));
-    sweep.scenario_names.push_back(farm::preset_name(k));
+    sweep.scenarios.push_back(
+        {farm::preset_name(k), farm::compile_preset(k, pp)});
   }
   for (const sched::PolicyKind k : kinds) {
     sched::PolicyParams p;

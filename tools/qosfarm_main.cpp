@@ -120,7 +120,8 @@ int main(int argc, char** argv) {
       cli::text("--json", "PATH", &json_path),
       cli::text("--csv", "PATH", &csv_path),
       cli::given(cli::text("--trace", "PATH", &trace_path), &cfg.trace),
-      cli::integer("--trace-buf", "N", &cfg.trace_buffer_capacity, 1),
+      cli::integer("--trace-buf", "N", &cfg.trace_buffer_capacity, 1,
+                   farm::kMaxTraceBufferCapacity),
       cli::cycles("--ts-window", "W", &cfg.ts_window, 1),
       cli::slo(kTool, &cfg.slos),
       cli::enable("--slo-exit", &slo_exit),
