@@ -31,9 +31,6 @@ class RateController {
   /// Per-frame bit budget.
   double target_bits_per_frame() const { return target_; }
 
-  /// Signed virtual-buffer fullness in bits (positive = over budget).
-  double buffer_bits() const { return buffer_; }
-
   /// Reports an encoded frame's bit cost and updates QP.
   void frame_encoded(std::int64_t bits);
 

@@ -1,8 +1,5 @@
 #include "encoder/system_builder.h"
 
-#include <cmath>
-#include <vector>
-
 #include "encoder/body.h"
 #include "util/check.h"
 
@@ -44,26 +41,6 @@ EncoderSystem build_encoder_system(int macroblocks, rt::Cycles budget,
   sys.macroblocks = macroblocks;
   sys.budget = budget;
   return sys;
-}
-
-platform::CostTable scale_cost_table(const platform::CostTable& table,
-                                     double factor) {
-  QC_EXPECT(factor > 0.0, "scale factor must be positive");
-  std::vector<std::vector<platform::CostSpec>> specs;
-  for (std::size_t a = 0; a < table.num_actions(); ++a) {
-    std::vector<platform::CostSpec> row;
-    for (std::size_t qi = 0; qi < table.num_levels(); ++qi) {
-      const platform::CostSpec& s =
-          table.at(static_cast<rt::ActionId>(a), qi);
-      row.push_back(platform::CostSpec{
-          static_cast<rt::Cycles>(std::llround(
-              static_cast<double>(s.average) * factor)),
-          static_cast<rt::Cycles>(std::llround(
-              static_cast<double>(s.worst_case) * factor))});
-    }
-    specs.push_back(std::move(row));
-  }
-  return platform::CostTable(std::move(specs));
 }
 
 }  // namespace qosctrl::enc

@@ -28,10 +28,4 @@ struct EncoderSystem {
 EncoderSystem build_encoder_system(int macroblocks, rt::Cycles budget,
                                    const platform::CostTable& costs);
 
-/// Scales a Figure 5-style cost table by a rational factor (used to
-/// retarget the paper's 1620-macroblock PAL geometry to smaller
-/// frames while preserving load ratios).
-platform::CostTable scale_cost_table(const platform::CostTable& table,
-                                     double factor);
-
 }  // namespace qosctrl::enc

@@ -2,6 +2,7 @@
 
 #include <iomanip>
 #include <sstream>
+#include <string_view>
 #include <type_traits>
 
 #include "encoder/body.h"
@@ -31,20 +32,82 @@ rt::Cycles final_budget(const StreamOutcome& so) {
                         : epochs.back().table_budget;
 }
 
-/// Appends ",<value>" for each value: integers (and bools, as 0/1)
+/// Appends one CSV cell: text verbatim, integers (and bools, as 0/1)
 /// whole, doubles at round-trip precision, as the stream they replace
 /// printed them.
+template <class T>
+void csv_cell(util::JsonWriter& w, const T& v) {
+  if constexpr (std::is_convertible_v<T, std::string_view>) {
+    w.raw(std::string_view(v));
+  } else if constexpr (std::is_floating_point_v<T>) {
+    w.raw_number(v);
+  } else {
+    w.raw_integer(static_cast<long long>(v));
+  }
+}
+
+/// Appends ",<value>" for each value.
 template <class... Ts>
 void csv_fields(util::JsonWriter& w, const Ts&... values) {
-  const auto field = [&w](const auto& v) {
-    w.raw(',');
-    if constexpr (std::is_floating_point_v<std::decay_t<decltype(v)>>) {
-      w.raw_number(v);
-    } else {
-      w.raw_integer(static_cast<long long>(v));
-    }
-  };
-  (field(values), ...);
+  ((w.raw(','), csv_cell(w, values)), ...);
+}
+
+/// The CSV stream table, one `column(name, value)` call per column in
+/// order: the request and the admission verdict from `so`, the outcome
+/// from `ran` — `so` itself, or for a rejected stream a stream that
+/// never ran (processor -1, every other outcome 0).  The one list that
+/// writes the header, admitted rows and rejected rows.
+template <class Column>
+void stream_columns(const StreamOutcome& so, const StreamOutcome& ran,
+                    Column&& column) {
+  column("id", so.spec.id);
+  column("mode", mode_name(so.spec.mode));
+  column("width", so.spec.width);
+  column("height", so.spec.height);
+  column("buffer_capacity", so.spec.buffer_capacity);
+  column("frame_period", period_of(so.spec));
+  column("join_time", so.spec.join_time);
+  column("num_frames", so.spec.num_frames);
+  column("admitted", so.placement.admitted);
+  const Placement& pl = ran.placement;
+  const pipe::PipelineResult& res = ran.result;
+  const StreamFaultStats& f = ran.faults;
+  column("processor", pl.processor);
+  column("table_budget", pl.table_budget);
+  column("committed_cost", pl.committed_cost);
+  column("migrated", pl.migrated);
+  column("degraded", pl.degraded);
+  column("split", pl.split);
+  column("via_renegotiation", pl.via_renegotiation);
+  column("renegotiated", ran.renegotiated);
+  column("restored", ran.restored);
+  column("final_budget", final_budget(ran));
+  column("initial_quality", pl.initial_quality);
+  column("skips", res.total_skips);
+  column("display_misses", ran.display_misses);
+  column("internal_misses", res.total_deadline_misses);
+  column("max_start_lag", ran.max_start_lag);
+  column("mean_start_lag", ran.mean_start_lag);
+  column("mean_psnr", res.mean_psnr);
+  column("psnr_p5", res.psnr_stats.p5);
+  column("psnr_min", res.psnr_stats.min);
+  column("mean_ssim", res.mean_ssim);
+  column("ssim_p5", res.ssim_stats.p5);
+  column("ssim_min", res.ssim_stats.min);
+  column("mean_quality", res.mean_quality);
+  column("kbps", res.achieved_bps / 1e3);
+  column("concealed", res.total_concealed);
+  column("start_lag_p95", ran.start_lag_p95);
+  column("overruns_injected", f.overruns_injected);
+  column("overruns_policed", f.overruns_policed);
+  column("aborted_frames", f.aborted_frames);
+  column("forced_downgrades", f.forced_downgrades);
+  column("quarantines", f.quarantines);
+  column("quarantine_drops", f.quarantine_drops);
+  column("lost_frames", f.lost_frames);
+  column("failure_drops", f.failure_drops);
+  column("quarantined", f.quarantines > 0);
+  column("failovers", ran.failover.size());
 }
 
 }  // namespace
@@ -448,45 +511,24 @@ std::string to_json(const FarmResult& r) {
 
 std::string to_csv(const FarmResult& r) {
   util::JsonWriter w;
-  w.raw("id,mode,width,height,buffer_capacity,frame_period,join_time,"
-        "num_frames,admitted,processor,table_budget,committed_cost,"
-        "migrated,degraded,split,via_renegotiation,renegotiated,restored,"
-        "final_budget,"
-        "initial_quality,skips,display_misses,"
-        "internal_misses,max_start_lag,mean_start_lag,mean_psnr,"
-        "psnr_p5,psnr_min,mean_ssim,ssim_p5,ssim_min,"
-        "mean_quality,kbps,"
-        "concealed,start_lag_p95,overruns_injected,overruns_policed,"
-        "aborted_frames,forced_downgrades,quarantines,quarantine_drops,"
-        "lost_frames,failure_drops,quarantined,failovers\n");
+  const StreamOutcome never_ran;
+  std::string_view sep = "";
+  stream_columns(never_ran, never_ran,
+                 [&](std::string_view name, const auto&) {
+                   w.raw(sep).raw(name);
+                   sep = ",";
+                 });
   for (const StreamOutcome& so : r.streams) {
-    const Placement& pl = so.placement;
-    w.raw_integer(so.spec.id).raw(',').raw(mode_name(so.spec.mode));
-    csv_fields(w, so.spec.width, so.spec.height, so.spec.buffer_capacity,
-               period_of(so.spec), so.spec.join_time, so.spec.num_frames,
-               pl.admitted);
-    if (!pl.admitted) {
-      w.raw(",-1,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,"
-            "0,0,0,0,0,0,0,0,0,0,0,0\n");
-      continue;
-    }
-    csv_fields(w, pl.processor, pl.table_budget, pl.committed_cost,
-               pl.migrated, pl.degraded, pl.split, pl.via_renegotiation,
-               so.renegotiated, so.restored, final_budget(so),
-               pl.initial_quality, so.result.total_skips, so.display_misses,
-               so.result.total_deadline_misses, so.max_start_lag,
-               so.mean_start_lag, so.result.mean_psnr, so.result.psnr_stats.p5,
-               so.result.psnr_stats.min, so.result.mean_ssim,
-               so.result.ssim_stats.p5, so.result.ssim_stats.min,
-               so.result.mean_quality, so.result.achieved_bps / 1e3,
-               so.result.total_concealed, so.start_lag_p95);
-    const StreamFaultStats& f = so.faults;
-    csv_fields(w, f.overruns_injected, f.overruns_policed, f.aborted_frames,
-               f.forced_downgrades, f.quarantines, f.quarantine_drops,
-               f.lost_frames, f.failure_drops, f.quarantines > 0,
-               so.failover.size());
     w.raw('\n');
+    sep = "";
+    stream_columns(so, so.placement.admitted ? so : never_ran,
+                   [&](std::string_view, const auto& value) {
+                     w.raw(sep);
+                     csv_cell(w, value);
+                     sep = ",";
+                   });
   }
+  w.raw('\n');
   // Metrics table, blank-line separated from the stream table so the
   // file stays trivially splittable.
   w.raw("\nmetric,kind,count,sum,min,max,p50,p95,p99\n");

@@ -45,13 +45,8 @@ void AdaptiveController::start_cycle() {
 Decision AdaptiveController::next(rt::Cycles t) {
   QC_EXPECT(!done(), "next() called on a finished cycle");
   const auto& levels = tables_->quality_levels();
-  std::size_t chosen_qi = 0;
-  for (std::size_t qi = levels.size(); qi-- > 0;) {
-    if (tables_->acceptable(i_, qi, t, soft_)) {
-      chosen_qi = qi;
-      break;
-    }
-  }
+  const std::size_t chosen_qi =
+      best_quality(*tables_, i_, levels.size() - 1, t, soft_);
   last_k_ = i_ % profile_.order.size();
   last_qi_ = chosen_qi;
   have_last_ = true;
@@ -69,16 +64,6 @@ void AdaptiveController::observe(rt::Cycles actual_cost) {
       config_.min_ratio, config_.max_ratio);
   ratios_[last_k_] = (1.0 - config_.ewma_alpha) * ratios_[last_k_] +
                      config_.ewma_alpha * sample;
-}
-
-const rt::ExecutionSequence& AdaptiveController::schedule() const {
-  if (materialized_schedule_.empty()) {
-    materialized_schedule_.reserve(tables_->num_positions());
-    for (std::size_t i = 0; i < tables_->num_positions(); ++i) {
-      materialized_schedule_.push_back(tables_->action_at(i));
-    }
-  }
-  return materialized_schedule_;
 }
 
 }  // namespace qosctrl::qos

@@ -45,10 +45,8 @@ class AdaptiveController : public Controller {
                      bool soft = false);
 
   void start_cycle() override;
-  std::size_t step() const override { return i_; }
   bool done() const override { return i_ >= tables_->num_positions(); }
   Decision next(rt::Cycles t) override;
-  const rt::ExecutionSequence& schedule() const override;
 
   /// Feeds back the actual cost of the action returned by the last
   /// next() call.  Updates the EWMA ratio of that body action.
@@ -70,7 +68,6 @@ class AdaptiveController : public Controller {
   std::size_t last_k_ = 0;
   std::size_t last_qi_ = 0;
   bool have_last_ = false;
-  mutable rt::ExecutionSequence materialized_schedule_;
 };
 
 }  // namespace qosctrl::qos

@@ -100,10 +100,7 @@ Decision TableController::next(rt::Cycles t) {
   const std::size_t hi =
       smoothness_cap(levels.size() - 1, smoothness_, choice_history_);
 
-  // O(log|Q|) predecessor query over the monotone slack columns,
-  // decision-identical to the original downward scan (qmin fallback
-  // included).
-  const std::size_t chosen_qi = tables_->best_quality(i_, hi, t, soft_);
+  const std::size_t chosen_qi = best_quality(*tables_, i_, hi, t, soft_);
   choice_history_.push_back(chosen_qi);
   const rt::ActionId action = tables_->schedule()[i_];
   ++i_;
@@ -140,28 +137,19 @@ DecimatedController::DecimatedController(std::unique_ptr<Controller> inner,
 
 void DecimatedController::start_cycle() {
   inner_->start_cycle();
-  since_decision_ = 0;
-  have_held_ = false;
+  i_ = 0;
 }
 
 Decision DecimatedController::next(rt::Cycles t) {
   QC_EXPECT(!done(), "next() called on a finished cycle");
-  if (!have_held_ || since_decision_ >= period_) {
-    const Decision d = inner_->next(t);
-    held_quality_ = d.quality;
-    have_held_ = true;
-    since_decision_ = 1;
-    return d;
-  }
-  // Hold the last quality: dispatch the next scheduled action without
-  // consulting the quality constraints (this is exactly what makes
-  // coarse-grain control slow to react).  The inner controller is still
-  // advanced so its position stays in sync; its quality decision for
-  // this step is discarded.
-  const rt::ActionId action = inner_->schedule()[inner_->step()];
-  (void)inner_->next(t);
-  ++since_decision_;
-  return Decision{action, held_quality_};
+  Decision d = inner_->next(t);
+  // Between decisions the inner quality is discarded and the held one
+  // dispatched (this is exactly what makes coarse-grain control slow
+  // to react); the action stays the inner controller's own.
+  if (i_ % period_ == 0) held_quality_ = d.quality;
+  ++i_;
+  d.quality = held_quality_;
+  return d;
 }
 
 }  // namespace qosctrl::qos

@@ -12,9 +12,10 @@
 //    Manager picks the maximal q with Qual_Const(alpha_q, theta_q, t, i).
 //    Handles quality-dependent deadlines.
 //  * TableController   — the compiled form produced by the prototype
-//    tool: O(|Q|) per step over precomputed slack tables.  Requires
-//    quality-independent deadlines; agrees decision-for-decision with
-//    OnlineController under that restriction (tested).
+//    tool: one qos::best_quality query (O(log|Q|)) per step over
+//    precomputed slack tables.  Requires quality-independent deadlines;
+//    agrees decision-for-decision with OnlineController under that
+//    restriction (tested).
 //  * ConstantController — the industrial baseline the paper compares
 //    against: a fixed quality level and the static EDF order.
 //
@@ -25,7 +26,6 @@
 #pragma once
 
 #include <memory>
-#include <optional>
 
 #include "qos/slack_tables.h"
 #include "rt/parameterized_system.h"
@@ -57,18 +57,17 @@ struct SmoothnessPolicy {
   int stride = 1;
 };
 
-/// Common controller interface.  A controller is bound to one
-/// parameterized system and walks one cycle (all actions of A) at a
-/// time; call start_cycle() to rewind for the next cycle.
+/// Common controller interface: four calls.  A controller is bound to
+/// one parameterized system and walks one cycle (all actions of A) at a
+/// time; call start_cycle() to rewind for the next cycle.  Which action
+/// comes next is known only from next(): the online controller's
+/// schedule depends on the qualities it picks.
 class Controller {
  public:
   virtual ~Controller() = default;
 
   /// Rewinds to step 0 of a fresh cycle.
   virtual void start_cycle() = 0;
-
-  /// Number of decisions taken in the current cycle so far.
-  virtual std::size_t step() const = 0;
 
   /// True when every action of the cycle has been dispatched.
   virtual bool done() const = 0;
@@ -82,10 +81,6 @@ class Controller {
   /// controllers (qos::AdaptiveController) refine their average-time
   /// estimates from it.
   virtual void observe(rt::Cycles actual_cost) { (void)actual_cost; }
-
-  /// The schedule being followed (fully determined for table/constant
-  /// controllers; incrementally refined for the online controller).
-  virtual const rt::ExecutionSequence& schedule() const = 0;
 };
 
 /// The abstract control algorithm (Scheduler + Quality Manager
@@ -99,12 +94,11 @@ class OnlineController : public Controller {
                             bool soft = false);
 
   void start_cycle() override;
-  std::size_t step() const override { return i_; }
   bool done() const override { return i_ >= alpha_.size(); }
   Decision next(rt::Cycles t) override;
-  const rt::ExecutionSequence& schedule() const override { return alpha_; }
 
-  /// The quality assignment as refined so far.
+  /// The schedule and quality assignment as refined so far.
+  const rt::ExecutionSequence& schedule() const { return alpha_; }
   const rt::QualityAssignment& assignment() const { return theta_; }
 
  private:
@@ -117,8 +111,8 @@ class OnlineController : public Controller {
   std::vector<std::size_t> choice_history_;
 };
 
-/// The compiled controller: per step, scan quality levels downward and
-/// pick the first whose two precomputed slacks admit t.
+/// The compiled controller: per step, qos::best_quality over the
+/// precomputed slack tables.
 class TableController : public Controller {
  public:
   /// `tables` is shared so one compiled artifact can drive many
@@ -128,12 +122,8 @@ class TableController : public Controller {
                            bool soft = false);
 
   void start_cycle() override;
-  std::size_t step() const override { return i_; }
   bool done() const override { return i_ >= tables_->num_positions(); }
   Decision next(rt::Cycles t) override;
-  const rt::ExecutionSequence& schedule() const override {
-    return tables_->schedule();
-  }
 
  private:
   std::shared_ptr<const SlackTables> tables_;
@@ -150,10 +140,8 @@ class ConstantController : public Controller {
   ConstantController(const rt::ParameterizedSystem& sys, rt::QualityLevel q);
 
   void start_cycle() override { i_ = 0; }
-  std::size_t step() const override { return i_; }
   bool done() const override { return i_ >= alpha_.size(); }
   Decision next(rt::Cycles t) override;
-  const rt::ExecutionSequence& schedule() const override { return alpha_; }
 
  private:
   rt::QualityLevel q_;
@@ -161,8 +149,9 @@ class ConstantController : public Controller {
   rt::ExecutionSequence alpha_;
 };
 
-/// Granularity ablation: consult the inner controller only every
-/// `period` actions; hold the last quality in between.
+/// Granularity ablation: take the inner controller's quality only every
+/// `period` actions and hold it in between.  The inner controller still
+/// decides every step, so the action dispatched is always its action.
 class DecimatedController : public Controller {
  public:
   /// `period` >= 1; period == schedule length means one decision per
@@ -170,19 +159,14 @@ class DecimatedController : public Controller {
   DecimatedController(std::unique_ptr<Controller> inner, std::size_t period);
 
   void start_cycle() override;
-  std::size_t step() const override { return inner_->step(); }
   bool done() const override { return inner_->done(); }
   Decision next(rt::Cycles t) override;
-  const rt::ExecutionSequence& schedule() const override {
-    return inner_->schedule();
-  }
 
  private:
   std::unique_ptr<Controller> inner_;
   std::size_t period_;
-  std::size_t since_decision_ = 0;
+  std::size_t i_ = 0;
   rt::QualityLevel held_quality_ = 0;
-  bool have_held_ = false;
 };
 
 }  // namespace qosctrl::qos

@@ -33,11 +33,9 @@ class FeedbackController : public Controller {
                      FeedbackConfig config = {});
 
   void start_cycle() override;
-  std::size_t step() const override { return i_; }
   bool done() const override { return i_ >= alpha_.size(); }
   Decision next(rt::Cycles t) override;
   void observe(rt::Cycles actual_cost) override;
-  const rt::ExecutionSequence& schedule() const override { return alpha_; }
 
   rt::QualityLevel current_level() const { return levels_[level_index_]; }
 

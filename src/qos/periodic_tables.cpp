@@ -20,6 +20,9 @@ PeriodicSlackTables PeriodicSlackTables::build(const PeriodicBody& body) {
       QC_EXPECT(body.cav[qi][k] >= 0 &&
                     body.cav[qi][k] <= body.cwc[qi][k],
                 "0 <= Cav <= Cwc required");
+      QC_EXPECT(qi == 0 || (body.cav[qi][k] >= body.cav[qi - 1][k] &&
+                            body.cwc[qi][k] >= body.cwc[qi - 1][k]),
+                "Cav and Cwc must not decrease in q");
     }
   }
   QC_EXPECT(body.period > 0, "per-iteration period must be positive");
@@ -101,28 +104,6 @@ std::size_t PeriodicSlackTables::table_bytes() const {
          + nq * m * sizeof(rt::Cycles)          // cwc rows (for slack_wc)
          + m * sizeof(rt::ActionId)             // body order
          + 4 * sizeof(rt::Cycles);              // period, N, twc0, qmin
-}
-
-PeriodicTableController::PeriodicTableController(
-    std::shared_ptr<const PeriodicSlackTables> tables, bool soft)
-    : tables_(std::move(tables)), soft_(soft) {
-  QC_EXPECT(tables_ != nullptr, "tables must not be null");
-}
-
-std::pair<rt::ActionId, rt::QualityLevel> PeriodicTableController::next(
-    rt::Cycles t) {
-  QC_EXPECT(!done(), "next() called on a finished cycle");
-  const auto& levels = tables_->quality_levels();
-  std::size_t chosen_qi = 0;
-  for (std::size_t qi = levels.size(); qi-- > 0;) {
-    if (tables_->acceptable(i_, qi, t, soft_)) {
-      chosen_qi = qi;
-      break;
-    }
-  }
-  const rt::ActionId action = tables_->action_at(i_);
-  ++i_;
-  return {action, levels[chosen_qi]};
 }
 
 }  // namespace qosctrl::qos

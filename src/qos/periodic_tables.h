@@ -21,7 +21,6 @@
 // bit-for-bit with qos::SlackTables (tested).
 #pragma once
 
-#include <memory>
 #include <vector>
 
 #include "rt/parameterized_system.h"
@@ -44,7 +43,9 @@ struct PeriodicBody {
 class PeriodicSlackTables {
  public:
   /// Builds the prefix sums.  Requires a well-formed body: equal table
-  /// sizes, positive period, iterations >= 1, Cav <= Cwc, monotone.
+  /// sizes, positive period, iterations >= 1, 0 <= Cav <= Cwc, and Cav
+  /// and Cwc non-decreasing in q (what makes qos::best_quality's binary
+  /// search exact on these tables).
   static PeriodicSlackTables build(const PeriodicBody& body);
 
   std::size_t body_size() const { return body_.order.size(); }
@@ -67,13 +68,6 @@ class PeriodicSlackTables {
   rt::Cycles slack_av(std::size_t i, std::size_t qi) const;
   rt::Cycles slack_wc(std::size_t i, std::size_t qi) const;
 
-  bool acceptable(std::size_t i, std::size_t qi, rt::Cycles t,
-                  bool soft = false) const {
-    if (t > slack_av(i, qi)) return false;
-    if (soft) return true;
-    return t <= slack_wc(i, qi);
-  }
-
   /// Persistent storage footprint in bytes (the embedded artifact).
   std::size_t table_bytes() const;
 
@@ -84,28 +78,6 @@ class PeriodicSlackTables {
   std::vector<rt::Cycles> tav_;
   std::vector<rt::Cycles> rwc0_;  // qmin worst-case suffix sums
   rt::Cycles twc0_ = 0;
-};
-
-/// Drop-in controller over the compact tables.  Mirrors
-/// TableController's decision rule; the full schedule is synthesized
-/// lazily only if a caller asks for it (host-side convenience — the
-/// embedded artifact never stores it).
-class PeriodicTableController {
- public:
-  explicit PeriodicTableController(
-      std::shared_ptr<const PeriodicSlackTables> tables, bool soft = false);
-
-  void start_cycle() { i_ = 0; }
-  std::size_t step() const { return i_; }
-  bool done() const { return i_ >= tables_->num_positions(); }
-
-  /// Decides (action, quality) for elapsed cycle time t.
-  std::pair<rt::ActionId, rt::QualityLevel> next(rt::Cycles t);
-
- private:
-  std::shared_ptr<const PeriodicSlackTables> tables_;
-  bool soft_;
-  std::size_t i_ = 0;
 };
 
 }  // namespace qosctrl::qos

@@ -67,8 +67,8 @@ SlackTables SlackTables::build(const rt::ParameterizedSystem& sys) {
       }
     }
     if (sensitive) {
-      out.ceiling_hard_ = out.best_quality(i, nq - 1, elapsed, false);
-      out.ceiling_soft_ = out.best_quality(i, nq - 1, elapsed, true);
+      out.ceiling_hard_ = best_quality(out, i, nq - 1, elapsed, false);
+      out.ceiling_soft_ = best_quality(out, i, nq - 1, elapsed, true);
       break;
     }
     elapsed += sys.cwc(qmin, a);

@@ -49,42 +49,6 @@ class SlackTables {
     return wc_[i][qi];
   }
 
-  /// The combined constraint: true when running alpha[i] at quality
-  /// index qi is acceptable with elapsed time t.  `soft` drops the
-  /// worst-case (safety) half.
-  bool acceptable(std::size_t i, std::size_t qi, rt::Cycles t,
-                  bool soft = false) const {
-    if (t > av_[i][qi]) return false;
-    if (soft) return true;
-    return t <= wc_[i][qi];
-  }
-
-  /// The maximal quality index in [0, hi] acceptable at elapsed time t;
-  /// when even index 0 (qmin) fails, returns 0 — the safety fallback,
-  /// exactly like the original downward scan.
-  ///
-  /// Costs are non-decreasing in q (Definition 2.3, enforced by
-  /// ParameterizedSystem::validate), so both slack columns are
-  /// non-increasing in qi and `acceptable` is downward-closed: true on
-  /// a prefix [0, k] of quality indices, false above.  That makes the
-  /// decision a predecessor query answerable in O(log|Q|) by binary
-  /// search instead of the O(|Q|) downward scan (tested equivalent).
-  std::size_t best_quality(std::size_t i, std::size_t hi, rt::Cycles t,
-                           bool soft = false) const {
-    if (!acceptable(i, 0, t, soft)) return 0;  // qmin fallback
-    // Invariant: acceptable at lo, not acceptable at hi + 1.
-    std::size_t lo = 0;
-    while (lo < hi) {
-      const std::size_t mid = lo + (hi - lo + 1) / 2;
-      if (acceptable(i, mid, t, soft)) {
-        lo = mid;
-      } else {
-        hi = mid - 1;
-      }
-    }
-    return lo;
-  }
-
   /// The largest elapsed time t at which a *fresh* cycle is still
   /// fully safe: running everything at qmin from t meets every
   /// deadline even under worst-case costs.  This is the slack-table
@@ -123,5 +87,44 @@ class SlackTables {
   std::size_t ceiling_hard_ = 0;
   std::size_t ceiling_soft_ = 0;
 };
+
+/// The combined constraint on slack tables (SlackTables or
+/// PeriodicSlackTables): true when running the action at position i at
+/// quality index qi is acceptable with elapsed time t.  `soft` drops
+/// the worst-case (safety) half.
+template <class Tables>
+bool acceptable(const Tables& tables, std::size_t i, std::size_t qi,
+                rt::Cycles t, bool soft = false) {
+  if (t > tables.slack_av(i, qi)) return false;
+  return soft || t <= tables.slack_wc(i, qi);
+}
+
+/// The controller's decision, and the only one: the maximal quality
+/// index in [0, hi] acceptable at position i and elapsed time t; when
+/// even index 0 (qmin) fails, returns 0 — the safety fallback.
+///
+/// Costs are non-decreasing in q (Definition 2.3, enforced by
+/// ParameterizedSystem::validate and PeriodicSlackTables::build), so
+/// both slack columns are non-increasing in qi and `acceptable` is
+/// downward-closed: true on a prefix [0, k] of quality indices, false
+/// above.  That makes the decision a predecessor query answerable in
+/// O(log|Q|) by binary search instead of the O(|Q|) downward scan
+/// (tested equivalent on both table forms).
+template <class Tables>
+std::size_t best_quality(const Tables& tables, std::size_t i, std::size_t hi,
+                         rt::Cycles t, bool soft = false) {
+  if (!acceptable(tables, i, 0, t, soft)) return 0;  // qmin fallback
+  // Invariant: acceptable at lo, not acceptable at hi + 1.
+  std::size_t lo = 0;
+  while (lo < hi) {
+    const std::size_t mid = lo + (hi - lo + 1) / 2;
+    if (acceptable(tables, i, mid, t, soft)) {
+      lo = mid;
+    } else {
+      hi = mid - 1;
+    }
+  }
+  return lo;
+}
 
 }  // namespace qosctrl::qos

@@ -86,12 +86,6 @@ qos::PeriodicBody make_periodic_body(const ToolInput& input,
   return body;
 }
 
-std::shared_ptr<const qos::PeriodicSlackTables> build_periodic_tables(
-    const ToolInput& input, rt::Cycles budget) {
-  return std::make_shared<const qos::PeriodicSlackTables>(
-      qos::PeriodicSlackTables::build(make_periodic_body(input, budget)));
-}
-
 std::function<rt::Cycles(int, rt::ActionId)> evenly_paced_deadlines(
     rt::Cycles budget, int iterations) {
   QC_EXPECT(budget > 0, "budget must be positive");

@@ -63,11 +63,6 @@ struct ToolOutput {
 qos::PeriodicBody make_periodic_body(const ToolInput& input,
                                      rt::Cycles budget);
 
-/// Builds the O(m * |Q|) compact tables (qos::PeriodicSlackTables).
-/// Same preconditions as make_periodic_body.
-std::shared_ptr<const qos::PeriodicSlackTables> build_periodic_tables(
-    const ToolInput& input, rt::Cycles budget);
-
 /// Runs the tool end to end.  Aborts (QC_EXPECT) on invalid input:
 /// non-DAG body, Cav > Cwc, times decreasing in q, or an unschedulable
 /// (Cwc_qmin, Dqmin) configuration — the Problem's precondition.

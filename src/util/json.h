@@ -112,9 +112,7 @@ class JsonValue {
  public:
   JsonKind kind() const { return kind_; }
   bool is_null() const { return kind_ == JsonKind::kNull; }
-  bool is_bool() const { return kind_ == JsonKind::kBool; }
   bool is_number() const { return kind_ == JsonKind::kNumber; }
-  bool is_string() const { return kind_ == JsonKind::kString; }
   bool is_array() const { return kind_ == JsonKind::kArray; }
   bool is_object() const { return kind_ == JsonKind::kObject; }
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <fstream>
 #include <iomanip>
 #include <limits>
 
@@ -72,13 +71,6 @@ void SeriesTable::write_csv(std::ostream& os) const {
     }
     os << '\n';
   }
-}
-
-bool SeriesTable::write_csv_file(const std::string& path) const {
-  std::ofstream f(path);
-  if (!f) return false;
-  write_csv(f);
-  return static_cast<bool>(f);
 }
 
 void SeriesTable::render_ascii(std::ostream& os, int width, int height,

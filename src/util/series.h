@@ -39,17 +39,12 @@ class SeriesTable {
   void add_row(std::int64_t x, const std::vector<double>& values);
 
   /// Column access.
-  std::size_t num_series() const { return names_.size(); }
-  const std::string& series_name(std::size_t i) const { return names_[i]; }
   std::vector<double> column(std::size_t i) const;
   const std::vector<std::int64_t>& xs() const { return xs_; }
   std::size_t num_rows() const { return xs_.size(); }
 
   /// Writes the table as CSV (header row, then one line per x).
   void write_csv(std::ostream& os) const;
-
-  /// Writes CSV to the given path; returns false on I/O failure.
-  bool write_csv_file(const std::string& path) const;
 
   /// Renders an ASCII chart of all series (one glyph per series) into
   /// `os`.  `width`/`height` are the plot area in characters.

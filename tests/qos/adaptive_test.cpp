@@ -171,10 +171,19 @@ TEST(AdaptiveController, RatiosAreClamped) {
   }
 }
 
-TEST(AdaptiveController, ScheduleMatchesDenseOrder) {
+TEST(AdaptiveController, DispatchesTheDenseOrderAfterLearning) {
   const Rig s = make_setup(7);
+  const auto& sys = *s.dense.system;
   AdaptiveController ctl(s.body);
-  EXPECT_EQ(ctl.schedule(), s.dense.tables->schedule());
+  const auto cheap = [](rt::ActionId, rt::QualityLevel) -> rt::Cycles {
+    return 1000;
+  };
+  run_cycle(sys, ctl, cheap);  // learned ratios now differ from 1.0
+  const CycleTrace trace = run_cycle(sys, ctl, cheap);
+  ASSERT_EQ(trace.steps.size(), s.dense.tables->num_positions());
+  for (std::size_t i = 0; i < trace.steps.size(); ++i) {
+    EXPECT_EQ(trace.steps[i].action, s.dense.tables->schedule()[i]);
+  }
 }
 
 }  // namespace

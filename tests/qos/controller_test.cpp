@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <vector>
 
 #include "qos/qual_const.h"
+#include "qos/runner.h"
 #include "sched/edf.h"
 #include "test_systems.h"
 #include "util/rng.h"
@@ -67,7 +70,6 @@ TEST(TableController, StartCycleRewinds) {
   EXPECT_TRUE(ctl.done());
   ctl.start_cycle();
   EXPECT_FALSE(ctl.done());
-  EXPECT_EQ(ctl.step(), 0u);
   EXPECT_EQ(ctl.next(0).action, 0);
 }
 
@@ -87,13 +89,12 @@ TEST(OnlineController, MatchesTableControllerDecisions) {
     table.start_cycle();
     Cycles t = 0;
     util::Rng costs(rng.next_u64());
-    while (!table.done()) {
+    for (std::size_t i = 0; !table.done(); ++i) {
       ASSERT_FALSE(online.done());
       const Decision a = online.next(t);
       const Decision b = table.next(t);
       EXPECT_EQ(a.action, b.action) << "trial " << trial;
-      EXPECT_EQ(a.quality, b.quality)
-          << "trial " << trial << " step " << table.step() - 1;
+      EXPECT_EQ(a.quality, b.quality) << "trial " << trial << " step " << i;
       // Advance time by an arbitrary admissible actual cost.
       const Cycles wc = sys.cwc(a.quality, a.action);
       t += costs.uniform_i64(0, wc);
@@ -110,8 +111,7 @@ TEST(OnlineController, ChoiceSatisfiesQualConstAndIsMaximal) {
     OnlineController ctl(sys);
     Cycles t = 0;
     util::Rng costs(rng.next_u64());
-    while (!ctl.done()) {
-      const std::size_t i = ctl.step();
+    for (std::size_t i = 0; !ctl.done(); ++i) {
       const Decision d = ctl.next(t);
       const auto& alpha = ctl.schedule();
       // The chosen assignment satisfies the constraint...
@@ -200,6 +200,38 @@ TEST(DecimatedController, FollowsSameSchedule) {
     EXPECT_EQ(plain.next(0).action, dec.next(0).action);
   }
   EXPECT_TRUE(dec.done());
+}
+
+TEST(DecimatedController, DispatchesEveryActionOnceWhenTheOrderFollowsQuality) {
+  // Three independent actions whose EDF order at q1 (deadlines
+  // 300/100/200) reverses part of the q0 order (100/200/300).  The
+  // online controller reorders the unexecuted suffix whenever its
+  // quality changes, so the action it dispatches is known only from
+  // its next(); a decimated wrapper must hand out that action, not
+  // one it guessed from the schedule before the decision.
+  rt::PrecedenceGraph g;
+  for (const char* name : {"a0", "a1", "a2"}) g.add_action(name);
+  rt::ParameterizedSystem sys(std::move(g), {0, 1});
+  const Cycles q0_deadline[] = {100, 200, 300};
+  const Cycles q1_deadline[] = {300, 100, 200};
+  for (rt::ActionId a = 0; a < 3; ++a) {
+    sys.set_times(0, a, 5, 10);
+    sys.set_times(1, a, 50, 60);
+    sys.set_deadline(0, a, q0_deadline[a]);
+    sys.set_deadline(1, a, q1_deadline[a]);
+  }
+  ASSERT_TRUE(sys.validate().empty());
+  DecimatedController ctl(std::make_unique<OnlineController>(sys), 3);
+  std::vector<rt::ActionId> dispatched;
+  const CycleTrace trace =
+      run_cycle(sys, ctl, [&](rt::ActionId a, rt::QualityLevel q) {
+        dispatched.push_back(a);
+        return dispatched.size() == 1 ? Cycles{60} : sys.cav(q, a);
+      });
+  ASSERT_EQ(trace.steps.size(), 3u);
+  std::sort(dispatched.begin(), dispatched.end());
+  EXPECT_EQ(dispatched, (std::vector<rt::ActionId>{0, 1, 2}))
+      << "every action must run exactly once per cycle";
 }
 
 TEST(SoftMode, AcceptsWhatHardModeRejects) {

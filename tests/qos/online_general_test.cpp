@@ -83,8 +83,7 @@ TEST(OnlineGeneral, DecisionsStayMaximalWithDependentDeadlines) {
     OnlineController ctl(sys);
     util::Rng costs(rng.next_u64());
     rt::Cycles t = 0;
-    while (!ctl.done()) {
-      const std::size_t i = ctl.step();
+    for (std::size_t i = 0; !ctl.done(); ++i) {
       const Decision d = ctl.next(t);
       const auto& alpha = ctl.schedule();
       const rt::QualityAssignment& theta = ctl.assignment();

@@ -4,46 +4,15 @@
 
 #include "encoder/body.h"
 #include "platform/cost_model.h"
-#include "qos/controller.h"
+#include "test_systems.h"
 #include "toolgen/tool.h"
 #include "util/rng.h"
 
 namespace qosctrl::qos {
 namespace {
 
-toolgen::ToolInput random_body_input(util::Rng& rng, int iterations) {
-  toolgen::ToolInput in;
-  const int m = static_cast<int>(rng.uniform_i64(2, 7));
-  for (int i = 0; i < m; ++i) in.body.add_action("b" + std::to_string(i));
-  for (int i = 0; i < m; ++i) {
-    for (int j = i + 1; j < m; ++j) {
-      if (rng.chance(0.3)) in.body.add_edge(i, j);
-    }
-  }
-  in.iterations = iterations;
-  const int nq = static_cast<int>(rng.uniform_i64(1, 4));
-  for (int q = 0; q < nq; ++q) in.qualities.push_back(q);
-  in.times.resize(static_cast<std::size_t>(nq));
-  for (int a = 0; a < m; ++a) {
-    rt::Cycles av = rng.uniform_i64(1, 30);
-    rt::Cycles wc = av + rng.uniform_i64(0, 40);
-    for (int q = 0; q < nq; ++q) {
-      in.times[static_cast<std::size_t>(q)].resize(static_cast<std::size_t>(m));
-      in.times[static_cast<std::size_t>(q)][static_cast<std::size_t>(a)] =
-          toolgen::TimeEntry{av, wc};
-      av += rng.uniform_i64(0, 20);
-      wc = std::max(wc + rng.uniform_i64(0, 40), av);
-    }
-  }
-  return in;
-}
-
-/// Per-iteration period large enough for qmin WCET feasibility.
-rt::Cycles safe_period(const toolgen::ToolInput& in, util::Rng& rng) {
-  rt::Cycles wc_total = 0;
-  for (const auto& e : in.times[0]) wc_total += e.worst_case;
-  return wc_total + rng.uniform_i64(0, 50);
-}
+using qos::testing::random_body_input;
+using qos::testing::safe_period;
 
 // The core equivalence: compact closed forms == dense backward sweep,
 // at every position and quality, across random bodies and iteration
@@ -61,17 +30,18 @@ TEST_P(PeriodicEquivalence, MatchesDenseTables) {
     in.deadline = toolgen::evenly_paced_deadlines(budget, iterations);
 
     const toolgen::ToolOutput dense = toolgen::run_tool(in);
-    const auto compact = toolgen::build_periodic_tables(in, budget);
+    const auto compact =
+        PeriodicSlackTables::build(toolgen::make_periodic_body(in, budget));
 
-    ASSERT_EQ(compact->num_positions(), dense.tables->num_positions());
-    for (std::size_t i = 0; i < compact->num_positions(); ++i) {
-      EXPECT_EQ(compact->action_at(i), dense.tables->schedule()[i])
+    ASSERT_EQ(compact.num_positions(), dense.tables->num_positions());
+    for (std::size_t i = 0; i < compact.num_positions(); ++i) {
+      EXPECT_EQ(compact.action_at(i), dense.tables->schedule()[i])
           << "schedule mismatch at " << i;
       for (std::size_t qi = 0; qi < in.qualities.size(); ++qi) {
-        EXPECT_EQ(compact->slack_av(i, qi), dense.tables->slack_av(i, qi))
+        EXPECT_EQ(compact.slack_av(i, qi), dense.tables->slack_av(i, qi))
             << "av mismatch at i=" << i << " qi=" << qi << " trial "
             << trial;
-        EXPECT_EQ(compact->slack_wc(i, qi), dense.tables->slack_wc(i, qi))
+        EXPECT_EQ(compact.slack_wc(i, qi), dense.tables->slack_wc(i, qi))
             << "wc mismatch at i=" << i << " qi=" << qi << " trial "
             << trial;
       }
@@ -93,11 +63,12 @@ TEST(PeriodicEquivalence, OverloadedPeriodUsesDriftTerm) {
   const rt::Cycles budget = wc_total * 5;
   in.deadline = toolgen::evenly_paced_deadlines(budget, 5);
   const toolgen::ToolOutput dense = toolgen::run_tool(in);
-  const auto compact = toolgen::build_periodic_tables(in, budget);
-  for (std::size_t i = 0; i < compact->num_positions(); ++i) {
+  const auto compact =
+      PeriodicSlackTables::build(toolgen::make_periodic_body(in, budget));
+  for (std::size_t i = 0; i < compact.num_positions(); ++i) {
     for (std::size_t qi = 0; qi < in.qualities.size(); ++qi) {
-      EXPECT_EQ(compact->slack_av(i, qi), dense.tables->slack_av(i, qi));
-      EXPECT_EQ(compact->slack_wc(i, qi), dense.tables->slack_wc(i, qi));
+      EXPECT_EQ(compact.slack_av(i, qi), dense.tables->slack_av(i, qi));
+      EXPECT_EQ(compact.slack_wc(i, qi), dense.tables->slack_wc(i, qi));
     }
   }
 }
@@ -119,70 +90,38 @@ TEST(PeriodicTables, EncoderGeometryAgreesWithDense) {
   const rt::Cycles budget = 19555569;  // 99 * 197531
   in.deadline = toolgen::evenly_paced_deadlines(budget, 99);
   const toolgen::ToolOutput dense = toolgen::run_tool(in);
-  const auto compact = toolgen::build_periodic_tables(in, budget);
-  ASSERT_EQ(compact->num_positions(), 891u);
+  const auto compact =
+      PeriodicSlackTables::build(toolgen::make_periodic_body(in, budget));
+  ASSERT_EQ(compact.num_positions(), 891u);
   // Spot-check a grid of positions (the full product is covered by the
   // randomized suites above).
   for (std::size_t i = 0; i < 891; i += 37) {
     for (std::size_t qi = 0; qi < 8; ++qi) {
-      ASSERT_EQ(compact->slack_av(i, qi), dense.tables->slack_av(i, qi));
-      ASSERT_EQ(compact->slack_wc(i, qi), dense.tables->slack_wc(i, qi));
+      ASSERT_EQ(compact.slack_av(i, qi), dense.tables->slack_av(i, qi));
+      ASSERT_EQ(compact.slack_wc(i, qi), dense.tables->slack_wc(i, qi));
     }
   }
   // Memory: three orders of magnitude smaller.
-  EXPECT_LT(compact->table_bytes() * 50, dense.tables->table_bytes());
+  EXPECT_LT(compact.table_bytes() * 50, dense.tables->table_bytes());
 }
 
 TEST(PeriodicTables, DeadlinesFollowIterationIndex) {
   util::Rng rng(3);
   toolgen::ToolInput in = random_body_input(rng, 4);
   const rt::Cycles period = safe_period(in, rng);
-  const auto compact =
-      toolgen::build_periodic_tables(in, period * 4);
+  const auto compact = PeriodicSlackTables::build(
+      toolgen::make_periodic_body(in, period * 4));
   const std::size_t m = in.body.num_actions();
-  for (std::size_t i = 0; i < compact->num_positions(); ++i) {
-    EXPECT_EQ(compact->deadline_at(i),
+  for (std::size_t i = 0; i < compact.num_positions(); ++i) {
+    EXPECT_EQ(compact.deadline_at(i),
               static_cast<rt::Cycles>(i / m + 1) * period);
   }
-}
-
-TEST(PeriodicTableController, AgreesWithTableController) {
-  toolgen::ToolInput in;
-  in.body = enc::make_body_graph();
-  in.iterations = 20;
-  const auto table = platform::figure5_cost_table();
-  in.qualities = platform::figure5_quality_levels();
-  in.times.resize(8);
-  for (std::size_t qi = 0; qi < 8; ++qi) {
-    for (int a = 0; a < enc::kNumBodyActions; ++a) {
-      const auto& s = table.at(a, qi);
-      in.times[qi].push_back(toolgen::TimeEntry{s.average, s.worst_case});
-    }
-  }
-  const rt::Cycles budget = 197531LL * 20;
-  in.deadline = toolgen::evenly_paced_deadlines(budget, 20);
-  const toolgen::ToolOutput dense = toolgen::run_tool(in);
-  const auto compact = toolgen::build_periodic_tables(in, budget);
-
-  TableController a(dense.tables);
-  PeriodicTableController b(compact);
-  util::Rng rng(5);
-  rt::Cycles t = 0;
-  while (!a.done()) {
-    ASSERT_FALSE(b.done());
-    const Decision da = a.next(t);
-    const auto [action, quality] = b.next(t);
-    EXPECT_EQ(da.action, action);
-    EXPECT_EQ(da.quality, quality);
-    t += rng.uniform_i64(0, 2 * 197531 / 9);
-  }
-  EXPECT_TRUE(b.done());
 }
 
 TEST(PeriodicTablesDeath, RejectsIndivisibleBudget) {
   util::Rng rng(8);
   toolgen::ToolInput in = random_body_input(rng, 3);
-  EXPECT_DEATH(toolgen::build_periodic_tables(in, 100), "divisible");
+  EXPECT_DEATH(toolgen::make_periodic_body(in, 100), "divisible");
 }
 
 }  // namespace

@@ -53,11 +53,11 @@ TEST(SlackTables, AcceptableMatchesSlacks) {
     for (std::size_t qi = 0; qi < tables.quality_levels().size(); ++qi) {
       const Cycles limit =
           std::min(tables.slack_av(i, qi), tables.slack_wc(i, qi));
-      EXPECT_TRUE(tables.acceptable(i, qi, limit));
-      EXPECT_FALSE(tables.acceptable(i, qi, limit + 1));
+      EXPECT_TRUE(acceptable(tables, i, qi, limit));
+      EXPECT_FALSE(acceptable(tables, i, qi, limit + 1));
       // Soft mode ignores the wc side.
-      EXPECT_TRUE(tables.acceptable(i, qi, tables.slack_av(i, qi),
-                                    /*soft=*/true));
+      EXPECT_TRUE(acceptable(tables, i, qi, tables.slack_av(i, qi),
+                             /*soft=*/true));
     }
   }
 }

@@ -8,6 +8,7 @@
 
 #include "rt/parameterized_system.h"
 #include "sched/edf.h"
+#include "toolgen/tool.h"
 #include "util/rng.h"
 
 namespace qosctrl::qos::testing {
@@ -92,6 +93,42 @@ inline rt::ParameterizedSystem random_system(util::Rng& rng,
   }
   // Statistically unreachable; keep the type system happy.
   return random_system_once(rng, o);
+}
+
+/// A random 2..6-action body of `iterations` copies with 1..3 quality
+/// levels and Cav/Cwc non-decreasing in q (deadlines left unset).
+inline toolgen::ToolInput random_body_input(util::Rng& rng, int iterations) {
+  toolgen::ToolInput in;
+  const int m = static_cast<int>(rng.uniform_i64(2, 7));
+  for (int i = 0; i < m; ++i) in.body.add_action("b" + std::to_string(i));
+  for (int i = 0; i < m; ++i) {
+    for (int j = i + 1; j < m; ++j) {
+      if (rng.chance(0.3)) in.body.add_edge(i, j);
+    }
+  }
+  in.iterations = iterations;
+  const int nq = static_cast<int>(rng.uniform_i64(1, 4));
+  for (int q = 0; q < nq; ++q) in.qualities.push_back(q);
+  in.times.resize(static_cast<std::size_t>(nq));
+  for (int a = 0; a < m; ++a) {
+    rt::Cycles av = rng.uniform_i64(1, 30);
+    rt::Cycles wc = av + rng.uniform_i64(0, 40);
+    for (int q = 0; q < nq; ++q) {
+      in.times[static_cast<std::size_t>(q)].resize(static_cast<std::size_t>(m));
+      in.times[static_cast<std::size_t>(q)][static_cast<std::size_t>(a)] =
+          toolgen::TimeEntry{av, wc};
+      av += rng.uniform_i64(0, 20);
+      wc = std::max(wc + rng.uniform_i64(0, 40), av);
+    }
+  }
+  return in;
+}
+
+/// Per-iteration period large enough for qmin WCET feasibility.
+inline rt::Cycles safe_period(const toolgen::ToolInput& in, util::Rng& rng) {
+  rt::Cycles wc_total = 0;
+  for (const auto& e : in.times[0]) wc_total += e.worst_case;
+  return wc_total + rng.uniform_i64(0, 50);
 }
 
 }  // namespace qosctrl::qos::testing
