@@ -26,7 +26,6 @@
 #include "media/dct.h"
 #include "media/entropy.h"
 #include "media/motion.h"
-#include "media/padded_frame.h"
 #include "media/quant.h"
 #include "media/simd/kernels.h"
 #include "media/synthetic_video.h"
@@ -36,6 +35,7 @@
 #include "qos/controller.h"
 #include "quality/distortion.h"
 #include "sched/edf.h"
+#include "support/oracles.h"
 #include "toolgen/codegen.h"
 #include "util/rng.h"
 
@@ -182,7 +182,7 @@ std::int64_t sad_macroblock_scalar(const media::Frame& cur,
   for (int y = 0; y < media::kMacroBlockSize; ++y) {
     for (int x = 0; x < media::kMacroBlockSize; ++x) {
       const int a = cur.at(x0 + x, y0 + y);
-      const int b = ref.at_clamped(x0 + x + dx, y0 + y + dy);
+      const int b = media::at_clamped(ref, x0 + x + dx, y0 + y + dy);
       acc += std::abs(a - b);
     }
   }
@@ -192,7 +192,7 @@ std::int64_t sad_macroblock_scalar(const media::Frame& cur,
 struct SadFixture {
   media::Frame cur;
   media::Frame ref;
-  media::PaddedFrame padded;
+  media::Frame padded;  ///< ref as a reference picture's luma
   std::array<media::Sample, 256> block;
   SadFixture() {
     media::VideoConfig vc;
@@ -201,7 +201,7 @@ struct SadFixture {
     const media::SyntheticVideo video(vc);
     cur = video.frame(1);
     ref = video.frame(0);
-    padded.update_from(ref);
+    padded = media::with_margin(ref);
     block = media::read_macroblock(cur, 80, 64);
   }
 };
@@ -429,9 +429,11 @@ BENCHMARK(BM_EntropyEncodeBlock);
 void BM_EntropyDecodeBlock(benchmark::State& state) {
   const auto& f = entropy_fixture();
   std::optional<util::BitReader> br(std::in_place, f.stream);
+  media::Coeffs8 out;
   std::size_t i = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(media::decode_block(*br));
+    benchmark::DoNotOptimize(media::decode_block(*br, out));
+    benchmark::DoNotOptimize(out);
     if (++i == f.levels.size()) {
       i = 0;
       br.emplace(f.stream);

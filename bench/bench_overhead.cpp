@@ -19,6 +19,7 @@
 #include "media/dct.h"
 #include "media/motion.h"
 #include "media/synthetic_video.h"
+#include "support/oracles.h"
 #include "toolgen/codegen.h"
 #include "util/rng.h"
 
@@ -66,7 +67,7 @@ int main() {
   vc.num_frames = 2;
   vc.num_scenes = 1;
   const media::SyntheticVideo video(vc);
-  const media::PaddedFrame f0(video.frame(0));
+  const media::Frame f0 = media::with_margin(video.frame(0));
   const auto src = media::read_macroblock(video.frame(1), 80, 64);
   const double ns_me = ns_per_call(
       [&] {

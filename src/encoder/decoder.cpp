@@ -1,13 +1,16 @@
 #include "encoder/decoder.h"
 
 #include "encoder/macroblock.h"
-#include "media/padded_frame.h"
 
 namespace qosctrl::enc {
 
 DecodeResult decode_frame(const std::vector<std::uint8_t>& bitstream,
                           const media::YuvFrame* reference) {
   constexpr int kMb = media::kMacroBlockSize;
+  QC_EXPECT(reference == nullptr || (reference->y.pad() >= media::kLumaPad &&
+                                     reference->cb.pad() >= media::kChromaPad &&
+                                     reference->cr.pad() >= media::kChromaPad),
+            "the decoder's reference must be a reference picture");
   DecodeResult result;
   util::BitReader br(bitstream);
   FrameHeader header;
@@ -19,13 +22,6 @@ DecodeResult decode_frame(const std::vector<std::uint8_t>& bitstream,
   }
   result.qp = header.qp;
   result.frame = media::YuvFrame(header.mb_cols * kMb, header.mb_rows * kMb);
-
-  // Pad the luma reference once so inter prediction runs the span
-  // kernels.
-  media::PaddedFrame padded_ref;
-  if (reference != nullptr) {
-    padded_ref.update_from(reference->y);
-  }
 
   MbHeader mb_header;
   MbLevels levels;
@@ -39,11 +35,12 @@ DecodeResult decode_frame(const std::vector<std::uint8_t>& bitstream,
     const int x0 = (mb % header.mb_cols) * kMb;
     const int y0 = (mb / header.mb_cols) * kMb;
     predict_macroblock(mb_header, x0, y0, result.frame, reference,
-                       padded_ref, &prediction);
+                       &prediction);
     reconstruct_macroblock(levels, header.qp, prediction, x0, y0,
                            &result.frame);
   }
   result.ok = !br.overrun();
+  if (result.ok) result.frame.fill_borders();
   return result;
 }
 

@@ -21,7 +21,9 @@ namespace qosctrl::enc {
 
 /// Outcome of decoding one frame.
 struct DecodeResult {
-  media::YuvFrame frame;       ///< the displayed picture (4:2:0)
+  /// The displayed picture (4:2:0), a reference picture (yuv.h) whose
+  /// borders are filled when ok.
+  media::YuvFrame frame;
   int qp = 0;                  ///< quantizer parsed from the header
   int intra_macroblocks = 0;
   bool ok = false;             ///< false on malformed input
@@ -30,8 +32,10 @@ struct DecodeResult {
 /// Decodes one frame produced by FrameEncoder.
 ///
 /// `reference` is the previously displayed frame (needed for inter
-/// macroblocks); pass nullptr for a stream known to be all-intra (the
-/// first frame).  Returns ok == false when the stream is truncated,
+/// macroblocks), read in place: a reference picture with filled
+/// borders, as a successful decode returns.  Pass nullptr for a stream
+/// known to be all-intra (the first frame).  Returns ok == false when
+/// the stream is truncated,
 /// has an impossible header, or references motion without a reference
 /// frame.
 DecodeResult decode_frame(const std::vector<std::uint8_t>& bitstream,

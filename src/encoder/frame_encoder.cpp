@@ -68,8 +68,7 @@ FrameEncoder::FrameEncoder(const EncoderConfig& config,
                            platform::CostModel cost_model)
     : config_(config),
       cost_model_(std::move(cost_model)),
-      recon_(config.width, config.height),
-      reference_(config.width, config.height) {
+      recon_(config.width, config.height) {
   QC_EXPECT(config.width % media::kMacroBlockSize == 0 &&
                 config.height % media::kMacroBlockSize == 0,
             "frame dimensions must be multiples of 16");
@@ -84,11 +83,13 @@ FrameStats FrameEncoder::encode_frame(const media::YuvFrame& input,
             "input frame has wrong dimensions");
   QC_EXPECT(qp >= media::kMinQp && qp <= media::kMaxQp, "QP out of range");
 
-  std::swap(reference_, recon_);
+  // The previous reconstruction becomes the reference, and this frame
+  // is rebuilt into a fresh picture.  Between frames the encoder holds
+  // only its reconstruction: a farm keeps every session of a processor
+  // for the processor's whole run.
   if (has_reference_) {
-    // One O(perimeter) pad replaces the per-pixel clamp branches in
-    // every SAD and motion-compensation call of the frame.
-    padded_reference_.update_from(reference_.y);
+    reference_ = std::move(recon_);
+    recon_ = media::YuvFrame(config_.width, config_.height);
   }
 
   frame_writer_ = util::BitWriter();
@@ -136,6 +137,10 @@ FrameStats FrameEncoder::encode_frame(const media::YuvFrame& input,
   stats.deadline_misses = totals.deadline_misses;
   stats.bits = frame_writer_.bit_count();
   bitstream_ = frame_writer_.finish();
+  // One O(perimeter) border fill replaces the per-pixel clamp branches
+  // in every SAD and motion-compensation call of the next frame.
+  recon_.fill_borders();
+  reference_ = media::YuvFrame();
   has_reference_ = true;
   stats.mean_quality =
       quality_count > 0 ? quality_sum / quality_count : 0.0;
@@ -181,7 +186,7 @@ double FrameEncoder::run_action(const UnrolledAction& ua,
       cfg.early_exit_sad =
           kMeEarlyExitSad +
           static_cast<std::int64_t>(256.0 * kMeEarlyExitQpGain * qp);
-      ctx.motion = media::estimate_motion(ctx.source.data(), padded_reference_,
+      ctx.motion = media::estimate_motion(ctx.source.data(), reference_.y,
                                           ctx.x0, ctx.y0, cfg);
       ctx.motion_valid = true;
       const double typical =
@@ -204,7 +209,7 @@ double FrameEncoder::run_action(const UnrolledAction& ua,
                              : MbHeader{false, media::IntraMode::kDc,
                                         ctx.motion.dx2, ctx.motion.dy2};
       predict_macroblock(ctx.header, ctx.x0, ctx.y0, recon_, &reference_,
-                         padded_reference_, &ctx.prediction);
+                         &ctx.prediction);
       for (int b = 0; b < 4; ++b) {
         const int off = luma_block_offset(b);
         subtract_block8(ctx.source.data() + off,

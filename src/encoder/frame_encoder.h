@@ -15,7 +15,6 @@
 #include "encoder/macroblock.h"
 #include "media/frame.h"
 #include "media/motion.h"
-#include "media/padded_frame.h"
 #include "media/yuv.h"
 #include "platform/cost_model.h"
 #include "qos/controller.h"
@@ -126,13 +125,11 @@ class FrameEncoder {
 
   EncoderConfig config_;
   platform::CostModel cost_model_;
+  /// Reference pictures (yuv.h): the frame being reconstructed, and,
+  /// during encode_frame, the previous reconstruction, whose margins
+  /// motion search reads.
   media::YuvFrame recon_;
   media::YuvFrame reference_;
-  /// Border-extended copy of reference_.y, rebuilt once per frame so
-  /// every motion-search candidate and compensation — border
-  /// macroblocks included — runs the span kernels with no per-pixel
-  /// clamping.
-  media::PaddedFrame padded_reference_;
   bool has_reference_ = false;
   util::BitWriter frame_writer_;
   std::vector<std::uint8_t> bitstream_;

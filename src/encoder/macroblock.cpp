@@ -76,7 +76,6 @@ bool get_macroblock(util::BitReader& br, MbHeader* header,
 void predict_macroblock(const MbHeader& header, int x0, int y0,
                         const media::YuvFrame& recon,
                         const media::YuvFrame* reference,
-                        const media::PaddedFrame& padded_reference,
                         MbPrediction* out) {
   const int cx = x0 / 2;
   const int cy = y0 / 2;
@@ -88,7 +87,7 @@ void predict_macroblock(const MbHeader& header, int x0, int y0,
     return;
   }
   QC_DCHECK(reference != nullptr, "inter prediction needs a reference");
-  out->luma = media::motion_compensate_halfpel(padded_reference, x0, y0,
+  out->luma = media::motion_compensate_halfpel(reference->y, x0, y0,
                                                header.dx2, header.dy2);
   out->chroma[0] = media::chroma_motion_compensate(reference->cb, cx, cy,
                                                    header.dx2, header.dy2);

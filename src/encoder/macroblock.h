@@ -16,7 +16,6 @@
 
 #include "media/intra.h"
 #include "media/motion.h"
-#include "media/padded_frame.h"
 #include "media/yuv.h"
 #include "util/bitio.h"
 
@@ -25,16 +24,19 @@ namespace qosctrl::enc {
 /// Largest frame side, in macroblocks, a stream may declare.
 inline constexpr int kMaxMbPerSide = 1024;
 /// Largest |dx2| and |dy2|, in half pels, a stream may carry: one
-/// pixel less than the default reference pad, so the compensated
-/// block, interpolation column and row included, stays inside the pad
-/// at every macroblock and inter prediction has one luma path.
-inline constexpr int kMaxVectorHalfPel =
-    2 * (media::PaddedFrame::kDefaultPad - 1);
+/// pixel less than the luma reference margin, so the compensated
+/// block, interpolation column and row included, stays inside the
+/// margins of a reference picture at every macroblock and inter
+/// prediction has one path per plane.
+inline constexpr int kMaxVectorHalfPel = 2 * (media::kLumaPad - 1);
 // A vector of -v half pels reads ceil(v / 2) pixels before the block;
-// +v reads floor(v / 2) past it, plus the interpolation's one.
-static_assert((kMaxVectorHalfPel + 1) / 2 <= media::PaddedFrame::kDefaultPad &&
-                  kMaxVectorHalfPel / 2 + 1 <= media::PaddedFrame::kDefaultPad,
-              "the vector range must fit the reference pad");
+// +v reads floor(v / 2) past it, plus the interpolation's one.  Chroma
+// moves by (v + 1) / 2 chroma half pels and reads the same way.  Both
+// margins are exactly as wide as the widest reach.
+static_assert(media::kLumaPad == kMaxVectorHalfPel / 2 + 1,
+              "the luma margin must be the luma vector range's reach");
+static_assert(media::kChromaPad == (kMaxVectorHalfPel + 1) / 2 / 2 + 1,
+              "the chroma margin must be the chroma vector range's reach");
 // The encoder's widest vector: the widest search plus half-pel
 // refinement.  Every stream it writes parses.
 static_assert(2 * media::kMaxSearchRadius + 1 <= kMaxVectorHalfPel,
@@ -86,14 +88,12 @@ bool get_macroblock(util::BitReader& br, MbHeader* header,
 
 /// Predicts the macroblock at luma (x0, y0).  Intra predicts luma in
 /// `header.mode` and chroma by DC from `recon`, the frame being
-/// reconstructed.  Inter compensates `reference` (non-null) by the
-/// header's vector: luma through `padded_reference` (the copy of
-/// reference->y padded by PaddedFrame::kDefaultPad), chroma by half
-/// the vector.
+/// reconstructed.  Inter compensates `reference` (non-null, a reference
+/// picture with filled borders, yuv.h) by the header's vector, chroma
+/// by half the vector.
 void predict_macroblock(const MbHeader& header, int x0, int y0,
                         const media::YuvFrame& recon,
                         const media::YuvFrame* reference,
-                        const media::PaddedFrame& padded_reference,
                         MbPrediction* out);
 
 /// Rebuilds the macroblock at luma (x0, y0) of `recon` from its levels

@@ -1,7 +1,6 @@
 #include "farm/faults.h"
 
 #include <cstring>
-#include <sstream>
 
 #include "farm/simulator.h"
 
@@ -59,35 +58,6 @@ FrameFaults FaultPlan::at(int frame) const {
   f.overrun = r.chance(overrun_p_);
   f.lost = r.chance(loss_p_);
   return f;
-}
-
-std::string fault_trace(const FarmScenario& scenario,
-                        const FarmConfig& config) {
-  std::ostringstream os;
-  const FaultSpec& faults = scenario.faults;
-  os << "seed=" << (faults.seed != 0 ? faults.seed : config.seed)
-     << " overrun_p=" << faults.overrun.probability
-     << " factor=" << faults.overrun.factor
-     << " policy=" << overrun_policy_name(faults.overrun.policy)
-     << " loss_p=" << faults.loss.probability << "\n";
-  for (const StreamSpec& spec : scenario.streams) {
-    const FaultPlan plan(faults, config.seed, spec.id);
-    for (int f = 0; f < spec.num_frames; ++f) {
-      const FrameFaults ff = plan.at(f);
-      if (!ff.overrun && !ff.lost) continue;
-      os << "stream " << spec.id << " frame " << f << ':'
-         << (ff.overrun ? " overrun" : "") << (ff.lost ? " lost" : "")
-         << "\n";
-    }
-  }
-  for (const FailureEvent& fe : faults.failures) {
-    os << "proc " << fe.processor << " fails at " << fe.time
-       << (fe.permanent() ? " permanently"
-                          : " transiently, repair " +
-                                std::to_string(fe.repair))
-       << "\n";
-  }
-  return os.str();
 }
 
 }  // namespace qosctrl::farm

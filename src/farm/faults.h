@@ -125,11 +125,4 @@ class FaultPlan {
   util::Rng stream_rng_;
 };
 
-/// The full injected-fault trace of a scenario as text, one line per
-/// faulted frame plus one per failure event.  A pure function of
-/// (scenario streams, faults, farm seed) — tests pin that it is
-/// byte-identical across worker counts and scheduling policies.
-std::string fault_trace(const FarmScenario& scenario,
-                        const FarmConfig& config);
-
 }  // namespace qosctrl::farm

@@ -4,7 +4,7 @@
 // fixed-point integer transform built from LLM-style butterflies (the
 // structure popularized by libjpeg's "islow" path), descaled to the
 // orthonormal range so coefficients are interchangeable with the
-// double-precision reference pair kept below.  The integer pair is not
+// double-precision reference pair the tests keep (tests/support/).  The integer pair is not
 // bit-exact with the reference (no two rounding schemes are) but tracks
 // it within +/-1 per coefficient and round-trips 9-bit residuals within
 // +/-1 per sample; the tests pin both bounds and a round-trip PSNR
@@ -30,10 +30,5 @@ void forward_dct8(const Block8& block, Coeffs8& out);
 /// Inverse 8x8 DCT back to (rounded) residual samples, written into
 /// `out`.
 void inverse_dct8(const Coeffs8& coeffs, Block8& out);
-
-/// Double-precision reference pair: the original implementation, kept
-/// as the oracle for equivalence tests and the ref side of bench_micro.
-Coeffs8 forward_dct8_ref(const Block8& block);
-Block8 inverse_dct8_ref(const Coeffs8& coeffs);
 
 }  // namespace qosctrl::media

@@ -335,10 +335,4 @@ bool decode_block(util::BitReader& br, Coeffs8& out) {
   return !br.overrun();
 }
 
-std::optional<Coeffs8> decode_block(util::BitReader& br) {
-  Coeffs8 out;
-  if (!decode_block(br, out)) return std::nullopt;
-  return out;
-}
-
 }  // namespace qosctrl::media

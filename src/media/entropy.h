@@ -5,8 +5,6 @@
 // content-coupled work scale.
 #pragma once
 
-#include <optional>
-
 #include "media/frame.h"
 #include "util/bitio.h"
 
@@ -42,8 +40,6 @@ std::int64_t encode_block(util::BitWriter& bw, const Coeffs8& levels);
 /// kDecodeFastModeBits bits take the exact path.  Both consume the
 /// same bits and give the same result.
 bool decode_block(util::BitReader& br, Coeffs8& out);
-/// decode_block into a returned block.
-std::optional<Coeffs8> decode_block(util::BitReader& br);
 
 inline constexpr int kDecodeTableBits = 13;
 inline constexpr std::int64_t kDecodeFastModeBits = 128;

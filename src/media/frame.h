@@ -21,8 +21,8 @@ class Frame : public Plane {
 
   /// Dimensions must be positive multiples of the macroblock size so a
   /// frame tiles exactly into macroblocks.
-  Frame(int width, int height, Sample fill = 0)
-      : Plane(width, height, fill, kMacroBlockSize) {}
+  Frame(int width, int height, Sample fill = 0, int pad = 0)
+      : Plane(width, height, fill, pad, kMacroBlockSize) {}
 
   int mb_cols() const { return width() / kMacroBlockSize; }
   int mb_rows() const { return height() / kMacroBlockSize; }

@@ -14,8 +14,18 @@ std::int64_t sad_16x16(const Sample* cur, const Sample* ref,
 
 namespace {
 
+/// True when a 16x16 block read at (x0 + dx, y0 + dy), plus one extra
+/// pixel right and down for half-pel interpolation, stays inside the
+/// reference's margin.
+bool covers_block16(const Frame& reference, int x0, int y0, int dx, int dy) {
+  const int pad = reference.pad();
+  return x0 + dx >= -pad && y0 + dy >= -pad &&
+         x0 + dx + kMacroBlockSize + 1 <= reference.width() + pad &&
+         y0 + dy + kMacroBlockSize + 1 <= reference.height() + pad;
+}
+
 /// Half-pel refinement around the full-pel winner.
-void refine_half_pel(const Sample* src, const PaddedFrame& reference, int x0,
+void refine_half_pel(const Sample* src, const Frame& reference, int x0,
                      int y0, MotionResult& result) {
   for (int fy = -1; fy <= 1; ++fy) {
     for (int fx = -1; fx <= 1; ++fx) {
@@ -47,7 +57,7 @@ int search_radius_for_level(std::size_t qi) {
   return kRadii[qi];
 }
 
-MotionResult estimate_motion(const Sample* src, const PaddedFrame& reference,
+MotionResult estimate_motion(const Sample* src, const Frame& reference,
                              int x0, int y0, const MotionConfig& config) {
   QC_EXPECT(x0 >= 0 && y0 >= 0 &&
                 x0 + kMacroBlockSize <= reference.width() &&
@@ -61,8 +71,8 @@ MotionResult estimate_motion(const Sample* src, const PaddedFrame& reference,
   result.points_total = (2 * r + 1) * (2 * r + 1);
 
   const std::ptrdiff_t stride = reference.stride();
-  result.sad =
-      sad_16x16(src, reference.row(y0) + x0, stride, INT64_C(1) << 60);
+  const Sample* block = reference.row(y0) + x0;  // the zero vector
+  result.sad = sad_16x16(src, block, stride, INT64_C(1) << 60);
   result.points_examined = 1;
   const auto finish = [&]() -> MotionResult {
     result.dx2 = 2 * result.dx;
@@ -97,11 +107,11 @@ MotionResult estimate_motion(const Sample* src, const PaddedFrame& reference,
       const bool edge_row = std::abs(dy) == ring;
       const int step = edge_row ? 1 : 2 * ring;  // skip the ring interior
       for (int dx = -ring; dx <= ring; dx += step) {
-        QC_DCHECK(reference.covers_block16(x0, y0, dx, dy),
+        QC_DCHECK(covers_block16(reference, x0, y0, dx, dy),
                   "search displacement exceeds reference padding");
         cdx[n] = dx;
         cdy[n] = dy;
-        refs[n] = reference.row(y0 + dy) + x0 + dx;
+        refs[n] = block + dy * stride + dx;
         if (++n < 4) continue;
         n = 0;
         kernels.sad_16x16_x4(src, refs, stride, result.sad, sads);
@@ -121,7 +131,7 @@ MotionResult estimate_motion(const Sample* src, const PaddedFrame& reference,
   return finish();
 }
 
-std::array<Sample, 256> motion_compensate_halfpel(const PaddedFrame& reference,
+std::array<Sample, 256> motion_compensate_halfpel(const Frame& reference,
                                                   int x0, int y0, int dx2,
                                                   int dy2) {
   // Integer part (floor division toward minus infinity) + fraction.
@@ -129,7 +139,7 @@ std::array<Sample, 256> motion_compensate_halfpel(const PaddedFrame& reference,
   const int iy = (dy2 >= 0) ? dy2 / 2 : (dy2 - 1) / 2;
   const int fx = dx2 - 2 * ix;  // 0 or 1
   const int fy = dy2 - 2 * iy;
-  QC_EXPECT(reference.covers_block16(x0, y0, ix, iy),
+  QC_EXPECT(covers_block16(reference, x0, y0, ix, iy),
             "motion vector exceeds reference padding");
   const Sample* src = reference.row(y0 + iy) + x0 + ix;
   std::array<Sample, 256> out;

@@ -8,15 +8,14 @@
 // motion exhaust the window (expensive), exactly the load profile the
 // paper's controller reacts to.
 //
-// Search and compensation read the luma reference through its
-// PaddedFrame only: the border is replicated once per frame, so every
+// Search and compensation read the luma reference in place, through its
+// margin (plane.h): the border is replicated once per frame, so every
 // candidate, border macroblocks included, is two dense spans.
 #pragma once
 
 #include <array>
 
 #include "media/frame.h"
-#include "media/padded_frame.h"
 #include "rt/types.h"
 
 namespace qosctrl::media {
@@ -69,8 +68,9 @@ std::int64_t sad_16x16(const Sample* cur, const Sample* ref,
 /// encoder passes the block Grab read).  Candidates are visited in
 /// spiral (increasing Chebyshev ring) order starting at the zero
 /// vector; ring candidates run 4 per SIMD kernel call.  The search
-/// window (radius + 1 for half-pel) must fit in reference.pad().
-MotionResult estimate_motion(const Sample* src, const PaddedFrame& reference,
+/// window (radius + 1 for half-pel) must fit in reference.pad(), whose
+/// border is filled.
+MotionResult estimate_motion(const Sample* src, const Frame& reference,
                              int x0, int y0, const MotionConfig& config);
 
 /// Motion-compensated 16x16 prediction from `reference` at
@@ -78,7 +78,7 @@ MotionResult estimate_motion(const Sample* src, const PaddedFrame& reference,
 /// vectors, bilinear interpolation with standard rounding otherwise
 /// ((a+b+1)/2 axis-aligned, (a+b+c+d+2)/4 diagonal).  The block plus
 /// the interpolation's extra column and row must stay inside the pad.
-std::array<Sample, 256> motion_compensate_halfpel(const PaddedFrame& reference,
+std::array<Sample, 256> motion_compensate_halfpel(const Frame& reference,
                                                   int x0, int y0, int dx2,
                                                   int dy2);
 

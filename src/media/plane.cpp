@@ -1,20 +1,47 @@
 #include "media/plane.h"
 
-#include <algorithm>
+#include <cstring>
 
 namespace qosctrl::media {
+namespace {
 
-Plane::Plane(int width, int height, Sample fill, int tile)
-    : width_(width), height_(height) {
+/// Sets the `n` samples at `p` to `v`, eight at a time: a margin is a
+/// few words wide, and a memset call per row side costs more than the
+/// stores.
+void splat(Sample* p, Sample v, int n) {
+  const std::uint64_t word = v * UINT64_C(0x0101010101010101);
+  for (; n >= 8; n -= 8, p += 8) std::memcpy(p, &word, 8);
+  for (; n > 0; --n) *p++ = v;
+}
+
+}  // namespace
+
+Plane::Plane(int width, int height, Sample fill, int pad, int tile)
+    : width_(width), height_(height), pad_(pad), stride_(width + 2 * pad) {
   QC_EXPECT(width > 0 && height > 0 && width % tile == 0 &&
                 height % tile == 0,
             "dimensions must be positive multiples of 8 (16 for a frame)");
-  data_.assign(static_cast<std::size_t>(width) * static_cast<std::size_t>(height),
+  QC_EXPECT(pad >= 0, "pad must be >= 0");
+  origin_ = static_cast<std::ptrdiff_t>(pad) * stride() + pad;
+  data_.assign(static_cast<std::size_t>(stride()) *
+                   static_cast<std::size_t>(height + 2 * pad),
                fill);
 }
 
-Sample Plane::at_clamped(int x, int y) const {
-  return at(std::clamp(x, 0, width_ - 1), std::clamp(y, 0, height_ - 1));
+void Plane::fill_border() {
+  if (pad_ == 0) return;
+  for (int y = 0; y < height_; ++y) {
+    Sample* r = row(y);
+    splat(r - pad_, r[0], pad_);
+    splat(r + width_, r[width_ - 1], pad_);
+  }
+  // The top and bottom margins repeat the first and last rows whole,
+  // their side margins included.
+  const auto span = static_cast<std::size_t>(stride());
+  for (int y = 1; y <= pad_; ++y) {
+    std::memcpy(row(-y) - pad_, row(0) - pad_, span);
+    std::memcpy(row(height_ - 1 + y) - pad_, row(height_ - 1) - pad_, span);
+  }
 }
 
 std::array<Sample, 64> chroma_motion_compensate(const Plane& reference,
@@ -34,35 +61,16 @@ std::array<Sample, 64> chroma_motion_compensate(const Plane& reference,
   // (0|fx, 0|fy), where a missing fraction repeats a tap —
   // (a + b + a + b + 2) / 4 == (a + b + 1) / 2 and (4a + 2) / 4 == a —
   // so every block runs one branch-free row loop that vectorizes.  The
-  // taps span (8 + fx) x (8 + fy) samples from (bx, by): read in place
-  // when that window lies inside the plane, else first gathered through
-  // clamped row and column indices.
+  // taps span (8 + fx) x (8 + fy) samples from (bx, by), read in place.
   const int bx = x0 + ix;
   const int by = y0 + iy;
-  const int span_x = kTransformSize + fx;
-  const int span_y = kTransformSize + fy;
-  constexpr int kPatch = kTransformSize + 1;
-  std::array<Sample, kPatch * kPatch> patch;
-  const Sample* a;
-  int stride;
-  if (bx >= 0 && by >= 0 && bx + span_x <= reference.width() &&
-      by + span_y <= reference.height()) {
-    a = reference.row(by) + bx;
-    stride = reference.stride();
-  } else {
-    int cols[kPatch];
-    for (int x = 0; x < span_x; ++x) {
-      cols[x] = std::clamp(bx + x, 0, reference.width() - 1);
-    }
-    for (int y = 0; y < span_y; ++y) {
-      const Sample* src =
-          reference.row(std::clamp(by + y, 0, reference.height() - 1));
-      Sample* row = patch.data() + y * kPatch;
-      for (int x = 0; x < span_x; ++x) row[x] = src[cols[x]];
-    }
-    a = patch.data();
-    stride = kPatch;
-  }
+  const int pad = reference.pad();
+  QC_EXPECT(bx >= -pad && by >= -pad &&
+                bx + kTransformSize + fx <= reference.width() + pad &&
+                by + kTransformSize + fy <= reference.height() + pad,
+            "chroma vector exceeds reference padding");
+  const Sample* a = reference.row(by) + bx;
+  const int stride = reference.stride();
   const Sample* b = a + fx;
   const Sample* c = a + fy * stride;
   const Sample* d = c + fx;

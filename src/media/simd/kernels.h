@@ -97,8 +97,9 @@ struct KernelTable {
                          std::ptrdiff_t dst_stride);
 
   /// Sum of squared differences between two contiguous sample spans of
-  /// `n` pixels, `n` a positive multiple of 16 — the PSNR accumulator
-  /// (quality::frame_sse feeds whole planes through one call).
+  /// `n` pixels, `n` a positive multiple of 8 — the PSNR accumulator
+  /// (quality::frame_sse feeds a plane without a margin through one
+  /// call, one with a margin row by row).
   /// Integer accumulation: the result is exact, so every backend
   /// returns the identical sum.
   std::int64_t (*sum_sq_diff)(const std::uint8_t* a, const std::uint8_t* b,

@@ -498,18 +498,30 @@ std::int64_t avx2_sum_sq_diff(const std::uint8_t* a, const std::uint8_t* b,
     acc = accumulate_madd(acc, _mm256_madd_epi16(dhi, dhi));
   }
   std::int64_t total = hsum_sad256(acc);
-  if (i < n) {  // one 16-pixel tail (n is a multiple of 16)
-    const __m128i va =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(a + i));
-    const __m128i vb =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(b + i));
+  if (i < n) {  // a 16- and/or 8-pixel tail (n is a multiple of 8)
     const __m128i z = _mm_setzero_si128();
-    const __m128i dlo =
-        _mm_sub_epi16(_mm_unpacklo_epi8(va, z), _mm_unpacklo_epi8(vb, z));
-    const __m128i dhi =
-        _mm_sub_epi16(_mm_unpackhi_epi8(va, z), _mm_unpackhi_epi8(vb, z));
-    __m128i acc32 = _mm_add_epi32(_mm_madd_epi16(dlo, dlo),
-                                  _mm_madd_epi16(dhi, dhi));
+    __m128i acc32 = z;
+    if (i + 16 <= n) {
+      const __m128i va =
+          _mm_loadu_si128(reinterpret_cast<const __m128i*>(a + i));
+      const __m128i vb =
+          _mm_loadu_si128(reinterpret_cast<const __m128i*>(b + i));
+      const __m128i dlo =
+          _mm_sub_epi16(_mm_unpacklo_epi8(va, z), _mm_unpacklo_epi8(vb, z));
+      const __m128i dhi =
+          _mm_sub_epi16(_mm_unpackhi_epi8(va, z), _mm_unpackhi_epi8(vb, z));
+      acc32 = _mm_add_epi32(_mm_madd_epi16(dlo, dlo),
+                            _mm_madd_epi16(dhi, dhi));
+      i += 16;
+    }
+    if (i < n) {
+      const __m128i d = _mm_sub_epi16(
+          _mm_unpacklo_epi8(
+              _mm_loadl_epi64(reinterpret_cast<const __m128i*>(a + i)), z),
+          _mm_unpacklo_epi8(
+              _mm_loadl_epi64(reinterpret_cast<const __m128i*>(b + i)), z));
+      acc32 = _mm_add_epi32(acc32, _mm_madd_epi16(d, d));
+    }
     acc32 = _mm_add_epi32(
         acc32, _mm_shuffle_epi32(acc32, _MM_SHUFFLE(1, 0, 3, 2)));
     acc32 = _mm_add_epi32(

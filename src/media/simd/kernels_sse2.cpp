@@ -164,7 +164,8 @@ std::int64_t sse2_sum_sq_diff(const std::uint8_t* a, const std::uint8_t* b,
                               std::size_t n) {
   const __m128i zero = _mm_setzero_si128();
   __m128i acc = zero;
-  for (std::size_t i = 0; i < n; i += 16) {
+  std::size_t i = 0;
+  for (; i + 16 <= n; i += 16) {
     const __m128i va =
         _mm_loadu_si128(reinterpret_cast<const __m128i*>(a + i));
     const __m128i vb =
@@ -175,6 +176,14 @@ std::int64_t sse2_sum_sq_diff(const std::uint8_t* a, const std::uint8_t* b,
                                       _mm_unpackhi_epi8(vb, zero));
     acc = accumulate_madd(acc, _mm_madd_epi16(dlo, dlo));
     acc = accumulate_madd(acc, _mm_madd_epi16(dhi, dhi));
+  }
+  if (i < n) {  // one 8-pixel tail (n is a multiple of 8)
+    const __m128i d = _mm_sub_epi16(
+        _mm_unpacklo_epi8(
+            _mm_loadl_epi64(reinterpret_cast<const __m128i*>(a + i)), zero),
+        _mm_unpacklo_epi8(
+            _mm_loadl_epi64(reinterpret_cast<const __m128i*>(b + i)), zero));
+    acc = accumulate_madd(acc, _mm_madd_epi16(d, d));
   }
   return hsum_sad(acc);
 }

@@ -60,10 +60,19 @@ double mean_ssim_of(const BlockScan& s) {
 std::int64_t frame_sse(const media::Plane& a, const media::Plane& b) {
   QC_EXPECT(a.width() == b.width() && a.height() == b.height(),
             "planes must have equal dimensions");
-  // Planes are contiguous row-major buffers whose sides are multiples
-  // of 8, so the whole plane is one kernel call.
-  return media::simd::active_kernels().sum_sq_diff(
-      a.data().data(), b.data().data(), a.data().size());
+  const auto& kernels = media::simd::active_kernels();
+  const auto width = static_cast<std::size_t>(a.width());
+  // Without margins both planes are one contiguous run of width *
+  // height samples, and one kernel call covers it.
+  if (a.pad() == 0 && b.pad() == 0) {
+    return kernels.sum_sq_diff(a.row(0), b.row(0),
+                               width * static_cast<std::size_t>(a.height()));
+  }
+  std::int64_t sse = 0;
+  for (int y = 0; y < a.height(); ++y) {
+    sse += kernels.sum_sq_diff(a.row(y), b.row(y), width);
+  }
+  return sse;
 }
 
 double psnr_from_sse(std::int64_t sse, std::int64_t pixels, double cap) {
@@ -76,7 +85,7 @@ double psnr_from_sse(std::int64_t sse, std::int64_t pixels, double cap) {
 
 double psnr(const media::Plane& a, const media::Plane& b, double cap) {
   return psnr_from_sse(frame_sse(a, b),
-                       static_cast<std::int64_t>(a.data().size()), cap);
+                       static_cast<std::int64_t>(a.width()) * a.height(), cap);
 }
 
 std::int64_t ssim_block_fp(const std::int64_t stats[5]) {

@@ -33,8 +33,9 @@ namespace qosctrl::quality {
 inline constexpr int kSsimFpBits = 20;
 
 /// Integer sum of squared errors over two equal-geometry planes, luma
-/// or chroma: one call of the dispatched sum_sq_diff kernel, exact, so
-/// bit-identical across backends.
+/// or chroma (margins are not counted): the dispatched sum_sq_diff
+/// kernel over each contiguous run of samples, exact, so bit-identical
+/// across backends.
 std::int64_t frame_sse(const media::Plane& a, const media::Plane& b);
 
 /// PSNR in dB from an integer sum of squared errors over `pixels`

@@ -24,8 +24,9 @@
 //   * quantum-sliced EDF:  B(t) = min(max{ C_j : D_j > t }, quantum)
 //     (preemption waits at most one quantum boundary);
 //   * fully preemptive EDF: B(t) = 0 (the exact demand test).
-// edf_demand_schedulable evaluates the criterion by enumerating every
-// check point.  It is the test reference: the farm's admission runs
+// edf_demand_schedulable (tests/support/oracles.h) evaluates the
+// criterion by enumerating every check point.  It is the test
+// reference: the farm's admission runs
 // the decision-identical QPA (sched/qpa.h) through the scheduling
 // policies of sched/policy.h, which pick the blocking cap and add
 // context-switch overhead inflation.
@@ -107,15 +108,5 @@ struct DemandQuery {
   rt::Cycles busy_seed = 0;
   rt::Cycles* busy_out = nullptr;
 };
-
-/// Processor-demand criterion with the blocking term capped at
-/// `max_blocking` (see the file comment): 0 = fully preemptive EDF,
-/// kUncappedBlocking = non-preemptive EDF, a quantum length between.
-/// The empty set is schedulable.  Requires cost >= 0, period > 0 for
-/// every task; a task with cost > deadline is trivially
-/// unschedulable.  Subject to the scan caps above.  The reference the
-/// QPA fast path is checked against.
-bool edf_demand_schedulable(const std::vector<NpTask>& tasks,
-                            rt::Cycles max_blocking);
 
 }  // namespace qosctrl::sched

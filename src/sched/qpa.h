@@ -2,7 +2,8 @@
 // the processor-demand criterion of sched/np_edf.h, evaluated at a
 // handful of points.  Every scheduling policy (sched/policy.h) runs it.
 //
-// The exact scan (edf_demand_schedulable, kept as the test reference)
+// The exact scan (edf_demand_schedulable, the test reference in
+// tests/support/oracles.h)
 // enumerates every absolute deadline in the scan
 // horizon and tests demand at each.  Zhang & Burns (2009) observed
 // that the test can instead iterate DOWNWARD from the top of the

@@ -141,6 +141,11 @@ ParsedSpec parse_spec(std::istream& in) {
       if (args.size() != 1 || !parse_whole(args[0], &b) || b <= 0) {
         return fail(line_no, "budget needs a positive cycle count");
       }
+      if (b >= rt::kNoDeadline) {
+        return fail(line_no, "budget must be below " +
+                                 std::to_string(rt::kNoDeadline) +
+                                 " cycles (no deadline)");
+      }
       spec.budget = b;
       have_budget = true;
     } else {
@@ -197,6 +202,9 @@ ParsedSpec parse_spec(std::istream& in) {
       }
     }
   }
+
+  const std::string range = range_error(spec.input);
+  if (!range.empty()) return fail(line_no, range);
 
   spec.input.deadline =
       evenly_paced_deadlines(spec.budget, spec.input.iterations);

@@ -12,6 +12,11 @@
 //   iterations <N>            body iterations per cycle (default 1)
 //   budget <cycles>           cycle budget; deadlines are evenly paced
 //
+// Numbers must stay inside the model's range: a budget below
+// rt::kNoDeadline (2^60), iterations x the summed worst case at the top
+// level at most rt::kNoDeadline, and iterations x actions within
+// rt::ActionId (toolgen::range_error).
+//
 // Example:
 //   action grab
 //   action process

@@ -1,9 +1,31 @@
 #include "toolgen/tool.h"
 
+#include <algorithm>
+#include <limits>
+
 #include "sched/edf.h"
 #include "util/check.h"
 
 namespace qosctrl::toolgen {
+
+std::string range_error(const ToolInput& input) {
+  const auto m = static_cast<rt::ActionId>(input.body.num_actions());
+  if (input.iterations > std::numeric_limits<rt::ActionId>::max() / m) {
+    return "iterations x actions exceeds the action id range";
+  }
+  // A Cwc may be up to INT64_MAX: the sum saturates just past
+  // kNoDeadline instead of overflowing.
+  constexpr rt::Cycles kPast = rt::kNoDeadline + 1;
+  rt::Cycles body_wc = 0;
+  for (const TimeEntry& e : input.times.back()) {
+    body_wc = std::min(kPast, body_wc + std::min(kPast, e.worst_case));
+  }
+  if (body_wc > rt::kNoDeadline / input.iterations) {
+    return "iterations x the summed worst case at the top level exceeds " +
+           std::to_string(rt::kNoDeadline) + " cycles";
+  }
+  return "";
+}
 
 ToolOutput run_tool(const ToolInput& input) {
   const std::size_t m = input.body.num_actions();
@@ -18,6 +40,8 @@ ToolOutput run_tool(const ToolInput& input) {
   }
   QC_EXPECT(static_cast<bool>(input.deadline),
             "deadline assignment must be callable");
+  const std::string range = range_error(input);
+  QC_EXPECT(range.empty(), range.c_str());
 
   rt::PrecedenceGraph unrolled = input.body.unroll(input.iterations);
   auto system = std::make_shared<rt::ParameterizedSystem>(
@@ -88,10 +112,14 @@ qos::PeriodicBody make_periodic_body(const ToolInput& input,
 
 std::function<rt::Cycles(int, rt::ActionId)> evenly_paced_deadlines(
     rt::Cycles budget, int iterations) {
-  QC_EXPECT(budget > 0, "budget must be positive");
+  QC_EXPECT(budget > 0 && budget < rt::kNoDeadline,
+            "budget must be positive and below kNoDeadline");
   QC_EXPECT(iterations >= 1, "iteration count must be >= 1");
+  // budget * (copy + 1) / iterations, split so that no product
+  // exceeds budget or iterations^2.
   return [budget, iterations](int copy, rt::ActionId) {
-    return budget * (copy + 1) / iterations;
+    const rt::Cycles k = copy + 1;
+    return budget / iterations * k + budget % iterations * k / iterations;
   };
 }
 

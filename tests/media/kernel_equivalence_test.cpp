@@ -15,7 +15,7 @@
 #include "media/dct.h"
 #include "media/intra.h"
 #include "media/motion.h"
-#include "media/padded_frame.h"
+#include "support/oracles.h"
 #include "util/rng.h"
 
 namespace qosctrl::media {
@@ -38,8 +38,8 @@ std::int64_t naive_sad(const Frame& cur, const Frame& ref, int x0, int y0,
   for (int y = 0; y < kMacroBlockSize; ++y) {
     for (int x = 0; x < kMacroBlockSize; ++x) {
       acc += std::abs(static_cast<int>(cur.at(x0 + x, y0 + y)) -
-                      static_cast<int>(ref.at_clamped(x0 + x + dx,
-                                                      y0 + y + dy)));
+                      static_cast<int>(
+                          at_clamped(ref, x0 + x + dx, y0 + y + dy)));
     }
   }
   return acc;
@@ -57,17 +57,17 @@ std::array<Sample, 256> naive_halfpel(const Frame& ref, int x0, int y0,
     for (int x = 0; x < kMacroBlockSize; ++x) {
       const int bx = x0 + x + ix;
       const int by = y0 + y + iy;
-      const int a = ref.at_clamped(bx, by);
+      const int a = at_clamped(ref, bx, by);
       int v;
       if (fx == 0 && fy == 0) {
         v = a;
       } else if (fx == 1 && fy == 0) {
-        v = (a + ref.at_clamped(bx + 1, by) + 1) / 2;
+        v = (a + at_clamped(ref, bx + 1, by) + 1) / 2;
       } else if (fx == 0) {
-        v = (a + ref.at_clamped(bx, by + 1) + 1) / 2;
+        v = (a + at_clamped(ref, bx, by + 1) + 1) / 2;
       } else {
-        v = (a + ref.at_clamped(bx + 1, by) + ref.at_clamped(bx, by + 1) +
-             ref.at_clamped(bx + 1, by + 1) + 2) / 4;
+        v = (a + at_clamped(ref, bx + 1, by) + at_clamped(ref, bx, by + 1) +
+             at_clamped(ref, bx + 1, by + 1) + 2) / 4;
       }
       out[static_cast<std::size_t>(y * kMacroBlockSize + x)] =
           static_cast<Sample>(v);
@@ -125,7 +125,7 @@ TEST(KernelEquivalence, SadKernelEarlyExitNeverUnderreports) {
 TEST(KernelEquivalence, FullPelCompensationBitExactIncludingBorders) {
   util::Rng rng(23);
   const Frame ref = random_frame(rng, 64, 48);
-  const PaddedFrame padded(ref);
+  const Frame padded = with_margin(ref);
   for (int mby = 0; mby < 3; ++mby) {
     for (int mbx = 0; mbx < 4; ++mbx) {
       for (int trial = 0; trial < 30; ++trial) {
@@ -145,7 +145,7 @@ TEST(KernelEquivalence, FullPelCompensationBitExactIncludingBorders) {
 TEST(KernelEquivalence, HalfPelCompensationBitExactIncludingBorders) {
   util::Rng rng(24);
   const Frame ref = random_frame(rng, 64, 48);
-  const PaddedFrame padded(ref);
+  const Frame padded = with_margin(ref);
   for (int mby = 0; mby < 3; ++mby) {
     for (int mbx = 0; mbx < 4; ++mbx) {
       for (int dy2 = -19; dy2 <= 19; dy2 += 3) {
@@ -224,10 +224,10 @@ TEST(KernelEquivalence, EstimateMotionMatchesTheClampedSearchEverywhere) {
     // Shift a patch so the search has structure to find.
     for (int y = 8; y < 40; ++y) {
       for (int x = 8; x < 56; ++x) {
-        cur.set(x, y, ref.at_clamped(x - 3, y + 2));
+        cur.set(x, y, at_clamped(ref, x - 3, y + 2));
       }
     }
-    const PaddedFrame padded(ref);
+    const Frame padded = with_margin(ref);
     for (const bool half_pel : {false, true}) {
       for (int mby = 0; mby < 3; ++mby) {
         for (int mbx = 0; mbx < 4; ++mbx) {

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cstdlib>
 
+#include "support/oracles.h"
 #include "util/rng.h"
 
 namespace qosctrl::media {
@@ -35,7 +36,7 @@ Frame textured(int w, int h, int shift_x = 0, int shift_y = 0) {
 MotionResult search(const Frame& cur, const Frame& ref, int x0, int y0,
                     const MotionConfig& cfg) {
   return estimate_motion(read_macroblock(cur, x0, y0).data(),
-                         PaddedFrame(ref), x0, y0, cfg);
+                         with_margin(ref), x0, y0, cfg);
 }
 
 TEST(Sad16x16, ZeroForIdentical) {
@@ -167,15 +168,15 @@ TEST(EstimateMotionDeath, RejectsAWindowPastThePad) {
   const auto src = read_macroblock(ref, 16, 16);
   // Radius 8 plus the half-pel margin needs a pad of 9.
   const MotionConfig cfg{8, 0};
-  EXPECT_DEATH(estimate_motion(src.data(), PaddedFrame(ref, 8), 16, 16, cfg),
+  EXPECT_DEATH(estimate_motion(src.data(), with_margin(ref, 8), 16, 16, cfg),
                "exceeds reference pad");
-  EXPECT_DEATH(estimate_motion(src.data(), PaddedFrame(ref), 56, 16, cfg),
+  EXPECT_DEATH(estimate_motion(src.data(), with_margin(ref), 56, 16, cfg),
                "out of bounds");
 }
 
 TEST(MotionCompensate, CopiesShiftedBlock) {
   const Frame ref = textured(64, 64);
-  const auto pred = motion_compensate_halfpel(PaddedFrame(ref), 16, 16, 4, -2);
+  const auto pred = motion_compensate_halfpel(with_margin(ref), 16, 16, 4, -2);
   for (int y = 0; y < 16; ++y) {
     for (int x = 0; x < 16; ++x) {
       EXPECT_EQ(pred[static_cast<std::size_t>(y * 16 + x)],
@@ -186,13 +187,13 @@ TEST(MotionCompensate, CopiesShiftedBlock) {
 
 TEST(MotionCompensate, ReplicatesTheBorder) {
   const Frame ref = textured(32, 32);
-  const auto pred = motion_compensate_halfpel(PaddedFrame(ref), 0, 0, -20, -20);
+  const auto pred = motion_compensate_halfpel(with_margin(ref), 0, 0, -20, -20);
   EXPECT_EQ(pred[0], ref.at(0, 0));
   EXPECT_EQ(pred[15 * 16 + 15], ref.at(5, 5));
 }
 
 TEST(MotionCompensateDeath, RejectsAVectorPastThePad) {
-  const PaddedFrame padded(textured(32, 32));
+  const Frame padded = with_margin(textured(32, 32));
   // Pad 16: the block may start 16 pixels left of the frame, and its
   // interpolation column must end inside the right margin.
   (void)motion_compensate_halfpel(padded, 0, 0, -32, 0);

@@ -1,96 +1,117 @@
-#include "media/padded_frame.h"
-
+// Planes with a border margin: the reference pictures motion search
+// and compensation read in place (plane.h, yuv.h).
 #include <gtest/gtest.h>
 
+#include <array>
+
+#include "media/plane.h"
+#include "media/yuv.h"
+#include "support/oracles.h"
 #include "util/rng.h"
 
 namespace qosctrl::media {
 namespace {
 
-Frame random_frame(util::Rng& rng, int w, int h) {
-  Frame f(w, h);
-  for (int y = 0; y < h; ++y) {
-    for (int x = 0; x < w; ++x) {
-      f.set(x, y, static_cast<Sample>(rng.uniform_i64(0, 255)));
+void fill_random(util::Rng& rng, Plane& p) {
+  for (int y = 0; y < p.height(); ++y) {
+    for (int x = 0; x < p.width(); ++x) {
+      p.set(x, y, static_cast<Sample>(rng.uniform_i64(0, 255)));
     }
   }
-  return f;
 }
 
-TEST(PaddedFrame, ReplicatesAtClampedOverWholeMargin) {
-  util::Rng rng(11);
-  const Frame f = random_frame(rng, 48, 32);
-  const PaddedFrame p(f, 16);
-  ASSERT_EQ(p.width(), 48);
-  ASSERT_EQ(p.height(), 32);
-  ASSERT_EQ(p.pad(), 16);
-  for (int y = -16; y < 32 + 16; ++y) {
-    for (int x = -16; x < 48 + 16; ++x) {
-      ASSERT_EQ(p.at(x, y), f.at_clamped(x, y))
-          << "mismatch at (" << x << ", " << y << ")";
+/// Every sample of the margin reads as the clamped interior read.
+void expect_margin_is_clamped(const Plane& p) {
+  const int pad = p.pad();
+  for (int y = -pad; y < p.height() + pad; ++y) {
+    for (int x = -pad; x < p.width() + pad; ++x) {
+      ASSERT_EQ(p.row(y)[x], at_clamped(p, x, y))
+          << "mismatch at (" << x << ", " << y << ") of a " << p.width()
+          << "x" << p.height() << " plane, pad " << pad;
     }
   }
+}
+
+TEST(PaddedFrame, BorderFillReplicatesTheClampedReadOverTheWholeMargin) {
+  // Odd multiples of the tile, so no side is a power of two, and pads
+  // wider and narrower than a block.
+  util::Rng rng(11);
+  for (const auto& [w, h, pad] : {std::array<int, 3>{48, 32, 16},
+                                  std::array<int, 3>{80, 112, 16},
+                                  std::array<int, 3>{16, 16, 3}}) {
+    Frame f(w, h, 0, pad);
+    fill_random(rng, f);
+    f.fill_border();
+    expect_margin_is_clamped(f);
+  }
+  for (const auto& [w, h, pad] : {std::array<int, 3>{24, 40, 8},
+                                  std::array<int, 3>{56, 8, 8},
+                                  std::array<int, 3>{8, 8, 5}}) {
+    Plane p(w, h, 0, pad);
+    fill_random(rng, p);
+    p.fill_border();
+    expect_margin_is_clamped(p);
+  }
+}
+
+TEST(PaddedFrame, ReferencePicturesCarryTheReferenceMargins) {
+  // A 9x7-macroblock picture: odd in both directions.
+  util::Rng rng(12);
+  YuvFrame f(144, 112);
+  EXPECT_EQ(f.y.pad(), kLumaPad);
+  EXPECT_EQ(f.cb.pad(), kChromaPad);
+  EXPECT_EQ(f.cr.pad(), kChromaPad);
+  fill_random(rng, f.y);
+  fill_random(rng, f.cb);
+  fill_random(rng, f.cr);
+  f.fill_borders();
+  expect_margin_is_clamped(f.y);
+  expect_margin_is_clamped(f.cb);
+  expect_margin_is_clamped(f.cr);
 }
 
 TEST(PaddedFrame, RowPointersAreContiguousSpans) {
-  util::Rng rng(12);
-  const Frame f = random_frame(rng, 32, 32);
-  const PaddedFrame p(f, 8);
+  util::Rng rng(13);
+  Frame f(32, 32, 0, 8);
+  fill_random(rng, f);
+  EXPECT_EQ(f.stride(), 32 + 2 * 8);
   for (int y = 0; y < 32; ++y) {
-    const Sample* r = p.row(y);
     for (int x = 0; x < 32; ++x) {
-      EXPECT_EQ(r[x], f.at(x, y));
+      EXPECT_EQ(f.row(y)[x], f.at(x, y));
     }
     // Successive rows are exactly one stride apart.
     if (y > 0) {
-      EXPECT_EQ(p.row(y), p.row(y - 1) + p.stride());
+      EXPECT_EQ(f.row(y), f.row(y - 1) + f.stride());
     }
   }
 }
 
-TEST(PaddedFrame, UpdateFromReusesStorageAndTracksContent) {
-  util::Rng rng(13);
-  Frame f = random_frame(rng, 32, 16);
-  PaddedFrame p(f, 16);
-  const Sample before = p.at(-5, -5);
-  EXPECT_EQ(before, f.at(0, 0));
-
-  // Mutate and re-pad: contents must follow, geometry unchanged.
-  f.set(0, 0, static_cast<Sample>(f.at(0, 0) ^ 0xFF));
-  p.update_from(f);
-  EXPECT_EQ(p.at(-5, -5), f.at(0, 0));
-  for (int y = -4; y < 20; ++y) {
-    for (int x = -4; x < 36; ++x) {
-      ASSERT_EQ(p.at(x, y), f.at_clamped(x, y));
-    }
-  }
-}
-
-TEST(PaddedFrame, UpdateFromAdoptsNewGeometry) {
+TEST(PaddedFrame, RefillingTracksNewContent) {
   util::Rng rng(14);
-  PaddedFrame p(random_frame(rng, 16, 16), 4);
-  const Frame g = random_frame(rng, 64, 32);
-  p.update_from(g, 8);
-  EXPECT_EQ(p.width(), 64);
-  EXPECT_EQ(p.height(), 32);
-  EXPECT_EQ(p.pad(), 8);
-  for (int y = -8; y < 40; ++y) {
-    for (int x = -8; x < 72; ++x) {
-      ASSERT_EQ(p.at(x, y), g.at_clamped(x, y));
-    }
-  }
+  Frame f(32, 16, 0, 16);
+  fill_random(rng, f);
+  f.fill_border();
+  EXPECT_EQ(f.row(-5)[-5], f.at(0, 0));
+
+  // Mutate and refill: the margin follows the edge.
+  f.set(0, 0, static_cast<Sample>(f.at(0, 0) ^ 0xFF));
+  f.fill_border();
+  EXPECT_EQ(f.row(-5)[-5], f.at(0, 0));
+  expect_margin_is_clamped(f);
 }
 
-TEST(PaddedFrame, CoversBlock16Geometry) {
+TEST(PaddedFrame, WithoutAMarginThePixelsAreTheBuffer) {
   util::Rng rng(15);
-  const PaddedFrame p(random_frame(rng, 48, 32), 16);
-  // Top-left macroblock: any displacement up to pad-1 (the +1 for
-  // interpolation consumes one pixel) stays covered.
-  EXPECT_TRUE(p.covers_block16(0, 0, -15, -15));
-  EXPECT_FALSE(p.covers_block16(0, 0, -17, 0));
-  // Bottom-right macroblock.
-  EXPECT_TRUE(p.covers_block16(32, 16, 15, 15));
-  EXPECT_FALSE(p.covers_block16(32, 16, 16, 0));
+  Plane p(16, 8, 0);
+  fill_random(rng, p);
+  p.fill_border();  // a no-op
+  EXPECT_EQ(p.stride(), 16);
+  ASSERT_EQ(p.data().size(), 16u * 8u);
+  for (int y = 0; y < 8; ++y) {
+    for (int x = 0; x < 16; ++x) {
+      EXPECT_EQ(p.data()[static_cast<std::size_t>(y * 16 + x)], p.at(x, y));
+    }
+  }
 }
 
 }  // namespace

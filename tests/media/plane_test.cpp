@@ -2,10 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include "encoder/macroblock.h"
 #include "media/motion.h"
 #include "media/synthetic_video.h"
 #include "media/yuv.h"
 #include "quality/distortion.h"
+#include "support/oracles.h"
 #include "util/rng.h"
 
 namespace qosctrl::media {
@@ -18,7 +20,7 @@ TEST(Plane, ConstructionAndAccess) {
   EXPECT_EQ(p.at(0, 0), 7);
   p.set(3, 5, 200);
   EXPECT_EQ(p.at(3, 5), 200);
-  EXPECT_EQ(p.at_clamped(-2, 100), p.at(0, 7));
+  EXPECT_EQ(at_clamped(p, -2, 100), p.at(0, 7));
 }
 
 TEST(PlaneDeath, RejectsNonBlockDimensions) {
@@ -40,7 +42,7 @@ TEST(ChromaMotionCompensate, EvenLumaVectorsCopyShifted) {
   for (int y = 0; y < 8; ++y) {
     for (int x = 0; x < 8; ++x) {
       EXPECT_EQ(pred[static_cast<std::size_t>(y * 8 + x)],
-                ref.at_clamped(8 + x + 2, 8 + y - 1));
+                at_clamped(ref, 8 + x + 2, 8 + y - 1));
     }
   }
 }
@@ -65,48 +67,71 @@ TEST(ChromaMotionCompensate, HalfLumaPelLandsOnHalfChromaPel) {
 }
 
 TEST(ChromaMotionCompensate, MatchesTheBilinearCasesInsideAndAtBorders) {
-  // Every luma vector up to +-12 half-pels at every block of a small
-  // plane (so interior and border-clamped blocks, all four fraction
+  // Every luma vector in the stream's range (+-kMaxVectorHalfPel half
+  // pels) at every block of both chroma planes of a small reference
+  // picture (so interior blocks and all four corners, all four fraction
   // cases) against the per-case bilinear formula with clamped reads.
   util::Rng rng(3);
-  Plane ref(32, 24);
-  for (int y = 0; y < 24; ++y) {
-    for (int x = 0; x < 32; ++x) {
-      ref.set(x, y, static_cast<Sample>(rng.uniform_i64(0, 255)));
+  YuvFrame frame(64, 48);
+  for (Plane* ref : {&frame.cb, &frame.cr}) {
+    for (int y = 0; y < ref->height(); ++y) {
+      for (int x = 0; x < ref->width(); ++x) {
+        ref->set(x, y, static_cast<Sample>(rng.uniform_i64(0, 255)));
+      }
     }
   }
-  for (int y0 = 0; y0 < 24; y0 += 8) {
-    for (int x0 = 0; x0 < 32; x0 += 8) {
-      for (int dy2 = -12; dy2 <= 12; ++dy2) {
-        for (int dx2 = -12; dx2 <= 12; ++dx2) {
-          const int cdx2 = dx2 / 2 + dx2 % 2;
-          const int cdy2 = dy2 / 2 + dy2 % 2;
-          const int ix = cdx2 >= 0 ? cdx2 / 2 : (cdx2 - 1) / 2;
-          const int iy = cdy2 >= 0 ? cdy2 / 2 : (cdy2 - 1) / 2;
-          const int fx = cdx2 - 2 * ix;
-          const int fy = cdy2 - 2 * iy;
-          const auto pred = chroma_motion_compensate(ref, x0, y0, dx2, dy2);
-          for (int y = 0; y < 8; ++y) {
-            for (int x = 0; x < 8; ++x) {
-              const int px = x0 + ix + x;
-              const int py = y0 + iy + y;
-              const int a = ref.at_clamped(px, py);
-              const int b = ref.at_clamped(px + 1, py);
-              const int c = ref.at_clamped(px, py + 1);
-              const int d = ref.at_clamped(px + 1, py + 1);
-              const int want = fx == 0 && fy == 0 ? a
-                               : fy == 0          ? (a + b + 1) / 2
-                               : fx == 0          ? (a + c + 1) / 2
-                                                  : (a + b + c + d + 2) / 4;
-              ASSERT_EQ(pred[static_cast<std::size_t>(y * 8 + x)], want)
-                  << "block (" << x0 << "," << y0 << ") vector (" << dx2
-                  << "," << dy2 << ")";
+  frame.fill_borders();
+  constexpr int kEnd = enc::kMaxVectorHalfPel;
+  for (const Plane* ref : {&frame.cb, &frame.cr}) {
+    for (int y0 = 0; y0 < ref->height(); y0 += 8) {
+      for (int x0 = 0; x0 < ref->width(); x0 += 8) {
+        for (int dy2 = -kEnd; dy2 <= kEnd; ++dy2) {
+          for (int dx2 = -kEnd; dx2 <= kEnd; ++dx2) {
+            const int cdx2 = dx2 / 2 + dx2 % 2;
+            const int cdy2 = dy2 / 2 + dy2 % 2;
+            const int ix = cdx2 >= 0 ? cdx2 / 2 : (cdx2 - 1) / 2;
+            const int iy = cdy2 >= 0 ? cdy2 / 2 : (cdy2 - 1) / 2;
+            const int fx = cdx2 - 2 * ix;
+            const int fy = cdy2 - 2 * iy;
+            const auto pred =
+                chroma_motion_compensate(*ref, x0, y0, dx2, dy2);
+            for (int y = 0; y < 8; ++y) {
+              for (int x = 0; x < 8; ++x) {
+                const int px = x0 + ix + x;
+                const int py = y0 + iy + y;
+                const int a = at_clamped(*ref, px, py);
+                const int b = at_clamped(*ref, px + 1, py);
+                const int c = at_clamped(*ref, px, py + 1);
+                const int d = at_clamped(*ref, px + 1, py + 1);
+                const int want = fx == 0 && fy == 0 ? a
+                                 : fy == 0          ? (a + b + 1) / 2
+                                 : fx == 0          ? (a + c + 1) / 2
+                                                    : (a + b + c + d + 2) / 4;
+                ASSERT_EQ(pred[static_cast<std::size_t>(y * 8 + x)], want)
+                    << "block (" << x0 << "," << y0 << ") vector (" << dx2
+                    << "," << dy2 << ")";
+              }
             }
           }
         }
       }
     }
   }
+}
+
+TEST(ChromaMotionCompensateDeath, RejectsAWindowPastTheMargin) {
+  // Without a margin only in-plane windows may be read; with one, the
+  // window may reach kChromaPad samples past the edge and no further.
+  const Plane bare(16, 16);
+  (void)chroma_motion_compensate(bare, 0, 0, 0, 0);
+  EXPECT_DEATH(chroma_motion_compensate(bare, 0, 0, -2, 0),
+               "exceeds reference padding");
+  const YuvFrame frame(32, 32);
+  (void)chroma_motion_compensate(frame.cb, 0, 0, -enc::kMaxVectorHalfPel,
+                                 -enc::kMaxVectorHalfPel);
+  EXPECT_DEATH(chroma_motion_compensate(frame.cb, 0, 0,
+                                        -enc::kMaxVectorHalfPel - 4, 0),
+               "exceeds reference padding");
 }
 
 TEST(ChromaDcPrediction, AveragesNeighbors) {
@@ -161,7 +186,7 @@ TEST(SyntheticVideo, ChromaPansWithLuma) {
   // Find the dominant pan by luma full search at a central MB.
   MotionConfig cfg{8, 0};
   const MotionResult mv = estimate_motion(read_macroblock(b.y, 80, 64).data(),
-                                         PaddedFrame(a.y), 80, 64, cfg);
+                                         with_margin(a.y), 80, 64, cfg);
   // Compensate the co-located chroma block with that vector and check
   // it beats the zero-vector difference.
   const auto moved =

@@ -6,6 +6,7 @@
 #include <cstdlib>
 
 #include "media/dct.h"
+#include "support/oracles.h"
 #include "util/rng.h"
 
 namespace qosctrl::media {

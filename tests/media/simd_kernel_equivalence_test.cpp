@@ -13,9 +13,9 @@
 
 #include "media/frame.h"
 #include "media/motion.h"
-#include "media/padded_frame.h"
 #include "media/simd/kernels.h"
 #include "media/simd/kernels_impl.h"
+#include "support/oracles.h"
 #include "util/rng.h"
 
 namespace qosctrl::media::simd {
@@ -319,10 +319,11 @@ TEST(SimdKernelEquivalence, RoundTripDctAcrossBackends) {
 
 TEST(SimdKernelEquivalence, SumSqDiffMatchesScalarExactly) {
   util::Rng rng(308);
-  // Span lengths cover one macroblock row up to a whole QCIF plane,
-  // including lengths that exercise the AVX2 16-pixel tail (n % 32 ==
-  // 16) and biased content (small diffs) as well as full-range noise.
-  const std::size_t lengths[] = {16, 48, 256, 1008, 25344};
+  // Span lengths cover one chroma block row up to a whole QCIF plane,
+  // including lengths that exercise every tail (n % 32 == 8, 16 and
+  // 24: a QCIF chroma row is 88) and biased content (small diffs) as
+  // well as full-range noise.
+  const std::size_t lengths[] = {8, 16, 24, 48, 88, 256, 1000, 1008, 25344};
   std::vector<std::uint8_t> a(25344), b(25344);
   for (const Backend bk : simd_backends()) {
     const KernelTable& t = kernels_for(bk);
@@ -402,10 +403,10 @@ TEST(SimdKernelEquivalence, MotionSearchIdenticalUnderEveryBackend) {
   Frame cur = ref;
   for (int y = 8; y < 40; ++y) {
     for (int x = 8; x < 56; ++x) {
-      cur.set(x, y, ref.at_clamped(x - 3, y + 2));
+      cur.set(x, y, at_clamped(ref, x - 3, y + 2));
     }
   }
-  const PaddedFrame padded(ref);
+  const Frame padded = with_margin(ref);
 
   const ScopedBackendRestore restore;
   std::vector<MotionResult> scalar_results;

@@ -11,6 +11,7 @@
 
 #include "media/motion.h"
 #include "quality/distortion.h"
+#include "support/oracles.h"
 
 namespace qosctrl::media {
 namespace {
@@ -87,7 +88,7 @@ TEST(SyntheticVideo, ConsecutiveFramesAreTrackableWithinAScene) {
   const SyntheticVideo v(VideoConfig{});  // default 176x144, 9 scenes
   const Frame a = v.frame(40);
   const Frame b = v.frame(41);
-  const PaddedFrame ref(a);
+  const Frame ref = with_margin(a);
   MotionConfig cfg{8, 0};
   int good = 0, total = 0;
   for (int mb = 0; mb < b.num_macroblocks(); mb += 3) {
@@ -108,7 +109,7 @@ TEST(SyntheticVideo, BusyScenesOutpanSmallWindows) {
   const int f = starts[2] + 5;
   const Frame a = v.frame(f);
   const Frame b = v.frame(f + 1);
-  const PaddedFrame ref(a);
+  const Frame ref = with_margin(a);
   MotionConfig narrow{4, 0};
   MotionConfig wide{8, 0};
   std::int64_t sad_narrow = 0, sad_wide = 0;

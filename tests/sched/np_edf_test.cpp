@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "sched/policy.h"
+#include "support/oracles.h"
 
 namespace qosctrl::sched {
 namespace {

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "sched/policy.h"
+#include "support/oracles.h"
 #include "util/rng.h"
 
 namespace qosctrl::sched {

@@ -166,6 +166,43 @@ TEST(SpecParser, RejectsLeftoverTextInADirective) {
   EXPECT_TRUE(commented.ok) << commented.error;
 }
 
+TEST(SpecParser, RejectsNumbersPastTheModelsRange) {
+  // A budget at kNoDeadline would pace deadlines that read as none.
+  const ParsedSpec at_no_deadline =
+      parse_spec_string("action a\nlevels 0\ntimes a * 1 2\niterations 4\n"
+                        "budget 1152921504606846976\n");
+  EXPECT_FALSE(at_no_deadline.ok);
+  EXPECT_NE(at_no_deadline.error.find("line 5:"), std::string::npos)
+      << at_no_deadline.error;
+  EXPECT_FALSE(parse_with("budget 9223372036854775807").ok);
+  EXPECT_TRUE(parse_with("budget 1152921504606846975").ok);
+
+  // Worst cases whose sum (or iterations x sum) passes kNoDeadline.
+  for (const char* text :
+       {"action a\naction b\nedge a b\nlevels 0\n"
+        "times a * 5000000000000000000 6000000000000000000\n"
+        "times b * 5000000000000000000 6000000000000000000\nbudget 100\n",
+        "action a\nlevels 0\ntimes a * 1 576460752303423489\n"
+        "iterations 2\nbudget 100\n"}) {
+    const ParsedSpec spec = parse_spec_string(text);
+    EXPECT_FALSE(spec.ok) << text;
+    EXPECT_NE(spec.error.find("worst case"), std::string::npos)
+        << spec.error;
+  }
+  // Exactly kNoDeadline is in range (the tool then rejects the budget
+  // as unschedulable, which is its own check).
+  EXPECT_TRUE(parse_spec_string("action a\nlevels 0\n"
+                                "times a * 1 576460752303423488\n"
+                                "iterations 2\nbudget 100\n")
+                  .ok);
+
+  // More unrolled actions than ActionId holds; nothing is unrolled.
+  const ParsedSpec ids = parse_with("iterations 2147483647");
+  EXPECT_FALSE(ids.ok);
+  EXPECT_NE(ids.error.find("action id"), std::string::npos) << ids.error;
+  EXPECT_TRUE(parse_with("iterations 1073741823").ok);
+}
+
 TEST(SpecParser, LaterTimesOverrideEarlier) {
   const ParsedSpec spec = parse_spec_string(
       "action a\nlevels 0\ntimes a * 1 2\ntimes a 0 5 9\nbudget 10\n");

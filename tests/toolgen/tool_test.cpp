@@ -6,6 +6,7 @@
 #include "platform/cost_model.h"
 #include "qos/qual_const.h"
 #include "rt/time_function.h"
+#include "util/rng.h"
 
 namespace qosctrl::toolgen {
 namespace {
@@ -90,6 +91,40 @@ TEST(EvenlyPacedDeadlines, LastIterationGetsFullBudget) {
   EXPECT_EQ(d(0, 0), 1000 / 7);
   // Monotone in the iteration index.
   for (int j = 1; j < 7; ++j) EXPECT_GT(d(j, 0), d(j - 1, 0));
+}
+
+TEST(EvenlyPacedDeadlines, EqualsTheExactQuotientOverTheWholeRange) {
+  // floor(budget * (j + 1) / N), evaluated in 128 bits, for random
+  // budgets below kNoDeadline and iteration counts across int: the
+  // same values the one-product formula gave wherever it did not
+  // overflow, and the exact ones where it did.
+  util::Rng rng(29);
+  for (int trial = 0; trial < 20000; ++trial) {
+    const rt::Cycles budget =
+        trial % 2 == 0 ? rng.uniform_i64(1, rt::kNoDeadline - 1)
+                       : rng.uniform_i64(1, 1 << 20);
+    const int iterations = static_cast<int>(
+        trial % 3 == 0 ? rng.uniform_i64(1, 16)
+                       : rng.uniform_i64(1, INT32_MAX));
+    const auto d = evenly_paced_deadlines(budget, iterations);
+    for (const int j :
+         {0, iterations - 1,
+          static_cast<int>(rng.uniform_i64(0, iterations - 1))}) {
+      const __int128 exact =
+          static_cast<__int128>(budget) * (j + 1) / iterations;
+      ASSERT_EQ(d(j, 0), static_cast<rt::Cycles>(exact))
+          << budget << " / " << iterations << " at " << j;
+    }
+  }
+}
+
+TEST(RunToolDeath, RejectsInputPastTheModelsRange) {
+  ToolInput wide = small_input(2, 100);
+  wide.iterations = INT32_MAX;  // two actions each: past ActionId
+  EXPECT_DEATH(run_tool(wide), "action id range");
+  ToolInput long_wc = small_input(2, 100);
+  long_wc.times[1][0].worst_case = rt::kNoDeadline / 2;
+  EXPECT_DEATH(run_tool(long_wc), "worst case");
 }
 
 TEST(RunTool, EncoderGeometryFigure5) {
