@@ -342,6 +342,66 @@ TEST(StreamSessionDelivery, SessionDigestIsPinned) {
   EXPECT_EQ(session_digest(false), 0x1ae14d1a34427d9aULL);
 }
 
+/// FNV-1a over every record of a run.
+std::uint64_t records_digest(const PipelineResult& r) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;  // FNV-1a offset basis
+  for (const FrameRecord& f : r.frames) fnv1a_record(&h, f);
+  return h;
+}
+
+// run_pipeline is the paper-figure path (Figures 6-9): every field of
+// every record of two short runs is pinned.  A constant encoder at
+// q = 4 overloads the budget, so with K = 2 frames start late (and are
+// re-paced over the remaining window) and the camera skips arrivals.
+TEST(RunPipeline, ConstantQualityBacklogRecordsArePinned) {
+  PipelineConfig cfg = small_config();
+  cfg.video.num_frames = 30;
+  cfg.mode = ControlMode::kConstantQuality;
+  cfg.constant_quality = 4;
+  cfg.buffer_capacity = 2;
+  const PipelineResult r = run_pipeline(cfg);
+  int late = 0;
+  for (const FrameRecord& f : r.frames) late += f.start_lag > 0 ? 1 : 0;
+  EXPECT_GT(r.total_skips, 0);
+  EXPECT_GT(late, 0);
+  EXPECT_EQ(records_digest(r), 0x462befe39b9d5197ULL);
+}
+
+TEST(RunPipeline, ControlledRecordsArePinned) {
+  PipelineConfig cfg = small_config();
+  cfg.video.num_frames = 30;
+  cfg.mode = ControlMode::kControlled;
+  cfg.buffer_capacity = 1;
+  const PipelineResult r = run_pipeline(cfg);
+  EXPECT_EQ(r.total_skips, 0);
+  EXPECT_EQ(records_digest(r), 0x6e9759d5bd75fecdULL);
+}
+
+// One scoring rule: encode() scores the encoder's reconstruction
+// whether or not delivery is tracked, and while the decoder is in sync
+// deliver() shows that same picture, so it scores bit-equal.
+TEST(StreamSessionScoring, EncodeScoresAlikeTrackedOrNotAndDeliverAgreesInSync) {
+  const PipelineConfig cfg = small_config();
+  StreamSession untracked(cfg);
+  StreamSession tracked(cfg);
+  tracked.track_delivery();
+  for (int f = 18; f < 24; ++f) {  // across the scene cut at frame 20
+    const rt::Cycles t0 = f == 22 ? cfg.frame_period / 3 : 0;
+    const FrameRecord u = untracked.encode(f, t0);
+    const FrameRecord t = tracked.encode(f, t0);
+    std::uint64_t hu = 0, ht = 0;
+    fnv1a_record(&hu, u);
+    fnv1a_record(&ht, t);
+    EXPECT_EQ(hu, ht) << "frame " << f;
+    EXPECT_GT(u.psnr, 20.0) << "frame " << f;
+
+    const FrameRecord shown = tracked.deliver(t);
+    EXPECT_FALSE(shown.concealed) << "frame " << f;
+    EXPECT_EQ(shown.psnr, u.psnr) << "frame " << f;
+    EXPECT_EQ(shown.ssim, u.ssim) << "frame " << f;
+  }
+}
+
 TEST(Pipeline, SummaryMentionsKeyFields) {
   const PipelineResult r = run_pipeline(small_config());
   const std::string s = summarize(r);
