@@ -6,7 +6,6 @@
 #include "media/intra.h"
 #include "media/quant.h"
 #include "qos/runner.h"
-#include "quality/distortion.h"
 #include "util/check.h"
 
 namespace qosctrl::enc {
@@ -144,12 +143,6 @@ FrameStats FrameEncoder::encode_frame(const media::YuvFrame& input,
   has_reference_ = true;
   stats.mean_quality =
       quality_count > 0 ? quality_sum / quality_count : 0.0;
-  // One block-moment pass yields both metrics (the PSNR route is
-  // pinned bit-identical to quality::psnr in tests/quality/).
-  const quality::FrameDistortion distortion =
-      quality::measure(input.y, recon_.y);
-  stats.psnr = distortion.psnr;
-  stats.ssim = distortion.ssim;
   return stats;
 }
 

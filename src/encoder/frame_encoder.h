@@ -4,8 +4,10 @@
 // while charging *virtual* cycle costs from the platform cost model.
 //
 // The separation mirrors the paper's setup: the controller sees only
-// elapsed virtual cycles; the pixels determine PSNR, bit counts, and the
-// content-coupled component of the cycle costs.
+// elapsed virtual cycles; the pixels determine bit counts, the
+// reconstruction, and the content-coupled component of the cycle costs.
+// The encoder does not score its output: pipe::StreamSession scores
+// what the viewer is shown (quality/distortion.h).
 #pragma once
 
 #include <array>
@@ -38,15 +40,14 @@ struct EncoderConfig {
   double typical_compress_bits = 560.0;
 };
 
-/// Per-frame encoding outcome.
+/// Per-frame encoding outcome, unscored: PSNR/SSIM of what the viewer
+/// is shown are the session's (pipe::FrameRecord).
 struct FrameStats {
   rt::Cycles encode_cycles = 0;  ///< virtual cycles spent on actions
   /// encode_cycles attributed per EncodePhase (motion / dct_quant /
   /// reconstruct / entropy); sums to encode_cycles.
   std::array<rt::Cycles, kNumEncodePhases> phase_cycles{};
   std::int64_t bits = 0;         ///< compressed size of the frame
-  double psnr = 0.0;             ///< PSNR(input, reconstruction), dB
-  double ssim = 0.0;             ///< SSIM(input, reconstruction)
   int deadline_misses = 0;       ///< actions finishing past D_theta
   double mean_quality = 0.0;     ///< mean ME quality level over MBs
   rt::QualityLevel min_quality = 0;
@@ -75,7 +76,7 @@ class FrameEncoder {
                           rt::Cycles t0 = 0);
 
   /// Reconstruction of the most recently encoded frame (what a decoder
-  /// would display).
+  /// would display, and what the session scores the frame against).
   const media::YuvFrame& reconstructed() const { return recon_; }
   bool has_reference() const { return has_reference_; }
 

@@ -27,10 +27,7 @@ pipe::PipelineConfig stream_pipeline_config(const StreamSpec& spec,
   cfg.buffer_capacity = spec.buffer_capacity;
   cfg.mode = spec.mode;
   cfg.constant_quality = spec.constant_quality;
-  cfg.rate.frame_rate =
-      nominal_fps *
-      static_cast<double>(default_frame_period(macroblocks_of(spec))) /
-      static_cast<double>(period_of(spec));
+  cfg.rate.frame_rate = frame_rate_of(spec, nominal_fps);
   util::Rng derive = util::Rng(farm_seed).fork(
       static_cast<std::uint64_t>(spec.id));
   cfg.seed = spec.seed != 0 ? spec.seed : derive.next_u64();

@@ -18,8 +18,7 @@ inline constexpr rt::Cycles kNever = std::numeric_limits<rt::Cycles>::max();
 /// The session config a StreamSpec expands to.  Seeds (cost jitter and
 /// video content) are forked from the farm seed by stream id, so any
 /// worker thread gets the same one.  `nominal_fps` is the camera rate
-/// at the default pacing; a stream whose period is scaled by f runs its
-/// camera, rate control and bitrate accounting at nominal_fps / f.
+/// at the default pacing (see frame_rate_of).
 pipe::PipelineConfig stream_pipeline_config(const StreamSpec& spec,
                                             std::uint64_t farm_seed,
                                             double nominal_fps);

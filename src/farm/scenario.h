@@ -50,6 +50,15 @@ inline rt::Cycles period_of(const StreamSpec& s) {
                             : default_frame_period(macroblocks_of(s));
 }
 
+/// The camera rate: `nominal_fps` at the default pacing, nominal_fps / f
+/// for a period scaled by f (what rate control and bitrate accounting
+/// run at).
+inline double frame_rate_of(const StreamSpec& s, double nominal_fps) {
+  return nominal_fps *
+         static_cast<double>(default_frame_period(macroblocks_of(s))) /
+         static_cast<double>(period_of(s));
+}
+
 /// The latency contract: frame f (arriving at join + f * P) must be
 /// displayed by arrival + K * P.
 inline rt::Cycles latency_of(const StreamSpec& s) {

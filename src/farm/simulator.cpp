@@ -445,8 +445,7 @@ void stitch(const FarmConfig& config, DataPlane& dp, FarmResult* result) {
     }
     so.result = pipe::aggregate_records(
         std::move(w.records), so.placement.table_budget,
-        stream_pipeline_config(so.spec, config.seed, config.frame_rate)
-            .rate.frame_rate);
+        frame_rate_of(so.spec, config.frame_rate));
 
     // Recovery: failure instant -> first on-time frame after it.
     for (std::size_t k = 0; k < so.failover.size(); ++k) {
@@ -502,7 +501,7 @@ void finalize(const FarmConfig& config, const ShardedControlPlane& plane,
     for (const pipe::FrameRecord& fr : so.result.frames) {
       psnr_sum += fr.psnr;
       ssim_sum += fr.ssim;
-      if (fr.skipped || (fr.concealed && fr.encode_cycles == 0)) continue;
+      if (!fr.encoded()) continue;
       ++r.encoded_frames;
       quality_sum += fr.mean_quality;
       const auto bucket = static_cast<std::size_t>(std::lround(std::clamp(

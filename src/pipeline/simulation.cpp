@@ -183,43 +183,35 @@ FrameRecord StreamSession::encode(int index, rt::Cycles t0) {
     elapsed = 0;
   }
 
-  const enc::FrameStats stats = encoder_.encode_frame(
+  FrameRecord rec;
+  static_cast<enc::FrameStats&>(rec) = encoder_.encode_frame(
       input, *controller, *sys->system, rate_.qp(), elapsed);
-  rate_.frame_encoded(stats.bits);
+  rate_.frame_encoded(rec.bits);
+  rec.index = index;
+  rec.scene_cut = video_.is_scene_cut(index);
+  rec.start_lag = t0;
+  score(rec, input.y, &encoder_.reconstructed().y);
   if (track_delivery_) {
     // deliver() or lose() scores this frame next: keep its luma until
     // then instead of rendering it a second time.
     kept_index_ = index;
     kept_luma_ = std::move(input.y);
   }
-
-  FrameRecord rec;
-  rec.index = index;
-  rec.scene_cut = video_.is_scene_cut(index);
-  rec.encode_cycles = stats.encode_cycles;
-  rec.phase_cycles = stats.phase_cycles;
-  rec.start_lag = t0;
-  rec.psnr = stats.psnr;
-  rec.ssim = stats.ssim;
-  rec.bits = stats.bits;
-  rec.mean_quality = stats.mean_quality;
-  rec.min_quality = stats.min_quality;
-  rec.max_quality = stats.max_quality;
-  rec.quality_change_sum = stats.quality_change_sum;
-  rec.deadline_misses = stats.deadline_misses;
-  rec.qp = stats.qp;
-  rec.intra_macroblocks = stats.intra_macroblocks;
   return rec;
 }
 
-FrameRecord StreamSession::skip(int index) {
+FrameRecord StreamSession::skip(int index) { return unserved(index, true); }
+
+FrameRecord StreamSession::drop(int index) { return unserved(index, false); }
+
+FrameRecord StreamSession::unserved(int index, bool skipped) {
   FrameRecord rec;
   rec.index = index;
-  rec.skipped = true;
+  rec.skipped = skipped;
+  rec.concealed = !skipped;
   rec.scene_cut = video_.is_scene_cut(index);
   rec.qp = rate_.qp();
-  // The decoder re-displays the previous output frame.
-  score_against_display(&rec);
+  score(rec, source_luma(index), shown());
   rate_.frame_skipped();
   return rec;
 }
@@ -230,68 +222,44 @@ media::Frame StreamSession::source_luma(int index) {
   return std::move(kept_luma_);
 }
 
-void StreamSession::score_against_display(FrameRecord* rec) {
-  const media::Frame input = source_luma(rec->index);
-  if (track_delivery_) {
-    if (!displayed_) {
-      // Nothing displayed yet: the viewer sees no picture, whatever the
-      // record carried from the encoder.
-      rec->psnr = 0.0;
-      rec->ssim = 0.0;
-      return;
-    }
-    const quality::FrameDistortion d = quality::measure(input, displayed_->y);
-    rec->psnr = d.psnr;
-    rec->ssim = d.ssim;
-    return;
-  }
-  if (encoder_.has_reference()) {
-    const quality::FrameDistortion d =
-        quality::measure(input, encoder_.reconstructed().y);
-    rec->psnr = d.psnr;
-    rec->ssim = d.ssim;
-  }
+void StreamSession::score(FrameRecord& rec, const media::Frame& source,
+                          const media::Frame* shown) {
+  // One block-moment pass yields both metrics (its PSNR is pinned
+  // bit-identical to quality::psnr in tests/quality/).
+  const quality::FrameDistortion d =
+      shown != nullptr ? quality::measure(source, *shown)
+                       : quality::FrameDistortion{};
+  rec.psnr = d.psnr;
+  rec.ssim = d.ssim;
+}
+
+const media::Frame* StreamSession::shown() const {
+  if (track_delivery_) return displayed_ ? &displayed_->y : nullptr;
+  // The encoder emits a bitstream from its first frame on.
+  return encoder_.bitstream().empty() ? nullptr : &encoder_.reconstructed().y;
 }
 
 FrameRecord StreamSession::deliver(FrameRecord rec) {
   if (!track_delivery_) return rec;
   enc::DecodeResult d = enc::decode_frame(
       encoder_.bitstream(), displayed_ ? &*displayed_ : nullptr);
-  if (!d.ok) {
-    // Un-decodable at the receiver (e.g. an inter frame whose
-    // reference never survived to the decoder): conceal instead of
-    // crashing — the viewer keeps the previous picture.
-    rec.concealed = true;
-    score_against_display(&rec);
-    return rec;
-  }
-  displayed_ = std::move(d.frame);
+  // Un-decodable at the receiver (e.g. an inter frame whose reference
+  // never survived to the decoder): conceal instead of crashing — the
+  // viewer keeps the previous picture.
+  if (!d.ok) return lose(rec);
   // Re-score against the *decoded* picture.  While encoder and
   // decoder references agree the decode is bit-exact with the
   // encoder's reconstruction and the scores are unchanged; after a
   // concealment the decoder predicts from its stale reference, and
   // the drift measured here is the real propagation cost.
-  const quality::FrameDistortion dist =
-      quality::measure(source_luma(rec.index), displayed_->y);
-  rec.psnr = dist.psnr;
-  rec.ssim = dist.ssim;
+  displayed_ = std::move(d.frame);
+  score(rec, source_luma(rec.index), shown());
   return rec;
 }
 
 FrameRecord StreamSession::lose(FrameRecord rec) {
   rec.concealed = true;
-  score_against_display(&rec);
-  return rec;
-}
-
-FrameRecord StreamSession::drop(int index) {
-  FrameRecord rec;
-  rec.index = index;
-  rec.concealed = true;
-  rec.scene_cut = video_.is_scene_cut(index);
-  rec.qp = rate_.qp();
-  score_against_display(&rec);
-  rate_.frame_skipped();
+  score(rec, source_luma(rec.index), shown());
   return rec;
 }
 
@@ -373,14 +341,8 @@ PipelineResult aggregate_records(std::vector<FrameRecord> frames,
     ssim_series.push_back(rec.ssim);
     result.total_deadline_misses += rec.deadline_misses;
     if (rec.concealed) ++result.total_concealed;
-    if (rec.skipped) {
-      ++result.total_skips;
-      continue;
-    }
-    // Concealed frames that never reached the encoder (quarantine and
-    // blackout drops) carry no cycles, bits, or quality decisions;
-    // like skips, they only contribute their stale-display scores.
-    if (rec.concealed && rec.encode_cycles == 0) continue;
+    if (rec.skipped) ++result.total_skips;
+    if (!rec.encoded()) continue;
     ++encoded;
     psnr_enc += rec.psnr;
     cycles += static_cast<double>(rec.encode_cycles);

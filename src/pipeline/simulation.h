@@ -74,8 +74,11 @@ struct PipelineConfig {
   platform::CostModelConfig cost{};
 };
 
-/// Per-camera-frame outcome.
-struct FrameRecord {
+/// Per-camera-frame outcome: the encoder's stats (all zero but `qp`
+/// for a frame that never reached the encoder) plus what became of the
+/// frame.  Policer cut-offs and overrun inflation adjust encode_cycles
+/// but never the phase split, which attributes the honest encode work.
+struct FrameRecord : enc::FrameStats {
   int index = 0;
   bool skipped = false;
   bool scene_cut = false;
@@ -86,22 +89,16 @@ struct FrameRecord {
   bool overrun = false;  ///< injected WCET overrun (inflated demand)
   bool aborted = false;  ///< cut off at the committed budget
   bool lost = false;     ///< encoded output dropped before the decoder
-  rt::Cycles encode_cycles = 0;  ///< 0 for skipped frames
-  /// encode_cycles split over the four EncodePhase stages.  Attributes
-  /// the honest encode work: policer cut-offs and overrun inflation
-  /// adjust encode_cycles but never the phase split.
-  std::array<rt::Cycles, enc::kNumEncodePhases> phase_cycles{};
   rt::Cycles start_lag = 0;      ///< start - arrival (buffer wait)
-  double psnr = 0.0;             ///< vs displayed output
-  double ssim = 0.0;             ///< vs displayed output
-  std::int64_t bits = 0;
-  double mean_quality = 0.0;
-  rt::QualityLevel min_quality = 0;
-  rt::QualityLevel max_quality = 0;
-  int quality_change_sum = 0;  ///< sum |dq| between consecutive MBs
-  int deadline_misses = 0;
-  int qp = 0;
-  int intra_macroblocks = 0;
+  double psnr = 0.0;             ///< vs the picture the viewer is shown
+  double ssim = 0.0;             ///< vs the picture the viewer is shown
+
+  /// The frame reached the encoder: neither a camera skip nor a drop
+  /// that was never serviced (which carry no cycles, bits or quality
+  /// decisions and only contribute their stale-display scores).
+  bool encoded() const {
+    return !(skipped || (concealed && encode_cycles == 0));
+  }
 };
 
 /// Distribution summary of a per-frame quality series (PSNR or SSIM)
@@ -151,6 +148,11 @@ struct PipelineResult {
 /// start* (t0 = 0): the controller then guarantees completion within B
 /// of starting, leaving K * P - B of queueing tolerance for the
 /// processor — see farm/admission.h.
+///
+/// The session scores every record (PSNR/SSIM of the frame's source
+/// luma): encode() against the encoder's reconstruction, tracked or
+/// not; skip(), drop(), lose() and deliver() against the picture the
+/// viewer is shown.
 class StreamSession {
  public:
   /// Builds every component from the config.  `budget` == 0 selects
@@ -167,10 +169,11 @@ class StreamSession {
   /// from service start).  For a stateless controller a positive
   /// `t0` re-paces this frame's deadlines over the remaining
   /// budget() - t0 and measures elapsed time from the actual start.
+  /// The record is scored against the encoder's reconstruction.
   FrameRecord encode(int index, rt::Cycles t0);
 
   /// Records camera frame `index` as dropped (input buffer full): the
-  /// decoder re-displays the previous output, which scores its PSNR.
+  /// viewer keeps the picture shown, which scores the frame.
   FrameRecord skip(int index);
 
   /// Replaces the compiled system (same geometry, different budget)
@@ -196,7 +199,7 @@ class StreamSession {
   /// Marks the record encode() just produced as delivered.  With
   /// tracking, decodes the encoder's bitstream and re-scores
   /// PSNR/SSIM against the decoded picture; a malformed or
-  /// unreferenced decode degrades to concealment instead of crashing.
+  /// unreferenced decode is lose(rec) instead of a crash.
   FrameRecord deliver(FrameRecord rec);
 
   /// Marks the record encode() just produced as *not* delivered (a
@@ -222,10 +225,17 @@ class StreamSession {
   const PipelineConfig& config() const { return config_; }
 
  private:
-  /// Scores `rec` against what the viewer currently displays: the
-  /// decoder chain's last output when tracking, the encoder's
-  /// reconstruction otherwise (the skip() scoring path).
-  void score_against_display(FrameRecord* rec);
+  /// The one PSNR/SSIM write: scores `rec` as `source` against the
+  /// luma `shown` (0 when nothing is shown).
+  static void score(FrameRecord& rec, const media::Frame& source,
+                    const media::Frame* shown);
+  /// The picture the viewer is shown: the decoder chain's last output
+  /// when tracking, the encoder's reconstruction otherwise; none before
+  /// the first one.
+  const media::Frame* shown() const;
+  /// skip() and drop(): frame `index` never reaches the encoder and the
+  /// viewer keeps the picture shown.
+  FrameRecord unserved(int index, bool skipped);
   /// The source luma of frame `index`: the copy encode() kept, released
   /// here, when it is that frame's; a fresh render otherwise (a skip or
   /// drop of a frame that was never encoded).

@@ -123,11 +123,4 @@ PrecedenceGraph PrecedenceGraph::unroll(int n_copies) const {
   return out;
 }
 
-std::pair<int, ActionId> PrecedenceGraph::unrolled_origin(
-    ActionId unrolled_id, std::size_t body_size) {
-  QC_EXPECT(body_size > 0, "body size must be positive");
-  const int m = static_cast<int>(body_size);
-  return {unrolled_id / m, unrolled_id % m};
-}
-
 }  // namespace qosctrl::rt

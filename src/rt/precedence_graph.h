@@ -53,12 +53,6 @@ class PrecedenceGraph {
   /// j*num_actions()+k and name "name#j".  Requires n_copies >= 1.
   PrecedenceGraph unroll(int n_copies) const;
 
-  /// Maps an unrolled action id back to (copy index, body action id).
-  /// Helper for callers holding the body graph; `body_size` is the
-  /// body's num_actions().
-  static std::pair<int, ActionId> unrolled_origin(ActionId unrolled_id,
-                                                  std::size_t body_size);
-
  private:
   std::vector<std::string> names_;
   std::vector<std::vector<ActionId>> succ_;

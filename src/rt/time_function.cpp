@@ -19,34 +19,6 @@ void TimeFunction::set(ActionId a, Cycles v) {
   values_[static_cast<std::size_t>(a)] = v;
 }
 
-bool TimeFunction::dominated_by(const TimeFunction& other) const {
-  QC_EXPECT(values_.size() == other.values_.size(),
-            "time functions over different action sets");
-  for (std::size_t i = 0; i < values_.size(); ++i) {
-    if (values_[i] > other.values_[i]) return false;
-  }
-  return true;
-}
-
-std::vector<Cycles> times_of(const TimeFunction& c,
-                             const ExecutionSequence& alpha) {
-  std::vector<Cycles> out;
-  out.reserve(alpha.size());
-  for (ActionId a : alpha) out.push_back(c(a));
-  return out;
-}
-
-std::vector<Cycles> cumulative(const std::vector<Cycles>& sigma) {
-  std::vector<Cycles> out;
-  out.reserve(sigma.size());
-  Cycles acc = 0;
-  for (Cycles v : sigma) {
-    acc = std::min(acc + v, kNoDeadline);
-    out.push_back(acc);
-  }
-  return out;
-}
-
 Cycles min_slack_from(const ExecutionSequence& alpha, const TimeFunction& c,
                       const DeadlineFunction& d, Cycles t0) {
   Cycles worst = kNoDeadline;

@@ -35,11 +35,7 @@ class TimeFunction {
   Cycles operator()(ActionId a) const;
   void set(ActionId a, Cycles v);
 
-  /// Pointwise comparison: true when (*this)(a) <= other(a) for all a.
-  /// Requires equal sizes.  This is the paper's C <= Cwc_theta contract.
-  bool dominated_by(const TimeFunction& other) const;
-
-  /// Pointwise minimum/maximum helpers.
+  /// The per-action values, indexed by ActionId.
   const std::vector<Cycles>& values() const { return values_; }
 
  private:
@@ -48,14 +44,6 @@ class TimeFunction {
 
 /// Deadlines are plain time functions; the alias documents intent.
 using DeadlineFunction = TimeFunction;
-
-/// C(alpha): per-position execution times of a sequence.
-std::vector<Cycles> times_of(const TimeFunction& c,
-                             const ExecutionSequence& alpha);
-
-/// cumsum: the paper's hat operator.  Element i is the sum of elements
-/// with rank <= i.  Saturates at kNoDeadline instead of overflowing.
-std::vector<Cycles> cumulative(const std::vector<Cycles>& sigma);
 
 /// min(D(alpha) - cumsum(C(alpha))): the worst slack over the sequence.
 /// Positions with D = +inf contribute no constraint.  Empty sequences

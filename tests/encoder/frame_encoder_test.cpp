@@ -48,11 +48,11 @@ TEST(FrameEncoder, EncodesAllMacroblocks) {
   const auto es = small_system();
   qos::TableController ctl(es.tables);
   const auto video = small_video();
-  const FrameStats stats =
-      encoder.encode_frame(video.frame_yuv(0), ctl, *es.system, 8);
+  const media::YuvFrame input = video.frame_yuv(0);
+  const FrameStats stats = encoder.encode_frame(input, ctl, *es.system, 8);
   EXPECT_GT(stats.encode_cycles, 0);
   EXPECT_GT(stats.bits, 0);
-  EXPECT_GT(stats.psnr, 20.0);
+  EXPECT_GT(quality::psnr(input.y, encoder.reconstructed().y), 20.0);
   EXPECT_TRUE(ctl.done());
 }
 
@@ -94,54 +94,58 @@ TEST(FrameEncoder, ResetReferenceForcesIntra) {
 TEST(FrameEncoder, LowerQpGivesHigherPsnrAndMoreBits) {
   const auto video = small_video();
   const auto es = small_system();
+  const media::YuvFrame input = video.frame_yuv(1);
   FrameStats fine, coarse;
+  double fine_psnr = 0.0, coarse_psnr = 0.0;
   {
     FrameEncoder encoder(small_encoder_config(), make_cost_model());
     qos::ConstantController ctl(*es.system, 3);
     encoder.encode_frame(video.frame_yuv(0), ctl, *es.system, 2);
-    fine = encoder.encode_frame(video.frame_yuv(1), ctl, *es.system, 2);
+    fine = encoder.encode_frame(input, ctl, *es.system, 2);
+    fine_psnr = quality::psnr(input.y, encoder.reconstructed().y);
   }
   {
     FrameEncoder encoder(small_encoder_config(), make_cost_model());
     qos::ConstantController ctl(*es.system, 3);
     encoder.encode_frame(video.frame_yuv(0), ctl, *es.system, 20);
-    coarse = encoder.encode_frame(video.frame_yuv(1), ctl, *es.system, 20);
+    coarse = encoder.encode_frame(input, ctl, *es.system, 20);
+    coarse_psnr = quality::psnr(input.y, encoder.reconstructed().y);
   }
-  EXPECT_GT(fine.psnr, coarse.psnr + 3.0);
+  EXPECT_GT(fine_psnr, coarse_psnr + 3.0);
   EXPECT_GT(fine.bits, coarse.bits);
 }
 
 TEST(FrameEncoder, ReconstructionTracksInput) {
-  // PSNR computed against the reconstruction must be what the stats
-  // report, and at moderate QP it should comfortably beat 25 dB.
+  // The one-pass score a session records must equal the reference PSNR
+  // of the reconstruction, and at moderate QP it should comfortably
+  // beat 25 dB.
   FrameEncoder encoder(small_encoder_config(), make_cost_model());
   const auto es = small_system();
   qos::ConstantController ctl(*es.system, 3);
   const auto video = small_video();
   const media::YuvFrame input = video.frame_yuv(0);
-  const FrameStats stats = encoder.encode_frame(input, ctl, *es.system, 6);
-  EXPECT_DOUBLE_EQ(stats.psnr,
-                   quality::psnr(input.y, encoder.reconstructed().y));
-  EXPECT_GT(stats.psnr, 25.0);
+  encoder.encode_frame(input, ctl, *es.system, 6);
+  const double psnr = quality::psnr(input.y, encoder.reconstructed().y);
+  EXPECT_DOUBLE_EQ(quality::measure(input.y, encoder.reconstructed().y).psnr,
+                   psnr);
+  EXPECT_GT(psnr, 25.0);
 }
 
 TEST(FrameEncoder, DeterministicForFixedSeedAndController) {
   const auto video = small_video();
   const auto es = small_system();
-  FrameStats a, b;
-  {
-    FrameEncoder encoder(small_encoder_config(), make_cost_model(5));
-    qos::TableController ctl(es.tables);
-    a = encoder.encode_frame(video.frame_yuv(0), ctl, *es.system, 8);
-  }
-  {
-    FrameEncoder encoder(small_encoder_config(), make_cost_model(5));
-    qos::TableController ctl(es.tables);
-    b = encoder.encode_frame(video.frame_yuv(0), ctl, *es.system, 8);
-  }
+  FrameEncoder ea(small_encoder_config(), make_cost_model(5));
+  FrameEncoder eb(small_encoder_config(), make_cost_model(5));
+  qos::TableController ca(es.tables), cb(es.tables);
+  const FrameStats a = ea.encode_frame(video.frame_yuv(0), ca, *es.system, 8);
+  const FrameStats b = eb.encode_frame(video.frame_yuv(0), cb, *es.system, 8);
   EXPECT_EQ(a.encode_cycles, b.encode_cycles);
   EXPECT_EQ(a.bits, b.bits);
-  EXPECT_DOUBLE_EQ(a.psnr, b.psnr);
+  const media::YuvFrame& ra = ea.reconstructed();
+  const media::YuvFrame& rb = eb.reconstructed();
+  EXPECT_TRUE(ra.y.data() == rb.y.data());
+  EXPECT_TRUE(ra.cb.data() == rb.cb.data());
+  EXPECT_TRUE(ra.cr.data() == rb.cr.data());
 }
 
 TEST(FrameEncoder, LateStartShrinksChosenQuality) {

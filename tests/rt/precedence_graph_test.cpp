@@ -130,12 +130,6 @@ TEST(PrecedenceGraph, UnrollNamesCarryCopyIndex) {
   EXPECT_EQ(u.name(7), "d#1");
 }
 
-TEST(PrecedenceGraph, UnrolledOriginMapsBack) {
-  const auto [copy, body] = PrecedenceGraph::unrolled_origin(7, 4);
-  EXPECT_EQ(copy, 1);
-  EXPECT_EQ(body, 3);
-}
-
 // Property: unrolled graphs of arbitrary bodies stay acyclic and their
 // topological order has the block structure copy 0 < copy 1 < ...
 class UnrollProperty : public ::testing::TestWithParam<int> {};
