@@ -152,16 +152,6 @@ media::Coeffs8 dct_input_coeffs() {
   return coeffs;
 }
 
-void BM_InverseDct8(benchmark::State& state) {
-  const media::Coeffs8 coeffs = dct_input_coeffs();
-  media::Block8 out;
-  for (auto _ : state) {
-    media::inverse_dct8(coeffs, out);
-    benchmark::DoNotOptimize(out);
-  }
-}
-BENCHMARK(BM_InverseDct8);
-
 void BM_InverseDct8Ref(benchmark::State& state) {
   const media::Coeffs8 coeffs = dct_input_coeffs();
   for (auto _ : state) {
@@ -300,31 +290,9 @@ void BM_MotionSearchPadded(benchmark::State& state) {
 BENCHMARK(BM_MotionSearchPadded)->Arg(1)->Arg(3)->Arg(5)->Arg(8);
 
 // ---------------------------------------------------------------------------
-// Distortion kernels (src/quality/): whole-frame PSNR accumulation and
-// blockwise fixed-point SSIM through the dispatched table, with the
-// scalar-kernel counterparts for the speedup ratio.
-
-void BM_PsnrFrame(benchmark::State& state) {
-  const auto& f = sad_fixture();  // two full QCIF luma frames
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(quality::psnr(f.cur, f.ref));
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_PsnrFrame);
-
-void BM_PsnrFrameScalarKernel(benchmark::State& state) {
-  const auto& t = media::simd::kernels_for(media::simd::Backend::kScalar);
-  const auto& f = sad_fixture();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(quality::psnr_from_sse(
-        t.sum_sq_diff(f.cur.data().data(), f.ref.data().data(),
-                      f.cur.data().size()),
-        static_cast<std::int64_t>(f.cur.data().size())));
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_PsnrFrameScalarKernel);
+// Distortion (src/quality/): blockwise fixed-point SSIM through the
+// dispatched table, with the scalar-kernel counterpart for the
+// speedup ratio.
 
 void BM_SsimFrame(benchmark::State& state) {
   const auto& f = sad_fixture();

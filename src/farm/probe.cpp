@@ -16,7 +16,7 @@ std::string phase_metric(std::size_t ph) {
 }  // namespace
 
 Probe::Probe(int processor, obs::Registry& metrics, obs::TraceBuffer* trace,
-             obs::SeriesRecorder* series)
+             obs::TimeSeries* series)
     : busy_cpu_name_("busy_cycles/cpu" + std::to_string(processor)),
       trace_(trace),
       series_(series),
@@ -46,7 +46,7 @@ Probe::Probe(int processor, obs::Registry& metrics, obs::TraceBuffer* trace,
   s_concealed_ = class_tracks("frames_concealed");
 }
 
-Probe::Probe(obs::TraceBuffer* trace, obs::SeriesRecorder* series,
+Probe::Probe(obs::TraceBuffer* trace, obs::TimeSeries* series,
              int shards)
     : trace_(trace), series_(series) {
   if (series_ == nullptr) return;
@@ -87,10 +87,8 @@ Sinks::Sinks(const FarmConfig& config)
                    static_cast<std::size_t>(config.trace_buffer_capacity));
   }
   if (config.ts_window > 0) {
-    series_.reserve(static_cast<std::size_t>(config.num_processors) + 1);
-    for (int p = 0; p <= config.num_processors; ++p) {
-      series_.emplace_back(config.ts_window);
-    }
+    series_.assign(static_cast<std::size_t>(config.num_processors) + 1,
+                   obs::TimeSeries{config.ts_window, {}});
   }
   probes_.reserve(static_cast<std::size_t>(config.num_processors) + 1);
   for (int p = 0; p < config.num_processors; ++p) {
@@ -105,7 +103,7 @@ Sinks::Sinks(const FarmConfig& config)
 }
 
 void Sinks::merge_series(obs::TimeSeries* out) const {
-  for (const obs::SeriesRecorder& r : series_) out->merge(r);
+  for (const obs::TimeSeries& s : series_) out->merge(s);
 }
 
 void Sinks::merge(const obs::Registry& control, FarmResult* result) {

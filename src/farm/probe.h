@@ -1,7 +1,7 @@
 // The farm's single emission point for observability (internal to
 // src/farm/).  Each virtual processor and the sequential control plane
 // own a private metrics registry and, when configured, a trace buffer
-// (FarmConfig::trace) and a series recorder (FarmConfig::ts_window).  A
+// (FarmConfig::trace) and a time series (FarmConfig::ts_window).  A
 // Probe is one plane's view of them: one method per simulation event,
 // writing every live sink.  The simulator never touches a sink, so the
 // null checks on the optional ones live here only.  A processor's probe
@@ -24,10 +24,10 @@ class Probe {
  public:
   /// Virtual processor `processor`'s probe; resolves its sinks once.
   Probe(int processor, obs::Registry& metrics, obs::TraceBuffer* trace,
-        obs::SeriesRecorder* series);
+        obs::TimeSeries* series);
   /// The control plane's probe; a plane of `shards` > 1 also gets
   /// `/shard<k>` admission and rebalance tracks.
-  Probe(obs::TraceBuffer* trace, obs::SeriesRecorder* series, int shards);
+  Probe(obs::TraceBuffer* trace, obs::TimeSeries* series, int shards);
 
   // ----- Data plane.
   /// A stream segment joined this processor's run queue.
@@ -223,7 +223,7 @@ class Probe {
   /// control plane.
   std::string busy_cpu_name_;
   obs::TraceBuffer* trace_;
-  obs::SeriesRecorder* series_;
+  obs::TimeSeries* series_;
   // Processor tallies the registry does not count.
   rt::Cycles busy_ = 0, span_ = 0, overhead_ = 0;
   int streams_hosted_ = 0, fault_conceals_ = 0;
@@ -269,7 +269,7 @@ class Sinks {
   int num_processors_;
   std::vector<obs::Registry> metrics_;
   std::optional<obs::TraceRecorder> trace_;
-  std::vector<obs::SeriesRecorder> series_;  ///< empty, or one per buffer
+  std::vector<obs::TimeSeries> series_;  ///< empty, or one per buffer
   std::vector<Probe> probes_;  ///< processors, then the control plane
 };
 

@@ -113,7 +113,7 @@ struct FarmConfig {
   int trace_buffer_capacity = 1 << 16;
   /// Time-series window width in simulated cycles (obs/timeseries.h),
   /// >= 0.  0 (the default) disables sampling: like the trace, the
-  /// probes then hold no series recorder and skip every sample.
+  /// probes then hold no series and skip every sample.
   rt::Cycles ts_window = 0;
   /// Declarative objectives evaluated over the windowed series after
   /// the run (obs/slo.h).  Windowed metrics need ts_window > 0;
@@ -305,7 +305,7 @@ struct FarmResult {
   /// per virtual processor, then the control-plane buffer.
   std::vector<long long> trace_dropped_per_buffer;
   /// Windowed time series (window == 0 unless FarmConfig::ts_window):
-  /// per-processor recorders merged in index order, control plane last
+  /// per-processor series merged in index order, control plane last
   /// — byte-identical across workers x shards like the trace.
   obs::TimeSeries series;
   /// SLO verdicts for FarmConfig::slos (empty without objectives).

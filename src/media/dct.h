@@ -1,10 +1,12 @@
-// 8x8 type-II DCT and its inverse.
+// 8x8 type-II DCT of a residual block.
 //
-// The production pair (forward_dct8 / inverse_dct8) is a separable
-// fixed-point integer transform built from LLM-style butterflies (the
-// structure popularized by libjpeg's "islow" path), descaled to the
-// orthonormal range so coefficients are interchangeable with the
-// double-precision reference pair the tests keep (tests/support/).  The integer pair is not
+// forward_dct8 is a separable fixed-point integer transform built from
+// LLM-style butterflies (the structure popularized by libjpeg's "islow"
+// path), descaled to the orthonormal range so coefficients are
+// interchangeable with the double-precision reference pair the tests
+// keep (tests/support/).  Its inverse runs only inside the fused
+// reconstruction kernel (media/simd/kernels.h, reconstruct8x8), whose
+// scalar body is media::simd::scalar_idct8.  The integer pair is not
 // bit-exact with the reference (no two rounding schemes are) but tracks
 // it within +/-1 per coefficient and round-trips 9-bit residuals within
 // +/-1 per sample; the tests pin both bounds and a round-trip PSNR
@@ -12,11 +14,11 @@
 // the butterflies run in a handful of integer multiplies per row, which
 // matters now that benchmarks drive millions of blocks through it.
 //
-// Both directions dispatch through media::simd::active_kernels(): the
+// The transform dispatches through media::simd::active_kernels(): the
 // scalar butterflies live in media/simd/kernels_scalar.cpp and the
 // AVX2 backend vectorizes the same network 8 lanes wide, bit-exact
-// over the encoder's input domain (|residual| <= 1023 forward,
-// |coefficient| <= 65536 inverse — see media/simd/kernels.h).
+// over the encoder's input domain (|residual| <= 1023 — see
+// media/simd/kernels.h).
 #pragma once
 
 #include "media/frame.h"
@@ -26,9 +28,5 @@ namespace qosctrl::media {
 /// Forward 8x8 DCT of a residual block (fixed-point integer kernel),
 /// written into `out`.
 void forward_dct8(const Block8& block, Coeffs8& out);
-
-/// Inverse 8x8 DCT back to (rounded) residual samples, written into
-/// `out`.
-void inverse_dct8(const Coeffs8& coeffs, Block8& out);
 
 }  // namespace qosctrl::media

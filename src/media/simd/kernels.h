@@ -1,9 +1,9 @@
 // Runtime-dispatched SIMD media kernels.
 //
 // The encoder's hot pixel loops — macroblock SAD, half-pel bilinear
-// interpolation, the fixed-point LLM DCT butterflies, quantization,
-// the fused inverse path (dequantize, IDCT, add, saturate), and the
-// PSNR / SSIM distortion accumulators — are reached through a table
+// interpolation, the fixed-point forward LLM DCT, quantization, the
+// fused inverse path (dequantize, IDCT, add, saturate), and the 8x8
+// block moments the frame scorer reads — are reached through a table
 // of function pointers selected once at startup from CPUID: SSE2 is
 // the x86-64 baseline, AVX2 is used when the CPU reports it, and
 // AArch64 builds get `vabal` NEON SAD kernels (the remaining NEON
@@ -69,12 +69,10 @@ struct KernelTable {
   void (*halfpel_16x16)(const std::uint8_t* src, std::ptrdiff_t stride,
                         int fx, int fy, std::uint8_t* dst);
 
-  /// Fixed-point LLM forward / inverse 8x8 DCT on row-major blocks.
-  /// Bit-exact with the scalar kernel for |in[i]| <= 1023 (forward)
-  /// and |in[i]| <= 65536 (inverse) — comfortably beyond the
-  /// encoder's 9-bit residuals and their transform coefficients.
+  /// Fixed-point LLM forward 8x8 DCT on row-major blocks.  Bit-exact
+  /// with the scalar kernel for |in[i]| <= 1023 — comfortably beyond
+  /// the encoder's 9-bit residuals.
   void (*fdct8)(const std::int16_t* in, std::int32_t* out);
-  void (*idct8)(const std::int32_t* in, std::int16_t* out);
 
   /// Quantizes an 8x8 coefficient block in place and returns its
   /// number of nonzero levels: level = sign(c) * ((((|c| + qp) >> 1) *
@@ -86,27 +84,20 @@ struct KernelTable {
 
   /// The inverse path of one 8x8 block in one call: dequantizes
   /// `levels` (coefficient = level * step), inverse-transforms them
-  /// exactly as idct8 does (int16-saturated), adds the 8x8 prediction
-  /// at `pred` (row stride `pred_stride`), saturates to [0, 255] and
-  /// stores the block at `dst` (row stride `dst_stride`).  Bit-exact
-  /// across backends while every |level * step| <= 65536 (idct8's
-  /// domain).
+  /// with the fixed-point LLM IDCT (int16-saturated, as
+  /// scalar_idct8 does), adds the 8x8 prediction at `pred` (row stride
+  /// `pred_stride`), saturates to [0, 255] and stores the block at
+  /// `dst` (row stride `dst_stride`).  Bit-exact across backends while
+  /// every |level * step| <= 65536 — far beyond the ~2^13 the
+  /// dequantizer produces.
   void (*reconstruct8x8)(const std::int32_t* levels, std::int32_t step,
                          const std::uint8_t* pred,
                          std::ptrdiff_t pred_stride, std::uint8_t* dst,
                          std::ptrdiff_t dst_stride);
 
-  /// Sum of squared differences between two contiguous sample spans of
-  /// `n` pixels, `n` a positive multiple of 8 — the PSNR accumulator
-  /// (quality::frame_sse feeds a plane without a margin through one
-  /// call, one with a margin row by row).
-  /// Integer accumulation: the result is exact, so every backend
-  /// returns the identical sum.
-  std::int64_t (*sum_sq_diff)(const std::uint8_t* a, const std::uint8_t* b,
-                              std::size_t n);
-
   /// Raw moments of one co-located 8x8 block pair — the per-window
-  /// input of the fixed-point SSIM (src/quality/distortion.cpp):
+  /// input of the fixed-point SSIM and of the frame SSE behind PSNR
+  /// (quality::measure, src/quality/distortion.cpp):
   /// out = {sum a, sum b, sum a*a, sum b*b, sum a*b}.  All integer, so
   /// the downstream SSIM arithmetic is backend-independent by
   /// construction.

@@ -382,25 +382,6 @@ void avx2_fdct8(const std::int16_t* in, std::int32_t* out) {
   }
 }
 
-void avx2_idct8(const std::int32_t* in, std::int16_t* out) {
-  __m256i x[8];
-  for (int v = 0; v < 8; ++v) {
-    x[v] = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(in + v * 8));
-  }
-  idct_pass<kDctConstBits - kDctPass1Bits>(x);  // lane = column
-  transpose8x8_epi32(x);
-  idct_pass<kDctConstBits + kDctPass1Bits + 3>(x);  // lane = row
-  transpose8x8_epi32(x);
-  // packs_epi32 saturates to int16 — the scalar clamp exactly; the
-  // permute undoes its 128-bit lane interleave.
-  for (int y = 0; y < 8; y += 2) {
-    const __m256i packed = _mm256_permute4x64_epi64(
-        _mm256_packs_epi32(x[y], x[y + 1]), _MM_SHUFFLE(3, 1, 2, 0));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + y * 8), packed);
-  }
-}
-
 int avx2_quantize8x8(std::int32_t* block, int qp, std::uint32_t mul,
                      int shift) {
   // The scalar formula 8 lanes wide: vpmuludq forms the exact 64-bit
@@ -436,9 +417,10 @@ void avx2_reconstruct8x8(const std::int32_t* levels, std::int32_t step,
                          const std::uint8_t* pred, std::ptrdiff_t pred_stride,
                          std::uint8_t* dst, std::ptrdiff_t dst_stride) {
   // Dequantize with vpmulld (exact in the documented domain), run the
-  // idct8 passes, then add the prediction two rows at a time: packs
-  // saturates the residual to int16 as idct8 does, adds_epi16 cannot
-  // move a sum across the [0, 255] clamp, and packus clamps.
+  // two inverse passes, then add the prediction two rows at a time:
+  // packs saturates the residual to int16 as scalar_idct8 does,
+  // adds_epi16 cannot move a sum across the [0, 255] clamp, and packus
+  // clamps (the permute undoes packs' 128-bit lane interleave).
   const __m256i vstep = _mm256_set1_epi32(step);
   __m256i x[8];
   for (int v = 0; v < 8; ++v) {
@@ -470,66 +452,7 @@ void avx2_reconstruct8x8(const std::int32_t* levels, std::int32_t step,
 }
 
 // ---------------------------------------------------------------------------
-// Distortion kernels (PSNR / SSIM accumulators).
-
-/// Widens the eight non-negative 32-bit vpmaddwd partials into the
-/// 64-bit accumulator lanes — overflow-free for any span length.
-inline __m256i accumulate_madd(__m256i acc, __m256i madd) {
-  const __m256i zero = _mm256_setzero_si256();
-  acc = _mm256_add_epi64(acc, _mm256_unpacklo_epi32(madd, zero));
-  return _mm256_add_epi64(acc, _mm256_unpackhi_epi32(madd, zero));
-}
-
-std::int64_t avx2_sum_sq_diff(const std::uint8_t* a, const std::uint8_t* b,
-                              std::size_t n) {
-  const __m256i zero = _mm256_setzero_si256();
-  __m256i acc = zero;
-  std::size_t i = 0;
-  for (; i + 32 <= n; i += 32) {
-    const __m256i va =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i));
-    const __m256i vb =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + i));
-    const __m256i dlo = _mm256_sub_epi16(_mm256_unpacklo_epi8(va, zero),
-                                         _mm256_unpacklo_epi8(vb, zero));
-    const __m256i dhi = _mm256_sub_epi16(_mm256_unpackhi_epi8(va, zero),
-                                         _mm256_unpackhi_epi8(vb, zero));
-    acc = accumulate_madd(acc, _mm256_madd_epi16(dlo, dlo));
-    acc = accumulate_madd(acc, _mm256_madd_epi16(dhi, dhi));
-  }
-  std::int64_t total = hsum_sad256(acc);
-  if (i < n) {  // a 16- and/or 8-pixel tail (n is a multiple of 8)
-    const __m128i z = _mm_setzero_si128();
-    __m128i acc32 = z;
-    if (i + 16 <= n) {
-      const __m128i va =
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(a + i));
-      const __m128i vb =
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(b + i));
-      const __m128i dlo =
-          _mm_sub_epi16(_mm_unpacklo_epi8(va, z), _mm_unpacklo_epi8(vb, z));
-      const __m128i dhi =
-          _mm_sub_epi16(_mm_unpackhi_epi8(va, z), _mm_unpackhi_epi8(vb, z));
-      acc32 = _mm_add_epi32(_mm_madd_epi16(dlo, dlo),
-                            _mm_madd_epi16(dhi, dhi));
-      i += 16;
-    }
-    if (i < n) {
-      const __m128i d = _mm_sub_epi16(
-          _mm_unpacklo_epi8(
-              _mm_loadl_epi64(reinterpret_cast<const __m128i*>(a + i)), z),
-          _mm_unpacklo_epi8(
-              _mm_loadl_epi64(reinterpret_cast<const __m128i*>(b + i)), z));
-      acc32 = _mm_add_epi32(acc32, _mm_madd_epi16(d, d));
-    }
-    acc32 = _mm_add_epi32(
-        acc32, _mm_shuffle_epi32(acc32, _MM_SHUFFLE(1, 0, 3, 2)));
-    acc32 = _mm_add_epi32(
-        acc32, _mm_shuffle_epi32(acc32, _MM_SHUFFLE(2, 3, 0, 1)));
-    total += _mm_cvtsi128_si32(acc32);
-  }
-  return total;
-}
+// SSIM / SSE block moments.
 
 void avx2_ssim_stats_8x8(const std::uint8_t* a, std::ptrdiff_t a_stride,
                          const std::uint8_t* b, std::ptrdiff_t b_stride,
@@ -574,9 +497,8 @@ void avx2_ssim_stats_8x8(const std::uint8_t* a, std::ptrdiff_t a_stride,
 
 const KernelTable kAvx2Table = {
     "avx2",         Backend::kAvx2, avx2_sad_16x16, avx2_sad_16x16_x4,
-    avx2_halfpel_16x16, avx2_fdct8, avx2_idct8,
-    avx2_quantize8x8,   avx2_reconstruct8x8,
-    avx2_sum_sq_diff,   avx2_ssim_stats_8x8,
+    avx2_halfpel_16x16, avx2_fdct8, avx2_quantize8x8,
+    avx2_reconstruct8x8, avx2_ssim_stats_8x8,
 };
 
 }  // namespace

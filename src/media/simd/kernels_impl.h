@@ -63,8 +63,6 @@ void scalar_reconstruct8x8(const std::int32_t* levels, std::int32_t step,
                            const std::uint8_t* pred,
                            std::ptrdiff_t pred_stride, std::uint8_t* dst,
                            std::ptrdiff_t dst_stride);
-std::int64_t scalar_sum_sq_diff(const std::uint8_t* a, const std::uint8_t* b,
-                                std::size_t n);
 void scalar_ssim_stats_8x8(const std::uint8_t* a, std::ptrdiff_t a_stride,
                            const std::uint8_t* b, std::ptrdiff_t b_stride,
                            std::int64_t out[5]);

@@ -8,10 +8,9 @@
 // SSE2 / AVX2 kernels.
 //
 // Half-pel interpolation, the fixed-point DCT, the quantizer, the
-// fused inverse path and the distortion accumulators still alias the
-// scalar kernels — `vrhadd`-based
-// half-pel and a vabal-style SSE accumulator are the remaining
-// ROADMAP follow-ups.
+// fused inverse path and the SSIM block moments still alias the
+// scalar kernels — `vrhadd`-based half-pel and vector block moments
+// are the remaining ROADMAP follow-ups.
 #include "media/simd/kernels_impl.h"
 
 #if defined(__aarch64__) || defined(_M_ARM64)
@@ -78,9 +77,8 @@ void neon_sad_16x16_x4(const std::uint8_t* cur,
 
 const KernelTable kNeonTable = {
     "neon",           Backend::kNeon,       neon_sad_16x16,
-    neon_sad_16x16_x4, scalar_halfpel_16x16, scalar_fdct8, scalar_idct8,
-    scalar_quantize8x8, scalar_reconstruct8x8,
-    scalar_sum_sq_diff, scalar_ssim_stats_8x8,
+    neon_sad_16x16_x4, scalar_halfpel_16x16, scalar_fdct8,
+    scalar_quantize8x8, scalar_reconstruct8x8, scalar_ssim_stats_8x8,
 };
 
 }  // namespace

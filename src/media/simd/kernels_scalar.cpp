@@ -215,16 +215,6 @@ void scalar_halfpel_16x16(const std::uint8_t* src, std::ptrdiff_t stride,
   }
 }
 
-std::int64_t scalar_sum_sq_diff(const std::uint8_t* a, const std::uint8_t* b,
-                                std::size_t n) {
-  std::int64_t acc = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const int d = static_cast<int>(a[i]) - static_cast<int>(b[i]);
-    acc += d * d;
-  }
-  return acc;
-}
-
 void scalar_ssim_stats_8x8(const std::uint8_t* a, std::ptrdiff_t a_stride,
                            const std::uint8_t* b, std::ptrdiff_t b_stride,
                            std::int64_t out[5]) {

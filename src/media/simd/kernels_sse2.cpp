@@ -2,7 +2,7 @@
 // (single and 4-candidate batch) and `pavgb` / widened-16-bit half-pel
 // interpolation.  SSE2 is implied by the x86-64 ABI, so this TU needs
 // no special compile flags; on other architectures it compiles to a
-// null table.  The DCT entries alias the scalar kernels: an exact
+// null table.  The forward DCT aliases the scalar kernel: an exact
 // vector DCT needs 64-bit lanes and AVX2 makes that worthwhile
 // (kernels_avx2.cpp), while a 16-bit-lane SSE2 version could not stay
 // bit-exact with the scalar reference.  The quantizer and the fused
@@ -152,42 +152,6 @@ void sse2_halfpel_16x16(const std::uint8_t* src, std::ptrdiff_t stride,
   }
 }
 
-/// Widens the four non-negative 32-bit pmaddwd partials into the
-/// 64-bit accumulator lanes — overflow-free for any span length.
-inline __m128i accumulate_madd(__m128i acc, __m128i madd) {
-  const __m128i zero = _mm_setzero_si128();
-  acc = _mm_add_epi64(acc, _mm_unpacklo_epi32(madd, zero));
-  return _mm_add_epi64(acc, _mm_unpackhi_epi32(madd, zero));
-}
-
-std::int64_t sse2_sum_sq_diff(const std::uint8_t* a, const std::uint8_t* b,
-                              std::size_t n) {
-  const __m128i zero = _mm_setzero_si128();
-  __m128i acc = zero;
-  std::size_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    const __m128i va =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(a + i));
-    const __m128i vb =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(b + i));
-    const __m128i dlo = _mm_sub_epi16(_mm_unpacklo_epi8(va, zero),
-                                      _mm_unpacklo_epi8(vb, zero));
-    const __m128i dhi = _mm_sub_epi16(_mm_unpackhi_epi8(va, zero),
-                                      _mm_unpackhi_epi8(vb, zero));
-    acc = accumulate_madd(acc, _mm_madd_epi16(dlo, dlo));
-    acc = accumulate_madd(acc, _mm_madd_epi16(dhi, dhi));
-  }
-  if (i < n) {  // one 8-pixel tail (n is a multiple of 8)
-    const __m128i d = _mm_sub_epi16(
-        _mm_unpacklo_epi8(
-            _mm_loadl_epi64(reinterpret_cast<const __m128i*>(a + i)), zero),
-        _mm_unpacklo_epi8(
-            _mm_loadl_epi64(reinterpret_cast<const __m128i*>(b + i)), zero));
-    acc = accumulate_madd(acc, _mm_madd_epi16(d, d));
-  }
-  return hsum_sad(acc);
-}
-
 void sse2_ssim_stats_8x8(const std::uint8_t* a, std::ptrdiff_t a_stride,
                          const std::uint8_t* b, std::ptrdiff_t b_stride,
                          std::int64_t out[5]) {
@@ -230,9 +194,8 @@ void sse2_ssim_stats_8x8(const std::uint8_t* a, std::ptrdiff_t a_stride,
 
 const KernelTable kSse2Table = {
     "sse2",         Backend::kSse2,     sse2_sad_16x16, sse2_sad_16x16_x4,
-    sse2_halfpel_16x16, scalar_fdct8, scalar_idct8,
-    scalar_quantize8x8, scalar_reconstruct8x8,
-    sse2_sum_sq_diff,   sse2_ssim_stats_8x8,
+    sse2_halfpel_16x16, scalar_fdct8,   scalar_quantize8x8,
+    scalar_reconstruct8x8, sse2_ssim_stats_8x8,
 };
 
 }  // namespace

@@ -5,7 +5,7 @@
 // (as is conventional) on luma; chroma is carried end to end through
 // motion compensation, transform coding, and the bitstream so the
 // encoder is a complete codec rather than a luma-only toy.
-// quality::psnr scores any plane, chroma included.
+// quality::measure scores any plane, chroma included.
 //
 // A YuvFrame built by its constructor is a reference picture: the
 // encoder reconstructs into one and the decoder decodes into one, and

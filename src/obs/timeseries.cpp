@@ -7,25 +7,23 @@
 
 namespace qosctrl::obs {
 
-SeriesRecorder::SeriesRecorder(rt::Cycles window) : window_(window) {
+SeriesTrack& TimeSeries::track(const std::string& name) {
   QC_EXPECT(window > 0, "time-series window must be positive");
+  return tracks[name];
 }
 
-SeriesTrack& SeriesRecorder::track(const std::string& name) {
-  return tracks_[name];
-}
-
-void SeriesRecorder::record(SeriesTrack& track, rt::Cycles time,
-                            long long value) {
-  const long long w = time >= 0 ? time / window_ : 0;
+void TimeSeries::record(SeriesTrack& track, rt::Cycles time,
+                        long long value) {
+  QC_DCHECK(window > 0, "time-series window must be positive");
+  const long long w = time >= 0 ? time / window : 0;
   track[w].record(value);
 }
 
-void TimeSeries::merge(const SeriesRecorder& recorder) {
-  if (window == 0) window = recorder.window();
-  QC_EXPECT(window == recorder.window(),
-            "merged recorders must share one window width");
-  for (const auto& [name, track] : recorder.tracks()) {
+void TimeSeries::merge(const TimeSeries& other) {
+  if (window == 0) window = other.window;
+  QC_EXPECT(window == other.window,
+            "merged series must share one window width");
+  for (const auto& [name, track] : other.tracks) {
     SeriesTrack& dst = tracks[name];
     for (const auto& [w, hist] : track) dst[w].merge(hist);
   }

@@ -7,14 +7,14 @@
 // everything the registry promises carries over window by window:
 //
 //  * merging is bucket-wise addition per (track, window) — commutative
-//    and associative — so per-virtual-processor single-writer recorders
+//    and associative — so per-virtual-processor single-writer series
 //    merged in (window, processor index, emission order) give the same
 //    fleet series for any worker or shard count;
 //  * a windowed percentile is a pure function of the window's recorded
 //    multiset, never of recording order.
 //
 // Like the schedule trace (and unlike the always-on registry), sampling
-// is off unless asked for: with no SeriesRecorder the farm's probe
+// is off unless asked for: with no series the farm's probe
 // (farm/probe.h) skips every series write after one null check.
 #pragma once
 
@@ -30,42 +30,30 @@ namespace qosctrl::obs {
 /// window's histogram.  Windows nothing was recorded into do not exist.
 using SeriesTrack = std::map<long long, Histogram>;
 
-/// Single-writer windowed recorder (one per virtual processor plus one
-/// for the sequential control plane — the same ownership split as the
-/// trace ring buffers and the per-processor registries).
-class SeriesRecorder {
- public:
-  /// `window` is the fixed window width in simulated cycles (> 0).
-  explicit SeriesRecorder(rt::Cycles window);
-
-  rt::Cycles window() const { return window_; }
-
-  /// The named track, created empty on first use.  Resolve once and
-  /// record through the reference — the data plane hoists its sinks.
-  SeriesTrack& track(const std::string& name);
-
-  /// Records `value` into `name`'s window at `time`.
-  void record(SeriesTrack& track, rt::Cycles time, long long value);
-
-  const std::map<std::string, SeriesTrack>& tracks() const {
-    return tracks_;
-  }
-
- private:
-  rt::Cycles window_;
-  std::map<std::string, SeriesTrack> tracks_;
-};
-
-/// The merged, fleet-wide series: every recorder folded in index order.
-/// A pure function of (scenario, config) — byte-identical across
-/// workers x shards, pinned by tests/farm/timeseries_determinism_test.
+/// A set of named tracks over one window width.  The farm records into
+/// one single-writer series per virtual processor plus one for the
+/// sequential control plane (the same ownership split as the trace ring
+/// buffers and the per-processor registries), then merges them into
+/// the fleet series: a pure function of (scenario, config) —
+/// byte-identical across workers x shards, pinned by
+/// tests/farm/timeseries_determinism_test.
 struct TimeSeries {
   rt::Cycles window = 0;  ///< 0 = sampling was off; no tracks exist.
   std::map<std::string, SeriesTrack> tracks;
 
-  /// Folds one recorder in (bucket-wise histogram merge per window).
-  /// Call in processor-index order, control plane last.
-  void merge(const SeriesRecorder& recorder);
+  /// The named track, created empty on first use; requires window > 0.
+  /// Resolve once and record through the reference — the data plane
+  /// hoists its sinks.
+  SeriesTrack& track(const std::string& name);
+
+  /// Records `value` into `track`'s window at `time` (negative times
+  /// land in window 0); requires window > 0.
+  void record(SeriesTrack& track, rt::Cycles time, long long value);
+
+  /// Folds `other` in (bucket-wise histogram merge per window),
+  /// adopting its window width when this series has none.  Call in
+  /// processor-index order, control plane last.
+  void merge(const TimeSeries& other);
 
   /// Largest window index present across all tracks; -1 when empty.
   long long last_window() const;

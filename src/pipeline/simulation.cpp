@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "encoder/decoder.h"
+#include "qos/feedback.h"
 #include "quality/distortion.h"
 #include "util/check.h"
 
@@ -37,7 +38,7 @@ std::unique_ptr<qos::Controller> make_controller(
       break;
     case ControlMode::kFeedback:
       ctl = std::make_unique<qos::FeedbackController>(*es.system, es.budget,
-                                                      config.feedback);
+                                                      qos::FeedbackConfig{});
       break;
   }
   if (config.decimation > 1) {
@@ -53,11 +54,12 @@ int macroblock_count(const PipelineConfig& config) {
 }
 
 enc::FrameEncoder make_encoder(const PipelineConfig& config) {
-  // Per-module RNG streams are forked (not split) from the seed so the
-  // jitter stream is a pure function of (seed, stream id) — farm
-  // sessions built on different worker threads stay bit-identical.
+  // Per-module RNG streams are forked from the seed so the jitter
+  // stream is a pure function of (seed, stream id) — farm sessions
+  // built on different worker threads stay bit-identical.
   util::Rng rng(config.seed);
-  platform::CostModel cost_model(platform::figure5_cost_table(), config.cost,
+  platform::CostModel cost_model(platform::figure5_cost_table(),
+                                 platform::CostModelConfig{},
                                  rng.fork(0));
   enc::EncoderConfig encoder_config = config.encoder;
   encoder_config.width = config.video.width;  // geometry follows the video
@@ -225,7 +227,7 @@ media::Frame StreamSession::source_luma(int index) {
 void StreamSession::score(FrameRecord& rec, const media::Frame& source,
                           const media::Frame* shown) {
   // One block-moment pass yields both metrics (its PSNR is pinned
-  // bit-identical to quality::psnr in tests/quality/).
+  // bit-identical to a plain per-pixel SSE in tests/quality/).
   const quality::FrameDistortion d =
       shown != nullptr ? quality::measure(source, *shown)
                        : quality::FrameDistortion{};

@@ -38,7 +38,6 @@
 #include "media/synthetic_video.h"
 #include "qos/adaptive.h"
 #include "qos/controller.h"
-#include "qos/feedback.h"
 
 namespace qosctrl::pipe {
 
@@ -67,11 +66,9 @@ struct PipelineConfig {
   /// periodic geometry; ignored when combined with online mode.
   bool use_adaptive_controller = false;
   qos::AdaptiveConfig adaptive{};
-  qos::FeedbackConfig feedback{};  ///< for ControlMode::kFeedback
   std::uint64_t seed = 42;     ///< cost-model jitter stream
   enc::EncoderConfig encoder{};
   enc::RateControlConfig rate{};
-  platform::CostModelConfig cost{};
 };
 
 /// Per-camera-frame outcome: the encoder's stats (all zero but `qp`

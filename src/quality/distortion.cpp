@@ -57,35 +57,12 @@ double mean_ssim_of(const BlockScan& s) {
 
 }  // namespace
 
-std::int64_t frame_sse(const media::Plane& a, const media::Plane& b) {
-  QC_EXPECT(a.width() == b.width() && a.height() == b.height(),
-            "planes must have equal dimensions");
-  const auto& kernels = media::simd::active_kernels();
-  const auto width = static_cast<std::size_t>(a.width());
-  // Without margins both planes are one contiguous run of width *
-  // height samples, and one kernel call covers it.
-  if (a.pad() == 0 && b.pad() == 0) {
-    return kernels.sum_sq_diff(a.row(0), b.row(0),
-                               width * static_cast<std::size_t>(a.height()));
-  }
-  std::int64_t sse = 0;
-  for (int y = 0; y < a.height(); ++y) {
-    sse += kernels.sum_sq_diff(a.row(y), b.row(y), width);
-  }
-  return sse;
-}
-
 double psnr_from_sse(std::int64_t sse, std::int64_t pixels, double cap) {
   QC_EXPECT(pixels > 0, "PSNR needs a non-empty frame");
   if (sse <= 0) return cap;
   const double mse =
       static_cast<double>(sse) / static_cast<double>(pixels);
   return std::min(cap, 10.0 * std::log10(255.0 * 255.0 / mse));
-}
-
-double psnr(const media::Plane& a, const media::Plane& b, double cap) {
-  return psnr_from_sse(frame_sse(a, b),
-                       static_cast<std::int64_t>(a.width()) * a.height(), cap);
 }
 
 std::int64_t ssim_block_fp(const std::int64_t stats[5]) {

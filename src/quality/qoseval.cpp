@@ -125,12 +125,6 @@ const char* quality_policy_name(QualityPolicy p) {
 }
 
 double fuse_stream_quality(double mean_psnr, double mean_ssim,
-                           double delivered_fraction) {
-  return fuse_stream_quality(mean_psnr, mean_ssim, delivered_fraction, 0.0,
-                             0.0);
-}
-
-double fuse_stream_quality(double mean_psnr, double mean_ssim,
                            double delivered_fraction, double lag_fraction,
                            double latency_discount) {
   const double q1 = psnr_support(mean_psnr);

@@ -173,15 +173,10 @@ struct SweepResult {
 };
 
 /// Per-stream fusion, exposed for tests: PCR5 combination of the two
-/// quality supports followed by reliability discounting.
-double fuse_stream_quality(double mean_psnr, double mean_ssim,
-                           double delivered_fraction);
-
-/// Latency-aware overload: additionally discounts the reliability by
-/// `latency_discount * lag_fraction`, where lag_fraction is the
-/// stream's 95th-percentile start lag as a fraction of its latency
-/// window (both clamped to [0, 1]).  The 3-argument form is the
-/// lag_fraction == 0 special case.
+/// quality supports followed by reliability discounting by the
+/// delivered fraction and by `latency_discount * lag_fraction`, where
+/// lag_fraction is the stream's 95th-percentile start lag as a
+/// fraction of its latency window (both clamped to [0, 1]).
 double fuse_stream_quality(double mean_psnr, double mean_ssim,
                            double delivered_fraction, double lag_fraction,
                            double latency_discount);

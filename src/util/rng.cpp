@@ -75,8 +75,6 @@ double Rng::lognormal(double mu, double sigma) {
 
 bool Rng::chance(double p) { return uniform_01() < p; }
 
-Rng Rng::split() { return Rng(next_u64()); }
-
 Rng Rng::fork(std::uint64_t stream_id) const {
   // SplitMix-style finalization of (state, id): fold the four state
   // words with distinct odd multipliers, then push the id through the

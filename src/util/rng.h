@@ -47,13 +47,9 @@ class Rng {
   /// Bernoulli trial with probability p of returning true.
   bool chance(double p);
 
-  /// Creates a decorrelated child stream (for per-module seeding).
-  /// Advances this generator by one draw.
-  Rng split();
-
   /// Splittable seed derivation: a decorrelated child stream that is a
-  /// pure function of (current state, stream id).  Unlike split(), the
-  /// parent is not advanced, and forks for distinct ids commute — so a
+  /// pure function of (current state, stream id).  The parent is not
+  /// advanced, and forks for distinct ids commute — so a
   /// farm of per-stream generators derived as root.fork(stream_id) is
   /// bit-identical no matter which order (or on which worker thread)
   /// the streams are instantiated.

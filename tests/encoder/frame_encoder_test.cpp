@@ -10,6 +10,7 @@
 #include "media/simd/kernels.h"
 #include "media/synthetic_video.h"
 #include "quality/distortion.h"
+#include "support/oracles.h"
 
 namespace qosctrl::enc {
 namespace {
@@ -52,7 +53,7 @@ TEST(FrameEncoder, EncodesAllMacroblocks) {
   const FrameStats stats = encoder.encode_frame(input, ctl, *es.system, 8);
   EXPECT_GT(stats.encode_cycles, 0);
   EXPECT_GT(stats.bits, 0);
-  EXPECT_GT(quality::psnr(input.y, encoder.reconstructed().y), 20.0);
+  EXPECT_GT(quality::psnr_ref(input.y, encoder.reconstructed().y), 20.0);
   EXPECT_TRUE(ctl.done());
 }
 
@@ -102,14 +103,14 @@ TEST(FrameEncoder, LowerQpGivesHigherPsnrAndMoreBits) {
     qos::ConstantController ctl(*es.system, 3);
     encoder.encode_frame(video.frame_yuv(0), ctl, *es.system, 2);
     fine = encoder.encode_frame(input, ctl, *es.system, 2);
-    fine_psnr = quality::psnr(input.y, encoder.reconstructed().y);
+    fine_psnr = quality::psnr_ref(input.y, encoder.reconstructed().y);
   }
   {
     FrameEncoder encoder(small_encoder_config(), make_cost_model());
     qos::ConstantController ctl(*es.system, 3);
     encoder.encode_frame(video.frame_yuv(0), ctl, *es.system, 20);
     coarse = encoder.encode_frame(input, ctl, *es.system, 20);
-    coarse_psnr = quality::psnr(input.y, encoder.reconstructed().y);
+    coarse_psnr = quality::psnr_ref(input.y, encoder.reconstructed().y);
   }
   EXPECT_GT(fine_psnr, coarse_psnr + 3.0);
   EXPECT_GT(fine.bits, coarse.bits);
@@ -125,7 +126,7 @@ TEST(FrameEncoder, ReconstructionTracksInput) {
   const auto video = small_video();
   const media::YuvFrame input = video.frame_yuv(0);
   encoder.encode_frame(input, ctl, *es.system, 6);
-  const double psnr = quality::psnr(input.y, encoder.reconstructed().y);
+  const double psnr = quality::psnr_ref(input.y, encoder.reconstructed().y);
   EXPECT_DOUBLE_EQ(quality::measure(input.y, encoder.reconstructed().y).psnr,
                    psnr);
   EXPECT_GT(psnr, 25.0);

@@ -364,13 +364,13 @@ TEST(SinkChannels, MetricsSeriesAndTraceAgree) {
 TEST(SinkChannels, ProbeRecordsAMissInEverySink) {
   obs::Registry metrics;
   obs::TraceBuffer trace(0, 16);
-  obs::SeriesRecorder series(1000);
+  obs::TimeSeries series{.window = 1000};
   Probe probe(0, metrics, &trace, &series);
   probe.on_miss(2500, pipe::ControlMode::kConstantQuality, 7, 3, 40);
   EXPECT_EQ(metrics.counters().at("display_misses"), 1);
-  EXPECT_EQ(series.tracks().at("display_misses").at(2).count(), 1);
-  EXPECT_EQ(series.tracks().at("display_misses@constant").at(2).sum(), 40);
-  EXPECT_TRUE(series.tracks().at("display_misses@controlled").empty());
+  EXPECT_EQ(series.tracks.at("display_misses").at(2).count(), 1);
+  EXPECT_EQ(series.tracks.at("display_misses@constant").at(2).sum(), 40);
+  EXPECT_TRUE(series.tracks.at("display_misses@controlled").empty());
   std::vector<obs::TraceEvent> events;
   trace.drain_to(&events);
   ASSERT_EQ(events.size(), 1u);
@@ -380,7 +380,7 @@ TEST(SinkChannels, ProbeRecordsAMissInEverySink) {
   EXPECT_EQ(events[0].frame, 3);
   EXPECT_EQ(events[0].arg, 40);
 
-  // Without a trace buffer or series recorder only the registry hears.
+  // Without a trace buffer or time series only the registry hears.
   obs::Registry bare;
   Probe off(0, bare, nullptr, nullptr);
   off.on_miss(2500, pipe::ControlMode::kControlled, 7, 3, 40);

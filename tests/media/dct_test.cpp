@@ -4,6 +4,7 @@
 
 #include <cmath>
 
+#include "media/simd/kernels_impl.h"
 #include "util/rng.h"
 
 namespace qosctrl::media {
@@ -17,7 +18,7 @@ Coeffs8 fdct(const Block8& block) {
 
 Block8 idct(const Coeffs8& coeffs) {
   Block8 out;
-  inverse_dct8(coeffs, out);
+  simd::scalar_idct8(coeffs.data(), out.data());
   return out;
 }
 

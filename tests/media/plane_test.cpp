@@ -151,7 +151,8 @@ TEST(ChromaDcPrediction, NoNeighborsIsMidGray) {
 
 TEST(PlaneSse, CountsSquaredError) {
   Plane a(8, 8, 10), b(8, 8, 13);
-  EXPECT_EQ(quality::frame_sse(a, b), 64 * 9);
+  EXPECT_EQ(quality::frame_sse_ref(a, b), 64 * 9);
+  EXPECT_EQ(quality::measure(a, b).psnr, quality::psnr_from_sse(64 * 9, 64));
 }
 
 TEST(YuvFrame, GeometryIs420) {
@@ -163,17 +164,17 @@ TEST(YuvFrame, GeometryIs420) {
 
 TEST(YuvFrame, PsnrScoresEveryPlane) {
   YuvFrame a(32, 32), b(32, 32);
-  EXPECT_DOUBLE_EQ(quality::psnr(a.y, b.y), 99.0);
-  EXPECT_DOUBLE_EQ(quality::psnr(a.cb, b.cb), 99.0);
+  EXPECT_DOUBLE_EQ(quality::measure(a.y, b.y).psnr, 99.0);
+  EXPECT_DOUBLE_EQ(quality::measure(a.cb, b.cb).psnr, 99.0);
   for (int y = 0; y < 8; ++y) {
     for (int x = 0; x < 16; ++x) b.cb.set(x, y, 138);
   }
   // Half of the 16x16 plane is off by 10: MSE 50.
-  EXPECT_DOUBLE_EQ(quality::psnr(a.cb, b.cb),
+  EXPECT_DOUBLE_EQ(quality::measure(a.cb, b.cb).psnr,
                    quality::psnr_from_sse(128 * 100, 256));
-  EXPECT_LT(quality::psnr(a.cb, b.cb), 99.0);
-  EXPECT_DOUBLE_EQ(quality::psnr(a.cr, b.cr), 99.0);
-  EXPECT_DOUBLE_EQ(quality::psnr(a.y, b.y), 99.0);
+  EXPECT_LT(quality::measure(a.cb, b.cb).psnr, 99.0);
+  EXPECT_DOUBLE_EQ(quality::measure(a.cr, b.cr).psnr, 99.0);
+  EXPECT_DOUBLE_EQ(quality::measure(a.y, b.y).psnr, 99.0);
 }
 
 TEST(SyntheticVideo, ChromaPansWithLuma) {
@@ -224,9 +225,9 @@ TEST(SyntheticVideo, SceneCutChangesColorCast) {
   const auto starts = v.scene_starts();
   const YuvFrame before = v.frame_yuv(starts[1] - 1);
   const YuvFrame after = v.frame_yuv(starts[1]);
-  const std::int64_t across = quality::frame_sse(before.cb, after.cb);
+  const std::int64_t across = quality::frame_sse_ref(before.cb, after.cb);
   const YuvFrame next = v.frame_yuv(starts[1] + 1);
-  const std::int64_t within = quality::frame_sse(after.cb, next.cb);
+  const std::int64_t within = quality::frame_sse_ref(after.cb, next.cb);
   EXPECT_GT(across, within);
 }
 

@@ -5,16 +5,15 @@
 #include <algorithm>
 #include <vector>
 
-#include "media/dct.h"
 #include "media/quant.h"
-#include "media/simd/kernels.h"
+#include "media/simd/kernels_impl.h"
 #include "util/rng.h"
 
 namespace qosctrl::media {
 namespace {
 
 /// The inverse path one stage at a time: dequantize_coeff per level,
-/// inverse_dct8, then add and clamp per pixel.
+/// the scalar inverse DCT, then add and clamp per pixel.
 void staged_reconstruct(const Coeffs8& levels, int qp, const Sample* pred,
                         int pred_stride, Sample* dst, int dst_stride) {
   Coeffs8 coeffs;
@@ -22,7 +21,7 @@ void staged_reconstruct(const Coeffs8& levels, int qp, const Sample* pred,
     coeffs[i] = dequantize_coeff(levels[i], qp);
   }
   Block8 residual;
-  inverse_dct8(coeffs, residual);
+  simd::scalar_idct8(coeffs.data(), residual.data());
   for (int y = 0; y < 8; ++y) {
     for (int x = 0; x < 8; ++x) {
       dst[y * dst_stride + x] = static_cast<Sample>(

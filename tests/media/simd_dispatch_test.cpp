@@ -60,10 +60,8 @@ TEST(SimdDispatch, TablesCarryTheirOwnBackendTag) {
     EXPECT_NE(t.sad_16x16_x4, nullptr);
     EXPECT_NE(t.halfpel_16x16, nullptr);
     EXPECT_NE(t.fdct8, nullptr);
-    EXPECT_NE(t.idct8, nullptr);
     EXPECT_NE(t.quantize8x8, nullptr);
     EXPECT_NE(t.reconstruct8x8, nullptr);
-    EXPECT_NE(t.sum_sq_diff, nullptr);
     EXPECT_NE(t.ssim_stats_8x8, nullptr);
   }
 }

@@ -178,30 +178,6 @@ TEST(SimdKernelEquivalence, ForwardDctBitExactOverResidualDomain) {
   }
 }
 
-TEST(SimdKernelEquivalence, InverseDctBitExactOverCoefficientDomain) {
-  util::Rng rng(305);
-  std::array<std::int32_t, 64> in;
-  std::array<std::int16_t, 64> want;
-  std::array<std::int16_t, 64> got;
-  for (const Backend b : simd_backends()) {
-    const KernelTable& t = kernels_for(b);
-    for (int trial = 0; trial < 500; ++trial) {
-      // Documented domain |coef| <= 65536 — far beyond the ~2^13 the
-      // dequantizer produces.
-      for (auto& v : in) {
-        v = static_cast<std::int32_t>(rng.uniform_i64(-65536, 65536));
-      }
-      scalar_idct8(in.data(), want.data());
-      t.idct8(in.data(), got.data());
-      ASSERT_EQ(got, want) << t.name << " trial " << trial;
-    }
-    in.fill(65536);
-    scalar_idct8(in.data(), want.data());
-    t.idct8(in.data(), got.data());
-    ASSERT_EQ(got, want) << t.name << " all-max";
-  }
-}
-
 /// qp's exact reciprocal as media/quant.cpp derives it: shift = 31 +
 /// ceil(log2 qp), mul = ceil(2^shift / qp).
 std::pair<std::uint32_t, int> reciprocal(int qp) {
@@ -288,13 +264,25 @@ TEST(SimdKernelEquivalence, ReconstructMatchesScalarOnOddStrides) {
                        got.data() + 1, 23);
       ASSERT_EQ(got, want) << t.name << " trial " << trial;
     }
+    // The corners of the domain: every level * step = +-65536.
+    for (const std::int32_t step : {2, 32}) {
+      for (const std::int32_t sign : {1, -1}) {
+        levels.fill(sign * 65536 / step);
+        std::vector<std::uint8_t> want(23 * 9, 7);
+        std::vector<std::uint8_t> got(23 * 9, 7);
+        scalar_reconstruct8x8(levels.data(), step, pred.at(3, 2), 37,
+                              want.data() + 1, 23);
+        t.reconstruct8x8(levels.data(), step, pred.at(3, 2), 37,
+                         got.data() + 1, 23);
+        ASSERT_EQ(got, want) << t.name << " all " << sign * 65536;
+      }
+    }
   }
 }
 
 TEST(SimdKernelEquivalence, RoundTripDctAcrossBackends) {
-  // forward(scalar) -> inverse(simd) and vice versa must equal the
-  // all-scalar pipeline: coefficients are interchangeable because the
-  // forward outputs are bit-identical.
+  // The forward outputs are bit-identical on 9-bit residuals, so the
+  // coefficients are interchangeable between backends.
   util::Rng rng(306);
   std::array<std::int16_t, 64> residual;
   for (const Backend b : simd_backends()) {
@@ -308,47 +296,7 @@ TEST(SimdKernelEquivalence, RoundTripDctAcrossBackends) {
       scalar_fdct8(residual.data(), coef_scalar.data());
       t.fdct8(residual.data(), coef_simd.data());
       ASSERT_EQ(coef_simd, coef_scalar);
-      std::array<std::int16_t, 64> back_scalar;
-      std::array<std::int16_t, 64> back_simd;
-      scalar_idct8(coef_scalar.data(), back_scalar.data());
-      t.idct8(coef_scalar.data(), back_simd.data());
-      ASSERT_EQ(back_simd, back_scalar);
     }
-  }
-}
-
-TEST(SimdKernelEquivalence, SumSqDiffMatchesScalarExactly) {
-  util::Rng rng(308);
-  // Span lengths cover one chroma block row up to a whole QCIF plane,
-  // including lengths that exercise every tail (n % 32 == 8, 16 and
-  // 24: a QCIF chroma row is 88) and biased content (small diffs) as
-  // well as full-range noise.
-  const std::size_t lengths[] = {8, 16, 24, 48, 88, 256, 1000, 1008, 25344};
-  std::vector<std::uint8_t> a(25344), b(25344);
-  for (const Backend bk : simd_backends()) {
-    const KernelTable& t = kernels_for(bk);
-    for (int trial = 0; trial < 20; ++trial) {
-      const bool small_diffs = trial % 2 == 0;
-      for (std::size_t i = 0; i < a.size(); ++i) {
-        a[i] = static_cast<std::uint8_t>(rng.uniform_i64(0, 255));
-        b[i] = small_diffs
-                   ? static_cast<std::uint8_t>(
-                         std::clamp<std::int64_t>(
-                             a[i] + rng.uniform_i64(-4, 4), 0, 255))
-                   : static_cast<std::uint8_t>(rng.uniform_i64(0, 255));
-      }
-      for (const std::size_t n : lengths) {
-        EXPECT_EQ(t.sum_sq_diff(a.data(), b.data(), n),
-                  scalar_sum_sq_diff(a.data(), b.data(), n))
-            << t.name << " n=" << n;
-      }
-    }
-    // Worst case: maximal per-pixel difference over the whole span.
-    std::fill(a.begin(), a.end(), 255);
-    std::fill(b.begin(), b.end(), 0);
-    EXPECT_EQ(t.sum_sq_diff(a.data(), b.data(), a.size()),
-              static_cast<std::int64_t>(a.size()) * 255 * 255)
-        << t.name;
   }
 }
 

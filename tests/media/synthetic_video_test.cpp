@@ -77,8 +77,8 @@ TEST(SyntheticVideo, UnevenSceneSplitSpreadsRemainder) {
 TEST(SyntheticVideo, CutChangesContentMoreThanContinuation) {
   const SyntheticVideo v(small_config());
   // Within-scene consecutive frames are closer than frames across a cut.
-  const std::int64_t within = quality::frame_sse(v.frame(10), v.frame(11));
-  const std::int64_t across = quality::frame_sse(v.frame(29), v.frame(30));
+  const std::int64_t within = quality::frame_sse_ref(v.frame(10), v.frame(11));
+  const std::int64_t across = quality::frame_sse_ref(v.frame(29), v.frame(30));
   EXPECT_GT(across, 2 * within);
 }
 

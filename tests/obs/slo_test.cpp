@@ -136,17 +136,15 @@ TEST(SloParseTest, RejectsBudgetsWhoseReciprocalOverflows) {
 /// span's p99 rank.
 TimeSeries latency_series(long long n, long long good, long long bad,
                           const std::vector<long long>& bad_windows) {
-  SeriesRecorder rec(100);
-  SeriesTrack& t = rec.track("frame_latency_cycles");
+  TimeSeries series{.window = 100};
+  SeriesTrack& t = series.track("frame_latency_cycles");
   for (long long w = 0; w < n; ++w) {
     const bool is_bad = std::find(bad_windows.begin(), bad_windows.end(),
                                   w) != bad_windows.end();
     for (int i = 0; i < 10; ++i) {
-      rec.record(t, w * 100, is_bad ? bad : good);
+      series.record(t, w * 100, is_bad ? bad : good);
     }
   }
-  TimeSeries series;
-  series.merge(rec);
   return series;
 }
 
@@ -204,21 +202,19 @@ TEST(SloEvalTest, WindowMultipleThresholdsScaleTheReference) {
 }
 
 TEST(SloEvalTest, RatesEvaluateWhereTheDenominatorHasData) {
-  SeriesRecorder rec(100);
-  SeriesTrack& completed = rec.track("frames_completed");
-  SeriesTrack& misses = rec.track("display_misses");
+  TimeSeries series{.window = 100};
+  SeriesTrack& completed = series.track("frames_completed");
+  SeriesTrack& misses = series.track("display_misses");
   // Windows 0-3 deliver 4 frames each; window 2 also misses twice.
   // Window 7 records a miss with no completions anywhere near it —
   // rates only evaluate where the denominator has data, so it must
   // not create an evaluation point (or a division by zero).
   for (long long w = 0; w < 4; ++w) {
-    for (int i = 0; i < 4; ++i) rec.record(completed, w * 100, 1);
+    for (int i = 0; i < 4; ++i) series.record(completed, w * 100, 1);
   }
-  rec.record(misses, 200, 1);
-  rec.record(misses, 210, 1);
-  rec.record(misses, 700, 1);
-  TimeSeries series;
-  series.merge(rec);
+  series.record(misses, 200, 1);
+  series.record(misses, 210, 1);
+  series.record(misses, 700, 1);
   SloInputs in;
   in.series = &series;
 
@@ -233,13 +229,11 @@ TEST(SloEvalTest, RatesEvaluateWhereTheDenominatorHasData) {
 }
 
 TEST(SloEvalTest, ScopedObjectivesReadClassTracks) {
-  SeriesRecorder rec(100);
-  SeriesTrack& fleet = rec.track("frame_latency_cycles");
-  SeriesTrack& ctl = rec.track("frame_latency_cycles@controlled");
-  rec.record(fleet, 0, 5000);  // fleet p99 breaches
-  rec.record(ctl, 0, 10);      // the controlled class is healthy
-  TimeSeries series;
-  series.merge(rec);
+  TimeSeries series{.window = 100};
+  SeriesTrack& fleet = series.track("frame_latency_cycles");
+  SeriesTrack& ctl = series.track("frame_latency_cycles@controlled");
+  series.record(fleet, 0, 5000);  // fleet p99 breaches
+  series.record(ctl, 0, 10);      // the controlled class is healthy
   SloInputs in;
   in.series = &series;
 

@@ -17,7 +17,7 @@ namespace qosctrl::obs {
 namespace {
 
 TEST(TimeSeriesTest, ValuesLandInTheirWindow) {
-  SeriesRecorder rec(100);
+  TimeSeries rec{.window = 100};
   SeriesTrack& t = rec.track("latency");
   rec.record(t, 0, 5);
   rec.record(t, 99, 7);    // still window 0
@@ -33,7 +33,7 @@ TEST(TimeSeriesTest, ValuesLandInTheirWindow) {
 }
 
 TEST(TimeSeriesTest, NegativeTimesClampToWindowZero) {
-  SeriesRecorder rec(100);
+  TimeSeries rec{.window = 100};
   SeriesTrack& t = rec.track("x");
   rec.record(t, static_cast<rt::Cycles>(-50), 1);
   ASSERT_EQ(t.size(), 1u);
@@ -41,21 +41,21 @@ TEST(TimeSeriesTest, NegativeTimesClampToWindowZero) {
 }
 
 TEST(TimeSeriesTest, TrackResolutionIsStable) {
-  SeriesRecorder rec(10);
+  TimeSeries rec{.window = 10};
   SeriesTrack& a = rec.track("a");
   SeriesTrack& again = rec.track("a");
   EXPECT_EQ(&a, &again);
-  EXPECT_EQ(rec.tracks().size(), 1u);
+  EXPECT_EQ(rec.tracks.size(), 1u);
 }
 
 TEST(TimeSeriesTest, MergeIsOrderIndependent) {
-  // Three recorders with interleaved windows and overlapping tracks:
+  // Three series with interleaved windows and overlapping tracks:
   // any merge order gives the same fleet series (the worker/shard
   // independence contract).
   util::Rng rng(42);
-  std::vector<SeriesRecorder> recs;
+  std::vector<TimeSeries> recs;
   for (int r = 0; r < 3; ++r) {
-    recs.emplace_back(50);
+    recs.push_back(TimeSeries{.window = 50});
     SeriesTrack& lat = recs.back().track("latency");
     SeriesTrack& q = recs.back().track("queue");
     for (int i = 0; i < 200; ++i) {
@@ -68,7 +68,7 @@ TEST(TimeSeriesTest, MergeIsOrderIndependent) {
   }
 
   TimeSeries forward;
-  for (const SeriesRecorder& r : recs) forward.merge(r);
+  for (const TimeSeries& r : recs) forward.merge(r);
   TimeSeries backward;
   for (auto it = recs.rbegin(); it != recs.rend(); ++it) {
     backward.merge(*it);
@@ -83,7 +83,7 @@ TEST(TimeSeriesTest, WindowedPercentilesMatchSortedReference) {
   // applied to that window's multiset alone: bucket_upper of the
   // bucket holding rank floor(p * (count - 1)).
   util::Rng rng(7);
-  SeriesRecorder rec(1000);
+  TimeSeries rec{.window = 1000};
   SeriesTrack& t = rec.track("v");
   std::map<long long, std::vector<long long>> per_window;
   for (int i = 0; i < 5000; ++i) {
@@ -115,15 +115,15 @@ TEST(TimeSeriesTest, WindowedPercentilesMatchSortedReference) {
 TEST(TimeSeriesTest, MergeAdoptsWindowAndRejectsNothingWhenEmpty) {
   TimeSeries series;
   EXPECT_EQ(series.last_window(), -1);
-  SeriesRecorder rec(25);
-  series.merge(rec);  // empty recorder still pins the window width
+  TimeSeries rec{.window = 25};
+  series.merge(rec);  // an empty series still pins the window width
   EXPECT_EQ(series.window, 25);
   EXPECT_EQ(series.last_window(), -1);
   EXPECT_EQ(series.to_json(), "{\"window\":25,\"tracks\":{}}");
 }
 
 TEST(TimeSeriesTest, JsonShapeIsPinned) {
-  SeriesRecorder rec(10);
+  TimeSeries rec{.window = 10};
   SeriesTrack& t = rec.track("lat");
   rec.record(t, 5, 3);
   rec.record(t, 7, 4);
@@ -137,6 +137,11 @@ TEST(TimeSeriesTest, JsonShapeIsPinned) {
             "[2,1,100,100,100,127,127,127]]}}");
   EXPECT_EQ(series.summary(), "series lat: windows=2 count=3\n");
   EXPECT_EQ(series.last_window(), 2);
+}
+
+TEST(TimeSeriesDeath, TrackingRequiresAPositiveWindow) {
+  TimeSeries off;  // window 0: sampling off
+  EXPECT_DEATH(off.track("x"), "window must be positive");
 }
 
 }  // namespace

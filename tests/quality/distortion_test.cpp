@@ -1,9 +1,10 @@
 // Golden distortion values for a fixed synthetic sequence, pinned
 // bit-for-bit across every SIMD backend the machine supports —
 // scalar / SSE2 / AVX2 (and NEON on AArch64).  The SSE is an integer,
-// so it is pinned exactly; PSNR adds one log10 (pinned to 1e-9, the
-// only libm dependence); the SSIM mean is a ratio of integers, so its
-// double is pinned exactly too.
+// so it is pinned exactly (through the per-pixel reference in
+// tests/support/, which measure()'s PSNR must match to the bit); PSNR
+// adds one log10 (pinned to 1e-9, the only libm dependence); the SSIM
+// mean is a ratio of integers, so its double is pinned exactly too.
 #include "quality/distortion.h"
 
 #include <gtest/gtest.h>
@@ -16,6 +17,7 @@
 #include "media/simd/kernels.h"
 #include "media/synthetic_video.h"
 #include "pipeline/simulation.h"
+#include "support/oracles.h"
 #include "util/rng.h"
 
 namespace qosctrl::quality {
@@ -66,37 +68,60 @@ TEST(Distortion, GoldenValuesPinnedAcrossEveryBackend) {
     media::simd::set_backend_for_testing(b);
     for (const Golden& g : kGoldens) {
       const media::Frame other = video.frame(g.frame);
-      EXPECT_EQ(quality::frame_sse(reference, other), g.sse)
+      EXPECT_EQ(frame_sse_ref(reference, other), g.sse)
           << media::simd::backend_name(b) << " frame " << g.frame;
-      EXPECT_NEAR(quality::psnr(reference, other), g.psnr, 1e-9)
+      const FrameDistortion d = measure(reference, other);
+      EXPECT_NEAR(d.psnr, g.psnr, 1e-9)
+          << media::simd::backend_name(b) << " frame " << g.frame;
+      EXPECT_EQ(d.psnr, psnr_ref(reference, other))
           << media::simd::backend_name(b) << " frame " << g.frame;
       EXPECT_DOUBLE_EQ(ssim(reference, other), g.ssim)
+          << media::simd::backend_name(b) << " frame " << g.frame;
+      EXPECT_EQ(d.ssim, ssim(reference, other))
           << media::simd::backend_name(b) << " frame " << g.frame;
     }
   }
 }
 
 TEST(Distortion, BackendsAgreeBitForBitOnRandomFrames) {
+  // measure() under every backend against the per-pixel PSNR reference
+  // and the scalar backend's SSIM, on full-range noise and on small
+  // differences; the first plane is scored once as it is and once
+  // through a copy with a filled margin, as the encoder's
+  // reconstruction carries one.
   util::Rng rng(41);
   media::Frame a(64, 48), b(64, 48);
   for (int trial = 0; trial < 8; ++trial) {
+    const bool small_diffs = trial % 2 == 1;
     for (int y = 0; y < 48; ++y) {
       for (int x = 0; x < 64; ++x) {
-        a.set(x, y, static_cast<media::Sample>(rng.uniform_i64(0, 255)));
-        b.set(x, y, static_cast<media::Sample>(rng.uniform_i64(0, 255)));
+        const auto va = rng.uniform_i64(0, 255);
+        a.set(x, y, static_cast<media::Sample>(va));
+        b.set(x, y, static_cast<media::Sample>(
+                        small_diffs ? std::clamp<std::int64_t>(
+                                          va + rng.uniform_i64(-4, 4), 0, 255)
+                                    : rng.uniform_i64(0, 255)));
       }
     }
+    const media::Frame padded = media::with_margin(a);
+    ASSERT_GT(padded.pad(), 0);
+    const media::Frame* const firsts[] = {&a, &padded};
     const media::simd::ScopedBackendRestore restore;
     media::simd::set_backend_for_testing(Backend::kScalar);
-    const std::int64_t want_sse = quality::frame_sse(a, b);
-    const double want_psnr = quality::psnr(a, b);
+    const double want_psnr = psnr_ref(a, b);
     const double want_ssim = ssim(a, b);
     for (const Backend bk : supported_backends()) {
       media::simd::set_backend_for_testing(bk);
-      EXPECT_EQ(quality::frame_sse(a, b), want_sse) << media::simd::backend_name(bk);
-      // Same process, same libm: the doubles must be identical bits.
-      EXPECT_EQ(quality::psnr(a, b), want_psnr) << media::simd::backend_name(bk);
-      EXPECT_EQ(ssim(a, b), want_ssim) << media::simd::backend_name(bk);
+      for (const media::Frame* first : firsts) {
+        const FrameDistortion d = measure(*first, b);
+        // Same process, same libm: the doubles must be identical bits.
+        EXPECT_EQ(d.psnr, want_psnr)
+            << media::simd::backend_name(bk) << " pad " << first->pad();
+        EXPECT_EQ(d.ssim, want_ssim)
+            << media::simd::backend_name(bk) << " pad " << first->pad();
+        EXPECT_EQ(ssim(*first, b), want_ssim)
+            << media::simd::backend_name(bk) << " pad " << first->pad();
+      }
     }
   }
 }
@@ -115,8 +140,8 @@ TEST(Distortion, SsimBlockFixedPointGoldens) {
 
 TEST(Distortion, IdenticalFramesScorePerfect) {
   const media::Frame f = golden_video().frame(3);
-  EXPECT_EQ(quality::frame_sse(f, f), 0);
-  EXPECT_EQ(quality::psnr(f, f), 99.0);  // the cap
+  EXPECT_EQ(frame_sse_ref(f, f), 0);
+  EXPECT_EQ(psnr_ref(f, f), 99.0);  // the cap
   EXPECT_DOUBLE_EQ(ssim(f, f), 1.0);
   const FrameDistortion d = measure(f, f);
   EXPECT_EQ(d.psnr, 99.0);
@@ -124,53 +149,57 @@ TEST(Distortion, IdenticalFramesScorePerfect) {
 }
 
 TEST(Distortion, PsnrMatchesTheBlockScanExactly) {
-  // measure() takes its SSE from the SSIM block moments, psnr() from
-  // the sum_sq_diff kernel; both feed psnr_from_sse, so the two routes
+  // measure() takes its SSE from the SSIM block moments, psnr_ref()
+  // from a per-pixel sum; both feed psnr_from_sse, so the two routes
   // must agree to the bit.
   const media::SyntheticVideo video = golden_video();
   for (int f = 1; f < 8; ++f) {
     const media::Frame a = video.frame(0);
     const media::Frame b = video.frame(f);
-    EXPECT_EQ(psnr(a, b), measure(a, b).psnr) << "frame " << f;
+    EXPECT_EQ(psnr_ref(a, b), measure(a, b).psnr) << "frame " << f;
   }
 }
 
 TEST(Psnr, IdenticalPlanesHitTheCap) {
   const media::Frame a(16, 16, 100), b(16, 16, 100);
-  EXPECT_DOUBLE_EQ(psnr(a, b), 99.0);
-  EXPECT_DOUBLE_EQ(psnr(a, b, 60.0), 60.0);
+  EXPECT_DOUBLE_EQ(measure(a, b).psnr, 99.0);
+  EXPECT_DOUBLE_EQ(measure(a, b, 60.0).psnr, 60.0);
 }
 
 TEST(Psnr, KnownValue) {
   const media::Frame a(16, 16, 100), b(16, 16, 110);  // MSE = 100
-  EXPECT_NEAR(psnr(a, b), 10.0 * std::log10(255.0 * 255.0 / 100.0), 1e-9);
-  EXPECT_EQ(psnr(a, b), psnr_from_sse(256 * 100, 256));
+  EXPECT_NEAR(measure(a, b).psnr, 10.0 * std::log10(255.0 * 255.0 / 100.0),
+              1e-9);
+  EXPECT_EQ(measure(a, b).psnr, psnr_from_sse(256 * 100, 256));
 }
 
 TEST(Psnr, MonotoneInError) {
   const media::Frame a(16, 16, 100);
   const media::Frame small_err(16, 16, 102), big_err(16, 16, 140);
-  EXPECT_GT(psnr(a, small_err), psnr(a, big_err));
+  EXPECT_GT(measure(a, small_err).psnr, measure(a, big_err).psnr);
 }
 
-TEST(FrameSse, CountsEveryPixelOfAnyPlane) {
+TEST(MeasureSse, CountsEveryPixelOfAnyPlane) {
   const media::Frame a(16, 16, 0), b(16, 16, 1);
-  EXPECT_EQ(frame_sse(a, b), 256);
-  // A chroma-sized plane (8-pixel tiling) through the same kernel.
+  EXPECT_EQ(frame_sse_ref(a, b), 256);
+  EXPECT_EQ(measure(a, b).psnr, psnr_from_sse(256, 256));
+  // A chroma-sized plane (8-pixel tiling) through the same scan.
   const media::Plane c(24, 8, 10), d(24, 8, 13);
-  EXPECT_EQ(frame_sse(c, d), 24 * 8 * 9);
+  EXPECT_EQ(frame_sse_ref(c, d), 24 * 8 * 9);
+  EXPECT_EQ(measure(c, d).psnr, psnr_from_sse(24 * 8 * 9, 24 * 8));
 }
 
-TEST(FrameSseDeath, RejectsUnequalGeometry) {
+TEST(MeasureDeath, RejectsUnequalGeometry) {
   const media::Plane a(16, 8), b(8, 16);
-  EXPECT_DEATH(frame_sse(a, b), "equal dimensions");
+  EXPECT_DEATH(ssim(a, b), "equal dimensions");
   EXPECT_DEATH(measure(a, b), "equal dimensions");
 }
 
 TEST(Distortion, MeasuresAChromaSizedPlane) {
   // A 24x8 plane tiles the 8x8 SSIM grid but not the 16-pixel
   // macroblock grid.  Its scores match the luma path's rules: the
-  // block-scan PSNR equals psnr(), and identical planes score 1.
+  // block-scan PSNR equals the per-pixel reference, and identical
+  // planes score 1.
   util::Rng rng(8);
   media::Plane a(24, 8), b(24, 8);
   for (media::Sample& v : a.data()) {
@@ -183,7 +212,7 @@ TEST(Distortion, MeasuresAChromaSizedPlane) {
   }
   EXPECT_DOUBLE_EQ(ssim(a, a), 1.0);
   const FrameDistortion d = measure(a, b);
-  EXPECT_EQ(d.psnr, psnr(a, b));
+  EXPECT_EQ(d.psnr, psnr_ref(a, b));
   EXPECT_EQ(d.ssim, ssim(a, b));
   EXPECT_LT(d.ssim, 1.0);
   EXPECT_GT(d.ssim, 0.5);

@@ -45,27 +45,27 @@ SweepConfig small_grid() {
 
 TEST(QosEval, FusionFixedPointsAndDiscounting) {
   // Agreeing perfect sources, fully delivered: belief 1.
-  EXPECT_DOUBLE_EQ(fuse_stream_quality(45.0, 1.0, 1.0), 1.0);
+  EXPECT_DOUBLE_EQ(fuse_stream_quality(45.0, 1.0, 1.0, 0.0, 0.0), 1.0);
   // Agreeing worthless sources: belief 0 regardless of delivery.
-  EXPECT_DOUBLE_EQ(fuse_stream_quality(20.0, 0.0, 1.0), 0.0);
+  EXPECT_DOUBLE_EQ(fuse_stream_quality(20.0, 0.0, 1.0, 0.0, 0.0), 0.0);
   // Total conflict (PSNR says perfect, SSIM says worthless): PCR5
   // redistributes the conflict equally - belief 1/2.
-  EXPECT_DOUBLE_EQ(fuse_stream_quality(45.0, 0.0, 1.0), 0.5);
+  EXPECT_DOUBLE_EQ(fuse_stream_quality(45.0, 0.0, 1.0, 0.0, 0.0), 0.5);
   // Reliability discounting is linear in the delivered fraction.
-  EXPECT_DOUBLE_EQ(fuse_stream_quality(45.0, 1.0, 0.25), 0.25);
+  EXPECT_DOUBLE_EQ(fuse_stream_quality(45.0, 1.0, 0.25, 0.0, 0.0), 0.25);
   // Monotone in each quality source.
-  EXPECT_LT(fuse_stream_quality(30.0, 0.9, 1.0),
-            fuse_stream_quality(35.0, 0.9, 1.0));
-  EXPECT_LT(fuse_stream_quality(35.0, 0.8, 1.0),
-            fuse_stream_quality(35.0, 0.9, 1.0));
+  EXPECT_LT(fuse_stream_quality(30.0, 0.9, 1.0, 0.0, 0.0),
+            fuse_stream_quality(35.0, 0.9, 1.0, 0.0, 0.0));
+  EXPECT_LT(fuse_stream_quality(35.0, 0.8, 1.0, 0.0, 0.0),
+            fuse_stream_quality(35.0, 0.9, 1.0, 0.0, 0.0));
 }
 
 TEST(QosEval, LatencyTailDiscountsTheFusedScore) {
-  // Zero lag (or a zero discount weight) reduces to the 3-arg form.
+  // Zero lag (or a zero discount weight) leaves the score undiscounted.
   EXPECT_DOUBLE_EQ(fuse_stream_quality(45.0, 1.0, 1.0, 0.0, 0.25),
-                   fuse_stream_quality(45.0, 1.0, 1.0));
+                   fuse_stream_quality(45.0, 1.0, 1.0, 0.0, 0.0));
   EXPECT_DOUBLE_EQ(fuse_stream_quality(45.0, 1.0, 1.0, 0.8, 0.0),
-                   fuse_stream_quality(45.0, 1.0, 1.0));
+                   fuse_stream_quality(45.0, 1.0, 1.0, 0.0, 0.0));
   // A stream always at the edge of its latency window is worth
   // exactly (1 - discount) of one with slack.
   EXPECT_DOUBLE_EQ(fuse_stream_quality(45.0, 1.0, 1.0, 1.0, 0.25), 0.75);

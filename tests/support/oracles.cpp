@@ -5,6 +5,8 @@
 #include <cstring>
 #include <sstream>
 
+#include "quality/distortion.h"
+
 namespace qosctrl::media {
 namespace {
 
@@ -100,6 +102,28 @@ Block8 inverse_dct8_ref(const Coeffs8& coeffs) {
 }
 
 }  // namespace qosctrl::media
+
+namespace qosctrl::quality {
+
+std::int64_t frame_sse_ref(const media::Plane& a, const media::Plane& b) {
+  QC_EXPECT(a.width() == b.width() && a.height() == b.height(),
+            "planes must have equal dimensions");
+  std::int64_t sse = 0;
+  for (int y = 0; y < a.height(); ++y) {
+    for (int x = 0; x < a.width(); ++x) {
+      const int d = a.at(x, y) - b.at(x, y);
+      sse += d * d;
+    }
+  }
+  return sse;
+}
+
+double psnr_ref(const media::Plane& a, const media::Plane& b, double cap) {
+  return psnr_from_sse(frame_sse_ref(a, b),
+                       static_cast<std::int64_t>(a.width()) * a.height(), cap);
+}
+
+}  // namespace qosctrl::quality
 
 namespace qosctrl::sched {
 

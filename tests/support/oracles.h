@@ -4,6 +4,7 @@
 // the library, in the qosctrl_test_support target.
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -29,6 +30,20 @@ Coeffs8 forward_dct8_ref(const Block8& block);
 Block8 inverse_dct8_ref(const Coeffs8& coeffs);
 
 }  // namespace qosctrl::media
+
+namespace qosctrl::quality {
+
+/// Sum of squared errors over two equal-geometry planes, one sample at
+/// a time (margins are not counted): the reference quality::measure's
+/// block-moment SSE is checked against.
+std::int64_t frame_sse_ref(const media::Plane& a, const media::Plane& b);
+
+/// PSNR of frame_sse_ref through quality::psnr_from_sse; identical
+/// planes yield `cap`.
+double psnr_ref(const media::Plane& a, const media::Plane& b,
+                double cap = 99.0);
+
+}  // namespace qosctrl::quality
 
 namespace qosctrl::sched {
 

@@ -139,15 +139,5 @@ TEST(Rng, ForkDependsOnParentState) {
   EXPECT_LT(equal, 5);
 }
 
-TEST(Rng, SplitStreamsAreDecorrelated) {
-  Rng parent(15);
-  Rng child = parent.split();
-  int equal = 0;
-  for (int i = 0; i < 1000; ++i) {
-    if (parent.next_u64() == child.next_u64()) ++equal;
-  }
-  EXPECT_LT(equal, 5);
-}
-
 }  // namespace
 }  // namespace qosctrl::util

@@ -32,11 +32,11 @@ import sys
 
 # Anchored: must not also catch the deliberately-slow reference /
 # scalar-kernel variants (BM_SadMacroblockRef, BM_ForwardDct8Ref,
-# BM_PsnrFrameScalarKernel, ...).  The farm throughput is tracked per
+# BM_SsimFrameScalarKernel, ...).  The farm throughput is tracked per
 # scheduling policy: np (bare), preemptive, and quantum-sliced run
 # queues, plus the faulted run and the faulted run with the windowed
 # time series + SLO engine on (Timeseries — gates the observability
-# layer's overhead); PsnrFrame/SsimFrame track the distortion kernels.
+# layer's overhead); SsimFrame tracks the frame scorer's block scan.
 # AdmissionThroughput tracks steady-state admission churn (QPA at
 # 1k/10k/100k resident streams — see docs/admission.md).
 # ShardedJoinRate tracks the flash-crowd join storm on a 1024-processor
@@ -55,7 +55,7 @@ import sys
 # Multi-worker farm rows
 # carry google-benchmark's /real_time suffix.
 DEFAULT_BENCHMARKS = (
-    r"^BM_(SadMacroblock|ForwardDct8|PsnrFrame|SsimFrame"
+    r"^BM_(SadMacroblock|ForwardDct8|SsimFrame"
     r"|SyntheticFrame(Yuv(Carried)?)?"
     r"|QuantizeBlock|Entropy(Encode|Decode)Block|(En|De)codeFrame"
     r"|ExportChromeTrace"

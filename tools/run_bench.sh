@@ -41,7 +41,7 @@ cmake -B "$BUILD_DIR" -S "$ROOT" -DQOSCTRL_BUILD_BENCHES=ON \
 cmake --build "$BUILD_DIR" --target bench_micro -j "$(nproc)" >/dev/null
 
 "$BUILD_DIR/bench_micro" \
-    --benchmark_filter='BM_(SadMacroblock|HalfpelInterp|ForwardDct8|InverseDct8|MotionSearch|TableControllerDecision|PsnrFrame|SsimFrame|SyntheticFrame(Yuv(Carried)?)?|QuantizeBlock|Entropy(Encode|Decode)Block|(Encode|Decode)Frame|AdmissionThroughput|ShardedJoinRate|FarmThroughput(Preemptive|Quantum|Faults|Traced|Timeseries)?|ExportChromeTrace|FarmReportJson)' \
+    --benchmark_filter='BM_(SadMacroblock|HalfpelInterp|ForwardDct8|InverseDct8Ref|MotionSearch|TableControllerDecision|SsimFrame|SyntheticFrame(Yuv(Carried)?)?|QuantizeBlock|Entropy(Encode|Decode)Block|(Encode|Decode)Frame|AdmissionThroughput|ShardedJoinRate|FarmThroughput(Preemptive|Quantum|Faults|Traced|Timeseries)?|ExportChromeTrace|FarmReportJson)' \
     --benchmark_repetitions=3 \
     --benchmark_report_aggregates_only=true \
     --benchmark_out_format=json \
