@@ -402,6 +402,115 @@ TEST(StreamSessionScoring, EncodeScoresAlikeTrackedOrNotAndDeliverAgreesInSync) 
   }
 }
 
+// A tracked session whose decoder chain goes in and out of sync with
+// the encoder.  Each case pins every record it produces (FNV-1a, as
+// session_digest), so a session that skips the bytes and the decode of
+// a frame the decoder would rebuild bit-exactly must score it the same.
+class StreamSessionInSync : public ::testing::Test {
+ protected:
+  StreamSessionInSync() { s_.track_delivery(); }
+
+  FrameRecord record(const FrameRecord& r) {
+    fnv1a_record(&h_, r);
+    return r;
+  }
+
+  StreamSession s_{small_config()};
+  std::uint64_t h_ = 0xcbf29ce484222325ULL;  // FNV-1a offset basis
+};
+
+// The first frame never reaches the decoder, so the next inter frame
+// has no reference there: it fails to decode and is concealed, as is
+// every inter frame after it, until a reset re-syncs the chain.
+TEST_F(StreamSessionInSync, FirstFrameLostConcealsUntilReset) {
+  const FrameRecord lost = record(s_.lose(s_.encode(0, 0)));
+  EXPECT_TRUE(lost.concealed);
+  EXPECT_EQ(lost.psnr, 0.0) << "nothing has been shown yet";
+  const FrameRecord orphan = record(s_.deliver(s_.encode(1, 0)));
+  EXPECT_TRUE(orphan.concealed);
+  EXPECT_EQ(orphan.psnr, 0.0);
+  record(s_.deliver(s_.encode(2, 0)));
+  record(s_.skip(3));
+  s_.reset_reference();
+  const FrameRecord intra = s_.encode(4, 0);
+  const FrameRecord resync = record(s_.deliver(intra));
+  EXPECT_FALSE(resync.concealed);
+  EXPECT_EQ(resync.psnr, intra.psnr);
+  for (int f = 5; f < 8; ++f) {
+    const FrameRecord enc = s_.encode(f, 0);
+    const FrameRecord shown = record(s_.deliver(enc));
+    EXPECT_FALSE(shown.concealed) << "frame " << f;
+    EXPECT_EQ(shown.psnr, enc.psnr) << "frame " << f;
+    EXPECT_EQ(shown.ssim, enc.ssim) << "frame " << f;
+  }
+  EXPECT_EQ(h_, 0xe332a0a6bd90ca08ULL);
+}
+
+// In sync, then a loss: the frames after it drift until the scene cut
+// at frame 20, whose macroblocks are all intra, re-syncs the chain.  A
+// second loss drifts until reset_reference() forces an intra frame.
+TEST_F(StreamSessionInSync, LossDriftResetResync) {
+  for (int f = 14; f < 16; ++f) record(s_.deliver(s_.encode(f, 0)));
+  record(s_.lose(s_.encode(16, 0)));
+  auto deliver_all = [&](int begin, int end, bool drift) {
+    for (int f = begin; f < end; ++f) {
+      const FrameRecord enc = s_.encode(f, 0);
+      const FrameRecord shown = record(s_.deliver(enc));
+      EXPECT_FALSE(shown.concealed) << "frame " << f;
+      if (drift) {
+        EXPECT_LT(shown.psnr, enc.psnr) << "frame " << f << " must drift";
+      } else {
+        EXPECT_EQ(shown.psnr, enc.psnr) << "frame " << f;
+        EXPECT_EQ(shown.ssim, enc.ssim) << "frame " << f;
+      }
+    }
+  };
+  deliver_all(17, 20, true);
+  deliver_all(20, 23, false);  // the cut re-syncs
+  record(s_.lose(s_.encode(23, 0)));
+  deliver_all(24, 26, true);
+  s_.reset_reference();
+  deliver_all(26, 29, false);
+  EXPECT_EQ(h_, 0xcecf9b8a6ec67baaULL);
+}
+
+// Drops of queued frames while a frame is in service leave the chain as
+// it is: an in-sync frame delivered after them still shows its own
+// reconstruction, and one lost after them starts the drift.
+TEST_F(StreamSessionInSync, DropWhileInServiceKeepsTheChain) {
+  record(s_.deliver(s_.encode(0, 0)));
+  const FrameRecord first = s_.encode(1, 0);
+  record(s_.drop(2));
+  record(s_.drop(3));
+  const FrameRecord shown = record(s_.deliver(first));
+  EXPECT_EQ(shown.psnr, first.psnr);
+  EXPECT_EQ(shown.ssim, first.ssim);
+  const FrameRecord second = s_.encode(4, 0);
+  record(s_.drop(5));
+  record(s_.lose(second));
+  const FrameRecord third = s_.encode(6, 0);
+  record(s_.skip(7));
+  const FrameRecord drifted = record(s_.deliver(third));
+  EXPECT_LT(drifted.psnr, third.psnr);
+  EXPECT_EQ(h_, 0xee556f462b7374c4ULL);
+}
+
+// Untracked, the viewer is shown the encoder's reconstruction from the
+// first encoded frame on: nothing before it, and still the
+// reconstruction after reset_reference() drops the temporal reference.
+TEST(StreamSessionShown, ReconstructionFromTheFirstEncodeThroughResets) {
+  StreamSession s(small_config());
+  EXPECT_EQ(s.skip(0).psnr, 0.0);
+  EXPECT_EQ(s.drop(1).ssim, 0.0);
+  s.encode(2, 0);
+  const FrameRecord before = s.skip(3);
+  EXPECT_GT(before.psnr, 20.0);
+  s.reset_reference();
+  const FrameRecord after = s.skip(3);
+  EXPECT_EQ(after.psnr, before.psnr);
+  EXPECT_EQ(after.ssim, before.ssim);
+}
+
 TEST(Pipeline, SummaryMentionsKeyFields) {
   const PipelineResult r = run_pipeline(small_config());
   const std::string s = summarize(r);
