@@ -394,6 +394,21 @@ void BM_EntropyEncodeBlock(benchmark::State& state) {
 }
 BENCHMARK(BM_EntropyEncodeBlock);
 
+// The same blocks counted, not packed: what Compress does for a frame
+// no decoder reads.
+void BM_EntropyCountBlock(benchmark::State& state) {
+  const auto& f = entropy_fixture();
+  util::BitCounter bc;
+  std::size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(media::encode_block(bc, f.levels[i]));
+    if (++i == f.levels.size()) i = 0;
+  }
+  benchmark::DoNotOptimize(bc.bit_count());
+  state.counters["nonzero_per_block"] = f.nonzero_per_block;
+}
+BENCHMARK(BM_EntropyCountBlock);
+
 void BM_EntropyDecodeBlock(benchmark::State& state) {
   const auto& f = entropy_fixture();
   std::optional<util::BitReader> br(std::in_place, f.stream);
@@ -452,7 +467,7 @@ const FrameFixture& frame_fixture() {
   return f;
 }
 
-void BM_EncodeFrame(benchmark::State& state) {
+void encode_frame_loop(benchmark::State& state, enc::BitstreamMode mode) {
   const FrameFixture& f = frame_fixture();
   const enc::EncoderSystem& es = encoder_system();
   qos::TableController ctl(es.tables);
@@ -463,11 +478,22 @@ void BM_EncodeFrame(benchmark::State& state) {
     enc::FrameEncoder encoder = f.primed;
     state.ResumeTiming();
     benchmark::DoNotOptimize(
-        encoder.encode_frame(f.inter, ctl, *es.system, kFrameQp));
+        encoder.encode_frame(f.inter, ctl, *es.system, kFrameQp, 0, mode));
   }
   state.SetItemsProcessed(state.iterations());
 }
+
+void BM_EncodeFrame(benchmark::State& state) {
+  encode_frame_loop(state, enc::BitstreamMode::kPack);
+}
 BENCHMARK(BM_EncodeFrame);
+
+// The same frame with Compress counting bits instead of packing them,
+// as the farm encodes every frame no decoder reads.
+void BM_EncodeFrameCounted(benchmark::State& state) {
+  encode_frame_loop(state, enc::BitstreamMode::kCount);
+}
+BENCHMARK(BM_EncodeFrameCounted);
 
 void BM_DecodeFrame(benchmark::State& state) {
   const FrameFixture& f = frame_fixture();

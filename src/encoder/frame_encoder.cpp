@@ -61,6 +61,16 @@ void subtract_block8(const media::Sample* src, const media::Sample* pred,
   }
 }
 
+/// Debug check of Compress: the counted and the packed length of one
+/// macroblock agree.
+[[maybe_unused]] bool counted_equals_packed(const MbHeader& header,
+                                            const MbLevels& levels) {
+  util::BitWriter packed;
+  util::BitCounter counted;
+  return put_macroblock(packed, header, levels) ==
+         put_macroblock(counted, header, levels);
+}
+
 }  // namespace
 
 FrameEncoder::FrameEncoder(const EncoderConfig& config,
@@ -76,7 +86,8 @@ FrameEncoder::FrameEncoder(const EncoderConfig& config,
 FrameStats FrameEncoder::encode_frame(const media::YuvFrame& input,
                                       qos::Controller& controller,
                                       const rt::ParameterizedSystem& sys,
-                                      int qp, rt::Cycles t0) {
+                                      int qp, rt::Cycles t0,
+                                      BitstreamMode mode) {
   QC_EXPECT(input.width() == config_.width &&
                 input.height() == config_.height,
             "input frame has wrong dimensions");
@@ -91,9 +102,15 @@ FrameStats FrameEncoder::encode_frame(const media::YuvFrame& input,
     recon_ = media::YuvFrame(config_.width, config_.height);
   }
 
-  frame_writer_ = util::BitWriter();
-  put_frame_header(frame_writer_,
-                   {input.y.mb_cols(), input.y.mb_rows(), qp});
+  mode_ = mode;
+  const FrameHeader header{input.y.mb_cols(), input.y.mb_rows(), qp};
+  if (mode_ == BitstreamMode::kPack) {
+    frame_writer_ = util::BitWriter();
+    put_frame_header(frame_writer_, header);
+  } else {
+    frame_counter_ = util::BitCounter();
+    put_frame_header(frame_counter_, header);
+  }
 
   FrameStats stats;
   stats.qp = qp;
@@ -134,13 +151,19 @@ FrameStats FrameEncoder::encode_frame(const media::YuvFrame& input,
       t0);
   stats.encode_cycles = totals.total_cycles;
   stats.deadline_misses = totals.deadline_misses;
-  stats.bits = frame_writer_.bit_count();
-  bitstream_ = frame_writer_.finish();
+  if (mode_ == BitstreamMode::kPack) {
+    stats.bits = frame_writer_.bit_count();
+    bitstream_ = frame_writer_.finish();
+  } else {
+    stats.bits = frame_counter_.bit_count();
+    bitstream_.clear();
+  }
   // One O(perimeter) border fill replaces the per-pixel clamp branches
   // in every SAD and motion-compensation call of the next frame.
   recon_.fill_borders();
   reference_ = media::YuvFrame();
   has_reference_ = true;
+  has_reconstruction_ = true;
   stats.mean_quality =
       quality_count > 0 ? quality_sum / quality_count : 0.0;
   return stats;
@@ -233,10 +256,11 @@ double FrameEncoder::run_action(const UnrolledAction& ua,
     }
 
     case BodyAction::kCompress: {
-      util::BitWriter& bw = frame_writer_;
-      const std::int64_t before = bw.bit_count();
-      put_macroblock(bw, ctx.header, ctx.levels);
-      ctx.bits = bw.bit_count() - before;
+      ctx.bits = mode_ == BitstreamMode::kPack
+                     ? put_macroblock(frame_writer_, ctx.header, ctx.levels)
+                     : put_macroblock(frame_counter_, ctx.header, ctx.levels);
+      QC_DCHECK(counted_equals_packed(ctx.header, ctx.levels),
+                "a macroblock's count must equal its packed length");
       return std::max(
           0.2, static_cast<double>(ctx.bits) / config_.typical_compress_bits);
     }

@@ -59,6 +59,11 @@ struct FrameStats {
   int qp = 0;                    ///< quantizer used for this frame
 };
 
+/// What Compress makes of a frame's syntax: the packed bytes, for a
+/// decoder that reads them, or only their exact bit count.  Both give
+/// the same FrameStats and the same reconstruction.
+enum class BitstreamMode { kPack, kCount };
+
 /// Encodes frames one at a time, keeping the previous reconstruction as
 /// the motion-compensation reference.
 class FrameEncoder {
@@ -69,15 +74,20 @@ class FrameEncoder {
   /// `controller` over the frame's actions.  `sys` supplies deadlines
   /// for miss accounting; `t0` is the elapsed time at cycle start (a
   /// late start shrinks the budget, which is how the pipeline models
-  /// buffer occupancy).
+  /// buffer occupancy).  `mode` kCount writes no bytes: bitstream() is
+  /// left empty and only FrameStats::bits records the frame's size.
   FrameStats encode_frame(const media::YuvFrame& input,
                           qos::Controller& controller,
                           const rt::ParameterizedSystem& sys, int qp,
-                          rt::Cycles t0 = 0);
+                          rt::Cycles t0 = 0,
+                          BitstreamMode mode = BitstreamMode::kPack);
 
   /// Reconstruction of the most recently encoded frame (what a decoder
   /// would display, and what the session scores the frame against).
   const media::YuvFrame& reconstructed() const { return recon_; }
+  /// True once a frame has been encoded, so reconstructed() holds one;
+  /// reset_reference() does not clear it.
+  bool has_reconstruction() const { return has_reconstruction_; }
   bool has_reference() const { return has_reference_; }
 
   /// Drops the temporal reference (e.g. after a seek); the next frame
@@ -85,8 +95,10 @@ class FrameEncoder {
   void reset_reference() { has_reference_ = false; }
 
   /// Complete bitstream of the most recently encoded frame (header +
-  /// all macroblocks, byte-aligned).  Decodable by enc::decode_frame;
-  /// the decoder's output is bit-exact with reconstructed().
+  /// all macroblocks, byte-aligned) when it was encoded with
+  /// BitstreamMode::kPack; empty after a kCount frame.  Decodable by
+  /// enc::decode_frame; the decoder's output is bit-exact with
+  /// reconstructed().
   const std::vector<std::uint8_t>& bitstream() const { return bitstream_; }
 
   const EncoderConfig& config() const { return config_; }
@@ -132,7 +144,12 @@ class FrameEncoder {
   media::YuvFrame recon_;
   media::YuvFrame reference_;
   bool has_reference_ = false;
+  bool has_reconstruction_ = false;
+  /// The sink Compress writes the frame in progress to: frame_writer_
+  /// under BitstreamMode::kPack, frame_counter_ under kCount.
+  BitstreamMode mode_ = BitstreamMode::kPack;
   util::BitWriter frame_writer_;
+  util::BitCounter frame_counter_;
   std::vector<std::uint8_t> bitstream_;
 };
 

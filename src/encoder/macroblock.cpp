@@ -14,7 +14,8 @@ constexpr int kTb = media::kTransformSize;
 
 }  // namespace
 
-void put_frame_header(util::BitWriter& bw, const FrameHeader& header) {
+template <class Sink>
+void put_frame_header(Sink& bw, const FrameHeader& header) {
   media::put_ue(bw, static_cast<std::uint32_t>(header.mb_cols));
   media::put_ue(bw, static_cast<std::uint32_t>(header.mb_rows));
   media::put_ue(bw, static_cast<std::uint32_t>(header.qp));
@@ -39,8 +40,10 @@ bool get_frame_header(util::BitReader& br, FrameHeader* out) {
   return true;
 }
 
-void put_macroblock(util::BitWriter& bw, const MbHeader& header,
-                    const MbLevels& levels) {
+template <class Sink>
+std::int64_t put_macroblock(Sink& bw, const MbHeader& header,
+                            const MbLevels& levels) {
+  const std::int64_t before = bw.bit_count();
   bw.put_bit(header.intra);
   if (header.intra) {
     bw.put_bits(static_cast<std::uint64_t>(header.mode), 2);
@@ -49,7 +52,15 @@ void put_macroblock(util::BitWriter& bw, const MbHeader& header,
     media::put_se(bw, header.dy2);
   }
   for (const media::Coeffs8& block : levels) media::encode_block(bw, block);
+  return bw.bit_count() - before;
 }
+
+template void put_frame_header(util::BitWriter&, const FrameHeader&);
+template void put_frame_header(util::BitCounter&, const FrameHeader&);
+template std::int64_t put_macroblock(util::BitWriter&, const MbHeader&,
+                                     const MbLevels&);
+template std::int64_t put_macroblock(util::BitCounter&, const MbHeader&,
+                                     const MbLevels&);
 
 bool get_macroblock(util::BitReader& br, MbHeader* header,
                     MbLevels* levels) {

@@ -68,7 +68,13 @@ struct MbPrediction {
   std::array<std::array<media::Sample, 64>, 2> chroma;
 };
 
-void put_frame_header(util::BitWriter& bw, const FrameHeader& header);
+// The writers take the bit sink as a template parameter: a
+// util::BitWriter packs the syntax, a util::BitCounter only counts its
+// bits (an encoder whose output no decoder reads).  Both are
+// instantiated in macroblock.cpp, from the one statement of the syntax.
+
+template <class Sink>
+void put_frame_header(Sink& bw, const FrameHeader& header);
 
 /// Parses a frame header.  False on overrun, a side outside
 /// [1, kMaxMbPerSide] macroblocks, a quantizer outside
@@ -77,8 +83,10 @@ void put_frame_header(util::BitWriter& bw, const FrameHeader& header);
 /// allocates the frame).
 bool get_frame_header(util::BitReader& br, FrameHeader* out);
 
-void put_macroblock(util::BitWriter& bw, const MbHeader& header,
-                    const MbLevels& levels);
+/// Writes one macroblock; returns the number of bits appended.
+template <class Sink>
+std::int64_t put_macroblock(Sink& bw, const MbHeader& header,
+                            const MbLevels& levels);
 
 /// Parses one macroblock's header and its six level blocks.  False on
 /// an intra mode above 2, a vector component beyond

@@ -129,9 +129,52 @@ std::uint64_t zigzag_nonzero_mask(const std::array<std::uint8_t, 64>& flags) {
   return nonzero;
 }
 
+/// std::popcount without the POPCNT instruction the baseline ISA lacks
+/// (a library call there): the SWAR sum.
+constexpr int popcount64(std::uint64_t x) {
+  x -= (x >> 1) & 0x5555555555555555u;
+  x = (x & 0x3333333333333333u) + ((x >> 2) & 0x3333333333333333u);
+  x = (x + (x >> 4)) & 0x0f0f0f0f0f0f0f0fu;
+  return static_cast<int>((x * 0x0101010101010101u) >> 56);
+}
+
+/// The summed lengths of the run codes (with their flags) of a block
+/// whose zigzag nonzero mask is `nonzero`, with no walk.  A level's run
+/// code is 2·bit_width(d) bits, where d = run + 1 is its distance from
+/// the previous level (from position −1 for the first).  d ≥ 2^j
+/// exactly when the 2^j − 1 positions before the level lie in the
+/// block and hold zeros, so Σ bit_width(d) counts, for each j from 0
+/// to 6, the levels with at least 2^j − 1 zeros before them.
+constexpr int run_code_bits(std::uint64_t nonzero) {
+  const std::uint64_t zero = ~nonzero;
+  std::uint64_t before = zero << 1;  // the 1 position before holds a zero
+  int widths = popcount64(nonzero) + popcount64(nonzero & before);
+  for (int span = 2; span <= 32; span *= 2) {
+    // From span − 1 zeros before to 2·span − 1.
+    before &= (before << span) & (zero << span);
+    widths += popcount64(nonzero & before);
+  }
+  return 2 * widths;
+}
+
+static_assert(
+    [] {
+      for (std::uint32_t r = 0; r < 64; ++r) {
+        // A lone level after r zeros: its run code is the whole sum.
+        if (run_code_bits(std::uint64_t{1} << r) !=
+            static_cast<int>(kRunCodes[r] >> kLengthShift)) {
+          return false;
+        }
+      }
+      return true;
+    }(),
+    "run_code_bits must sum kRunCodes' lengths");
+
 /// encode_block for a block holding a level beyond kMaxLevel, whose
 /// codes can outgrow the packer: one put_bits-based code at a time.
-std::int64_t encode_block_wide(util::BitWriter& bw, const Coeffs8& levels,
+/// `Sink` is util::BitWriter or util::BitCounter.
+template <class Sink>
+std::int64_t encode_block_wide(Sink& bw, const Coeffs8& levels,
                                std::uint64_t nonzero) {
   const std::int64_t before = bw.bit_count();
   int next = 0;
@@ -309,6 +352,47 @@ std::int64_t encode_block(util::BitWriter& bw, const Coeffs8& levels) {
     packer.put(0, 1);  // end of block
   }
   return bw.bit_count() - before;
+}
+
+void put_ue(util::BitCounter& bc, std::uint32_t v) {
+  bc.add(2 * std::bit_width(static_cast<std::uint64_t>(v) + 1) - 1);
+}
+
+void put_se(util::BitCounter& bc, std::int32_t v) {
+  const std::uint64_t mapped = se_code_number(v);
+  QC_EXPECT(mapped <= UINT32_MAX,
+            "signed exp-Golomb value out of range (INT32_MIN)");
+  put_ue(bc, static_cast<std::uint32_t>(mapped));
+}
+
+std::int64_t encode_block(util::BitCounter& bc, const Coeffs8& levels) {
+  // The lengths of the codes encode_block packs, summed with no branch
+  // per level.  A nonzero level v's se() code is 2·bit_width(|v|) + 1
+  // bits and bit_width(0) = 0, so the level codes sum to
+  // nz + 2·Σ bit_width(|v|) over all 64 positions; bit_width(|v|) is
+  // bit_width(2|v| + 1) − 1, read off the float exponent like the
+  // packer's lengths.
+  std::array<std::uint8_t, 64> is_nonzero;
+  std::uint32_t widths = 0;
+  std::uint32_t wide = 0;
+  for (std::size_t j = 0; j < 64; ++j) {
+    const std::int32_t v = levels[j];
+    const auto u = static_cast<std::uint32_t>(v);
+    const std::uint32_t mag = v < 0 ? 0u - u : u;
+    widths += bit_width_below_2_24(2 * mag + 1) - 1;
+    is_nonzero[j] = static_cast<std::uint8_t>(v != 0);
+    wide |= static_cast<std::uint32_t>(mag > kMaxLevel);
+  }
+  const std::uint64_t nonzero = zigzag_nonzero_mask(is_nonzero);
+  // A level beyond kMaxLevel may be too long for the float bit_width:
+  // count the put_ue/put_se lengths, as encode_block writes them.
+  if (wide != 0) return encode_block_wide(bc, levels, nonzero);
+
+  const int nz = popcount64(nonzero);
+  const std::int64_t bits =
+      nz + 2 * std::int64_t{widths} + run_code_bits(nonzero) + 1;
+  bc.add(bits);
+  return bits;
 }
 
 bool decode_block(util::BitReader& br, Coeffs8& out) {

@@ -29,6 +29,13 @@ std::int32_t get_se(util::BitReader& br);
 /// appended to `bw`.
 std::int64_t encode_block(util::BitWriter& bw, const Coeffs8& levels);
 
+/// The same codes counted into a util::BitCounter, without forming
+/// them: each call adds the number of bits its BitWriter overload
+/// appends (which encode_block also returns).
+void put_ue(util::BitCounter& bc, std::uint32_t v);
+void put_se(util::BitCounter& bc, std::int32_t v);
+std::int64_t encode_block(util::BitCounter& bc, const Coeffs8& levels);
+
 /// Decodes one block previously written by encode_block into `out`.
 /// Returns false on a corrupt stream (zero-run past the end of the
 /// block, a level beyond kMaxLevel, or reader overrun) — hostile input

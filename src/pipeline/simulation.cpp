@@ -67,6 +67,19 @@ enc::FrameEncoder make_encoder(const PipelineConfig& config) {
   return enc::FrameEncoder(encoder_config, std::move(cost_model));
 }
 
+/// Debug check of an in-sync deliver(): the encoder's bytes decode,
+/// from the decoder's own picture, to the encoder's reconstruction.
+[[maybe_unused]] bool decodes_to_reconstruction(
+    const enc::FrameEncoder& encoder,
+    const std::optional<media::YuvFrame>& displayed) {
+  const enc::DecodeResult d = enc::decode_frame(
+      encoder.bitstream(), displayed ? &*displayed : nullptr);
+  const media::YuvFrame& recon = encoder.reconstructed();
+  return d.ok && d.frame.y.data() == recon.y.data() &&
+         d.frame.cb.data() == recon.cb.data() &&
+         d.frame.cr.data() == recon.cr.data();
+}
+
 }  // namespace
 
 StreamSession::StreamSession(const PipelineConfig& config, rt::Cycles budget,
@@ -185,9 +198,19 @@ FrameRecord StreamSession::encode(int index, rt::Cycles t0) {
     elapsed = 0;
   }
 
+  // A decoder reads the frame's bytes only while delivery is tracked
+  // and out of sync.  In sync, its picture is the encoder's reference,
+  // or the frame is all intra (no reference), and it would decode the
+  // bytes to the reconstruction bit for bit.
+  frame_in_sync_ = track_delivery_ &&
+                   (decoder_in_sync_ || !encoder_.has_reference());
+  const bool pack =
+      track_delivery_ && (!frame_in_sync_ || util::kDebugChecks);
   FrameRecord rec;
   static_cast<enc::FrameStats&>(rec) = encoder_.encode_frame(
-      input, *controller, *sys->system, rate_.qp(), elapsed);
+      input, *controller, *sys->system, rate_.qp(), elapsed,
+      pack ? enc::BitstreamMode::kPack : enc::BitstreamMode::kCount);
+  decoder_in_sync_ = false;  // the reconstruction moved on
   rate_.frame_encoded(rec.bits);
   rec.index = index;
   rec.scene_cut = video_.is_scene_cut(index);
@@ -237,23 +260,37 @@ void StreamSession::score(FrameRecord& rec, const media::Frame& source,
 
 const media::Frame* StreamSession::shown() const {
   if (track_delivery_) return displayed_ ? &displayed_->y : nullptr;
-  // The encoder emits a bitstream from its first frame on.
-  return encoder_.bitstream().empty() ? nullptr : &encoder_.reconstructed().y;
+  return encoder_.has_reconstruction() ? &encoder_.reconstructed().y
+                                       : nullptr;
 }
 
 FrameRecord StreamSession::deliver(FrameRecord rec) {
   if (!track_delivery_) return rec;
+  if (frame_in_sync_) {
+    // The decode would be the reconstruction encode() scored: show it
+    // with no bytes, no decode and no re-score.
+    QC_DCHECK(decodes_to_reconstruction(encoder_, displayed_),
+              "an in-sync frame must decode to the reconstruction");
+    displayed_ = encoder_.reconstructed();
+    decoder_in_sync_ = true;
+    if (kept_index_ == rec.index) {
+      kept_index_ = -1;
+      kept_luma_ = media::Frame();
+    }
+    return rec;
+  }
   enc::DecodeResult d = enc::decode_frame(
       encoder_.bitstream(), displayed_ ? &*displayed_ : nullptr);
   // Un-decodable at the receiver (e.g. an inter frame whose reference
   // never survived to the decoder): conceal instead of crashing — the
   // viewer keeps the previous picture.
   if (!d.ok) return lose(rec);
-  // Re-score against the *decoded* picture.  While encoder and
-  // decoder references agree the decode is bit-exact with the
-  // encoder's reconstruction and the scores are unchanged; after a
-  // concealment the decoder predicts from its stale reference, and
-  // the drift measured here is the real propagation cost.
+  // Re-score against the *decoded* picture: after a concealment the
+  // decoder predicts from its stale reference, and the drift measured
+  // here is the real propagation cost.  A frame whose macroblocks are
+  // all intra reads no reference, so it decodes to the reconstruction
+  // and re-syncs the chain.
+  decoder_in_sync_ = d.intra_macroblocks == macroblock_count(config_);
   displayed_ = std::move(d.frame);
   score(rec, source_luma(rec.index), shown());
   return rec;

@@ -189,14 +189,20 @@ class StreamSession {
   /// encoder's reconstruction and every score is unchanged, so
   /// fault-free runs skip the decode cost entirely.  While tracking,
   /// encode() keeps the frame's rendered luma until deliver() or lose()
-  /// scores it, so each encoded frame is rendered once.
+  /// scores it, so each encoded frame is rendered once.  Only a frame
+  /// the decoder cannot rebuild from its own picture is packed into
+  /// bytes and decoded; every other frame, tracked or not, is encoded
+  /// with bit counts only (enc::BitstreamMode::kCount).
   void track_delivery() { track_delivery_ = true; }
   bool tracking_delivery() const { return track_delivery_; }
 
   /// Marks the record encode() just produced as delivered.  With
   /// tracking, decodes the encoder's bitstream and re-scores
   /// PSNR/SSIM against the decoded picture; a malformed or
-  /// unreferenced decode is lose(rec) instead of a crash.
+  /// unreferenced decode is lose(rec) instead of a crash.  A frame
+  /// encoded in sync (the decoder's picture was the encoder's
+  /// reference, or the frame is all intra) is shown as the encoder's
+  /// reconstruction, and `rec` is returned as encode() scored it.
   FrameRecord deliver(FrameRecord rec);
 
   /// Marks the record encode() just produced as *not* delivered (a
@@ -265,6 +271,13 @@ class StreamSession {
   /// The decoder chain's displayed frame (and inter-prediction
   /// reference) when tracking; empty before the first delivery.
   std::optional<media::YuvFrame> displayed_;
+  /// displayed_ equals the encoder's reconstruction: no encoded frame
+  /// has been lost since the last frame delivered in sync (or since an
+  /// all-intra decode).
+  bool decoder_in_sync_ = false;
+  /// The frame encode() last produced was encoded in sync, so
+  /// deliver() needs neither its bytes nor a decode.
+  bool frame_in_sync_ = false;
   /// With tracking, the luma encode() rendered for frame kept_index_
   /// (-1: none), held only while that frame is in service: deliver()
   /// and lose() score against it and release it.

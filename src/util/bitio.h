@@ -4,10 +4,12 @@
 // replays them.  Both move whole 64-bit words: the writer packs bits
 // into a register and stores it big-endian once it is full, and the
 // reader serves every read from a 64-bit window at the current bit
-// position.  Every macroblock of every encoded frame passes through
-// them (about 1.6 kbit per macroblock at the farm's quantizers), so
-// they are on the encoder's hot path; the bit accounting stays exact
-// because the rate controller steers on it.
+// position.  Every macroblock of every frame a decoder reads passes
+// through them (about 1.6 kbit per macroblock at the farm's
+// quantizers), so they are on the encoder's hot path.  BitCounter
+// takes the same codes and only counts them, for frames no decoder
+// reads; the bit accounting stays exact either way because the rate
+// controller steers on it.
 #pragma once
 
 #include <array>
@@ -161,6 +163,26 @@ class BitWriter {
   std::size_t size_ = 0;
   std::uint64_t acc_ = 0;  // pending bits in the low 64 - free_ bits
   int free_ = 64;          // in [1, 64]
+};
+
+/// The bit sink that writes nothing: it takes the codes a BitWriter
+/// takes and only adds up their lengths, for an encoder whose output
+/// no decoder reads but whose size the rate controller and the cost
+/// model need.  The syntax is written once, as templates over the sink
+/// (enc::put_macroblock), so a count equals the packed length.
+class BitCounter {
+ public:
+  void put_bits(std::uint64_t /*value*/, int count) {
+    QC_EXPECT(count >= 0 && count <= 64, "bit count must be in [0, 64]");
+    bits_ += count;
+  }
+  void put_bit(bool /*bit*/) { ++bits_; }
+  /// Adds a length computed elsewhere (media::encode_block's count).
+  void add(std::int64_t bits) { bits_ += bits; }
+  std::int64_t bit_count() const { return bits_; }
+
+ private:
+  std::int64_t bits_ = 0;
 };
 
 /// MSB-first bit source over a byte buffer.  The buffer must outlive

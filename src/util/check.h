@@ -40,3 +40,15 @@ namespace qosctrl::util {
 #else
 #define QC_DCHECK(cond, msg) QC_EXPECT(cond, msg)
 #endif
+
+namespace qosctrl::util {
+
+/// True where QC_DCHECK checks: for a debug check that needs data the
+/// release build does not make (an in-sync frame's bytes, say).
+#ifdef NDEBUG
+inline constexpr bool kDebugChecks = false;
+#else
+inline constexpr bool kDebugChecks = true;
+#endif
+
+}  // namespace qosctrl::util

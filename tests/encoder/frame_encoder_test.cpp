@@ -149,6 +149,60 @@ TEST(FrameEncoder, DeterministicForFixedSeedAndController) {
   EXPECT_TRUE(ra.cr.data() == rb.cr.data());
 }
 
+// A counting encoder (BitstreamMode::kCount) and a packing one, fed the
+// same frames, controllers and cost-model draws, across a scene cut and
+// a reset_reference(): every FrameStats field and every reconstruction
+// agree, and only the packing one leaves bytes behind.
+TEST(FrameEncoder, CountingTwinMatchesPackingEncoder) {
+  media::VideoConfig vc;
+  vc.width = kW;
+  vc.height = kH;
+  vc.num_frames = 24;
+  vc.num_scenes = 2;  // the cut is frame 12
+  vc.seed = 99;
+  const media::SyntheticVideo video(vc);
+  const auto es = small_system();
+  FrameEncoder packing(small_encoder_config(), make_cost_model(4));
+  FrameEncoder counting(small_encoder_config(), make_cost_model(4));
+  qos::TableController cp(es.tables), cc(es.tables);
+  EXPECT_FALSE(counting.has_reconstruction());
+  for (int f = 0; f < vc.num_frames; ++f) {
+    if (f == 17) {
+      packing.reset_reference();
+      counting.reset_reference();
+    }
+    const media::YuvFrame input = video.frame_yuv(f);
+    const int qp = 2 + f % 7;
+    const FrameStats p = packing.encode_frame(input, cp, *es.system, qp);
+    const FrameStats c = counting.encode_frame(input, cc, *es.system, qp, 0,
+                                               BitstreamMode::kCount);
+    SCOPED_TRACE(testing::Message() << "frame " << f);
+    EXPECT_EQ(c.encode_cycles, p.encode_cycles);
+    EXPECT_EQ(c.phase_cycles, p.phase_cycles);
+    EXPECT_EQ(c.bits, p.bits);
+    EXPECT_EQ(c.deadline_misses, p.deadline_misses);
+    EXPECT_EQ(c.mean_quality, p.mean_quality);
+    EXPECT_EQ(c.min_quality, p.min_quality);
+    EXPECT_EQ(c.max_quality, p.max_quality);
+    EXPECT_EQ(c.quality_change_sum, p.quality_change_sum);
+    EXPECT_EQ(c.intra_macroblocks, p.intra_macroblocks);
+    EXPECT_EQ(c.qp, p.qp);
+    EXPECT_EQ(static_cast<std::int64_t>(packing.bitstream().size()),
+              (p.bits + 7) / 8);
+    EXPECT_TRUE(counting.bitstream().empty());
+    EXPECT_TRUE(counting.has_reconstruction());
+    const media::YuvFrame& rp = packing.reconstructed();
+    const media::YuvFrame& rc = counting.reconstructed();
+    EXPECT_TRUE(rc.y.data() == rp.y.data());
+    EXPECT_TRUE(rc.cb.data() == rp.cb.data());
+    EXPECT_TRUE(rc.cr.data() == rp.cr.data());
+  }
+  // After counted frames, a packed one is whole again.
+  packing.encode_frame(video.frame_yuv(0), cp, *es.system, 8);
+  counting.encode_frame(video.frame_yuv(0), cc, *es.system, 8);
+  EXPECT_EQ(counting.bitstream(), packing.bitstream());
+}
+
 TEST(FrameEncoder, LateStartShrinksChosenQuality) {
   const auto video = small_video();
   const auto es = small_system();

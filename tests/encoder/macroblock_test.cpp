@@ -1,5 +1,5 @@
 // The macroblock codec on its own: header put/get round trips and
-// rejections, and the decoder's prediction of inter vectors out to the
+// rejections, counts equal to packed lengths, and the decoder's prediction of inter vectors out to the
 // ends of the legal range, which the encoder never writes (its widest
 // vector is 17 half pels), checked at every border macroblock against
 // a border-clamped compensation written here.
@@ -143,6 +143,54 @@ TEST(MacroblockCodec, InterHeadersRoundTripOverTheVectorRange) {
                            MbLevels{}, &got, &got_levels));
     EXPECT_EQ(got.dx2, v);
     EXPECT_EQ(got.dy2, -v);
+  }
+}
+
+// Counting (util::BitCounter) goes through the same put_* templates as
+// packing, so every header and macroblock counts its packed length.
+TEST(MacroblockCodec, CountEqualsPackedLength) {
+  util::Rng rng(8);
+  std::vector<MbHeader> headers;
+  for (const media::IntraMode mode :
+       {media::IntraMode::kDc, media::IntraMode::kHorizontal,
+        media::IntraMode::kVertical}) {
+    headers.push_back({true, mode, 0, 0});
+  }
+  for (const int v : {-kMaxVectorHalfPel, -1, 0, 1, kMaxVectorHalfPel}) {
+    headers.push_back({false, media::IntraMode::kDc, v, -v});
+    headers.push_back({false, media::IntraMode::kDc, v, kMaxVectorHalfPel});
+  }
+  for (int i = 0; i < 200; ++i) {
+    headers.push_back(
+        {false, media::IntraMode::kDc,
+         static_cast<int>(
+             rng.uniform_i64(-kMaxVectorHalfPel, kMaxVectorHalfPel)),
+         static_cast<int>(
+             rng.uniform_i64(-kMaxVectorHalfPel, kMaxVectorHalfPel))});
+  }
+  util::BitWriter stream;
+  util::BitCounter stream_count;
+  for (const MbHeader& header : headers) {
+    for (const MbLevels& levels : {random_levels(rng), MbLevels{}}) {
+      util::BitWriter bw;
+      util::BitCounter bc;
+      const std::int64_t packed = put_macroblock(bw, header, levels);
+      EXPECT_EQ(packed, bw.bit_count());
+      EXPECT_EQ(put_macroblock(bc, header, levels), packed);
+      EXPECT_EQ(bc.bit_count(), packed);
+      put_macroblock(stream, header, levels);
+      put_macroblock(stream_count, header, levels);
+    }
+  }
+  EXPECT_EQ(stream_count.bit_count(), stream.bit_count());
+  for (const FrameHeader h : {FrameHeader{1, 1, media::kMinQp},
+                              FrameHeader{11, 9, 2},
+                              FrameHeader{kMaxMbPerSide, 3, media::kMaxQp}}) {
+    util::BitWriter bw;
+    util::BitCounter bc;
+    put_frame_header(bw, h);
+    put_frame_header(bc, h);
+    EXPECT_EQ(bc.bit_count(), bw.bit_count());
   }
 }
 

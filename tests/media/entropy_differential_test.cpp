@@ -4,11 +4,13 @@
 // words, kept here verbatim (plus the level bound decode_block gained
 // since).  Random put_bits sequences, valid / truncated / bit-flipped
 // streams and raw random bytes must produce the same bytes, values,
-// bits_consumed() and overrun() after every call.
+// bits_consumed() and overrun() after every call.  The counting
+// overloads (util::BitCounter) must add exactly the packed lengths.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <bit>
+#include <cstdint>
 #include <cstdlib>
 #include <optional>
 #include <string>
@@ -589,6 +591,78 @@ TEST(EntropyDifferential, PackedBlocksBetweenPutBitsAtEveryAlignment) {
       ASSERT_EQ(bw.bit_count(), ref.bit_count()) << "align " << align;
     }
     ASSERT_EQ(bw.finish(), ref.finish()) << "align " << align;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Counting: the util::BitCounter overloads add exactly the bits the
+// BitWriter overloads pack.
+
+/// The packed length of `levels`, checked against the counted one.
+void expect_count_equals_pack(const Coeffs8& levels) {
+  util::BitWriter bw;
+  util::BitCounter bc;
+  const std::int64_t packed = encode_block(bw, levels);
+  ASSERT_EQ(packed, bw.bit_count());
+  ASSERT_EQ(encode_block(bc, levels), packed);
+  ASSERT_EQ(bc.bit_count(), packed);
+}
+
+TEST(EntropyCount, BlockCountEqualsPackedLength) {
+  util::Rng rng(2203);
+  expect_count_equals_pack(Coeffs8{});
+  Coeffs8 full{};
+  Coeffs8 edge{};
+  for (std::size_t i = 0; i < 64; ++i) {
+    full[i] = static_cast<std::int32_t>(rng.uniform_i64(1, 3)) *
+              (i % 3 == 0 ? -1 : 1);
+    edge[i] = (i % 2 == 0) ? kMaxLevel : -kMaxLevel;
+  }
+  expect_count_equals_pack(full);  // all 64 nonzero, runs of 0
+  expect_count_equals_pack(edge);  // all 64 at +-kMaxLevel
+  Coeffs8 last{};
+  last[static_cast<std::size_t>(zigzag_order()[63])] = kMaxLevel;
+  expect_count_equals_pack(last);  // run 63
+  for (const std::int32_t wide :
+       {kMaxLevel + 1, -kMaxLevel - 1, std::int32_t{INT16_MAX},
+        std::int32_t{INT16_MIN}}) {
+    Coeffs8 b = full;
+    b[static_cast<std::size_t>(rng.uniform_i64(0, 63))] = wide;
+    expect_count_equals_pack(b);
+  }
+  for (int i = 0; i < 2000; ++i) {
+    // Levels within kMaxLevel (the masked sum) and out to the int16
+    // range (the put_ue/put_se lengths).
+    expect_count_equals_pack(random_block(rng, i % 2 == 0 ? 10 : 15));
+    expect_count_equals_pack(
+        farm_like_block(rng, static_cast<int>(rng.uniform_i64(0, 64))));
+  }
+}
+
+TEST(EntropyCount, ExpGolombCountsEqualPackedLengths) {
+  util::Rng rng(2204);
+  std::vector<std::uint32_t> ue = {0, 1, 2, 62, 63, 64, UINT32_MAX - 1,
+                                   UINT32_MAX};
+  std::vector<std::int32_t> se = {0, 1, -1, kMaxLevel, -kMaxLevel, INT32_MAX,
+                                  INT32_MIN + 1};
+  for (int i = 0; i < 500; ++i) {
+    ue.push_back(static_cast<std::uint32_t>(rng.next_u64() >>
+                                            rng.uniform_i64(32, 63)));
+    se.push_back(random_level(rng, 30));
+  }
+  for (const std::uint32_t v : ue) {
+    util::BitWriter bw;
+    util::BitCounter bc;
+    put_ue(bw, v);
+    put_ue(bc, v);
+    EXPECT_EQ(bc.bit_count(), bw.bit_count()) << "ue " << v;
+  }
+  for (const std::int32_t v : se) {
+    util::BitWriter bw;
+    util::BitCounter bc;
+    put_se(bw, v);
+    put_se(bc, v);
+    EXPECT_EQ(bc.bit_count(), bw.bit_count()) << "se " << v;
   }
 }
 
