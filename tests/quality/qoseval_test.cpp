@@ -9,6 +9,7 @@
 
 #include <string>
 
+#include "farm/farm_test_util.h"
 #include "farm/load_gen.h"
 #include "farm/metrics.h"
 
@@ -114,6 +115,13 @@ TEST(QosEval, SweepIsBitIdenticalAcrossWorkerCounts) {
   const SweepResult b = run_sweep(two);
   EXPECT_EQ(to_csv(a), to_csv(b));
   EXPECT_EQ(summarize(a), summarize(b));
+}
+
+// The grid CSV's bytes: header, column order and number formatting.
+TEST(QosEval, GridCsvIsPinned) {
+  const std::string csv = to_csv(run_sweep(small_grid()));
+  EXPECT_EQ(farm::fnv1a(csv), 0x2d63aa4509d89e90ULL)
+      << std::hex << " got 0x" << farm::fnv1a(csv);
 }
 
 TEST(QosEval, ControlledDominatesTheFixedQualityBaseline) {
