@@ -3,7 +3,6 @@
 #include <iomanip>
 #include <sstream>
 #include <string_view>
-#include <type_traits>
 
 #include "encoder/body.h"
 #include "obs/buildinfo.h"
@@ -32,34 +31,18 @@ rt::Cycles final_budget(const StreamOutcome& so) {
                         : epochs.back().table_budget;
 }
 
-/// Appends one CSV cell: text verbatim, integers (and bools, as 0/1)
-/// whole, doubles at round-trip precision, as the stream they replace
-/// printed them.
-template <class T>
-void csv_cell(util::JsonWriter& w, const T& v) {
-  if constexpr (std::is_convertible_v<T, std::string_view>) {
-    w.raw(std::string_view(v));
-  } else if constexpr (std::is_floating_point_v<T>) {
-    w.raw_number(v);
-  } else {
-    w.raw_integer(static_cast<long long>(v));
-  }
-}
-
 /// Appends ",<value>" for each value.
 template <class... Ts>
 void csv_fields(util::JsonWriter& w, const Ts&... values) {
-  ((w.raw(','), csv_cell(w, values)), ...);
+  ((w.raw(','), util::csv_cell(w, values)), ...);
 }
 
-/// The CSV stream table, one `column(name, value)` call per column in
-/// order: the request and the admission verdict from `so`, the outcome
-/// from `ran` — `so` itself, or for a rejected stream a stream that
-/// never ran (processor -1, every other outcome 0).  The one list that
-/// writes the header, admitted rows and rejected rows.
+/// The stream table's request columns, one `column(name, value)` call
+/// per column in order: the offered stream and the admission verdict.
+/// The JSON and the CSV write every stream from these and
+/// outcome_columns, by the value's type.
 template <class Column>
-void stream_columns(const StreamOutcome& so, const StreamOutcome& ran,
-                    Column&& column) {
+void request_columns(const StreamOutcome& so, Column&& column) {
   column("id", so.spec.id);
   column("mode", mode_name(so.spec.mode));
   column("width", so.spec.width);
@@ -69,25 +52,39 @@ void stream_columns(const StreamOutcome& so, const StreamOutcome& ran,
   column("join_time", so.spec.join_time);
   column("num_frames", so.spec.num_frames);
   column("admitted", so.placement.admitted);
-  const Placement& pl = ran.placement;
-  const pipe::PipelineResult& res = ran.result;
-  const StreamFaultStats& f = ran.faults;
+}
+
+/// The stream table's outcome columns, in order.  The JSON writes them
+/// for admitted streams only; the CSV writes a rejected stream's from
+/// a stream that never ran (processor -1, every other outcome 0).
+template <class Column>
+void outcome_columns(const StreamOutcome& so, Column&& column) {
+  const Placement& pl = so.placement;
+  const pipe::PipelineResult& res = so.result;
   column("processor", pl.processor);
   column("table_budget", pl.table_budget);
   column("committed_cost", pl.committed_cost);
   column("migrated", pl.migrated);
   column("degraded", pl.degraded);
   column("split", pl.split);
+  column("tail_processor", pl.tail_processor);
   column("via_renegotiation", pl.via_renegotiation);
-  column("renegotiated", ran.renegotiated);
-  column("restored", ran.restored);
-  column("final_budget", final_budget(ran));
+  column("renegotiated", so.renegotiated);
+  column("restored", so.restored);
+  column("final_budget", final_budget(so));
   column("initial_quality", pl.initial_quality);
   column("skips", res.total_skips);
-  column("display_misses", ran.display_misses);
+  column("concealed", res.total_concealed);
+  column("display_misses", so.display_misses);
   column("internal_misses", res.total_deadline_misses);
-  column("max_start_lag", ran.max_start_lag);
-  column("mean_start_lag", ran.mean_start_lag);
+  column("max_start_lag", so.max_start_lag);
+  column("mean_start_lag", so.mean_start_lag);
+  column("start_lag_p95", so.start_lag_p95);
+  for (const auto& [name, tally] : kFaultTallies) {
+    column(name, so.faults.*tally);
+  }
+  column("quarantined", so.faults.quarantines > 0);
+  column("failovers", so.failover.size());
   column("mean_psnr", res.mean_psnr);
   column("psnr_p5", res.psnr_stats.p5);
   column("psnr_min", res.psnr_stats.min);
@@ -96,18 +93,6 @@ void stream_columns(const StreamOutcome& so, const StreamOutcome& ran,
   column("ssim_min", res.ssim_stats.min);
   column("mean_quality", res.mean_quality);
   column("kbps", res.achieved_bps / 1e3);
-  column("concealed", res.total_concealed);
-  column("start_lag_p95", ran.start_lag_p95);
-  column("overruns_injected", f.overruns_injected);
-  column("overruns_policed", f.overruns_policed);
-  column("aborted_frames", f.aborted_frames);
-  column("forced_downgrades", f.forced_downgrades);
-  column("quarantines", f.quarantines);
-  column("quarantine_drops", f.quarantine_drops);
-  column("lost_frames", f.lost_frames);
-  column("failure_drops", f.failure_drops);
-  column("quarantined", f.quarantines > 0);
-  column("failovers", ran.failover.size());
 }
 
 }  // namespace
@@ -340,15 +325,9 @@ std::string to_json(const FarmResult& r) {
   w.key("mean_psnr").number(r.fleet_mean_psnr);
   w.key("mean_ssim").number(r.fleet_mean_ssim);
   w.key("total_concealed").integer(r.total_concealed);
-  const StreamFaultStats& ft = r.faults_total;
-  w.key("overruns_injected").integer(ft.overruns_injected);
-  w.key("overruns_policed").integer(ft.overruns_policed);
-  w.key("aborted_frames").integer(ft.aborted_frames);
-  w.key("forced_downgrades").integer(ft.forced_downgrades);
-  w.key("quarantines").integer(ft.quarantines);
-  w.key("quarantine_drops").integer(ft.quarantine_drops);
-  w.key("lost_frames").integer(ft.lost_frames);
-  w.key("failure_drops").integer(ft.failure_drops);
+  for (const auto& [name, tally] : kFaultTallies) {
+    w.key(name).integer(r.faults_total.*tally);
+  }
   w.key("quarantined_streams").integer(r.quarantined_streams);
   w.key("failover_readmissions").integer(r.failover_readmissions);
   w.key("failover_drops").integer(r.failover_drops);
@@ -403,59 +382,17 @@ std::string to_json(const FarmResult& r) {
   w.end_array();
 
   w.key("streams").begin_array();
+  const auto member = [&w](std::string_view name, const auto& value) {
+    w.key(name).value(value);
+  };
   for (const StreamOutcome& so : r.streams) {
-    const Placement& pl = so.placement;
     w.begin_object();
-    w.key("id").integer(so.spec.id);
-    w.key("mode").string(mode_name(so.spec.mode));
-    w.key("width").integer(so.spec.width);
-    w.key("height").integer(so.spec.height);
-    w.key("buffer_capacity").integer(so.spec.buffer_capacity);
-    w.key("frame_period").integer(period_of(so.spec));
-    w.key("join_time").integer(so.spec.join_time);
-    w.key("num_frames").integer(so.spec.num_frames);
-    w.key("admitted").boolean(pl.admitted);
-    if (!pl.admitted) {
-      w.key("reason").string(pl.reason).end_object();
+    request_columns(so, member);
+    if (!so.placement.admitted) {
+      w.key("reason").string(so.placement.reason).end_object();
       continue;
     }
-    w.key("processor").integer(pl.processor);
-    w.key("table_budget").integer(pl.table_budget);
-    w.key("committed_cost").integer(pl.committed_cost);
-    w.key("migrated").boolean(pl.migrated);
-    w.key("degraded").boolean(pl.degraded);
-    w.key("split").boolean(pl.split);
-    w.key("tail_processor").integer(pl.tail_processor);
-    w.key("via_renegotiation").boolean(pl.via_renegotiation);
-    w.key("renegotiated").boolean(so.renegotiated);
-    w.key("restored").boolean(so.restored);
-    w.key("final_budget").integer(final_budget(so));
-    w.key("initial_quality").integer(pl.initial_quality);
-    w.key("skips").integer(so.result.total_skips);
-    w.key("concealed").integer(so.result.total_concealed);
-    w.key("display_misses").integer(so.display_misses);
-    w.key("internal_misses").integer(so.result.total_deadline_misses);
-    w.key("max_start_lag").integer(so.max_start_lag);
-    w.key("mean_start_lag").number(so.mean_start_lag);
-    w.key("start_lag_p95").integer(so.start_lag_p95);
-    w.key("overruns_injected").integer(so.faults.overruns_injected);
-    w.key("overruns_policed").integer(so.faults.overruns_policed);
-    w.key("aborted_frames").integer(so.faults.aborted_frames);
-    w.key("forced_downgrades").integer(so.faults.forced_downgrades);
-    w.key("quarantines").integer(so.faults.quarantines);
-    w.key("quarantine_drops").integer(so.faults.quarantine_drops);
-    w.key("lost_frames").integer(so.faults.lost_frames);
-    w.key("failure_drops").integer(so.faults.failure_drops);
-    w.key("quarantined").boolean(so.faults.quarantines > 0);
-    w.key("failovers").integer(static_cast<long long>(so.failover.size()));
-    w.key("mean_psnr").number(so.result.mean_psnr);
-    w.key("psnr_p5").number(so.result.psnr_stats.p5);
-    w.key("psnr_min").number(so.result.psnr_stats.min);
-    w.key("mean_ssim").number(so.result.mean_ssim);
-    w.key("ssim_p5").number(so.result.ssim_stats.p5);
-    w.key("ssim_min").number(so.result.ssim_stats.min);
-    w.key("mean_quality").number(so.result.mean_quality);
-    w.key("kbps").number(so.result.achieved_bps / 1e3);
+    outcome_columns(so, member);
     w.key("phase_cycles").begin_object();
     for (int ph = 0; ph < enc::kNumEncodePhases; ++ph) {
       w.key(enc::encode_phase_name(static_cast<enc::EncodePhase>(ph)))
@@ -512,23 +449,12 @@ std::string to_json(const FarmResult& r) {
 std::string to_csv(const FarmResult& r) {
   util::JsonWriter w;
   const StreamOutcome never_ran;
-  std::string_view sep = "";
-  stream_columns(never_ran, never_ran,
-                 [&](std::string_view name, const auto&) {
-                   w.raw(sep).raw(name);
-                   sep = ",";
-                 });
-  for (const StreamOutcome& so : r.streams) {
-    w.raw('\n');
-    sep = "";
-    stream_columns(so, so.placement.admitted ? so : never_ran,
-                   [&](std::string_view, const auto& value) {
-                     w.raw(sep);
-                     csv_cell(w, value);
-                     sep = ",";
-                   });
-  }
-  w.raw('\n');
+  util::csv_table(w, never_ran, r.streams,
+                  [&](const StreamOutcome& so, auto&& column) {
+                    request_columns(so, column);
+                    outcome_columns(so.placement.admitted ? so : never_ran,
+                                    column);
+                  });
   // Metrics table, blank-line separated from the stream table so the
   // file stays trivially splittable.
   w.raw("\nmetric,kind,count,sum,min,max,p50,p95,p99\n");

@@ -18,14 +18,7 @@ namespace qosctrl::farm {
 namespace {
 
 StreamFaultStats& operator+=(StreamFaultStats& a, const StreamFaultStats& b) {
-  a.overruns_injected += b.overruns_injected;
-  a.overruns_policed += b.overruns_policed;
-  a.aborted_frames += b.aborted_frames;
-  a.forced_downgrades += b.forced_downgrades;
-  a.quarantines += b.quarantines;
-  a.quarantine_drops += b.quarantine_drops;
-  a.lost_frames += b.lost_frames;
-  a.failure_drops += b.failure_drops;
+  for (const auto& [name, tally] : kFaultTallies) a.*tally += b.*tally;
   return a;
 }
 

@@ -58,6 +58,7 @@
 //    decisions), so a run is a pure function of (scenario, config).
 #pragma once
 
+#include <utility>
 #include <vector>
 
 #include "farm/admission.h"
@@ -134,6 +135,23 @@ struct StreamFaultStats {
   int lost_frames = 0;        ///< post-encode losses (loss injection)
   int failure_drops = 0;      ///< frames lost to a processor blackout
 };
+
+/// Every StreamFaultStats tally under its report name, in declaration
+/// order: the one list the fleet sum and the reports read.
+inline constexpr std::pair<const char*, int StreamFaultStats::*>
+    kFaultTallies[] = {
+        {"overruns_injected", &StreamFaultStats::overruns_injected},
+        {"overruns_policed", &StreamFaultStats::overruns_policed},
+        {"aborted_frames", &StreamFaultStats::aborted_frames},
+        {"forced_downgrades", &StreamFaultStats::forced_downgrades},
+        {"quarantines", &StreamFaultStats::quarantines},
+        {"quarantine_drops", &StreamFaultStats::quarantine_drops},
+        {"lost_frames", &StreamFaultStats::lost_frames},
+        {"failure_drops", &StreamFaultStats::failure_drops},
+};
+static_assert(sizeof(StreamFaultStats) ==
+                  std::size(kFaultTallies) * sizeof(int),
+              "kFaultTallies must list every StreamFaultStats tally");
 
 /// One re-admission of a stream displaced mid-life: by a permanent
 /// processor failure (failure_index >= 0 — the control plane releases

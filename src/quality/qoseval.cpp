@@ -6,6 +6,7 @@
 #include <sstream>
 
 #include "util/check.h"
+#include "util/json.h"
 #include "util/parallel.h"
 
 namespace qosctrl::quality {
@@ -299,27 +300,34 @@ std::string summarize(const SweepResult& result) {
 }
 
 std::string to_csv(const SweepResult& result) {
-  std::ostringstream os;
-  os << std::setprecision(17);
-  os << "scenario,scenario_name,quality_policy,sched_policy,renegotiate,"
-        "faulted,offered,admitted,rejected,total_frames,skips,"
-        "display_misses,internal_misses,concealed,miss_rate,mean_psnr,"
-        "mean_ssim,psnr_p5,fused_quality,slo_violations,slo_worst_window,"
-        "slo_budget_remaining,slo_met\n";
-  for (const CellResult& c : result.cells) {
-    os << c.scenario << ',' << c.scenario_name << ','
-       << quality_policy_name(c.quality_policy) << ','
-       << sched::policy_name(c.sched.kind) << ','
-       << (c.renegotiate ? 1 : 0) << ',' << (c.faulted ? 1 : 0) << ','
-       << c.offered << ','
-       << c.admitted << ',' << c.rejected << ',' << c.total_frames << ','
-       << c.skips << ',' << c.display_misses << ',' << c.internal_misses
-       << ',' << c.concealed << ',' << c.miss_rate << ',' << c.mean_psnr
-       << ',' << c.mean_ssim << ',' << c.psnr_p5 << ',' << c.fused_quality
-       << ',' << c.slo_violations << ',' << c.slo_worst_window << ','
-       << c.slo_budget_remaining << ',' << (c.slo_met ? 1 : 0) << '\n';
-  }
-  return os.str();
+  const auto columns = [](const CellResult& c, auto&& column) {
+    column("scenario", c.scenario);
+    column("scenario_name", c.scenario_name);
+    column("quality_policy", quality_policy_name(c.quality_policy));
+    column("sched_policy", sched::policy_name(c.sched.kind));
+    column("renegotiate", c.renegotiate);
+    column("faulted", c.faulted);
+    column("offered", c.offered);
+    column("admitted", c.admitted);
+    column("rejected", c.rejected);
+    column("total_frames", c.total_frames);
+    column("skips", c.skips);
+    column("display_misses", c.display_misses);
+    column("internal_misses", c.internal_misses);
+    column("concealed", c.concealed);
+    column("miss_rate", c.miss_rate);
+    column("mean_psnr", c.mean_psnr);
+    column("mean_ssim", c.mean_ssim);
+    column("psnr_p5", c.psnr_p5);
+    column("fused_quality", c.fused_quality);
+    column("slo_violations", c.slo_violations);
+    column("slo_worst_window", c.slo_worst_window);
+    column("slo_budget_remaining", c.slo_budget_remaining);
+    column("slo_met", c.slo_met);
+  };
+  util::JsonWriter w;
+  util::csv_table(w, CellResult{}, result.cells, columns);
+  return w.take();
 }
 
 }  // namespace qosctrl::quality

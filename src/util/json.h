@@ -1,6 +1,7 @@
 // The reports' JSON format in one module: an append-only writer that
-// every report emitter builds its text with, and a minimal document
-// model with a recursive-descent parser.
+// every report emitter builds its text with (the CSV tables too, through
+// its raw appends and csv_table), and a minimal document model with a
+// recursive-descent parser.
 //
 // qosreport (tools/qosreport_main.cpp) reads the farm's own JSON
 // export back in to render the HTML dashboard, so the parser only has
@@ -15,15 +16,17 @@
 #include <cstring>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
 namespace qosctrl::util {
 
 /// Append-only text builder for the JSON reports (and, through its raw
-/// appends, the CSV report).  Integers and doubles are written with
-/// std::to_chars; a double prints as printf's "%.17g" would, which
-/// round-trips, and must be finite (checked: JSON has no infinities).  String values are escaped per RFC 8259: the quote,
+/// appends, the CSV tables: csv_table below).  Integers and doubles are
+/// written with std::to_chars; a double prints as printf's "%.17g"
+/// would, which round-trips, and must be finite (checked: JSON has no
+/// infinities).  String values are escaped per RFC 8259: the quote,
 /// the backslash and every control character (as \u00XX).  The structural
 /// calls insert the separating commas themselves, so an object's
 /// members or an array's items are written one after another.
@@ -57,6 +60,20 @@ class JsonWriter {
   /// "3.0"), anything else as number().
   JsonWriter& integral_or_number(double v);
   JsonWriter& boolean(bool b);
+  /// A value by its C++ type: bool as boolean(), text as string(),
+  /// floating point as number(), any other arithmetic type as integer().
+  template <class T>
+  JsonWriter& value(const T& v) {
+    if constexpr (std::is_same_v<T, bool>) {
+      return boolean(v);
+    } else if constexpr (std::is_convertible_v<T, std::string_view>) {
+      return string(v);
+    } else if constexpr (std::is_floating_point_v<T>) {
+      return number(v);
+    } else {
+      return integer(static_cast<long long>(v));
+    }
+  }
   /// Already-serialized JSON written as one item: a value, or inside an
   /// object a run of members.
   JsonWriter& json(std::string_view text);
@@ -103,6 +120,43 @@ class JsonWriter {
   std::size_t len_ = 0;
   bool need_comma_ = false;
 };
+
+/// Appends one CSV cell, typed as JsonWriter::value() types it: text
+/// verbatim, integers (and bools, as 0/1) whole, doubles at round-trip
+/// precision.
+template <class T>
+void csv_cell(JsonWriter& w, const T& v) {
+  if constexpr (std::is_convertible_v<T, std::string_view>) {
+    w.raw(std::string_view(v));
+  } else if constexpr (std::is_floating_point_v<T>) {
+    w.raw_number(v);
+  } else {
+    w.raw_integer(static_cast<long long>(v));
+  }
+}
+
+/// Appends a CSV table: a header line, then one line per row, each
+/// ended by a newline.  `columns(row, column)` calls `column(name,
+/// value)` once per column, in order; the header takes the names from
+/// `columns(header_row, ...)`.  No cell may hold a comma or a newline.
+template <class Row, class Rows, class Columns>
+void csv_table(JsonWriter& w, const Row& header_row, const Rows& rows,
+               Columns&& columns) {
+  std::string_view sep = "";  // not {}: raw() hands its data to memcpy
+  columns(header_row, [&](std::string_view name, const auto&) {
+    w.raw(sep).raw(name);
+    sep = ",";
+  });
+  for (const auto& row : rows) {
+    w.raw('\n');
+    sep = "";
+    columns(row, [&](std::string_view, const auto& value) {
+      csv_cell(w.raw(sep), value);
+      sep = ",";
+    });
+  }
+  w.raw('\n');
+}
 
 enum class JsonKind { kNull, kBool, kNumber, kString, kArray, kObject };
 

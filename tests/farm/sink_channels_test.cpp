@@ -12,7 +12,9 @@
 //    one writer.  faulted_preemptive's SLOs cover an integral, a
 //    fractional and a window-multiple threshold and raise an alert.
 //  * Agreement: within one run the registry counters, the series track
-//    counts and the trace event counts describe the same frames.
+//    counts and the trace event counts describe the same frames, and
+//    the CSV's stream table holds the JSON report's stream keys and
+//    values.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -181,11 +183,13 @@ struct PinnedReports {
 /// displayed started scoring 0, and split_limited_mix's JSON when the
 /// tail processor's peak started counting its split tail.  Every pair
 /// (and every metrics digest above) was re-recorded when the
-/// always-zero admission_check_points counter left the registry.
+/// always-zero admission_check_points counter left the registry.  The
+/// CSV digests were re-recorded when the stream table took the JSON's
+/// key order and gained tail_processor (same cells otherwise).
 const std::array<PinnedReports, 3> kPinnedReports = {{
-    {0x3307775ca5c7bf75ULL, 0xcb9b047fc82d1abfULL},
-    {0x9e533fdc5a439661ULL, 0x092078ddc31d941eULL},
-    {0x41453014bd56a689ULL, 0x54d000a64f80bdcaULL},
+    {0x3307775ca5c7bf75ULL, 0xc4593b10a92d43beULL},
+    {0x9e533fdc5a439661ULL, 0x663880b441db951cULL},
+    {0x41453014bd56a689ULL, 0x1b435f4987daf10bULL},
 }};
 
 TEST(SinkBytes, ReportDigestsArePinnedAtOneAndFourWorkers) {
@@ -264,6 +268,104 @@ TEST(SinkBytes, PinnedRunsEmitEveryEventKind) {
     if (k == static_cast<int>(obs::EventKind::kDeadlineMiss)) continue;
     EXPECT_TRUE(seen.count(k)) << "event kind " << k << " never emitted";
   }
+}
+
+/// The cells of one CSV line (no report cell holds a comma).
+std::vector<std::string> csv_cells(const std::string& line) {
+  std::vector<std::string> cells;
+  std::size_t from = 0;
+  for (std::size_t at; (at = line.find(',', from)) != std::string::npos;
+       from = at + 1) {
+    cells.push_back(line.substr(from, at - from));
+  }
+  cells.push_back(line.substr(from));
+  return cells;
+}
+
+/// A JSON value as the CSV writes it: text verbatim, booleans as 0/1,
+/// numbers at round-trip precision (so equal cells parse back equal).
+bool cell_matches(const std::string& cell, const util::JsonValue& v) {
+  switch (v.kind()) {
+    case util::JsonKind::kBool:
+      return cell == (v.as_bool() ? "1" : "0");
+    case util::JsonKind::kNumber:
+      return !cell.empty() && std::stod(cell) == v.as_number();
+    case util::JsonKind::kString:
+      return cell == v.as_string();
+    default:
+      return false;
+  }
+}
+
+// The stream table is one list written twice.  The CSV header is an
+// admitted stream's JSON keys in order, less the nested phase_cycles
+// object; every admitted row holds that stream's JSON values; a
+// rejected row holds the outcome of a stream that never ran
+// (processors -1, everything else 0); and a rejected stream's JSON
+// object holds the request columns and its reason, nothing else.  The
+// scenarios cover a split stream (tail_processor 1), failovers and
+// faults, and rejections.
+TEST(StreamReport, CsvColumnsAreTheJsonStreamKeys) {
+  const std::vector<FarmResult> runs = {
+      run(kPinned[0], 1), run(kPinned[1], 1),
+      run_farm(split_limited_mix(), two_proc_config())};
+  int admitted = 0, rejected = 0, tails = 0;
+  for (const FarmResult& r : runs) {
+    util::JsonValue doc;
+    std::string error;
+    ASSERT_TRUE(util::parse_json(to_json(r), &doc, &error)) << error;
+    const std::vector<util::JsonValue>& streams =
+        doc.find("streams", util::JsonKind::kArray)->items();
+    // The stream table ends at the blank line before the metrics table.
+    const std::string csv = to_csv(r);
+    const std::size_t table_end = csv.find("\n\n");
+    ASSERT_NE(table_end, std::string::npos);
+    std::vector<std::vector<std::string>> lines;
+    for (std::size_t from = 0; from <= table_end;) {
+      const std::size_t at = csv.find('\n', from);
+      lines.push_back(csv_cells(csv.substr(from, at - from)));
+      from = at + 1;
+    }
+    const std::vector<std::string>& header = lines.front();
+    ASSERT_EQ(lines.size(), streams.size() + 1);
+    for (std::size_t i = 0; i < streams.size(); ++i) {
+      const auto& members = streams[i].members();
+      const std::vector<std::string>& row = lines[i + 1];
+      ASSERT_EQ(row.size(), header.size());
+      if (!r.streams[i].placement.admitted) {
+        ++rejected;
+        ASSERT_EQ(members.back().first, "reason");
+        const std::size_t request = members.size() - 1;
+        ASSERT_EQ(header.at(request - 1), "admitted");
+        for (std::size_t c = 0; c < header.size(); ++c) {
+          if (c < request) {
+            EXPECT_EQ(members[c].first, header[c]);
+            EXPECT_TRUE(cell_matches(row[c], members[c].second))
+                << header[c] << "=" << row[c];
+          } else {
+            const bool proc =
+                header[c] == "processor" || header[c] == "tail_processor";
+            EXPECT_EQ(row[c], proc ? "-1" : "0") << header[c];
+          }
+        }
+        continue;
+      }
+      ++admitted;
+      if (r.streams[i].placement.tail_processor >= 0) ++tails;
+      std::vector<std::string> keys;
+      for (const auto& [key, value] : members) keys.push_back(key);
+      ASSERT_EQ(keys.back(), "phase_cycles");
+      keys.pop_back();
+      ASSERT_EQ(keys, header);
+      for (std::size_t c = 0; c < header.size(); ++c) {
+        EXPECT_TRUE(cell_matches(row[c], members[c].second))
+            << "stream " << i << " " << header[c] << "=" << row[c];
+      }
+    }
+  }
+  EXPECT_GT(admitted, 0);
+  EXPECT_GT(rejected, 0);
+  EXPECT_GT(tails, 0);
 }
 
 long long counter(const FarmResult& r, const char* name) {

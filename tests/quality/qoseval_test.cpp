@@ -7,7 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <string>
+#include <vector>
 
 #include "farm/farm_test_util.h"
 #include "farm/load_gen.h"
@@ -59,6 +62,42 @@ TEST(QosEval, FusionFixedPointsAndDiscounting) {
             fuse_stream_quality(35.0, 0.9, 1.0, 0.0, 0.0));
   EXPECT_LT(fuse_stream_quality(35.0, 0.8, 1.0, 0.0, 0.0),
             fuse_stream_quality(35.0, 0.9, 1.0, 0.0, 0.0));
+}
+
+// The PCR5 fusion treats its two sources alike and rewards either one
+// improving: on a 401x401 grid of supports (i/400, j/400; the PSNRs
+// 20 + i/16 make psnr_support exact) the fused value is symmetric to
+// within one ulp of 1, the top of its range (the two conflict terms are
+// summed in argument order, which moves the result by up to 2.2e-16),
+// and never decreases as either support grows, so a better metric
+// cannot lower a stream's score or flip a Pareto ranking.
+TEST(QosEval, Pcr5FusionIsSymmetricAndMonotone) {
+  constexpr int kSteps = 400;
+  std::vector<double> fused((kSteps + 1) * (kSteps + 1));
+  const auto at = [&](int i, int j) -> double& {
+    return fused[static_cast<std::size_t>(i * (kSteps + 1) + j)];
+  };
+  for (int i = 0; i <= kSteps; ++i) {
+    for (int j = 0; j <= kSteps; ++j) {
+      at(i, j) = fuse_stream_quality(20.0 + i / 16.0, j / 400.0, 1.0, 0.0,
+                                     0.0);
+    }
+  }
+  int asymmetric = 0, decreasing = 0;
+  for (int i = 0; i <= kSteps; ++i) {
+    for (int j = 0; j <= kSteps; ++j) {
+      const double v = at(i, j);
+      if (std::abs(at(j, i) - v) > std::numeric_limits<double>::epsilon()) {
+        ++asymmetric;
+      }
+      if ((i < kSteps && at(i + 1, j) < v) ||
+          (j < kSteps && at(i, j + 1) < v)) {
+        ++decreasing;
+      }
+    }
+  }
+  EXPECT_EQ(asymmetric, 0);
+  EXPECT_EQ(decreasing, 0);
 }
 
 TEST(QosEval, LatencyTailDiscountsTheFusedScore) {
