@@ -86,6 +86,7 @@ class JsonWriter {
 
   /// Raw appends: no separators, quoting or escaping.
   JsonWriter& raw(std::string_view text) {
+    if (text.empty()) return *this;  // a default view's data() is null
     std::memcpy(room(text.size()), text.data(), text.size());
     len_ += text.size();
     return *this;
@@ -142,14 +143,14 @@ void csv_cell(JsonWriter& w, const T& v) {
 template <class Row, class Rows, class Columns>
 void csv_table(JsonWriter& w, const Row& header_row, const Rows& rows,
                Columns&& columns) {
-  std::string_view sep = "";  // not {}: raw() hands its data to memcpy
+  std::string_view sep;
   columns(header_row, [&](std::string_view name, const auto&) {
     w.raw(sep).raw(name);
     sep = ",";
   });
   for (const auto& row : rows) {
     w.raw('\n');
-    sep = "";
+    sep = {};
     columns(row, [&](std::string_view, const auto& value) {
       csv_cell(w.raw(sep), value);
       sep = ",";
