@@ -1,7 +1,5 @@
 #include "farm/metrics.h"
 
-#include <iomanip>
-#include <sstream>
 #include <string_view>
 
 #include "encoder/body.h"
@@ -37,12 +35,130 @@ void csv_fields(util::JsonWriter& w, const Ts&... values) {
   ((w.raw(','), util::csv_cell(w, values)), ...);
 }
 
-/// The stream table's request columns, one `column(name, value)` call
-/// per column in order: the offered stream and the admission verdict.
-/// The JSON and the CSV write every stream from these and
-/// outcome_columns, by the value's type.
-template <class Column>
-void request_columns(const StreamOutcome& so, Column&& column) {
+// Every report table is one list of `column(name, value)` calls, in
+// the JSON's order.  to_json writes each row as an object of these
+// members, summarize as one "<label>: name=value ..." text row
+// (util::text_row), and to_csv writes the stream table from them.
+
+/// The seeds the run was played with, after the build provenance.
+/// fault_seed 0 means the fault draws were derived from the farm seed.
+constexpr auto seed_columns = [](const FarmResult& r, auto&& column) {
+  column("farm_seed", r.farm_seed);
+  column("fault_seed", r.fault_spec.seed);
+};
+
+/// The fleet object is these columns, then fault_total_columns, then
+/// quality_columns; the summary gives each run its own row.
+constexpr auto fleet_columns = [](const FarmResult& r, auto&& column) {
+  column("policy", sched::policy_name(r.sched.policy.kind));
+  column("quantum", r.sched.policy.quantum);
+  column("context_switch_cost", r.sched.policy.context_switch_cost);
+  column("renegotiate", r.sched.renegotiate);
+  column("restore", r.sched.restore);
+  column("split", r.sched.split);
+  column("preemptions", r.total_preemptions);
+  column("overhead_cycles", r.total_overhead_cycles);
+  column("total_streams", r.total_streams);
+  column("admitted", r.admitted);
+  column("rejected", r.rejected);
+  column("migrated", r.migrated);
+  column("degraded", r.degraded);
+  column("split_streams", r.split_streams);
+  column("admitted_via_renegotiation", r.admitted_via_renegotiation);
+  column("renegotiated_streams", r.renegotiated_streams);
+  column("restored_streams", r.restored_streams);
+  column("rejection_rate", r.rejection_rate);
+  column("total_frames", r.total_frames);
+  column("encoded_frames", r.encoded_frames);
+  column("total_skips", r.total_skips);
+  column("display_misses", r.total_display_misses);
+  column("internal_misses", r.total_internal_misses);
+  column("mean_psnr", r.fleet_mean_psnr);
+  column("mean_ssim", r.fleet_mean_ssim);
+  column("total_concealed", r.total_concealed);
+};
+
+constexpr auto fault_total_columns = [](const FarmResult& r,
+                                        auto&& column) {
+  for (const auto& [name, tally] : kFaultTallies) {
+    column(name, r.faults_total.*tally);
+  }
+  column("quarantined_streams", r.quarantined_streams);
+  column("failover_readmissions", r.failover_readmissions);
+  column("failover_drops", r.failover_drops);
+};
+
+constexpr auto quality_columns = [](const FarmResult& r, auto&& column) {
+  column("mean_quality", r.fleet_mean_quality);
+  column("quality_histogram", r.quality_histogram);
+};
+
+constexpr auto fault_spec_columns = [](const FaultSpec& f, auto&& column) {
+  column("overrun_probability", f.overrun.probability);
+  column("overrun_factor", f.overrun.factor);
+  column("overrun_policy", overrun_policy_name(f.overrun.policy));
+  column("loss_probability", f.loss.probability);
+};
+
+constexpr auto failure_columns = [](const FailureOutcome& fo,
+                                    auto&& column) {
+  column("processor", fo.event.processor);
+  column("time", fo.event.time);
+  column("permanent", fo.event.permanent());
+  column("repair", fo.event.repair);
+  column("displaced", fo.displaced);
+  column("readmitted", fo.readmitted);
+  column("dropped", fo.dropped);
+  column("recovered", fo.recovered);
+  column("first_recovery", fo.first_recovery);
+  column("full_recovery", fo.full_recovery);
+};
+
+constexpr auto processor_columns = [](const FarmResult& r, std::size_t p,
+                                      auto&& column) {
+  const ProcessorOutcome& po = r.processors[p];
+  column("processor", p);
+  column("streams", po.streams_hosted);
+  column("frames", po.frames_encoded);
+  column("busy_cycles", po.busy_cycles);
+  column("span_cycles", po.span_cycles);
+  column("utilization", po.utilization());
+  column("preemptions", po.preemptions);
+  column("overhead_cycles", po.overhead_cycles);
+  column("failed", po.failed);
+  column("failed_at", po.failed_at);
+  column("fault_conceals", po.fault_conceals);
+  column("peak_committed_utilization", po.peak_committed_utilization);
+};
+
+/// The shards object's counts; its per_shard array is shard_columns.
+constexpr auto shards_columns = [](const FarmResult& r, auto&& column) {
+  column("count", r.shards);
+  column("join_batches", r.join_batches);
+  column("max_join_batch", r.max_join_batch);
+  column("rebalance_migrations", r.rebalance_migrations);
+};
+
+constexpr auto shard_columns = [](const FarmResult& r, std::size_t s,
+                                  auto&& column) {
+  const ShardOutcome& sh = r.shard_outcomes[s];
+  column("shard", s);
+  column("first_processor", sh.first_processor);
+  column("num_processors", sh.num_processors);
+  column("admitted", sh.admitted);
+  column("probe_admits", sh.probe_admits);
+  column("rejected", sh.rejected);
+  column("migrations_in", sh.migrations_in);
+  column("migrations_out", sh.migrations_out);
+  column("demand_tests", sh.demand_tests);
+  column("peak_committed_utilization", sh.peak_committed_utilization);
+};
+
+/// The stream table's request columns: the offered stream and the
+/// admission verdict.  The JSON and the CSV write every stream from
+/// these and outcome_columns.
+constexpr auto request_columns = [](const StreamOutcome& so,
+                                    auto&& column) {
   column("id", so.spec.id);
   column("mode", mode_name(so.spec.mode));
   column("width", so.spec.width);
@@ -52,13 +168,13 @@ void request_columns(const StreamOutcome& so, Column&& column) {
   column("join_time", so.spec.join_time);
   column("num_frames", so.spec.num_frames);
   column("admitted", so.placement.admitted);
-}
+};
 
-/// The stream table's outcome columns, in order.  The JSON writes them
-/// for admitted streams only; the CSV writes a rejected stream's from
-/// a stream that never ran (processor -1, every other outcome 0).
-template <class Column>
-void outcome_columns(const StreamOutcome& so, Column&& column) {
+/// The stream table's outcome columns.  The JSON writes them for
+/// admitted streams only; the CSV writes a rejected stream's from a
+/// stream that never ran (processor -1, every other outcome 0).
+constexpr auto outcome_columns = [](const StreamOutcome& so,
+                                    auto&& column) {
   const Placement& pl = so.placement;
   const pipe::PipelineResult& res = so.result;
   column("processor", pl.processor);
@@ -93,338 +209,126 @@ void outcome_columns(const StreamOutcome& so, Column&& column) {
   column("ssim_min", res.ssim_stats.min);
   column("mean_quality", res.mean_quality);
   column("kbps", res.achieved_bps / 1e3);
-}
+};
+
+/// A stream's scalar members: the request, then a rejected stream's
+/// reason or an admitted stream's outcome.
+constexpr auto stream_columns = [](const StreamOutcome& so, auto&& column) {
+  request_columns(so, column);
+  if (so.placement.admitted) {
+    outcome_columns(so, column);
+  } else {
+    column("reason", so.placement.reason);
+  }
+};
+
+/// The trace counts, top-level members of the JSON; the per-buffer
+/// drops (one per processor, then the control plane) only when traced.
+constexpr auto trace_columns = [](const FarmResult& r, auto&& column) {
+  column("trace_events", r.trace.size());
+  column("trace_dropped", r.trace_dropped);
+  if (!r.trace_dropped_per_buffer.empty()) {
+    column("trace_dropped_per_buffer", r.trace_dropped_per_buffer);
+  }
+};
 
 }  // namespace
 
 std::string summarize(const FarmResult& r) {
-  std::ostringstream os;
-  // Provenance first.  fault_seed 0 means the fault draws were
-  // derived from the farm seed.
-  os << obs::version_line("qosfarm") << " seed=" << r.farm_seed
-     << " fault_seed=" << r.fault_spec.seed << "\n";
-  os << "policy=" << sched::policy_name(r.sched.policy.kind);
-  if (r.sched.policy.kind == sched::PolicyKind::kQuantumEdf) {
-    os << " quantum=" << r.sched.policy.quantum;
-  }
-  os << " ctx_switch=" << r.sched.policy.context_switch_cost
-     << " renegotiation=" << (r.sched.renegotiate ? "on" : "off")
-     << " restore=" << (r.sched.restore ? "on" : "off")
-     << " split=" << (r.sched.split ? "on" : "off")
-     << " preemptions=" << r.total_preemptions
-     << " overhead_Mcycles="
-     << static_cast<double>(r.total_overhead_cycles) / 1e6 << "\n"
-     << "streams=" << r.total_streams << " admitted=" << r.admitted
-     << " rejected=" << r.rejected << " (rate=" << std::fixed
-     << std::setprecision(2) << r.rejection_rate << ")"
-     << " migrated=" << r.migrated << " degraded=" << r.degraded
-     << " split=" << r.split_streams
-     << " via_renegotiation=" << r.admitted_via_renegotiation
-     << " renegotiated=" << r.renegotiated_streams
-     << " restored=" << r.restored_streams << "\n"
-     << "frames=" << r.total_frames << " encoded=" << r.encoded_frames
-     << " skips=" << r.total_skips << " concealed=" << r.total_concealed
-     << " display_misses=" << r.total_display_misses
-     << " internal_misses=" << r.total_internal_misses << std::setprecision(3)
-     << " mean_psnr=" << r.fleet_mean_psnr
-     << " mean_ssim=" << r.fleet_mean_ssim
-     << " mean_quality=" << r.fleet_mean_quality << "\n";
+  util::JsonWriter w;
+  w.raw(obs::version_line("qosfarm"));
+  util::text_row(w, seed_columns, r);
+  w.raw("fleet:");
+  util::text_row(w, fleet_columns, r);
+  // Fault rows only when faults were injected; the JSON always has them.
   if (r.fault_spec.any()) {
-    const StreamFaultStats& ft = r.faults_total;
-    os << "faults: overrun_p=" << r.fault_spec.overrun.probability
-       << " factor=" << r.fault_spec.overrun.factor << " policy="
-       << overrun_policy_name(r.fault_spec.overrun.policy)
-       << " loss_p=" << r.fault_spec.loss.probability
-       << " failures=" << r.fault_spec.failures.size() << "\n"
-       << "fault totals: overruns=" << ft.overruns_injected
-       << " policed=" << ft.overruns_policed
-       << " aborted=" << ft.aborted_frames
-       << " downgrades=" << ft.forced_downgrades
-       << " quarantines=" << ft.quarantines
-       << " quarantine_drops=" << ft.quarantine_drops
-       << " lost=" << ft.lost_frames
-       << " failure_drops=" << ft.failure_drops
-       << " quarantined_streams=" << r.quarantined_streams
-       << " failover_readmissions=" << r.failover_readmissions
-       << " failover_drops=" << r.failover_drops << "\n";
+    w.raw("faults:");
+    util::text_row(w, fault_spec_columns, r.fault_spec);
+    w.raw("fault totals:");
+    util::text_row(w, fault_total_columns, r);
   }
+  w.raw("quality:");
+  util::text_row(w, quality_columns, r);
   for (std::size_t k = 0; k < r.failures.size(); ++k) {
-    const FailureOutcome& fo = r.failures[k];
-    os << "failure " << k << ": proc=" << fo.event.processor
-       << " at_Mcycles=" << static_cast<double>(fo.event.time) / 1e6
-       << (fo.event.permanent() ? " permanent" : " transient");
-    if (!fo.event.permanent()) {
-      os << " repair_Mcycles=" << static_cast<double>(fo.event.repair) / 1e6;
-    }
-    os << " displaced=" << fo.displaced << " readmitted=" << fo.readmitted
-       << " dropped=" << fo.dropped << " recovered=" << fo.recovered;
-    if (fo.first_recovery >= 0) {
-      os << " first_recovery_Mcycles="
-         << static_cast<double>(fo.first_recovery) / 1e6
-         << " full_recovery_Mcycles="
-         << static_cast<double>(fo.full_recovery) / 1e6;
-    }
-    os << "\n";
+    w.raw("failure ").raw_unsigned(k).raw(':');
+    util::text_row(w, failure_columns, r.failures[k]);
   }
-  os << "quality histogram:";
-  for (std::size_t q = 0; q < r.quality_histogram.size(); ++q) {
-    os << " q" << q << "=" << r.quality_histogram[q];
-  }
-  os << "\n";
   for (std::size_t p = 0; p < r.processors.size(); ++p) {
-    const ProcessorOutcome& po = r.processors[p];
-    os << "proc " << p << ": streams=" << po.streams_hosted
-       << " frames=" << po.frames_encoded << " busy_Mcycles="
-       << static_cast<double>(po.busy_cycles) / 1e6
-       << " util=" << po.utilization()
-       << " peak_committed=" << po.peak_committed_utilization
-       << " preemptions=" << po.preemptions;
-    if (po.failed) {
-      os << " FAILED at_Mcycles=" << static_cast<double>(po.failed_at) / 1e6;
-    }
-    if (po.fault_conceals > 0) os << " fault_conceals=" << po.fault_conceals;
-    os << "\n";
-  }
-  // Per-shard lines only when the control plane is actually sharded:
-  // the single-shard summary stays byte-stable.
-  if (r.shards > 1) {
-    os << "shards=" << r.shards << " join_batches=" << r.join_batches
-       << " max_join_batch=" << r.max_join_batch
-       << " rebalance_migrations=" << r.rebalance_migrations << "\n";
-    for (std::size_t s = 0; s < r.shard_outcomes.size(); ++s) {
-      const ShardOutcome& sh = r.shard_outcomes[s];
-      os << "shard " << s << ": procs=[" << sh.first_processor << ","
-         << sh.first_processor + sh.num_processors << ")"
-         << " admitted=" << sh.admitted
-         << " probe_admits=" << sh.probe_admits
-         << " rejected=" << sh.rejected
-         << " migrations_in=" << sh.migrations_in
-         << " migrations_out=" << sh.migrations_out
-         << " demand_tests=" << sh.demand_tests
-         << " peak_committed=" << sh.peak_committed_utilization << "\n";
-    }
+    w.raw("proc ").raw_unsigned(p).raw(':');
+    util::text_row(w, processor_columns, r, p);
   }
   for (const StreamOutcome& so : r.streams) {
-    os << "stream " << so.spec.id << " [" << mode_name(so.spec.mode) << " "
-       << so.spec.width << "x" << so.spec.height << " K="
-       << so.spec.buffer_capacity << "]: ";
-    if (!so.placement.admitted) {
-      os << "REJECTED (" << so.placement.reason << ")\n";
-      continue;
-    }
-    os << "proc=" << so.placement.processor
-       << " budget_Mcycles="
-       << static_cast<double>(so.placement.table_budget) / 1e6
-       << (so.placement.migrated ? " migrated" : "")
-       << (so.placement.degraded ? " degraded" : "")
-       << (so.placement.via_renegotiation ? " via_renegotiation" : "");
-    if (so.placement.split) {
-      os << " split tail_proc=" << so.placement.tail_processor
-         << " head_Mcycles="
-         << static_cast<double>(so.placement.head_cost) / 1e6;
-    }
-    if (so.renegotiated || so.restored) {
-      // Label by where the budget ended up, not by which events ever
-      // happened: a stream shrunk again after a restore is reported
-      // as renegotiated.
-      const std::vector<BudgetEpoch>& epochs = active_epochs(so);
-      const bool ended_shrunk =
-          epochs.back().table_budget < so.placement.table_budget;
-      os << (ended_shrunk ? " renegotiated->Mcycles="
-                          : " restored->Mcycles=")
-         << static_cast<double>(epochs.back().table_budget) / 1e6;
-    }
-    os << " q_initial=" << so.placement.initial_quality
-       << " frames=" << so.result.frames.size()
-       << " skips=" << so.result.total_skips
-       << " concealed=" << so.result.total_concealed
-       << " display_misses=" << so.display_misses
-       << " internal_misses=" << so.result.total_deadline_misses
-       << " mean_psnr=" << so.result.mean_psnr
-       << " psnr_p5=" << so.result.psnr_stats.p5
-       << " psnr_min=" << so.result.psnr_stats.min
-       << " mean_ssim=" << so.result.mean_ssim
-       << " mean_quality=" << so.result.mean_quality;
-    if (so.faults.overruns_injected > 0 || so.faults.lost_frames > 0 ||
-        so.faults.failure_drops > 0 || so.faults.quarantines > 0) {
-      os << " overruns=" << so.faults.overruns_injected << "/policed="
-         << so.faults.overruns_policed
-         << " downgrades=" << so.faults.forced_downgrades
-         << " lost=" << so.faults.lost_frames
-         << " failure_drops=" << so.faults.failure_drops;
-      if (so.faults.quarantines > 0) os << " QUARANTINED";
-    }
-    if (!so.failover.empty()) {
-      os << " failovers=" << so.failover.size() << " (->proc";
-      for (const FailoverSegment& seg : so.failover) {
-        os << ' ' << seg.placement.processor;
-      }
-      os << ")";
-    }
-    os << "\n";
+    w.raw("stream ").raw_integer(so.spec.id).raw(':');
+    util::text_row(w, stream_columns, so);
   }
-  os << r.metrics.summary();
-  // Windowed series and SLO sections only when asked for, so the
-  // default summary stays byte-stable.
+  // Shard rows only when the control plane is actually sharded, as in
+  // the JSON.
+  if (r.shards > 1) {
+    w.raw("shards:");
+    util::text_row(w, shards_columns, r);
+    for (std::size_t s = 0; s < r.shard_outcomes.size(); ++s) {
+      w.raw("shard ").raw_unsigned(s).raw(':');
+      util::text_row(w, shard_columns, r, s);
+    }
+  }
+  w.raw(r.metrics.summary());
+  // Windowed series and SLO sections only when asked for.
   if (r.series.window > 0) {
-    os << "timeseries: window=" << r.series.window
-       << " last_window=" << r.series.last_window() << "\n"
-       << r.series.summary();
+    w.raw("timeseries:").pair("window").integer(r.series.window).raw('\n');
+    w.raw(r.series.summary());
   }
-  if (!r.slo.objectives.empty()) os << obs::slo_summary(r.slo);
-  os << "trace: events=" << r.trace.size()
-     << " trace_dropped=" << r.trace_dropped;
-  // Per-buffer overflow attribution (tracing only): which processor's
-  // ring actually lost events.
-  if (!r.trace_dropped_per_buffer.empty()) {
-    os << " (";
-    for (std::size_t b = 0; b < r.trace_dropped_per_buffer.size(); ++b) {
-      const bool control = b + 1 == r.trace_dropped_per_buffer.size();
-      os << (b ? " " : "")
-         << (control ? std::string("control") : "cpu" + std::to_string(b))
-         << '=' << r.trace_dropped_per_buffer[b];
-    }
-    os << ")";
-  }
-  os << "\n";
-  return os.str();
+  if (!r.slo.objectives.empty()) w.raw(obs::slo_summary(r.slo));
+  w.raw("trace:");
+  util::text_row(w, trace_columns, r);
+  return w.take();
 }
 
 std::string to_json(const FarmResult& r) {
   util::JsonWriter w;
-  w.begin_object().key("build").begin_object().json(obs::build_json_fields());
-  w.key("farm_seed").integer(static_cast<long long>(r.farm_seed));
-  // 0 = the fault draws were derived from the farm seed.
-  w.key("fault_seed").integer(static_cast<long long>(r.fault_spec.seed));
-  w.end_object();
-
-  w.key("fleet").begin_object();
-  w.key("policy").string(sched::policy_name(r.sched.policy.kind));
-  w.key("quantum").integer(r.sched.policy.quantum);
-  w.key("context_switch_cost").integer(r.sched.policy.context_switch_cost);
-  w.key("renegotiate").boolean(r.sched.renegotiate);
-  w.key("restore").boolean(r.sched.restore);
-  w.key("split").boolean(r.sched.split);
-  w.key("preemptions").integer(r.total_preemptions);
-  w.key("overhead_cycles").integer(r.total_overhead_cycles);
-  w.key("total_streams").integer(r.total_streams);
-  w.key("admitted").integer(r.admitted);
-  w.key("rejected").integer(r.rejected);
-  w.key("migrated").integer(r.migrated);
-  w.key("degraded").integer(r.degraded);
-  w.key("split_streams").integer(r.split_streams);
-  w.key("admitted_via_renegotiation").integer(r.admitted_via_renegotiation);
-  w.key("renegotiated_streams").integer(r.renegotiated_streams);
-  w.key("restored_streams").integer(r.restored_streams);
-  w.key("rejection_rate").number(r.rejection_rate);
-  w.key("total_frames").integer(r.total_frames);
-  w.key("encoded_frames").integer(r.encoded_frames);
-  w.key("total_skips").integer(r.total_skips);
-  w.key("display_misses").integer(r.total_display_misses);
-  w.key("internal_misses").integer(r.total_internal_misses);
-  w.key("mean_psnr").number(r.fleet_mean_psnr);
-  w.key("mean_ssim").number(r.fleet_mean_ssim);
-  w.key("total_concealed").integer(r.total_concealed);
-  for (const auto& [name, tally] : kFaultTallies) {
-    w.key(name).integer(r.faults_total.*tally);
-  }
-  w.key("quarantined_streams").integer(r.quarantined_streams);
-  w.key("failover_readmissions").integer(r.failover_readmissions);
-  w.key("failover_drops").integer(r.failover_drops);
-  w.key("mean_quality").number(r.fleet_mean_quality);
-  w.key("quality_histogram").begin_array();
-  for (const long long n : r.quality_histogram) w.integer(n);
-  w.end_array().end_object();
-
-  w.key("faults").begin_object();
-  w.key("overrun_probability").number(r.fault_spec.overrun.probability);
-  w.key("overrun_factor").number(r.fault_spec.overrun.factor);
-  w.key("overrun_policy")
-      .string(overrun_policy_name(r.fault_spec.overrun.policy));
-  w.key("loss_probability").number(r.fault_spec.loss.probability);
-  w.end_object();
-
-  w.key("failures").begin_array();
-  for (const FailureOutcome& fo : r.failures) {
-    w.begin_object();
-    w.key("processor").integer(fo.event.processor);
-    w.key("time").integer(fo.event.time);
-    w.key("permanent").boolean(fo.event.permanent());
-    w.key("repair").integer(fo.event.repair);
-    w.key("displaced").integer(fo.displaced);
-    w.key("readmitted").integer(fo.readmitted);
-    w.key("dropped").integer(fo.dropped);
-    w.key("recovered").integer(fo.recovered);
-    w.key("first_recovery").integer(fo.first_recovery);
-    w.key("full_recovery").integer(fo.full_recovery);
-    w.end_object();
-  }
-  w.end_array();
-
-  w.key("processors").begin_array();
-  for (std::size_t p = 0; p < r.processors.size(); ++p) {
-    const ProcessorOutcome& po = r.processors[p];
-    w.begin_object();
-    w.key("processor").integer(static_cast<long long>(p));
-    w.key("streams").integer(po.streams_hosted);
-    w.key("frames").integer(po.frames_encoded);
-    w.key("busy_cycles").integer(po.busy_cycles);
-    w.key("span_cycles").integer(po.span_cycles);
-    w.key("utilization").number(po.utilization());
-    w.key("preemptions").integer(po.preemptions);
-    w.key("overhead_cycles").integer(po.overhead_cycles);
-    w.key("failed").boolean(po.failed);
-    w.key("failed_at").integer(po.failed_at);
-    w.key("fault_conceals").integer(po.fault_conceals);
-    w.key("peak_committed_utilization").number(po.peak_committed_utilization);
-    w.end_object();
-  }
-  w.end_array();
-
-  w.key("streams").begin_array();
   const auto member = [&w](std::string_view name, const auto& value) {
     w.key(name).value(value);
   };
+  const auto object = [&](const auto& columns, const auto&... row) {
+    w.begin_object();
+    columns(row..., member);
+    w.end_object();
+  };
+  w.begin_object().key("build").begin_object().json(obs::build_json_fields());
+  seed_columns(r, member);
+  w.end_object().key("fleet").begin_object();
+  fleet_columns(r, member);
+  fault_total_columns(r, member);
+  quality_columns(r, member);
+  w.end_object().key("faults");
+  object(fault_spec_columns, r.fault_spec);
+  w.key("failures").begin_array();
+  for (const FailureOutcome& fo : r.failures) object(failure_columns, fo);
+  w.end_array().key("processors").begin_array();
+  for (std::size_t p = 0; p < r.processors.size(); ++p) {
+    object(processor_columns, r, p);
+  }
+  w.end_array().key("streams").begin_array();
   for (const StreamOutcome& so : r.streams) {
     w.begin_object();
-    request_columns(so, member);
-    if (!so.placement.admitted) {
-      w.key("reason").string(so.placement.reason).end_object();
-      continue;
+    stream_columns(so, member);
+    if (so.placement.admitted) {
+      w.key("phase_cycles").begin_object();
+      for (int ph = 0; ph < enc::kNumEncodePhases; ++ph) {
+        w.key(enc::encode_phase_name(static_cast<enc::EncodePhase>(ph)))
+            .integer(so.result.phase_cycles[static_cast<std::size_t>(ph)]);
+      }
+      w.end_object();
     }
-    outcome_columns(so, member);
-    w.key("phase_cycles").begin_object();
-    for (int ph = 0; ph < enc::kNumEncodePhases; ++ph) {
-      w.key(enc::encode_phase_name(static_cast<enc::EncodePhase>(ph)))
-          .integer(so.result.phase_cycles[static_cast<std::size_t>(ph)]);
-    }
-    w.end_object().end_object();
+    w.end_object();
   }
   w.end_array();
-
   // Shard block only when sharded, so single-shard JSON is unchanged.
   if (r.shards > 1) {
     w.key("shards").begin_object();
-    w.key("count").integer(r.shards);
-    w.key("join_batches").integer(r.join_batches);
-    w.key("max_join_batch").integer(r.max_join_batch);
-    w.key("rebalance_migrations").integer(r.rebalance_migrations);
+    shards_columns(r, member);
     w.key("per_shard").begin_array();
     for (std::size_t s = 0; s < r.shard_outcomes.size(); ++s) {
-      const ShardOutcome& sh = r.shard_outcomes[s];
-      w.begin_object();
-      w.key("shard").integer(static_cast<long long>(s));
-      w.key("first_processor").integer(sh.first_processor);
-      w.key("num_processors").integer(sh.num_processors);
-      w.key("admitted").integer(sh.admitted);
-      w.key("probe_admits").integer(sh.probe_admits);
-      w.key("rejected").integer(sh.rejected);
-      w.key("migrations_in").integer(sh.migrations_in);
-      w.key("migrations_out").integer(sh.migrations_out);
-      w.key("demand_tests").integer(sh.demand_tests);
-      w.key("peak_committed_utilization")
-          .number(sh.peak_committed_utilization);
-      w.end_object();
+      object(shard_columns, r, s);
     }
     w.end_array().end_object();
   }
@@ -435,13 +339,7 @@ std::string to_json(const FarmResult& r) {
   if (!r.slo.objectives.empty()) {
     w.key("slo").json(obs::slo_to_json(r.slo));
   }
-  w.key("trace_events").integer(static_cast<long long>(r.trace.size()));
-  w.key("trace_dropped").integer(r.trace_dropped);
-  if (!r.trace_dropped_per_buffer.empty()) {
-    w.key("trace_dropped_per_buffer").begin_array();
-    for (const long long n : r.trace_dropped_per_buffer) w.integer(n);
-    w.end_array();
-  }
+  trace_columns(r, member);
   w.end_object();
   return w.take();
 }
@@ -457,13 +355,14 @@ std::string to_csv(const FarmResult& r) {
                   });
   // Metrics table, blank-line separated from the stream table so the
   // file stays trivially splittable.
-  w.raw("\nmetric,kind,count,sum,min,max,p50,p95,p99\n");
+  const auto stat_cell = [&w](auto, long long v) { w.raw(',').raw_integer(v); };
+  w.raw("\nmetric,kind");
+  obs::histogram_stats({}, [&w](auto n, long long) { w.raw(',').raw(n); });
   for (const auto& [name, h] : r.metrics.histograms()) {
-    w.raw(name).raw(",histogram");
-    csv_fields(w, h.count(), h.sum(), h.min(), h.max(), h.percentile(0.50),
-               h.percentile(0.95), h.percentile(0.99));
-    w.raw('\n');
+    w.raw('\n').raw(name).raw(",histogram");
+    obs::histogram_stats(h, stat_cell);
   }
+  w.raw('\n');
   for (const auto& [name, v] : r.metrics.counters()) {
     w.raw(name).raw(",counter");
     csv_fields(w, v, v);

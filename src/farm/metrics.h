@@ -10,8 +10,9 @@
 
 namespace qosctrl::farm {
 
-/// Multi-line human-readable report (fleet line, processor table,
-/// stream table).
+/// The JSON document's tables as text: the build provenance line, then
+/// one "<label>: name=value ..." row per table row, with the JSON's
+/// member names, order and value text (docs/cli.md, "Text summary").
 std::string summarize(const FarmResult& result);
 
 /// JSON document with fleet aggregates, processors, and per-stream

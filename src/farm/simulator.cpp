@@ -39,6 +39,13 @@ void validate(const FarmScenario& scenario, const FarmConfig& config) {
             "control epoch must be non-negative");
   QC_EXPECT(config.ts_window >= 0,
             "time-series window must be non-negative");
+  // Without a series a windowed objective scores no points and reads
+  // met; recovery_latency reads the failure outcomes instead.
+  for (const obs::SloSpec& spec : config.slos) {
+    QC_EXPECT(config.ts_window > 0 ||
+                  spec.metric == obs::SloMetric::kRecoveryLatency,
+              "a windowed SLO needs a time-series window");
+  }
   QC_EXPECT(std::isfinite(config.frame_rate) && config.frame_rate > 0,
             "frame rate must be finite and positive");
   QC_EXPECT(!config.trace || (config.trace_buffer_capacity >= 1 &&

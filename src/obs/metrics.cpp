@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <bit>
-#include <sstream>
+#include <string_view>
 
 #include "util/json.h"
 
@@ -75,11 +75,9 @@ std::string Registry::to_json() const {
   w.end_object().key("histograms").begin_object();
   for (const auto& [name, h] : histograms_) {
     w.key(name).begin_object();
-    w.key("count").integer(h.count()).key("sum").integer(h.sum());
-    w.key("min").integer(h.min()).key("max").integer(h.max());
-    w.key("p50").integer(h.percentile(0.50));
-    w.key("p95").integer(h.percentile(0.95));
-    w.key("p99").integer(h.percentile(0.99));
+    histogram_stats(h, [&w](std::string_view stat, long long v) {
+      w.key(stat).integer(v);
+    });
     w.end_object();
   }
   w.end_object().end_object();
@@ -87,21 +85,17 @@ std::string Registry::to_json() const {
 }
 
 std::string Registry::summary() const {
-  std::ostringstream os;
+  util::JsonWriter w;
   for (const auto& [name, h] : histograms_) {
-    os << "metric " << name << ": count=" << h.count()
-       << " sum=" << h.sum() << " min=" << h.min() << " max=" << h.max()
-       << " p50=" << h.percentile(0.50) << " p95=" << h.percentile(0.95)
-       << " p99=" << h.percentile(0.99) << "\n";
+    w.raw("metric ").raw(name).raw(':');
+    util::text_row(w, histogram_stats, h);
   }
   if (!counters_.empty()) {
-    os << "counters:";
-    for (const auto& [name, value] : counters_) {
-      os << ' ' << name << '=' << value;
-    }
-    os << "\n";
+    w.raw("counters:");
+    for (const auto& [name, value] : counters_) w.pair(name).integer(value);
+    w.raw('\n');
   }
-  return os.str();
+  return w.take();
 }
 
 }  // namespace qosctrl::obs

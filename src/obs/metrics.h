@@ -60,6 +60,21 @@ class Histogram {
   long long max_ = 0;
 };
 
+/// The stats every report writes for a histogram, one `column(name,
+/// value)` call each, in order: count, sum, min, max, p50, p95, p99.
+/// The registry's JSON, its text summary and the farm CSV's metric
+/// rows, and the time series' window arrays, are all written from it.
+inline constexpr auto histogram_stats = [](const Histogram& h,
+                                           auto&& column) {
+  column("count", h.count());
+  column("sum", h.sum());
+  column("min", h.min());
+  column("max", h.max());
+  column("p50", h.percentile(0.50));
+  column("p95", h.percentile(0.95));
+  column("p99", h.percentile(0.99));
+};
+
 /// Named counters + histograms with deterministic (name-sorted)
 /// serialization.  Not thread-safe: the farm keeps one registry per
 /// virtual processor (single-writer, like the run queues) plus one for

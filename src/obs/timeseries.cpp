@@ -1,7 +1,5 @@
 #include "obs/timeseries.h"
 
-#include <sstream>
-
 #include "util/check.h"
 #include "util/json.h"
 
@@ -29,14 +27,6 @@ void TimeSeries::merge(const TimeSeries& other) {
   }
 }
 
-long long TimeSeries::last_window() const {
-  long long last = -1;
-  for (const auto& [name, track] : tracks) {
-    if (!track.empty()) last = std::max(last, track.rbegin()->first);
-  }
-  return last;
-}
-
 std::string TimeSeries::to_json() const {
   util::JsonWriter w;
   w.begin_object().key("window").integer(window);
@@ -44,9 +34,8 @@ std::string TimeSeries::to_json() const {
   for (const auto& [name, track] : tracks) {
     w.key(name).begin_array();
     for (const auto& [index, h] : track) {
-      w.begin_array().integer(index).integer(h.count()).integer(h.sum());
-      w.integer(h.min()).integer(h.max()).integer(h.percentile(0.50));
-      w.integer(h.percentile(0.95)).integer(h.percentile(0.99));
+      w.begin_array().integer(index);
+      histogram_stats(h, [&w](auto, long long v) { w.integer(v); });
       w.end_array();
     }
     w.end_array();
@@ -56,14 +45,14 @@ std::string TimeSeries::to_json() const {
 }
 
 std::string TimeSeries::summary() const {
-  std::ostringstream os;
+  util::JsonWriter w;
   for (const auto& [name, track] : tracks) {
     long long count = 0;
-    for (const auto& [w, h] : track) count += h.count();
-    os << "series " << name << ": windows=" << track.size()
-       << " count=" << count << "\n";
+    for (const auto& [index, h] : track) count += h.count();
+    w.raw("series ").raw(name).raw(':').pair("windows").value(track.size());
+    w.pair("count").integer(count).raw('\n');
   }
-  return os.str();
+  return w.take();
 }
 
 }  // namespace qosctrl::obs

@@ -55,9 +55,6 @@ struct TimeSeries {
   /// processor-index order, control plane last.
   void merge(const TimeSeries& other);
 
-  /// Largest window index present across all tracks; -1 when empty.
-  long long last_window() const;
-
   /// JSON object: {"window":W,"tracks":{name:[[w,count,sum,min,max,
   /// p50,p95,p99],...]}}.  Pure function of the contents.
   std::string to_json() const;

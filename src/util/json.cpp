@@ -76,6 +76,12 @@ JsonWriter& JsonWriter::integer(long long v) {
   return item_done();
 }
 
+JsonWriter& JsonWriter::unsigned_integer(unsigned long long v) {
+  separate();
+  raw_unsigned(v);
+  return item_done();
+}
+
 JsonWriter& JsonWriter::number(double v) {
   separate();
   raw_number(v);
@@ -123,6 +129,14 @@ JsonWriter& JsonWriter::raw_integer(long long v) {
   return *this;
 }
 
+JsonWriter& JsonWriter::raw_unsigned(unsigned long long v) {
+  constexpr std::size_t kMaxChars = 20;  // "18446744073709551615"
+  char* at = room(kMaxChars);
+  len_ = static_cast<std::size_t>(std::to_chars(at, at + kMaxChars, v).ptr -
+                                  buf_.data());
+  return *this;
+}
+
 JsonWriter& JsonWriter::raw_number(double v) {
   // std::to_chars would write "inf" or "nan", which no JSON reader
   // (util::parse_json included) accepts.
@@ -156,8 +170,16 @@ double JsonValue::as_number() const {
   return number_;
 }
 
+bool JsonValue::is_int() const {
+  // The range test comes first: casting a double outside the int64
+  // range to long long is undefined behaviour.
+  return is_number() && number_ >= -0x1p63 && number_ < 0x1p63 &&
+         std::trunc(number_) == number_;
+}
+
 long long JsonValue::as_int() const {
-  return static_cast<long long>(as_number());
+  QC_EXPECT(is_int(), "JSON value is not an integer within the int64 range");
+  return static_cast<long long>(number_);
 }
 
 const std::string& JsonValue::as_string() const {

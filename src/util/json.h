@@ -1,7 +1,8 @@
 // The reports' JSON format in one module: an append-only writer that
-// every report emitter builds its text with (the CSV tables too, through
-// its raw appends and csv_table), and a minimal document model with a
-// recursive-descent parser.
+// every report emitter builds its text with (the CSV tables and the
+// text summaries too, through its raw appends, csv_table and
+// text_row), and a minimal document model with a recursive-descent
+// parser.
 //
 // qosreport (tools/qosreport_main.cpp) reads the farm's own JSON
 // export back in to render the HTML dashboard, so the parser only has
@@ -55,13 +56,16 @@ class JsonWriter {
   JsonWriter& key(std::string_view name);
   JsonWriter& string(std::string_view s);
   JsonWriter& integer(long long v);
+  JsonWriter& unsigned_integer(unsigned long long v);
   JsonWriter& number(double v);
   /// An integral value within the int64 range as an integer ("3", not
   /// "3.0"), anything else as number().
   JsonWriter& integral_or_number(double v);
   JsonWriter& boolean(bool b);
   /// A value by its C++ type: bool as boolean(), text as string(),
-  /// floating point as number(), any other arithmetic type as integer().
+  /// floating point as number(), unsigned types as unsigned_integer(),
+  /// any other arithmetic type as integer(), and a range (a vector, say)
+  /// as an array of its elements' values.
   template <class T>
   JsonWriter& value(const T& v) {
     if constexpr (std::is_same_v<T, bool>) {
@@ -70,9 +74,21 @@ class JsonWriter {
       return string(v);
     } else if constexpr (std::is_floating_point_v<T>) {
       return number(v);
+    } else if constexpr (std::is_unsigned_v<T>) {
+      return unsigned_integer(v);
+    } else if constexpr (requires { v.begin(); }) {
+      begin_array();
+      for (const auto& item : v) value(item);
+      return end_array();
     } else {
       return integer(static_cast<long long>(v));
     }
+  }
+  /// A text-summary pair's " name="; the value follows, written as in
+  /// JSON.  Names are written verbatim, as key() writes them.
+  JsonWriter& pair(std::string_view name) {
+    need_comma_ = false;
+    return raw(' ').raw(name).raw('=');
   }
   /// Already-serialized JSON written as one item: a value, or inside an
   /// object a run of members.
@@ -97,6 +113,7 @@ class JsonWriter {
     return *this;
   }
   JsonWriter& raw_integer(long long v);
+  JsonWriter& raw_unsigned(unsigned long long v);
   JsonWriter& raw_number(double v);
   JsonWriter& raw_integral_or_number(double v);
 
@@ -131,6 +148,8 @@ void csv_cell(JsonWriter& w, const T& v) {
     w.raw(std::string_view(v));
   } else if constexpr (std::is_floating_point_v<T>) {
     w.raw_number(v);
+  } else if constexpr (std::is_unsigned_v<T>) {
+    w.raw_unsigned(v);
   } else {
     w.raw_integer(static_cast<long long>(v));
   }
@@ -159,6 +178,17 @@ void csv_table(JsonWriter& w, const Row& header_row, const Rows& rows,
   w.raw('\n');
 }
 
+/// Appends one row of a text summary: " name=value" for each column
+/// `columns(row..., column)` names, in order, each value as
+/// JsonWriter::value() writes it, then a newline.  The caller writes
+/// the row's label first.  Given the list a JSON object is written
+/// from, the row holds that object's members.
+template <class Columns, class... Row>
+void text_row(JsonWriter& w, Columns&& columns, const Row&... row) {
+  columns(row..., [&w](auto name, const auto& v) { w.pair(name).value(v); });
+  w.raw('\n');
+}
+
 enum class JsonKind { kNull, kBool, kNumber, kString, kArray, kObject };
 
 /// One JSON value; a tree of these is a document.  Object member order
@@ -174,7 +204,10 @@ class JsonValue {
   /// Typed accessors; requires the matching kind.
   bool as_bool() const;
   double as_number() const;
-  long long as_int() const;  ///< as_number truncated toward zero
+  /// True for a number with an exact int64 value: integral and within
+  /// [-2^63, 2^63).
+  bool is_int() const;
+  long long as_int() const;  ///< requires is_int()
   const std::string& as_string() const;
   const std::vector<JsonValue>& items() const;  ///< array elements
   const std::vector<std::pair<std::string, JsonValue>>& members() const;

@@ -189,7 +189,8 @@ TEST(FarmFaults, PermanentFailureReadmitsAllResidentsWithBoundedRecovery) {
     }
   }
   const std::string sum = summarize(r);
-  EXPECT_NE(sum.find("full_recovery_Mcycles="), std::string::npos);
+  EXPECT_NE(sum.find(" full_recovery=" + std::to_string(fo.full_recovery)),
+            std::string::npos);
 }
 
 TEST(FarmFaults, TransientFailureConcealsWithoutReadmission) {

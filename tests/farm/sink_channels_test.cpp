@@ -12,11 +12,12 @@
 //    one writer.  faulted_preemptive's SLOs cover an integral, a
 //    fractional and a window-multiple threshold and raise an alert.
 //  * Agreement: within one run the registry counters, the series track
-//    counts and the trace event counts describe the same frames, and
-//    the CSV's stream table holds the JSON report's stream keys and
-//    values.
+//    counts and the trace event counts describe the same frames, the
+//    CSV's stream table holds the JSON report's stream keys and values,
+//    and every row of the text summary holds one JSON object's members.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <map>
@@ -366,6 +367,223 @@ TEST(StreamReport, CsvColumnsAreTheJsonStreamKeys) {
   EXPECT_GT(admitted, 0);
   EXPECT_GT(rejected, 0);
   EXPECT_GT(tails, 0);
+}
+
+/// `qosfarm run --procs 4 --streams 16 --split --seed 24 --policy
+/// preemptive --constant-frac 0.5 --period-factors 2,3,4 --shards 2
+/// --faults overrun,loss --fail 3@40000000 --fail 1@20000000+10000000
+/// --ts-window 4000000 --trace x`: faulted and sharded, with a split
+/// stream, rejections, one permanent and one transient failure.
+FarmResult faulted_sharded_split() {
+  LoadGenConfig load;
+  load.num_streams = 16;
+  load.constant_mode_fraction = 0.5;
+  load.period_factors = {2.0, 3.0, 4.0};
+  load.seed = 24;
+  FarmScenario sc = generate_scenario(load);
+  sc.sched.policy.kind = sched::PolicyKind::kPreemptiveEdf;
+  sc.sched.policy.context_switch_cost = platform::kContextSwitchCycles;
+  sc.sched.policy.quantum = 1000000;
+  sc.sched.split = true;
+  sc.faults.overrun.probability = 0.2;
+  sc.faults.overrun.factor = 3.0;
+  sc.faults.loss.probability = 0.1;
+  sc.faults.failures.push_back({3, 40000000, 0});
+  sc.faults.failures.push_back({1, 20000000, 10000000});
+  FarmConfig cfg;
+  cfg.num_processors = 4;
+  cfg.shards = 2;
+  cfg.seed = 24 * 0x9e3779b9ULL + 1;
+  cfg.ts_window = 4000000;
+  cfg.trace = true;
+  return run_farm(sc, cfg);
+}
+
+/// Name/value pairs in order: a text row's, or a JSON object's members.
+using Pairs = std::vector<std::pair<std::string, util::JsonValue>>;
+
+/// The " name=value" pairs of a summary row after its label, each value
+/// parsed as the JSON text it is: a bare token (number, bool or array)
+/// or a quoted string, which may hold spaces.
+Pairs row_pairs(const std::string& text) {
+  Pairs pairs;
+  for (std::size_t at = 0; at < text.size();) {
+    EXPECT_EQ(text[at], ' ') << text.substr(at);
+    const std::size_t eq = text.find('=', at);
+    std::size_t end = eq + 1;
+    if (text[end] == '"') {
+      for (++end; text[end] != '"'; end += text[end] == '\\' ? 2 : 1) {
+      }
+      ++end;
+    } else {
+      end = std::min(text.find(' ', end), text.size());
+    }
+    util::JsonValue value;
+    std::string error;
+    EXPECT_TRUE(util::parse_json(text.substr(eq + 1, end - eq - 1), &value,
+                                 &error))
+        << text.substr(at) << ": " << error;
+    pairs.emplace_back(text.substr(at + 1, eq - at - 1), value);
+    at = end;
+  }
+  return pairs;
+}
+
+/// An object's members less its nested objects and arrays of objects:
+/// what a text row can hold.
+Pairs flat_members(const util::JsonValue& object) {
+  Pairs flat;
+  for (const auto& [name, value] : object.members()) {
+    const bool nested =
+        value.is_object() ||
+        (value.is_array() &&
+         std::any_of(value.items().begin(), value.items().end(),
+                     [](const util::JsonValue& v) { return v.is_object(); }));
+    if (!nested) flat.emplace_back(name, value);
+  }
+  return flat;
+}
+
+bool same_value(const util::JsonValue& a, const util::JsonValue& b) {
+  if (a.kind() != b.kind()) return false;
+  switch (a.kind()) {
+    case util::JsonKind::kBool:
+      return a.as_bool() == b.as_bool();
+    case util::JsonKind::kNumber:
+      return a.as_number() == b.as_number();
+    case util::JsonKind::kString:
+      return a.as_string() == b.as_string();
+    case util::JsonKind::kArray:
+      return std::equal(a.items().begin(), a.items().end(),
+                        b.items().begin(), b.items().end(), same_value);
+    default:
+      return a.is_null();
+  }
+}
+
+void expect_same_pairs(const Pairs& row, const Pairs& json,
+                       const std::string& label) {
+  ASSERT_EQ(row.size(), json.size()) << label;
+  for (std::size_t i = 0; i < row.size(); ++i) {
+    EXPECT_EQ(row[i].first, json[i].first) << label;
+    EXPECT_TRUE(same_value(row[i].second, json[i].second))
+        << label << " " << row[i].first;
+  }
+}
+
+// The text summary is the JSON's tables written as text: each row of a
+// report table is one "<label>: name=value ..." line whose pairs are
+// that JSON object's members in order (nested objects aside), each
+// value in the JSON's own text.  The fleet object is three rows (fleet,
+// fault totals, quality), so the fault totals can stay out of runs
+// without faults.  Every labelled row is checked; the windowed series
+// and SLO lines are not tables of the JSON.
+TEST(FarmReport, SummaryRowsAreTheJsonTables) {
+  const FarmResult r = faulted_sharded_split();
+  ASSERT_GT(r.split_streams, 0);
+  ASSERT_GT(r.rejected, 0);
+  ASSERT_EQ(r.failures.size(), 2u);
+  ASSERT_EQ(r.shards, 2);
+  util::JsonValue doc;
+  std::string error;
+  ASSERT_TRUE(util::parse_json(to_json(r), &doc, &error)) << error;
+
+  // Rows by label; the first line is the build provenance.
+  const std::string summary = summarize(r);
+  std::map<std::string, Pairs> rows;
+  std::string first_line;
+  for (std::size_t from = 0; from < summary.size();) {
+    const std::size_t at = summary.find('\n', from);
+    ASSERT_NE(at, std::string::npos) << "summary ends without a newline";
+    const std::string line = summary.substr(from, at - from);
+    from = at + 1;
+    if (first_line.empty()) {
+      first_line = line;
+    } else if (line.rfind("series ", 0) != 0 && line.rfind("slo ", 0) != 0) {
+      const std::size_t colon = line.find(':');
+      ASSERT_NE(colon, std::string::npos) << line;
+      EXPECT_TRUE(
+          rows.emplace(line.substr(0, colon), row_pairs(line.substr(colon + 1)))
+              .second)
+          << "two rows labelled " << line.substr(0, colon);
+    }
+  }
+  std::set<std::string> checked;
+  const auto expect_row = [&](const std::string& label, const Pairs& json) {
+    ASSERT_TRUE(rows.count(label)) << "no row " << label;
+    checked.insert(label);
+    expect_same_pairs(rows.at(label), json, label);
+  };
+
+  const Pairs build = flat_members(*doc.find("build"));
+  expect_same_pairs(row_pairs(first_line.substr(first_line.find(" farm_seed="))),
+                    Pairs(build.end() - 2, build.end()), "build");
+  Pairs fleet = rows["fleet"];
+  for (const char* part : {"fault totals", "quality"}) {
+    fleet.insert(fleet.end(), rows[part].begin(), rows[part].end());
+    checked.insert(part);
+  }
+  rows["fleet"] = fleet;
+  expect_row("fleet", flat_members(*doc.find("fleet")));
+  expect_row("faults", flat_members(*doc.find("faults")));
+  const auto indexed = [&](const char* array, const std::string& label,
+                           const util::JsonValue& parent) {
+    const auto& items = parent.find(array)->items();
+    for (std::size_t i = 0; i < items.size(); ++i) {
+      expect_row(label + " " + std::to_string(i), flat_members(items[i]));
+    }
+  };
+  indexed("failures", "failure", doc);
+  indexed("processors", "proc", doc);
+  for (const util::JsonValue& stream : doc.find("streams")->items()) {
+    expect_row("stream " + std::to_string(stream.find("id")->as_int()),
+               flat_members(stream));
+  }
+  expect_row("shards", flat_members(*doc.find("shards")));
+  indexed("per_shard", "shard", *doc.find("shards"));
+  const util::JsonValue& metrics = *doc.find("metrics");
+  for (const auto& [name, h] : metrics.find("histograms")->members()) {
+    expect_row("metric " + name, flat_members(h));
+  }
+  expect_row("counters", flat_members(*metrics.find("counters")));
+  expect_row("timeseries", flat_members(*doc.find("timeseries")));
+  Pairs trace;
+  for (const char* name :
+       {"trace_events", "trace_dropped", "trace_dropped_per_buffer"}) {
+    trace.emplace_back(name, *doc.find(name));
+  }
+  expect_row("trace", trace);
+
+  // Every row was one of the JSON's tables, and the run had what the
+  // test is about: a split stream and a rejected one among the rows.
+  for (const auto& [label, pairs] : rows) {
+    EXPECT_TRUE(checked.count(label)) << "row " << label << " has no table";
+  }
+  int split = 0, rejected = 0;
+  for (const util::JsonValue& stream : doc.find("streams")->items()) {
+    const util::JsonValue* s = stream.find("split");
+    split += s != nullptr && s->as_bool();
+    rejected += stream.find("reason") != nullptr;
+  }
+  EXPECT_GT(split, 0);
+  EXPECT_GT(rejected, 0);
+}
+
+// Seeds are unsigned 64-bit: one past 2^63 reaches the reports whole,
+// not wrapped negative.
+TEST(FarmReport, SeedsAboveTwoToThe63AreWrittenUnsigned) {
+  FarmScenario sc = split_limited_mix();
+  sc.faults.seed = 0xFFFFFFFFFFFFFFFFULL;
+  FarmConfig cfg = two_proc_config();
+  cfg.seed = 4000000000ULL * 0x9e3779b9ULL + 1;  // qosfarm --seed 4000000000
+  ASSERT_GE(cfg.seed, 1ULL << 63);
+  const FarmResult r = run_farm(sc, cfg);
+  EXPECT_NE(to_json(r).find("\"farm_seed\":10617743076000000001,"
+                            "\"fault_seed\":18446744073709551615}"),
+            std::string::npos);
+  EXPECT_NE(summarize(r).find(" farm_seed=10617743076000000001 "
+                              "fault_seed=18446744073709551615\n"),
+            std::string::npos);
 }
 
 long long counter(const FarmResult& r, const char* name) {

@@ -61,7 +61,7 @@ TEST(TimeseriesDeterminismTest, SeriesAndVerdictsInvariantAcrossCombos) {
   const FarmResult baseline = run_sampled(sc, 1, 1);
   const std::string series_json = shard_independent_json(baseline.series);
   const std::string slo_json = obs::slo_to_json(baseline.slo);
-  ASSERT_GT(baseline.series.last_window(), 0);
+  ASSERT_GT(baseline.series.tracks.at("frames_completed").rbegin()->first, 0);
   ASSERT_EQ(baseline.slo.objectives.size(), 5u);
 
   for (const int workers : {1, 2, 4}) {
@@ -173,6 +173,24 @@ TEST(TimeseriesDeterminismDeathTest, RejectsNegativeWindow) {
   cfg.num_processors = 2;
   cfg.ts_window = -1;
   EXPECT_DEATH(run_farm(small_flash_crowd(), cfg), "time-series window");
+}
+
+// Without a window a windowed objective would score zero points and
+// read met, so run_farm refuses it; recovery_latency reads the failure
+// outcomes and needs none.
+TEST(TimeseriesDeterminismDeathTest, RejectsWindowedSloWithoutWindow) {
+  FarmConfig cfg;
+  cfg.num_processors = 2;
+  const std::vector<obs::SloSpec> slos = test_slos();
+  ASSERT_EQ(slos.back().metric, obs::SloMetric::kRecoveryLatency);
+  cfg.slos = {slos.back()};
+  EXPECT_EQ(run_farm(small_flash_crowd(), cfg).slo.objectives.size(), 1u);
+  for (std::size_t i = 0; i + 1 < slos.size(); ++i) {
+    cfg.slos = {slos[i]};
+    EXPECT_DEATH(run_farm(small_flash_crowd(), cfg),
+                 "windowed SLO needs a time-series window")
+        << slos[i].text;
+  }
 }
 
 }  // namespace

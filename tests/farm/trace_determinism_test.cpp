@@ -135,7 +135,12 @@ TEST(TraceDeterminism, TinyBufferDropsOldestAndCountsInMetrics) {
   }
   EXPECT_EQ(attributed, r.trace_dropped);
   // The report surfaces the split next to the fleet counter.
-  EXPECT_NE(summarize(r).find("cpu0="), std::string::npos);
+  std::string split = "trace_dropped_per_buffer=[";
+  for (const long long d : r.trace_dropped_per_buffer) {
+    split += std::to_string(d) + ",";
+  }
+  split.back() = ']';
+  EXPECT_NE(summarize(r).find(split), std::string::npos) << split;
   EXPECT_NE(to_json(r).find("\"trace_dropped_per_buffer\":["),
             std::string::npos);
   // The retained tail still merges and exports.

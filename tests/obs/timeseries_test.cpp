@@ -75,7 +75,6 @@ TEST(TimeSeriesTest, MergeIsOrderIndependent) {
   }
   EXPECT_EQ(forward.to_json(), backward.to_json());
   EXPECT_EQ(forward.window, 50);
-  EXPECT_EQ(forward.last_window(), backward.last_window());
 }
 
 TEST(TimeSeriesTest, WindowedPercentilesMatchSortedReference) {
@@ -114,11 +113,9 @@ TEST(TimeSeriesTest, WindowedPercentilesMatchSortedReference) {
 
 TEST(TimeSeriesTest, MergeAdoptsWindowAndRejectsNothingWhenEmpty) {
   TimeSeries series;
-  EXPECT_EQ(series.last_window(), -1);
   TimeSeries rec{.window = 25};
   series.merge(rec);  // an empty series still pins the window width
   EXPECT_EQ(series.window, 25);
-  EXPECT_EQ(series.last_window(), -1);
   EXPECT_EQ(series.to_json(), "{\"window\":25,\"tracks\":{}}");
 }
 
@@ -136,7 +133,6 @@ TEST(TimeSeriesTest, JsonShapeIsPinned) {
             "{\"window\":10,\"tracks\":{\"lat\":[[0,2,7,3,4,3,3,3],"
             "[2,1,100,100,100,127,127,127]]}}");
   EXPECT_EQ(series.summary(), "series lat: windows=2 count=3\n");
-  EXPECT_EQ(series.last_window(), 2);
 }
 
 TEST(TimeSeriesDeath, TrackingRequiresAPositiveWindow) {

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <climits>
 #include <string>
 
 namespace qosctrl::util {
@@ -37,6 +38,25 @@ TEST(JsonTest, Scalars) {
   EXPECT_EQ(parse_ok("\"hi\"").as_string(), "hi");
   // 53-bit integers survive the double representation exactly.
   EXPECT_EQ(parse_ok("9007199254740991").as_int(), 9007199254740991LL);
+}
+
+// as_int requires an integral number inside the int64 range: casting
+// anything else to long long is undefined, so readers ask is_int first.
+TEST(JsonTest, IsIntChecksIntegralityAndRange) {
+  EXPECT_TRUE(parse_ok("-9223372036854775808").is_int());
+  EXPECT_EQ(parse_ok("-9223372036854775808").as_int(), LLONG_MIN);
+  EXPECT_TRUE(parse_ok("4e18").is_int());
+  EXPECT_TRUE(parse_ok("-0").is_int());
+  for (const char* text : {"9223372036854775808", "1e300", "-1e300", "0.5",
+                           "-2.5", "\"7\"", "true", "null", "[1]"}) {
+    EXPECT_FALSE(parse_ok(text).is_int()) << text;
+  }
+}
+
+TEST(JsonDeathTest, AsIntRejectsWhatIsNotAnInt64) {
+  EXPECT_DEATH(parse_ok("1e300").as_int(), "int64 range");
+  EXPECT_DEATH(parse_ok("2.5").as_int(), "int64 range");
+  EXPECT_DEATH(parse_ok("\"7\"").as_int(), "int64 range");
 }
 
 TEST(JsonTest, StringEscapes) {

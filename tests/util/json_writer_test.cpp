@@ -89,6 +89,48 @@ TEST(JsonWriterTest, IntegersPrintAsPrintf) {
   }
 }
 
+// Seeds are unsigned 64-bit values: value() and csv_cell() write every
+// unsigned type through the unsigned writer, whole past 2^63.
+TEST(JsonWriterTest, UnsignedValuesPrintAsPrintf) {
+  Rng rng(5);
+  std::vector<unsigned long long> values = {0, 1, 1ULL << 63, ULLONG_MAX};
+  for (int i = 0; i < 1000; ++i) values.push_back(rng.next_u64());
+  for (const unsigned long long v : values) {
+    char buf[32];
+    std::snprintf(buf, sizeof buf, "%llu", v);
+    JsonWriter w;
+    w.value(static_cast<std::uint64_t>(v)).raw(' ');
+    csv_cell(w, static_cast<std::uint64_t>(v));
+    EXPECT_EQ(w.take(), std::string(buf) + " " + buf);
+  }
+  JsonWriter w;
+  w.begin_array().value(std::size_t{7}).value(-7).value(true).end_array();
+  csv_cell(w, true);
+  EXPECT_EQ(w.take(), "[7,-7,true]1");
+}
+
+// A text row is " name=value" per column, each value as value() writes
+// it (a range as an array), then a newline.
+TEST(JsonWriterTest, TextRowWritesJsonValues) {
+  const auto columns = [](int n, auto&& column) {
+    column("n", n);
+    column("on", n > 0);
+    column("mode", "a b");
+    column("share", 0.5);
+    column("levels", std::vector<long long>{1, 2});
+    column("none", std::vector<long long>{});
+  };
+  JsonWriter w;
+  w.raw("row 3:");
+  text_row(w, columns, 3);
+  w.raw("next:");
+  text_row(w, columns, -1);
+  EXPECT_EQ(w.take(),
+            "row 3: n=3 on=true mode=\"a b\" share=0.5 levels=[1,2] none=[]\n"
+            "next: n=-1 on=false mode=\"a b\" share=0.5 levels=[1,2] "
+            "none=[]\n");
+}
+
 // SLO values print integral values as integers and everything else at
 // full precision.  The range test must come before the cast: outside
 // [-2^63, 2^63) the cast to long long is undefined.

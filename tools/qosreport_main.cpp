@@ -80,6 +80,7 @@ bool parse_track(const JsonValue& arr, Track* out) {
       if (!cell.is_number()) return false;
     }
     const auto& c = row.items();
+    if (!c[0].is_int()) return false;
     WindowPoint p;
     p.window = c[0].as_int();
     p.count = c[1].as_number();
@@ -215,7 +216,9 @@ void render_fleet_header(const JsonValue& doc, std::ostringstream& html) {
   html << "<p class=\"meta\">";
   if (build != nullptr) {
     const JsonValue* seed = build->find("farm_seed", JsonKind::kNumber);
-    if (seed != nullptr) html << "seed " << seed->as_int() << " &middot; ";
+    if (seed != nullptr && seed->is_int()) {
+      html << "seed " << seed->as_int() << " &middot; ";
+    }
   }
   if (fleet != nullptr) {
     const JsonValue* policy = fleet->find("policy", JsonKind::kString);
@@ -224,7 +227,7 @@ void render_fleet_header(const JsonValue& doc, std::ostringstream& html) {
     }
     auto count = [&](const char* key) {
       const JsonValue* v = fleet->find(key, JsonKind::kNumber);
-      return v != nullptr ? v->as_int() : 0LL;
+      return v != nullptr && v->is_int() ? v->as_int() : 0LL;
     };
     html << count("admitted") << " admitted / " << count("rejected")
          << " rejected &middot; " << count("encoded_frames")
