@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
 #include <limits>
+#include <utility>
+#include <vector>
 
 namespace qosctrl::farm {
 namespace {
@@ -410,6 +414,35 @@ TEST_F(AdmissionTest, RestorePassGrowsShrunkIncumbentsBackOnRelease) {
   ac2.release(3, 777);
   EXPECT_TRUE(ac2.take_renegotiations().empty());
   EXPECT_LT(ac2.committed_utilization(0), before);
+}
+
+// The budget ladders of the load generator's geometries at its period
+// factors, for K = 1 and 2: every rung of every ladder is pinned.
+TEST_F(AdmissionTest, LadderIsPinned) {
+  ShardedControlPlane ac(1, {}, {}, &tables_);
+  std::uint64_t h = 0xcbf29ce484222325ULL;  // FNV-1a offset basis
+  for (const auto& [w, ht] : {std::pair{64, 48}, {80, 64}, {96, 80}}) {
+    const int mb = (w / 16) * (ht / 16);
+    for (const double f : {3.0, 4.0, 6.0}) {
+      const auto period = static_cast<rt::Cycles>(std::llround(
+          static_cast<double>(default_frame_period(mb)) * f));
+      for (const int k : {1, 2}) {
+        const std::vector<CertifiedRung> ladder =
+            ac.certified_ladder(mb, period * k, period);
+        ASSERT_FALSE(ladder.empty());
+        for (const CertifiedRung& r : ladder) {
+          EXPECT_LE(r.table_budget, period * k);
+          EXPECT_EQ(r.system->budget, r.table_budget);
+          for (int byte = 0; byte < 8; ++byte) {
+            h ^= static_cast<std::uint64_t>(r.table_budget) >> (8 * byte) &
+                 0xffU;
+            h *= 1099511628211ULL;  // FNV prime
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(h, 0x38854d11e0d0e4c5ULL) << std::hex << " got 0x" << h;
 }
 
 TEST_F(AdmissionTest, DeterministicVerdicts) {

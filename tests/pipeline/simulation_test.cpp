@@ -377,6 +377,33 @@ TEST(RunPipeline, ControlledRecordsArePinned) {
   EXPECT_EQ(records_digest(r), 0x6e9759d5bd75fecdULL);
 }
 
+// The feedback baseline and the adaptive controller carry state across
+// frames (PID integral, learned cost ratios), so their whole runs are
+// pinned too.
+TEST(RunPipeline, FeedbackRecordsArePinned) {
+  PipelineConfig cfg = small_config();
+  cfg.video.num_frames = 30;
+  cfg.mode = ControlMode::kFeedback;
+  const PipelineResult r = run_pipeline(cfg);
+  EXPECT_EQ(records_digest(r), 0x486d348ef038299aULL)
+      << std::hex << " got 0x" << records_digest(r);
+}
+
+// 80x64: on the 64x48 geometry the learned ratios never change a
+// decision, and the records would equal the table controller's.
+TEST(RunPipeline, AdaptiveRecordsArePinned) {
+  PipelineConfig cfg = small_config();
+  cfg.video.width = 80;
+  cfg.video.height = 64;  // 20 macroblocks
+  cfg.video.num_frames = 30;
+  cfg.frame_period = 19555569 * 20 / 99;  // periodic: 20 divides P
+  cfg.use_adaptive_controller = true;
+  const PipelineResult r = run_pipeline(cfg);
+  EXPECT_EQ(r.total_deadline_misses, 0);
+  EXPECT_EQ(records_digest(r), 0x8b6893d997aff753ULL)
+      << std::hex << " got 0x" << records_digest(r);
+}
+
 // One scoring rule: encode() scores the encoder's reconstruction
 // whether or not delivery is tracked, and while the decoder is in sync
 // deliver() shows that same picture, so it scores bit-equal.
