@@ -15,10 +15,12 @@
 
 namespace qosctrl::enc {
 
+/// Target bitrate (bits per second) and the QP of the first frame.
+inline constexpr double kBitrateBps = 1.1e6;
+inline constexpr int kInitialQp = 8;
+
 struct RateControlConfig {
-  double bitrate_bps = 1.1e6;   ///< target bitrate (bits per second)
-  double frame_rate = 25.0;     ///< frames per second
-  int initial_qp = 8;
+  double frame_rate = 25.0;  ///< frames per second
 };
 
 class RateController {
@@ -28,7 +30,7 @@ class RateController {
   /// QP to use for the next frame.
   int qp() const { return qp_; }
 
-  /// Per-frame bit budget.
+  /// Per-frame bit budget: kBitrateBps / frame_rate.
   double target_bits_per_frame() const { return target_; }
 
   /// Reports an encoded frame's bit cost and updates QP.
@@ -40,7 +42,6 @@ class RateController {
  private:
   void adjust_qp();
 
-  RateControlConfig config_;
   double target_;
   double buffer_ = 0.0;
   int qp_;

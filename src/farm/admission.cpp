@@ -1,7 +1,7 @@
 #include "farm/admission.h"
 
 #include <algorithm>
-#include <cmath>
+#include <array>
 #include <functional>
 #include <utility>
 
@@ -13,6 +13,26 @@ namespace {
 
 /// Committed-utilization ceiling per processor.
 constexpr double kUtilizationCap = 1.0;
+
+/// Candidate service budgets come from two families, merged, clamped
+/// to [qmin minimum, latency window], and tried richest first:
+///  * fractions of the K * P latency window (generous-latency regime:
+///    spend most of the window, keep some queueing slack);
+///  * multiples of the qmin-minimal budget (packing regime: the worst
+///    case of qmin is already a large share of the period, so richer
+///    budgets are expressed as headroom over it).
+/// The qmin-minimal budget itself is always the last resort.
+constexpr std::array<double, 4> kBudgetFractions = {0.85, 0.70, 0.55, 0.40};
+constexpr std::array<double, 5> kMinBudgetMultiples = {3.0, 2.0, 1.5, 1.25,
+                                                       1.1};
+
+/// Cap on one controlled stream's committed utilization share
+/// (budget / period): rich candidates above it are not offered, so
+/// early arrivals cannot hog a processor that later streams will need.
+/// The qmin-minimal budget is exempt — a stream whose bare minimum
+/// exceeds the share cap is still offered qmin service.  Uncontrolled
+/// streams are exempt too (their cost is not a choice).
+constexpr double kMaxStreamShare = 0.25;
 
 }  // namespace
 
@@ -126,11 +146,10 @@ const std::vector<rt::Cycles>& ShardedControlPlane::controlled_candidates(
   // divide exactly, with the qmin-minimal budget as last resort.
   const rt::Cycles min_budget = tables_->min_budget(macroblocks);
   std::vector<rt::Cycles> candidates;
-  const double share_cap =
-      config_.max_stream_share * static_cast<double>(period);
+  const double share_cap = kMaxStreamShare * static_cast<double>(period);
   auto add_candidate = [&](double cycles) {
-    // Past the window whatever the rounding; checked in double so a
-    // huge ladder entry never reaches the integer cast.
+    // Past the window whatever the rounding: a multiple of the minimum
+    // can round down into the window and must still not be offered.
     if (cycles >= static_cast<double>(latency) + 1.0) return;
     const rt::Cycles b =
         (static_cast<rt::Cycles>(cycles) / macroblocks) * macroblocks;
@@ -139,10 +158,10 @@ const std::vector<rt::Cycles>& ShardedControlPlane::controlled_candidates(
       candidates.push_back(b);
     }
   };
-  for (const double f : config_.budget_fractions) {
+  for (const double f : kBudgetFractions) {
     add_candidate(static_cast<double>(latency) * f);
   }
-  for (const double m : config_.min_budget_multiples) {
+  for (const double m : kMinBudgetMultiples) {
     add_candidate(static_cast<double>(min_budget) * m);
   }
   if (min_budget <= latency) candidates.push_back(min_budget);

@@ -64,24 +64,11 @@
 
 namespace qosctrl::farm {
 
+/// The one admission setting a caller chooses (qosfarm
+/// --migration-cost).  The budget ladder — fractions of the K * P
+/// window and multiples of the qmin-minimal budget — and the per-stream
+/// utilization share cap are constants in admission.cpp.
 struct AdmissionConfig {
-  /// Candidate service budgets come from two families, merged, clamped
-  /// to [qmin minimum, latency window], and tried richest first:
-  ///  * fractions of the K * P latency window (generous-latency
-  ///    regime: spend most of the window, keep some queueing slack);
-  ///  * multiples of the qmin-minimal budget (packing regime: the
-  ///    worst case of qmin is already a large share of the period, so
-  ///    richer budgets are expressed as headroom over it).
-  /// The qmin-minimal budget itself is always the last resort.
-  std::vector<double> budget_fractions = {0.85, 0.70, 0.55, 0.40};
-  std::vector<double> min_budget_multiples = {3.0, 2.0, 1.5, 1.25, 1.1};
-  /// Cap on one controlled stream's committed utilization share
-  /// (budget / period): rich candidates above it are not offered, so
-  /// early arrivals cannot hog a processor that later streams will
-  /// need.  The qmin-minimal budget is exempt — a stream whose bare
-  /// minimum exceeds the share cap is still offered qmin service.
-  /// Uncontrolled streams are exempt too (their cost is not a choice).
-  double max_stream_share = 0.25;
   /// Per-frame worst-case surcharge committed for a stream hosted off
   /// its preferred processor (cache-affinity loss; see
   /// platform::kMigrationCycles).  Makes migration compete against

@@ -65,8 +65,9 @@ struct OverrunSpec {
   double probability = 0.0;  ///< per-frame chance of an inflated demand
   double factor = 3.0;       ///< demand multiplier when it fires (> 1)
   OverrunPolicy policy = OverrunPolicy::kAbortConceal;
-  int quarantine_strikes = 3;  ///< policed overruns before quarantine
-  int quarantine_periods = 4;  ///< camera periods spent quarantined
+  /// Policed overruns before quarantine (which lasts
+  /// kQuarantinePeriods camera periods, run_queue.cpp).
+  int quarantine_strikes = 3;
   bool enabled() const { return probability > 0.0; }
 };
 

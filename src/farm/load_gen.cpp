@@ -14,6 +14,9 @@ namespace {
 /// Mean join inter-arrival in units of the *smallest* stream period
 /// (exponential gaps).
 constexpr double kMeanInterarrivalPeriods = 0.5;
+/// Scenes per stream are uniform in [1, kMaxScenes], capped by the
+/// stream's lifetime (the synthetic source needs a frame per scene).
+constexpr int kMaxScenes = 3;
 /// Latency contracts K to draw from, uniformly.
 constexpr std::array<int, 3> kBufferCapacities = {1, 1, 2};
 /// A constant-quality stream's level is uniform in
@@ -48,7 +51,6 @@ FarmScenario generate_scenario(const LoadGenConfig& config) {
   QC_EXPECT(!config.period_factors.empty(), "need at least one period factor");
   QC_EXPECT(config.min_frames >= 1 && config.max_frames >= config.min_frames,
             "frame lifetime range must be non-empty");
-  QC_EXPECT(config.max_burst >= 1, "max_burst must be >= 1");
 
   // Independent decision streams so that, e.g., adding a resolution
   // option does not reshuffle every stream's lifetime.
@@ -83,10 +85,8 @@ FarmScenario generate_scenario(const LoadGenConfig& config) {
     now += static_cast<rt::Cycles>(
         std::llround(gap_periods * static_cast<double>(min_period)));
     int batch = 1;
-    if (arrival_rng.chance(config.burst_probability) &&
-        config.max_burst > 1) {
-      batch += static_cast<int>(
-          arrival_rng.uniform_i64(1, config.max_burst - 1));
+    if (arrival_rng.chance(kBurstProbability)) {
+      batch += static_cast<int>(arrival_rng.uniform_i64(1, kMaxBurst - 1));
     }
     for (int b = 0; b < batch && id < config.num_streams; ++b, ++id) {
       StreamSpec s;
@@ -108,9 +108,8 @@ FarmScenario generate_scenario(const LoadGenConfig& config) {
               0, static_cast<std::int64_t>(kBufferCapacities.size()) - 1))];
       s.num_frames = static_cast<int>(shape_rng.uniform_i64(
           config.min_frames, config.max_frames));
-      // The synthetic source needs at least one frame per scene.
-      s.num_scenes = static_cast<int>(shape_rng.uniform_i64(
-          1, std::max(1, std::min(config.max_scenes, s.num_frames))));
+      s.num_scenes = static_cast<int>(
+          shape_rng.uniform_i64(1, std::min(kMaxScenes, s.num_frames)));
       if (mode_rng.chance(config.constant_mode_fraction)) {
         s.mode = pipe::ControlMode::kConstantQuality;
         s.constant_quality = static_cast<rt::QualityLevel>(

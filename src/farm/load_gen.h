@@ -15,14 +15,14 @@
 
 namespace qosctrl::farm {
 
+/// Joins arrive as a Poisson process (kMeanInterarrivalPeriods in
+/// load_gen.cpp).  Probability that a join is a burst; a burst adds up
+/// to kMaxBurst - 1 extra simultaneous joins.
+inline constexpr double kBurstProbability = 0.15;
+inline constexpr int kMaxBurst = 3;
+
 struct LoadGenConfig {
   int num_streams = 12;
-
-  /// Joins arrive as a Poisson process (kMeanInterarrivalPeriods in
-  /// load_gen.cpp).  Probability that a join is a burst; a burst adds
-  /// up to `max_burst - 1` extra simultaneous joins.
-  double burst_probability = 0.15;
-  int max_burst = 3;
 
   /// Candidate luma geometries (width, height multiples of 16) and
   /// their selection weights (need not be normalized).
@@ -38,11 +38,10 @@ struct LoadGenConfig {
   /// surveillance-style factors.
   std::vector<double> period_factors = {3.0, 4.0, 6.0};
 
-  /// Stream lifetimes in frames, uniform in [min_frames, max_frames].
+  /// Stream lifetimes in frames, uniform in [min_frames, max_frames];
+  /// scenes per stream are uniform in [1, min(kMaxScenes, lifetime)].
   int min_frames = 8;
   int max_frames = 24;
-  /// Scene mix: scenes per stream, uniform in [1, max_scenes].
-  int max_scenes = 3;
 
   /// Fraction of streams offered as constant-quality (uncontrolled)
   /// instead of table-controlled; their level is uniform in

@@ -37,6 +37,9 @@ pipe::PipelineConfig stream_pipeline_config(const StreamSpec& spec,
 
 namespace {
 
+/// Camera periods a stream spends quarantined (OverrunPolicy::kQuarantine).
+constexpr rt::Cycles kQuarantinePeriods = 4;
+
 /// A frame queued on a processor.
 struct FrameJob {
   rt::Cycles deadline;  ///< display deadline (EDF key)
@@ -302,8 +305,7 @@ void run_processor(const FarmConfig& config, const SchedulingSpec& sched,
         if (++st.strikes < ospec.quarantine_strikes) break;
         st.strikes = 0;
         st.quarantined_until =
-            now + static_cast<rt::Cycles>(ospec.quarantine_periods) *
-                      st.period;
+            now + kQuarantinePeriods * st.period;
         st.pending_qmin = true;
         ++st.res->faults.quarantines;
         probe.on_quarantine(now, st.spec->id, st.quarantined_until);

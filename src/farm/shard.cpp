@@ -1,7 +1,6 @@
 #include "farm/shard.h"
 
 #include <algorithm>
-#include <cmath>
 #include <utility>
 
 #include "util/check.h"
@@ -13,7 +12,7 @@ ShardedControlPlane::ShardedControlPlane(int num_processors,
                                          AdmissionConfig admission,
                                          TableCache* tables,
                                          SchedulingSpec sched)
-    : config_(std::move(admission)),
+    : config_(admission),
       sched_(sched),
       policy_(sched.policy),
       tables_(tables),
@@ -21,15 +20,6 @@ ShardedControlPlane::ShardedControlPlane(int num_processors,
       watermark_(plane.rebalance_watermark) {
   QC_EXPECT(num_processors >= 1, "farm needs at least one processor");
   QC_EXPECT(tables_ != nullptr, "admission needs a table cache");
-  QC_EXPECT(config_.max_stream_share > 0.0 && config_.max_stream_share <= 1.0,
-            "max stream share must be in (0, 1]");
-  for (const std::vector<double>* ladder :
-       {&config_.budget_fractions, &config_.min_budget_multiples}) {
-    for (const double x : *ladder) {
-      QC_EXPECT(std::isfinite(x) && x > 0.0,
-                "budget ladder entries must be finite and positive");
-    }
-  }
   QC_EXPECT(plane.shards >= 1 && plane.shards <= num_processors,
             "shard count must be in [1, num_processors]");
   QC_EXPECT(plane.probe_shards >= 0, "probe_shards must be >= 0");

@@ -63,8 +63,6 @@ void validate(const FarmScenario& scenario, const FarmConfig& config) {
             "loss probability must be in [0, 1]");
   QC_EXPECT(faults.overrun.quarantine_strikes >= 1,
             "quarantine needs >= 1 strike");
-  QC_EXPECT(faults.overrun.quarantine_periods >= 0,
-            "quarantine periods must be non-negative");
   for (const FailureEvent& ev : faults.failures) {
     QC_EXPECT(ev.processor >= 0 && ev.processor < config.num_processors,
               "failure event targets a processor outside the farm");

@@ -11,6 +11,8 @@ namespace qosctrl::media {
 namespace {
 
 constexpr double kPi = 3.14159265358979323846;
+/// Amplitude of the uniform sensor noise, in gray levels.
+constexpr double kNoiseAmplitude = 3.0;
 
 /// Cheap deterministic per-pixel noise hash in [-1, 1], split in two:
 /// noise(x, y, t) = noise_at(noise_row(y, t, seed), x).  The key is an
@@ -43,8 +45,6 @@ SyntheticVideo::SyntheticVideo(const VideoConfig& config) : config_(config) {
   QC_EXPECT(config.width % kMacroBlockSize == 0 &&
                 config.height % kMacroBlockSize == 0,
             "video dimensions must be multiples of the macroblock size");
-  QC_EXPECT(std::isfinite(config.noise_amplitude),
-            "noise amplitude must be finite");
   QC_EXPECT(config.num_frames >= 1, "at least one frame required");
   QC_EXPECT(config.num_scenes >= 1 &&
                 config.num_scenes <= config.num_frames,
@@ -169,7 +169,7 @@ YuvFrame SyntheticVideo::frame_yuv(int index, Carry* carry) const {
 //     falloff = 1 - d2 / r2
 //     v += brightness * falloff *
 //          (1 + 0.3 * sin(0.5 * dx + phase) * cos(0.5 * dy))
-//   luma = clamp(v + noise_amplitude * noise(x, y, index))
+//   luma = clamp(v + kNoiseAmplitude * noise(x, y, index))
 //
 // Chroma sample (cx, cy) sits at luma position (2cx, 2cy):
 //   cb = cb_base + chroma_amp * sin(chroma_freq * wx * 2 * pi + chroma_phase)
@@ -352,7 +352,7 @@ void SyntheticVideo::render(int index, Frame& luma, Plane* cb, Plane* cr,
     Sample* out = luma.row(y);
     for (int x = 0; x < width; ++x) {
       out[x] = clamp_sample(v[static_cast<std::size_t>(x)] +
-                            config_.noise_amplitude * noise_at(noise_key, x));
+                            kNoiseAmplitude * noise_at(noise_key, x));
     }
     if (chroma) {
       Sample* out_cb = cb->row(y / 2);

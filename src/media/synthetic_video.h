@@ -50,7 +50,6 @@ struct VideoConfig {
   int height = 144;
   int num_frames = 582;   ///< paper benchmark length
   int num_scenes = 9;     ///< paper: 9 sequences
-  double noise_amplitude = 3.0;  ///< uniform sensor noise, gray levels
   std::uint64_t seed = 2005;
 };
 
@@ -79,8 +78,7 @@ class SyntheticVideo {
     std::vector<double> background_;  ///< width * height, row-major
   };
 
-  /// Rejects geometry that is not a whole number of macroblocks and a
-  /// non-finite noise amplitude.
+  /// Rejects geometry that is not a whole number of macroblocks.
   explicit SyntheticVideo(const VideoConfig& config);
 
   const VideoConfig& config() const { return config_; }

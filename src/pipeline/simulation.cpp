@@ -18,10 +18,7 @@ std::unique_ptr<qos::Controller> make_controller(
   std::unique_ptr<qos::Controller> ctl;
   switch (config.mode) {
     case ControlMode::kControlled:
-      if (config.use_online_controller) {
-        ctl = std::make_unique<qos::OnlineController>(
-            *es.system, config.smoothness, config.soft_deadlines);
-      } else if (config.use_adaptive_controller) {
+      if (config.use_adaptive_controller) {
         QC_EXPECT(es.body != nullptr,
                   "adaptive control requires the periodic geometry "
                   "(frame budget divisible by the macroblock count)");
@@ -37,8 +34,7 @@ std::unique_ptr<qos::Controller> make_controller(
           *es.system, config.constant_quality);
       break;
     case ControlMode::kFeedback:
-      ctl = std::make_unique<qos::FeedbackController>(*es.system, es.budget,
-                                                      qos::FeedbackConfig{});
+      ctl = std::make_unique<qos::FeedbackController>(*es.system, es.budget);
       break;
   }
   if (config.decimation > 1) {
@@ -131,7 +127,7 @@ void StreamSession::switch_system(
             "switched encoder system geometry must match the video");
   QC_EXPECT(stateless_controller(),
             "budget switching requires a controller without "
-            "cross-frame state (table, online, or constant)");
+            "cross-frame state (table or constant)");
   system_ = std::move(system);
   controller_ = make_controller(config_, *system_);
   repaced_.clear();  // keyed by the old budget's bucket grid
@@ -141,8 +137,8 @@ void StreamSession::switch_system(
 bool StreamSession::stateless_controller() const {
   switch (config_.mode) {
     case ControlMode::kControlled:
-      // Table and online controllers hold no cross-frame state, so a
-      // fresh instance over the re-paced system decides exactly as a
+      // The table controller holds no cross-frame state, so a fresh
+      // instance over the re-paced system decides exactly as a
       // long-lived one would.  The adaptive controller learns average
       // times across frames (and needs the periodic geometry), so it
       // keeps arrival pacing.

@@ -21,7 +21,7 @@
 // the budget without leaving already-expired early deadlines behind —
 // the paced-from-arrival artifact that used to log spurious
 // intermediate misses while the display deadline a_f + K * P still
-// held.  Re-pacing applies to the table-driven, online, and constant
+// held.  Re-pacing applies to the table-driven and constant
 // controllers; the adaptive and feedback controllers carry state
 // across frames and keep arrival pacing.  Re-paced systems are
 // compiled on demand and cached per remaining budget.
@@ -60,10 +60,9 @@ struct PipelineConfig {
   qos::SmoothnessPolicy smoothness{};     ///< optional smoothness bound
   bool soft_deadlines = false;            ///< av-only constraint
   std::size_t decimation = 1;  ///< consult controller every k actions
-  bool use_online_controller = false;  ///< bypass the compiled tables
   /// Learn average execution times online (qos::AdaptiveController;
   /// the paper's Section 4 learning extension).  Requires the default
-  /// periodic geometry; ignored when combined with online mode.
+  /// periodic geometry.
   bool use_adaptive_controller = false;
   qos::AdaptiveConfig adaptive{};
   std::uint64_t seed = 42;     ///< cost-model jitter stream
@@ -177,8 +176,8 @@ class StreamSession {
   /// and rebuilds the controller over it — the farm's online budget
   /// renegotiation path: subsequent frames are paced over the new
   /// budget.  Requires a controller that carries no state across
-  /// frames (table, online, or constant — the same set that may
-  /// re-pace); the encoder, rate control, and video state persist.
+  /// frames (table or constant — the same set that may re-pace); the
+  /// encoder, rate control, and video state persist.
   void switch_system(std::shared_ptr<const enc::EncoderSystem> system);
 
   /// Routes quality scoring through a real decode of the emitted
@@ -244,7 +243,7 @@ class StreamSession {
   /// drop of a frame that was never encoded).
   media::Frame source_luma(int index);
   /// True when the configured controller holds no cross-frame state
-  /// and may be rebuilt at will (table / online / constant).
+  /// and may be rebuilt at will (table / constant).
   bool stateless_controller() const;
   /// Recomputes min_repace_budget_ from the current system (see the
   /// constructor comment).

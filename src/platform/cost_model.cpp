@@ -32,8 +32,6 @@ const CostSpec& CostTable::at(rt::ActionId a, std::size_t qi) const {
 CostModel::CostModel(CostTable table, CostModelConfig config, util::Rng rng)
     : table_(std::move(table)), config_(config), rng_(rng) {
   QC_EXPECT(config_.jitter_sigma >= 0.0, "jitter sigma must be >= 0");
-  QC_EXPECT(config_.floor_fraction >= 0.0 && config_.floor_fraction <= 1.0,
-            "floor fraction must be in [0, 1]");
 }
 
 rt::Cycles CostModel::sample(rt::ActionId a, std::size_t qi,
@@ -53,7 +51,7 @@ rt::Cycles CostModel::sample(rt::ActionId a, std::size_t qi,
       sigma > 0.0 ? rng_.lognormal(-0.5 * sigma * sigma, sigma) : 1.0;
   const double raw = static_cast<double>(spec.average) * work_scale * jitter;
   const auto lo = static_cast<rt::Cycles>(
-      std::llround(config_.floor_fraction * static_cast<double>(spec.average)));
+      std::llround(kFloorFraction * static_cast<double>(spec.average)));
   const auto v = static_cast<rt::Cycles>(std::llround(raw));
   return std::clamp<rt::Cycles>(v, lo, spec.worst_case);
 }

@@ -12,8 +12,8 @@
 //     cost = clamp( round(av(action, q) * work * jitter), lo, wc(action, q) )
 // where `work` is a content-coupled scale supplied by the caller (e.g.
 // proportional to search points actually visited, or residual bits),
-// `jitter` is lognormal with unit median, and the clamp enforces the
-// C <= Cwc contract that safe control requires.
+// `jitter` is lognormal with unit median, lo = kFloorFraction * av, and
+// the clamp enforces the C <= Cwc contract that safe control requires.
 #pragma once
 
 #include <vector>
@@ -46,10 +46,14 @@ class CostTable {
   std::vector<std::vector<CostSpec>> specs_;
 };
 
-/// Sampling parameters of the stochastic model.
+/// Lower clamp of a jittered sample, as a fraction of the average.
+inline constexpr double kFloorFraction = 0.25;
+
+/// Sampling parameters of the stochastic model.  The jitter width stays
+/// a setting: the encoder's safety property test draws it as the
+/// adversarial input of Prop. 2.1.
 struct CostModelConfig {
   double jitter_sigma = 0.12;  ///< log-space std-dev of the jitter term
-  double floor_fraction = 0.25;  ///< lower clamp = floor_fraction * average
 };
 
 /// Draws actual execution times consistent with a CostTable.

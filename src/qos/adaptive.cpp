@@ -12,9 +12,6 @@ AdaptiveController::AdaptiveController(PeriodicBody body,
     : profile_(std::move(body)), config_(config), soft_(soft) {
   QC_EXPECT(config_.ewma_alpha > 0.0 && config_.ewma_alpha <= 1.0,
             "EWMA weight must be in (0, 1]");
-  QC_EXPECT(config_.min_ratio > 0.0 &&
-                config_.min_ratio <= config_.max_ratio,
-            "ratio clamp must satisfy 0 < min <= max");
   ratios_.assign(profile_.order.size(), 1.0);
   rebuild_tables();
 }
@@ -61,7 +58,7 @@ void AdaptiveController::observe(rt::Cycles actual_cost) {
   if (profiled <= 0) return;  // nothing to scale
   const double sample = std::clamp(
       static_cast<double>(actual_cost) / static_cast<double>(profiled),
-      config_.min_ratio, config_.max_ratio);
+      kMinCostRatio, kMaxCostRatio);
   ratios_[last_k_] = (1.0 - config_.ewma_alpha) * ratios_[last_k_] +
                      config_.ewma_alpha * sample;
 }

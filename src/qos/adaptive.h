@@ -27,13 +27,14 @@
 
 namespace qosctrl::qos {
 
+/// Learned ratios are clamped to [kMinCostRatio, kMaxCostRatio] so a
+/// burst of outliers cannot zero out or explode the estimates.
+inline constexpr double kMinCostRatio = 0.2;
+inline constexpr double kMaxCostRatio = 5.0;
+
 struct AdaptiveConfig {
   /// EWMA weight of a new observation (0 < alpha <= 1).
   double ewma_alpha = 0.05;
-  /// Learned ratios are clamped to [min_ratio, max_ratio] so a burst of
-  /// outliers cannot zero out or explode the estimates.
-  double min_ratio = 0.2;
-  double max_ratio = 5.0;
 };
 
 /// A Controller that learns average execution times online.

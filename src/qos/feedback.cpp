@@ -17,15 +17,9 @@ constexpr double kIntegralClamp = 2.0;  ///< anti-windup bound on the I term
 }  // namespace
 
 FeedbackController::FeedbackController(const rt::ParameterizedSystem& sys,
-                                       rt::Cycles budget,
-                                       FeedbackConfig config)
-    : sys_(&sys),
-      budget_(budget),
-      config_(config),
-      levels_(sys.quality_levels()) {
+                                       rt::Cycles budget)
+    : sys_(&sys), budget_(budget), levels_(sys.quality_levels()) {
   QC_EXPECT(budget > 0, "cycle budget must be positive");
-  QC_EXPECT(config.setpoint > 0.0 && config.setpoint <= 1.0,
-            "setpoint must be in (0, 1]");
   alpha_ = sched::edf_schedule(sys.graph(), sys.deadline_of(sys.qmin()));
   // Start mid-ladder, like a practitioner would.
   level_index_ = levels_.size() / 2;
@@ -36,7 +30,7 @@ void FeedbackController::start_cycle() {
     // Close the loop on the finished cycle's utilization.
     const double utilization =
         static_cast<double>(cycle_cost_) / static_cast<double>(budget_);
-    const double error = config_.setpoint - utilization;
+    const double error = kFeedbackSetpoint - utilization;
     integral_ = std::clamp(integral_ + error, -kIntegralClamp,
                            kIntegralClamp);
     const double derivative = error - previous_error_;

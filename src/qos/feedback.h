@@ -6,12 +6,13 @@
 // possible".
 //
 // The controller picks ONE quality level per cycle, from the PID of the
-// utilization error of past cycles (setpoint slightly below 1.0), and
-// holds it for the whole cycle.  It never looks at the precomputed
-// slack tables and has no worst-case safety term, so it reproduces the
-// class of behavior the paper argues against: smooth in steady state,
-// but late by at least one full cycle after every load change — which
-// the granularity/baseline benches turn into measurable misses.
+// utilization error of past cycles (kFeedbackSetpoint, slightly below
+// 1.0), and holds it for the whole cycle.  It never looks at the
+// precomputed slack tables and has no worst-case safety term, so it
+// reproduces the class of behavior the paper argues against: smooth in
+// steady state, but late by at least one full cycle after every load
+// change — which the granularity/baseline benches turn into measurable
+// misses.
 #pragma once
 
 #include <memory>
@@ -21,16 +22,14 @@
 
 namespace qosctrl::qos {
 
-struct FeedbackConfig {
-  double setpoint = 0.9;  ///< target budget utilization
-};
+/// The budget utilization the PID steers toward.
+inline constexpr double kFeedbackSetpoint = 0.9;
 
 /// Per-cycle PID quality selection over a static EDF schedule.
 class FeedbackController : public Controller {
  public:
   /// `budget` is the cycle budget the utilization is measured against.
-  FeedbackController(const rt::ParameterizedSystem& sys, rt::Cycles budget,
-                     FeedbackConfig config = {});
+  FeedbackController(const rt::ParameterizedSystem& sys, rt::Cycles budget);
 
   void start_cycle() override;
   bool done() const override { return i_ >= alpha_.size(); }
@@ -42,7 +41,6 @@ class FeedbackController : public Controller {
  private:
   const rt::ParameterizedSystem* sys_;
   rt::Cycles budget_;
-  FeedbackConfig config_;
   std::vector<rt::QualityLevel> levels_;
   rt::ExecutionSequence alpha_;
   std::size_t i_ = 0;

@@ -141,14 +141,12 @@ SweepResult run_sweep(const SweepConfig& config) {
   QC_EXPECT(!config.scenarios.empty(), "sweep needs at least one scenario");
   QC_EXPECT(!config.sched_policies.empty(),
             "sweep needs at least one scheduling policy");
-  QC_EXPECT(!config.quality_policies.empty(),
-            "sweep needs at least one quality policy");
   QC_EXPECT(!config.renegotiate.empty(),
             "sweep needs the renegotiation axis non-empty");
   QC_EXPECT(!config.fault_axis.empty(),
             "sweep needs the fault axis non-empty");
 
-  const std::size_t nq = config.quality_policies.size();
+  const std::size_t nq = kQualityPolicies.size();
   const std::size_t np = config.sched_policies.size();
   const std::size_t nr = config.renegotiate.size();
   const std::size_t nf = config.fault_axis.size();
@@ -169,7 +167,7 @@ SweepResult run_sweep(const SweepConfig& config) {
 
     farm::FarmScenario scenario =
         apply_quality_policy(config.scenarios[si].scenario,
-                             config.quality_policies[qi],
+                             kQualityPolicies[qi],
                              config.constant_quality);
     scenario.sched.policy = config.sched_policies[pi];
     scenario.sched.renegotiate = config.renegotiate[ri];
@@ -182,7 +180,6 @@ SweepResult run_sweep(const SweepConfig& config) {
     fc.shards = config.shards;
     fc.workers = 1;  // determinism is per-cell; parallelism is across
     fc.seed = config.farm_seed;
-    fc.frame_rate = config.frame_rate;
     fc.ts_window = config.ts_window;
     fc.slos = config.slos;
 
@@ -190,7 +187,7 @@ SweepResult run_sweep(const SweepConfig& config) {
                                    config.latency_discount);
     cell.scenario = static_cast<int>(si);
     cell.scenario_name = config.scenarios[si].name;
-    cell.quality_policy = config.quality_policies[qi];
+    cell.quality_policy = kQualityPolicies[qi];
     cell.sched = config.sched_policies[pi];
     cell.renegotiate = config.renegotiate[ri];
     cell.faulted = config.fault_axis[fi];
@@ -203,7 +200,7 @@ SweepResult run_sweep(const SweepConfig& config) {
       for (std::size_t ri = 0; ri < nr; ++ri) {
         for (std::size_t fi = 0; fi < nf; ++fi) {
           PolicyFrontierPoint pt;
-          pt.quality_policy = config.quality_policies[qi];
+          pt.quality_policy = kQualityPolicies[qi];
           pt.sched = config.sched_policies[pi];
           pt.renegotiate = config.renegotiate[ri];
           pt.faulted = config.fault_axis[fi];

@@ -40,6 +40,7 @@
 // for any worker count (pinned in tests/quality/qoseval_test.cpp).
 #pragma once
 
+#include <array>
 #include <string>
 #include <vector>
 
@@ -54,6 +55,10 @@ enum class QualityPolicy {
 };
 
 const char* quality_policy_name(QualityPolicy p);
+
+/// The quality-policy axis of every sweep, in report order.
+inline constexpr std::array<QualityPolicy, 2> kQualityPolicies = {
+    QualityPolicy::kControlled, QualityPolicy::kConstant};
 
 /// One scenario-axis entry: an offered load and the name the reports
 /// print for it.
@@ -74,9 +79,6 @@ struct SweepConfig {
   /// C=D semi-partitioned splitting (farm/scenario.h), applied to
   /// every cell — a knob, not an axis, so grids stay comparable.
   bool split = false;
-  /// Quality-policy axis.
-  std::vector<QualityPolicy> quality_policies = {QualityPolicy::kControlled,
-                                                 QualityPolicy::kConstant};
   /// Level every stream encodes at under QualityPolicy::kConstant.
   rt::QualityLevel constant_quality = 3;
   /// Fault axis: cells run fault-free (false) and/or under `faults`
@@ -105,7 +107,6 @@ struct SweepConfig {
   /// bit-identical results.
   int workers = 1;
   std::uint64_t farm_seed = 2026;
-  double frame_rate = 25.0;
 };
 
 /// One grid cell: the coordinates and the measured outcome.

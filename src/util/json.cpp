@@ -182,6 +182,11 @@ long long JsonValue::as_int() const {
   return static_cast<long long>(number_);
 }
 
+const std::string& JsonValue::integer_token() const {
+  QC_EXPECT(kind_ == JsonKind::kNumber, "JSON value is not a number");
+  return string_;
+}
+
 const std::string& JsonValue::as_string() const {
   QC_EXPECT(kind_ == JsonKind::kString, "JSON value is not a string");
   return string_;
@@ -221,10 +226,11 @@ JsonValue JsonValue::make_bool(bool b) {
   return v;
 }
 
-JsonValue JsonValue::make_number(double d) {
+JsonValue JsonValue::make_number(double d, std::string integer_token) {
   JsonValue v;
   v.kind_ = JsonKind::kNumber;
   v.number_ = d;
+  v.string_ = std::move(integer_token);
   return v;
 }
 
@@ -333,6 +339,7 @@ class Parser {
       return fail("bad number");
     }
     while (!at_end() && peek() >= '0' && peek() <= '9') ++pos_;
+    const std::size_t integer_end = pos_;
     if (!at_end() && peek() == '.') {
       ++pos_;
       if (at_end() || peek() < '0' || peek() > '9') return fail("bad number");
@@ -347,7 +354,8 @@ class Parser {
     const std::string token = text_.substr(start, pos_ - start);
     const double d = std::strtod(token.c_str(), nullptr);
     if (!std::isfinite(d)) return fail("number out of range");
-    *out = JsonValue::make_number(d);
+    *out = JsonValue::make_number(
+        d, pos_ == integer_end ? token : std::string());
     return true;
   }
 

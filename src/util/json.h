@@ -208,6 +208,10 @@ class JsonValue {
   /// [-2^63, 2^63).
   bool is_int() const;
   long long as_int() const;  ///< requires is_int()
+  /// A number written as an integer (no fraction, no exponent): its
+  /// token exactly as parsed, so a uint64 past 2^53 keeps every digit.
+  /// Empty for any other number.  Requires a number.
+  const std::string& integer_token() const;
   const std::string& as_string() const;
   const std::vector<JsonValue>& items() const;  ///< array elements
   const std::vector<std::pair<std::string, JsonValue>>& members() const;
@@ -220,7 +224,7 @@ class JsonValue {
 
   static JsonValue make_null();
   static JsonValue make_bool(bool b);
-  static JsonValue make_number(double d);
+  static JsonValue make_number(double d, std::string integer_token = {});
   static JsonValue make_string(std::string s);
   static JsonValue make_array(std::vector<JsonValue> items);
   static JsonValue make_object(
@@ -230,7 +234,7 @@ class JsonValue {
   JsonKind kind_ = JsonKind::kNull;
   bool bool_ = false;
   double number_ = 0.0;
-  std::string string_;
+  std::string string_;  ///< a string's text, or a number's integer token
   std::vector<JsonValue> items_;
   std::vector<std::pair<std::string, JsonValue>> members_;
 };

@@ -5,8 +5,12 @@
 // cycle starts on time (t0 = 0) must meet every action deadline and
 // the frame budget under the table controller — whatever the frame
 // geometry, the budget's headroom, the content (which scales the
-// cost-model draws) and the cost model's seed and jitter.
+// cost-model draws) and the cost model's seed and jitter.  Every fourth
+// trial runs the online controller instead, which evaluates the same
+// constraints over the system without compiled tables.
 #include <gtest/gtest.h>
+
+#include <memory>
 
 #include "encoder/frame_encoder.h"
 #include "encoder/system_builder.h"
@@ -54,13 +58,20 @@ TEST(EncoderSafetyProperty, CertifiedBudgetsNeverMiss) {
     const media::SyntheticVideo video(vc);
     const int qp = static_cast<int>(rng.uniform_i64(2, 20));
 
-    qos::TableController controller(es.tables);
+    const bool online = trial % 4 == 3;
+    std::unique_ptr<qos::Controller> controller;
+    if (online) {
+      controller = std::make_unique<qos::OnlineController>(*es.system);
+    } else {
+      controller = std::make_unique<qos::TableController>(es.tables);
+    }
     for (int f = 0; f < vc.num_frames; ++f) {
-      const FrameStats s =
-          encoder.encode_frame(video.frame_yuv(f), controller, *es.system, qp);
+      const FrameStats s = encoder.encode_frame(video.frame_yuv(f),
+                                                *controller, *es.system, qp);
       EXPECT_EQ(s.deadline_misses, 0)
           << "trial " << trial << " frame " << f << ": " << cols << "x"
-          << rows << " macroblocks, budget " << budget;
+          << rows << " macroblocks, budget " << budget
+          << (online ? ", online controller" : "");
       EXPECT_LE(s.encode_cycles, budget)
           << "trial " << trial << " frame " << f;
       ++frames;

@@ -407,16 +407,6 @@ TEST(FarmFaultsDeath, RejectsNonFiniteOrNonPositiveFrameRate) {
   }
 }
 
-TEST(FarmFaultsDeath, RejectsNegativeQuarantinePeriods) {
-  FarmConfig cfg;
-  cfg.num_processors = 2;
-  FarmScenario sc = light_scenario(1, 2);
-  sc.faults.overrun.probability = 1.0;
-  sc.faults.overrun.policy = OverrunPolicy::kQuarantine;
-  sc.faults.overrun.quarantine_periods = -1;
-  EXPECT_DEATH(run_farm(sc, cfg), "quarantine periods");
-}
-
 // The overhead costs stay within platform::kMaxOverheadCycles, which
 // keeps `cost + 2 * ctx` and `cost + migration_cost` exact; a negative
 // surcharge would make migrated placements cheaper than local ones.

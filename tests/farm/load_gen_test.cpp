@@ -101,8 +101,7 @@ TEST(LoadGen, SceneCountNeverExceedsLifetime) {
   LoadGenConfig cfg = small_config();
   cfg.num_streams = 30;
   cfg.min_frames = 1;
-  cfg.max_frames = 2;
-  cfg.max_scenes = 3;
+  cfg.max_frames = 2;  // below kMaxScenes
   const FarmScenario sc = generate_scenario(cfg);
   for (const StreamSpec& s : sc.streams) {
     EXPECT_LE(s.num_scenes, s.num_frames) << "stream " << s.id;
@@ -110,29 +109,20 @@ TEST(LoadGen, SceneCountNeverExceedsLifetime) {
   }
 }
 
-TEST(LoadGen, MaxBurstOneMeansNoBursts) {
-  LoadGenConfig cfg = small_config();
-  cfg.num_streams = 40;
-  cfg.burst_probability = 1.0;
-  cfg.max_burst = 1;
-  const FarmScenario sc = generate_scenario(cfg);
-  for (std::size_t i = 1; i < sc.streams.size(); ++i) {
-    EXPECT_NE(sc.streams[i].join_time, sc.streams[i - 1].join_time)
-        << "max_burst = 1 must not produce simultaneous joins";
-  }
-}
-
 TEST(LoadGen, BurstsProduceSimultaneousJoins) {
   LoadGenConfig cfg = small_config();
   cfg.num_streams = 60;
-  cfg.burst_probability = 0.9;
-  cfg.max_burst = 4;
   const FarmScenario sc = generate_scenario(cfg);
   int simultaneous = 0;
+  int run = 1;  // joins sharing the current join time
   for (std::size_t i = 1; i < sc.streams.size(); ++i) {
     if (sc.streams[i].join_time == sc.streams[i - 1].join_time) {
       ++simultaneous;
+      ++run;
+    } else {
+      run = 1;
     }
+    EXPECT_LE(run, kMaxBurst) << "stream " << i;
   }
   EXPECT_GT(simultaneous, 0);
 }

@@ -107,8 +107,7 @@ TEST(EndToEnd, RateControlHoldsAcrossModes) {
     pipe::PipelineConfig cfg = bench_config();
     cfg.mode = mode;
     const pipe::PipelineResult r = pipe::run_pipeline(cfg);
-    EXPECT_NEAR(r.achieved_bps, cfg.rate.bitrate_bps,
-                cfg.rate.bitrate_bps * 0.15)
+    EXPECT_NEAR(r.achieved_bps, enc::kBitrateBps, enc::kBitrateBps * 0.15)
         << "mode " << static_cast<int>(mode);
   }
 }

@@ -4,7 +4,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <limits>
 #include <random>
 #include <thread>
 #include <vector>
@@ -341,12 +340,6 @@ TEST(SyntheticVideoCarry, ForeignCarryIsRebuiltNotReused) {
   SyntheticVideo::Carry carry;
   a.frame(8, &carry);
   EXPECT_EQ(a.frame(10, &carry).data(), a.frame(10).data());
-  // A different noise amplitude leaves the background alone, so the
-  // carry may be shared; the output still matches.
-  VideoConfig quiet = base;
-  quiet.noise_amplitude = 0.5;
-  const SyntheticVideo q(quiet);
-  EXPECT_EQ(q.frame(11, &carry).data(), q.frame(11).data());
 }
 
 TEST(SyntheticVideoCarry, EmptyAfterEachScenesLastFrame) {
@@ -402,14 +395,6 @@ TEST(SyntheticVideoDeath, RejectsGeometryOffTheMacroblockGrid) {
   c = small_config();
   c.height = 40;
   EXPECT_DEATH({ SyntheticVideo v(c); }, "multiples of the macroblock size");
-}
-
-TEST(SyntheticVideoDeath, RejectsNonFiniteNoiseAmplitude) {
-  VideoConfig c = small_config();
-  c.noise_amplitude = std::numeric_limits<double>::quiet_NaN();
-  EXPECT_DEATH({ SyntheticVideo v(c); }, "noise amplitude must be finite");
-  c.noise_amplitude = std::numeric_limits<double>::infinity();
-  EXPECT_DEATH({ SyntheticVideo v(c); }, "noise amplitude must be finite");
 }
 
 }  // namespace

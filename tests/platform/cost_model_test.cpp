@@ -71,11 +71,12 @@ TEST(CostModel, WorkScaleShiftsTheMean) {
 }
 
 TEST(CostModel, FloorFractionClampsBelow) {
-  CostModelConfig cfg;
-  cfg.floor_fraction = 0.5;
-  CostModel m(simple_table(), cfg, util::Rng(6));
+  // No work at all still costs kFloorFraction of the average: 25 of 100
+  // at q0, 75 of 300 at q1, whatever the jitter.
+  CostModel m(simple_table(), CostModelConfig{}, util::Rng(6));
   for (int i = 0; i < 2000; ++i) {
-    EXPECT_GE(m.sample(0, 0, 0.0), 50);  // 0.5 * average
+    EXPECT_EQ(m.sample(0, 0, 0.0), 25);
+    EXPECT_EQ(m.sample(0, 1, 0.0), 75);
   }
 }
 

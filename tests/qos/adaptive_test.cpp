@@ -160,14 +160,18 @@ TEST(AdaptiveController, RatiosAreClamped) {
   const auto& sys = *s.dense.system;
   AdaptiveConfig cfg;
   cfg.ewma_alpha = 1.0;  // adopt each sample instantly
-  cfg.min_ratio = 0.5;
-  cfg.max_ratio = 2.0;
   AdaptiveController ctl(s.body, cfg);
   run_cycle(sys, ctl, [](rt::ActionId, rt::QualityLevel) -> rt::Cycles {
     return 0;  // absurdly cheap
   });
   for (std::size_t k = 0; k < s.body.order.size(); ++k) {
-    EXPECT_GE(ctl.ratio(k), 0.5);
+    EXPECT_DOUBLE_EQ(ctl.ratio(k), kMinCostRatio);
+  }
+  run_cycle(sys, ctl, [&](rt::ActionId a, rt::QualityLevel q) {
+    return 1000 * sys.cwc(q, a);  // absurdly expensive
+  });
+  for (std::size_t k = 0; k < s.body.order.size(); ++k) {
+    EXPECT_DOUBLE_EQ(ctl.ratio(k), kMaxCostRatio);
   }
 }
 

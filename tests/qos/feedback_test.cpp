@@ -113,9 +113,7 @@ TEST(FeedbackController, SettlesNearTheSetpointOnAverageCosts) {
   util::Rng rng(5);
   const auto sys = make_sys(rng);
   const rt::Cycles budget = budget_of(sys);
-  FeedbackConfig cfg;
-  cfg.setpoint = 0.85;
-  FeedbackController ctl(sys, budget, cfg);
+  FeedbackController ctl(sys, budget);  // steers toward kFeedbackSetpoint
   double last_util = 0.0;
   for (int cycle = 0; cycle < 30; ++cycle) {
     const CycleTrace t =

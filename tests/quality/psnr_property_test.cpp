@@ -26,7 +26,8 @@ PipelineConfig rate_limited_config(std::uint64_t seed) {
   cfg.video.seed = seed * 77 + 1;
   cfg.seed = seed;
   cfg.frame_period = 19555569 * 12 / 99 * 4;  // slow camera, rich window
-  cfg.rate.bitrate_bps = 150000;  // tight enough that QP must adapt
+  // 6000 bits per frame: tight enough that QP must adapt.
+  cfg.rate.frame_rate = enc::kBitrateBps / 6000.0;
   return cfg;
 }
 

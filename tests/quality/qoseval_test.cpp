@@ -205,7 +205,7 @@ TEST(QosEval, CellsCoverTheFullGridInScenarioMajorOrder) {
   ASSERT_EQ(r.cells.size(), 3u * 2u * 3u * 2u);
   std::size_t i = 0;
   for (int s = 0; s < 3; ++s) {
-    for (const QualityPolicy qp : cfg.quality_policies) {
+    for (const QualityPolicy qp : kQualityPolicies) {
       for (const sched::PolicyParams& sp : cfg.sched_policies) {
         for (const bool rn : cfg.renegotiate) {
           const CellResult& c = r.cells[i++];

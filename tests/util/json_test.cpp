@@ -53,6 +53,21 @@ TEST(JsonTest, IsIntChecksIntegralityAndRange) {
   }
 }
 
+// A number written as an integer keeps its token: a uint64 farm seed
+// past 2^53 (or past 2^63) reads back digit for digit.
+TEST(JsonTest, IntegerTokensAreKeptExactly) {
+  for (const char* text : {"10617743076000001", "10617743076000000001",
+                           "18446744073709551615", "-7", "0"}) {
+    EXPECT_EQ(parse_ok(text).integer_token(), text);
+  }
+  for (const char* text : {"1e300", "4e18", "0.5", "-2.5E-2", "10.0"}) {
+    EXPECT_TRUE(parse_ok(text).integer_token().empty()) << text;
+  }
+  const JsonValue doc = parse_ok("{\"farm_seed\":10617743076000000001}");
+  EXPECT_EQ(doc.find("farm_seed")->integer_token(), "10617743076000000001");
+  EXPECT_DOUBLE_EQ(doc.find("farm_seed")->as_number(), 10617743076000000001.0);
+}
+
 TEST(JsonDeathTest, AsIntRejectsWhatIsNotAnInt64) {
   EXPECT_DEATH(parse_ok("1e300").as_int(), "int64 range");
   EXPECT_DEATH(parse_ok("2.5").as_int(), "int64 range");

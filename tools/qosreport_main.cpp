@@ -215,9 +215,10 @@ void render_fleet_header(const JsonValue& doc, std::ostringstream& html) {
   const JsonValue* build = doc.find("build", JsonKind::kObject);
   html << "<p class=\"meta\">";
   if (build != nullptr) {
+    // The seed is a uint64: print its digits, not the rounded double.
     const JsonValue* seed = build->find("farm_seed", JsonKind::kNumber);
-    if (seed != nullptr && seed->is_int()) {
-      html << "seed " << seed->as_int() << " &middot; ";
+    if (seed != nullptr && !seed->integer_token().empty()) {
+      html << "seed " << seed->integer_token() << " &middot; ";
     }
   }
   if (fleet != nullptr) {
