@@ -9,12 +9,18 @@
 // the encoder's end-to-end correctness test: the PSNR numbers reported
 // for every experiment are PSNR against a *decodable* stream, not
 // against internal state.
+//
+// rebuild_frame runs the same macroblock loop over syntax the encoder
+// kept in memory instead of parsed bytes.  A farm session whose decoder
+// has drifted from the encoder builds the viewer's picture that way;
+// decode_frame stays the bitstream's oracle.
 #pragma once
 
 #include <cstdint>
 #include <optional>
 #include <vector>
 
+#include "encoder/macroblock.h"
 #include "media/yuv.h"
 
 namespace qosctrl::enc {
@@ -40,5 +46,16 @@ struct DecodeResult {
 /// frame.
 DecodeResult decode_frame(const std::vector<std::uint8_t>& bitstream,
                           const media::YuvFrame* reference);
+
+/// Builds, from a frame's syntax kept in memory, the picture
+/// decode_frame builds from the frame's bytes: the same macroblock loop,
+/// with no bytes written or parsed.  `syntax` must hold a whole frame
+/// (FrameEncoder::kept_syntax() after a frame encoded with
+/// SyntaxKeeping::kKeep).  Kept syntax is well formed, so the result is
+/// ok == false only where decode_frame's would be for a well-formed
+/// stream: an inter macroblock with no reference, or a reference of
+/// another geometry.
+DecodeResult rebuild_frame(const FrameSyntax& syntax,
+                           const media::YuvFrame* reference);
 
 }  // namespace qosctrl::enc

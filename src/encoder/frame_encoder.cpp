@@ -87,7 +87,8 @@ FrameStats FrameEncoder::encode_frame(const media::YuvFrame& input,
                                       qos::Controller& controller,
                                       const rt::ParameterizedSystem& sys,
                                       int qp, rt::Cycles t0,
-                                      BitstreamMode mode) {
+                                      BitstreamMode mode,
+                                      SyntaxKeeping keeping) {
   QC_EXPECT(input.width() == config_.width &&
                 input.height() == config_.height,
             "input frame has wrong dimensions");
@@ -110,6 +111,15 @@ FrameStats FrameEncoder::encode_frame(const media::YuvFrame& input,
   } else {
     frame_counter_ = util::BitCounter();
     put_frame_header(frame_counter_, header);
+  }
+  keeping_ = keeping;
+  if (keeping_ == SyntaxKeeping::kKeep) {
+    kept_.header = header;
+    // Allocates on the first kept frame only: the geometry is fixed.
+    kept_.macroblocks.resize(
+        static_cast<std::size_t>(header.mb_cols * header.mb_rows));
+  } else {
+    kept_.header = FrameHeader{};
   }
 
   FrameStats stats;
@@ -261,6 +271,11 @@ double FrameEncoder::run_action(const UnrolledAction& ua,
                      : put_macroblock(frame_counter_, ctx.header, ctx.levels);
       QC_DCHECK(counted_equals_packed(ctx.header, ctx.levels),
                 "a macroblock's count must equal its packed length");
+      if (keeping_ == SyntaxKeeping::kKeep) {
+        MbSyntax& kept = kept_.macroblocks[static_cast<std::size_t>(ctx.mb)];
+        kept.header = ctx.header;
+        kept.levels = ctx.levels;
+      }
       return std::max(
           0.2, static_cast<double>(ctx.bits) / config_.typical_compress_bits);
     }

@@ -64,6 +64,13 @@ struct FrameStats {
 /// the same FrameStats and the same reconstruction.
 enum class BitstreamMode { kPack, kCount };
 
+/// Whether Compress also keeps each macroblock's header and levels in
+/// memory (kept_syntax()), for a decoder that rebuilds the picture from
+/// them with no bytes (enc::rebuild_frame).  Independent of
+/// BitstreamMode: a test or a Debug session keeps and packs, and checks
+/// the rebuild against the decode.
+enum class SyntaxKeeping { kDiscard, kKeep };
+
 /// Encodes frames one at a time, keeping the previous reconstruction as
 /// the motion-compensation reference.
 class FrameEncoder {
@@ -76,11 +83,13 @@ class FrameEncoder {
   /// late start shrinks the budget, which is how the pipeline models
   /// buffer occupancy).  `mode` kCount writes no bytes: bitstream() is
   /// left empty and only FrameStats::bits records the frame's size.
+  /// `keeping` kKeep also keeps the frame's syntax (kept_syntax()).
   FrameStats encode_frame(const media::YuvFrame& input,
                           qos::Controller& controller,
                           const rt::ParameterizedSystem& sys, int qp,
                           rt::Cycles t0 = 0,
-                          BitstreamMode mode = BitstreamMode::kPack);
+                          BitstreamMode mode = BitstreamMode::kPack,
+                          SyntaxKeeping keeping = SyntaxKeeping::kDiscard);
 
   /// Reconstruction of the most recently encoded frame (what a decoder
   /// would display, and what the session scores the frame against).
@@ -100,6 +109,13 @@ class FrameEncoder {
   /// enc::decode_frame; the decoder's output is bit-exact with
   /// reconstructed().
   const std::vector<std::uint8_t>& bitstream() const { return bitstream_; }
+
+  /// Syntax of the most recently encoded frame when it was encoded with
+  /// SyntaxKeeping::kKeep: enc::rebuild_frame builds from it what
+  /// decode_frame builds from the frame's bytes.  After a kDiscard frame
+  /// its header is empty, and rebuild_frame rejects it.  The buffers
+  /// are reused from frame to frame.
+  const FrameSyntax& kept_syntax() const { return kept_; }
 
   const EncoderConfig& config() const { return config_; }
 
@@ -151,6 +167,10 @@ class FrameEncoder {
   util::BitWriter frame_writer_;
   util::BitCounter frame_counter_;
   std::vector<std::uint8_t> bitstream_;
+  /// Compress copies each macroblock's syntax into kept_ under
+  /// SyntaxKeeping::kKeep.
+  SyntaxKeeping keeping_ = SyntaxKeeping::kDiscard;
+  FrameSyntax kept_;
 };
 
 }  // namespace qosctrl::enc

@@ -13,6 +13,7 @@
 
 #include <array>
 #include <cstdint>
+#include <vector>
 
 #include "media/intra.h"
 #include "media/motion.h"
@@ -60,6 +61,22 @@ struct MbHeader {
 
 /// A macroblock's six quantized level blocks in bitstream order.
 using MbLevels = std::array<media::Coeffs8, 6>;
+
+/// One macroblock's syntax held in memory: what put_macroblock writes
+/// and get_macroblock parses.
+struct MbSyntax {
+  MbHeader header;
+  MbLevels levels;
+};
+
+/// A frame's syntax held in memory (FrameEncoder::kept_syntax()): the
+/// header and every macroblock in raster order, as a decoder parses
+/// them, so enc::rebuild_frame builds the decoded picture with no bytes
+/// written or parsed.
+struct FrameSyntax {
+  FrameHeader header;
+  std::vector<MbSyntax> macroblocks;
+};
 
 /// A macroblock's prediction: the 16x16 luma block (row stride 16) and
 /// the Cb and Cr 8x8 blocks (row stride 8).

@@ -63,6 +63,11 @@ enc::FrameEncoder make_encoder(const PipelineConfig& config) {
   return enc::FrameEncoder(encoder_config, std::move(cost_model));
 }
 
+bool same_picture(const media::YuvFrame& a, const media::YuvFrame& b) {
+  return a.y.data() == b.y.data() && a.cb.data() == b.cb.data() &&
+         a.cr.data() == b.cr.data();
+}
+
 /// Debug check of an in-sync deliver(): the encoder's bytes decode,
 /// from the decoder's own picture, to the encoder's reconstruction.
 [[maybe_unused]] bool decodes_to_reconstruction(
@@ -70,10 +75,21 @@ enc::FrameEncoder make_encoder(const PipelineConfig& config) {
     const std::optional<media::YuvFrame>& displayed) {
   const enc::DecodeResult d = enc::decode_frame(
       encoder.bitstream(), displayed ? &*displayed : nullptr);
-  const media::YuvFrame& recon = encoder.reconstructed();
-  return d.ok && d.frame.y.data() == recon.y.data() &&
-         d.frame.cb.data() == recon.cb.data() &&
-         d.frame.cr.data() == recon.cr.data();
+  return d.ok && same_picture(d.frame, encoder.reconstructed());
+}
+
+/// Debug check of an out-of-sync deliver(): the encoder's bytes decode,
+/// from the decoder's own picture, to `rebuilt` in every sample, with
+/// the same outcome and intra count.
+[[maybe_unused]] bool decodes_to_rebuild(
+    const enc::FrameEncoder& encoder,
+    const std::optional<media::YuvFrame>& displayed,
+    const enc::DecodeResult& rebuilt) {
+  const enc::DecodeResult d = enc::decode_frame(
+      encoder.bitstream(), displayed ? &*displayed : nullptr);
+  return d.ok == rebuilt.ok && d.qp == rebuilt.qp &&
+         d.intra_macroblocks == rebuilt.intra_macroblocks &&
+         same_picture(d.frame, rebuilt.frame);
 }
 
 }  // namespace
@@ -194,19 +210,23 @@ FrameRecord StreamSession::encode(int index, rt::Cycles t0) {
     elapsed = 0;
   }
 
-  // A decoder reads the frame's bytes only while delivery is tracked
-  // and out of sync.  In sync, its picture is the encoder's reference,
-  // or the frame is all intra (no reference), and it would decode the
-  // bytes to the reconstruction bit for bit.
+  // A decoder needs more than the reconstruction only while delivery is
+  // tracked and out of sync.  In sync, its picture is the encoder's
+  // reference, or the frame is all intra (no reference), and it would
+  // decode the bytes to the reconstruction bit for bit.  Out of sync,
+  // deliver() rebuilds its picture from the syntax the encoder keeps.
+  // Only a Debug build packs bytes, to check both against their decode.
   frame_in_sync_ = track_delivery_ &&
                    (decoder_in_sync_ || !encoder_.has_reference());
-  const bool pack =
-      track_delivery_ && (!frame_in_sync_ || util::kDebugChecks);
+  const bool keep = track_delivery_ && !frame_in_sync_;
+  const bool pack = track_delivery_ && util::kDebugChecks;
   FrameRecord rec;
   static_cast<enc::FrameStats&>(rec) = encoder_.encode_frame(
       input, *controller, *sys->system, rate_.qp(), elapsed,
-      pack ? enc::BitstreamMode::kPack : enc::BitstreamMode::kCount);
+      pack ? enc::BitstreamMode::kPack : enc::BitstreamMode::kCount,
+      keep ? enc::SyntaxKeeping::kKeep : enc::SyntaxKeeping::kDiscard);
   decoder_in_sync_ = false;  // the reconstruction moved on
+  encoded_index_ = index;
   rate_.frame_encoded(rec.bits);
   rec.index = index;
   rec.scene_cut = video_.is_scene_cut(index);
@@ -261,6 +281,8 @@ const media::Frame* StreamSession::shown() const {
 }
 
 FrameRecord StreamSession::deliver(FrameRecord rec) {
+  QC_DCHECK(rec.index == encoded_index_,
+            "deliver() takes the frame encode() produced last");
   if (!track_delivery_) return rec;
   if (frame_in_sync_) {
     // The decode would be the reconstruction encode() scored: show it
@@ -275,11 +297,13 @@ FrameRecord StreamSession::deliver(FrameRecord rec) {
     }
     return rec;
   }
-  enc::DecodeResult d = enc::decode_frame(
-      encoder_.bitstream(), displayed_ ? &*displayed_ : nullptr);
-  // Un-decodable at the receiver (e.g. an inter frame whose reference
-  // never survived to the decoder): conceal instead of crashing — the
-  // viewer keeps the previous picture.
+  enc::DecodeResult d = enc::rebuild_frame(
+      encoder_.kept_syntax(), displayed_ ? &*displayed_ : nullptr);
+  QC_DCHECK(decodes_to_rebuild(encoder_, displayed_, d),
+            "an out-of-sync frame's bytes must decode to its rebuild");
+  // Un-decodable at the receiver (an inter frame whose reference never
+  // survived to the decoder): conceal instead of crashing — the viewer
+  // keeps the previous picture.
   if (!d.ok) return lose(rec);
   // Re-score against the *decoded* picture: after a concealment the
   // decoder predicts from its stale reference, and the drift measured
@@ -293,6 +317,8 @@ FrameRecord StreamSession::deliver(FrameRecord rec) {
 }
 
 FrameRecord StreamSession::lose(FrameRecord rec) {
+  QC_DCHECK(rec.index == encoded_index_,
+            "lose() takes the frame encode() produced last");
   rec.concealed = true;
   score(rec, source_luma(rec.index), shown());
   return rec;

@@ -180,35 +180,38 @@ class StreamSession {
   /// encoder, rate control, and video state persist.
   void switch_system(std::shared_ptr<const enc::EncoderSystem> system);
 
-  /// Routes quality scoring through a real decode of the emitted
-  /// bitstream (enc::decode_frame) against the decoder's own
-  /// reference chain, so loss and concealment are measured against
-  /// what a viewer displays — stale-reference propagation included.
-  /// Off by default: without faults the decode is bit-exact with the
-  /// encoder's reconstruction and every score is unchanged, so
-  /// fault-free runs skip the decode cost entirely.  While tracking,
-  /// encode() keeps the frame's rendered luma until deliver() or lose()
-  /// scores it, so each encoded frame is rendered once.  Only a frame
-  /// the decoder cannot rebuild from its own picture is packed into
-  /// bytes and decoded; every other frame, tracked or not, is encoded
-  /// with bit counts only (enc::BitstreamMode::kCount).
+  /// Routes quality scoring through the decoder's own reference chain,
+  /// so loss and concealment are measured against what a viewer
+  /// displays — stale-reference propagation included.  Off by default:
+  /// without faults the decode is bit-exact with the encoder's
+  /// reconstruction and every score is unchanged, so fault-free runs
+  /// skip the decode cost entirely.  While tracking, encode() keeps the
+  /// frame's rendered luma until deliver() or lose() scores it, so each
+  /// encoded frame is rendered once.  A frame encoded while the decoder
+  /// is out of sync keeps its syntax in the encoder
+  /// (enc::SyntaxKeeping::kKeep), and deliver() rebuilds the decoder's
+  /// picture from it (enc::rebuild_frame).  Every frame is encoded with
+  /// bit counts only (enc::BitstreamMode::kCount); a Debug build also
+  /// packs the bytes and checks the decode of every delivered frame
+  /// against what deliver() shows.
   void track_delivery() { track_delivery_ = true; }
   bool tracking_delivery() const { return track_delivery_; }
 
-  /// Marks the record encode() just produced as delivered.  With
-  /// tracking, decodes the encoder's bitstream and re-scores
-  /// PSNR/SSIM against the decoded picture; a malformed or
-  /// unreferenced decode is lose(rec) instead of a crash.  A frame
-  /// encoded in sync (the decoder's picture was the encoder's
-  /// reference, or the frame is all intra) is shown as the encoder's
-  /// reconstruction, and `rec` is returned as encode() scored it.
+  /// Marks the record encode() just produced as delivered: `rec` must
+  /// be that frame's (a Debug build checks its index).  With tracking,
+  /// rebuilds the decoder's picture from the frame's kept syntax and
+  /// re-scores PSNR/SSIM against it; an unreferenced decode is
+  /// lose(rec) instead of a crash.  A frame encoded in sync (the
+  /// decoder's picture was the encoder's reference, or the frame is all
+  /// intra) is shown as the encoder's reconstruction, and `rec` is
+  /// returned as encode() scored it.
   FrameRecord deliver(FrameRecord rec);
 
-  /// Marks the record encode() just produced as *not* delivered (a
-  /// post-encode loss, a policer abort, or a frame lost in flight to
-  /// a processor failure): the viewer re-displays the previous
-  /// output, and the decoder keeps predicting from that stale
-  /// reference until the next intra re-sync.
+  /// Marks the record encode() just produced (checked as in deliver())
+  /// as *not* delivered (a post-encode loss, a policer abort, or a
+  /// frame lost in flight to a processor failure): the viewer
+  /// re-displays the previous output, and the decoder keeps predicting
+  /// from that stale reference until the next intra re-sync.
   FrameRecord lose(FrameRecord rec);
 
   /// Records camera frame `index` as never serviced (quarantine, or a
@@ -275,8 +278,12 @@ class StreamSession {
   /// all-intra decode).
   bool decoder_in_sync_ = false;
   /// The frame encode() last produced was encoded in sync, so
-  /// deliver() needs neither its bytes nor a decode.
+  /// deliver() needs neither its kept syntax nor a rebuild.
   bool frame_in_sync_ = false;
+  /// The index of the frame encode() last produced: the only frame
+  /// whose kept syntax the encoder holds, and so the only one deliver()
+  /// and lose() may take.
+  int encoded_index_ = -1;
   /// With tracking, the luma encode() rendered for frame kept_index_
   /// (-1: none), held only while that frame is in service: deliver()
   /// and lose() score against it and release it.

@@ -18,7 +18,7 @@ constexpr double kIntegralClamp = 2.0;  ///< anti-windup bound on the I term
 
 FeedbackController::FeedbackController(const rt::ParameterizedSystem& sys,
                                        rt::Cycles budget)
-    : sys_(&sys), budget_(budget), levels_(sys.quality_levels()) {
+    : budget_(budget), levels_(sys.quality_levels()) {
   QC_EXPECT(budget > 0, "cycle budget must be positive");
   alpha_ = sched::edf_schedule(sys.graph(), sys.deadline_of(sys.qmin()));
   // Start mid-ladder, like a practitioner would.

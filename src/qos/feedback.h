@@ -39,7 +39,6 @@ class FeedbackController : public Controller {
   rt::QualityLevel current_level() const { return levels_[level_index_]; }
 
  private:
-  const rt::ParameterizedSystem* sys_;
   rt::Cycles budget_;
   std::vector<rt::QualityLevel> levels_;
   rt::ExecutionSequence alpha_;

@@ -20,6 +20,17 @@ PipelineConfig small_config() {
   return cfg;
 }
 
+/// 80x64 (20 macroblocks) at the periodic pacing the adaptive controller
+/// needs.  On small_config's 64x48 its learned ratios never change a
+/// decision, and its records equal the table controller's.
+PipelineConfig learning_config() {
+  PipelineConfig cfg = small_config();
+  cfg.video.width = 80;
+  cfg.video.height = 64;
+  cfg.frame_period = 19555569 * 20 / 99;  // periodic: 20 divides P
+  return cfg;
+}
+
 TEST(Pipeline, ControlledRunHasNoSkipsOrMisses) {
   PipelineConfig cfg = small_config();
   cfg.mode = ControlMode::kControlled;
@@ -134,14 +145,6 @@ TEST_P(PipelineSeedSafety, SeedChangesJitterButNotSafety) {
 INSTANTIATE_TEST_SUITE_P(Seeds, PipelineSeedSafety,
                          ::testing::Values(1234, 5678, 31337, 271828,
                                            314159));
-
-TEST(Pipeline, AdaptiveControllerAlsoSafe) {
-  PipelineConfig cfg = small_config();
-  cfg.use_adaptive_controller = true;
-  const PipelineResult r = run_pipeline(cfg);
-  EXPECT_EQ(r.total_skips, 0);
-  EXPECT_EQ(r.total_deadline_misses, 0);
-}
 
 TEST(Pipeline, FeedbackModeRunsButIsFallible) {
   PipelineConfig cfg = small_config();
@@ -382,19 +385,27 @@ TEST(RunPipeline, FeedbackRecordsArePinned) {
       << std::hex << " got 0x" << records_digest(r);
 }
 
-// 80x64: on the 64x48 geometry the learned ratios never change a
-// decision, and the records would equal the table controller's.
 TEST(RunPipeline, AdaptiveRecordsArePinned) {
-  PipelineConfig cfg = small_config();
-  cfg.video.width = 80;
-  cfg.video.height = 64;  // 20 macroblocks
+  PipelineConfig cfg = learning_config();
   cfg.video.num_frames = 30;
-  cfg.frame_period = 19555569 * 20 / 99;  // periodic: 20 divides P
   cfg.use_adaptive_controller = true;
   const PipelineResult r = run_pipeline(cfg);
   EXPECT_EQ(r.total_deadline_misses, 0);
   EXPECT_EQ(records_digest(r), 0x8b6893d997aff753ULL)
       << std::hex << " got 0x" << records_digest(r);
+}
+
+// The learning controller stays safe where its learning changes what it
+// decides: its records differ from the table controller's.
+TEST(Pipeline, AdaptiveControllerAlsoSafe) {
+  PipelineConfig cfg = learning_config();
+  const PipelineResult table = run_pipeline(cfg);
+  cfg.use_adaptive_controller = true;
+  const PipelineResult r = run_pipeline(cfg);
+  EXPECT_EQ(r.total_skips, 0);
+  EXPECT_EQ(r.total_deadline_misses, 0);
+  EXPECT_NE(records_digest(r), records_digest(table))
+      << "the adaptive run must decide differently from the table run";
 }
 
 // One scoring rule: encode() scores the encoder's reconstruction
