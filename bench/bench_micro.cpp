@@ -454,44 +454,51 @@ const FrameFixture& frame_fixture() {
     x.inter = video.frame_yuv(1);
     const enc::EncoderSystem& es = encoder_system();
     qos::TableController ctl(es.tables);
-    x.primed.encode_frame(video.frame_yuv(0), ctl, *es.system, kFrameQp);
+    enc::FrameSyntax syntax;
+    x.primed.encode_frame(video.frame_yuv(0), ctl, *es.system, kFrameQp, 0,
+                          &syntax);
     enc::DecodeResult decoded =
-        enc::decode_frame(x.primed.bitstream(), nullptr);
+        enc::decode_frame(enc::pack_frame(syntax), nullptr);
     QC_EXPECT(decoded.ok, "the reference frame must decode");
     x.displayed = std::move(decoded.frame);
     enc::FrameEncoder probe = x.primed;
-    probe.encode_frame(x.inter, ctl, *es.system, kFrameQp);
-    x.bitstream = probe.bitstream();
+    probe.encode_frame(x.inter, ctl, *es.system, kFrameQp, 0, &syntax);
+    x.bitstream = enc::pack_frame(syntax);
     return x;
   }();
   return f;
 }
 
-void encode_frame_loop(benchmark::State& state, enc::BitstreamMode mode) {
+/// Codes the fixture's P-frame; with `pack`, keeps its syntax (in one
+/// buffer reused across iterations, as a session reuses its own) and
+/// packs it into bytes.
+void encode_frame_loop(benchmark::State& state, bool pack) {
   const FrameFixture& f = frame_fixture();
   const enc::EncoderSystem& es = encoder_system();
   qos::TableController ctl(es.tables);
+  enc::FrameSyntax syntax;
   for (auto _ : state) {
     // Every iteration codes the same P-frame from the same state: the
     // encoder copy restores the reference and the cost model's draws.
     state.PauseTiming();
     enc::FrameEncoder encoder = f.primed;
     state.ResumeTiming();
-    benchmark::DoNotOptimize(
-        encoder.encode_frame(f.inter, ctl, *es.system, kFrameQp, 0, mode));
+    benchmark::DoNotOptimize(encoder.encode_frame(
+        f.inter, ctl, *es.system, kFrameQp, 0, pack ? &syntax : nullptr));
+    if (pack) benchmark::DoNotOptimize(enc::pack_frame(syntax));
   }
   state.SetItemsProcessed(state.iterations());
 }
 
-void BM_EncodeFrame(benchmark::State& state) {
-  encode_frame_loop(state, enc::BitstreamMode::kPack);
-}
+// The frame's bytes, as a decoder reads them: encode with the syntax
+// kept, then enc::pack_frame.
+void BM_EncodeFrame(benchmark::State& state) { encode_frame_loop(state, true); }
 BENCHMARK(BM_EncodeFrame);
 
-// The same frame with Compress counting bits instead of packing them,
-// as the farm encodes every frame no decoder reads.
+// The same frame with Compress only counting bits, as the farm encodes
+// every frame no rebuild reads.
 void BM_EncodeFrameCounted(benchmark::State& state) {
-  encode_frame_loop(state, enc::BitstreamMode::kCount);
+  encode_frame_loop(state, false);
 }
 BENCHMARK(BM_EncodeFrameCounted);
 

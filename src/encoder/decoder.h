@@ -13,7 +13,8 @@
 // rebuild_frame runs the same macroblock loop over syntax the encoder
 // kept in memory instead of parsed bytes.  A farm session whose decoder
 // has drifted from the encoder builds the viewer's picture that way;
-// decode_frame stays the bitstream's oracle.
+// decode_frame, fed enc::pack_frame's bytes of the same syntax, stays
+// its oracle.
 #pragma once
 
 #include <cstdint>
@@ -50,11 +51,11 @@ DecodeResult decode_frame(const std::vector<std::uint8_t>& bitstream,
 /// Builds, from a frame's syntax kept in memory, the picture
 /// decode_frame builds from the frame's bytes: the same macroblock loop,
 /// with no bytes written or parsed.  `syntax` must hold a whole frame
-/// (FrameEncoder::kept_syntax() after a frame encoded with
-/// SyntaxKeeping::kKeep).  Kept syntax is well formed, so the result is
-/// ok == false only where decode_frame's would be for a well-formed
-/// stream: an inter macroblock with no reference, or a reference of
-/// another geometry.
+/// (what FrameEncoder::encode_frame keeps in its `syntax` buffer), and
+/// decode_frame(pack_frame(syntax)) is its oracle.  Kept syntax is
+/// well formed, so the result is ok == false only where decode_frame's
+/// would be for a well-formed stream: an inter macroblock with no
+/// reference, or a reference of another geometry.
 DecodeResult rebuild_frame(const FrameSyntax& syntax,
                            const media::YuvFrame* reference);
 

@@ -61,16 +61,6 @@ void subtract_block8(const media::Sample* src, const media::Sample* pred,
   }
 }
 
-/// Debug check of Compress: the counted and the packed length of one
-/// macroblock agree.
-[[maybe_unused]] bool counted_equals_packed(const MbHeader& header,
-                                            const MbLevels& levels) {
-  util::BitWriter packed;
-  util::BitCounter counted;
-  return put_macroblock(packed, header, levels) ==
-         put_macroblock(counted, header, levels);
-}
-
 }  // namespace
 
 FrameEncoder::FrameEncoder(const EncoderConfig& config,
@@ -87,8 +77,7 @@ FrameStats FrameEncoder::encode_frame(const media::YuvFrame& input,
                                       qos::Controller& controller,
                                       const rt::ParameterizedSystem& sys,
                                       int qp, rt::Cycles t0,
-                                      BitstreamMode mode,
-                                      SyntaxKeeping keeping) {
+                                      FrameSyntax* syntax) {
   QC_EXPECT(input.width() == config_.width &&
                 input.height() == config_.height,
             "input frame has wrong dimensions");
@@ -103,28 +92,19 @@ FrameStats FrameEncoder::encode_frame(const media::YuvFrame& input,
     recon_ = media::YuvFrame(config_.width, config_.height);
   }
 
-  mode_ = mode;
   const FrameHeader header{input.y.mb_cols(), input.y.mb_rows(), qp};
-  if (mode_ == BitstreamMode::kPack) {
-    frame_writer_ = util::BitWriter();
-    put_frame_header(frame_writer_, header);
-  } else {
-    frame_counter_ = util::BitCounter();
-    put_frame_header(frame_counter_, header);
-  }
-  keeping_ = keeping;
-  if (keeping_ == SyntaxKeeping::kKeep) {
-    kept_.header = header;
-    // Allocates on the first kept frame only: the geometry is fixed.
-    kept_.macroblocks.resize(
+  MbContext ctx{};
+  put_frame_header(ctx.frame_bits, header);
+  if (syntax != nullptr) {
+    syntax->header = header;
+    // Allocates on a buffer's first frame only: the geometry is fixed.
+    syntax->macroblocks.resize(
         static_cast<std::size_t>(header.mb_cols * header.mb_rows));
-  } else {
-    kept_.header = FrameHeader{};
+    ctx.syntax = syntax;
   }
 
   FrameStats stats;
   stats.qp = qp;
-  MbContext ctx{};
   double quality_sum = 0.0;
   int quality_count = 0;
   rt::QualityLevel last_me_quality = sys.qmin();
@@ -161,13 +141,7 @@ FrameStats FrameEncoder::encode_frame(const media::YuvFrame& input,
       t0);
   stats.encode_cycles = totals.total_cycles;
   stats.deadline_misses = totals.deadline_misses;
-  if (mode_ == BitstreamMode::kPack) {
-    stats.bits = frame_writer_.bit_count();
-    bitstream_ = frame_writer_.finish();
-  } else {
-    stats.bits = frame_counter_.bit_count();
-    bitstream_.clear();
-  }
+  stats.bits = ctx.frame_bits.bit_count();
   // One O(perimeter) border fill replaces the per-pixel clamp branches
   // in every SAD and motion-compensation call of the next frame.
   recon_.fill_borders();
@@ -266,13 +240,10 @@ double FrameEncoder::run_action(const UnrolledAction& ua,
     }
 
     case BodyAction::kCompress: {
-      ctx.bits = mode_ == BitstreamMode::kPack
-                     ? put_macroblock(frame_writer_, ctx.header, ctx.levels)
-                     : put_macroblock(frame_counter_, ctx.header, ctx.levels);
-      QC_DCHECK(counted_equals_packed(ctx.header, ctx.levels),
-                "a macroblock's count must equal its packed length");
-      if (keeping_ == SyntaxKeeping::kKeep) {
-        MbSyntax& kept = kept_.macroblocks[static_cast<std::size_t>(ctx.mb)];
+      ctx.bits = put_macroblock(ctx.frame_bits, ctx.header, ctx.levels);
+      if (ctx.syntax != nullptr) {
+        MbSyntax& kept =
+            ctx.syntax->macroblocks[static_cast<std::size_t>(ctx.mb)];
         kept.header = ctx.header;
         kept.levels = ctx.levels;
       }

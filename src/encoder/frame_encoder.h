@@ -8,10 +8,15 @@
 // reconstruction, and the content-coupled component of the cycle costs.
 // The encoder does not score its output: pipe::StreamSession scores
 // what the viewer is shown (quality/distortion.h).
+//
+// Compress writes no bytes.  It counts each macroblock's bits, which is
+// all the rate controller and the cost model read, and on request keeps
+// the frame's syntax in the caller's buffer; enc::rebuild_frame builds
+// a decoder's picture from that syntax, and enc::pack_frame
+// (macroblock.h) packs it into the bitstream enc::decode_frame reads.
 #pragma once
 
 #include <array>
-#include <vector>
 
 #include "encoder/body.h"
 #include "encoder/macroblock.h"
@@ -59,18 +64,6 @@ struct FrameStats {
   int qp = 0;                    ///< quantizer used for this frame
 };
 
-/// What Compress makes of a frame's syntax: the packed bytes, for a
-/// decoder that reads them, or only their exact bit count.  Both give
-/// the same FrameStats and the same reconstruction.
-enum class BitstreamMode { kPack, kCount };
-
-/// Whether Compress also keeps each macroblock's header and levels in
-/// memory (kept_syntax()), for a decoder that rebuilds the picture from
-/// them with no bytes (enc::rebuild_frame).  Independent of
-/// BitstreamMode: a test or a Debug session keeps and packs, and checks
-/// the rebuild against the decode.
-enum class SyntaxKeeping { kDiscard, kKeep };
-
 /// Encodes frames one at a time, keeping the previous reconstruction as
 /// the motion-compensation reference.
 class FrameEncoder {
@@ -81,15 +74,16 @@ class FrameEncoder {
   /// `controller` over the frame's actions.  `sys` supplies deadlines
   /// for miss accounting; `t0` is the elapsed time at cycle start (a
   /// late start shrinks the budget, which is how the pipeline models
-  /// buffer occupancy).  `mode` kCount writes no bytes: bitstream() is
-  /// left empty and only FrameStats::bits records the frame's size.
-  /// `keeping` kKeep also keeps the frame's syntax (kept_syntax()).
+  /// buffer occupancy).  Compress writes no bytes: it counts the
+  /// frame's bits (FrameStats::bits), and with a non-null `syntax` also
+  /// keeps the frame's header and every macroblock's header and levels
+  /// there, for enc::rebuild_frame and enc::pack_frame.  The caller owns
+  /// `syntax` and may reuse it from frame to frame: its buffers are
+  /// allocated once per geometry.
   FrameStats encode_frame(const media::YuvFrame& input,
                           qos::Controller& controller,
                           const rt::ParameterizedSystem& sys, int qp,
-                          rt::Cycles t0 = 0,
-                          BitstreamMode mode = BitstreamMode::kPack,
-                          SyntaxKeeping keeping = SyntaxKeeping::kDiscard);
+                          rt::Cycles t0 = 0, FrameSyntax* syntax = nullptr);
 
   /// Reconstruction of the most recently encoded frame (what a decoder
   /// would display, and what the session scores the frame against).
@@ -102,20 +96,6 @@ class FrameEncoder {
   /// Drops the temporal reference (e.g. after a seek); the next frame
   /// is forced intra.
   void reset_reference() { has_reference_ = false; }
-
-  /// Complete bitstream of the most recently encoded frame (header +
-  /// all macroblocks, byte-aligned) when it was encoded with
-  /// BitstreamMode::kPack; empty after a kCount frame.  Decodable by
-  /// enc::decode_frame; the decoder's output is bit-exact with
-  /// reconstructed().
-  const std::vector<std::uint8_t>& bitstream() const { return bitstream_; }
-
-  /// Syntax of the most recently encoded frame when it was encoded with
-  /// SyntaxKeeping::kKeep: enc::rebuild_frame builds from it what
-  /// decode_frame builds from the frame's bytes.  After a kDiscard frame
-  /// its header is empty, and rebuild_frame rejects it.  The buffers
-  /// are reused from frame to frame.
-  const FrameSyntax& kept_syntax() const { return kept_; }
 
   const EncoderConfig& config() const { return config_; }
 
@@ -134,11 +114,15 @@ class FrameEncoder {
 
   /// The macroblock workspace, one per encode_frame call: the decisions
   /// plus the pixel and coefficient arrays every action writes in
-  /// place.  Each array is written in full by its owning action before
-  /// any action reads it, so Grab leaves them as they are.  Blocks are
-  /// indexed in bitstream order: four 8x8 luma blocks in raster order,
-  /// then Cb and Cr.
+  /// place, and the frame's output so far.  Each array is written in
+  /// full by its owning action before any action reads it, so Grab
+  /// leaves them as they are.  Blocks are indexed in bitstream order:
+  /// four 8x8 luma blocks in raster order, then Cb and Cr.
   struct MbContext : MbState {
+    /// What Compress writes: the frame's bit count, and the caller's
+    /// syntax buffer (null: none).
+    util::BitCounter frame_bits;
+    FrameSyntax* syntax = nullptr;
     std::array<media::Sample, 256> source;      ///< Grab
     std::array<std::array<media::Sample, 64>, 2> source_c;
     MbPrediction prediction;                    ///< Intra_Predict
@@ -161,16 +145,6 @@ class FrameEncoder {
   media::YuvFrame reference_;
   bool has_reference_ = false;
   bool has_reconstruction_ = false;
-  /// The sink Compress writes the frame in progress to: frame_writer_
-  /// under BitstreamMode::kPack, frame_counter_ under kCount.
-  BitstreamMode mode_ = BitstreamMode::kPack;
-  util::BitWriter frame_writer_;
-  util::BitCounter frame_counter_;
-  std::vector<std::uint8_t> bitstream_;
-  /// Compress copies each macroblock's syntax into kept_ under
-  /// SyntaxKeeping::kKeep.
-  SyntaxKeeping keeping_ = SyntaxKeeping::kDiscard;
-  FrameSyntax kept_;
 };
 
 }  // namespace qosctrl::enc

@@ -62,6 +62,17 @@ template std::int64_t put_macroblock(util::BitWriter&, const MbHeader&,
 template std::int64_t put_macroblock(util::BitCounter&, const MbHeader&,
                                      const MbLevels&);
 
+std::vector<std::uint8_t> pack_frame(const FrameSyntax& syntax,
+                                     std::int64_t* bits) {
+  util::BitWriter bw;
+  put_frame_header(bw, syntax.header);
+  for (const MbSyntax& mb : syntax.macroblocks) {
+    put_macroblock(bw, mb.header, mb.levels);
+  }
+  if (bits != nullptr) *bits = bw.bit_count();
+  return bw.finish();
+}
+
 bool get_macroblock(util::BitReader& br, MbHeader* header,
                     MbLevels* levels) {
   header->intra = br.get_bit();

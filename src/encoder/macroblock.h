@@ -69,10 +69,11 @@ struct MbSyntax {
   MbLevels levels;
 };
 
-/// A frame's syntax held in memory (FrameEncoder::kept_syntax()): the
-/// header and every macroblock in raster order, as a decoder parses
-/// them, so enc::rebuild_frame builds the decoded picture with no bytes
-/// written or parsed.
+/// A frame's syntax held in memory (what FrameEncoder::encode_frame
+/// keeps in the caller's buffer): the header and every macroblock in
+/// raster order, as a decoder parses them, so enc::rebuild_frame builds
+/// the decoded picture with no bytes written or parsed, and pack_frame
+/// writes the frame's bytes.
 struct FrameSyntax {
   FrameHeader header;
   std::vector<MbSyntax> macroblocks;
@@ -86,9 +87,9 @@ struct MbPrediction {
 };
 
 // The writers take the bit sink as a template parameter: a
-// util::BitWriter packs the syntax, a util::BitCounter only counts its
-// bits (an encoder whose output no decoder reads).  Both are
-// instantiated in macroblock.cpp, from the one statement of the syntax.
+// util::BitWriter packs the syntax (pack_frame), a util::BitCounter
+// only counts its bits (the encoder's Compress).  Both are instantiated
+// in macroblock.cpp, from the one statement of the syntax.
 
 template <class Sink>
 void put_frame_header(Sink& bw, const FrameHeader& header);
@@ -104,6 +105,13 @@ bool get_frame_header(util::BitReader& br, FrameHeader* out);
 template <class Sink>
 std::int64_t put_macroblock(Sink& bw, const MbHeader& header,
                             const MbLevels& levels);
+
+/// Packs a frame's syntax into its bytes (header, then every
+/// macroblock, zero-padded to a byte boundary), which enc::decode_frame
+/// parses.  The only code that writes a frame's bytes.  `bits`, when
+/// given, receives the frame's exact length before the padding.
+std::vector<std::uint8_t> pack_frame(const FrameSyntax& syntax,
+                                     std::int64_t* bits = nullptr);
 
 /// Parses one macroblock's header and its six level blocks.  False on
 /// an intra mode above 2, a vector component beyond

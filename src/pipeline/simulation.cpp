@@ -68,28 +68,19 @@ bool same_picture(const media::YuvFrame& a, const media::YuvFrame& b) {
          a.cr.data() == b.cr.data();
 }
 
-/// Debug check of an in-sync deliver(): the encoder's bytes decode,
-/// from the decoder's own picture, to the encoder's reconstruction.
-[[maybe_unused]] bool decodes_to_reconstruction(
-    const enc::FrameEncoder& encoder,
-    const std::optional<media::YuvFrame>& displayed) {
-  const enc::DecodeResult d = enc::decode_frame(
-      encoder.bitstream(), displayed ? &*displayed : nullptr);
-  return d.ok && same_picture(d.frame, encoder.reconstructed());
-}
-
-/// Debug check of an out-of-sync deliver(): the encoder's bytes decode,
-/// from the decoder's own picture, to `rebuilt` in every sample, with
-/// the same outcome and intra count.
-[[maybe_unused]] bool decodes_to_rebuild(
-    const enc::FrameEncoder& encoder,
-    const std::optional<media::YuvFrame>& displayed,
-    const enc::DecodeResult& rebuilt) {
-  const enc::DecodeResult d = enc::decode_frame(
-      encoder.bitstream(), displayed ? &*displayed : nullptr);
-  return d.ok == rebuilt.ok && d.qp == rebuilt.qp &&
-         d.intra_macroblocks == rebuilt.intra_macroblocks &&
-         same_picture(d.frame, rebuilt.frame);
+/// Debug check of deliver(): the frame's kept syntax packs to the
+/// `bits` Compress counted, and its bytes decode, from the decoder's
+/// own picture, to what deliver() shows: `ok` and `picture`, the
+/// reconstruction in sync, the rebuild out of sync.
+[[maybe_unused]] bool packed_syntax_decodes_to(
+    const enc::FrameSyntax& syntax, std::int64_t bits,
+    const std::optional<media::YuvFrame>& displayed, bool ok,
+    const media::YuvFrame& picture) {
+  std::int64_t packed_bits = 0;
+  const enc::DecodeResult d =
+      enc::decode_frame(enc::pack_frame(syntax, &packed_bits),
+                        displayed ? &*displayed : nullptr);
+  return packed_bits == bits && d.ok == ok && same_picture(d.frame, picture);
 }
 
 }  // namespace
@@ -214,19 +205,21 @@ FrameRecord StreamSession::encode(int index, rt::Cycles t0) {
   // tracked and out of sync.  In sync, its picture is the encoder's
   // reference, or the frame is all intra (no reference), and it would
   // decode the bytes to the reconstruction bit for bit.  Out of sync,
-  // deliver() rebuilds its picture from the syntax the encoder keeps.
-  // Only a Debug build packs bytes, to check both against their decode.
+  // deliver() rebuilds its picture from the frame's kept syntax.  A
+  // Debug build keeps every tracked frame's syntax, to check what
+  // deliver() shows against the decode of the packed syntax.
   frame_in_sync_ = track_delivery_ &&
                    (decoder_in_sync_ || !encoder_.has_reference());
-  const bool keep = track_delivery_ && !frame_in_sync_;
-  const bool pack = track_delivery_ && util::kDebugChecks;
+  const bool keep_for_rebuild = track_delivery_ && !frame_in_sync_;
+  const bool keep =
+      keep_for_rebuild || (track_delivery_ && util::kDebugChecks);
   FrameRecord rec;
-  static_cast<enc::FrameStats&>(rec) = encoder_.encode_frame(
-      input, *controller, *sys->system, rate_.qp(), elapsed,
-      pack ? enc::BitstreamMode::kPack : enc::BitstreamMode::kCount,
-      keep ? enc::SyntaxKeeping::kKeep : enc::SyntaxKeeping::kDiscard);
+  static_cast<enc::FrameStats&>(rec) =
+      encoder_.encode_frame(input, *controller, *sys->system, rate_.qp(),
+                            elapsed, keep ? &syntax_ : nullptr);
   decoder_in_sync_ = false;  // the reconstruction moved on
   encoded_index_ = index;
+  syntax_index_ = keep_for_rebuild ? index : -1;
   rate_.frame_encoded(rec.bits);
   rec.index = index;
   rec.scene_cut = video_.is_scene_cut(index);
@@ -287,7 +280,8 @@ FrameRecord StreamSession::deliver(FrameRecord rec) {
   if (frame_in_sync_) {
     // The decode would be the reconstruction encode() scored: show it
     // with no bytes, no decode and no re-score.
-    QC_DCHECK(decodes_to_reconstruction(encoder_, displayed_),
+    QC_DCHECK(packed_syntax_decodes_to(syntax_, rec.bits, displayed_, true,
+                                       encoder_.reconstructed()),
               "an in-sync frame must decode to the reconstruction");
     displayed_ = encoder_.reconstructed();
     decoder_in_sync_ = true;
@@ -297,10 +291,13 @@ FrameRecord StreamSession::deliver(FrameRecord rec) {
     }
     return rec;
   }
-  enc::DecodeResult d = enc::rebuild_frame(
-      encoder_.kept_syntax(), displayed_ ? &*displayed_ : nullptr);
-  QC_DCHECK(decodes_to_rebuild(encoder_, displayed_, d),
-            "an out-of-sync frame's bytes must decode to its rebuild");
+  QC_DCHECK(syntax_index_ == rec.index,
+            "a rebuild must take its own frame's syntax, never a stale one");
+  enc::DecodeResult d =
+      enc::rebuild_frame(syntax_, displayed_ ? &*displayed_ : nullptr);
+  QC_DCHECK(packed_syntax_decodes_to(syntax_, rec.bits, displayed_, d.ok,
+                                     d.frame),
+            "an out-of-sync frame must decode to its rebuild");
   // Un-decodable at the receiver (an inter frame whose reference never
   // survived to the decoder): conceal instead of crashing — the viewer
   // keeps the previous picture.

@@ -187,13 +187,12 @@ class StreamSession {
   /// reconstruction and every score is unchanged, so fault-free runs
   /// skip the decode cost entirely.  While tracking, encode() keeps the
   /// frame's rendered luma until deliver() or lose() scores it, so each
-  /// encoded frame is rendered once.  A frame encoded while the decoder
-  /// is out of sync keeps its syntax in the encoder
-  /// (enc::SyntaxKeeping::kKeep), and deliver() rebuilds the decoder's
-  /// picture from it (enc::rebuild_frame).  Every frame is encoded with
-  /// bit counts only (enc::BitstreamMode::kCount); a Debug build also
-  /// packs the bytes and checks the decode of every delivered frame
-  /// against what deliver() shows.
+  /// encoded frame is rendered once.  No frame is packed into bytes: a
+  /// frame encoded while the decoder is out of sync keeps its syntax in
+  /// the session, and deliver() rebuilds the decoder's picture from it
+  /// (enc::rebuild_frame).  A Debug build keeps every tracked frame's
+  /// syntax, packs it (enc::pack_frame) and checks the decode against
+  /// the counted bits and against what deliver() shows.
   void track_delivery() { track_delivery_ = true; }
   bool tracking_delivery() const { return track_delivery_; }
 
@@ -281,9 +280,14 @@ class StreamSession {
   /// deliver() needs neither its kept syntax nor a rebuild.
   bool frame_in_sync_ = false;
   /// The index of the frame encode() last produced: the only frame
-  /// whose kept syntax the encoder holds, and so the only one deliver()
-  /// and lose() may take.
+  /// deliver() and lose() may take.
   int encoded_index_ = -1;
+  /// With tracking, the syntax encode() kept (the buffers are reused),
+  /// and the frame a rebuild may read it for: frame encoded_index_ when
+  /// that frame was encoded out of sync, -1 otherwise (a Debug build
+  /// keeps in-sync frames' syntax too, only to check them).
+  enc::FrameSyntax syntax_;
+  int syntax_index_ = -1;
   /// With tracking, the luma encode() rendered for frame kept_index_
   /// (-1: none), held only while that frame is in service: deliver()
   /// and lose() score against it and release it.

@@ -31,6 +31,18 @@ platform::CostModel cost_model() {
                              platform::CostModelConfig{}, util::Rng(1));
 }
 
+/// Encodes `input` with its syntax kept and packs it: the frame's
+/// bitstream.
+std::vector<std::uint8_t> encode_packed(FrameEncoder& encoder,
+                                        const media::YuvFrame& input,
+                                        qos::Controller& ctl,
+                                        const rt::ParameterizedSystem& sys,
+                                        int qp) {
+  FrameSyntax syntax;
+  encoder.encode_frame(input, ctl, sys, qp, 0, &syntax);
+  return pack_frame(syntax);
+}
+
 media::SyntheticVideo video() {
   media::VideoConfig vc;
   vc.width = kW;
@@ -47,8 +59,8 @@ TEST(Decoder, FirstFrameRoundTripsBitExactly) {
                                        platform::figure5_cost_table());
   qos::ConstantController ctl(*es.system, 3);
   const auto v = video();
-  encoder.encode_frame(v.frame_yuv(0), ctl, *es.system, 8);
-  const DecodeResult d = decode_frame(encoder.bitstream(), nullptr);
+  const DecodeResult d = decode_frame(
+      encode_packed(encoder, v.frame_yuv(0), ctl, *es.system, 8), nullptr);
   ASSERT_TRUE(d.ok);
   EXPECT_EQ(d.qp, 8);
   EXPECT_EQ(d.frame.y.data(), encoder.reconstructed().y.data())
@@ -67,9 +79,9 @@ TEST(Decoder, InterFramesRoundTripAcrossAGop) {
   media::YuvFrame displayed;  // decoder-side reference
   for (int f = 0; f < 10; ++f) {
     const int qp = 4 + f;  // exercise several quantizers
-    encoder.encode_frame(v.frame_yuv(f), ctl, *es.system, qp);
-    const DecodeResult d =
-        decode_frame(encoder.bitstream(), f == 0 ? nullptr : &displayed);
+    const DecodeResult d = decode_frame(
+        encode_packed(encoder, v.frame_yuv(f), ctl, *es.system, qp),
+        f == 0 ? nullptr : &displayed);
     ASSERT_TRUE(d.ok) << "frame " << f;
     EXPECT_EQ(d.qp, qp);
     ASSERT_EQ(d.frame.y.data(), encoder.reconstructed().y.data())
@@ -90,8 +102,8 @@ TEST(Decoder, ReportsIntraCounts) {
   const auto v = video();
   encoder.encode_frame(v.frame_yuv(0), ctl, *es.system, 8);
   media::YuvFrame ref = encoder.reconstructed();
-  encoder.encode_frame(v.frame_yuv(1), ctl, *es.system, 8);
-  const DecodeResult d = decode_frame(encoder.bitstream(), &ref);
+  const DecodeResult d = decode_frame(
+      encode_packed(encoder, v.frame_yuv(1), ctl, *es.system, 8), &ref);
   ASSERT_TRUE(d.ok);
   EXPECT_LT(d.intra_macroblocks, 12) << "continuing scene should be inter";
 }
@@ -101,8 +113,7 @@ TEST(Decoder, RejectsTruncatedStream) {
   const auto es = build_encoder_system(12, 12 * 250000,
                                        platform::figure5_cost_table());
   qos::ConstantController ctl(*es.system, 3);
-  encoder.encode_frame(video().frame_yuv(0), ctl, *es.system, 8);
-  auto bytes = encoder.bitstream();
+  auto bytes = encode_packed(encoder, video().frame_yuv(0), ctl, *es.system, 8);
   bytes.resize(bytes.size() / 2);
   const DecodeResult d = decode_frame(bytes, nullptr);
   EXPECT_FALSE(d.ok);
@@ -124,8 +135,8 @@ TEST(Decoder, RejectsInterWithoutReference) {
   qos::ConstantController ctl(*es.system, 5);
   const auto v = video();
   encoder.encode_frame(v.frame_yuv(0), ctl, *es.system, 8);
-  encoder.encode_frame(v.frame_yuv(1), ctl, *es.system, 8);  // has inter MBs
-  const DecodeResult d = decode_frame(encoder.bitstream(), nullptr);
+  const DecodeResult d = decode_frame(  // frame 1 has inter MBs
+      encode_packed(encoder, v.frame_yuv(1), ctl, *es.system, 8), nullptr);
   EXPECT_FALSE(d.ok);
 }
 
@@ -136,9 +147,9 @@ TEST(Decoder, RejectsGeometryMismatch) {
   qos::ConstantController ctl(*es.system, 3);
   const auto v = video();
   encoder.encode_frame(v.frame_yuv(0), ctl, *es.system, 8);
-  encoder.encode_frame(v.frame_yuv(1), ctl, *es.system, 8);
   const media::YuvFrame wrong(32, 32);
-  const DecodeResult d = decode_frame(encoder.bitstream(), &wrong);
+  const DecodeResult d = decode_frame(
+      encode_packed(encoder, v.frame_yuv(1), ctl, *es.system, 8), &wrong);
   EXPECT_FALSE(d.ok);
 }
 
@@ -147,11 +158,13 @@ TEST(Decoder, BitstreamSizeMatchesReportedBits) {
   const auto es = build_encoder_system(12, 12 * 250000,
                                        platform::figure5_cost_table());
   qos::ConstantController ctl(*es.system, 3);
+  FrameSyntax syntax;
   const FrameStats stats =
-      encoder.encode_frame(video().frame_yuv(0), ctl, *es.system, 8);
+      encoder.encode_frame(video().frame_yuv(0), ctl, *es.system, 8, 0,
+                           &syntax);
   const std::size_t padded_bytes =
       static_cast<std::size_t>((stats.bits + 7) / 8);
-  EXPECT_EQ(encoder.bitstream().size(), padded_bytes);
+  EXPECT_EQ(pack_frame(syntax).size(), padded_bytes);
 }
 
 TEST(Decoder, RejectsLevelsThatWouldOverflowDequantization) {
@@ -239,9 +252,10 @@ TEST(Decoder, CorruptedStreamsFailCleanlyOrDecodeInRange) {
     encoder.encode_frame(v.frame_yuv(0), ctl, *es.system, 6);
     for (int f = 1; f < 4; ++f) {
       const media::YuvFrame reference = encoder.reconstructed();
-      encoder.encode_frame(v.frame_yuv(f), ctl, *es.system, 6);
+      const std::vector<std::uint8_t> packed =
+          encode_packed(encoder, v.frame_yuv(f), ctl, *es.system, 6);
       for (int trial = 0; trial < 200; ++trial) {
-        std::vector<std::uint8_t> bytes = encoder.bitstream();
+        std::vector<std::uint8_t> bytes = packed;
         const auto last = static_cast<std::int64_t>(bytes.size()) - 1;
         for (int k = rng.uniform_i64(1, 8); k > 0; --k) {
           const auto bit = rng.uniform_i64(0, 8 * last + 7);

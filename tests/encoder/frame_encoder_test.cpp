@@ -4,6 +4,7 @@
 
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "encoder/decoder.h"
 #include "encoder/system_builder.h"
@@ -149,11 +150,12 @@ TEST(FrameEncoder, DeterministicForFixedSeedAndController) {
   EXPECT_TRUE(ra.cr.data() == rb.cr.data());
 }
 
-// A counting encoder (BitstreamMode::kCount) and a packing one, fed the
-// same frames, controllers and cost-model draws, across a scene cut and
-// a reset_reference(): every FrameStats field and every reconstruction
-// agree, and only the packing one leaves bytes behind.
-TEST(FrameEncoder, CountingTwinMatchesPackingEncoder) {
+// An encoder that keeps each frame's syntax in one reused buffer and a
+// plain one, fed the same frames, controllers and cost-model draws,
+// across a scene cut and a reset_reference(): keeping changes no
+// FrameStats field and no reconstruction, and the kept syntax packs to
+// exactly the bits Compress counted.
+TEST(FrameEncoder, KeepingSyntaxChangesNoOutput) {
   media::VideoConfig vc;
   vc.width = kW;
   vc.height = kH;
@@ -162,45 +164,46 @@ TEST(FrameEncoder, CountingTwinMatchesPackingEncoder) {
   vc.seed = 99;
   const media::SyntheticVideo video(vc);
   const auto es = small_system();
-  FrameEncoder packing(small_encoder_config(), make_cost_model(4));
-  FrameEncoder counting(small_encoder_config(), make_cost_model(4));
-  qos::TableController cp(es.tables), cc(es.tables);
-  EXPECT_FALSE(counting.has_reconstruction());
+  FrameEncoder keeping(small_encoder_config(), make_cost_model(4));
+  FrameEncoder plain(small_encoder_config(), make_cost_model(4));
+  qos::TableController ck(es.tables), cp(es.tables);
+  EXPECT_FALSE(plain.has_reconstruction());
+  FrameSyntax syntax;
   for (int f = 0; f < vc.num_frames; ++f) {
     if (f == 17) {
-      packing.reset_reference();
-      counting.reset_reference();
+      keeping.reset_reference();
+      plain.reset_reference();
     }
     const media::YuvFrame input = video.frame_yuv(f);
     const int qp = 2 + f % 7;
-    const FrameStats p = packing.encode_frame(input, cp, *es.system, qp);
-    const FrameStats c = counting.encode_frame(input, cc, *es.system, qp, 0,
-                                               BitstreamMode::kCount);
+    const FrameStats k =
+        keeping.encode_frame(input, ck, *es.system, qp, 0, &syntax);
+    const FrameStats p = plain.encode_frame(input, cp, *es.system, qp);
     SCOPED_TRACE(testing::Message() << "frame " << f);
-    EXPECT_EQ(c.encode_cycles, p.encode_cycles);
-    EXPECT_EQ(c.phase_cycles, p.phase_cycles);
-    EXPECT_EQ(c.bits, p.bits);
-    EXPECT_EQ(c.deadline_misses, p.deadline_misses);
-    EXPECT_EQ(c.mean_quality, p.mean_quality);
-    EXPECT_EQ(c.min_quality, p.min_quality);
-    EXPECT_EQ(c.max_quality, p.max_quality);
-    EXPECT_EQ(c.quality_change_sum, p.quality_change_sum);
-    EXPECT_EQ(c.intra_macroblocks, p.intra_macroblocks);
-    EXPECT_EQ(c.qp, p.qp);
-    EXPECT_EQ(static_cast<std::int64_t>(packing.bitstream().size()),
-              (p.bits + 7) / 8);
-    EXPECT_TRUE(counting.bitstream().empty());
-    EXPECT_TRUE(counting.has_reconstruction());
-    const media::YuvFrame& rp = packing.reconstructed();
-    const media::YuvFrame& rc = counting.reconstructed();
-    EXPECT_TRUE(rc.y.data() == rp.y.data());
-    EXPECT_TRUE(rc.cb.data() == rp.cb.data());
-    EXPECT_TRUE(rc.cr.data() == rp.cr.data());
+    EXPECT_EQ(k.encode_cycles, p.encode_cycles);
+    EXPECT_EQ(k.phase_cycles, p.phase_cycles);
+    EXPECT_EQ(k.bits, p.bits);
+    EXPECT_EQ(k.deadline_misses, p.deadline_misses);
+    EXPECT_EQ(k.mean_quality, p.mean_quality);
+    EXPECT_EQ(k.min_quality, p.min_quality);
+    EXPECT_EQ(k.max_quality, p.max_quality);
+    EXPECT_EQ(k.quality_change_sum, p.quality_change_sum);
+    EXPECT_EQ(k.intra_macroblocks, p.intra_macroblocks);
+    EXPECT_EQ(k.qp, p.qp);
+    EXPECT_TRUE(plain.has_reconstruction());
+    const media::YuvFrame& rk = keeping.reconstructed();
+    const media::YuvFrame& rp = plain.reconstructed();
+    EXPECT_TRUE(rk.y.data() == rp.y.data());
+    EXPECT_TRUE(rk.cb.data() == rp.cb.data());
+    EXPECT_TRUE(rk.cr.data() == rp.cr.data());
+
+    EXPECT_EQ(syntax.header.qp, qp);
+    ASSERT_EQ(syntax.macroblocks.size(), 12u);
+    std::int64_t packed_bits = 0;
+    const std::vector<std::uint8_t> bytes = pack_frame(syntax, &packed_bits);
+    EXPECT_EQ(packed_bits, k.bits);
+    EXPECT_EQ(static_cast<std::int64_t>(bytes.size()), (k.bits + 7) / 8);
   }
-  // After counted frames, a packed one is whole again.
-  packing.encode_frame(video.frame_yuv(0), cp, *es.system, 8);
-  counting.encode_frame(video.frame_yuv(0), cc, *es.system, 8);
-  EXPECT_EQ(counting.bitstream(), packing.bitstream());
 }
 
 TEST(FrameEncoder, LateStartShrinksChosenQuality) {
@@ -249,7 +252,9 @@ struct GoldenStream {
   int width;
   int height;
   int qp;
-  std::uint64_t hash;  ///< FNV-1a over every frame's bitstream, in order
+  /// FNV-1a over every frame's bitstream (pack_frame of its kept
+  /// syntax), in order.
+  std::uint64_t hash;
   std::int64_t bits;   ///< sum of FrameStats::bits over the frames
 };
 
@@ -301,21 +306,26 @@ TEST(FrameEncoder, GoldenBitstreamsPinEveryBit) {
       qos::TableController ctl(es.tables);
       std::uint64_t hash = 0xcbf29ce484222325ULL;  // FNV-1a offset basis
       std::int64_t bits = 0;
+      FrameSyntax syntax;
       media::YuvFrame displayed;
       const std::string where = testing::PrintToString(g.width) + "x" +
                                 testing::PrintToString(g.height) + " qp " +
                                 testing::PrintToString(g.qp) + " backend " +
                                 media::simd::backend_name(backend);
       for (int f = 0; f < vc.num_frames; ++f) {
-        const FrameStats s =
-            encoder.encode_frame(video.frame_yuv(f), ctl, *es.system, g.qp);
+        const FrameStats s = encoder.encode_frame(
+            video.frame_yuv(f), ctl, *es.system, g.qp, 0, &syntax);
         bits += s.bits;
-        for (const std::uint8_t b : encoder.bitstream()) {
+        std::int64_t packed_bits = 0;
+        const std::vector<std::uint8_t> bytes =
+            pack_frame(syntax, &packed_bits);
+        ASSERT_EQ(packed_bits, s.bits) << where << " frame " << f;
+        for (const std::uint8_t b : bytes) {
           hash ^= b;
           hash *= 1099511628211ULL;  // FNV prime
         }
-        const DecodeResult d = decode_frame(encoder.bitstream(),
-                                            f == 0 ? nullptr : &displayed);
+        const DecodeResult d =
+            decode_frame(bytes, f == 0 ? nullptr : &displayed);
         ASSERT_TRUE(d.ok) << where << " frame " << f;
         ASSERT_EQ(d.frame.y.data(), encoder.reconstructed().y.data())
             << where;

@@ -1,10 +1,10 @@
-// enc::rebuild_frame against the bitstream oracle: a frame encoded with
-// both its bytes packed and its syntax kept must rebuild, from any
-// reference, to exactly what decode_frame makes of the bytes from that
-// reference — the same outcome, intra count, quantizer and every sample.
-// A tracked farm session rebuilds instead of decoding; its Debug build
-// checks the same equality on every out-of-sync frame, and this test
-// checks it in Release, where QC_DCHECK is off.
+// enc::rebuild_frame against the bitstream oracle: a frame's kept
+// syntax must rebuild, from any reference, to exactly what decode_frame
+// makes of the syntax's bytes (enc::pack_frame) from that reference —
+// the same outcome, intra count, quantizer and every sample.  A tracked
+// farm session rebuilds instead of decoding; its Debug build checks the
+// same equality on every out-of-sync frame, and this test checks it in
+// Release, where QC_DCHECK is off.
 #include "encoder/decoder.h"
 
 #include <gtest/gtest.h>
@@ -24,11 +24,11 @@ struct Geometry {
   int height;
 };
 
-void expect_rebuild_matches_decode(const FrameEncoder& encoder,
+void expect_rebuild_matches_decode(const FrameSyntax& syntax,
                                    const media::YuvFrame* reference,
                                    const char* which, int frame) {
-  const DecodeResult decoded = decode_frame(encoder.bitstream(), reference);
-  const DecodeResult rebuilt = rebuild_frame(encoder.kept_syntax(), reference);
+  const DecodeResult decoded = decode_frame(pack_frame(syntax), reference);
+  const DecodeResult rebuilt = rebuild_frame(syntax, reference);
   SCOPED_TRACE(::testing::Message() << which << " reference, frame " << frame);
   ASSERT_EQ(rebuilt.ok, decoded.ok);
   EXPECT_EQ(rebuilt.qp, decoded.qp);
@@ -67,32 +67,30 @@ TEST_P(RebuildVersusDecode, EveryReferenceGivesTheOraclesPicture) {
 
   constexpr int kResetBefore = 6;
   std::vector<media::YuvFrame> recon;  // the reconstruction of each frame
+  FrameSyntax syntax;                  // reused from frame to frame
   int all_intra_without_reference = 0;
   int inter_without_reference = 0;
   for (int f = 0; f < vc.num_frames; ++f) {
     if (f == kResetBefore) encoder.reset_reference();
-    const FrameStats stats =
-        encoder.encode_frame(video.frame_yuv(f), ctl, *es.system, 4 + f, 0,
-                             BitstreamMode::kPack, SyntaxKeeping::kKeep);
-    ASSERT_EQ(encoder.kept_syntax().macroblocks.size(),
-              static_cast<std::size_t>(mbs));
-    EXPECT_EQ(encoder.kept_syntax().header.qp, 4 + f);
+    const FrameStats stats = encoder.encode_frame(
+        video.frame_yuv(f), ctl, *es.system, 4 + f, 0, &syntax);
+    ASSERT_EQ(syntax.macroblocks.size(), static_cast<std::size_t>(mbs));
+    EXPECT_EQ(syntax.header.qp, 4 + f);
 
     if (f > 0) {
-      expect_rebuild_matches_decode(encoder, &recon.back(), "current", f);
-      const DecodeResult rebuilt =
-          rebuild_frame(encoder.kept_syntax(), &recon.back());
+      expect_rebuild_matches_decode(syntax, &recon.back(), "current", f);
+      const DecodeResult rebuilt = rebuild_frame(syntax, &recon.back());
       ASSERT_TRUE(rebuilt.ok);
       EXPECT_EQ(rebuilt.frame.y.data(), encoder.reconstructed().y.data())
           << "in sync, the rebuild is the reconstruction, frame " << f;
     }
     if (f > 1) {
-      expect_rebuild_matches_decode(encoder, &recon[recon.size() - 2],
+      expect_rebuild_matches_decode(syntax, &recon[recon.size() - 2],
                                     "stale", f);
     }
-    expect_rebuild_matches_decode(encoder, nullptr, "no", f);
+    expect_rebuild_matches_decode(syntax, nullptr, "no", f);
     const bool all_intra = stats.intra_macroblocks == mbs;
-    EXPECT_EQ(rebuild_frame(encoder.kept_syntax(), nullptr).ok, all_intra)
+    EXPECT_EQ(rebuild_frame(syntax, nullptr).ok, all_intra)
         << "frame " << f;
     if (all_intra) {
       ++all_intra_without_reference;
@@ -113,46 +111,17 @@ INSTANTIATE_TEST_SUITE_P(Geometries, RebuildVersusDecode,
                                   std::to_string(info.param.height);
                          });
 
-// Keeping syntax changes nothing Compress makes: the bits, the bytes and
-// the reconstruction equal a plain packing encoder's.  A discarding
-// frame leaves no syntax a rebuild could take for its own.
-TEST(RebuildVersusDecode, KeepingChangesNoOutputAndADiscardKeepsNothing) {
-  EncoderConfig config;
-  config.width = 80;
-  config.height = 64;
-  const auto model = [] {
-    return platform::CostModel(platform::figure5_cost_table(),
-                               platform::CostModelConfig{}, util::Rng(5));
-  };
-  FrameEncoder keeping(config, model());
-  FrameEncoder plain(config, model());
-  const auto es =
-      build_encoder_system(20, 20 * 250000, platform::figure5_cost_table());
-  qos::TableController ck(es.tables);
-  qos::TableController cp(es.tables);
-  media::VideoConfig vc;
-  vc.width = 80;
-  vc.height = 64;
-  vc.num_frames = 3;
-  vc.num_scenes = 1;
-  const media::SyntheticVideo video(vc);
-  for (int f = 0; f < 3; ++f) {
-    const FrameStats k =
-        keeping.encode_frame(video.frame_yuv(f), ck, *es.system, 8, 0,
-                             BitstreamMode::kPack, SyntaxKeeping::kKeep);
-    const FrameStats p = plain.encode_frame(video.frame_yuv(f), cp,
-                                            *es.system, 8);
-    EXPECT_EQ(k.bits, p.bits);
-    EXPECT_EQ(k.encode_cycles, p.encode_cycles);
-    EXPECT_EQ(keeping.bitstream(), plain.bitstream());
-    EXPECT_EQ(keeping.reconstructed().y.data(), plain.reconstructed().y.data());
-  }
-  EXPECT_EQ(plain.kept_syntax().header.mb_cols, 0);
-  keeping.encode_frame(video.frame_yuv(0), ck, *es.system, 8, 0,
-                       BitstreamMode::kCount, SyntaxKeeping::kDiscard);
-  EXPECT_EQ(keeping.kept_syntax().header.mb_cols, 0);
-  EXPECT_DEATH((void)rebuild_frame(keeping.kept_syntax(), nullptr),
-               "whole frame");
+// A syntax that is not a whole frame (a buffer never filled, or one
+// whose macroblock count does not match its header) is refused, not
+// rebuilt.
+TEST(RebuildVersusDecode, OnlyAWholeFrameRebuilds) {
+  FrameSyntax syntax;
+  EXPECT_DEATH((void)rebuild_frame(syntax, nullptr), "whole frame");
+  syntax.header = FrameHeader{2, 1, 8};
+  syntax.macroblocks.resize(1);
+  EXPECT_DEATH((void)rebuild_frame(syntax, nullptr), "whole frame");
+  syntax.macroblocks.resize(2);
+  EXPECT_TRUE(rebuild_frame(syntax, nullptr).ok);
 }
 
 }  // namespace

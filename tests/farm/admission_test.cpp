@@ -482,5 +482,31 @@ TEST_F(AdmissionTest, RungsPastTheWindowAreNotOffered) {
   }
 }
 
+// The qmin minimum is offered while it fits the window: at a window
+// exactly as long it is the whole ladder, and the stream is admitted at
+// it; one cycle shorter, nothing is offered and the stream is refused.
+TEST_F(AdmissionTest, AWindowAsLongAsTheMinimumAdmitsAtTheMinimum) {
+  for (const int mb : {12, 20}) {
+    const rt::Cycles min_budget = tables_.min_budget(mb);
+    ShardedControlPlane ac(1, {}, {}, &tables_);
+    const std::vector<CertifiedRung> ladder =
+        ac.certified_ladder(mb, min_budget, min_budget);
+    ASSERT_EQ(ladder.size(), 1u) << mb << " macroblocks";
+    EXPECT_EQ(ladder.front().table_budget, min_budget);
+    EXPECT_TRUE(ac.certified_ladder(mb, min_budget - 1, min_budget - 1)
+                    .empty());
+  }
+  StreamSpec s = small_stream(0);
+  s.frame_period = tables_.min_budget(12);
+  ShardedControlPlane ac(1, {}, {}, &tables_);
+  const Placement p = ac.admit(s, 0);
+  ASSERT_TRUE(p.admitted) << p.reason;
+  EXPECT_EQ(p.table_budget, tables_.min_budget(12));
+  s.id = 1;
+  s.frame_period -= 1;
+  ShardedControlPlane fresh(1, {}, {}, &tables_);
+  EXPECT_FALSE(fresh.admit(s, 0).admitted);
+}
+
 }  // namespace
 }  // namespace qosctrl::farm

@@ -148,6 +148,71 @@ TimeSeries latency_series(long long n, long long good, long long bad,
   return series;
 }
 
+// Each latency percentile parses under both spellings, prints under
+// its canonical name, and that name parses back to it.
+TEST(SloParseTest, LatencyPercentilesRoundTripTheirNames) {
+  const struct {
+    const char* spelling;
+    SloMetric metric;
+    const char* name;
+  } cases[] = {
+      {"latency_p50", SloMetric::kLatencyP50, "latency_p50"},
+      {"p50_latency", SloMetric::kLatencyP50, "latency_p50"},
+      {"latency_p95", SloMetric::kLatencyP95, "latency_p95"},
+      {"p95_latency", SloMetric::kLatencyP95, "latency_p95"},
+      {"latency_p99", SloMetric::kLatencyP99, "latency_p99"},
+      {"p99_latency", SloMetric::kLatencyP99, "latency_p99"},
+  };
+  for (const auto& c : cases) {
+    const SloSpec spec = parse_ok(std::string(c.spelling) + "<0.5w@2ms");
+    EXPECT_EQ(spec.metric, c.metric) << c.spelling;
+    EXPECT_STREQ(slo_metric_name(spec.metric), c.name) << c.spelling;
+    EXPECT_EQ(parse_ok(std::string(c.name) + "<0.5w").metric, c.metric);
+  }
+}
+
+// Six windows of 100 latency samples: 60 fast, 36 middling and 4 slow,
+// except window 3, where all of them are slower.  The
+// percentile ranks (floor(p * 99)) land on the fast samples for p50,
+// the middling ones for p95 and the slow ones for p99, so each metric
+// scores its own rank, window by window.
+TEST(SloEvalTest, EachLatencyPercentileScoresItsOwnRank) {
+  TimeSeries series;
+  series.window = 100;
+  SeriesTrack& t = series.track("frame_latency_cycles");
+  for (long long w = 0; w < 6; ++w) {
+    const bool slow = w == 3;
+    for (int i = 0; i < 100; ++i) {
+      const long long v = i < 60 ? (slow ? 200 : 10)
+                          : i < 96 ? (slow ? 2000 : 300)
+                                   : (slow ? 20000 : 5000);
+      series.record(t, w * 100, v);
+    }
+  }
+  SloInputs in;
+  in.series = &series;
+  const struct {
+    const char* spec;
+    int violations;
+    double worst_value;  ///< log2 bucket upper of the worst window
+  } cases[] = {
+      {"latency_p50<100%0.5", 1, 255},   // window 3's 200s
+      {"p50_latency<16%0.5", 1, 255},    // 15 elsewhere: met
+      {"latency_p95<1000%0.5", 1, 2047},  // window 3's 2000s
+      {"p95_latency<400%0.5", 6, 2047},   // 511 elsewhere: violated
+      {"latency_p99<1000%0.5", 6, 32767},  // 8191 elsewhere
+  };
+  for (const auto& c : cases) {
+    const SloReport report = evaluate_slos({parse_ok(c.spec)}, in);
+    ASSERT_EQ(report.objectives.size(), 1u);
+    const SloOutcome& o = report.objectives[0];
+    EXPECT_EQ(o.points, 6) << c.spec;
+    EXPECT_EQ(o.violations, c.violations) << c.spec;
+    EXPECT_EQ(o.worst_window, 3) << c.spec;
+    EXPECT_DOUBLE_EQ(o.worst_value, c.worst_value) << c.spec;
+  }
+}
+
 TEST(SloEvalTest, CountsViolationsAgainstTheBudget) {
   // 20 points, 1 bad window; budget 0.05 tolerates exactly one.
   const TimeSeries series = latency_series(20, 10, 5000, {7});
