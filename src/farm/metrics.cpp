@@ -29,12 +29,6 @@ rt::Cycles final_budget(const StreamOutcome& so) {
                         : epochs.back().table_budget;
 }
 
-/// Appends ",<value>" for each value.
-template <class... Ts>
-void csv_fields(util::JsonWriter& w, const Ts&... values) {
-  ((w.raw(','), util::csv_cell(w, values)), ...);
-}
-
 // Every report table is one list of `column(name, value)` calls, in
 // the JSON's order.  to_json writes each row as an object of these
 // members, summarize as one "<label>: name=value ..." text row
@@ -364,21 +358,15 @@ std::string to_csv(const FarmResult& r) {
   }
   w.raw('\n');
   for (const auto& [name, v] : r.metrics.counters()) {
-    w.raw(name).raw(",counter");
-    csv_fields(w, v, v);
+    w.raw(name).raw(",counter,").raw_integer(v).raw(',').raw_integer(v);
     w.raw(",0,0,0,0,0\n");
   }
   // SLO verdict table, again blank-line separated, only when
   // objectives were configured (a spec has no commas or whitespace).
   if (!r.slo.objectives.empty()) {
-    w.raw("\nslo,points,violations,worst_window,worst_value,"
-          "budget_remaining,alerts,met\n");
-    for (const obs::SloOutcome& o : r.slo.objectives) {
-      w.raw(o.spec.text);
-      csv_fields(w, o.points, o.violations, o.worst_window, o.worst_value,
-                 o.budget_remaining, o.alerts.size(), o.met);
-      w.raw('\n');
-    }
+    w.raw('\n');
+    util::csv_table(w, obs::SloOutcome{}, r.slo.objectives,
+                    obs::slo_flat_columns);
   }
   return w.take();
 }

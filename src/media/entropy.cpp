@@ -171,7 +171,7 @@ static_assert(
     "run_code_bits must sum kRunCodes' lengths");
 
 /// encode_block for a block holding a level beyond kMaxLevel, whose
-/// codes can outgrow the packer: one put_bits-based code at a time.
+/// codes can outgrow the joined run + level code: one code at a time.
 /// `Sink` is util::BitWriter or util::BitCounter.
 template <class Sink>
 std::int64_t encode_block_wide(Sink& bw, const Coeffs8& levels,
@@ -315,7 +315,7 @@ std::int32_t get_se(util::BitReader& br) { return se_of(get_ue(br)); }
 std::int64_t encode_block(util::BitWriter& bw, const Coeffs8& levels) {
   // One data-parallel pass over the block in raster order: each
   // position's se(level) code and its length, its nonzero flag, and
-  // whether any level lies beyond kMaxLevel (too long for the packer).
+  // whether any level lies beyond kMaxLevel (too long for the pass).
   std::array<std::uint32_t, 64> level_codes;
   std::array<std::uint8_t, 64> is_nonzero;
   std::uint32_t wide = 0;
@@ -331,26 +331,22 @@ std::int64_t encode_block(util::BitWriter& bw, const Coeffs8& levels) {
   const std::uint64_t nonzero = zigzag_nonzero_mask(is_nonzero);
   if (wide != 0) return encode_block_wide(bw, levels, nonzero);
 
-  // Walk the levels in zigzag order and pack each one's run code (with
+  // Walk the levels in zigzag order and write each one's run code (with
   // the flag) and level code as one code of at most 1 + 13 + 23 bits.
   const std::int64_t before = bw.bit_count();
-  {
-    util::BitWriter::Packer::Buffer buffer;
-    util::BitWriter::Packer packer(bw, buffer);
-    std::size_t next = 0;  // first zigzag position after the last level
-    for (std::uint64_t m = nonzero; m != 0; m &= m - 1) {
-      const auto i = static_cast<std::size_t>(std::countr_zero(m));
-      const std::uint32_t run = kRunCodes[i - next];
-      const std::uint32_t level =
-          level_codes[static_cast<std::size_t>(kZigzag[i])];
-      const std::uint32_t level_bits = level >> kLengthShift;
-      packer.put(static_cast<std::uint64_t>(run & kCodeMask) << level_bits |
-                     (level & kCodeMask),
-                 static_cast<int>((run >> kLengthShift) + level_bits));
-      next = i + 1;
-    }
-    packer.put(0, 1);  // end of block
+  std::size_t next = 0;  // first zigzag position after the last level
+  for (std::uint64_t m = nonzero; m != 0; m &= m - 1) {
+    const auto i = static_cast<std::size_t>(std::countr_zero(m));
+    const std::uint32_t run = kRunCodes[i - next];
+    const std::uint32_t level =
+        level_codes[static_cast<std::size_t>(kZigzag[i])];
+    const std::uint32_t level_bits = level >> kLengthShift;
+    bw.put_bits(static_cast<std::uint64_t>(run & kCodeMask) << level_bits |
+                    (level & kCodeMask),
+                static_cast<int>((run >> kLengthShift) + level_bits));
+    next = i + 1;
   }
+  bw.put_bit(false);  // end of block
   return bw.bit_count() - before;
 }
 
@@ -371,7 +367,7 @@ std::int64_t encode_block(util::BitCounter& bc, const Coeffs8& levels) {
   // bits and bit_width(0) = 0, so the level codes sum to
   // nz + 2·Σ bit_width(|v|) over all 64 positions; bit_width(|v|) is
   // bit_width(2|v| + 1) − 1, read off the float exponent like the
-  // packer's lengths.
+  // level codes' lengths in the BitWriter pass.
   std::array<std::uint8_t, 64> is_nonzero;
   std::uint32_t widths = 0;
   std::uint32_t wide = 0;

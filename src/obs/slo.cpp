@@ -441,26 +441,14 @@ SloReport evaluate_slos(const std::vector<SloSpec>& specs,
 }
 
 std::string slo_to_json(const SloReport& report) {
-  // Thresholds, budgets and evaluated values print as integers when
-  // integral (cycle thresholds, counts), with full round-trip
-  // precision otherwise.
   util::JsonWriter w;
+  const auto member = [&w](std::string_view name, const auto& value) {
+    w.key(name).value(value);
+  };
   w.begin_object().key("objectives").begin_array();
   for (const SloOutcome& o : report.objectives) {
     w.begin_object();
-    w.key("spec").string(o.spec.text);
-    w.key("metric").string(slo_metric_name(o.spec.metric));
-    w.key("scope").string(slo_scope_name(o.spec.scope));
-    w.key("threshold").integral_or_number(o.spec.threshold);
-    w.key("threshold_in_windows").boolean(o.spec.threshold_in_windows);
-    w.key("span").integer(o.spec.span);
-    w.key("budget").integral_or_number(o.spec.budget);
-    w.key("points").integer(o.points);
-    w.key("violations").integer(o.violations);
-    w.key("worst_window").integer(o.worst_window);
-    w.key("worst_value").integral_or_number(o.worst_value);
-    w.key("budget_remaining").integral_or_number(o.budget_remaining);
-    w.key("met").boolean(o.met);
+    slo_columns(o, member);
     w.key("alerts").begin_array();
     for (const SloAlert& a : o.alerts) {
       w.begin_object().key("window").integer(a.window);
@@ -477,15 +465,8 @@ std::string slo_to_json(const SloReport& report) {
 std::string slo_summary(const SloReport& report) {
   util::JsonWriter w;
   for (const SloOutcome& o : report.objectives) {
-    w.raw("slo ").raw(o.spec.text).raw(": points=").raw_integer(o.points);
-    w.raw(" violations=").raw_integer(o.violations);
-    if (o.worst_window >= 0) {
-      w.raw(" worst_window=").raw_integer(o.worst_window);
-      w.raw(" worst_value=").raw_integral_or_number(o.worst_value);
-    }
-    w.raw(" budget_remaining=").raw_integral_or_number(o.budget_remaining);
-    w.raw(" alerts=").raw_integer(static_cast<long long>(o.alerts.size()));
-    w.raw(o.met ? " MET\n" : " MISSED\n");
+    w.raw("slo ").raw(o.spec.text).raw(':');
+    util::text_row(w, slo_flat_columns, o);
   }
   return w.take();
 }

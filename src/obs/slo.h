@@ -43,6 +43,7 @@
 
 #include "obs/timeseries.h"
 #include "rt/types.h"
+#include "util/json.h"
 
 namespace qosctrl::obs {
 
@@ -121,10 +122,40 @@ struct SloInputs {
 SloReport evaluate_slos(const std::vector<SloSpec>& specs,
                         const SloInputs& inputs);
 
-/// JSON object for the report's "slo" section.
+/// One objective's report row: `column(name, value)` once per column,
+/// in the JSON's member order, `spec` through `met`.  Thresholds,
+/// budgets and evaluated values print as integers when integral
+/// (cycle thresholds, counts), with full round-trip precision otherwise.
+inline constexpr auto slo_columns = [](const SloOutcome& o, auto&& column) {
+  column("spec", o.spec.text);
+  column("metric", slo_metric_name(o.spec.metric));
+  column("scope", slo_scope_name(o.spec.scope));
+  column("threshold", util::IntegralOrNumber{o.spec.threshold});
+  column("threshold_in_windows", o.spec.threshold_in_windows);
+  column("span", o.spec.span);
+  column("budget", util::IntegralOrNumber{o.spec.budget});
+  column("points", o.points);
+  column("violations", o.violations);
+  column("worst_window", o.worst_window);
+  column("worst_value", util::IntegralOrNumber{o.worst_value});
+  column("budget_remaining", util::IntegralOrNumber{o.budget_remaining});
+  column("met", o.met);
+};
+
+/// The flat row the text summary and the farm CSV write: slo_columns,
+/// then the number of alerts where the JSON writes the `alerts` array.
+inline constexpr auto slo_flat_columns = [](const SloOutcome& o,
+                                            auto&& column) {
+  slo_columns(o, column);
+  column("alerts", o.alerts.size());
+};
+
+/// JSON object for the report's "slo" section: each objective's
+/// slo_columns, then its `alerts` array.
 std::string slo_to_json(const SloReport& report);
 
-/// Text-summary lines, one per objective.
+/// Text-summary lines, one per objective: `slo <spec>:`, then
+/// slo_flat_columns as ` name=value` pairs.
 std::string slo_summary(const SloReport& report);
 
 }  // namespace qosctrl::obs

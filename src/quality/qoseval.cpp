@@ -113,6 +113,34 @@ CellResult measure_cell(const farm::FarmResult& r, double latency_discount) {
   return c;
 }
 
+/// One grid cell's row, in the CSV's column order: to_csv writes it
+/// as a CSV line and summarize as a "cell <i>:" text row.
+constexpr auto cell_columns = [](const CellResult& c, auto&& column) {
+  column("scenario", c.scenario);
+  column("scenario_name", c.scenario_name);
+  column("quality_policy", quality_policy_name(c.quality_policy));
+  column("sched_policy", sched::policy_name(c.sched.kind));
+  column("renegotiate", c.renegotiate);
+  column("faulted", c.faulted);
+  column("offered", c.offered);
+  column("admitted", c.admitted);
+  column("rejected", c.rejected);
+  column("total_frames", c.total_frames);
+  column("skips", c.skips);
+  column("display_misses", c.display_misses);
+  column("internal_misses", c.internal_misses);
+  column("concealed", c.concealed);
+  column("miss_rate", c.miss_rate);
+  column("mean_psnr", c.mean_psnr);
+  column("mean_ssim", c.mean_ssim);
+  column("psnr_p5", c.psnr_p5);
+  column("fused_quality", c.fused_quality);
+  column("slo_violations", c.slo_violations);
+  column("slo_worst_window", c.slo_worst_window);
+  column("slo_budget_remaining", c.slo_budget_remaining);
+  column("slo_met", c.slo_met);
+};
+
 }  // namespace
 
 const char* quality_policy_name(QualityPolicy p) {
@@ -229,20 +257,18 @@ SweepResult run_sweep(const SweepConfig& config) {
     }
   }
 
-  // Pareto dominance on (fused quality up, miss rate down).
+  // Pareto dominance on (fused quality up, miss rate down): `a`
+  // dominates `b` when it is no worse on both and better on one.
+  const auto dominates = [](const PolicyFrontierPoint& a,
+                            const PolicyFrontierPoint& b) {
+    return a.fused_quality >= b.fused_quality && a.miss_rate <= b.miss_rate &&
+           (a.fused_quality > b.fused_quality || a.miss_rate < b.miss_rate);
+  };
   for (PolicyFrontierPoint& a : result.ranking) {
     for (const PolicyFrontierPoint& b : result.ranking) {
       if (&a == &b) continue;
-      const bool no_worse = b.fused_quality >= a.fused_quality &&
-                            b.miss_rate <= a.miss_rate;
-      const bool strictly = b.fused_quality > a.fused_quality ||
-                            b.miss_rate < a.miss_rate;
-      if (no_worse && strictly) a.dominated = true;
-      const bool a_no_worse = a.fused_quality >= b.fused_quality &&
-                              a.miss_rate <= b.miss_rate;
-      const bool a_strict = a.fused_quality > b.fused_quality ||
-                            a.miss_rate < b.miss_rate;
-      if (a_no_worse && a_strict) ++a.dominates;
+      if (dominates(b, a)) a.dominated = true;
+      if (dominates(a, b)) ++a.dominates;
     }
   }
   std::stable_sort(result.ranking.begin(), result.ranking.end(),
@@ -275,55 +301,18 @@ std::string summarize(const SweepResult& result) {
        << " rejection_rate=" << std::setprecision(2) << pt.rejection_rate
        << std::setprecision(4) << " dominates=" << pt.dominates << "\n";
   }
-  os << "cells (scenario-major):\n";
-  for (const CellResult& c : result.cells) {
-    os << "  " << c.scenario_name << " "
-       << quality_policy_name(c.quality_policy) << "/"
-       << sched::policy_name(c.sched.kind) << "/"
-       << (c.renegotiate ? "reneg" : "fixed")
-       << (c.faulted ? "/faults" : "")
-       << ": admitted=" << c.admitted << "/" << c.offered
-       << " frames=" << c.total_frames << " skips=" << c.skips
-       << " display_misses=" << c.display_misses
-       << " concealed=" << c.concealed
-       << " miss_rate=" << c.miss_rate
-       << " mean_psnr=" << std::setprecision(2) << c.mean_psnr
-       << std::setprecision(4) << " mean_ssim=" << c.mean_ssim
-       << " psnr_p5=" << std::setprecision(2) << c.psnr_p5
-       << std::setprecision(4)
-       << " fused_quality=" << c.fused_quality << "\n";
+  util::JsonWriter w;
+  w.raw(os.str()).raw("cells (scenario-major):\n");
+  for (std::size_t i = 0; i < result.cells.size(); ++i) {
+    w.raw("  cell ").raw_unsigned(i).raw(':');
+    util::text_row(w, cell_columns, result.cells[i]);
   }
-  return os.str();
+  return w.take();
 }
 
 std::string to_csv(const SweepResult& result) {
-  const auto columns = [](const CellResult& c, auto&& column) {
-    column("scenario", c.scenario);
-    column("scenario_name", c.scenario_name);
-    column("quality_policy", quality_policy_name(c.quality_policy));
-    column("sched_policy", sched::policy_name(c.sched.kind));
-    column("renegotiate", c.renegotiate);
-    column("faulted", c.faulted);
-    column("offered", c.offered);
-    column("admitted", c.admitted);
-    column("rejected", c.rejected);
-    column("total_frames", c.total_frames);
-    column("skips", c.skips);
-    column("display_misses", c.display_misses);
-    column("internal_misses", c.internal_misses);
-    column("concealed", c.concealed);
-    column("miss_rate", c.miss_rate);
-    column("mean_psnr", c.mean_psnr);
-    column("mean_ssim", c.mean_ssim);
-    column("psnr_p5", c.psnr_p5);
-    column("fused_quality", c.fused_quality);
-    column("slo_violations", c.slo_violations);
-    column("slo_worst_window", c.slo_worst_window);
-    column("slo_budget_remaining", c.slo_budget_remaining);
-    column("slo_met", c.slo_met);
-  };
   util::JsonWriter w;
-  util::csv_table(w, CellResult{}, result.cells, columns);
+  util::csv_table(w, CellResult{}, result.cells, cell_columns);
   return w.take();
 }
 

@@ -22,16 +22,6 @@ std::vector<std::uint8_t> BitWriter::finish() {
   return out;
 }
 
-std::vector<std::uint8_t> BitWriter::bytes() const {
-  std::vector<std::uint8_t> out(
-      buf_.begin(), buf_.begin() + static_cast<std::ptrdiff_t>(size_));
-  const std::uint64_t left_aligned = (acc_ << (free_ - 1)) << 1;
-  for (int i = 0; i < (64 - free_) / 8; ++i) {
-    out.push_back(static_cast<std::uint8_t>(left_aligned >> (56 - 8 * i)));
-  }
-  return out;
-}
-
 std::uint64_t BitReader::peek_tail() const {
   // Near (or past) the end: assemble the window byte by byte, reading
   // zeros past the last byte.  The ninth byte peek() would merge in is

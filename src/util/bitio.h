@@ -4,15 +4,14 @@
 // replays them.  Both move whole 64-bit words: the writer packs bits
 // into a register and stores it big-endian once it is full, and the
 // reader serves every read from a 64-bit window at the current bit
-// position.  Every macroblock of every frame a decoder reads passes
-// through them (about 1.6 kbit per macroblock at the farm's
-// quantizers), so they are on the encoder's hot path.  BitCounter
-// takes the same codes and only counts them, for frames no decoder
-// reads; the bit accounting stays exact either way because the rate
-// controller steers on it.
+// position.  The encoder writes no bytes: BitCounter takes the codes
+// and only counts them, which keeps the rate controller's bit
+// accounting exact.  BitWriter serves enc::pack_frame, the one code
+// that packs a frame (for the golden-bitstream tests, the benches and
+// Debug builds' decode checks), and BitReader the decoder of those
+// bytes.
 #pragma once
 
-#include <array>
 #include <bit>
 #include <cstdint>
 #include <cstring>
@@ -68,87 +67,6 @@ class BitWriter {
   /// Pads with zero bits to a byte boundary and hands the buffer off;
   /// the writer is empty afterwards.
   std::vector<std::uint8_t> finish();
-
-  /// Every complete byte written so far (without the trailing partial
-  /// byte that finish() would pad).
-  std::vector<std::uint8_t> bytes() const;
-
-  /// Appends a run of short codes with no bookkeeping per code: each
-  /// put() ORs its code into a register that holds fewer than 8 pending
-  /// bits, stores the register as 8 bytes and advances by whole bytes,
-  /// without a branch.  The Packer takes over the writer's pending bits
-  /// and packs into the caller's Buffer.  The destructor appends the
-  /// whole 64-bit words to the writer and hands the rest back as
-  /// pending bits, so the writer stores the same words, and grows its
-  /// buffer at the same points, as put_bits would.  Everything is
-  /// inline and the buffer is not part of the Packer, so the packing
-  /// state stays in registers.  The writer must not be used while a
-  /// Packer on it is alive.
-  class Packer {
-   public:
-    /// Bits one Packer can take: a block's worst case, 64 codes of
-    /// 1 + 13 + 23 bits and the end-of-block bit.
-    static constexpr std::int64_t kMaxBits = 64 * 37 + 1;
-    /// The writer's pending bits (< 64), kMaxBits more, and the 8 bytes
-    /// each store writes from the byte of the first pending bit.
-    using Buffer = std::array<std::uint8_t, (63 + kMaxBits) / 8 + 8>;
-
-    Packer(BitWriter& writer, Buffer& buffer)
-        : writer_(writer),
-          begin_(buffer.data()),
-          out_(buffer.data()),
-          acc_((writer.acc_ << (writer.free_ - 1)) << 1),
-          bits_(static_cast<unsigned>(64 - writer.free_)) {
-      store();
-    }
-    ~Packer() {
-      const auto bits = static_cast<std::size_t>(out_ - begin_) * 8 + bits_;
-      const std::size_t word_bytes = bits / 64 * 8;
-      if (word_bytes != 0) {  // an empty writer has no buffer to copy to
-        while (writer_.buf_.size() - writer_.size_ < word_bytes) {
-          writer_.grow();
-        }
-        std::memcpy(writer_.buf_.data() + writer_.size_, begin_, word_bytes);
-        writer_.size_ += word_bytes;
-      }
-      // The last store left the pending bits, then zeros, at out_, so
-      // the 8 bytes after the whole words hold the rest MSB-aligned.
-      std::uint64_t rest;
-      std::memcpy(&rest, begin_ + word_bytes, 8);
-      rest = detail::to_big_endian(rest);
-      const auto pending = static_cast<int>(bits % 64);
-      writer_.acc_ = pending == 0 ? 0 : rest >> (64 - pending);
-      writer_.free_ = 64 - pending;
-    }
-    Packer(const Packer&) = delete;
-    Packer& operator=(const Packer&) = delete;
-
-    /// Appends the `len` low bits of `code`.  Requires 1 <= len <= 56,
-    /// code < 2^len, and at most kMaxBits bits appended in all.
-    void put(std::uint64_t code, int len) {
-      QC_DCHECK(len >= 1 && len <= 56 && (code >> len) == 0,
-                "packer code must fit its length");
-      acc_ |= code << (64 - bits_ - static_cast<unsigned>(len));
-      bits_ += static_cast<unsigned>(len);
-      store();
-    }
-
-   private:
-    void store() {
-      QC_DCHECK(out_ + 8 <= begin_ + sizeof(Buffer), "packer overflow");
-      const std::uint64_t word = detail::to_big_endian(acc_);
-      std::memcpy(out_, &word, 8);
-      out_ += bits_ >> 3;
-      acc_ <<= bits_ & ~7u;
-      bits_ &= 7;
-    }
-
-    BitWriter& writer_;
-    std::uint8_t* begin_;
-    std::uint8_t* out_;  // the byte of the first pending bit
-    std::uint64_t acc_;  // pending bits, MSB-aligned, the rest zero
-    unsigned bits_;      // pending bits: < 8 between put() calls
-  };
 
  private:
   void store_word(std::uint64_t word) {

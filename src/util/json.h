@@ -23,6 +23,13 @@
 
 namespace qosctrl::util {
 
+/// A double that JsonWriter::value() and csv_cell() write as an integer
+/// when it is integral (cycle thresholds, counts) and at round-trip
+/// precision otherwise, as JsonWriter::integral_or_number() does.
+struct IntegralOrNumber {
+  double v;
+};
+
 /// Append-only text builder for the JSON reports (and, through its raw
 /// appends, the CSV tables: csv_table below).  Integers and doubles are
 /// written with std::to_chars; a double prints as printf's "%.17g"
@@ -63,9 +70,10 @@ class JsonWriter {
   JsonWriter& integral_or_number(double v);
   JsonWriter& boolean(bool b);
   /// A value by its C++ type: bool as boolean(), text as string(),
-  /// floating point as number(), unsigned types as unsigned_integer(),
-  /// any other arithmetic type as integer(), and a range (a vector, say)
-  /// as an array of its elements' values.
+  /// floating point as number(), IntegralOrNumber as
+  /// integral_or_number(), unsigned types as unsigned_integer(), any
+  /// other arithmetic type as integer(), and a range (a vector, say) as
+  /// an array of its elements' values.
   template <class T>
   JsonWriter& value(const T& v) {
     if constexpr (std::is_same_v<T, bool>) {
@@ -74,6 +82,8 @@ class JsonWriter {
       return string(v);
     } else if constexpr (std::is_floating_point_v<T>) {
       return number(v);
+    } else if constexpr (std::is_same_v<T, IntegralOrNumber>) {
+      return integral_or_number(v.v);
     } else if constexpr (std::is_unsigned_v<T>) {
       return unsigned_integer(v);
     } else if constexpr (requires { v.begin(); }) {
@@ -148,6 +158,8 @@ void csv_cell(JsonWriter& w, const T& v) {
     w.raw(std::string_view(v));
   } else if constexpr (std::is_floating_point_v<T>) {
     w.raw_number(v);
+  } else if constexpr (std::is_same_v<T, IntegralOrNumber>) {
+    w.raw_integral_or_number(v.v);
   } else if constexpr (std::is_unsigned_v<T>) {
     w.raw_unsigned(v);
   } else {

@@ -1,10 +1,12 @@
 // Helpers shared by the farm tests: small streams and scenarios, the
-// configs they run under, the miss-free check, and the FNV-1a digests
-// the report pins use.
+// configs they run under, the miss-free check, the FNV-1a digests the
+// report pins use, and readers of the reports' text rows and CSV
+// headers.
 #pragma once
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <utility>
@@ -14,8 +16,55 @@
 #include "farm/simulator.h"
 #include "obs/buildinfo.h"
 #include "obs/slo.h"
+#include "util/json.h"
 
 namespace qosctrl::farm {
+
+/// Name/value pairs in order: a text row's, or a JSON object's members.
+using Pairs = std::vector<std::pair<std::string, util::JsonValue>>;
+
+/// The " name=value" pairs of a summary row after its label, each value
+/// parsed as the JSON text it is: a bare token (number, bool or array)
+/// or a quoted string, which may hold spaces.
+inline Pairs row_pairs(const std::string& text) {
+  Pairs pairs;
+  for (std::size_t at = 0; at < text.size();) {
+    EXPECT_EQ(text[at], ' ') << text.substr(at);
+    const std::size_t eq = text.find('=', at);
+    if (eq == std::string::npos) {
+      ADD_FAILURE() << "no name=value pair in '" << text.substr(at) << "'";
+      break;
+    }
+    std::size_t end = eq + 1;
+    if (text[end] == '"') {
+      for (++end; text[end] != '"'; end += text[end] == '\\' ? 2 : 1) {
+      }
+      ++end;
+    } else {
+      end = std::min(text.find(' ', end), text.size());
+    }
+    util::JsonValue value;
+    std::string error;
+    EXPECT_TRUE(util::parse_json(text.substr(eq + 1, end - eq - 1), &value,
+                                 &error))
+        << text.substr(at) << ": " << error;
+    pairs.emplace_back(text.substr(at + 1, eq - at - 1), value);
+    at = end;
+  }
+  return pairs;
+}
+
+/// The names of the CSV line that starts at `from` (a header).
+inline std::vector<std::string> csv_names(const std::string& csv,
+                                          std::size_t from = 0) {
+  const std::size_t line_end = csv.find('\n', from);
+  std::vector<std::string> names;
+  for (std::size_t at = from, end = from; end < line_end; at = end + 1) {
+    end = std::min(csv.find(',', at), line_end);
+    names.push_back(csv.substr(at, end - at));
+  }
+  return names;
+}
 
 /// qmin worst case per macroblock (pinned in admission_test.cpp); the
 /// pinned mixes are built from it, so their arithmetic is exact.

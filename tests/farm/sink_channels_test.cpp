@@ -186,9 +186,11 @@ struct PinnedReports {
 /// (and every metrics digest above) was re-recorded when the
 /// always-zero admission_check_points counter left the registry.  The
 /// CSV digests were re-recorded when the stream table took the JSON's
-/// key order and gained tail_processor (same cells otherwise).
+/// key order and gained tail_processor (same cells otherwise), and
+/// faulted_preemptive's again when its SLO block took the JSON's
+/// objective members (obs::slo_columns) and their number forms.
 const std::array<PinnedReports, 3> kPinnedReports = {{
-    {0x3307775ca5c7bf75ULL, 0xc4593b10a92d43beULL},
+    {0x3307775ca5c7bf75ULL, 0x828208ebafb07cb6ULL},
     {0x9e533fdc5a439661ULL, 0x663880b441db951cULL},
     {0x41453014bd56a689ULL, 0x1b435f4987daf10bULL},
 }};
@@ -399,36 +401,6 @@ FarmResult faulted_sharded_split() {
   return run_farm(sc, cfg);
 }
 
-/// Name/value pairs in order: a text row's, or a JSON object's members.
-using Pairs = std::vector<std::pair<std::string, util::JsonValue>>;
-
-/// The " name=value" pairs of a summary row after its label, each value
-/// parsed as the JSON text it is: a bare token (number, bool or array)
-/// or a quoted string, which may hold spaces.
-Pairs row_pairs(const std::string& text) {
-  Pairs pairs;
-  for (std::size_t at = 0; at < text.size();) {
-    EXPECT_EQ(text[at], ' ') << text.substr(at);
-    const std::size_t eq = text.find('=', at);
-    std::size_t end = eq + 1;
-    if (text[end] == '"') {
-      for (++end; text[end] != '"'; end += text[end] == '\\' ? 2 : 1) {
-      }
-      ++end;
-    } else {
-      end = std::min(text.find(' ', end), text.size());
-    }
-    util::JsonValue value;
-    std::string error;
-    EXPECT_TRUE(util::parse_json(text.substr(eq + 1, end - eq - 1), &value,
-                                 &error))
-        << text.substr(at) << ": " << error;
-    pairs.emplace_back(text.substr(at + 1, eq - at - 1), value);
-    at = end;
-  }
-  return pairs;
-}
-
 /// An object's members less its nested objects and arrays of objects:
 /// what a text row can hold.
 Pairs flat_members(const util::JsonValue& object) {
@@ -569,6 +541,51 @@ TEST(FarmReport, SummaryRowsAreTheJsonTables) {
   EXPECT_GT(rejected, 0);
 }
 
+// The SLO table is one column list (obs::slo_columns) written three
+// ways: each objective's JSON members, the CSV block's header and each
+// "slo <spec>:" text row name the same columns in the same order, the
+// alerts last (an array in the JSON, its count in the CSV and the
+// text).  The text rows hold the JSON's values too.
+TEST(FarmReport, SloRowsAreOneColumnList) {
+  const FarmResult r = run(kPinned[0], 1);
+  util::JsonValue doc;
+  std::string error;
+  ASSERT_TRUE(util::parse_json(to_json(r), &doc, &error)) << error;
+  const auto& objectives = doc.find("slo")->find("objectives")->items();
+  ASSERT_EQ(objectives.size(), r.slo.objectives.size());
+  std::vector<std::string> names;
+  for (const auto& [name, value] : objectives[0].members()) {
+    names.push_back(name);
+  }
+  ASSERT_EQ(names.back(), "alerts");
+
+  // The CSV's SLO block is its last blank-line-separated table.
+  const std::string csv = to_csv(r);
+  EXPECT_EQ(csv_names(csv, csv.rfind("\n\n") + 2), names);
+
+  const std::string summary = summarize(r);
+  std::size_t rows = 0;
+  for (std::size_t at = summary.find("\nslo "); at != std::string::npos;
+       at = summary.find("\nslo ", at + 1), ++rows) {
+    ASSERT_LT(rows, objectives.size());
+    const util::JsonValue& json = objectives[rows];
+    const std::string label = "slo " + json.find("spec")->as_string() + ":";
+    ASSERT_EQ(summary.compare(at + 1, label.size(), label), 0);
+    const std::size_t from = at + 1 + label.size();
+    const Pairs pairs =
+        row_pairs(summary.substr(from, summary.find('\n', from) - from));
+    ASSERT_EQ(pairs.size(), names.size()) << label;
+    for (std::size_t i = 0; i < pairs.size(); ++i) {
+      EXPECT_EQ(pairs[i].first, names[i]) << label;
+    }
+    Pairs members = json.members();
+    members.back().second = util::JsonValue::make_number(
+        static_cast<double>(json.find("alerts")->items().size()));
+    expect_same_pairs(pairs, members, label);
+  }
+  EXPECT_EQ(rows, objectives.size());
+}
+
 // Seeds are unsigned 64-bit: one past 2^63 reaches the reports whole,
 // not wrapped negative.
 TEST(FarmReport, SeedsAboveTwoToThe63AreWrittenUnsigned) {
@@ -684,7 +701,7 @@ TEST(SinkChannels, MetricsSeriesAndTraceAgree) {
 TEST(SinkChannels, ProbeRecordsAMissInEverySink) {
   obs::Registry metrics;
   obs::TraceBuffer trace(0, 16);
-  obs::TimeSeries series{.window = 1000};
+  obs::TimeSeries series{.window = 1000, .tracks = {}};
   Probe probe(0, metrics, &trace, &series);
   probe.on_miss(2500, pipe::ControlMode::kConstantQuality, 7, 3, 40);
   EXPECT_EQ(metrics.counters().at("display_misses"), 1);

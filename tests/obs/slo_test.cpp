@@ -136,7 +136,7 @@ TEST(SloParseTest, RejectsBudgetsWhoseReciprocalOverflows) {
 /// span's p99 rank.
 TimeSeries latency_series(long long n, long long good, long long bad,
                           const std::vector<long long>& bad_windows) {
-  TimeSeries series{.window = 100};
+  TimeSeries series{.window = 100, .tracks = {}};
   SeriesTrack& t = series.track("frame_latency_cycles");
   for (long long w = 0; w < n; ++w) {
     const bool is_bad = std::find(bad_windows.begin(), bad_windows.end(),
@@ -267,7 +267,7 @@ TEST(SloEvalTest, WindowMultipleThresholdsScaleTheReference) {
 }
 
 TEST(SloEvalTest, RatesEvaluateWhereTheDenominatorHasData) {
-  TimeSeries series{.window = 100};
+  TimeSeries series{.window = 100, .tracks = {}};
   SeriesTrack& completed = series.track("frames_completed");
   SeriesTrack& misses = series.track("display_misses");
   // Windows 0-3 deliver 4 frames each; window 2 also misses twice.
@@ -294,7 +294,7 @@ TEST(SloEvalTest, RatesEvaluateWhereTheDenominatorHasData) {
 }
 
 TEST(SloEvalTest, ScopedObjectivesReadClassTracks) {
-  TimeSeries series{.window = 100};
+  TimeSeries series{.window = 100, .tracks = {}};
   SeriesTrack& fleet = series.track("frame_latency_cycles");
   SeriesTrack& ctl = series.track("frame_latency_cycles@controlled");
   series.record(fleet, 0, 5000);  // fleet p99 breaches
@@ -373,9 +373,12 @@ TEST(SloReportTest, JsonAndSummaryShapeIsPinned) {
             "\"worst_window\":0,\"worst_value\":100,\"budget_remaining\":1,"
             "\"met\":true,\"alerts\":[]}],\"all_met\":true}");
   EXPECT_EQ(slo_summary(report),
-            "slo recovery_latency<200: points=1 violations=0 "
-            "worst_window=0 worst_value=100 budget_remaining=1 "
-            "alerts=0 MET\n");
+            "slo recovery_latency<200: spec=\"recovery_latency<200\" "
+            "metric=\"recovery_latency\" scope=\"fleet\" threshold=200 "
+            "threshold_in_windows=false span=0 "
+            "budget=0.050000000000000003 points=1 violations=0 "
+            "worst_window=0 worst_value=100 budget_remaining=1 met=true "
+            "alerts=0\n");
 }
 
 }  // namespace

@@ -17,7 +17,7 @@ namespace qosctrl::obs {
 namespace {
 
 TEST(TimeSeriesTest, ValuesLandInTheirWindow) {
-  TimeSeries rec{.window = 100};
+  TimeSeries rec{.window = 100, .tracks = {}};
   SeriesTrack& t = rec.track("latency");
   rec.record(t, 0, 5);
   rec.record(t, 99, 7);    // still window 0
@@ -33,7 +33,7 @@ TEST(TimeSeriesTest, ValuesLandInTheirWindow) {
 }
 
 TEST(TimeSeriesTest, NegativeTimesClampToWindowZero) {
-  TimeSeries rec{.window = 100};
+  TimeSeries rec{.window = 100, .tracks = {}};
   SeriesTrack& t = rec.track("x");
   rec.record(t, static_cast<rt::Cycles>(-50), 1);
   ASSERT_EQ(t.size(), 1u);
@@ -41,7 +41,7 @@ TEST(TimeSeriesTest, NegativeTimesClampToWindowZero) {
 }
 
 TEST(TimeSeriesTest, TrackResolutionIsStable) {
-  TimeSeries rec{.window = 10};
+  TimeSeries rec{.window = 10, .tracks = {}};
   SeriesTrack& a = rec.track("a");
   SeriesTrack& again = rec.track("a");
   EXPECT_EQ(&a, &again);
@@ -55,7 +55,7 @@ TEST(TimeSeriesTest, MergeIsOrderIndependent) {
   util::Rng rng(42);
   std::vector<TimeSeries> recs;
   for (int r = 0; r < 3; ++r) {
-    recs.push_back(TimeSeries{.window = 50});
+    recs.push_back(TimeSeries{.window = 50, .tracks = {}});
     SeriesTrack& lat = recs.back().track("latency");
     SeriesTrack& q = recs.back().track("queue");
     for (int i = 0; i < 200; ++i) {
@@ -82,7 +82,7 @@ TEST(TimeSeriesTest, WindowedPercentilesMatchSortedReference) {
   // applied to that window's multiset alone: bucket_upper of the
   // bucket holding rank floor(p * (count - 1)).
   util::Rng rng(7);
-  TimeSeries rec{.window = 1000};
+  TimeSeries rec{.window = 1000, .tracks = {}};
   SeriesTrack& t = rec.track("v");
   std::map<long long, std::vector<long long>> per_window;
   for (int i = 0; i < 5000; ++i) {
@@ -113,14 +113,14 @@ TEST(TimeSeriesTest, WindowedPercentilesMatchSortedReference) {
 
 TEST(TimeSeriesTest, MergeAdoptsWindowAndRejectsNothingWhenEmpty) {
   TimeSeries series;
-  TimeSeries rec{.window = 25};
+  TimeSeries rec{.window = 25, .tracks = {}};
   series.merge(rec);  // an empty series still pins the window width
   EXPECT_EQ(series.window, 25);
   EXPECT_EQ(series.to_json(), "{\"window\":25,\"tracks\":{}}");
 }
 
 TEST(TimeSeriesTest, JsonShapeIsPinned) {
-  TimeSeries rec{.window = 10};
+  TimeSeries rec{.window = 10, .tracks = {}};
   SeriesTrack& t = rec.track("lat");
   rec.record(t, 5, 3);
   rec.record(t, 7, 4);

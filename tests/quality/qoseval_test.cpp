@@ -167,6 +167,32 @@ TEST(QosEval, GridCsvIsPinned) {
       << std::hex << " got 0x" << farm::fnv1a(csv);
 }
 
+// A cell is one column list: each "cell <i>:" row of the summary names
+// the grid CSV's header columns, in order, one row per CSV line.
+TEST(QosEval, SummaryCellRowsAreTheCsvColumns) {
+  const SweepResult result = run_sweep(small_grid());
+  const std::vector<std::string> header = farm::csv_names(to_csv(result));
+  ASSERT_EQ(header.front(), "scenario");
+
+  const std::string summary = summarize(result);
+  std::size_t cells = 0;
+  for (std::size_t at = summary.find("\n  cell "); at != std::string::npos;
+       at = summary.find("\n  cell ", at + 1)) {
+    const std::string label = "cell " + std::to_string(cells) + ":";
+    ASSERT_EQ(summary.compare(at + 3, label.size(), label), 0)
+        << summary.substr(at + 1, 40);
+    const std::size_t row = at + 3 + label.size();
+    std::vector<std::string> names;
+    for (const auto& [name, value] :
+         farm::row_pairs(summary.substr(row, summary.find('\n', row) - row))) {
+      names.push_back(name);
+    }
+    EXPECT_EQ(names, header) << label;
+    ++cells;
+  }
+  EXPECT_EQ(cells, result.cells.size());
+}
+
 TEST(QosEval, ControlledDominatesTheFixedQualityBaseline) {
   const SweepResult r = run_sweep(small_grid());
   ASSERT_FALSE(r.ranking.empty());

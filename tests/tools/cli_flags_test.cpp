@@ -182,7 +182,7 @@ TEST(CliFlags, TraceBufferStopsAtTheRingCeiling) {
   const std::string ceiling = std::to_string(farm::kMaxTraceBufferCapacity);
   ASSERT_EQ(Parsed(cl, {"--trace-buf", ceiling}).rc, -1);
   EXPECT_EQ(capacity, farm::kMaxTraceBufferCapacity);
-  for (const std::string v :
+  for (const std::string& v :
        {std::to_string(farm::kMaxTraceBufferCapacity + 1),
         std::string("2000000000"), std::string("0")}) {
     const Parsed r(cl, {"--trace-buf", v});

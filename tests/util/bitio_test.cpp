@@ -94,52 +94,19 @@ TEST(BitWriter, IgnoresBitsAboveCount) {
   EXPECT_EQ(bw.finish(), expected);
 }
 
-TEST(BitWriter, BytesShowsEveryCompleteByte) {
+TEST(BitWriter, FinishOnACopyShowsEveryByteSoFar) {
   BitWriter bw;
   for (int i = 0; i < 70; ++i) {
     bw.put_bits(0xA5, 8);
     bw.put_bits(1, 3);
-    const auto bytes = bw.bytes();
-    ASSERT_EQ(bytes.size(), static_cast<std::size_t>(bw.bit_count() / 8));
+    const auto bytes = BitWriter(bw).finish();
+    ASSERT_EQ(bytes.size(),
+              static_cast<std::size_t>((bw.bit_count() + 7) / 8));
   }
-  const auto bytes = bw.bytes();
+  const auto bytes = BitWriter(bw).finish();
   ASSERT_GE(bytes.size(), 2u);
   EXPECT_EQ(bytes[0], 0xA5);
   EXPECT_EQ(bytes[1], 0x34);  // 001 then the top five bits of 0xA5
-}
-
-TEST(BitWriter, PackerWritesAndGrowsAsPutBitsWould) {
-  // Runs of packed codes between put_bits calls, against the same codes
-  // through put_bits alone: the same bytes, and a handed-off buffer of
-  // the same capacity (the packer must not make retained bitstreams
-  // larger, not even near a doubling).
-  Rng rng(100);
-  for (int trial = 0; trial < 400; ++trial) {
-    BitWriter packed;
-    BitWriter plain;
-    const int runs = static_cast<int>(rng.uniform_i64(1, 120));
-    for (int r = 0; r < runs; ++r) {
-      const int count = static_cast<int>(rng.uniform_i64(0, 64));
-      const std::uint64_t value = rng.next_u64();
-      packed.put_bits(value, count);
-      plain.put_bits(value, count);
-      BitWriter::Packer::Buffer buffer;
-      BitWriter::Packer packer(packed, buffer);
-      const int codes = static_cast<int>(rng.uniform_i64(0, 64));
-      for (int c = 0; c < codes; ++c) {
-        const int len = static_cast<int>(rng.uniform_i64(1, 37));
-        const std::uint64_t code = rng.next_u64() >> (64 - len);
-        packer.put(code, len);
-        plain.put_bits(code, len);
-      }
-    }
-    ASSERT_EQ(packed.bit_count(), plain.bit_count()) << "trial " << trial;
-    ASSERT_EQ(packed.bytes(), plain.bytes()) << "trial " << trial;
-    const std::vector<std::uint8_t> a = packed.finish();
-    const std::vector<std::uint8_t> b = plain.finish();
-    ASSERT_EQ(a, b) << "trial " << trial;
-    ASSERT_EQ(a.capacity(), b.capacity()) << "trial " << trial;
-  }
 }
 
 TEST(BitWriter, FinishHandsOffAndEmpties) {
@@ -147,7 +114,7 @@ TEST(BitWriter, FinishHandsOffAndEmpties) {
   bw.put_bits(0xABC, 12);
   EXPECT_EQ(bw.finish(), (std::vector<std::uint8_t>{0xAB, 0xC0}));
   EXPECT_EQ(bw.bit_count(), 0);
-  EXPECT_TRUE(bw.bytes().empty());
+  EXPECT_TRUE(BitWriter(bw).finish().empty());
   bw.put_bits(0x5, 4);
   EXPECT_EQ(bw.finish(), (std::vector<std::uint8_t>{0x50}));
 }

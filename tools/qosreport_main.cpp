@@ -6,9 +6,11 @@
 // verdicts — docs/timeseries-slo.md); this tool turns that JSON back
 // into something a human can scan: an SLO verdict table, an inline-SVG
 // sparkline per time-series track, a per-processor utilization heatmap
-// from the busy_cycles/cpu<p> tracks, and the shard/trace-health
-// tables.  The output is a single HTML file with no external assets or
-// scripts, so it can be archived as a CI artifact and opened anywhere.
+// from the busy_cycles/cpu<p> tracks, and a processor table with each
+// trace buffer's drops.  The tables are the JSON's objects, headed
+// with their member names.  The output is a single HTML file with no
+// external assets or scripts, so it can be archived as a CI artifact
+// and opened anywhere.
 //
 //   qosreport render --in PATH --out PATH [--title T]
 //
@@ -51,9 +53,10 @@ std::string html_escape(const std::string& s) {
 std::string format_number(double v) {
   // Integers print exactly; everything else gets enough digits to be
   // useful without the scientific-notation noise of max precision.
+  // The range test comes first: casting a double outside the int64
+  // range to long long is undefined behaviour.
   std::ostringstream os;
-  if (v == static_cast<double>(static_cast<long long>(v)) &&
-      std::abs(v) < 1e15) {
+  if (std::abs(v) < 1e15 && v == std::trunc(v)) {
     os << static_cast<long long>(v);
   } else {
     os.precision(4);
@@ -177,37 +180,58 @@ std::string render_heatmap(const std::map<int, Track>& cpu_tracks,
   return os.str();
 }
 
-void render_slo_table(const JsonValue& slo, std::ostringstream& html) {
-  const JsonValue* objectives = slo.find("objectives", JsonKind::kArray);
-  if (objectives == nullptr) return;
-  html << "<h2>Service-level objectives</h2>\n<table>\n"
-       << "<tr><th>objective</th><th>scope</th><th>points</th>"
-       << "<th>violations</th><th>worst window</th><th>worst value</th>"
-       << "<th>budget left</th><th>alerts</th><th>verdict</th></tr>\n";
-  for (const JsonValue& o : objectives->items()) {
-    const JsonValue* spec = o.find("spec", JsonKind::kString);
-    const JsonValue* scope = o.find("scope", JsonKind::kString);
-    const JsonValue* met = o.find("met", JsonKind::kBool);
-    const JsonValue* alerts = o.find("alerts", JsonKind::kArray);
-    auto num = [&](const char* key) {
-      const JsonValue* v = o.find(key, JsonKind::kNumber);
-      return v != nullptr ? v->as_number() : 0.0;
-    };
-    const bool ok = met != nullptr && met->as_bool();
-    html << "<tr><td><code>"
-         << html_escape(spec != nullptr ? spec->as_string() : "?")
-         << "</code></td><td>"
-         << html_escape(scope != nullptr ? scope->as_string() : "?")
-         << "</td><td>" << format_number(num("points")) << "</td><td>"
-         << format_number(num("violations")) << "</td><td>"
-         << format_number(num("worst_window")) << "</td><td>"
-         << format_number(num("worst_value")) << "</td><td>"
-         << format_number(num("budget_remaining")) << "</td><td>"
-         << (alerts != nullptr ? alerts->items().size() : 0)
-         << "</td><td class=\"" << (ok ? "met" : "missed") << "\">"
-         << (ok ? "MET" : "MISSED") << "</td></tr>\n";
+/// A table cell's text: a number as format_number() prints it, a string
+/// or a bool as its text, an array as its item count, and "-" for a
+/// member the row lacks (or null, or an object).
+std::string cell_text(const JsonValue* v) {
+  switch (v != nullptr ? v->kind() : JsonKind::kNull) {
+    case JsonKind::kNumber:
+      return format_number(v->as_number());
+    case JsonKind::kString:
+      return html_escape(v->as_string());
+    case JsonKind::kBool:
+      return v->as_bool() ? "true" : "false";
+    case JsonKind::kArray:
+      return std::to_string(v->items().size());
+    case JsonKind::kNull:
+    case JsonKind::kObject:
+      break;
+  }
+  return "-";
+}
+
+/// A table of JSON objects under a heading: one row per object, one
+/// column per member of the first, headed with the member's JSON name.
+void render_table(const char* title, const std::vector<JsonValue>& rows,
+                  std::ostringstream& html) {
+  if (rows.empty() || !rows.front().is_object()) return;
+  const auto& columns = rows.front().members();
+  html << "<h2>" << title << "</h2>\n<table>\n<tr>";
+  for (const auto& column : columns) {
+    html << "<th>" << html_escape(column.first) << "</th>";
+  }
+  html << "</tr>\n";
+  for (const JsonValue& row : rows) {
+    html << "<tr>";
+    for (const auto& column : columns) {
+      html << "<td>" << cell_text(row.find(column.first)) << "</td>";
+    }
+    html << "</tr>\n";
   }
   html << "</table>\n";
+}
+
+/// The SLO verdicts: one row per objective, then whether all were met.
+void render_slo(const JsonValue& slo, std::ostringstream& html) {
+  const JsonValue* objectives = slo.find("objectives", JsonKind::kArray);
+  if (objectives == nullptr) return;
+  render_table("Service-level objectives", objectives->items(), html);
+  const char* const kAllMet = "all_met";
+  if (const JsonValue* all_met = slo.find(kAllMet, JsonKind::kBool)) {
+    const bool ok = all_met->as_bool();
+    html << "<p class=\"" << (ok ? "met" : "missed") << "\">" << kAllMet
+         << ' ' << (ok ? "true" : "false") << "</p>\n";
+  }
 }
 
 void render_fleet_header(const JsonValue& doc, std::ostringstream& html) {
@@ -239,47 +263,30 @@ void render_fleet_header(const JsonValue& doc, std::ostringstream& html) {
   html << "</p>\n";
 }
 
-void render_processor_table(const JsonValue& doc, std::ostringstream& html) {
+/// The per-processor objects, each with its trace buffer's drop count
+/// when the run was traced.  The control plane's buffer rides at index
+/// num_processors; its row shows "control" in the first column.
+std::vector<JsonValue> processor_rows(const JsonValue& doc) {
   const JsonValue* procs = doc.find("processors", JsonKind::kArray);
-  if (procs == nullptr || procs->items().empty()) return;
-  const JsonValue* dropped =
-      doc.find("trace_dropped_per_buffer", JsonKind::kArray);
-  html << "<h2>Processors</h2>\n<table>\n"
-       << "<tr><th>proc</th><th>streams</th><th>frames</th>"
-       << "<th>utilization</th><th>preemptions</th><th>failed</th>";
-  if (dropped != nullptr) html << "<th>trace dropped</th>";
-  html << "</tr>\n";
+  if (procs == nullptr) return {};
+  const char* const kDropped = "trace_dropped_per_buffer";
+  const JsonValue* dropped = doc.find(kDropped, JsonKind::kArray);
+  const std::size_t drops = dropped != nullptr ? dropped->items().size() : 0;
+  std::vector<JsonValue> rows;
   for (std::size_t p = 0; p < procs->items().size(); ++p) {
-    const JsonValue& po = procs->items()[p];
-    auto num = [&](const char* key) {
-      const JsonValue* v = po.find(key, JsonKind::kNumber);
-      return v != nullptr ? v->as_number() : 0.0;
-    };
-    const JsonValue* failed = po.find("failed", JsonKind::kBool);
-    html << "<tr><td>" << p << "</td><td>" << format_number(num("streams"))
-         << "</td><td>" << format_number(num("frames")) << "</td><td>"
-         << format_number(num("utilization")) << "</td><td>"
-         << format_number(num("preemptions")) << "</td><td>"
-         << (failed != nullptr && failed->as_bool() ? "yes" : "no")
-         << "</td>";
-    if (dropped != nullptr) {
-      html << "<td>"
-           << (p < dropped->items().size()
-                   ? format_number(dropped->items()[p].as_number())
-                   : std::string("-"))
-           << "</td>";
-    }
-    html << "</tr>\n";
+    if (!procs->items()[p].is_object()) continue;
+    auto members = procs->items()[p].members();
+    if (p < drops) members.emplace_back(kDropped, dropped->items()[p]);
+    rows.push_back(JsonValue::make_object(std::move(members)));
   }
-  // The control-plane buffer rides at index num_processors.
-  if (dropped != nullptr &&
-      dropped->items().size() == procs->items().size() + 1) {
-    html << "<tr><td>control</td><td>-</td><td>-</td><td>-</td><td>-</td>"
-         << "<td>-</td><td>"
-         << format_number(dropped->items().back().as_number())
-         << "</td></tr>\n";
+  if (drops == procs->items().size() + 1 && !rows.empty() &&
+      !rows.front().members().empty()) {
+    rows.push_back(JsonValue::make_object(
+        {{rows.front().members().front().first,
+          JsonValue::make_string("control")},
+         {kDropped, dropped->items().back()}}));
   }
-  html << "</table>\n";
+  return rows;
 }
 
 void render_timeseries(const JsonValue& doc, std::ostringstream& html) {
@@ -403,9 +410,9 @@ int main(int argc, char** argv) {
        << html_escape(heading) << "</h1>\n";
   render_fleet_header(doc, html);
   const JsonValue* slo = doc.find("slo", JsonKind::kObject);
-  if (slo != nullptr) render_slo_table(*slo, html);
+  if (slo != nullptr) render_slo(*slo, html);
   render_timeseries(doc, html);
-  render_processor_table(doc, html);
+  render_table("Processors", processor_rows(doc), html);
   html << "<p class=\"meta\">"
        << html_escape(qosctrl::obs::version_line("qosreport"))
        << "</p>\n</body></html>";
